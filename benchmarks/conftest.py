@@ -1,13 +1,18 @@
 """Shared configuration for the benchmark harness.
 
 Each benchmark module regenerates one table or figure of the paper's
-evaluation (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-paper-vs-measured numbers).  The default workload sizes are scaled down from
-the paper's (which used a Scala engine + native Z3 on dedicated hardware) so
-that the whole suite completes in minutes on a laptop; set
-``SYMNET_BENCH_SCALE=full`` to run the larger versions.
+evaluation and asserts its shape (the module docstrings name the table or
+section; README.md summarises what each layer's benchmark pins).  The
+default workload sizes are scaled down from the paper's (which used a Scala
+engine + native Z3 on dedicated hardware) so that the whole suite completes
+in minutes on a laptop; set ``SYMNET_BENCH_SCALE=full`` to run the larger
+versions.
+
+These are single-shot smoke records.  Performance numbers that can be
+compared across commits come from ``bench/`` (see ``bench/README.md``).
 """
 
+import collections
 import json
 import os
 
@@ -15,68 +20,12 @@ import pytest
 
 FULL_SCALE = os.environ.get("SYMNET_BENCH_SCALE", "").lower() == "full"
 
-#: Where the machine-readable campaign benchmark records land.  Overridable
-#: so CI can archive per-run files; the default accumulates next to the
-#: benchmarks so the perf trajectory is versionable.
-BENCH_JSON_PATH = os.environ.get(
-    "SYMNET_BENCH_JSON",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_campaign.json"),
-)
-
-#: Machine-readable records for the API-planner benchmark: N separate
-#: campaign runs vs one planned query batch over the same network.
-BENCH_API_JSON_PATH = os.environ.get(
-    "SYMNET_BENCH_API_JSON",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_api.json"),
-)
-
-#: Machine-readable records for the persistent-store benchmark: cold vs
-#: warm-from-disk campaigns and single-dict vs sharded shared tiers.
-BENCH_STORE_JSON_PATH = os.environ.get(
-    "SYMNET_BENCH_STORE_JSON",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_store.json"),
-)
-
-#: Machine-readable records for the job-symmetry benchmark: engine runs,
-#: wall time and paths for symmetry off vs on.
-BENCH_SYMMETRY_JSON_PATH = os.environ.get(
-    "SYMNET_BENCH_SYMMETRY_JSON",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_symmetry.json"),
-)
-
-#: Machine-readable records for the delta-verification benchmark: engine
-#: runs, wall time and solver work for a full campaign vs a one-device-edit
-#: delta rerun over the same snapshot directory.
-BENCH_DELTA_JSON_PATH = os.environ.get(
-    "SYMNET_BENCH_DELTA_JSON",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_delta.json"),
-)
-
-
-#: Machine-readable records for the resident-service benchmark: batch wall
-#: time vs time-to-first-result under the streaming demux, and the merged
-#: cost of two concurrent clients vs two standalone runs.
-BENCH_SERVE_JSON_PATH = os.environ.get(
-    "SYMNET_BENCH_SERVE_JSON",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_serve.json"),
-)
-
-
-#: Machine-readable records for the transient-state scenario benchmark:
-#: per-step wall time and engine runs with delta chaining off vs on, plus
-#: the spliced-port counts threaded through the scenario report.
-BENCH_SCENARIO_JSON_PATH = os.environ.get(
-    "SYMNET_BENCH_SCENARIO_JSON",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_scenario.json"),
-)
-
-
-#: Machine-readable records for the observability-overhead benchmark: wall
-#: time of the same pinned campaign with the no-op tracer vs a recording
-#: one, plus the span volume the traced run produced.
-BENCH_OBS_JSON_PATH = os.environ.get(
-    "SYMNET_BENCH_OBS_JSON",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_obs.json"),
+#: Where the machine-readable ``BENCH_<family>.json`` records land: one
+#: directory, git-ignored by default so running the suite leaves the tree
+#: clean.  Overridable so CI can archive per-run files.
+BENCH_DIR = os.environ.get(
+    "SYMNET_BENCH_DIR",
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "out"),
 )
 
 
@@ -136,83 +85,19 @@ def _merge_bench_records(path: str, records) -> None:
 
 
 @pytest.fixture(scope="session")
-def bench_json():
-    """Collect machine-readable campaign benchmark records and merge them
-    into ``BENCH_campaign.json`` at the end of the session."""
-    records = []
-    yield records
-    if records:
-        _merge_bench_records(BENCH_JSON_PATH, records)
-
-
-@pytest.fixture(scope="session")
-def bench_api_json():
-    """Collect separate-campaigns-vs-planned-batch comparison records and
-    merge them into ``BENCH_api.json`` at the end of the session."""
-    records = []
-    yield records
-    if records:
-        _merge_bench_records(BENCH_API_JSON_PATH, records)
-
-
-@pytest.fixture(scope="session")
-def bench_store_json():
-    """Collect persistent-store benchmark records and merge them into
-    ``BENCH_store.json`` at the end of the session."""
-    records = []
-    yield records
-    if records:
-        _merge_bench_records(BENCH_STORE_JSON_PATH, records)
-
-
-@pytest.fixture(scope="session")
-def bench_symmetry_json():
-    """Collect symmetry-reduction benchmark records and merge them into
-    ``BENCH_symmetry.json`` at the end of the session."""
-    records = []
-    yield records
-    if records:
-        _merge_bench_records(BENCH_SYMMETRY_JSON_PATH, records)
-
-
-@pytest.fixture(scope="session")
-def bench_delta_json():
-    """Collect delta-verification benchmark records and merge them into
-    ``BENCH_delta.json`` at the end of the session."""
-    records = []
-    yield records
-    if records:
-        _merge_bench_records(BENCH_DELTA_JSON_PATH, records)
-
-
-@pytest.fixture(scope="session")
-def bench_serve_json():
-    """Collect resident-service streaming benchmark records and merge them
-    into ``BENCH_serve.json`` at the end of the session."""
-    records = []
-    yield records
-    if records:
-        _merge_bench_records(BENCH_SERVE_JSON_PATH, records)
-
-
-@pytest.fixture(scope="session")
-def bench_scenario_json():
-    """Collect transient-state scenario benchmark records and merge them
-    into ``BENCH_scenario.json`` at the end of the session."""
-    records = []
-    yield records
-    if records:
-        _merge_bench_records(BENCH_SCENARIO_JSON_PATH, records)
-
-
-@pytest.fixture(scope="session")
-def bench_obs_json():
-    """Collect tracing-overhead benchmark records and merge them into
-    ``BENCH_obs.json`` at the end of the session."""
-    records = []
-    yield records
-    if records:
-        _merge_bench_records(BENCH_OBS_JSON_PATH, records)
+def bench_records():
+    """``bench_records(family)`` is the session-wide record list of one
+    benchmark family ("campaign", "api", "store", "symmetry", "delta",
+    "serve", "scenario", "obs"); at the end of the session every non-empty
+    family is merged into ``BENCH_<family>.json`` under :data:`BENCH_DIR`."""
+    families = collections.defaultdict(list)
+    yield families.__getitem__
+    for family, records in families.items():
+        if records:
+            os.makedirs(BENCH_DIR, exist_ok=True)
+            _merge_bench_records(
+                os.path.join(BENCH_DIR, f"BENCH_{family}.json"), records
+            )
 
 
 @pytest.fixture(scope="session")

@@ -69,7 +69,7 @@ def _planned_batch(workload, options, workers):
     return result, time.perf_counter() - started
 
 
-def _compare(label, workload, options, workers, bench_report, bench_api_json):
+def _compare(label, workload, options, workers, bench_report, bench_records):
     separate, separate_wall = _separate_campaigns(workload, options, workers)
     planned, planned_wall = _planned_batch(workload, options, workers)
 
@@ -102,7 +102,7 @@ def _compare(label, workload, options, workers, bench_report, bench_api_json):
         f"{planned.stats.solver_cache_misses} vs {separate_solves}, "
         f"wall {planned_wall:.2f}s vs {separate_wall:.2f}s"
     )
-    bench_api_json.append(
+    bench_records("api").append(
         {
             "workload": f"{label}-x{workers}",
             "scale": "full" if FULL_SCALE else "small",
@@ -121,24 +121,24 @@ def _compare(label, workload, options, workers, bench_report, bench_api_json):
     )
 
 
-def test_department_batch_beats_separate_campaigns(bench_report, bench_api_json):
+def test_department_batch_beats_separate_campaigns(bench_report, bench_records):
     _compare(
         "department", "department", DEPARTMENT_OPTIONS, 1,
-        bench_report, bench_api_json,
+        bench_report, bench_records,
     )
 
 
-def test_stanford_acl_batch_beats_separate_campaigns(bench_report, bench_api_json):
+def test_stanford_acl_batch_beats_separate_campaigns(bench_report, bench_records):
     _compare(
         "stanford-acl", "stanford", STANFORD_ACL_OPTIONS, 1,
-        bench_report, bench_api_json,
+        bench_report, bench_records,
     )
 
 
 def test_stanford_acl_batch_beats_separate_campaigns_workers2(
-    bench_report, bench_api_json
+    bench_report, bench_records
 ):
     _compare(
         "stanford-acl", "stanford", STANFORD_ACL_OPTIONS, 2,
-        bench_report, bench_api_json,
+        bench_report, bench_records,
     )

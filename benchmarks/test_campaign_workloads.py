@@ -23,6 +23,7 @@ from repro.core.campaign import (
     VerificationCampaign,
     clear_runtime_cache,
 )
+from repro.store import VerificationStore
 
 from conftest import campaign_record, scaled
 
@@ -41,9 +42,9 @@ STANFORD_ACL_OPTIONS = dict(
 )
 
 
-def _run(source, workers, shared_cache=True, warm=None):
+def _run(source, workers, shared_cache=True, store=None):
     campaign = VerificationCampaign(
-        source, shared_cache=shared_cache, warm_cache=warm
+        source, shared_cache=shared_cache, store=store
     )
     return campaign.run(workers=workers)
 
@@ -63,15 +64,15 @@ def _report_row(bench_report, label, result):
 
 
 def test_department_campaign_parallel_equals_sequential(
-    benchmark, bench_report, bench_json
+    benchmark, bench_report, bench_records
 ):
     source = NetworkSource.from_workload("department", **DEPARTMENT_OPTIONS)
     sequential = _run(source, workers=1)
     parallel = benchmark.pedantic(_run, args=(source, 2), rounds=1, iterations=1)
     _report_row(bench_report, "department seq", sequential)
     _report_row(bench_report, "department x2 ", parallel)
-    bench_json.append(campaign_record("department-seq", sequential))
-    bench_json.append(campaign_record("department-x2", parallel))
+    bench_records("campaign").append(campaign_record("department-seq", sequential))
+    bench_records("campaign").append(campaign_record("department-x2", parallel))
     assert sequential.reachability == parallel.reachability
     assert (
         sequential.invariant_report.fingerprint()
@@ -85,11 +86,11 @@ def test_department_campaign_parallel_equals_sequential(
         )
 
 
-def test_stanford_campaign_all_pairs(benchmark, bench_report, bench_json):
+def test_stanford_campaign_all_pairs(benchmark, bench_report, bench_records):
     source = NetworkSource.from_workload("stanford", **STANFORD_OPTIONS)
     result = benchmark.pedantic(_run, args=(source, 2), rounds=1, iterations=1)
     _report_row(bench_report, "stanford all-pairs", result)
-    bench_json.append(campaign_record("stanford-all-pairs", result))
+    bench_records("campaign").append(campaign_record("stanford-all-pairs", result))
     zones = STANFORD_OPTIONS["zones"]
     # Every zone reaches every other zone's hosts port: a full off-diagonal
     # reachability matrix.
@@ -103,28 +104,34 @@ def test_stanford_campaign_all_pairs(benchmark, bench_report, bench_json):
     assert result.loop_report.loop_free
 
 
-def test_stanford_shared_cache_cuts_full_solves(bench_report, bench_json):
+def test_stanford_shared_cache_cuts_full_solves(
+    tmp_path, bench_report, bench_records
+):
     """The verdict-cache acceptance criterion on the all-pairs sweep."""
     source = NetworkSource.from_workload("stanford", **STANFORD_ACL_OPTIONS)
+    store = VerificationStore(str(tmp_path / "store"))
 
-    def fresh_run(workers, shared_cache):
+    def fresh_run(workers, shared_cache, store=None):
         clear_runtime_cache()  # measure cache tiers, not leftover workers
-        return _run(source, workers=workers, shared_cache=shared_cache)
+        return _run(source, workers=workers, shared_cache=shared_cache, store=store)
 
     isolated = fresh_run(workers=1, shared_cache=False)
-    shared_seq = fresh_run(workers=1, shared_cache=True)
+    shared_seq = fresh_run(workers=1, shared_cache=True, store=store)
     shared_x2 = fresh_run(workers=2, shared_cache=True)
-    clear_runtime_cache()
-    warm = _run(source, workers=1, warm=shared_seq.verdict_cache)
+    warm = fresh_run(workers=1, shared_cache=True, store=store)
 
     _report_row(bench_report, "stanford+acl isolated", isolated)
     _report_row(bench_report, "stanford+acl shared  ", shared_seq)
     _report_row(bench_report, "stanford+acl shared x2", shared_x2)
     _report_row(bench_report, "stanford+acl warm    ", warm)
-    bench_json.append(campaign_record("stanford-acl-isolated", isolated))
-    bench_json.append(campaign_record("stanford-acl-shared", shared_seq))
-    bench_json.append(campaign_record("stanford-acl-shared-x2", shared_x2))
-    bench_json.append(campaign_record("stanford-acl-warm", warm))
+    bench_records("campaign").extend(
+        [
+            campaign_record("stanford-acl-isolated", isolated),
+            campaign_record("stanford-acl-shared", shared_seq),
+            campaign_record("stanford-acl-shared-x2", shared_x2),
+            campaign_record("stanford-acl-warm", warm),
+        ]
+    )
 
     # Measurably fewer full solves with the shared cache than without: the
     # isolated baseline pays every zone's ACL solves, the shared cache pays
@@ -148,10 +155,10 @@ def test_stanford_shared_cache_cuts_full_solves(bench_report, bench_json):
         assert result.loop_report.fingerprint() == expected_loops
 
 
-def test_enterprise_campaign_round_trip(bench_report, bench_json):
+def test_enterprise_campaign_round_trip(bench_report, bench_records):
     source = NetworkSource.from_workload("enterprise", mirror_at_exit=True)
     result = _run(source, workers=1)
     _report_row(bench_report, "enterprise mirror", result)
-    bench_json.append(campaign_record("enterprise-mirror", result))
+    bench_records("campaign").append(campaign_record("enterprise-mirror", result))
     # With the exit mirror, client traffic must come back to the client.
     assert result.reachability.reachable("AP:in0", "R1:to-client")

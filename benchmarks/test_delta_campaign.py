@@ -74,7 +74,7 @@ def _delta_record(label, result, engine_runs):
 
 
 def test_one_device_edit_reexecutes_o1_engine_jobs(
-    tmp_path, bench_report, bench_delta_json
+    tmp_path, bench_report, bench_records
 ):
     net = tmp_path / "net"
     net.mkdir()
@@ -107,8 +107,8 @@ def test_one_device_edit_reexecutes_o1_engine_jobs(
     assert scratch_runs == 16
     assert _fingerprints(delta) == _fingerprints(scratch)
 
-    bench_delta_json.append(_delta_record("stanford-dir-zones16-full", full, full_runs))
-    bench_delta_json.append(_delta_record("stanford-dir-zones16-delta", delta, delta_runs))
+    bench_records("delta").append(_delta_record("stanford-dir-zones16-full", full, full_runs))
+    bench_records("delta").append(_delta_record("stanford-dir-zones16-delta", delta, delta_runs))
     bench_report.append(
         f"delta verification (stanford dir zones=16): one-ACL edit -> "
         f"{delta_runs}/{full_runs} engine runs "
@@ -119,7 +119,7 @@ def test_one_device_edit_reexecutes_o1_engine_jobs(
     )
 
 
-def test_delta_composes_with_symmetry(tmp_path, bench_report, bench_delta_json):
+def test_delta_composes_with_symmetry(tmp_path, bench_report, bench_records):
     net = tmp_path / "net"
     net.mkdir()
     injections = export_stanford_directory(str(net), **STANFORD_DELTA_OPTIONS)
@@ -141,7 +141,7 @@ def test_delta_composes_with_symmetry(tmp_path, bench_report, bench_delta_json):
     )
     assert _fingerprints(delta) == _fingerprints(scratch)
 
-    bench_delta_json.append(
+    bench_records("delta").append(
         _delta_record("stanford-dir-zones16-symmetry-delta", delta, delta_runs)
     )
     bench_report.append(

@@ -54,7 +54,7 @@ def _timed_run(*, traced, workers):
     return result, wall, len(tracer.export())
 
 
-def test_tracing_overhead(bench_report, bench_obs_json):
+def test_tracing_overhead(bench_report, bench_records):
     records = []
     for workers in (1, 2):
         off_result, off_wall, off_spans = _timed_run(
@@ -83,4 +83,4 @@ def test_tracing_overhead(bench_report, bench_obs_json):
             f"obs overhead (workers={workers}): untraced {off_wall:.3f}s, "
             f"traced {on_wall:.3f}s ({overhead:+.1%}), {on_spans} spans"
         )
-    bench_obs_json.extend(records)
+    bench_records("obs").extend(records)

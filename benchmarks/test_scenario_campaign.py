@@ -101,7 +101,7 @@ def _reproduces(tmp_path, scenario, representative):
 
 
 def test_scenario_campaign_delta_vs_scratch(
-    tmp_path, bench_scenario_json, bench_report
+    tmp_path, bench_records, bench_report
 ):
     scenario, scratch = _run(tmp_path, "scratch", delta=False)
     _, chained = _run(tmp_path, "delta", delta=True)
@@ -136,7 +136,7 @@ def test_scenario_campaign_delta_vs_scratch(
 
     scale = "full" if FULL_SCALE else "small"
     for label, run in (("scenario-scratch", scratch), ("scenario-delta", chained)):
-        bench_scenario_json.append(
+        bench_records("scenario").append(
             {
                 "workload": f"stanford-{label}",
                 "scale": scale,

@@ -51,7 +51,7 @@ def _model():
     return NetworkModel.from_workload("stanford", **STANFORD_OPTIONS)
 
 
-def test_streaming_time_to_first_result(bench_report, bench_serve_json):
+def test_streaming_time_to_first_result(bench_report, bench_records):
     queries = [parse_query(text) for text in QUERY_TEXTS]
 
     start = time.perf_counter()
@@ -80,7 +80,7 @@ def test_streaming_time_to_first_result(bench_report, bench_serve_json):
     assert arrivals[0][2] < arrivals[0][3]
     assert first_result < streaming_wall
 
-    bench_serve_json.append(
+    bench_records("serve").append(
         {
             "workload": f"stanford-zones{ZONES}-streaming-demux",
             "scale": "full" if ZONES == 16 else "small",
@@ -103,7 +103,7 @@ def test_streaming_time_to_first_result(bench_report, bench_serve_json):
     )
 
 
-def test_service_socket_time_to_first_result(bench_report, bench_serve_json):
+def test_service_socket_time_to_first_result(bench_report, bench_records):
     service = VerificationService(batch_window=0.01)
     ready: "queue_module.Queue" = queue_module.Queue()
     loop = asyncio.new_event_loop()
@@ -158,7 +158,7 @@ def test_service_socket_time_to_first_result(bench_report, bench_serve_json):
         thread.join(timeout=60)
 
     assert first_result is not None and first_result < done_at
-    bench_serve_json.append(
+    bench_records("serve").append(
         {
             "workload": f"stanford-zones{ZONES}-service-socket",
             "scale": "full" if ZONES == 16 else "small",

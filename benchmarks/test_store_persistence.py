@@ -63,7 +63,7 @@ def _fingerprints(result):
     )
 
 
-def test_cold_vs_warm_from_disk(tmp_path, bench_report, bench_json, bench_store_json):
+def test_cold_vs_warm_from_disk(tmp_path, bench_report, bench_records):
     store_dir = str(tmp_path / "store")
 
     cold = _run(VerificationStore(store_dir))
@@ -82,8 +82,8 @@ def test_cold_vs_warm_from_disk(tmp_path, bench_report, bench_json, bench_store_
 
     for label, result in (("stanford16-store-cold", cold), ("stanford16-store-warm", warm)):
         record = campaign_record(label, result)
-        bench_json.append(record)
-        bench_store_json.append(record)
+        bench_records("campaign").append(record)
+        bench_records("store").append(record)
     bench_report.append(
         f"Store | stanford zones=16 cold: {cold.stats.solver_cache_misses} full "
         f"solves, wall {cold.stats.wall_clock_seconds:.2f}s -> warm-from-disk: "
@@ -93,7 +93,7 @@ def test_cold_vs_warm_from_disk(tmp_path, bench_report, bench_json, bench_store_
     )
 
 
-def test_plan_result_cache_skips_execution(tmp_path, bench_report, bench_store_json):
+def test_plan_result_cache_skips_execution(tmp_path, bench_report, bench_records):
     store_dir = str(tmp_path / "plan-store")
     queries = (Loop(), Invariant("IpSrc"))
 
@@ -113,7 +113,7 @@ def test_plan_result_cache_skips_execution(tmp_path, bench_report, bench_store_j
     assert cached.fingerprint() == fresh.fingerprint()
     assert cached.to_dict() == fresh.to_dict()
 
-    bench_store_json.append(
+    bench_records("store").append(
         {
             "workload": "stanford16-plan-cache",
             "scale": campaign_record("x", fresh.campaign)["scale"],
@@ -133,7 +133,7 @@ def test_plan_result_cache_skips_execution(tmp_path, bench_report, bench_store_j
     )
 
 
-def test_sharded_tier_vs_single_dict(bench_report, bench_json, bench_store_json):
+def test_sharded_tier_vs_single_dict(bench_report, bench_records):
     """The PR 3 tier (1 shard, publish-per-solve) vs the sharded tier
     (8 shards, batched publishes) on a --workers 2 pool, compared on proxy
     round-trips; fingerprints must not move."""
@@ -159,8 +159,8 @@ def test_sharded_tier_vs_single_dict(bench_report, bench_json, bench_store_json)
         ("stanford16-tier-8shards", sharded),
     ):
         record = campaign_record(label, result)
-        bench_json.append(record)
-        bench_store_json.append(record)
+        bench_records("campaign").append(record)
+        bench_records("store").append(record)
     bench_report.append(
         f"Store | stanford zones=16 shared tier x2 workers: single dict "
         f"{single.stats.solver_shared_round_trips} round-trips "

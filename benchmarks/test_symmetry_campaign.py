@@ -64,7 +64,7 @@ def _fingerprints(result):
 
 
 def test_stanford_symmetry_cuts_engine_runs(
-    bench_report, bench_json, bench_symmetry_json
+    bench_report, bench_records
 ):
     source = _source("stanford", **STANFORD_SYMMETRY_OPTIONS)
     off, off_runs = _run(source, symmetry=False)
@@ -86,8 +86,8 @@ def test_stanford_symmetry_cuts_engine_runs(
         ("stanford16-symmetry-on", on),
     ):
         record = campaign_record(label, result)
-        bench_json.append(record)
-        bench_symmetry_json.append(record)
+        bench_records("campaign").append(record)
+        bench_records("symmetry").append(record)
     bench_report.append(
         f"Symmetry | stanford zones=16: {off_runs} engine runs, wall "
         f"{off.stats.wall_clock_seconds:.2f}s -> {on_runs} class "
@@ -97,7 +97,7 @@ def test_stanford_symmetry_cuts_engine_runs(
 
 
 def test_department_symmetry_is_a_safe_noop(
-    bench_report, bench_json, bench_symmetry_json
+    bench_report, bench_records
 ):
     source = _source("department")
     off, off_runs = _run(source, symmetry=False)
@@ -115,8 +115,8 @@ def test_department_symmetry_is_a_safe_noop(
         ("department-symmetry-on", on),
     ):
         record = campaign_record(label, result)
-        bench_json.append(record)
-        bench_symmetry_json.append(record)
+        bench_records("campaign").append(record)
+        bench_records("symmetry").append(record)
     bench_report.append(
         f"Symmetry | department: {off_runs} engine runs with or without "
         f"symmetry (0 classes), identical fingerprints"

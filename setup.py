@@ -1,10 +1,18 @@
-"""Legacy setup shim.
+"""Packaging for the SymNet reproduction.
 
-The project is fully described by ``pyproject.toml``; this file exists so
-that ``python setup.py develop`` keeps working in offline environments where
-pip cannot download build-isolation dependencies (no ``wheel`` package).
+There is no ``pyproject.toml``: this file is the whole package description,
+kept setuptools-only so ``pip install .`` and ``python setup.py develop``
+work in offline environments where pip cannot download build-isolation
+dependencies.  The package has no runtime dependencies.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description="SymNet reproduction: scalable symbolic execution for modern networks",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

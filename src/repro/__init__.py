@@ -47,7 +47,6 @@ from repro.core import (
     ExecutionState,
     PathRecord,
     SymbolicExecutor,
-    verification,
 )
 from repro.network import Network, NetworkElement
 from repro.solver import Solver
@@ -69,6 +68,5 @@ __all__ = [
     "api",
     "models",
     "sefl",
-    "verification",
     "__version__",
 ]

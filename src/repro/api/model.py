@@ -6,8 +6,9 @@ registered synthetic workload, or an in-process
 happen exactly once per network, no matter how many campaigns or query
 batches run against it:
 
-* building the network (cached, and seeded into the campaign runtime cache
-  so in-process jobs reuse the same build);
+* building the network (resolved through the per-process campaign runtime
+  cache, so the model, its campaigns and their in-process jobs share one
+  build);
 * ``Network.validate()`` — the findings are computed once and handed to
   every campaign the model spawns, so CLI and API warnings are identical
   and directory networks are never silently re-validated per construction
@@ -30,9 +31,9 @@ from typing import List, Optional, Tuple, Union
 from repro.core.campaign import (
     NetworkSource,
     VerificationCampaign,
-    _seed_runtime,
     default_injection_ports,
 )
+from repro.core.jobs import Runtime, runtime_for
 from repro.network.topology import Network
 
 SourceLike = Union[NetworkSource, Network, str]
@@ -129,13 +130,15 @@ class NetworkModel:
                 f"directory path, not {type(source).__name__}"
             )
         self.source = source
-        self._network: Optional[Network] = None
-        self._registered_injections: Optional[List[Tuple[str, str]]] = None
+        # The runtime-cache entry this model resolved, pinned for the
+        # session: a model must keep answering for the snapshot it read even
+        # after the cache's LRU evicts the entry (a rebuild could silently
+        # pick up edited files under an already-computed fingerprint).
+        self._runtime: Optional[Runtime] = None
         self._validation: Optional[List[str]] = None
         self._fingerprint: Optional[str] = None
         self._fingerprint_known = False
         self._build_stat_key: Optional[tuple] = None
-        self._build_manifest: Optional[dict] = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -158,32 +161,22 @@ class NetworkModel:
 
     # -- the once-per-model facts ----------------------------------------------
 
-    def network(self) -> Network:
-        """The built network — built exactly once and seeded into the
-        campaign runtime cache so in-process jobs reuse this build."""
-        if self._network is None:
+    def _resolve(self) -> Runtime:
+        if self._runtime is None:
             if self.source.kind == "directory" and self.source.directory:
                 # Stat-only snapshot (no content hashing — store-less runs
                 # must not pay a second read of every device file): enough
                 # for fingerprint() to later prove the directory still
                 # holds the bytes this build executed.
                 self._build_stat_key = _directory_stat_key(self.source.directory)
-            self._network, self._registered_injections = self.source.build_full()
-            # Directory builds attach their per-element content manifest
-            # (see load_network_directory): the digests of the exact bytes
-            # this model executes, which delta verification diffs against a
-            # stored baseline.
-            self._build_manifest = getattr(
-                self._network, "source_manifest", None
-            )
-            _seed_runtime(self.source, self._network)
-        return self._network
+            self._runtime = runtime_for(self.source)
+        return self._runtime
 
-    def build_manifest(self) -> Optional[dict]:
-        """The per-element content manifest recorded at build time
-        (directory sources only; see :mod:`repro.core.delta`)."""
-        self.network()
-        return self._build_manifest
+    def network(self) -> Network:
+        """The built network — built exactly once per process by the
+        campaign runtime cache, which this model's campaigns and their
+        in-process jobs resolve through too."""
+        return self._resolve().network
 
     def validate(self) -> List[str]:
         """``Network.validate()`` findings, computed exactly once per model."""
@@ -195,8 +188,10 @@ class NetworkModel:
         """The model's default injection points — the same policy campaigns
         apply (:func:`repro.core.campaign.default_injection_ports`), so
         planned and legacy answers quantify over identical port sets."""
-        network = self.network()  # also populates _registered_injections
-        return default_injection_ports(network, self._registered_injections)
+        runtime = self._resolve()
+        return default_injection_ports(
+            runtime.network, runtime.registered_injections
+        )
 
     def describe(self) -> str:
         return self.source.describe()
@@ -259,7 +254,6 @@ class NetworkModel:
         self,
         *queries,
         workers: int = 1,
-        warm_cache=None,
         store=None,
         cache_shards=None,
         baseline=None,
@@ -279,7 +273,6 @@ class NetworkModel:
         return execute_plan(
             plan,
             workers=workers,
-            warm_cache=warm_cache,
             store=store,
             cache_shards=cache_shards,
             baseline=baseline,

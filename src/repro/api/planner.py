@@ -7,11 +7,12 @@ one symbolic execution) and the union of the per-job facts the workers must
 collect (reachability/loop/invariant aggregation, header-visibility checks,
 witness sampling, example traces).
 
-:func:`execute_plan` runs that job set through the existing
-:class:`~repro.core.campaign.VerificationCampaign` machinery — process-pool
-workers, the three-tier verdict cache, and warm starts are all inherited —
-then demultiplexes one :class:`~repro.api.queries.QueryResult` per query out
-of the shared per-job reports.  Answers are bit-identical to running each
+:func:`execute_plan` runs that job set through the
+:class:`~repro.core.campaign.VerificationCampaign` pipeline — process-pool
+workers, the verdict-cache tiers, delta splicing and symmetry reduction are
+all inherited — and demultiplexes one
+:class:`~repro.api.queries.QueryResult` per query out of the shared per-job
+reports, each the moment the jobs in its own port scope have reported.  Answers are bit-identical to running each
 query through its own dedicated campaign: the demultiplexer re-aggregates
 the *same* job reports with the *same* order-independent aggregation code.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import get_registry, get_tracer
 
@@ -34,7 +35,7 @@ from repro.core.campaign import (
     PortFacts,
     VerificationCampaign,
 )
-from repro.core.queries import port_key
+from repro.core.queries import CampaignStats, port_key
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +68,6 @@ class Plan:
     max_hops: int = 128
     max_paths: int = 1_000_000
     strategy: str = "dfs"
-    use_incremental_solver: bool = True
     shared_cache: bool = True
     #: Job-level symmetry reduction (repro.network.view): the campaign
     #: executes one engine job per renaming-equivalence class of the plan's
@@ -102,7 +102,6 @@ class Plan:
             self.max_hops,
             self.max_paths,
             self.strategy,
-            self.use_incremental_solver,
             self.shared_cache,
         )
         return hashlib.sha256(repr(payload).encode()).hexdigest()
@@ -142,7 +141,6 @@ def compile_plan(
     max_hops: int = 128,
     max_paths: int = 1_000_000,
     strategy: str = "dfs",
-    use_incremental_solver: bool = True,
     shared_cache: bool = True,
     narrow_facts: bool = True,
     symmetry: bool = True,
@@ -154,117 +152,84 @@ def compile_plan(
     collects the whole batch's union (the pre-narrowing behaviour, kept as
     the comparison baseline for tests and benchmarks).
     """
-    with get_tracer().span(
-        "plan.compile",
-        queries=len(queries) if not isinstance(queries, Query) else 1,
-    ):
-        return _compile_plan_impl(
-            model,
-            queries,
-            packet=packet,
-            field_values=field_values,
-            max_hops=max_hops,
-            max_paths=max_paths,
-            strategy=strategy,
-            use_incremental_solver=use_incremental_solver,
-            shared_cache=shared_cache,
-            narrow_facts=narrow_facts,
-            symmetry=symmetry,
-        )
-
-
-def _compile_plan_impl(
-    model: NetworkModel,
-    queries: Sequence[Query],
-    *,
-    packet: str = "tcp",
-    field_values: Optional[Mapping[str, int]] = None,
-    max_hops: int = 128,
-    max_paths: int = 1_000_000,
-    strategy: str = "dfs",
-    use_incremental_solver: bool = True,
-    shared_cache: bool = True,
-    narrow_facts: bool = True,
-    symmetry: bool = True,
-) -> Plan:
     if isinstance(queries, Query):
         queries = (queries,)
     queries = tuple(queries)
-    if not queries:
-        raise ValueError("compile_plan needs at least one query")
-    for query in queries:
-        if not isinstance(query, Query):
-            raise TypeError(f"not a query: {query!r}")
-
-    requirements = Requirements()
-    ports = set()
-    needs_defaults = False
-    for query in queries:
-        requirements = requirements.merge(query.requirements())
-        ports.update(query.injections())
-        needs_defaults = needs_defaults or query.needs_default_injections()
-    default_ports: Tuple[Tuple[str, str], ...] = ()
-    if needs_defaults:
-        default_ports = tuple(model.injection_ports())
-        ports.update(default_ports)
-
-    def _collapse_witness_budgets(
-        witness_fields: Iterable[Tuple[str, int]]
-    ) -> Tuple[Tuple[str, int], ...]:
-        # The same field requested with different sample budgets collapses
-        # to one collection pass at the largest budget.
-        budget: Dict[str, int] = {}
-        for name, samples in witness_fields:
-            budget[name] = max(budget.get(name, 0), samples)
-        return tuple(sorted(budget.items()))
-
-    port_facts: Tuple[Tuple[Tuple[str, str], PortFacts], ...] = ()
-    if narrow_facts:
-        per_port: Dict[Tuple[str, str], Requirements] = {}
+    with get_tracer().span("plan.compile", queries=len(queries)):
+        if not queries:
+            raise ValueError("compile_plan needs at least one query")
         for query in queries:
-            scope = set(query.injections())
-            if query.needs_default_injections():
-                scope.update(default_ports)
-            query_requirements = query.requirements()
-            for port in scope:
-                per_port[port] = per_port.get(port, Requirements()).merge(
-                    query_requirements
-                )
-        port_facts = tuple(
-            (
-                port,
-                PortFacts(
-                    queries=tuple(
-                        k for k in CAMPAIGN_QUERIES if k in reqs.kinds
-                    ),
-                    invariant_fields=tuple(sorted(reqs.invariant_fields)),
-                    visibility_fields=tuple(sorted(reqs.visibility_fields)),
-                    witness_fields=_collapse_witness_budgets(reqs.witness_fields),
-                    record_examples=reqs.record_examples,
-                ),
-            )
-            for port, reqs in sorted(per_port.items())
-        )
+            if not isinstance(query, Query):
+                raise TypeError(f"not a query: {query!r}")
 
-    return Plan(
-        model=model,
-        queries=queries,
-        injections=tuple(sorted(ports)),
-        kinds=tuple(k for k in CAMPAIGN_QUERIES if k in requirements.kinds),
-        invariant_fields=tuple(sorted(requirements.invariant_fields)),
-        visibility_fields=tuple(sorted(requirements.visibility_fields)),
-        witness_fields=_collapse_witness_budgets(requirements.witness_fields),
-        record_examples=requirements.record_examples,
-        port_facts=port_facts,
-        packet=packet,
-        field_values=tuple(sorted((field_values or {}).items())),
-        max_hops=max_hops,
-        max_paths=max_paths,
-        strategy=strategy,
-        use_incremental_solver=use_incremental_solver,
-        shared_cache=shared_cache,
-        symmetry=symmetry,
-    )
+        requirements = Requirements()
+        ports = set()
+        needs_defaults = False
+        for query in queries:
+            requirements = requirements.merge(query.requirements())
+            ports.update(query.injections())
+            needs_defaults = needs_defaults or query.needs_default_injections()
+        default_ports: Tuple[Tuple[str, str], ...] = ()
+        if needs_defaults:
+            default_ports = tuple(model.injection_ports())
+            ports.update(default_ports)
+
+        def _collapse_witness_budgets(
+            witness_fields: Iterable[Tuple[str, int]]
+        ) -> Tuple[Tuple[str, int], ...]:
+            # The same field requested with different sample budgets
+            # collapses to one collection pass at the largest budget.
+            budget: Dict[str, int] = {}
+            for name, samples in witness_fields:
+                budget[name] = max(budget.get(name, 0), samples)
+            return tuple(sorted(budget.items()))
+
+        port_facts: Tuple[Tuple[Tuple[str, str], PortFacts], ...] = ()
+        if narrow_facts:
+            per_port: Dict[Tuple[str, str], Requirements] = {}
+            for query in queries:
+                scope = set(query.injections())
+                if query.needs_default_injections():
+                    scope.update(default_ports)
+                query_requirements = query.requirements()
+                for port in scope:
+                    per_port[port] = per_port.get(port, Requirements()).merge(
+                        query_requirements
+                    )
+            port_facts = tuple(
+                (
+                    port,
+                    PortFacts(
+                        queries=tuple(
+                            k for k in CAMPAIGN_QUERIES if k in reqs.kinds
+                        ),
+                        invariant_fields=tuple(sorted(reqs.invariant_fields)),
+                        visibility_fields=tuple(sorted(reqs.visibility_fields)),
+                        witness_fields=_collapse_witness_budgets(reqs.witness_fields),
+                        record_examples=reqs.record_examples,
+                    ),
+                )
+                for port, reqs in sorted(per_port.items())
+            )
+
+        return Plan(
+            model=model,
+            queries=queries,
+            injections=tuple(sorted(ports)),
+            kinds=tuple(k for k in CAMPAIGN_QUERIES if k in requirements.kinds),
+            invariant_fields=tuple(sorted(requirements.invariant_fields)),
+            visibility_fields=tuple(sorted(requirements.visibility_fields)),
+            witness_fields=_collapse_witness_budgets(requirements.witness_fields),
+            record_examples=requirements.record_examples,
+            port_facts=port_facts,
+            packet=packet,
+            field_values=tuple(sorted((field_values or {}).items())),
+            max_hops=max_hops,
+            max_paths=max_paths,
+            strategy=strategy,
+            shared_cache=shared_cache,
+            symmetry=symmetry,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +246,12 @@ class PlanContext:
     answer is bit-identical to a dedicated legacy campaign over the same
     ports.
 
-    Constructed either over a finished :class:`CampaignResult` (the batch
-    path) or — for the incremental demux — directly over whichever
-    :class:`JobReport` s have completed so far (``source``/``reports``): a
-    query only ever reads the jobs in its own scope, so evaluating it the
-    moment that scope is fully reported is bit-identical to evaluating it
-    after the barrier."""
+    Constructed either over a finished :class:`CampaignResult` or — for the
+    incremental demux — over the live ``reports`` mapping (``source_key`` →
+    :class:`JobReport`) the campaign is still filling: a query only ever
+    reads the jobs in its own scope, so evaluating it the moment that scope
+    is fully reported is bit-identical to evaluating it after the
+    barrier."""
 
     def __init__(
         self,
@@ -294,20 +259,19 @@ class PlanContext:
         campaign: Optional[CampaignResult] = None,
         *,
         source: Optional[str] = None,
-        reports: Optional[Iterable[JobReport]] = None,
+        reports: Optional[Mapping[str, JobReport]] = None,
     ) -> None:
         self.plan = plan
         self.campaign = campaign
         if campaign is not None:
             self._source = campaign.source
-            job_list: Iterable[JobReport] = campaign.jobs
+            self._jobs = {job.source_key: job for job in campaign.jobs}
         else:
             self._source = source if source is not None else plan.model.describe()
-            job_list = reports if reports is not None else ()
+            self._jobs = reports if reports is not None else {}
         self._default_keys = tuple(
             sorted(port_key(*port) for port in plan.model.injection_ports())
         )
-        self._jobs = {job.source_key: job for job in job_list}
 
     def default_scope(self) -> Tuple[str, ...]:
         return self._default_keys
@@ -427,24 +391,12 @@ class PlanResult:
             return self.campaign.stats
         stored = (self.cached_payload or {}).get("stats")
         if isinstance(stored, dict):
-            from dataclasses import fields as dataclass_fields
-
-            from repro.core.queries import CampaignStats
-
-            known = {f.name for f in dataclass_fields(CampaignStats)}
-            return CampaignStats(
-                **{k: v for k, v in stored.items() if k in known}
-            )
+            return CampaignStats.from_dict(stored)
         return None
 
     @property
     def job_errors(self):
         return self.campaign.job_errors if self.campaign is not None else []
-
-    @property
-    def verdict_cache(self) -> Dict[str, str]:
-        """Warm-start payload for a later plan/campaign."""
-        return self.campaign.verdict_cache if self.campaign is not None else {}
 
     def fingerprint(self) -> str:
         payload = (
@@ -476,70 +428,6 @@ class PlanResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def execute_plan(
-    plan: Plan,
-    *,
-    workers: int = 1,
-    warm_cache: Optional[Mapping[str, str]] = None,
-    store: Optional[object] = None,
-    cache_shards: Optional[int] = None,
-    baseline: Optional[object] = None,
-    delta: bool = True,
-) -> PlanResult:
-    """Run a compiled plan on the campaign machinery and demultiplex the
-    per-query answers.
-
-    With a :class:`repro.store.VerificationStore` as ``store``, finished
-    answers are cached on ``(model fingerprint, plan fingerprint)``: a
-    repeated identical batch over an unchanged network returns the stored
-    :class:`PlanResult` without running a single engine job, and the
-    campaign that does run warm-starts from (and publishes back to) the
-    store's verdict shards.  ``warm_cache`` is the deprecated in-memory
-    predecessor (the campaign constructor emits the DeprecationWarning).
-
-    ``baseline`` hands the campaign an explicit delta baseline (a
-    :class:`repro.core.delta.CampaignBaseline` or its payload dict); with
-    ``delta`` left on, directory models also auto-detect the store's
-    recorded baseline, so an edited directory on a plan-cache miss only
-    re-executes the injection ports the edit could have touched (see
-    :mod:`repro.core.delta`).  Neither knob is part of the plan
-    fingerprint: like symmetry, delta changes which tier answers, never
-    the answer.
-    """
-    # The whole persistence stack — plan cache included — is gated on the
-    # plan's shared_cache flag: a --no-shared-cache run is the isolated
-    # baseline and must neither read nor feed any cache tier.
-    use_store = store is not None and plan.shared_cache
-    model_fingerprint = plan.model.fingerprint() if use_store else None
-    plan_fingerprint = plan.fingerprint() if model_fingerprint else None
-    if model_fingerprint and plan_fingerprint:
-        cached = store.get_plan(model_fingerprint, plan_fingerprint)
-        if cached is not None:
-            restored = PlanResult.from_cached(plan, cached)
-            if restored is not None:
-                _plan_cache_counter().inc(result="hit")
-                return restored
-        _plan_cache_counter().inc(result="miss")
-    campaign = _campaign_for(
-        plan,
-        warm_cache=warm_cache,
-        store=store,
-        cache_shards=cache_shards,
-        baseline=baseline,
-        delta=delta,
-    )
-    result = campaign.run(workers=workers)
-    ctx = PlanContext(plan, result)
-    plan_result = PlanResult(
-        plan=plan,
-        campaign=result,
-        results=tuple(query.evaluate(ctx) for query in plan.queries),
-    )
-    if model_fingerprint and plan_fingerprint and not result.job_errors:
-        store.put_plan(model_fingerprint, plan_fingerprint, plan_result.to_dict())
-    return plan_result
-
-
 def _plan_cache_counter():
     return get_registry().counter(
         "repro_plan_cache_total",
@@ -557,14 +445,12 @@ def _first_result_histogram():
 def _campaign_for(
     plan: Plan,
     *,
-    warm_cache: Optional[Mapping[str, str]] = None,
     store: Optional[object] = None,
     cache_shards: Optional[int] = None,
     baseline: Optional[object] = None,
     delta: bool = True,
 ) -> VerificationCampaign:
-    """One fully-injected campaign for a compiled plan (shared by the batch
-    and streaming executors, so both run the exact same job set)."""
+    """One fully-injected campaign for a compiled plan."""
     campaign_kwargs = {}
     if cache_shards is not None:
         campaign_kwargs["cache_shards"] = cache_shards
@@ -580,10 +466,8 @@ def _campaign_for(
         max_hops=plan.max_hops,
         max_paths=plan.max_paths,
         strategy=plan.strategy,
-        use_incremental_solver=plan.use_incremental_solver,
         shared_cache=plan.shared_cache,
         symmetry=plan.symmetry,
-        warm_cache=warm_cache,
         store=store,
         delta=delta,
         baseline=baseline,
@@ -596,7 +480,7 @@ def _campaign_for(
     return campaign
 
 
-def execute_plan_streaming(
+def execute_plan(
     plan: Plan,
     *,
     workers: int = 1,
@@ -605,30 +489,48 @@ def execute_plan_streaming(
     baseline: Optional[object] = None,
     delta: bool = True,
     pool: Optional[object] = None,
-    on_result=None,
+    on_result: Optional[Callable[[int, QueryResult, int, int], None]] = None,
 ) -> PlanResult:
-    """:func:`execute_plan` with **incremental demultiplexing**: each
-    query's :class:`QueryResult` is computed — and handed to ``on_result``
-    — the moment the jobs in *its* port scope have all reported, instead of
-    after the whole campaign's barrier.
+    """Run a compiled plan on the campaign pipeline and demultiplex the
+    per-query answers.
 
-    ``on_result(index, result, jobs_reported, jobs_total)`` receives the
-    query's position in ``plan.queries``, its finished result, and how many
-    of the plan's jobs had reported when it was emitted (a streamed answer
-    has ``jobs_reported < jobs_total`` whenever other jobs were still
-    outstanding — the resident service forwards these so clients see
-    answers before the slowest job lands).  ``pool`` lends the campaign an
-    already-running process pool (see
+    With a :class:`repro.store.VerificationStore` as ``store``, finished
+    answers are cached on ``(model fingerprint, plan fingerprint)``: a
+    repeated identical batch over an unchanged network returns the stored
+    :class:`PlanResult` without running a single engine job, and the
+    campaign that does run warm-starts from (and publishes back to) the
+    store's verdict shards.
+
+    ``baseline`` hands the campaign an explicit delta baseline (a
+    :class:`repro.core.delta.CampaignBaseline` or its payload dict); with
+    ``delta`` left on, directory models also auto-detect the store's
+    recorded baseline, so an edited directory on a plan-cache miss only
+    re-executes the injection ports the edit could have touched (see
+    :mod:`repro.core.delta`).  Neither knob is part of the plan
+    fingerprint: like symmetry, delta changes which tier answers, never
+    the answer.
+
+    Demultiplexing is **incremental**: each query's :class:`QueryResult` is
+    computed — and handed to ``on_result`` when one is given — the moment
+    the jobs in *its* port scope have all reported, instead of after the
+    whole campaign's barrier.  ``on_result(index, result, jobs_reported,
+    jobs_total)`` receives the query's position in ``plan.queries``, its
+    finished result, and how many of the plan's jobs had reported when it
+    was emitted (a streamed answer has ``jobs_reported < jobs_total``
+    whenever other jobs were still outstanding — the resident service
+    forwards these so clients see answers before the slowest job lands).
+    ``pool`` lends the campaign an already-running process pool (see
     :meth:`~repro.core.campaign.VerificationCampaign.run`).
 
-    Invariant: every streamed result is bit-identical to what the batch
-    :func:`execute_plan` produces for the same plan — a query only ever
-    aggregates the jobs in its own scope, so nothing it reads changes after
-    its scope completes.  Plan-cache hits short-circuit exactly like the
-    batch path (every result is emitted immediately), and the returned
-    :class:`PlanResult` is built from the streamed results themselves.
+    Invariant: a query only ever aggregates the jobs in its own scope, so
+    nothing it reads changes after its scope completes — a streamed result
+    is bit-identical to one evaluated after the barrier.  Plan-cache hits
+    emit every result immediately.
     """
     started = time.perf_counter()
+    # The whole persistence stack — plan cache included — is gated on the
+    # plan's shared_cache flag: a --no-shared-cache run is the isolated
+    # baseline and must neither read nor feed any cache tier.
     use_store = store is not None and plan.shared_cache
     model_fingerprint = plan.model.fingerprint() if use_store else None
     plan_fingerprint = plan.fingerprint() if model_fingerprint else None
@@ -652,32 +554,20 @@ def execute_plan_streaming(
         baseline=baseline,
         delta=delta,
     )
-    source_description = campaign.source.describe()
-    default_keys = tuple(
-        sorted(port_key(*port) for port in plan.model.injection_ports())
-    )
-    pending: List[Tuple[int, frozenset]] = []
-    for index, query in enumerate(plan.queries):
-        keys = set()
-        if query.needs_default_injections():
-            keys.update(default_keys)
-        keys.update(port_key(*port) for port in query.injections())
-        pending.append((index, frozenset(keys)))
     reports: Dict[str, JobReport] = {}
+    live = PlanContext(plan, source=campaign.source.describe(), reports=reports)
+    pending: List[Tuple[int, frozenset]] = [
+        (index, frozenset(live.resolve_scope(query)))
+        for index, query in enumerate(plan.queries)
+    ]
     streamed: Dict[int, QueryResult] = {}
 
     def on_report(report: JobReport) -> None:
         reports[report.source_key] = report
-        ready = [item for item in pending if item[1] <= reports.keys()]
-        if not ready:
-            return
-        ctx = PlanContext(
-            plan, source=source_description, reports=reports.values()
-        )
-        for item in ready:
+        for item in [item for item in pending if item[1] <= reports.keys()]:
             pending.remove(item)
             index, _ = item
-            result = plan.queries[index].evaluate(ctx)
+            result = plan.queries[index].evaluate(live)
             if not streamed:
                 # Time-to-first-streamed-result: the latency a resident-
                 # service client actually feels, as opposed to the plan's
@@ -708,3 +598,8 @@ def execute_plan_streaming(
     if model_fingerprint and plan_fingerprint and not result.job_errors:
         store.put_plan(model_fingerprint, plan_fingerprint, plan_result.to_dict())
     return plan_result
+
+
+#: The resident service's name for the same executor: it always passes
+#: ``on_result`` (and its own ``pool``).
+execute_plan_streaming = execute_plan

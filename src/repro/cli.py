@@ -49,15 +49,10 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import NetworkModel, QueryParseError, parse_query
-from repro.core.campaign import (
-    CAMPAIGN_QUERIES,
-    DEFAULT_INVARIANT_FIELDS,
-    PACKET_TEMPLATES,
-)
+from repro.core.campaign import DEFAULT_INVARIANT_FIELDS, PACKET_TEMPLATES
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
 from repro.core.strategy import STRATEGIES
 from repro.obs import (
@@ -174,6 +169,80 @@ def _build_parser() -> argparse.ArgumentParser:
         "publishes) and write them to FILE on exit: Chrome trace-event "
         "JSON loadable in Perfetto, or JSONL when FILE ends in .jsonl",
     )
+    defaults = ExecutionSettings()
+    budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("--max-hops", type=int, default=defaults.max_hops)
+    budgets.add_argument(
+        "--max-paths", type=int, default=defaults.max_paths,
+        help="stop exploring after this many recorded paths (the report is "
+        "marked as truncated when the budget cuts exploration short)",
+    )
+    budgets.add_argument(
+        "--strategy", choices=sorted(STRATEGIES), default=defaults.strategy,
+        help=f"worklist exploration strategy (default: {defaults.strategy})",
+    )
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument(
+        "--workload", choices=sorted(CAMPAIGN_WORKLOADS),
+        help="analyze a registered synthetic workload instead of a directory",
+    )
+    workload.add_argument(
+        "--workload-option", action="append", default=[], metavar="KEY=VALUE",
+        help="builder option for --workload, e.g. access_switches=4 (repeatable)",
+    )
+    packet = argparse.ArgumentParser(add_help=False)
+    packet.add_argument(
+        "--packet", choices=sorted(PACKET_TEMPLATES), default="tcp",
+        help="packet template to inject (default: tcp)",
+    )
+    packet.add_argument(
+        "--field", action="append", default=[], metavar="NAME=VALUE",
+        help="pin a header field to a concrete value (repeatable)",
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--output", "-o", default=None, help="write the JSON report to a file"
+    )
+    stored = argparse.ArgumentParser(add_help=False)
+    stored.add_argument(
+        "--store-dir", default=None, metavar="DIR",
+        help="persist solver verdicts (and, for 'query', finished plan "
+        "results) in a verification store at DIR: runs warm-start from the "
+        "store's disk shards and publish fresh verdicts back",
+    )
+    stored.add_argument(
+        "--cache-shards", type=_shard_count, default=None, metavar="N",
+        help="shard the process-shared verdict tier (and a newly created "
+        "store) across N partitions (default: 8)",
+    )
+    # The campaign pipeline's knobs, shared by every command that runs one.
+    pipeline = argparse.ArgumentParser(add_help=False, parents=[stored])
+    pipeline.add_argument(
+        "--workers", type=int, default=1,
+        help="run jobs on a process pool of this size (default: in-process)",
+    )
+    pipeline.add_argument(
+        "--shared-cache", action=argparse.BooleanOptionalAction, default=True,
+        help="share the canonical verdict cache across jobs (per-worker "
+        "persistent cache, plus a sharded process-shared tier when "
+        "--workers > 1); --no-shared-cache isolates every job "
+        "(default: enabled)",
+    )
+    pipeline.add_argument(
+        "--symmetry", action=argparse.BooleanOptionalAction, default=True,
+        help="execute one engine job per renaming-equivalence class of "
+        "injection ports and instantiate the remaining reports via the "
+        "recorded renaming (default: enabled; answers are bit-identical "
+        "either way)",
+    )
+    pipeline.add_argument(
+        "--delta", action=argparse.BooleanOptionalAction, default=True,
+        help="when a baseline is available (--delta-from, the store's "
+        "recorded one, or a scenario's previous state), re-execute only the "
+        "injection ports the directory diff could have touched and splice "
+        "the rest from the baseline (default: enabled; answers are "
+        "bit-identical either way)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     show = sub.add_parser(
@@ -183,46 +252,19 @@ def _build_parser() -> argparse.ArgumentParser:
     show.add_argument("directory")
 
     reach = sub.add_parser(
-        "reachability", parents=[common],
+        "reachability", parents=[common, packet, budgets, output],
         help="inject a symbolic packet and dump the explored paths as JSON",
     )
     reach.add_argument("directory")
     reach.add_argument("element", help="element whose input port receives the packet")
     reach.add_argument("port", nargs="?", default="in0", help="input port (default in0)")
     reach.add_argument(
-        "--packet", choices=sorted(PACKET_TEMPLATES), default="tcp",
-        help="packet template to inject (default: tcp)",
-    )
-    reach.add_argument(
-        "--field", action="append", default=[], metavar="NAME=VALUE",
-        help="pin a header field to a concrete value (repeatable)",
-    )
-    defaults = ExecutionSettings()
-    reach.add_argument("--max-hops", type=int, default=defaults.max_hops)
-    reach.add_argument(
-        "--max-paths", type=int, default=defaults.max_paths,
-        help="stop exploring after this many recorded paths (the report is "
-        "marked as truncated when the budget cuts exploration short)",
-    )
-    reach.add_argument(
-        "--strategy", choices=sorted(STRATEGIES), default=defaults.strategy,
-        help=f"worklist exploration strategy (default: {defaults.strategy})",
-    )
-    reach.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental solver and re-solve every path "
-        "conjunction from scratch (for debugging/benchmarking)",
-    )
-    reach.add_argument(
         "--no-failed-paths", action="store_true",
         help="omit failed/filtered paths from the output",
     )
-    reach.add_argument(
-        "--output", "-o", default=None, help="write the JSON report to a file"
-    )
 
     query = sub.add_parser(
-        "query", parents=[common, traced],
+        "query", parents=[common, traced, workload, packet, budgets, pipeline, output],
         help="declarative network queries compiled onto one shared campaign "
         "plan (queries over the same injection port share one execution)",
     )
@@ -236,59 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
         '"invariant(IpSrc)", "reach(sw0:in0, r1:to-internet)", '
         '"header_visible(IpSrc, at=r1:out0)", "admitted_values(TcpDst, samples=3)"',
     )
-    query.add_argument(
-        "--workload", choices=sorted(CAMPAIGN_WORKLOADS),
-        help="analyze a registered synthetic workload instead of a directory",
-    )
-    query.add_argument(
-        "--workload-option", action="append", default=[], metavar="KEY=VALUE",
-        help="builder option for --workload, e.g. access_switches=4 (repeatable)",
-    )
-    query.add_argument(
-        "--workers", type=int, default=1,
-        help="run the plan's jobs on a process pool of this size",
-    )
-    query.add_argument(
-        "--packet", choices=sorted(PACKET_TEMPLATES), default="tcp",
-        help="packet template to inject (default: tcp)",
-    )
-    query.add_argument(
-        "--field", action="append", default=[], metavar="NAME=VALUE",
-        help="pin a header field to a concrete value (repeatable)",
-    )
-    query.add_argument("--max-hops", type=int, default=defaults.max_hops)
-    query.add_argument("--max-paths", type=int, default=defaults.max_paths)
-    query.add_argument(
-        "--strategy", choices=sorted(STRATEGIES), default=defaults.strategy,
-    )
-    query.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental solver in every job",
-    )
-    query.add_argument(
-        "--shared-cache", action=argparse.BooleanOptionalAction, default=True,
-        help="share the canonical verdict cache across the plan's jobs",
-    )
-    query.add_argument(
-        "--symmetry", action=argparse.BooleanOptionalAction, default=True,
-        help="execute one engine job per renaming-equivalence class of the "
-        "plan's injection ports and instantiate the rest (default: enabled; "
-        "answers are bit-identical either way)",
-    )
-    query.add_argument(
-        "--delta", action=argparse.BooleanOptionalAction, default=True,
-        help="when the store holds a recorded baseline for this directory, "
-        "re-execute only the injection ports the directory diff could have "
-        "touched and splice the rest from the baseline (default: enabled; "
-        "answers are bit-identical either way)",
-    )
-    _add_store_options(query)
-    query.add_argument(
-        "--output", "-o", default=None, help="write the JSON report to a file"
-    )
 
     camp = sub.add_parser(
-        "campaign", parents=[common, traced],
+        "campaign", parents=[common, traced, workload, packet, budgets, pipeline, output],
         help="network-wide verification: run one symbolic execution per "
         "injection port (optionally in parallel) and aggregate the results",
     )
@@ -297,63 +289,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="network directory (omit when using --workload)",
     )
     camp.add_argument(
-        "--workload", choices=sorted(CAMPAIGN_WORKLOADS),
-        help="analyze a registered synthetic workload instead of a directory",
-    )
-    camp.add_argument(
-        "--workload-option", action="append", default=[], metavar="KEY=VALUE",
-        help="builder option for --workload, e.g. access_switches=4 (repeatable)",
-    )
-    camp.add_argument(
         "--inject", action="append", default=[], metavar="ELEMENT:PORT",
         help="injection point (repeatable; default: the workload's registered "
         "entry points, or every input port with no incoming link)",
     )
     camp.add_argument(
-        "--workers", type=int, default=1,
-        help="run jobs on a process pool of this size (default: in-process)",
-    )
-    camp.add_argument(
-        "--query", action="append", default=[], dest="queries",
-        choices=sorted(CAMPAIGN_QUERIES) + ["all"],
-        help="[deprecated: use the 'query' subcommand] query to aggregate "
-        "(repeatable; default: all)",
-    )
-    camp.add_argument(
-        "--packet", choices=sorted(PACKET_TEMPLATES), default="tcp",
-        help="packet template to inject (default: tcp)",
-    )
-    camp.add_argument(
-        "--field", action="append", default=[], metavar="NAME=VALUE",
-        help="pin a header field to a concrete value (repeatable)",
-    )
-    camp.add_argument(
         "--invariant-field", action="append", default=[], metavar="NAME",
         help="header field checked by the invariants query (repeatable; "
         f"default: {', '.join(DEFAULT_INVARIANT_FIELDS)})",
-    )
-    camp.add_argument("--max-hops", type=int, default=defaults.max_hops)
-    camp.add_argument("--max-paths", type=int, default=defaults.max_paths)
-    camp.add_argument(
-        "--strategy", choices=sorted(STRATEGIES), default=defaults.strategy,
-    )
-    camp.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental solver in every job",
-    )
-    camp.add_argument(
-        "--shared-cache", action=argparse.BooleanOptionalAction, default=True,
-        help="share the canonical verdict cache across jobs (per-worker "
-        "persistent cache, plus a sharded process-shared tier when "
-        "--workers > 1); --no-shared-cache isolates every job "
-        "(default: enabled)",
-    )
-    camp.add_argument(
-        "--symmetry", action=argparse.BooleanOptionalAction, default=True,
-        help="execute one engine job per renaming-equivalence class of "
-        "injection ports and instantiate the remaining reports via the "
-        "recorded renaming (default: enabled; answers are bit-identical "
-        "either way)",
     )
     camp.add_argument(
         "--symmetry-audit", action="store_true",
@@ -367,13 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "meaningful together with --symmetry-audit)",
     )
     camp.add_argument(
-        "--delta", action=argparse.BooleanOptionalAction, default=True,
-        help="when a baseline is available (--delta-from, or recorded in "
-        "the store), re-execute only the injection ports the directory "
-        "diff could have touched and splice the rest from the baseline "
-        "(default: enabled; answers are bit-identical either way)",
-    )
-    camp.add_argument(
         "--delta-from", default=None, metavar="FILE",
         help="use FILE (written by a previous --save-baseline) as the "
         "delta baseline instead of the store's recorded one",
@@ -383,13 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="after the run, write this campaign's delta baseline "
         "(element manifest + per-port reports) to FILE",
     )
-    _add_store_options(camp)
-    camp.add_argument(
-        "--output", "-o", default=None, help="write the JSON report to a file"
-    )
 
     serve = sub.add_parser(
-        "serve", parents=[common, traced],
+        "serve", parents=[common, traced, stored],
         help="run the resident verification service: a line-delimited JSON "
         "session server that keeps models, the worker pool and the store "
         "hot across requests, merges compatible concurrent query batches "
@@ -419,10 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="how long the scheduler keeps collecting concurrent requests "
         "into one merged plan after the first arrives (default: 0.05)",
     )
-    _add_store_options(serve)
 
     scen = sub.add_parser(
-        "scenario", parents=[common, traced],
+        "scenario", parents=[common, traced, pipeline, output],
         help="transient-state scenario campaign: generate a seed-pinned "
         "update sequence over an exported (or given) snapshot directory, "
         "re-verify every transient state with delta splicing, and cluster "
@@ -463,10 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "forwarding-loop violation",
     )
     scen.add_argument(
-        "--workers", type=int, default=1,
-        help="run each state's jobs on a process pool of this size",
-    )
-    scen.add_argument(
         "--query", action="append", default=[], dest="queries", metavar="QUERY",
         help="textual query replacing the default per-step batch "
         '(default: "forall_pairs(reach)" "loop()" "invariant(IpSrc)"; '
@@ -477,21 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="packet template to inject (default: tcp)",
     )
     scen.add_argument(
-        "--delta", action=argparse.BooleanOptionalAction, default=True,
-        help="chain each state's campaign as the next state's baseline and "
-        "re-execute only the ports the step's edit could have touched "
-        "(default: enabled; answers are bit-identical either way)",
-    )
-    scen.add_argument(
-        "--symmetry", action=argparse.BooleanOptionalAction, default=True,
-        help="collapse renaming-equivalent injection ports per state "
-        "(default: enabled; answers are bit-identical either way)",
-    )
-    scen.add_argument(
-        "--shared-cache", action=argparse.BooleanOptionalAction, default=True,
-        help="share the canonical verdict cache across each state's jobs",
-    )
-    scen.add_argument(
         "--eps", type=float, default=0.5,
         help="clustering: maximum Jaccard distance between neighbouring "
         "violation feature sets (default: 0.5)",
@@ -500,10 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--min-points", type=int, default=2,
         help="clustering: neighbourhood size that forms a dense cluster; "
         "sparser violations become noise singletons (default: 2)",
-    )
-    _add_store_options(scen)
-    scen.add_argument(
-        "--output", "-o", default=None, help="write the JSON report to a file"
     )
 
     store = sub.add_parser(
@@ -524,20 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="clear-plans: only drop plans of this model fingerprint",
     )
     return parser
-
-
-def _add_store_options(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--store-dir", default=None, metavar="DIR",
-        help="persist solver verdicts (and, for 'query', finished plan "
-        "results) in a verification store at DIR: runs warm-start from the "
-        "store's disk shards and publish fresh verdicts back",
-    )
-    command.add_argument(
-        "--cache-shards", type=_shard_count, default=None, metavar="N",
-        help="shard the process-shared verdict tier (and a newly created "
-        "store) across N partitions (default: 8)",
-    )
 
 
 def _shard_count(text: str) -> int:
@@ -563,8 +457,26 @@ def _open_store(args: argparse.Namespace):
         raise SystemExit(f"unusable store {args.store_dir}: {exc}")
 
 
-def _command_show(directory: str) -> int:
-    network = NetworkModel.from_directory(directory).network()
+def _emit_report(report: str, output: Optional[str], summary: str) -> None:
+    """Print the JSON report — or, with ``--output``, write it there and
+    print the one-line summary instead."""
+    if not output:
+        print(report)
+        return
+    with open(output, "w", encoding="utf-8") as handle:
+        handle.write(report)
+    print(summary)
+
+
+def _exit_code(result) -> int:
+    """Log every failed job of a campaign/plan result; non-zero if any."""
+    for source_key, error in result.job_errors:
+        _LOG.error("job %s failed: %s", source_key, error)
+    return 1 if result.job_errors else 0
+
+
+def _command_show(args: argparse.Namespace) -> int:
+    network = NetworkModel.from_directory(args.directory).network()
     print(f"network: {network.name}")
     print(f"elements: {len(network)}")
     for element in network:
@@ -595,19 +507,16 @@ def _command_reachability(args: argparse.Namespace) -> int:
         max_paths=args.max_paths,
         record_failed_paths=not args.no_failed_paths,
         strategy=args.strategy,
-        use_incremental_solver=not args.no_incremental,
     )
     executor = SymbolicExecutor(network, settings=settings)
     result = executor.inject(packet_program, args.element, args.port)
-    report = result.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        counts = ", ".join(f"{k}={v}" for k, v in sorted(result.summary_counts().items()))
-        suffix = " [truncated]" if result.truncated else ""
-        print(f"wrote {len(result.paths)} paths to {args.output} ({counts}){suffix}")
-    else:
-        print(report)
+    counts = ", ".join(f"{k}={v}" for k, v in sorted(result.summary_counts().items()))
+    suffix = " [truncated]" if result.truncated else ""
+    _emit_report(
+        result.to_json(),
+        args.output,
+        f"wrote {len(result.paths)} paths to {args.output} ({counts}){suffix}",
+    )
     if result.truncated:
         _LOG.warning(
             "exploration truncated at --max-paths=%d; pending states were "
@@ -619,19 +528,6 @@ def _command_reachability(args: argparse.Namespace) -> int:
 def _command_campaign(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
 
-    queries = tuple(args.queries) if args.queries else CAMPAIGN_QUERIES
-    if args.queries:
-        warnings.warn(
-            "the campaign --query flag is deprecated; use the declarative "
-            "'query' subcommand (e.g. \"forall_pairs(reach)\", \"loop()\", "
-            "\"invariant(IpSrc)\"), which compiles query batches onto one "
-            "shared plan",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        _LOG.warning("--query is deprecated; use the 'query' subcommand")
-    if "all" in queries:
-        queries = CAMPAIGN_QUERIES
     if args.symmetry_audit_seed is not None and not args.symmetry_audit:
         _LOG.warning(
             "--symmetry-audit-seed has no effect without --symmetry-audit"
@@ -648,12 +544,10 @@ def _command_campaign(args: argparse.Namespace) -> int:
     campaign_kwargs = dict(
         packet=args.packet,
         field_values={field.name: value for field, value in overrides.items()},
-        queries=queries,
         invariant_fields=tuple(args.invariant_field) or DEFAULT_INVARIANT_FIELDS,
         max_hops=args.max_hops,
         max_paths=args.max_paths,
         strategy=args.strategy,
-        use_incremental_solver=not args.no_incremental,
         shared_cache=args.shared_cache,
         symmetry=args.symmetry,
         symmetry_audit=args.symmetry_audit,
@@ -693,25 +587,15 @@ def _command_campaign(args: argparse.Namespace) -> int:
                 args.save_baseline,
                 len(result.baseline_payload["reports"]),
             )
-    report = result.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        pairs = (
-            f"{result.reachability.pair_count()} reachable pairs, "
-            if "reachability" in result.queries
-            else ""
-        )
-        print(
-            f"wrote campaign report to {args.output} "
-            f"({result.stats.jobs} jobs, {result.stats.paths} paths, "
-            f"{pairs}{result.execution_mode})"
-        )
-    else:
-        print(report)
-    for source_key, error in result.job_errors:
-        _LOG.error("job %s failed: %s", source_key, error)
-    return 1 if result.job_errors else 0
+    _emit_report(
+        result.to_json(),
+        args.output,
+        f"wrote campaign report to {args.output} "
+        f"({result.stats.jobs} jobs, {result.stats.paths} paths, "
+        f"{result.reachability.pair_count()} reachable pairs, "
+        f"{result.execution_mode})",
+    )
+    return _exit_code(result)
 
 
 def _command_query(args: argparse.Namespace) -> int:
@@ -754,7 +638,6 @@ def _command_query(args: argparse.Namespace) -> int:
         max_hops=args.max_hops,
         max_paths=args.max_paths,
         strategy=args.strategy,
-        use_incremental_solver=not args.no_incremental,
         shared_cache=args.shared_cache,
         symmetry=args.symmetry,
         delta=args.delta,
@@ -763,24 +646,18 @@ def _command_query(args: argparse.Namespace) -> int:
         _LOG.info(
             "answered from the store's plan-result cache (0 engine jobs)"
         )
-    report = result.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        verdicts = ", ".join(
-            f"{answer.query}={'?' if answer.holds is None else answer.holds}"
-            for answer in result
-        )
-        print(
-            f"wrote query report to {args.output} "
-            f"({result.plan.job_count} jobs shared by {len(result)} queries: "
-            f"{verdicts})"
-        )
-    else:
-        print(report)
-    for source_key, error in result.job_errors:
-        _LOG.error("job %s failed: %s", source_key, error)
-    return 1 if result.job_errors else 0
+    verdicts = ", ".join(
+        f"{answer.query}={'?' if answer.holds is None else answer.holds}"
+        for answer in result
+    )
+    _emit_report(
+        result.to_json(),
+        args.output,
+        f"wrote query report to {args.output} "
+        f"({result.plan.job_count} jobs shared by {len(result)} queries: "
+        f"{verdicts})",
+    )
+    return _exit_code(result)
 
 
 def _command_scenario(args: argparse.Namespace) -> int:
@@ -852,13 +729,9 @@ def _command_scenario(args: argparse.Namespace) -> int:
         len(run.violations),
         len(run.clusters),
     )
-    report = run.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"wrote scenario report to {args.output}")
-    else:
-        print(report)
+    _emit_report(
+        run.to_json(), args.output, f"wrote scenario report to {args.output}"
+    )
     return 0
 
 
@@ -921,21 +794,15 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "show":
-        return _command_show(args.directory)
-    if args.command == "reachability":
-        return _command_reachability(args)
-    if args.command == "campaign":
-        return _command_campaign(args)
-    if args.command == "query":
-        return _command_query(args)
-    if args.command == "scenario":
-        return _command_scenario(args)
-    if args.command == "store":
-        return _command_store(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    raise SystemExit(2)
+    return {
+        "show": _command_show,
+        "reachability": _command_reachability,
+        "campaign": _command_campaign,
+        "query": _command_query,
+        "scenario": _command_scenario,
+        "store": _command_store,
+        "serve": _command_serve,
+    }[args.command](args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

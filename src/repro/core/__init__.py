@@ -10,8 +10,7 @@ Public entry points:
   :class:`repro.network.Network`;
 * :class:`repro.core.state.ExecutionState` — the per-path symbolic state;
 * :mod:`repro.core.checks` — path-level reachability, loop, invariance,
-  header-visibility and memory-safety predicates built on the engine
-  (:mod:`repro.core.verification` is its deprecated alias);
+  header-visibility and memory-safety predicates built on the engine;
 * :class:`repro.core.campaign.VerificationCampaign` — network-wide campaigns
   fanning one network out across many injection ports (optionally on a
   process pool) and aggregating the :mod:`repro.core.queries` objects.
@@ -55,7 +54,6 @@ from repro.core.strategy import (
 )
 from repro.core.values import SymbolFactory
 from repro.core import checks
-from repro.core import verification
 
 __all__ = [
     "BreadthFirstStrategy",
@@ -89,5 +87,4 @@ __all__ = [
     "execute_job",
     "free_input_ports",
     "make_strategy",
-    "verification",
 ]

@@ -3,987 +3,110 @@
 The engine answers questions about one injection port at a time; the claims
 that matter operationally are network-wide.  A :class:`VerificationCampaign`
 takes a network *source*, a set of injection points and packet templates,
-runs one :class:`~repro.core.engine.SymbolicExecutor` job per injection
-point — concurrently on a process pool when asked — and aggregates the
-per-job reports into the query objects of :mod:`repro.core.queries`.
+turns them into one :class:`~repro.core.jobs.CampaignJob` per injection
+point and pushes them through a **staged pipeline**:
 
-Process-pool execution never ships a :class:`~repro.network.topology.Network`
-across the process boundary: SEFL programs contain closures (``For`` bodies)
-that do not pickle.  Instead each job carries a :class:`NetworkSource` — a
-picklable *recipe* ("load this directory", "build this workload with these
-options") — and each worker process rebuilds the network once, caches it,
-and reuses it (plus its solver memo cache) for every job it receives.
-Networks built in-process (``NetworkSource.from_network``) cannot be
-shipped, so those campaigns transparently fall back to in-process execution.
+``validate → jobs → [delta, symmetry] partition → execute → aggregate →
+store publish → reducer finish (counters, baseline record)``
 
-The aggregation is order-independent, so a campaign run on ``--workers N``
-produces bit-identical query results to a sequential run.
+* the *job reducers* (:class:`~repro.core.delta.DeltaReducer`,
+  :class:`~repro.core.symmetry.SymmetryReducer`) are the work-avoidance
+  stages: each takes jobs off the run list and later supplies their reports;
+* the *executor* (:func:`repro.core.executor.run_jobs`) runs what is left —
+  in-process or on a process pool — and is the only stage that knows how;
+* the aggregation folds the per-job reports into the query objects of
+  :mod:`repro.core.queries`.  It is order-independent, so a campaign run on
+  ``--workers N``, with or without either reducer, produces bit-identical
+  query results to a plain sequential run.
+
+This module keeps the orchestration (:class:`VerificationCampaign`,
+:class:`CampaignResult`) and re-exports the names of the stages' modules
+(:mod:`~repro.core.sources`, :mod:`~repro.core.jobs`,
+:mod:`~repro.core.executor`, :mod:`~repro.core.symmetry`,
+:mod:`~repro.core.delta`) that users import from here.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
-import os
-import random
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
-from repro.core.delta import (
-    CampaignBaseline,
-    ElementManifest,
-    affected_injections,
-    baseline_payload,
-    diff_manifests,
-    report_from_payload,
+from repro.core.delta import CampaignBaseline, DeltaReducer
+from repro.core.executor import run_jobs
+from repro.core.jobs import (
+    CAMPAIGN_QUERIES,
+    DEFAULT_INVARIANT_FIELDS,
+    PACKET_TEMPLATES,
+    QUERY_INVARIANTS,
+    QUERY_LOOPS,
+    QUERY_REACHABILITY,
+    CampaignJob,
+    JobReport,
+    PortFacts,
+    Runtime,
+    clear_runtime_cache,
+    execute_job,
+    execution_counters,
+    reset_execution_counters,
+    runtime_for,
+    semantic_projection,
 )
-from repro.core.engine import ExecutionSettings, SymbolicExecutor
-from repro.core.errors import MemorySafetyError
-from repro.core.paths import ExecutionResult, PathStatus
 from repro.core.queries import (
     CampaignStats,
     InvariantReport,
     LoopFinding,
     LoopReport,
     ReachabilityMatrix,
-    port_key,
 )
-from repro.core.checks import admitted_values, field_invariant, header_visible
-from repro.models import host as host_models
+from repro.core.sources import (
+    NetworkSource,
+    default_injection_ports,
+    free_input_ports,
+)
+from repro.core.symmetry import SymmetryAuditError, SymmetryReducer
 from repro.network.topology import Network
-from repro.network.view import (
-    CampaignSymmetryView,
-    SymmetryUnsupported,
-    build_renaming,
-    collect_constants,
-    config_digest,
-)
-from repro.sefl.fields import standard_fields
-from repro.solver.solver import Solver
-from repro.solver.verdict_cache import (
-    CacheConflictError,
-    VerdictCache,
-    resolve_verdict,
-)
-from repro.store.sharding import (
-    DEFAULT_PUBLISH_BATCH,
-    DEFAULT_SHARD_COUNT,
-    ShardedTier,
-)
 from repro.obs import (
-    Tracer,
+    get_registry,
     get_tracer,
     record_campaign_stats,
     record_job_report,
-    set_tracer,
 )
-
-_LOG = logging.getLogger(__name__)
-
-#: Packet templates a campaign (and the CLI) can inject, by name.
-PACKET_TEMPLATES = {
-    "tcp": host_models.symbolic_tcp_packet,
-    "udp": host_models.symbolic_udp_packet,
-    "ip": host_models.symbolic_ip_packet,
-    "icmp": host_models.symbolic_icmp_packet,
-}
-
-QUERY_REACHABILITY = "reachability"
-QUERY_LOOPS = "loops"
-QUERY_INVARIANTS = "invariants"
-#: Query names the campaign understands; see queries.py for how to add one.
-CAMPAIGN_QUERIES = (QUERY_REACHABILITY, QUERY_LOOPS, QUERY_INVARIANTS)
-
-#: Header fields whose invariance the ``invariants`` query checks by default.
-DEFAULT_INVARIANT_FIELDS = ("IpSrc", "IpDst")
-
-
-# ---------------------------------------------------------------------------
-# Network sources
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NetworkSource:
-    """A picklable recipe for (re)building a network in a worker process.
-
-    ``kind`` is one of ``"directory"`` (a §7.1 snapshot directory),
-    ``"workload"`` (a registered synthetic workload builder) or ``"object"``
-    (an in-process :class:`Network`, which forces in-process execution).
-
-    ``fingerprint`` pins directory sources to the state of every file in the
-    directory (topology *and* device snapshots) at source-creation time, so
-    the per-process runtime cache does not serve a stale network after any
-    of them is edited between campaigns.
-    """
-
-    kind: str
-    directory: Optional[str] = None
-    workload: Optional[str] = None
-    options: Tuple[Tuple[str, object], ...] = ()
-    fingerprint: Tuple = ()
-    network: Optional[Network] = field(default=None, compare=False, repr=False)
-
-    @classmethod
-    def from_directory(cls, directory: str) -> "NetworkSource":
-        directory = os.path.abspath(directory)
-        entries = []
-        try:
-            for entry in os.scandir(directory):
-                if entry.is_file():
-                    stat = entry.stat()
-                    entries.append((entry.name, stat.st_mtime_ns, stat.st_size))
-        except OSError:
-            pass
-        return cls(
-            kind="directory",
-            directory=directory,
-            fingerprint=tuple(sorted(entries)),
-        )
-
-    @classmethod
-    def from_workload(cls, name: str, **options: object) -> "NetworkSource":
-        return cls(
-            kind="workload",
-            workload=name,
-            options=tuple(sorted(options.items())),
-        )
-
-    @classmethod
-    def from_network(cls, network: Network) -> "NetworkSource":
-        return cls(kind="object", network=network)
-
-    @property
-    def picklable(self) -> bool:
-        return self.kind != "object"
-
-    def cache_key(self) -> Tuple:
-        if self.kind == "object":
-            return ("object", id(self.network))
-        return (
-            self.kind,
-            self.directory,
-            self.workload,
-            self.options,
-            self.fingerprint,
-        )
-
-    def describe(self) -> str:
-        if self.kind == "directory":
-            return self.directory or "<directory>"
-        if self.kind == "workload":
-            opts = ", ".join(f"{k}={v}" for k, v in self.options)
-            return f"workload:{self.workload}({opts})"
-        return f"network:{self.network.name if self.network else '?'}"
-
-    def build_full(self) -> Tuple[Network, Optional[List[Tuple[str, str]]]]:
-        """Build the network plus the source's registered injection ports
-        (``None`` when the source kind does not define any)."""
-        if self.kind == "directory":
-            from repro.parsers.topology_file import load_network_directory
-
-            return load_network_directory(self.directory), None
-        if self.kind == "workload":
-            from repro.workloads import build_campaign_network
-
-            return build_campaign_network(self.workload, **dict(self.options))
-        if self.kind == "object":
-            if self.network is None:
-                raise ValueError("object network source lost its network")
-            return self.network, None
-        raise ValueError(f"unknown network source kind {self.kind!r}")
-
-    def build(self) -> Network:
-        return self.build_full()[0]
-
-
-def _merge_verdict_entries(
-    target: Dict[str, str],
-    entries: Iterable[Tuple[str, str]],
-    context: str,
-) -> None:
-    """Fold (fingerprint, verdict) pairs into ``target`` under the one
-    verdict-combination policy (:func:`resolve_verdict`): definite verdicts
-    supersede "unknown"s, definite-vs-definite disagreement is fatal."""
-    for fingerprint, verdict in entries:
-        action = resolve_verdict(target.get(fingerprint), verdict)
-        if action == "conflict":
-            raise CacheConflictError(
-                f"{context} on fingerprint {fingerprint[:12]}…: "
-                f"{target[fingerprint]!r} vs {verdict!r}"
-            )
-        if action == "replace":
-            target[fingerprint] = verdict
-
-
-def default_injection_ports(
-    network: Network,
-    registered: Optional[Sequence[Tuple[str, str]]] = None,
-) -> List[Tuple[str, str]]:
-    """The one default-injection policy, shared by campaigns and the API's
-    NetworkModel: the source's registered entry ports, else every free input
-    port, else (fully wired rings, which have no free edges) every input
-    port."""
-    if registered:
-        return list(registered)
-    free = free_input_ports(network)
-    if free:
-        return free
-    return [
-        (element.name, port)
-        for element in network
-        for port in element.input_ports
-    ]
-
-
-def free_input_ports(network: Network) -> List[Tuple[str, str]]:
-    """Input ports with no incoming link — the natural injection points.
-
-    Links whose *source* element does not exist (dangling links kept by the
-    permissive topology parser) carry no traffic, so they do not count as
-    wiring: their destination ports stay injectable.
-    """
-    wired = {
-        (link.destination.element, link.destination.port)
-        for link in network.links
-        if network.has_element(link.source.element)
-    }
-    return [
-        (element.name, port)
-        for element in network
-        for port in element.input_ports
-        if (element.name, port) not in wired
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Jobs and per-job reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PortFacts:
-    """Per-injection narrowing of the facts one job must collect.
-
-    The API planner computes, for every injection port, the union of the
-    fact requirements of exactly the queries that *need that port* — not the
-    whole batch (see :func:`repro.api.planner.compile_plan`).  A campaign
-    applies these as per-job overrides of its global fact template, so a
-    port only pays for the channels some query will actually read.
-    """
-
-    queries: Tuple[str, ...]
-    invariant_fields: Tuple[str, ...] = ()
-    visibility_fields: Tuple[str, ...] = ()
-    witness_fields: Tuple[Tuple[str, int], ...] = ()
-    record_examples: bool = False
-
-
-@dataclass(frozen=True)
-class CampaignJob:
-    """One unit of campaign work: inject one packet template at one port.
-
-    Everything in here must pickle: the network is referenced by recipe, the
-    packet by template name, header overrides by field *name*, the strategy
-    by registry name.
-    """
-
-    source: NetworkSource
-    element: str
-    port: str
-    packet: str = "tcp"
-    field_values: Tuple[Tuple[str, int], ...] = ()
-    queries: Tuple[str, ...] = CAMPAIGN_QUERIES
-    invariant_fields: Tuple[str, ...] = DEFAULT_INVARIANT_FIELDS
-    #: Fields whose header visibility (is the source's symbol still readable?)
-    #: is checked per delivered destination — fed by the API planner's
-    #: ``HeaderVisible`` queries.
-    visibility_fields: Tuple[str, ...] = ()
-    #: (field, samples) pairs: collect up to ``samples`` concrete witness
-    #: values per delivered destination — the ``AdmittedValues`` queries.
-    witness_fields: Tuple[Tuple[str, int], ...] = ()
-    #: Record one example port trace per delivered destination (evidence
-    #: paths for ``Reach`` query results).
-    record_examples: bool = False
-    max_hops: int = 128
-    max_paths: int = 1_000_000
-    strategy: str = "dfs"
-    use_incremental_solver: bool = True
-    #: Share the worker's persistent verdict cache across jobs.  Off, every
-    #: job solves with an isolated cache (the pre-cache baseline).
-    use_verdict_cache: bool = True
-    #: Verdict-cache entries (fingerprint, verdict) merged into the worker
-    #: cache before the job runs — the campaign warm-start path.  The token
-    #: identifies the warm map's content so each worker merges it only once
-    #: per campaign, not once per job.
-    warm_cache_entries: Tuple[Tuple[str, str], ...] = ()
-    warm_cache_token: str = ""
-    #: Persistent verdict store (repro.store): each worker process opens the
-    #: store directory and merges its shards into the worker cache once per
-    #: ``store_token`` (the store's content identity), instead of the
-    #: campaign pickling warm entries into every job.
-    store_dir: Optional[str] = None
-    store_token: str = ""
-    store_shards: int = DEFAULT_SHARD_COUNT
-    #: Optional process-shared verdict tier (a sharded Manager-dict tier,
-    #: see repro.store.sharding) consulted on local cache misses when the
-    #: campaign runs on a process pool.
-    shared_cache: Optional[object] = field(default=None, compare=False, repr=False)
-    #: Record spans inside the (pool) worker and ship them back through
-    #: ``JobReport.spans``.  Telemetry only — deliberately absent from
-    #: ``_job_config_digest``, baselines and every report projection, so
-    #: tracing can never move an answer or split a symmetry class.
-    trace: bool = False
-
-    @property
-    def source_key(self) -> str:
-        return port_key(self.element, self.port)
-
-
-@dataclass
-class JobReport:
-    """Picklable digest of one job's :class:`ExecutionResult`.
-
-    Only plain data crosses the process boundary — no states, no solver
-    terms.  Queries that need solver work (invariants) run *in the worker*,
-    where the states still exist.
-    """
-
-    element: str
-    port: str
-    packet: str
-    status_counts: Dict[str, int] = field(default_factory=dict)
-    delivered_to: Dict[str, int] = field(default_factory=dict)
-    loops: List[Dict[str, object]] = field(default_factory=list)
-    drop_reasons: Dict[str, int] = field(default_factory=dict)
-    invariants: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: field -> destination port -> {checked, visible, skipped} counters.
-    visibility: Dict[str, Dict[str, Dict[str, int]]] = field(default_factory=dict)
-    #: field -> destination port -> sorted concrete witness values.
-    witnesses: Dict[str, Dict[str, List[int]]] = field(default_factory=dict)
-    #: destination port -> one example port trace demonstrating delivery.
-    delivered_examples: Dict[str, List[str]] = field(default_factory=dict)
-    truncated: bool = False
-    error: Optional[str] = None
-    worker_pid: int = 0
-    elapsed_seconds: float = 0.0
-    solver_calls: int = 0
-    solver_time_seconds: float = 0.0
-    solver_fast_paths: int = 0
-    solver_cache_hits: int = 0
-    solver_cache_misses: int = 0
-    solver_shared_cache_hits: int = 0
-    solver_cache_merged: int = 0
-    solver_shared_round_trips: int = 0
-    solver_shared_publish_batches: int = 0
-    solver_shared_publish_entries: int = 0
-    solver_degraded_operations: int = 0
-    #: (fingerprint, verdict) pairs this job added to its worker's verdict
-    #: cache — merged into the campaign-level cache by the aggregation.
-    verdict_cache_entries: Tuple[Tuple[str, str], ...] = ()
-    #: Symmetry-class identity (a canonical-form fingerprint prefix), set on
-    #: both class representatives and instantiated members when the campaign
-    #: ran with symmetry reduction.
-    symmetry_class: str = ""
-    #: For instantiated reports: the ``element:port`` of the representative
-    #: job whose engine run this report was derived from.
-    symmetry_instantiated_from: str = ""
-    #: Set when delta verification spliced this report from a stored
-    #: baseline instead of executing it ("store" or "file").
-    delta_spliced_from: str = ""
-    #: Span payloads recorded inside a pool worker (see repro.obs.trace),
-    #: carried back for the driver to re-parent under its campaign span.
-    #: Pure telemetry: excluded from ``to_dict``, ``semantic_projection``
-    #: and delta baselines, so traced and untraced runs stay bit-identical.
-    spans: Tuple[Dict[str, object], ...] = ()
-
-    @property
-    def source_key(self) -> str:
-        return port_key(self.element, self.port)
-
-    @property
-    def path_count(self) -> int:
-        return sum(self.status_counts.values())
-
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "injected_at": self.source_key,
-            "packet": self.packet,
-            "status_counts": dict(sorted(self.status_counts.items())),
-            "delivered_to": dict(sorted(self.delivered_to.items())),
-            "loops": list(self.loops),
-            "drop_reasons": dict(sorted(self.drop_reasons.items())),
-            "invariants": {k: dict(v) for k, v in sorted(self.invariants.items())},
-        }
-        # Planner-only facts stay out of legacy campaign reports entirely.
-        if self.visibility:
-            payload["visibility"] = {
-                f: {d: dict(cell) for d, cell in sorted(row.items())}
-                for f, row in sorted(self.visibility.items())
-            }
-        if self.witnesses:
-            payload["witnesses"] = {
-                f: {d: list(vals) for d, vals in sorted(row.items())}
-                for f, row in sorted(self.witnesses.items())
-            }
-        if self.delivered_examples:
-            payload["delivered_examples"] = {
-                d: list(trace) for d, trace in sorted(self.delivered_examples.items())
-            }
-        if self.symmetry_class:
-            payload["symmetry"] = {
-                "class": self.symmetry_class,
-                "instantiated_from": self.symmetry_instantiated_from or None,
-            }
-        if self.delta_spliced_from:
-            payload["delta"] = {"spliced_from": self.delta_spliced_from}
-        payload.update({
-            "truncated": self.truncated,
-            "error": self.error,
-            "worker_pid": self.worker_pid,
-            "stats": {
-                "elapsed_seconds": self.elapsed_seconds,
-                "solver_calls": self.solver_calls,
-                "solver_time_seconds": self.solver_time_seconds,
-                "solver_fast_paths": self.solver_fast_paths,
-                "solver_cache_hits": self.solver_cache_hits,
-                "solver_cache_misses": self.solver_cache_misses,
-                "solver_shared_cache_hits": self.solver_shared_cache_hits,
-                "solver_cache_merged": self.solver_cache_merged,
-                "solver_shared_round_trips": self.solver_shared_round_trips,
-                "solver_shared_publish_batches": self.solver_shared_publish_batches,
-                "solver_shared_publish_entries": self.solver_shared_publish_entries,
-                "solver_degraded_operations": self.solver_degraded_operations,
-                "verdict_cache_entries": len(self.verdict_cache_entries),
-            },
-        })
-        return payload
-
-
-# Per-process runtime cache: one (network, solver, verdict cache) triple per
-# network source, so a worker receiving many jobs builds the network once and
-# keeps the canonical verdict cache warm across jobs.  Bounded LRU:
-# long-lived processes running campaigns over many networks must not retain
-# them all.
-_RUNTIME_CACHE: "Dict[Tuple, Tuple[Network, Solver, VerdictCache]]" = {}
-_RUNTIME_CACHE_LIMIT = 8
-
-
-def clear_runtime_cache() -> None:
-    """Drop every cached (network, solver, verdict cache) triple in this
-    process."""
-    _RUNTIME_CACHE.clear()
-
-
-# In-process counters of symbolic-execution runs and of the fact channels
-# (query kinds, invariant/visibility fields, witness samplers, example
-# recorders) those runs collected, so tests (and the API planner's
-# acceptance checks) can assert both how many engine jobs a batch of
-# queries cost and how much per-job collection work the planner's per-port
-# narrowing saved.  Per-process: pool workers count their own runs.
-_EXECUTION_COUNTERS = {"engine_runs": 0, "fact_channels": 0}
-
-
-def execution_counters() -> Dict[str, int]:
-    """Snapshot of this process's campaign execution counters."""
-    return dict(_EXECUTION_COUNTERS)
-
-
-def reset_execution_counters() -> None:
-    for key in _EXECUTION_COUNTERS:
-        _EXECUTION_COUNTERS[key] = 0
-
-
-def _job_fact_channels(job: "CampaignJob") -> int:
-    """How many collection channels this job pays for (counted into
-    ``execution_counters()['fact_channels']``)."""
-    return (
-        len(job.queries)
-        + (len(job.invariant_fields) if QUERY_INVARIANTS in job.queries else 0)
-        + len(job.visibility_fields)
-        + len(job.witness_fields)
-        + (1 if job.record_examples else 0)
-    )
-
-
-def _cache_runtime(key: Tuple, runtime: Tuple[Network, Solver, VerdictCache]) -> None:
-    _RUNTIME_CACHE[key] = runtime
-    while len(_RUNTIME_CACHE) > _RUNTIME_CACHE_LIMIT:
-        _RUNTIME_CACHE.pop(next(iter(_RUNTIME_CACHE)))
-
-
-def _runtime_for(source: NetworkSource) -> Tuple[Network, Solver, VerdictCache]:
-    key = source.cache_key()
-    runtime = _RUNTIME_CACHE.pop(key, None)
-    if runtime is None:
-        runtime = (source.build(), Solver(), VerdictCache())
-    _cache_runtime(key, runtime)  # (re)insert at the end: LRU recency
-    return runtime
-
-
-def _seed_runtime(source: NetworkSource, network: Network) -> None:
-    """Pre-populate the cache with an already-built network (in-process
-    sequential runs and "object" sources)."""
-    if source.cache_key() not in _RUNTIME_CACHE:
-        _cache_runtime(source.cache_key(), (network, Solver(), VerdictCache()))
-
-
-def _packet_program(job: CampaignJob):
-    try:
-        template = PACKET_TEMPLATES[job.packet]
-    except KeyError:
-        known = ", ".join(sorted(PACKET_TEMPLATES))
-        raise ValueError(f"unknown packet template {job.packet!r}; known: {known}")
-    if not job.field_values:
-        return template()
-    fields = standard_fields()
-    overrides = {fields[name]: value for name, value in job.field_values}
-    return template(overrides)
-
-
-def _check_invariants(
-    result: ExecutionResult, job: CampaignJob, solver: Solver
-) -> Dict[str, Dict[str, int]]:
-    """Field invariance on every delivered path, computed where the states
-    live (worker side)."""
-    fields = standard_fields()
-    report: Dict[str, Dict[str, int]] = {}
-    for name in job.invariant_fields:
-        variable = fields.get(name, name)
-        checked = held = skipped = 0
-        for path in result.delivered():
-            try:
-                holds = field_invariant(path, variable, solver)
-            except MemorySafetyError:
-                # The template did not allocate this field (e.g. TcpDst on
-                # an ICMP packet): skipped, not a verdict.  Anything else
-                # propagates — a broken query must not masquerade as an
-                # inapplicable field (it becomes the job's error).
-                skipped += 1
-                continue
-            checked += 1
-            held += 1 if holds else 0
-        report[name] = {"checked": checked, "held": held, "skipped": skipped}
-    return report
-
-
-def _check_visibility(
-    result: ExecutionResult, job: CampaignJob, solver: Solver
-) -> Dict[str, Dict[str, Dict[str, int]]]:
-    """Per-destination header visibility: is the symbol the source wrote into
-    the field still provably readable where the packet was delivered?"""
-    fields = standard_fields()
-    report: Dict[str, Dict[str, Dict[str, int]]] = {}
-    for name in job.visibility_fields:
-        variable = fields.get(name, name)
-        per_destination: Dict[str, Dict[str, int]] = {}
-        for path in result.delivered():
-            destination = str(path.last_port)
-            cell = per_destination.setdefault(
-                destination, {"checked": 0, "visible": 0, "skipped": 0}
-            )
-            try:
-                history = path.state.variable_history(variable)
-                if not history:
-                    cell["skipped"] += 1
-                    continue
-                visible = header_visible(path, variable, history[0], solver)
-            except MemorySafetyError:
-                cell["skipped"] += 1
-                continue
-            cell["checked"] += 1
-            cell["visible"] += 1 if visible else 0
-        report[name] = per_destination
-    return report
-
-
-def _collect_witnesses(
-    result: ExecutionResult, job: CampaignJob, solver: Solver
-) -> Dict[str, Dict[str, List[int]]]:
-    """Concrete admitted values per delivered destination, up to the
-    requested sample count per (field, destination).  Paths are scanned in
-    the engine's (deterministic) discovery order, so the collected sets are
-    reproducible; the final per-destination lists are sorted."""
-    fields = standard_fields()
-    report: Dict[str, Dict[str, List[int]]] = {}
-    for name, samples in job.witness_fields:
-        variable = fields.get(name, name)
-        per_destination: Dict[str, List[int]] = {}
-        for path in result.delivered():
-            destination = str(path.last_port)
-            found = per_destination.setdefault(destination, [])
-            if len(found) >= samples:
-                continue
-            try:
-                values = admitted_values(path, variable, solver, samples)
-            except MemorySafetyError:
-                continue
-            for value in values:
-                if value not in found:
-                    found.append(value)
-                if len(found) >= samples:
-                    break
-        report[name] = {
-            destination: sorted(values)
-            for destination, values in per_destination.items()
-        }
-    return report
-
-
-def execute_job(job: CampaignJob) -> JobReport:
-    """Run one campaign job in this process and digest the result.
-
-    This is the process-pool entry point; it must stay a module-level
-    function so it pickles by reference.
-
-    Tracing: ``job.trace`` (set only on pool submissions) installs a fresh
-    local tracer for the duration of the job and ships its spans back in
-    ``report.spans`` — the picklable channel the driver re-parents from.
-    It must not consult the process-global tracer: forked workers inherit
-    the driver's *enabled* tracer, whose forked copy can never deliver
-    spans back.  In-process execution (``job.trace`` unset) records
-    straight into the caller's tracer and nests naturally under the open
-    campaign span.
-    """
-    tracer = get_tracer()
-    local: Optional[Tracer] = None
-    previous = None
-    if job.trace:
-        local = Tracer()
-        previous = set_tracer(local)
-        tracer = local
-    try:
-        with tracer.span(
-            "job", element=job.element, port=job.port, packet=job.packet
-        ):
-            report = _execute_job_impl(job)
-    finally:
-        if local is not None:
-            set_tracer(previous)
-    if local is not None:
-        report.spans = tuple(local.export())
-    return report
-
-
-def _execute_job_impl(job: CampaignJob) -> JobReport:
-    report = JobReport(
-        element=job.element, port=job.port, packet=job.packet, worker_pid=os.getpid()
-    )
-    try:
-        network, solver, worker_cache = _runtime_for(job.source)
-        # ``use_verdict_cache`` off isolates the job from the worker's
-        # persistent cache (and from the shared tier): the baseline the
-        # cache benchmarks compare against.
-        cache = worker_cache if job.use_verdict_cache else VerdictCache()
-        merged = 0
-        if (
-            job.warm_cache_entries
-            and job.warm_cache_token not in cache.applied_tokens
-        ):
-            merged = cache.merge(dict(job.warm_cache_entries))
-            cache.applied_tokens.add(job.warm_cache_token)
-            solver.stats.record_merged_entries(merged)
-        if (
-            job.use_verdict_cache
-            and job.store_dir
-            and job.store_token
-            and job.store_token not in cache.applied_tokens
-        ):
-            # Warm-from-disk: each worker opens the store once per store
-            # state and merges its shards locally — no entries travel in
-            # job pickles.  Live verdicts outrank stored ones
-            # (strict=False): a corrupted-but-well-formed segment entry
-            # must degrade the cache, never crash the job.
-            try:
-                from repro.store import VerificationStore
-
-                store = VerificationStore(job.store_dir, shards=job.store_shards)
-                loaded = cache.merge(store.load(), strict=False)
-            except Exception as exc:
-                # An unreadable store only loses the warm start; the job
-                # still solves everything live.  Count the degrade (it
-                # rolls up into CampaignStats.degraded_operations) and say
-                # so — a silently cold cache looks like a perf regression.
-                loaded = 0
-                solver.stats.record_degraded_operation()
-                _LOG.warning(
-                    "verdict store %s unusable, job %s:%s runs cold: %s",
-                    job.store_dir, job.element, job.port, exc,
-                )
-            cache.applied_tokens.add(job.store_token)
-            merged += loaded
-            solver.stats.record_merged_entries(loaded)
-        cache.begin_collection()
-        settings = ExecutionSettings(
-            max_hops=job.max_hops,
-            max_paths=job.max_paths,
-            strategy=job.strategy,
-            use_incremental_solver=job.use_incremental_solver,
-        )
-        executor = SymbolicExecutor(
-            network,
-            solver=solver,
-            settings=settings,
-            verdict_cache=cache,
-            shared_cache=job.shared_cache if job.use_verdict_cache else None,
-        )
-        _EXECUTION_COUNTERS["engine_runs"] += 1
-        _EXECUTION_COUNTERS["fact_channels"] += _job_fact_channels(job)
-        result = executor.inject(_packet_program(job), job.element, job.port)
-    except Exception as exc:  # surface, never kill the whole campaign
-        report.error = f"{type(exc).__name__}: {exc}"
-        return report
-
-    report.status_counts = result.summary_counts()
-    report.truncated = result.truncated
-    report.elapsed_seconds = result.elapsed_seconds
-    report.solver_calls = result.solver_calls
-    report.solver_time_seconds = result.solver_time_seconds
-    report.solver_fast_paths = result.solver_fast_paths
-    report.solver_cache_hits = result.solver_cache_hits
-    report.solver_cache_misses = result.solver_cache_misses
-    report.solver_shared_cache_hits = result.solver_shared_cache_hits
-    report.solver_cache_merged = merged
-    report.solver_shared_round_trips = result.solver_shared_round_trips
-    report.solver_shared_publish_batches = result.solver_shared_publish_batches
-    report.solver_shared_publish_entries = result.solver_shared_publish_entries
-    report.solver_degraded_operations = result.solver_degraded_operations
-    report.verdict_cache_entries = tuple(sorted(cache.fresh_entries().items()))
-
-    try:
-        if QUERY_REACHABILITY in job.queries:
-            for path in result.delivered():
-                destination = str(path.last_port)
-                report.delivered_to[destination] = (
-                    report.delivered_to.get(destination, 0) + 1
-                )
-        if QUERY_LOOPS in job.queries:
-            for path in result.loops():
-                report.loops.append(
-                    {
-                        "detected_at": str(path.last_port) if path.last_port else "?",
-                        "reason": path.stop_reason,
-                        "trace": list(path.ports_visited),
-                    }
-                )
-            # Canonical order, not discovery order: loop findings must be
-            # comparable across symmetric jobs whose Fork children enumerate
-            # in different (renamed) orders.
-            report.loops.sort(key=_loop_sort_key)
-        if QUERY_INVARIANTS in job.queries:
-            for path in result.paths:
-                if path.status == PathStatus.DELIVERED:
-                    continue
-                reason = path.stop_reason
-                report.drop_reasons[reason] = report.drop_reasons.get(reason, 0) + 1
-            report.invariants = _check_invariants(result, job, solver)
-        if job.record_examples:
-            for path in result.delivered():
-                destination = str(path.last_port)
-                report.delivered_examples.setdefault(
-                    destination, list(path.ports_visited)
-                )
-        if job.visibility_fields:
-            report.visibility = _check_visibility(result, job, solver)
-        if job.witness_fields:
-            report.witnesses = _collect_witnesses(result, job, solver)
-    except Exception as exc:
-        report.error = f"{type(exc).__name__}: {exc}"
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Job-level symmetry reduction
-# ---------------------------------------------------------------------------
-#
-# Many campaign jobs are literal renamings of each other (the 16 stanford
-# zones).  The campaign encodes each job's (network, injection port, config)
-# as an entity graph (repro.network.view), partitions jobs into equivalence
-# classes by canonical fingerprint, executes one representative per class and
-# *instantiates* the member reports by applying the recorded bijection to
-# every picklable artifact.  The standing invariant applies: symmetry on/off
-# changes which tier answers, never the answer — anything the renaming
-# machinery cannot prove falls back to direct execution, and
-# ``symmetry_audit`` re-executes one random member per class to assert the
-# instantiated report is bit-identical to a direct run.
-
-
-class SymmetryAuditError(RuntimeError):
-    """An instantiated report differs from direct execution — the symmetry
-    encoding is unsound for this network and must be fixed, not tolerated."""
-
-
-def _loop_sort_key(loop: Mapping[str, object]) -> Tuple:
-    return (
-        str(loop.get("detected_at", "")),
-        str(loop.get("reason", "")),
-        tuple(str(port) for port in loop.get("trace", ())),
-    )
-
-
-def _job_config_digest(job: CampaignJob) -> str:
-    """Digest of everything behaviour-relevant in a job except its injection
-    point: jobs may only share a symmetry class when their packet, fact
-    channels and execution budgets agree exactly.  Cache/store wiring is
-    deliberately absent — it changes which tier answers, never the answer."""
-    return config_digest(
-        (
-            job.packet,
-            job.field_values,
-            job.queries,
-            job.invariant_fields,
-            job.visibility_fields,
-            job.witness_fields,
-            job.record_examples,
-            job.max_hops,
-            job.max_paths,
-            job.strategy,
-            job.use_incremental_solver,
-        )
-    )
-
-
-def _map_keys(mapping: Mapping[str, object], renaming, map_value) -> Dict:
-    mapped: Dict[str, object] = {}
-    for key, value in mapping.items():
-        new_key = renaming.map_text(str(key))
-        if new_key in mapped:
-            raise SymmetryUnsupported(f"renaming collides on key {new_key!r}")
-        mapped[new_key] = map_value(value)
-    return mapped
-
-
-def _instantiate_report(
-    rep: JobReport, member: CampaignJob, renaming, class_id: str
-) -> JobReport:
-    """A member's JobReport, derived from its class representative's run by
-    renaming every port/element/message string.  Solver and timing counters
-    are zeroed: no engine work happened for this job, and the aggregated
-    stats must say so."""
-    report = JobReport(
-        element=member.element,
-        port=member.port,
-        packet=rep.packet,
-        symmetry_class=class_id,
-        symmetry_instantiated_from=rep.source_key,
-    )
-    report.status_counts = dict(rep.status_counts)
-    report.truncated = rep.truncated
-    report.delivered_to = _map_keys(rep.delivered_to, renaming, lambda v: v)
-    report.loops = sorted(
-        (
-            {
-                "detected_at": renaming.map_text(str(loop.get("detected_at", ""))),
-                "reason": renaming.map_text(str(loop.get("reason", ""))),
-                "trace": [
-                    renaming.map_text(str(port)) for port in loop.get("trace", ())
-                ],
-            }
-            for loop in rep.loops
-        ),
-        key=_loop_sort_key,
-    )
-    report.drop_reasons = _map_keys(
-        rep.drop_reasons, renaming, lambda v: v
-    )
-    # Invariant/visibility *field names* are part of the job config (equal
-    # across the class); only destination ports need renaming.
-    report.invariants = {
-        name: dict(cell) for name, cell in rep.invariants.items()
-    }
-    report.visibility = {
-        name: _map_keys(row, renaming, dict)
-        for name, row in rep.visibility.items()
-    }
-    report.witnesses = {
-        name: _map_keys(row, renaming, list)
-        for name, row in rep.witnesses.items()
-    }
-    report.delivered_examples = _map_keys(
-        rep.delivered_examples,
-        renaming,
-        lambda trace: [renaming.map_text(str(port)) for port in trace],
-    )
-    return report
-
-
-def semantic_projection(report: JobReport) -> Dict[str, object]:
-    """The tier-independent content of a job report: what the answer *is*,
-    stripped of who computed it (pids, timings, solver counters, cache
-    entries, symmetry annotations).  Two reports with equal projections are
-    interchangeable for every query aggregation — the equality
-    ``--symmetry-audit`` and the fuzz suite assert."""
-    return {
-        "element": report.element,
-        "port": report.port,
-        "packet": report.packet,
-        "status_counts": dict(sorted(report.status_counts.items())),
-        "delivered_to": dict(sorted(report.delivered_to.items())),
-        "loops": sorted(
-            (
-                str(loop.get("detected_at", "")),
-                str(loop.get("reason", "")),
-                tuple(str(port) for port in loop.get("trace", ())),
-            )
-            for loop in report.loops
-        ),
-        "drop_reasons": dict(sorted(report.drop_reasons.items())),
-        "invariants": {
-            name: dict(sorted(cell.items()))
-            for name, cell in sorted(report.invariants.items())
-        },
-        "visibility": {
-            name: {
-                destination: dict(sorted(cell.items()))
-                for destination, cell in sorted(row.items())
-            }
-            for name, row in sorted(report.visibility.items())
-        },
-        "witnesses": {
-            name: {
-                destination: list(values)
-                for destination, values in sorted(row.items())
-            }
-            for name, row in sorted(report.witnesses.items())
-        },
-        "delivered_examples": {
-            destination: list(trace)
-            for destination, trace in sorted(report.delivered_examples.items())
-        },
-        "truncated": report.truncated,
-        "error": report.error,
-    }
-
-
-@dataclass
-class _SymmetryPlan:
-    """One campaign's job partition: which jobs execute, which instantiate."""
-
-    view: CampaignSymmetryView
-    #: (element, port) -> canonical form, for every job that encoded.
-    forms: Dict[Tuple[str, str], object]
-    #: (representative job, member jobs, class fingerprint) per class with
-    #: at least one member to skip.
-    classes: List[Tuple[CampaignJob, List[CampaignJob], str]]
-    #: Distinct equivalence classes over the whole job set (non-encodable
-    #: jobs count as singletons) — what engine runs drop to.
-    class_count: int
-    #: Injection keys whose jobs are NOT executed (instantiated instead).
-    member_keys: Dict[Tuple[str, str], Tuple[str, str]]
+from repro.solver.verdict_cache import CacheConflictError, resolve_verdict
+from repro.store.sharding import DEFAULT_PUBLISH_BATCH, DEFAULT_SHARD_COUNT
+
+__all__ = [
+    "CAMPAIGN_QUERIES",
+    "DEFAULT_INVARIANT_FIELDS",
+    "PACKET_TEMPLATES",
+    "QUERY_INVARIANTS",
+    "QUERY_LOOPS",
+    "QUERY_REACHABILITY",
+    "CampaignJob",
+    "CampaignResult",
+    "JobReport",
+    "NetworkSource",
+    "PortFacts",
+    "SymmetryAuditError",
+    "VerificationCampaign",
+    "clear_runtime_cache",
+    "default_injection_ports",
+    "execute_job",
+    "execution_counters",
+    "free_input_ports",
+    "reset_execution_counters",
+    "semantic_projection",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -1005,8 +128,8 @@ class CampaignResult:
     loop_report: LoopReport = field(default_factory=LoopReport)
     invariant_report: InvariantReport = field(default_factory=InvariantReport)
     stats: CampaignStats = field(default_factory=CampaignStats)
-    #: Canonical verdict-cache entries merged from every job — pass as
-    #: ``warm_cache`` to a later campaign to start it warm.
+    #: Canonical verdict-cache entries merged from every job — the fresh
+    #: verdicts this run derived, which the campaign publishes to its store.
     verdict_cache: Dict[str, str] = field(default_factory=dict)
     #: How delta verification partitioned this run (spliced/executed counts,
     #: touched files/elements, or a fallback reason); empty when no baseline
@@ -1041,33 +164,22 @@ class CampaignResult:
         # fingerprint) is independent of completion order.
         for job in sorted(jobs, key=lambda j: (j.element, j.port)):
             result.jobs.append(job)
-            result.stats.absorb(
-                paths=job.path_count,
-                elapsed_seconds=job.elapsed_seconds,
-                solver_calls=job.solver_calls,
-                solver_time_seconds=job.solver_time_seconds,
-                solver_fast_paths=job.solver_fast_paths,
-                solver_cache_hits=job.solver_cache_hits,
-                solver_cache_misses=job.solver_cache_misses,
-                truncated=job.truncated,
-                failed=job.error is not None,
-                solver_shared_cache_hits=job.solver_shared_cache_hits,
-                solver_cache_merged=job.solver_cache_merged,
-                solver_shared_round_trips=job.solver_shared_round_trips,
-                solver_degraded_operations=job.solver_degraded_operations,
-                solver_shared_publish_batches=job.solver_shared_publish_batches,
-                solver_shared_publish_entries=job.solver_shared_publish_entries,
-            )
-            # Merge the job's fresh verdicts into the campaign-level cache.
-            # Jobs are absorbed in sorted injection order and resolve_verdict
-            # lets definite verdicts supersede "unknown"s, so the merged map
-            # is order-independent; a definite-vs-definite conflict would
-            # mean canonicalization is unsound and must fail loudly.
-            _merge_verdict_entries(
-                result.verdict_cache,
-                job.verdict_cache_entries,
-                "jobs disagree",
-            )
+            result.stats.absorb(job)
+            # Merge the job's fresh verdicts into the campaign-level cache
+            # under the one verdict-combination policy (resolve_verdict):
+            # definite verdicts supersede "unknown"s, so the merged map is
+            # order-independent; a definite-vs-definite conflict would mean
+            # canonicalization is unsound and must fail loudly.
+            for fingerprint, verdict in job.verdict_cache_entries:
+                known = result.verdict_cache.get(fingerprint)
+                action = resolve_verdict(known, verdict)
+                if action == "conflict":
+                    raise CacheConflictError(
+                        f"jobs disagree on fingerprint {fingerprint[:12]}…: "
+                        f"{known!r} vs {verdict!r}"
+                    )
+                if action == "replace":
+                    result.verdict_cache[fingerprint] = verdict
             if job.error is not None:
                 continue
             source_key = job.source_key
@@ -1099,15 +211,6 @@ class CampaignResult:
         result.stats.wall_clock_seconds = wall_clock_seconds
         result.stats.verdict_cache_entries = len(result.verdict_cache)
         return result
-
-    def absorb_warm_entries(self, entries: Mapping[str, str]) -> None:
-        """Fold a campaign's warm-start entries into the result's verdict
-        cache, so chained campaigns (cold -> warm -> warmer) never lose
-        verdicts that happened not to be re-derived this run."""
-        _merge_verdict_entries(
-            self.verdict_cache, entries.items(), "warm entry conflicts"
-        )
-        self.stats.verdict_cache_entries = len(self.verdict_cache)
 
     @property
     def job_errors(self) -> List[Tuple[str, str]]:
@@ -1149,14 +252,10 @@ class VerificationCampaign:
     """Fan a network out across many injection ports and aggregate queries.
 
     >>> campaign = VerificationCampaign(network)        # doctest: +SKIP
-    ... campaign.add_all_free_input_ports()
+    ... campaign.add_injection("sw0", "in0")  # default: every free input port
     ... result = campaign.run(workers=4)
     ... result.reachability.pairs()
     """
-
-    #: Campaigns smaller than this run in-process even when workers > 1 —
-    #: forking costs more than the jobs themselves.
-    MIN_JOBS_FOR_POOL = 2
 
     def __init__(
         self,
@@ -1172,9 +271,7 @@ class VerificationCampaign:
         max_hops: int = 128,
         max_paths: int = 1_000_000,
         strategy: str = "dfs",
-        use_incremental_solver: bool = True,
         shared_cache: bool = True,
-        warm_cache: Optional[Mapping[str, str]] = None,
         store: Optional[object] = None,
         cache_shards: int = DEFAULT_SHARD_COUNT,
         publish_batch: int = DEFAULT_PUBLISH_BATCH,
@@ -1196,29 +293,14 @@ class VerificationCampaign:
             raise ValueError(f"unknown queries {sorted(unknown)}; known: {known}")
         # ``shared_cache`` switches the whole cross-job verdict-cache stack:
         # the per-worker persistent cache, the process-shared tier used on
-        # pools, *and* the persistent store.  ``store`` (a
-        # :class:`repro.store.VerificationStore`) is the durable warm-start
-        # path: workers merge its shards once per store state and the
-        # campaign publishes its fresh verdicts back after aggregation.
-        # ``warm_cache`` (a previous CampaignResult's ``verdict_cache``) is
-        # the deprecated in-memory predecessor: it still works, but it ships
-        # every entry through job pickles — except when ``shared_cache`` is
-        # off: jobs must then stay a truly isolated baseline, so warm
-        # entries are only folded into the result.
-        if warm_cache is not None:
-            warnings.warn(
-                "VerificationCampaign(warm_cache=...) is deprecated; persist "
-                "verdicts across campaigns with a VerificationStore instead "
-                "(store=VerificationStore(store_dir), or the CLI --store-dir "
-                "flag): workers open the store's disk shards once per "
-                "process instead of re-importing pickled entries per job",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._store = store
-        self._cache_shards = cache_shards
+        # pools, *and* the persistent store — off, jobs are a truly isolated
+        # baseline.  ``store`` (a :class:`repro.store.VerificationStore`) is
+        # the durable warm-start path: workers merge its shards once per
+        # store state and the campaign publishes its fresh verdicts back
+        # after aggregation.
+        self._store = store if shared_cache else None
+        self._shared_tier_shards = cache_shards if shared_cache else 0
         self._publish_batch = publish_batch
-        self._shared_cache = shared_cache
         # Job-level symmetry reduction: execute one engine job per
         # equivalence class of (network, injection port, config) up to
         # renaming, instantiate the rest.  ``symmetry_audit`` re-executes
@@ -1239,12 +321,6 @@ class VerificationCampaign:
         if baseline is not None and not isinstance(baseline, CampaignBaseline):
             baseline = CampaignBaseline.from_payload(baseline)
         self._baseline: Optional[CampaignBaseline] = baseline
-        self._baseline_origin = "file"
-        self._warm_cache = dict(warm_cache or {})
-        warm_entries = tuple(sorted(self._warm_cache.items()))
-        warm_token = ""
-        if warm_entries and shared_cache:
-            warm_token = hashlib.sha256(repr(warm_entries).encode()).hexdigest()
         self._job_template = CampaignJob(
             source=source,
             element="",
@@ -1259,20 +335,18 @@ class VerificationCampaign:
             max_hops=max_hops,
             max_paths=max_paths,
             strategy=strategy,
-            use_incremental_solver=use_incremental_solver,
             use_verdict_cache=shared_cache,
-            warm_cache_entries=warm_entries if shared_cache else (),
-            warm_cache_token=warm_token,
         )
         self._injections: List[Tuple[str, str]] = []
         self._injection_facts: Dict[Tuple[str, str], PortFacts] = {}
-        self._network: Optional[Network] = None
-        self._registered_injections: Optional[List[Tuple[str, str]]] = None
+        # The runtime-cache entry this campaign resolved, pinned for the
+        # campaign's lifetime so every stage sees one build even if the
+        # LRU evicts the entry in between.
+        self._runtime: Optional[Runtime] = None
         # ``validation`` hoists Network.validate() out of the campaign: a
         # NetworkModel validates its network exactly once and hands the
         # findings to every campaign (and the CLI) it spawns, instead of each
-        # construction site silently re-validating — and possibly re-building
-        # — the same network.
+        # construction site silently re-validating the same network.
         self._validation: Optional[List[str]] = (
             list(validation) if validation is not None else None
         )
@@ -1307,33 +381,27 @@ class VerificationCampaign:
             self.add_injection(element, port)
         return self
 
-    def add_all_free_input_ports(self) -> "VerificationCampaign":
-        """Inject at every input port that no link feeds (network edges)."""
-        return self.add_injections(free_input_ports(self.network()))
-
     def add_default_injections(self) -> "VerificationCampaign":
         """The workload's registered injection ports, or every free input
         port when the source does not define any.  Fully wired networks
         (rings) have no free edges; those fall back to every input port."""
-        network = self.network()  # one build populates _registered_injections
+        runtime = self._resolve()
         return self.add_injections(
-            default_injection_ports(network, self._registered_injections)
+            default_injection_ports(runtime.network, runtime.registered_injections)
         )
 
-    @property
-    def injections(self) -> List[Tuple[str, str]]:
-        return list(self._injections)
+    # -- pipeline stages ------------------------------------------------------------
 
-    # -- execution ------------------------------------------------------------------
+    def _resolve(self) -> Runtime:
+        if self._runtime is None:
+            self._runtime = runtime_for(self.source)
+        return self._runtime
 
     def network(self) -> Network:
-        """The campaign's network, built once (and cached) in this process."""
-        if self._network is None:
-            self._network, self._registered_injections = self.source.build_full()
-            # Seed the in-process runtime so sequential execution reuses
-            # this build instead of re-running the recipe per job.
-            _seed_runtime(self.source, self._network)
-        return self._network
+        """The campaign's network, built once per process by the runtime
+        cache (a :class:`~repro.api.NetworkModel` over the same source, and
+        this campaign's in-process jobs, share that one build)."""
+        return self._resolve().network
 
     def validate(self) -> List[str]:
         """Structural problems of the network, computed once per campaign."""
@@ -1345,7 +413,7 @@ class VerificationCampaign:
         if not self._injections:
             self.add_default_injections()
         template = self._job_template
-        if self._store is not None and self._shared_cache:
+        if self._store is not None:
             # Jobs reference the store by directory + content token; each
             # worker process merges the disk shards locally, exactly once
             # per store state (see execute_job).
@@ -1371,544 +439,161 @@ class VerificationCampaign:
             jobs.append(job)
         return jobs
 
-    # -- symmetry ------------------------------------------------------------------
-
-    def _symmetry_partition(
-        self, jobs: List[CampaignJob]
-    ) -> Optional[_SymmetryPlan]:
-        """Partition the job set into renaming-equivalence classes, or
-        ``None`` when symmetry is off / cannot help / cannot be proven.
-
-        Jobs that record discovery-order-sensitive artifacts (example
-        traces, capped witness samples) never merge: a renamed zone
-        enumerates its Fork children in a different order, so "the first
-        delivered path" is not renaming-stable.  Order-independent artifacts
-        (counts, loop sets, invariant verdicts, visibility tallies) are."""
-        if not self._symmetry or len(jobs) < 2:
-            return None
-        eligible = [
-            job
-            for job in jobs
-            if not job.record_examples and not job.witness_fields
-        ]
-        if len(eligible) < 2:
-            return None
-        try:
-            network = self.network()
-            pinned: set = set()
-            per_program: Dict[Tuple, set] = {}
-            for job in eligible:
-                key = (job.packet, job.field_values)
-                if key not in per_program:
-                    per_program[key] = collect_constants(_packet_program(job))
-                pinned.update(per_program[key])
-            view = CampaignSymmetryView(network, pinned)
-        except SymmetryUnsupported:
-            return None
-        except (ValueError, KeyError):
-            return None  # unknown template etc.: execute_job will report it
-        forms: Dict[Tuple[str, str], object] = {}
-        grouped: Dict[str, List[CampaignJob]] = {}
-        for job in eligible:
-            try:
-                form = view.job_form(
-                    job.element, job.port, _job_config_digest(job)
-                )
-            except SymmetryUnsupported:
-                continue
-            forms[(job.element, job.port)] = form
-            grouped.setdefault(form.fingerprint, []).append(job)
-        classes = []
-        for fingerprint in sorted(grouped):
-            members = grouped[fingerprint]  # already in (element, port) order
-            if len(members) > 1:
-                classes.append((members[0], members[1:], fingerprint))
-        if not classes:
-            return None
-        member_keys = {
-            (member.element, member.port): (rep.element, rep.port)
-            for rep, members, _ in classes
-            for member in members
-        }
-        return _SymmetryPlan(
-            view=view,
-            forms=forms,
-            classes=classes,
-            class_count=len(grouped) + (len(jobs) - len(forms)),
-            member_keys=member_keys,
-        )
-
-    def _audit_choices(self, plan: _SymmetryPlan) -> Dict[Tuple[str, str], int]:
-        """Pre-draw the audited member index for every class, in
-        ``plan.classes`` order.  Drawing everything upfront keeps the seeded
-        choice independent of the order in which representatives *complete*
-        (streamed pool execution reports them as they land), so audit runs
-        stay reproducible under ``--symmetry-audit-seed``."""
-        if not self._symmetry_audit:
-            return {}
-        rng = random.Random(self._symmetry_audit_seed)
-        return {
-            (rep.element, rep.port): rng.randrange(len(members))
-            for rep, members, _ in plan.classes
-        }
-
-    def _expand_representative(
-        self,
-        plan: _SymmetryPlan,
-        rep_job: CampaignJob,
-        members: List[CampaignJob],
-        fingerprint: str,
-        rep_report: JobReport,
-        audit_index: int,
-    ) -> Tuple[List[JobReport], int, int]:
-        """Derive every skipped member's report from its just-completed
-        class representative.  Representatives that errored or truncated —
-        and members whose renaming cannot be built — fall back to direct
-        execution: symmetry must never degrade an answer.
-
-        Returns ``(member_reports, jobs_skipped, audit_runs)``: audit
-        re-executions are real engine runs whose reports are discarded
-        after comparison, so they are counted separately instead of
-        silently skewing the classes-plus-skipped accounting."""
-        class_id = fingerprint[:16]
-        if rep_report.error is not None or rep_report.truncated:
-            return [execute_job(member) for member in members], 0, 0
-        rep_report.symmetry_class = class_id
-        rep_form = plan.forms[(rep_job.element, rep_job.port)]
-        out: List[JobReport] = []
-        skipped = 0
-        audit_runs = 0
-        for index, member in enumerate(members):
-            member_form = plan.forms[(member.element, member.port)]
-            try:
-                renaming = build_renaming(plan.view, rep_form, member_form)
-                instantiated = _instantiate_report(
-                    rep_report, member, renaming, class_id
-                )
-            except SymmetryUnsupported:
-                out.append(execute_job(member))
-                continue
-            skipped += 1
-            if index == audit_index:
-                direct = execute_job(member)
-                audit_runs += 1
-                if semantic_projection(direct) != semantic_projection(
-                    instantiated
-                ):
-                    raise SymmetryAuditError(
-                        f"symmetry audit failed for "
-                        f"{member.element}:{member.port} (class "
-                        f"{class_id}, representative "
-                        f"{rep_job.element}:{rep_job.port}): the "
-                        "instantiated report differs from direct "
-                        "execution — the symmetry encoding is unsound "
-                        "for this network"
-                    )
-            out.append(instantiated)
-        return out, skipped, audit_runs
-
-    # -- delta ---------------------------------------------------------------------
-
-    def _delta_partition(
-        self, jobs: List[CampaignJob]
-    ) -> Tuple[List[CampaignJob], List[JobReport], Dict[str, object]]:
-        """Split the job set against the baseline: ``(jobs to execute,
-        spliced reports, delta info)``.
-
-        A job is spliced — answered from the baseline without touching the
-        engine — only when every link in the proof holds: the topology is
-        unchanged, the job's element cannot reach any touched element along
-        the link graph, and the baseline holds a report for this exact port
-        under this exact job config.  Any gap puts the job back on the
-        execute list; delta never degrades an answer."""
-        baseline = self._baseline
-        origin = self._baseline_origin
-        if (
-            baseline is None
-            and self._delta
-            and self._store is not None
-            and self._shared_cache
-            and self.source.kind == "directory"
-            and self.source.directory
-        ):
-            baseline = CampaignBaseline.from_payload(
-                self._store.get_baseline(self.source.directory)
-            )
-            origin = "store"
-        if baseline is None:
-            return jobs, [], {}
-        manifest = ElementManifest.of_network(self.network())
-        if manifest is None:
-            return (
-                jobs,
-                [],
-                {"spliced": 0, "executed": len(jobs), "reason": "no build manifest"},
-            )
-        diff = diff_manifests(baseline.manifest, manifest)
-        if not diff.compatible:
-            return (
-                jobs,
-                [],
-                {"spliced": 0, "executed": len(jobs), "reason": diff.reason},
-            )
-        affected = affected_injections(
-            self.network(),
-            [(job.element, job.port) for job in jobs],
-            diff.touched_elements,
-        )
-        exec_jobs: List[CampaignJob] = []
-        spliced: List[JobReport] = []
-        for job in jobs:
-            payload = None
-            if (job.element, job.port) not in affected:
-                payload = baseline.report_for(
-                    port_key(job.element, job.port), _job_config_digest(job)
-                )
-            if payload is None:
-                exec_jobs.append(job)
-            else:
-                spliced.append(report_from_payload(payload, spliced_from=origin))
-        info: Dict[str, object] = {
-            "spliced": len(spliced),
-            "executed": len(exec_jobs),
-            "executed_ports": sorted(
-                port_key(job.element, job.port) for job in exec_jobs
+    def _reducers(self) -> list:
+        """The work-avoidance stages, outermost first.  A fixed list: delta
+        answers whole ports from the baseline, symmetry collapses what is
+        left — so an edited zone re-executes once, not once per member."""
+        return [
+            DeltaReducer(
+                self.source,
+                self.network,
+                enabled=self._delta,
+                baseline=self._baseline,
+                store=self._store,
             ),
-            "baseline": origin,
-            "touched_files": list(diff.touched_files),
-            "touched_elements": list(diff.touched_elements),
-        }
-        return exec_jobs, spliced, info
+            SymmetryReducer(
+                self.network,
+                enabled=self._symmetry,
+                audit=self._symmetry_audit,
+                audit_seed=self._symmetry_audit_seed,
+            ),
+        ]
 
-    # -- execution ------------------------------------------------------------------
-
-    def _execute_jobs(
-        self,
-        exec_jobs: List[CampaignJob],
-        workers: int,
-        pool: Optional[ProcessPoolExecutor],
-        finish: Callable[[JobReport], None],
-    ) -> str:
-        """Run every job, calling ``finish`` as each report completes.
-        Returns the execution mode string for the result.
-
-        Failure taxonomy (the old ``except (OSError, RuntimeError)`` around
-        ``pool.map`` conflated all three and silently re-ran everything
-        sequentially, masking genuine job errors and doubling work):
-
-        * pool *startup* failure — no usable multiprocessing in this
-          environment (restricted sandbox, missing semaphores).  Detected
-          by a probe submit before any job runs; degrade to in-process.
-        * pool *breakage* mid-run — a worker died (OOM kill, segfault).
-          ``BrokenProcessPool``; completed reports are kept and only the
-          missing jobs re-execute in-process, with a warning.
-        * *job-level* exception — ``execute_job`` already folds expected
-          failures into ``report.error``, so anything escaping it is an
-          infrastructure or invariant bug the caller must see: propagate.
-        """
-        if not exec_jobs:
-            return "in-process"
-        if not (
-            workers > 1
-            and self.source.picklable
-            and len(exec_jobs) >= self.MIN_JOBS_FOR_POOL
-        ):
-            # self.network() during planning already seeded the runtime
-            # cache, so the sequential path executes against this
-            # campaign's own build.
-            for job in exec_jobs:
-                finish(execute_job(job))
-            return "in-process"
-        import multiprocessing
-
-        manager = None
-        own_pool = None
-        active_pool = None
+    def _publish(self, result: CampaignResult) -> None:
+        """Persist every fresh verdict this campaign derived.  A
+        definite-vs-definite conflict with the store proves either unsound
+        canonicalization or a corrupted segment that slipped past the
+        integrity checks — but the finished result in hand was computed
+        from live solves and is correct regardless, so the store's
+        never-crash-a-campaign contract applies: warn loudly and skip the
+        publish instead of discarding the run."""
+        result.stats.store_entries_loaded = self._store.verdict_count()
+        publish_started = time.perf_counter()
         try:
-            pool_jobs = exec_jobs
-            if get_tracer().enabled:
-                # Ask workers to record spans locally and ship them back in
-                # report.spans; the driver re-parents them (see finish()).
-                pool_jobs = [replace(job, trace=True) for job in pool_jobs]
-            if self._shared_cache:
-                # Process-shared verdict tier: workers publish full-solve
-                # verdicts as they land, so symmetric jobs on *different*
-                # workers stop re-solving each other's constraint sets.
-                # The fingerprint space is prefix-sharded across
-                # ``cache_shards`` Manager dicts and publishes are
-                # batched per worker (repro.store.sharding), so misses
-                # contend shard-wise instead of on one proxy lock.
-                # Manager failure only loses the shared tier, not the run.
-                try:
-                    manager = multiprocessing.Manager()
-                    tier = ShardedTier(
-                        [manager.dict() for _ in range(self._cache_shards)],
-                        batch_size=self._publish_batch,
-                    )
-                    if self._warm_cache:
-                        tier.seed(self._warm_cache)
-                    pool_jobs = [
-                        replace(job, shared_cache=tier) for job in pool_jobs
-                    ]
-                except (OSError, RuntimeError) as exc:
-                    manager = None
-                    _LOG.warning(
-                        "multiprocessing.Manager unavailable, running "
-                        "without the process-shared verdict tier: %s", exc,
-                    )
-            try:
-                if pool is not None:
-                    active_pool = pool
-                else:
-                    own_pool = ProcessPoolExecutor(
-                        max_workers=min(workers, len(exec_jobs))
-                    )
-                    active_pool = own_pool
-                # Startup probe: force a worker to spawn before any job is
-                # submitted, so this except provably means "no usable
-                # multiprocessing" and never swallows a job failure.
-                active_pool.submit(os.getpid).result()
-            except (OSError, RuntimeError) as exc:
-                _LOG.warning(
-                    "process pool unavailable (%s); executing %d job(s) "
-                    "in-process", exc, len(exec_jobs),
+            with get_tracer().span(
+                "store.publish", entries=len(result.verdict_cache)
+            ):
+                result.stats.store_entries_published = self._store.publish(
+                    result.verdict_cache
                 )
-                active_pool = None
-                if own_pool is not None:
-                    own_pool.shutdown(wait=False)
-                    own_pool = None
-            if active_pool is None:
-                for job in exec_jobs:
-                    finish(execute_job(job))
-                return "in-process"
-            done_keys = set()
-            futures = {}
-            try:
-                for pool_job, job in zip(pool_jobs, exec_jobs):
-                    futures[active_pool.submit(execute_job, pool_job)] = job
-                for future in as_completed(futures):
-                    report = future.result()
-                    done_keys.add((report.element, report.port))
-                    finish(report)
-                return "process-pool"
-            except BrokenProcessPool:
-                warnings.warn(
-                    "a campaign worker process died mid-run; completed "
-                    f"reports are kept and the remaining "
-                    f"{len(exec_jobs) - len(done_keys)} job(s) re-execute "
-                    "in-process",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                for job in exec_jobs:
-                    if (job.element, job.port) in done_keys:
-                        continue
-                    finish(execute_job(job))
-                return "process-pool-recovered"
-        finally:
-            if own_pool is not None:
-                own_pool.shutdown()
-            if manager is not None:
-                manager.shutdown()
+        except CacheConflictError as exc:
+            warnings.warn(
+                f"verdict store at {self._store.directory} conflicts "
+                f"with this campaign's live solves ({exc}); nothing was "
+                "published — the store is likely corrupted (inspect / "
+                "compact it), or canonicalization is unsound",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            result.stats.store_entries_published = 0
+            return
+        get_registry().histogram(
+            "repro_store_publish_seconds",
+            "Wall-clock seconds per campaign store publish.",
+        ).observe(time.perf_counter() - publish_started)
 
     def run(
         self,
         workers: int = 1,
         on_report: Optional[Callable[[JobReport], None]] = None,
-        pool: Optional[ProcessPoolExecutor] = None,
+        pool: Optional[object] = None,
     ) -> CampaignResult:
-        """Execute the campaign.
+        """Execute the campaign: a fold over the reducer list in front of
+        one executor.
+
+        Each **reducer** has the same shape.  ``partition(jobs) -> (jobs
+        still to run, reports ready now)`` takes work off the run list;
+        ``expand(finished report) -> derived reports`` supplies, from a
+        report of a job it let through, the reports of jobs it held back;
+        ``finish(result)`` writes the stage's counters once the result is
+        aggregated.  Reducers stack: a report that becomes final behind
+        reducer *k* is offered to reducers *k-1 … 0* in turn.
 
         ``on_report`` streams every final :class:`JobReport` — spliced from
         a delta baseline, executed, or symmetry-instantiated — to the
         caller the moment it is known, before the rest of the campaign
         finishes (the resident service answers queries from these before
         the slowest job lands).  ``pool`` lends an already-running
-        :class:`ProcessPoolExecutor` (service-owned, reused across
-        requests); a borrowed pool is never shut down here.  Either way the
-        aggregated result is bit-identical to the default barrier run.
+        ``ProcessPoolExecutor`` (service-owned, reused across requests); a
+        borrowed pool is never shut down here.  Either way the aggregated
+        result is bit-identical to the default barrier run.
+
+        Every stage runs under a span named after it, so the ``campaign``
+        span of a traced run has no unattributed remainder.
         """
         tracer = get_tracer()
         with tracer.span(
             "campaign", source=self.source.describe(), workers=workers
         ) as campaign_span:
-            return self._run(workers, on_report, pool, tracer, campaign_span)
-
-    def _run(
-        self,
-        workers: int,
-        on_report: Optional[Callable[[JobReport], None]],
-        pool: Optional[ProcessPoolExecutor],
-        tracer,
-        campaign_span,
-    ) -> CampaignResult:
-        started = time.perf_counter()
-        validation_problems = self.validate()
-        store_degraded_before = (
-            self._store.degraded_operations if self._store is not None else 0
-        )
-        jobs = self.jobs()
-        delta_jobs, spliced_reports, delta_info = self._delta_partition(jobs)
-        plan = self._symmetry_partition(delta_jobs)
-        exec_jobs = (
-            delta_jobs
-            if plan is None
-            else [
-                job
-                for job in delta_jobs
-                if (job.element, job.port) not in plan.member_keys
-            ]
-        )
-        rep_classes: Dict[Tuple[str, str], Tuple] = {}
-        audit_choices: Dict[Tuple[str, str], int] = {}
-        if plan is not None:
-            rep_classes = {
-                (rep.element, rep.port): (rep, members, fingerprint)
-                for rep, members, fingerprint in plan.classes
-            }
-            audit_choices = self._audit_choices(plan)
-        final_reports: List[JobReport] = []
-        jobs_skipped = 0
-        audit_runs = 0
-
-        def finish(report: JobReport) -> None:
-            """Account one executed report — and, when it represents a
-            symmetry class, every member report derived from it — the
-            moment it completes."""
-            nonlocal jobs_skipped, audit_runs
-            if report.spans:
-                # Worker-recorded spans: remap their ids into this
-                # process's trace and hang their roots off the campaign
-                # span.  Telemetry only — the report's answer is final
-                # before this line and untouched after it.
-                tracer.absorb(report.spans, parent_id=campaign_span.span_id)
-            record_job_report(report)
-            final_reports.append(report)
-            if on_report is not None:
-                on_report(report)
-            entry = rep_classes.get((report.element, report.port))
-            if entry is None:
-                return
-            rep_job, members, fingerprint = entry
-            with tracer.span(
-                "symmetry.class",
-                representative=report.source_key,
-                members=len(members),
-            ):
-                derived, skipped, audits = self._expand_representative(
-                    plan,
-                    rep_job,
-                    members,
-                    fingerprint,
-                    report,
-                    audit_choices.get((rep_job.element, rep_job.port), -1),
-                )
-            jobs_skipped += skipped
-            audit_runs += audits
-            for member_report in derived:
-                record_job_report(member_report)
-                final_reports.append(member_report)
-                if on_report is not None:
-                    on_report(member_report)
-
-        # Spliced reports are already final: stream them first, they cost
-        # nothing (aggregation is order-independent, so this cannot move
-        # any answer).
-        if spliced_reports:
-            with tracer.span("delta.splice", count=len(spliced_reports)):
-                for report in spliced_reports:
-                    record_job_report(report)
-                    final_reports.append(report)
-                    if on_report is not None:
-                        on_report(report)
-        mode = self._execute_jobs(exec_jobs, workers, pool, finish)
-        result = CampaignResult.aggregate(
-            self.source.describe(),
-            self._job_template.queries,
-            final_reports,
-            validation_problems=validation_problems,
-            execution_mode=mode,
-            workers=workers,
-            wall_clock_seconds=time.perf_counter() - started,
-        )
-        result.stats.symmetry_classes = (
-            plan.class_count if plan is not None else 0
-        )
-        result.stats.jobs_skipped_by_symmetry = jobs_skipped
-        result.stats.symmetry_audit_runs = audit_runs
-        result.stats.jobs_spliced_by_delta = len(spliced_reports)
-        if delta_info:
-            result.delta_info = dict(delta_info)
-        if self._warm_cache:
-            result.absorb_warm_entries(self._warm_cache)
-        if self._store is not None and self._shared_cache:
-            # Persist every fresh verdict this campaign derived.  A
-            # definite-vs-definite conflict with the store proves either
-            # unsound canonicalization or a corrupted segment that slipped
-            # past the integrity checks — but the finished result in hand
-            # was computed from live solves and is correct regardless, so
-            # the store's never-crash-a-campaign contract applies: warn
-            # loudly and skip the publish instead of discarding the run.
-            result.stats.store_entries_loaded = self._store.verdict_count()
-            try:
-                publish_started = time.perf_counter()
-                with tracer.span(
-                    "store.publish", entries=len(result.verdict_cache)
-                ):
-                    result.stats.store_entries_published = self._store.publish(
-                        result.verdict_cache
-                    )
-                from repro.obs import get_registry
-
-                get_registry().histogram(
-                    "repro_store_publish_seconds",
-                    "Wall-clock seconds per campaign store publish.",
-                ).observe(time.perf_counter() - publish_started)
-            except CacheConflictError as exc:
-                warnings.warn(
-                    f"verdict store at {self._store.directory} conflicts "
-                    f"with this campaign's live solves ({exc}); nothing was "
-                    "published — the store is likely corrupted (inspect / "
-                    "compact it), or canonicalization is unsound",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                result.stats.store_entries_published = 0
-        if self.source.kind == "directory" and self.source.directory:
-            # Record this run as the directory's delta baseline: the build
-            # manifest plus every non-errored report (executed, instantiated
-            # or itself spliced — all carry the same semantic content a
-            # fresh run would).  Attached to the result for --save-baseline;
-            # persisted in the store so the next campaign auto-detects it.
-            manifest = ElementManifest.of_network(self.network())
-            if manifest is not None:
-                configs = {
-                    port_key(job.element, job.port): _job_config_digest(job)
-                    for job in jobs
-                }
-                result.baseline_payload = baseline_payload(
-                    manifest,
-                    configs,
-                    result.jobs,
-                    source=os.path.abspath(self.source.directory),
-                )
-                if (
-                    self._delta
-                    and self._store is not None
-                    and self._shared_cache
-                ):
-                    self._store.put_baseline(
-                        self.source.directory, result.baseline_payload
-                    )
-        if self._store is not None:
-            # Driver-side store failures (failed quarantine moves, baseline
-            # writes, ...) during this run join the job-side tier failures
-            # already absorbed from the reports.
-            result.stats.degraded_operations += (
-                self._store.degraded_operations - store_degraded_before
+            started = time.perf_counter()
+            with tracer.span("validate"):
+                validation_problems = self.validate()
+            store_degraded_before = (
+                self._store.degraded_operations if self._store is not None else 0
             )
-        # One registry publication per finished campaign: the roll-up
-        # counters that have no per-report home (symmetry skips, store
-        # traffic, degraded operations) land in repro.obs.metrics here.
-        record_campaign_stats(result.stats)
-        return result
+            with tracer.span("jobs"):
+                pending = self.jobs()
+            reducers = self._reducers()
+            final_reports: List[JobReport] = []
+
+            def deliver(report: JobReport, depth: int) -> None:
+                """Account one final report — it answers a job that got
+                past ``reducers[:depth]`` — and everything those reducers
+                derive from it, the moment it is known."""
+                if report.spans:
+                    # Worker-recorded spans: remap their ids into this
+                    # process's trace and hang their roots off the campaign
+                    # span.  Telemetry only — the report's answer is final
+                    # before this line and untouched after it.
+                    tracer.absorb(report.spans, parent_id=campaign_span.span_id)
+                record_job_report(report)
+                final_reports.append(report)
+                if on_report is not None:
+                    on_report(report)
+                for index in reversed(range(depth)):
+                    for derived in reducers[index].expand(report):
+                        deliver(derived, index)
+
+            for depth, reducer in enumerate(reducers):
+                with tracer.span(reducer.name + ".partition", jobs=len(pending)):
+                    pending, ready = reducer.partition(pending)
+                    # Reports a partition already produced are final:
+                    # stream them before anything slower runs (aggregation
+                    # is order-independent, so this cannot move any answer).
+                    for report in ready:
+                        deliver(report, depth)
+            with tracer.span("execute", jobs=len(pending)):
+                mode = run_jobs(
+                    pending,
+                    workers,
+                    pool,
+                    lambda report: deliver(report, len(reducers)),
+                    shared_tier_shards=self._shared_tier_shards,
+                    publish_batch=self._publish_batch,
+                )
+            with tracer.span("aggregate", jobs=len(final_reports)):
+                result = CampaignResult.aggregate(
+                    self.source.describe(),
+                    self._job_template.queries,
+                    final_reports,
+                    validation_problems=validation_problems,
+                    execution_mode=mode,
+                    workers=workers,
+                    wall_clock_seconds=time.perf_counter() - started,
+                )
+            if self._store is not None:
+                self._publish(result)
+            for reducer in reducers:
+                reducer.finish(result)
+            if self._store is not None:
+                # Driver-side store failures (failed quarantine moves,
+                # baseline writes, ...) during this run join the job-side
+                # tier failures already absorbed from the reports.
+                result.stats.solver_stats.record_degraded_operation(
+                    self._store.degraded_operations - store_degraded_before
+                )
+            # One registry publication per finished campaign: the roll-up
+            # counters that have no per-report home (symmetry skips, store
+            # traffic, degraded operations) land in repro.obs.metrics here.
+            record_campaign_stats(result.stats)
+            return result

@@ -19,10 +19,12 @@ networks:
   closure (:func:`repro.network.view.elements_reaching`) — a sound
   over-approximation of anything the engine can traverse.
 * :class:`CampaignBaseline` packages a previous run's manifest plus its
-  per-port :class:`~repro.core.campaign.JobReport` payloads; the campaign
-  splices baseline reports for unaffected ports into the fresh result and
-  executes only the rest (one edited ACL on a wide network ≈ one engine
-  job, and symmetry still collapses whatever does rerun).
+  per-port :class:`~repro.core.jobs.JobReport` payloads.
+* :class:`DeltaReducer` is the pipeline stage built from those parts: it
+  splices baseline reports for unaffected ports into the fresh result,
+  leaves only the rest on the run list (one edited ACL on a wide network ≈
+  one engine job, and symmetry still collapses whatever does rerun), and
+  records the finished run as the next run's baseline.
 
 The standing invariant applies: delta on/off changes which tier answers,
 never the answer — a spliced result is bit-identical to a full rerun.
@@ -32,32 +34,23 @@ job", never to "trust the baseline".
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.core.jobs import (
+    SEMANTIC_FIELDS,
+    CampaignJob,
+    JobReport,
+    job_config_digest,
+)
+from repro.core.sources import NetworkSource
 from repro.network.view import elements_reaching
+from repro.obs import get_tracer
 
 #: Baseline payload format version; bump on incompatible layout changes
 #: (readers reject unknown versions and fall back to a full rerun).
 BASELINE_FORMAT = 1
-
-#: The JobReport fields a baseline persists: exactly the semantic content
-#: (what the answer is), none of the provenance (who computed it, how fast).
-_REPORT_FIELDS = (
-    "element",
-    "port",
-    "packet",
-    "status_counts",
-    "delivered_to",
-    "loops",
-    "drop_reasons",
-    "invariants",
-    "visibility",
-    "witnesses",
-    "delivered_examples",
-    "truncated",
-)
-
 
 @dataclass
 class ElementManifest:
@@ -160,16 +153,16 @@ def affected_injections(
 def report_to_payload(report: object) -> Dict[str, object]:
     """One JobReport's semantic content as a JSON-able payload (the
     inverse of :func:`report_from_payload`)."""
-    return {name: getattr(report, name) for name in _REPORT_FIELDS}
+    return {name: getattr(report, name) for name in SEMANTIC_FIELDS}
 
 
-def report_from_payload(payload: Mapping[str, object], spliced_from: str):
+def report_from_payload(
+    payload: Mapping[str, object], spliced_from: str
+) -> JobReport:
     """Rebuild a JobReport from a baseline payload.  Solver and timing
     counters stay zero — no engine work happened for this port — and the
     report is marked with where it was spliced from, so JSON consumers can
     tell a reused answer from a recomputed one."""
-    from repro.core.campaign import JobReport
-
     report = JobReport(
         element=str(payload["element"]),
         port=str(payload["port"]),
@@ -238,7 +231,7 @@ class CampaignBaseline:
     ) -> Optional[Mapping[str, object]]:
         """The stored payload for one port, but only when the job that
         produced it ran under exactly the same behaviour-relevant config
-        (packet, queries, budgets — see ``_job_config_digest``)."""
+        (packet, queries, budgets — see ``job_config_digest``)."""
         entry = self.reports.get(key)
         if not isinstance(entry, Mapping) or entry.get("config") != config:
             return None
@@ -295,3 +288,133 @@ def baseline_payload(
     return CampaignBaseline(
         manifest=manifest, reports=entries, source=source
     ).to_payload()
+
+
+class DeltaReducer:
+    """The delta stage of the campaign pipeline (see
+    :meth:`repro.core.campaign.VerificationCampaign.run` for the reducer
+    contract): ``partition`` answers from the baseline every job the
+    directory diff provably did not touch, ``finish`` writes the stage's
+    counters and records the run as the directory's next baseline.
+
+    ``baseline`` is an explicit :class:`CampaignBaseline` (a
+    ``--save-baseline`` file, a scenario's previous state); without one,
+    ``enabled`` directory campaigns auto-detect the baseline ``store``
+    recorded.  ``store`` is ``None`` whenever the campaign's cache stack is
+    off: an isolated run neither reads nor feeds any tier."""
+
+    name = "delta"
+
+    def __init__(
+        self,
+        source: NetworkSource,
+        network: Callable[[], object],
+        *,
+        enabled: bool,
+        baseline: Optional[CampaignBaseline],
+        store: Optional[object],
+    ) -> None:
+        self._directory = source.directory if source.kind == "directory" else None
+        self._network = network
+        self._enabled = enabled
+        self._baseline = baseline
+        self._store = store
+        self._jobs: List[CampaignJob] = []
+        self._spliced = 0
+        self._info: Dict[str, object] = {}
+
+    def partition(
+        self, jobs: List[CampaignJob]
+    ) -> Tuple[List[CampaignJob], Sequence[JobReport]]:
+        """Split the job set against the baseline.  A job is spliced —
+        answered from the baseline without touching the engine — only when
+        every link in the proof holds: the topology is unchanged, the job's
+        element cannot reach any touched element along the link graph, and
+        the baseline holds a report for this exact port under this exact
+        job config.  Any gap leaves the job on the run list; delta never
+        degrades an answer."""
+        self._jobs = jobs
+        baseline, origin = self._baseline, "file"
+        if (
+            baseline is None
+            and self._enabled
+            and self._store is not None
+            and self._directory
+        ):
+            baseline = CampaignBaseline.from_payload(
+                self._store.get_baseline(self._directory)
+            )
+            origin = "store"
+        if baseline is None:
+            return jobs, ()
+        manifest = ElementManifest.of_network(self._network())
+        diff = (
+            diff_manifests(baseline.manifest, manifest)
+            if manifest is not None
+            else ManifestDiff(False, "no build manifest")
+        )
+        if not diff.compatible:
+            self._info = {
+                "spliced": 0, "executed": len(jobs), "reason": diff.reason
+            }
+            return jobs, ()
+        affected = affected_injections(
+            self._network(),
+            [(job.element, job.port) for job in jobs],
+            diff.touched_elements,
+        )
+        run: List[CampaignJob] = []
+        payloads: List[Mapping[str, object]] = []
+        for job in jobs:
+            payload = None
+            if (job.element, job.port) not in affected:
+                payload = baseline.report_for(
+                    job.source_key, job_config_digest(job)
+                )
+            if payload is None:
+                run.append(job)
+            else:
+                payloads.append(payload)
+        with get_tracer().span("delta.splice", count=len(payloads)):
+            spliced = [
+                report_from_payload(payload, spliced_from=origin)
+                for payload in payloads
+            ]
+        self._spliced = len(spliced)
+        self._info = {
+            "spliced": len(spliced),
+            "executed": len(run),
+            "executed_ports": sorted(job.source_key for job in run),
+            "baseline": origin,
+            "touched_files": list(diff.touched_files),
+            "touched_elements": list(diff.touched_elements),
+        }
+        return run, spliced
+
+    def expand(self, report: JobReport) -> Sequence[JobReport]:
+        return ()
+
+    def finish(self, result) -> None:
+        result.stats.jobs_spliced_by_delta = self._spliced
+        result.delta_info = dict(self._info)
+        if not self._directory:
+            return
+        # Record this run as the directory's delta baseline: the build
+        # manifest plus every non-errored report (executed, instantiated or
+        # itself spliced — all carry the same semantic content a fresh run
+        # would).  Attached to the result for --save-baseline; persisted in
+        # the store so the next campaign auto-detects it.
+        with get_tracer().span("baseline.record", jobs=len(result.jobs)):
+            manifest = ElementManifest.of_network(self._network())
+            if manifest is None:
+                return
+            result.baseline_payload = baseline_payload(
+                manifest,
+                {job.source_key: job_config_digest(job) for job in self._jobs},
+                result.jobs,
+                source=os.path.abspath(self._directory),
+            )
+            if self._enabled and self._store is not None:
+                self._store.put_baseline(
+                    self._directory, result.baseline_payload
+                )

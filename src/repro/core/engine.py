@@ -99,16 +99,7 @@ class SymbolicExecutor:
         ``element:port``, returning every explored path."""
         start = time.perf_counter()
         stats = self.solver.stats
-        solver_calls_before = stats.calls
-        solver_time_before = stats.time_seconds
-        fast_paths_before = stats.fast_paths
-        cache_hits_before = stats.cache_hits
-        cache_misses_before = stats.cache_misses
-        shared_hits_before = stats.shared_cache_hits
-        shared_trips_before = stats.shared_round_trips
-        publish_batches_before = stats.shared_publish_batches
-        publish_entries_before = stats.shared_publish_entries
-        degraded_before = stats.degraded_operations
+        before = stats.snapshot()
 
         result = ExecutionResult(injected_at=PortId(element, port))
         state = initial_state if initial_state is not None else ExecutionState(self.symbols)
@@ -162,26 +153,7 @@ class SymbolicExecutor:
                 stats.record_degraded_operation()
 
         result.elapsed_seconds = time.perf_counter() - start
-        result.solver_calls = stats.calls - solver_calls_before
-        result.solver_time_seconds = stats.time_seconds - solver_time_before
-        result.solver_fast_paths = stats.fast_paths - fast_paths_before
-        result.solver_cache_hits = stats.cache_hits - cache_hits_before
-        result.solver_cache_misses = stats.cache_misses - cache_misses_before
-        result.solver_shared_cache_hits = (
-            stats.shared_cache_hits - shared_hits_before
-        )
-        result.solver_shared_round_trips = (
-            stats.shared_round_trips - shared_trips_before
-        )
-        result.solver_shared_publish_batches = (
-            stats.shared_publish_batches - publish_batches_before
-        )
-        result.solver_shared_publish_entries = (
-            stats.shared_publish_entries - publish_entries_before
-        )
-        result.solver_degraded_operations = (
-            stats.degraded_operations - degraded_before
-        )
+        result.solver_stats = stats.since(before)
         return result
 
     # ------------------------------------------------------------ propagation

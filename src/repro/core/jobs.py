@@ -1,0 +1,627 @@
+"""Campaign jobs: the picklable unit of work, its report, and the
+per-process runtime that executes it.
+
+A :class:`CampaignJob` says "inject this packet template at this port of
+that network source and collect these facts"; :func:`execute_job` runs it in
+whatever process it lands in and digests the outcome into a
+:class:`JobReport` — *an answer plus one* :class:`SolverStats` *delta*.
+Only plain data crosses the process boundary — no states, no solver terms —
+so queries that need solver work (invariants, visibility, witnesses) run
+here, in the worker, where the states still exist.
+
+The per-process **runtime cache** is the one holder of built networks: the
+session API, the campaign driver and every job resolve their network (and
+its registered injection ports, solver and verdict cache) through
+:func:`runtime_for`, so a source is parsed and modelled once per process.
+"""
+
+from __future__ import annotations
+
+import logging
+import os
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple
+
+from repro.core.checks import admitted_values, field_invariant, header_visible
+from repro.core.engine import ExecutionSettings, SymbolicExecutor
+from repro.core.errors import MemorySafetyError
+from repro.core.paths import ExecutionResult, PathStatus
+from repro.core.queries import port_key
+from repro.core.sources import NetworkSource
+from repro.models import host as host_models
+from repro.network.topology import Network
+from repro.network.view import config_digest
+from repro.obs import Tracer, get_tracer, set_tracer
+from repro.sefl.fields import standard_fields
+from repro.solver.result import SolverStats, expose_solver_counters
+from repro.solver.solver import Solver
+from repro.solver.verdict_cache import VerdictCache
+from repro.store.sharding import DEFAULT_SHARD_COUNT
+
+_LOG = logging.getLogger(__name__)
+
+#: Packet templates a campaign (and the CLI) can inject, by name.
+PACKET_TEMPLATES = {
+    "tcp": host_models.symbolic_tcp_packet,
+    "udp": host_models.symbolic_udp_packet,
+    "ip": host_models.symbolic_ip_packet,
+    "icmp": host_models.symbolic_icmp_packet,
+}
+
+QUERY_REACHABILITY = "reachability"
+QUERY_LOOPS = "loops"
+QUERY_INVARIANTS = "invariants"
+#: Query names the campaign understands; see queries.py for how to add one.
+CAMPAIGN_QUERIES = (QUERY_REACHABILITY, QUERY_LOOPS, QUERY_INVARIANTS)
+
+#: Header fields whose invariance the ``invariants`` query checks by default.
+DEFAULT_INVARIANT_FIELDS = ("IpSrc", "IpDst")
+
+
+# ---------------------------------------------------------------------------
+# Jobs and per-job reports
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PortFacts:
+    """Per-injection narrowing of the facts one job must collect.
+
+    The API planner computes, for every injection port, the union of the
+    fact requirements of exactly the queries that *need that port* — not the
+    whole batch (see :func:`repro.api.planner.compile_plan`).  A campaign
+    applies these as per-job overrides of its global fact template, so a
+    port only pays for the channels some query will actually read.
+    """
+
+    queries: Tuple[str, ...]
+    invariant_fields: Tuple[str, ...] = ()
+    visibility_fields: Tuple[str, ...] = ()
+    witness_fields: Tuple[Tuple[str, int], ...] = ()
+    record_examples: bool = False
+
+
+
+@dataclass(frozen=True)
+class CampaignJob:
+    """One unit of campaign work: inject one packet template at one port.
+
+    Everything in here must pickle: the network is referenced by recipe, the
+    packet by template name, header overrides by field *name*, the strategy
+    by registry name.
+    """
+
+    source: NetworkSource
+    element: str
+    port: str
+    packet: str = "tcp"
+    field_values: Tuple[Tuple[str, int], ...] = ()
+    queries: Tuple[str, ...] = CAMPAIGN_QUERIES
+    invariant_fields: Tuple[str, ...] = DEFAULT_INVARIANT_FIELDS
+    #: Fields whose header visibility (is the source's symbol still readable?)
+    #: is checked per delivered destination — fed by the API planner's
+    #: ``HeaderVisible`` queries.
+    visibility_fields: Tuple[str, ...] = ()
+    #: (field, samples) pairs: collect up to ``samples`` concrete witness
+    #: values per delivered destination — the ``AdmittedValues`` queries.
+    witness_fields: Tuple[Tuple[str, int], ...] = ()
+    #: Record one example port trace per delivered destination (evidence
+    #: paths for ``Reach`` query results).
+    record_examples: bool = False
+    max_hops: int = 128
+    max_paths: int = 1_000_000
+    strategy: str = "dfs"
+    #: Share the worker's persistent verdict cache across jobs.  Off, every
+    #: job solves with an isolated cache (the pre-cache baseline).
+    use_verdict_cache: bool = True
+    #: Persistent verdict store (repro.store): each worker process opens the
+    #: store directory and merges its shards into the worker cache once per
+    #: ``store_token`` (the store's content identity), so warm starts ship
+    #: nothing through job pickles.
+    store_dir: Optional[str] = None
+    store_token: str = ""
+    store_shards: int = DEFAULT_SHARD_COUNT
+    #: Optional process-shared verdict tier (a sharded Manager-dict tier,
+    #: see repro.store.sharding) consulted on local cache misses when the
+    #: campaign runs on a process pool.
+    shared_cache: Optional[object] = field(default=None, compare=False, repr=False)
+    #: Record spans inside the (pool) worker and ship them back through
+    #: ``JobReport.spans``.  Telemetry only — deliberately absent from
+    #: ``job_config_digest``, baselines and every report projection, so
+    #: tracing can never move an answer or split a symmetry class.
+    trace: bool = False
+
+    @property
+    def source_key(self) -> str:
+        return port_key(self.element, self.port)
+
+
+@expose_solver_counters
+@dataclass
+class JobReport:
+    """Picklable digest of one job: the answer (per-query facts) plus the
+    one :class:`SolverStats` delta it cost.  Reports derived without engine
+    work (symmetry-instantiated, delta-spliced) carry a zero delta, so the
+    aggregated stats say exactly what ran."""
+
+    element: str
+    port: str
+    packet: str
+    status_counts: Dict[str, int] = field(default_factory=dict)
+    delivered_to: Dict[str, int] = field(default_factory=dict)
+    loops: List[Dict[str, object]] = field(default_factory=list)
+    drop_reasons: Dict[str, int] = field(default_factory=dict)
+    invariants: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: field -> destination port -> {checked, visible, skipped} counters.
+    visibility: Dict[str, Dict[str, Dict[str, int]]] = field(default_factory=dict)
+    #: field -> destination port -> sorted concrete witness values.
+    witnesses: Dict[str, Dict[str, List[int]]] = field(default_factory=dict)
+    #: destination port -> one example port trace demonstrating delivery.
+    delivered_examples: Dict[str, List[str]] = field(default_factory=dict)
+    truncated: bool = False
+    error: Optional[str] = None
+    worker_pid: int = 0
+    elapsed_seconds: float = 0.0
+    #: ``report.solver_calls`` etc. read through to this delta.
+    solver_stats: SolverStats = field(default_factory=SolverStats)
+    #: (fingerprint, verdict) pairs this job added to its worker's verdict
+    #: cache — merged into the campaign-level cache by the aggregation.
+    verdict_cache_entries: Tuple[Tuple[str, str], ...] = ()
+    #: Symmetry-class identity (a canonical-form fingerprint prefix), set on
+    #: both class representatives and instantiated members when the campaign
+    #: ran with symmetry reduction.
+    symmetry_class: str = ""
+    #: For instantiated reports: the ``element:port`` of the representative
+    #: job whose engine run this report was derived from.
+    symmetry_instantiated_from: str = ""
+    #: Set when delta verification spliced this report from a stored
+    #: baseline instead of executing it ("store" or "file").
+    delta_spliced_from: str = ""
+    #: Span payloads recorded inside a pool worker (see repro.obs.trace),
+    #: carried back for the driver to re-parent under its campaign span.
+    #: Pure telemetry: excluded from ``to_dict``, ``semantic_projection``
+    #: and delta baselines, so traced and untraced runs stay bit-identical.
+    spans: Tuple[Dict[str, object], ...] = ()
+
+    @property
+    def source_key(self) -> str:
+        return port_key(self.element, self.port)
+
+    @property
+    def path_count(self) -> int:
+        return sum(self.status_counts.values())
+
+    def to_dict(self) -> Dict[str, object]:
+        payload: Dict[str, object] = {
+            "injected_at": self.source_key,
+            "packet": self.packet,
+            "status_counts": dict(sorted(self.status_counts.items())),
+            "delivered_to": dict(sorted(self.delivered_to.items())),
+            "loops": list(self.loops),
+            "drop_reasons": dict(sorted(self.drop_reasons.items())),
+            "invariants": {k: dict(v) for k, v in sorted(self.invariants.items())},
+        }
+        # Planner-only facts stay out of legacy campaign reports entirely.
+        if self.visibility:
+            payload["visibility"] = {
+                f: {d: dict(cell) for d, cell in sorted(row.items())}
+                for f, row in sorted(self.visibility.items())
+            }
+        if self.witnesses:
+            payload["witnesses"] = {
+                f: {d: list(vals) for d, vals in sorted(row.items())}
+                for f, row in sorted(self.witnesses.items())
+            }
+        if self.delivered_examples:
+            payload["delivered_examples"] = {
+                d: list(trace) for d, trace in sorted(self.delivered_examples.items())
+            }
+        if self.symmetry_class:
+            payload["symmetry"] = {
+                "class": self.symmetry_class,
+                "instantiated_from": self.symmetry_instantiated_from or None,
+            }
+        if self.delta_spliced_from:
+            payload["delta"] = {"spliced_from": self.delta_spliced_from}
+        payload.update({
+            "truncated": self.truncated,
+            "error": self.error,
+            "worker_pid": self.worker_pid,
+            "stats": {
+                "elapsed_seconds": self.elapsed_seconds,
+                **self.solver_stats.reported(),
+                "verdict_cache_entries": len(self.verdict_cache_entries),
+            },
+        })
+        return payload
+
+
+def loop_sort_key(loop: Mapping[str, object]) -> Tuple:
+    """Canonical order for a report's loop findings: they must be
+    comparable across symmetric jobs whose Fork children enumerate in
+    different (renamed) orders, so discovery order is never kept."""
+    return (
+        str(loop.get("detected_at", "")),
+        str(loop.get("reason", "")),
+        tuple(str(port) for port in loop.get("trace", ())),
+    )
+
+
+def job_config_digest(job: CampaignJob) -> str:
+    """Digest of everything behaviour-relevant in a job except its injection
+    point: jobs may only share a symmetry class — and a baseline report may
+    only be spliced — when packet, fact channels and execution budgets agree
+    exactly.  Cache/store wiring is deliberately absent — it changes which
+    tier answers, never the answer."""
+    return config_digest(
+        (
+            job.packet,
+            job.field_values,
+            job.queries,
+            job.invariant_fields,
+            job.visibility_fields,
+            job.witness_fields,
+            job.record_examples,
+            job.max_hops,
+            job.max_paths,
+            job.strategy,
+        )
+    )
+
+
+#: The JobReport fields that *are* the answer — what a delta baseline
+#: persists and what two tiers must agree on — as opposed to provenance
+#: (pids, timings, solver counters, cache entries, symmetry/delta marks).
+SEMANTIC_FIELDS = (
+    "element",
+    "port",
+    "packet",
+    "status_counts",
+    "delivered_to",
+    "loops",
+    "drop_reasons",
+    "invariants",
+    "visibility",
+    "witnesses",
+    "delivered_examples",
+    "truncated",
+)
+
+
+def semantic_projection(report: JobReport) -> Dict[str, object]:
+    """The tier-independent content of a job report: what the answer *is*,
+    stripped of who computed it.  Two reports with equal projections are
+    interchangeable for every query aggregation — the equality
+    ``--symmetry-audit`` and the fuzz suites assert."""
+    projection = {name: getattr(report, name) for name in SEMANTIC_FIELDS}
+    projection["loops"] = sorted(loop_sort_key(loop) for loop in report.loops)
+    projection["error"] = report.error
+    return projection
+
+
+# ---------------------------------------------------------------------------
+# The per-process runtime cache
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Runtime:
+    """Everything one process keeps per network source: the built network,
+    the injection ports its builder registered (``None`` when the source
+    kind defines none), and the solver + verdict cache that stay warm
+    across the jobs a worker receives."""
+
+    network: Network
+    registered_injections: Optional[List[Tuple[str, str]]]
+    solver: Solver = field(default_factory=Solver)
+    verdict_cache: VerdictCache = field(default_factory=VerdictCache)
+
+
+# Bounded LRU: long-lived processes running campaigns over many networks
+# must not retain them all.
+_RUNTIME_CACHE: Dict[Tuple, Runtime] = {}
+_RUNTIME_CACHE_LIMIT = 8
+
+
+def clear_runtime_cache() -> None:
+    """Drop every cached :class:`Runtime` in this process."""
+    _RUNTIME_CACHE.clear()
+
+
+def runtime_for(source: NetworkSource) -> Runtime:
+    """The process's runtime for ``source``, building the network on first
+    use.  This is the only call site of ``source.build_full()``."""
+    key = source.cache_key()
+    runtime = _RUNTIME_CACHE.pop(key, None)
+    if runtime is None:
+        runtime = Runtime(*source.build_full())
+    _RUNTIME_CACHE[key] = runtime  # (re)insert at the end: LRU recency
+    while len(_RUNTIME_CACHE) > _RUNTIME_CACHE_LIMIT:
+        _RUNTIME_CACHE.pop(next(iter(_RUNTIME_CACHE)))
+    return runtime
+
+
+# In-process counters of symbolic-execution runs and of the fact channels
+# (query kinds, invariant/visibility fields, witness samplers, example
+# recorders) those runs collected, so tests (and the API planner's
+# acceptance checks) can assert both how many engine jobs a batch of
+# queries cost and how much per-job collection work the planner's per-port
+# narrowing saved.  Per-process: pool workers count their own runs.
+_EXECUTION_COUNTERS = {"engine_runs": 0, "fact_channels": 0}
+
+
+def execution_counters() -> Dict[str, int]:
+    """Snapshot of this process's campaign execution counters."""
+    return dict(_EXECUTION_COUNTERS)
+
+
+def reset_execution_counters() -> None:
+    for key in _EXECUTION_COUNTERS:
+        _EXECUTION_COUNTERS[key] = 0
+
+
+def _job_fact_channels(job: CampaignJob) -> int:
+    """How many collection channels this job pays for (counted into
+    ``execution_counters()['fact_channels']``)."""
+    return (
+        len(job.queries)
+        + (len(job.invariant_fields) if QUERY_INVARIANTS in job.queries else 0)
+        + len(job.visibility_fields)
+        + len(job.witness_fields)
+        + (1 if job.record_examples else 0)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Executing one job
+# ---------------------------------------------------------------------------
+
+
+def packet_program(job: CampaignJob):
+    try:
+        template = PACKET_TEMPLATES[job.packet]
+    except KeyError:
+        known = ", ".join(sorted(PACKET_TEMPLATES))
+        raise ValueError(f"unknown packet template {job.packet!r}; known: {known}")
+    if not job.field_values:
+        return template()
+    fields = standard_fields()
+    overrides = {fields[name]: value for name, value in job.field_values}
+    return template(overrides)
+
+
+def _check_invariants(
+    result: ExecutionResult, job: CampaignJob, solver: Solver
+) -> Dict[str, Dict[str, int]]:
+    """Field invariance on every delivered path, computed where the states
+    live (worker side)."""
+    fields = standard_fields()
+    report: Dict[str, Dict[str, int]] = {}
+    for name in job.invariant_fields:
+        variable = fields.get(name, name)
+        checked = held = skipped = 0
+        for path in result.delivered():
+            try:
+                holds = field_invariant(path, variable, solver)
+            except MemorySafetyError:
+                # The template did not allocate this field (e.g. TcpDst on
+                # an ICMP packet): skipped, not a verdict.  Anything else
+                # propagates — a broken query must not masquerade as an
+                # inapplicable field (it becomes the job's error).
+                skipped += 1
+                continue
+            checked += 1
+            held += 1 if holds else 0
+        report[name] = {"checked": checked, "held": held, "skipped": skipped}
+    return report
+
+
+def _check_visibility(
+    result: ExecutionResult, job: CampaignJob, solver: Solver
+) -> Dict[str, Dict[str, Dict[str, int]]]:
+    """Per-destination header visibility: is the symbol the source wrote into
+    the field still provably readable where the packet was delivered?"""
+    fields = standard_fields()
+    report: Dict[str, Dict[str, Dict[str, int]]] = {}
+    for name in job.visibility_fields:
+        variable = fields.get(name, name)
+        per_destination: Dict[str, Dict[str, int]] = {}
+        for path in result.delivered():
+            destination = str(path.last_port)
+            cell = per_destination.setdefault(
+                destination, {"checked": 0, "visible": 0, "skipped": 0}
+            )
+            try:
+                history = path.state.variable_history(variable)
+                if not history:
+                    cell["skipped"] += 1
+                    continue
+                visible = header_visible(path, variable, history[0], solver)
+            except MemorySafetyError:
+                cell["skipped"] += 1
+                continue
+            cell["checked"] += 1
+            cell["visible"] += 1 if visible else 0
+        report[name] = per_destination
+    return report
+
+
+def _collect_witnesses(
+    result: ExecutionResult, job: CampaignJob, solver: Solver
+) -> Dict[str, Dict[str, List[int]]]:
+    """Concrete admitted values per delivered destination, up to the
+    requested sample count per (field, destination).  Paths are scanned in
+    the engine's (deterministic) discovery order, so the collected sets are
+    reproducible; the final per-destination lists are sorted."""
+    fields = standard_fields()
+    report: Dict[str, Dict[str, List[int]]] = {}
+    for name, samples in job.witness_fields:
+        variable = fields.get(name, name)
+        per_destination: Dict[str, List[int]] = {}
+        for path in result.delivered():
+            destination = str(path.last_port)
+            found = per_destination.setdefault(destination, [])
+            if len(found) >= samples:
+                continue
+            try:
+                values = admitted_values(path, variable, solver, samples)
+            except MemorySafetyError:
+                continue
+            for value in values:
+                if value not in found:
+                    found.append(value)
+                if len(found) >= samples:
+                    break
+        report[name] = {
+            destination: sorted(values)
+            for destination, values in per_destination.items()
+        }
+    return report
+
+
+
+
+def execute_job(job: CampaignJob) -> JobReport:
+    """Run one campaign job in this process and digest the result.
+
+    This is the process-pool entry point; it must stay a module-level
+    function so it pickles by reference.
+
+    Tracing: ``job.trace`` (set only on pool submissions) installs a fresh
+    local tracer for the duration of the job and ships its spans back in
+    ``report.spans`` — the picklable channel the driver re-parents from.
+    It must not consult the process-global tracer: forked workers inherit
+    the driver's *enabled* tracer, whose forked copy can never deliver
+    spans back.  In-process execution (``job.trace`` unset) records
+    straight into the caller's tracer and nests naturally under the open
+    campaign span.
+    """
+    tracer = get_tracer()
+    local: Optional[Tracer] = None
+    previous = None
+    if job.trace:
+        local = Tracer()
+        previous = set_tracer(local)
+        tracer = local
+    try:
+        with tracer.span(
+            "job", element=job.element, port=job.port, packet=job.packet
+        ):
+            report = _execute_job_impl(job)
+    finally:
+        if local is not None:
+            set_tracer(previous)
+    if local is not None:
+        report.spans = tuple(local.export())
+    return report
+
+
+def _warm_from_store(job: CampaignJob, cache: VerdictCache, solver: Solver) -> None:
+    """Warm-from-disk: each worker opens the store once per store state and
+    merges its shards locally — no entries travel in job pickles.  Live
+    verdicts outrank stored ones (strict=False): a corrupted-but-well-formed
+    segment entry must degrade the cache, never crash the job."""
+    try:
+        from repro.store import VerificationStore
+
+        store = VerificationStore(job.store_dir, shards=job.store_shards)
+        loaded = cache.merge(store.load(), strict=False)
+    except Exception as exc:
+        # An unreadable store only loses the warm start; the job still
+        # solves everything live.  Count the degrade (it rolls up into
+        # CampaignStats.degraded_operations) and say so — a silently cold
+        # cache looks like a perf regression.
+        loaded = 0
+        solver.stats.record_degraded_operation()
+        _LOG.warning(
+            "verdict store %s unusable, job %s:%s runs cold: %s",
+            job.store_dir, job.element, job.port, exc,
+        )
+    cache.applied_tokens.add(job.store_token)
+    solver.stats.record_merged_entries(loaded)
+
+
+def _execute_job_impl(job: CampaignJob) -> JobReport:
+    report = JobReport(
+        element=job.element, port=job.port, packet=job.packet, worker_pid=os.getpid()
+    )
+    try:
+        runtime = runtime_for(job.source)
+        solver = runtime.solver
+        before = solver.stats.snapshot()
+        # ``use_verdict_cache`` off isolates the job from the worker's
+        # persistent cache (and from the shared tier and the store): the
+        # baseline the cache benchmarks compare against.
+        cache = runtime.verdict_cache if job.use_verdict_cache else VerdictCache()
+        if (
+            job.use_verdict_cache
+            and job.store_dir
+            and job.store_token
+            and job.store_token not in cache.applied_tokens
+        ):
+            _warm_from_store(job, cache, solver)
+        cache.begin_collection()
+        executor = SymbolicExecutor(
+            runtime.network,
+            solver=solver,
+            settings=ExecutionSettings(
+                max_hops=job.max_hops,
+                max_paths=job.max_paths,
+                strategy=job.strategy,
+            ),
+            verdict_cache=cache,
+            shared_cache=job.shared_cache if job.use_verdict_cache else None,
+        )
+        _EXECUTION_COUNTERS["engine_runs"] += 1
+        _EXECUTION_COUNTERS["fact_channels"] += _job_fact_channels(job)
+        result = executor.inject(packet_program(job), job.element, job.port)
+    except Exception as exc:  # surface, never kill the whole campaign
+        report.error = f"{type(exc).__name__}: {exc}"
+        return report
+
+    report.status_counts = result.summary_counts()
+    report.truncated = result.truncated
+    report.elapsed_seconds = result.elapsed_seconds
+    # The job's solver delta: store warm-up plus the engine run.  Taken
+    # before fact collection, whose per-path checks are query work, not
+    # exploration cost.
+    report.solver_stats = solver.stats.since(before)
+    report.verdict_cache_entries = tuple(sorted(cache.fresh_entries().items()))
+
+    try:
+        if QUERY_REACHABILITY in job.queries:
+            for path in result.delivered():
+                destination = str(path.last_port)
+                report.delivered_to[destination] = (
+                    report.delivered_to.get(destination, 0) + 1
+                )
+        if QUERY_LOOPS in job.queries:
+            for path in result.loops():
+                report.loops.append(
+                    {
+                        "detected_at": str(path.last_port) if path.last_port else "?",
+                        "reason": path.stop_reason,
+                        "trace": list(path.ports_visited),
+                    }
+                )
+            report.loops.sort(key=loop_sort_key)
+        if QUERY_INVARIANTS in job.queries:
+            for path in result.paths:
+                if path.status == PathStatus.DELIVERED:
+                    continue
+                reason = path.stop_reason
+                report.drop_reasons[reason] = report.drop_reasons.get(reason, 0) + 1
+            report.invariants = _check_invariants(result, job, solver)
+        if job.record_examples:
+            for path in result.delivered():
+                destination = str(path.last_port)
+                report.delivered_examples.setdefault(
+                    destination, list(path.ports_visited)
+                )
+        if job.visibility_fields:
+            report.visibility = _check_visibility(result, job, solver)
+        if job.witness_fields:
+            report.witnesses = _collect_witnesses(result, job, solver)
+    except Exception as exc:
+        report.error = f"{type(exc).__name__}: {exc}"
+    return report

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.state import ExecutionState, PathStatusValues
 from repro.network.ports import PortId
+from repro.solver.result import SolverStats, expose_solver_counters
 
 
 class PathStatus(PathStatusValues):
@@ -86,6 +87,7 @@ class PathRecord:
         return summary
 
 
+@expose_solver_counters
 @dataclass
 class ExecutionResult:
     """All paths produced by one symbolic execution run."""
@@ -93,18 +95,10 @@ class ExecutionResult:
     paths: List[PathRecord] = field(default_factory=list)
     injected_at: Optional[PortId] = None
     elapsed_seconds: float = 0.0
-    solver_calls: int = 0
-    solver_time_seconds: float = 0.0
-    solver_fast_paths: int = 0
-    solver_cache_hits: int = 0
-    solver_cache_misses: int = 0
-    solver_shared_cache_hits: int = 0
-    solver_shared_round_trips: int = 0
-    solver_shared_publish_batches: int = 0
-    solver_shared_publish_entries: int = 0
-    #: Best-effort operations (shared-tier publishes, store moves) that
-    #: failed and were absorbed by a degrade path during this run.
-    solver_degraded_operations: int = 0
+    #: Solver work this run cost (a :class:`SolverStats` delta, including
+    #: degrade-path failures absorbed during the run); ``result.solver_calls``
+    #: etc. read through to it.
+    solver_stats: SolverStats = field(default_factory=SolverStats)
     #: True when ``max_paths`` stopped exploration with frontier states
     #: still pending — the path list is a prefix, not the full set.
     truncated: bool = False

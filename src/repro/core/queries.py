@@ -20,17 +20,23 @@ campaign workers return, serialisable with ``to_dict``, and comparable via
 Adding a new query type
 -----------------------
 
-1. Collect the raw (picklable!) facts in ``campaign.JobReport`` — they must
+1. Collect the raw (picklable!) facts in ``jobs.JobReport`` — they must
    cross the process boundary, so no solver terms or execution states;
 2. add a result class here with ``from_jobs`` / ``to_dict`` / ``fingerprint``;
-3. register its name in :data:`repro.core.campaign.CAMPAIGN_QUERIES` so the
-   CLI accepts ``--query <name>`` and ``CampaignResult`` aggregates it.
+3. register its name in :data:`repro.core.jobs.CAMPAIGN_QUERIES` so
+   ``CampaignResult`` aggregates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.solver.result import (
+    REPORTED_COUNTERS,
+    SolverStats,
+    expose_solver_counters,
+)
 
 
 def port_key(element: str, port: str) -> str:
@@ -353,6 +359,7 @@ class InvariantReport:
 # ---------------------------------------------------------------------------
 
 
+@expose_solver_counters
 @dataclass
 class CampaignStats:
     """Aggregated engine/solver counters across every job of a campaign."""
@@ -360,23 +367,12 @@ class CampaignStats:
     jobs: int = 0
     paths: int = 0
     elapsed_seconds: float = 0.0
-    solver_calls: int = 0
-    solver_time_seconds: float = 0.0
-    solver_fast_paths: int = 0
-    solver_cache_hits: int = 0
-    solver_cache_misses: int = 0
-    solver_shared_cache_hits: int = 0
-    solver_cache_merged: int = 0
-    #: Sharded shared-tier traffic (repro.store.sharding): Manager proxy
-    #: round-trips and batched verdict publishes across every job.
-    solver_shared_round_trips: int = 0
-    solver_shared_publish_batches: int = 0
-    solver_shared_publish_entries: int = 0
-    #: Best-effort operations that failed and were absorbed by a degrade
-    #: path (dead shared-cache proxy, failed store quarantine move, ...)
-    #: across every job plus the campaign driver's own store traffic.  The
-    #: answers stay correct; a non-zero count means some tier ran degraded.
-    degraded_operations: int = 0
+    #: Sum of every job's solver delta; ``stats.solver_cache_misses`` etc.
+    #: read through to it.  Its ``degraded_operations`` additionally takes
+    #: the campaign driver's own store failures (failed quarantine moves,
+    #: baseline writes): the answers stay correct, a non-zero count means
+    #: some tier ran degraded.
+    solver_stats: SolverStats = field(default_factory=SolverStats)
     #: Distinct verdict-cache entries merged back into the campaign report
     #: (set by the aggregation, not absorbed per job).
     verdict_cache_entries: int = 0
@@ -385,7 +381,7 @@ class CampaignStats:
     #: verdicts this campaign appended to the store.
     store_entries_loaded: int = 0
     store_entries_published: int = 0
-    #: Job-level symmetry reduction (set by the campaign driver): how many
+    #: Job-level symmetry reduction (set by the symmetry reducer): how many
     #: renaming-equivalence classes the job set partitioned into (0 when
     #: symmetry is off or could not be applied), and how many jobs were
     #: instantiated from a class representative instead of executed.
@@ -397,50 +393,28 @@ class CampaignStats:
     #: (``jobs == symmetry_classes + jobs_skipped_by_symmetry`` stays true
     #: with auditing on).
     symmetry_audit_runs: int = 0
-    #: Delta verification (set by the campaign driver): jobs answered by
+    #: Delta verification (set by the delta reducer): jobs answered by
     #: splicing a stored baseline report instead of executing anything.
     jobs_spliced_by_delta: int = 0
     truncated_jobs: int = 0
     failed_jobs: int = 0
     wall_clock_seconds: float = 0.0
 
-    def absorb(
-        self,
-        *,
-        paths: int,
-        elapsed_seconds: float,
-        solver_calls: int,
-        solver_time_seconds: float,
-        solver_fast_paths: int,
-        solver_cache_hits: int,
-        solver_cache_misses: int,
-        truncated: bool,
-        failed: bool,
-        solver_shared_cache_hits: int = 0,
-        solver_cache_merged: int = 0,
-        solver_shared_round_trips: int = 0,
-        solver_shared_publish_batches: int = 0,
-        solver_shared_publish_entries: int = 0,
-        solver_degraded_operations: int = 0,
-    ) -> None:
+    def absorb(self, report) -> None:
+        """Fold one finished job report (its paths, engine time, solver
+        delta and outcome flags) into the roll-up."""
         self.jobs += 1
-        self.paths += paths
-        self.elapsed_seconds += elapsed_seconds
-        self.solver_calls += solver_calls
-        self.solver_time_seconds += solver_time_seconds
-        self.solver_fast_paths += solver_fast_paths
-        self.solver_cache_hits += solver_cache_hits
-        self.solver_cache_misses += solver_cache_misses
-        self.solver_shared_cache_hits += solver_shared_cache_hits
-        self.solver_cache_merged += solver_cache_merged
-        self.solver_shared_round_trips += solver_shared_round_trips
-        self.solver_shared_publish_batches += solver_shared_publish_batches
-        self.solver_shared_publish_entries += solver_shared_publish_entries
-        self.degraded_operations += solver_degraded_operations
-        if truncated:
+        self.paths += report.path_count
+        self.elapsed_seconds += report.elapsed_seconds
+        self.solver_stats.merge(report.solver_stats)
+        if report.truncated:
             self.truncated_jobs += 1
-        if failed:
+        if report.error is not None:
             self.failed_jobs += 1
+
+    @property
+    def degraded_operations(self) -> int:
+        return self.solver_stats.degraded_operations
 
     @property
     def executed_jobs(self) -> int:
@@ -453,34 +427,21 @@ class CampaignStats:
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of memo-tier lookups served without a full solve."""
-        lookups = (
-            self.solver_cache_hits
-            + self.solver_shared_cache_hits
-            + self.solver_cache_misses
-        )
-        if not lookups:
-            return 0.0
-        return (
-            self.solver_cache_hits + self.solver_shared_cache_hits
-        ) / lookups
+        solver = self.solver_stats
+        hits = solver.cache_hits + solver.shared_cache_hits
+        lookups = hits + solver.cache_misses
+        return hits / lookups if lookups else 0.0
 
     def to_dict(self) -> Dict[str, object]:
+        solver = self.solver_stats.reported()
+        degraded = solver.pop("solver_degraded_operations")
         return {
             "jobs": self.jobs,
             "paths": self.paths,
             "elapsed_seconds": self.elapsed_seconds,
             "wall_clock_seconds": self.wall_clock_seconds,
-            "solver_calls": self.solver_calls,
-            "solver_time_seconds": self.solver_time_seconds,
-            "solver_fast_paths": self.solver_fast_paths,
-            "solver_cache_hits": self.solver_cache_hits,
-            "solver_cache_misses": self.solver_cache_misses,
-            "solver_shared_cache_hits": self.solver_shared_cache_hits,
-            "solver_cache_merged": self.solver_cache_merged,
-            "solver_shared_round_trips": self.solver_shared_round_trips,
-            "solver_shared_publish_batches": self.solver_shared_publish_batches,
-            "solver_shared_publish_entries": self.solver_shared_publish_entries,
-            "degraded_operations": self.degraded_operations,
+            **solver,
+            "degraded_operations": degraded,
             "store_entries_loaded": self.store_entries_loaded,
             "store_entries_published": self.store_entries_published,
             "symmetry_classes": self.symmetry_classes,
@@ -493,3 +454,17 @@ class CampaignStats:
             "truncated_jobs": self.truncated_jobs,
             "failed_jobs": self.failed_jobs,
         }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, object]) -> "CampaignStats":
+        """Rehydrate a :meth:`to_dict` payload (the plan-result cache stores
+        the stats of the run that computed the answers).  Unknown keys are
+        ignored, so payloads written by other versions still load."""
+        plain = {f.name for f in fields(cls)} - {"solver_stats"}
+        stats = cls(**{k: v for k, v in payload.items() if k in plain})
+        solver = dict(
+            payload, solver_degraded_operations=payload.get("degraded_operations", 0)
+        )
+        for name in REPORTED_COUNTERS:
+            setattr(stats.solver_stats, name, solver.get("solver_" + name, 0))
+        return stats

@@ -1,0 +1,255 @@
+"""Job-level symmetry reduction: one engine run per renaming class.
+
+Many campaign jobs are literal renamings of each other (the 16 stanford
+zones).  :class:`SymmetryReducer` encodes each job's (network, injection
+port, config) as an entity graph (:mod:`repro.network.view`), partitions
+the jobs into equivalence classes by canonical fingerprint, leaves one
+representative per class on the run list and — when a representative's
+report arrives — *instantiates* the member reports by applying the recorded
+bijection to every picklable artifact.
+
+The standing invariant applies: symmetry on/off changes which tier answers,
+never the answer — anything the renaming machinery cannot prove falls back
+to direct execution, and the audit mode re-executes one random member per
+class to assert the instantiated report is bit-identical to a direct run.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.core.jobs import (
+    CampaignJob,
+    JobReport,
+    execute_job,
+    job_config_digest,
+    loop_sort_key,
+    packet_program,
+    semantic_projection,
+)
+from repro.network.topology import Network
+from repro.network.view import (
+    CampaignSymmetryView,
+    SymmetryUnsupported,
+    build_renaming,
+    collect_constants,
+)
+from repro.obs import get_tracer
+
+
+class SymmetryAuditError(RuntimeError):
+    """An instantiated report differs from direct execution — the symmetry
+    encoding is unsound for this network and must be fixed, not tolerated."""
+
+
+def _map_keys(mapping: Mapping[str, object], renaming, map_value) -> Dict:
+    mapped: Dict[str, object] = {}
+    for key, value in mapping.items():
+        new_key = renaming.map_text(str(key))
+        if new_key in mapped:
+            raise SymmetryUnsupported(f"renaming collides on key {new_key!r}")
+        mapped[new_key] = map_value(value)
+    return mapped
+
+
+def instantiate_report(
+    rep: JobReport, member: CampaignJob, renaming, class_id: str
+) -> JobReport:
+    """A member's JobReport, derived from its class representative's run by
+    renaming every port/element/message string.  The solver delta and
+    timings stay zero: no engine work happened for this job, and the
+    aggregated stats must say so."""
+    report = JobReport(
+        element=member.element,
+        port=member.port,
+        packet=rep.packet,
+        symmetry_class=class_id,
+        symmetry_instantiated_from=rep.source_key,
+    )
+    report.status_counts = dict(rep.status_counts)
+    report.truncated = rep.truncated
+    report.delivered_to = _map_keys(rep.delivered_to, renaming, lambda v: v)
+    report.loops = sorted(
+        (
+            {
+                "detected_at": renaming.map_text(str(loop.get("detected_at", ""))),
+                "reason": renaming.map_text(str(loop.get("reason", ""))),
+                "trace": [
+                    renaming.map_text(str(port)) for port in loop.get("trace", ())
+                ],
+            }
+            for loop in rep.loops
+        ),
+        key=loop_sort_key,
+    )
+    report.drop_reasons = _map_keys(rep.drop_reasons, renaming, lambda v: v)
+    # Invariant/visibility *field names* are part of the job config (equal
+    # across the class); only destination ports need renaming.
+    report.invariants = {name: dict(cell) for name, cell in rep.invariants.items()}
+    report.visibility = {
+        name: _map_keys(row, renaming, dict) for name, row in rep.visibility.items()
+    }
+    report.witnesses = {
+        name: _map_keys(row, renaming, list) for name, row in rep.witnesses.items()
+    }
+    report.delivered_examples = _map_keys(
+        rep.delivered_examples,
+        renaming,
+        lambda trace: [renaming.map_text(str(port)) for port in trace],
+    )
+    return report
+
+
+class SymmetryReducer:
+    """The symmetry stage of the campaign pipeline (see
+    :meth:`repro.core.campaign.VerificationCampaign.run` for the reducer
+    contract): ``partition`` keeps one representative per renaming class on
+    the run list, ``expand`` derives the members from a finished
+    representative, ``finish`` writes the stage's counters."""
+
+    name = "symmetry"
+
+    def __init__(
+        self,
+        network: Callable[[], Network],
+        *,
+        enabled: bool,
+        audit: bool,
+        audit_seed: int,
+    ) -> None:
+        self._network = network
+        self._enabled = enabled
+        self._audit = audit
+        self._audit_seed = audit_seed
+        self._view: Optional[CampaignSymmetryView] = None
+        #: (element, port) -> canonical form, for every job that encoded.
+        self._forms: Dict[Tuple[str, str], object] = {}
+        #: representative (element, port) -> (member jobs, class
+        #: fingerprint, audited member index or -1).
+        self._classes: Dict[Tuple[str, str], Tuple[List[CampaignJob], str, int]] = {}
+        self._class_count = 0
+        self._skipped = 0
+        self._audit_runs = 0
+
+    def partition(
+        self, jobs: List[CampaignJob]
+    ) -> Tuple[List[CampaignJob], Sequence[JobReport]]:
+        """Partition the job set into renaming-equivalence classes; jobs
+        that symmetry is off for / cannot help / cannot prove stay on the
+        run list untouched.
+
+        Jobs that record discovery-order-sensitive artifacts (example
+        traces, capped witness samples) never merge: a renamed zone
+        enumerates its Fork children in a different order, so "the first
+        delivered path" is not renaming-stable.  Order-independent artifacts
+        (counts, loop sets, invariant verdicts, visibility tallies) are."""
+        eligible = [
+            job
+            for job in jobs
+            if not job.record_examples and not job.witness_fields
+        ]
+        if not self._enabled or len(eligible) < 2:
+            return jobs, ()
+        try:
+            pinned: set = set()
+            per_program: Dict[Tuple, set] = {}
+            for job in eligible:
+                key = (job.packet, job.field_values)
+                if key not in per_program:
+                    per_program[key] = collect_constants(packet_program(job))
+                pinned.update(per_program[key])
+            self._view = CampaignSymmetryView(self._network(), pinned)
+        except (SymmetryUnsupported, ValueError, KeyError):
+            # Unknown template etc.: execute_job will report it.
+            return jobs, ()
+        grouped: Dict[str, List[CampaignJob]] = {}
+        for job in eligible:
+            try:
+                form = self._view.job_form(
+                    job.element, job.port, job_config_digest(job)
+                )
+            except SymmetryUnsupported:
+                continue
+            self._forms[(job.element, job.port)] = form
+            grouped.setdefault(form.fingerprint, []).append(job)
+        # Pre-draw the audited member index for every class, in fingerprint
+        # order: drawing everything upfront keeps the seeded choice
+        # independent of the order in which representatives *complete*
+        # (streamed pool execution reports them as they land), so audit
+        # runs stay reproducible under ``--symmetry-audit-seed``.
+        rng = random.Random(self._audit_seed)
+        member_keys: set = set()
+        for fingerprint in sorted(grouped):
+            rep, *members = grouped[fingerprint]  # in (element, port) order
+            if not members:
+                continue
+            audited = rng.randrange(len(members)) if self._audit else -1
+            self._classes[(rep.element, rep.port)] = (members, fingerprint, audited)
+            member_keys.update((member.element, member.port) for member in members)
+        if not self._classes:
+            return jobs, ()
+        # Distinct classes over the whole job set (non-encodable jobs count
+        # as singletons) — what engine runs drop to.
+        self._class_count = len(grouped) + (len(jobs) - len(self._forms))
+        return (
+            [job for job in jobs if (job.element, job.port) not in member_keys],
+            (),
+        )
+
+    def expand(self, report: JobReport) -> List[JobReport]:
+        """Derive every skipped member's report from its just-completed
+        class representative.  Representatives that errored or truncated —
+        and members whose renaming cannot be built — fall back to direct
+        execution: symmetry must never degrade an answer.
+
+        Audit re-executions are real engine runs whose reports are
+        discarded after comparison, so they are counted separately instead
+        of silently skewing the classes-plus-skipped accounting."""
+        entry = self._classes.get((report.element, report.port))
+        if entry is None:
+            return []
+        members, fingerprint, audited = entry
+        with get_tracer().span(
+            "symmetry.class",
+            representative=report.source_key,
+            members=len(members),
+        ):
+            if report.error is not None or report.truncated:
+                return [execute_job(member) for member in members]
+            class_id = fingerprint[:16]
+            report.symmetry_class = class_id
+            rep_form = self._forms[(report.element, report.port)]
+            out: List[JobReport] = []
+            for index, member in enumerate(members):
+                member_form = self._forms[(member.element, member.port)]
+                try:
+                    renaming = build_renaming(self._view, rep_form, member_form)
+                    instantiated = instantiate_report(
+                        report, member, renaming, class_id
+                    )
+                except SymmetryUnsupported:
+                    out.append(execute_job(member))
+                    continue
+                self._skipped += 1
+                if index == audited:
+                    self._audit_runs += 1
+                    direct = execute_job(member)
+                    if semantic_projection(direct) != semantic_projection(
+                        instantiated
+                    ):
+                        raise SymmetryAuditError(
+                            f"symmetry audit failed for "
+                            f"{member.element}:{member.port} (class "
+                            f"{class_id}, representative "
+                            f"{report.source_key}): the instantiated report "
+                            "differs from direct execution — the symmetry "
+                            "encoding is unsound for this network"
+                        )
+                out.append(instantiated)
+            return out
+
+    def finish(self, result) -> None:
+        result.stats.symmetry_classes = self._class_count
+        result.stats.jobs_skipped_by_symmetry = self._skipped
+        result.stats.symmetry_audit_runs = self._audit_runs

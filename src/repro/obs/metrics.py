@@ -277,7 +277,40 @@ def reset_registry() -> MetricsRegistry:
 # -- publication points -------------------------------------------------------
 #
 # Called by the campaign driver; one call per report / per campaign, so
-# registry totals stay exact multiples of what the hand-threaded stats say.
+# registry totals stay exact multiples of what the stats structs say.
+
+
+#: ``SolverStats`` field -> (family, help, labels): how a job report's solver
+#: delta lands in the registry.  One row per published counter, so the
+#: families pre-registered at zero and the ones fed per report cannot drift.
+_CHECKS = (
+    "repro_solver_checks_total",
+    "Solver checks by the cache tier that answered.",
+)
+_SOLVER_FAMILIES = (
+    ("fast_paths", *_CHECKS, {"tier": "fast_path"}),
+    ("cache_hits", *_CHECKS, {"tier": "cache_hit"}),
+    ("shared_cache_hits", *_CHECKS, {"tier": "shared_hit"}),
+    ("cache_misses", *_CHECKS, {"tier": "full_solve"}),
+    (
+        "time_seconds",
+        "repro_solver_seconds_total",
+        "Seconds spent inside the solver.",
+        {},
+    ),
+    (
+        "shared_round_trips",
+        "repro_shared_round_trips_total",
+        "Round-trips to the process-shared verdict tier.",
+        {},
+    ),
+    (
+        "shared_publish_entries",
+        "repro_shared_publish_entries_total",
+        "Verdicts published to the process-shared tier.",
+        {},
+    ),
+)
 
 
 def ensure_core_families(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -290,12 +323,8 @@ def ensure_core_families(registry: Optional[MetricsRegistry] = None) -> MetricsR
     )
     for outcome in ("executed", "error", "symmetry_instantiated", "delta_spliced"):
         jobs.inc(0, outcome=outcome)
-    checks = registry.counter(
-        "repro_solver_checks_total",
-        "Solver checks by the cache tier that answered.",
-    )
-    for tier in ("fast_path", "cache_hit", "shared_hit", "full_solve"):
-        checks.inc(0, tier=tier)
+    for _, family, help_text, labels in _SOLVER_FAMILIES:
+        registry.counter(family, help_text).inc(0, **labels)
     registry.counter(
         "repro_degraded_operations_total",
         "Best-effort operations absorbed by a degrade path.",
@@ -318,7 +347,7 @@ def ensure_core_families(registry: Optional[MetricsRegistry] = None) -> MetricsR
 
 
 def record_job_report(report) -> None:
-    """Publish one finished :class:`~repro.core.campaign.JobReport` into
+    """Publish one finished :class:`~repro.core.jobs.JobReport` into
     the global registry (called by the campaign driver as each report —
     executed, instantiated or spliced — becomes final)."""
     registry = get_registry()
@@ -338,25 +367,10 @@ def record_job_report(report) -> None:
     registry.histogram(
         "repro_job_seconds", "Wall-clock seconds per executed engine job."
     ).observe(report.elapsed_seconds)
-    checks = registry.counter(
-        "repro_solver_checks_total",
-        "Solver checks by the cache tier that answered.",
-    )
-    checks.inc(report.solver_fast_paths, tier="fast_path")
-    checks.inc(report.solver_cache_hits, tier="cache_hit")
-    checks.inc(report.solver_shared_cache_hits, tier="shared_hit")
-    checks.inc(report.solver_cache_misses, tier="full_solve")
-    registry.counter(
-        "repro_solver_seconds_total", "Seconds spent inside the solver."
-    ).inc(report.solver_time_seconds)
-    registry.counter(
-        "repro_shared_round_trips_total",
-        "Round-trips to the process-shared verdict tier.",
-    ).inc(report.solver_shared_round_trips)
-    registry.counter(
-        "repro_shared_publish_entries_total",
-        "Verdicts published to the process-shared tier.",
-    ).inc(report.solver_shared_publish_entries)
+    for name, family, help_text, labels in _SOLVER_FAMILIES:
+        registry.counter(family, help_text).inc(
+            getattr(report.solver_stats, name), **labels
+        )
 
 
 def record_campaign_stats(stats) -> None:

@@ -2,46 +2,59 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional
+
+
+def _reported(default=0):
+    """A :class:`SolverStats` counter that reports carry: it is exposed as
+    ``solver_<field>`` on every report struct and JSON ``stats`` block (see
+    :func:`expose_solver_counters`).  Unmarked fields stay solver-internal."""
+    return field(default=default, metadata={"reported": True})
 
 
 @dataclass
 class SolverStats:
     """Counters mirroring the instrumentation used in the paper's evaluation
-    ("time spent in and number of calls to the constraint solver")."""
+    ("time spent in and number of calls to the constraint solver").
 
-    calls: int = 0
+    This is the one declaration of the solver-counter list.  An engine run,
+    a campaign job and a campaign roll-up each carry *one* ``SolverStats``
+    delta (:meth:`since` / :meth:`merge`); their ``solver_*`` attributes and
+    JSON keys are derived from the fields marked :func:`_reported` here, so
+    a new counter is added in exactly one place."""
+
+    calls: int = _reported()
     sat: int = 0
     unsat: int = 0
     unknown: int = 0
-    time_seconds: float = 0.0
+    time_seconds: float = _reported(0.0)
     atoms_processed: int = 0
     case_splits: int = 0
     # Incremental-solver instrumentation: queries answered without a full
     # solve, either because domain propagation alone decided them
     # (``fast_paths``) or because a canonically-equal formula was memoized
     # (``cache_hits``).  ``cache_misses`` counts memoized full solves.
-    fast_paths: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    fast_paths: int = _reported()
+    cache_hits: int = _reported()
+    cache_misses: int = _reported()
     # Cross-job verdict-cache instrumentation: hits served by the
     # process-shared tier (``shared_cache_hits``) and entries imported into
-    # a local cache from another job's results (``merged_entries``).
-    shared_cache_hits: int = 0
-    merged_entries: int = 0
+    # a local cache from the persistent store (``cache_merged``).
+    shared_cache_hits: int = _reported()
+    cache_merged: int = _reported()
     # Sharded shared-tier instrumentation (repro.store.sharding): proxy
     # round-trips to the Manager shards, and batched verdict publishes
     # (``shared_publish_batches`` flushes carrying
     # ``shared_publish_entries`` verdicts in total).
-    shared_round_trips: int = 0
-    shared_publish_batches: int = 0
-    shared_publish_entries: int = 0
+    shared_round_trips: int = _reported()
+    shared_publish_batches: int = _reported()
+    shared_publish_entries: int = _reported()
     # Best-effort operations that failed and were absorbed by a degrade
     # path (dead Manager proxy, failed quarantine move, ...).  The answers
     # stay correct; the counter makes the degradation observable instead of
     # silent.
-    degraded_operations: int = 0
+    degraded_operations: int = _reported()
 
     def record(self, verdict: str, elapsed: float, atoms: int, splits: int) -> None:
         self.calls += 1
@@ -68,7 +81,7 @@ class SolverStats:
         self.shared_cache_hits += 1
 
     def record_merged_entries(self, count: int) -> None:
-        self.merged_entries += count
+        self.cache_merged += count
 
     def record_shared_round_trip(self) -> None:
         self.shared_round_trips += 1
@@ -81,22 +94,49 @@ class SolverStats:
         self.degraded_operations += count
 
     def merge(self, other: "SolverStats") -> None:
-        self.calls += other.calls
-        self.sat += other.sat
-        self.unsat += other.unsat
-        self.unknown += other.unknown
-        self.time_seconds += other.time_seconds
-        self.atoms_processed += other.atoms_processed
-        self.case_splits += other.case_splits
-        self.fast_paths += other.fast_paths
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.shared_cache_hits += other.shared_cache_hits
-        self.merged_entries += other.merged_entries
-        self.shared_round_trips += other.shared_round_trips
-        self.shared_publish_batches += other.shared_publish_batches
-        self.shared_publish_entries += other.shared_publish_entries
-        self.degraded_operations += other.degraded_operations
+        for name in _COUNTER_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def snapshot(self) -> "SolverStats":
+        return replace(self)
+
+    def since(self, before: "SolverStats") -> "SolverStats":
+        """The work done between the ``before`` :meth:`snapshot` and now."""
+        return SolverStats(
+            **{
+                name: getattr(self, name) - getattr(before, name)
+                for name in _COUNTER_NAMES
+            }
+        )
+
+    def reported(self) -> Dict[str, float]:
+        """``{"solver_calls": ..., ...}``: the reported counters under the
+        names reports and JSON payloads use, in declaration order."""
+        return {
+            "solver_" + name: getattr(self, name) for name in REPORTED_COUNTERS
+        }
+
+
+_COUNTER_NAMES = tuple(f.name for f in fields(SolverStats))
+#: The ``SolverStats`` fields reports expose as ``solver_<field>``.
+REPORTED_COUNTERS = tuple(
+    f.name for f in fields(SolverStats) if f.metadata.get("reported")
+)
+
+
+def expose_solver_counters(cls):
+    """Class decorator for report structs holding one ``solver_stats:
+    SolverStats`` delta: adds a read-only ``solver_<field>`` property per
+    reported counter, so ``report.solver_cache_misses`` keeps working
+    without the struct re-declaring (and every producer re-copying) the
+    counter list."""
+    for name in REPORTED_COUNTERS:
+        setattr(
+            cls,
+            "solver_" + name,
+            property(lambda self, _name=name: getattr(self.solver_stats, _name)),
+        )
+    return cls
 
 
 @dataclass

@@ -173,16 +173,5 @@ class ShardedTier:
             merged.update(dict(shard))
         return merged
 
-    def seed(self, entries: Dict[str, str]) -> None:
-        """Bulk-load entries shard by shard (campaign warm starts), one
-        ``update`` round-trip per non-empty shard."""
-        split: List[Dict[str, str]] = [{} for _ in self.shards]
-        for fingerprint, verdict in entries.items():
-            split[shard_index(fingerprint, len(self.shards))][fingerprint] = verdict
-        for index, batch in enumerate(split):
-            if batch:
-                self._count_round_trip()
-                self.shards[index].update(batch)
-
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)

@@ -1,5 +1,5 @@
 """Tests for the session API: NetworkModel, the declarative query objects,
-the textual query grammar, the plan compiler, and the deprecation shims.
+the textual query grammar and the plan compiler.
 
 The load-bearing guarantees:
 
@@ -8,9 +8,7 @@ The load-bearing guarantees:
 * plan fingerprints are independent of the order queries are given in;
 * every planned answer is bit-identical to the legacy per-query campaign
   it replaces (department and stanford workloads, workers 1 and 2);
-* validation is hoisted into NetworkModel and runs exactly once;
-* the legacy ``repro.core.verification`` free functions keep working as
-  shims that emit DeprecationWarning.
+* validation is hoisted into NetworkModel and runs exactly once.
 """
 
 import pytest
@@ -155,6 +153,40 @@ class TestNetworkModel:
         assert campaign_result.validation_problems == problems
         plan_result = model.query(Loop())
         assert plan_result.campaign.validation_problems == problems
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_directory_query_builds_the_network_once(
+        self, tmp_path, monkeypatch, with_store
+    ):
+        """Regression: the model and the campaign each used to build the
+        directory (the campaign again for the end-of-run baseline manifest),
+        so one query parsed and modelled every device twice."""
+        import repro.parsers.topology_file as topology_file
+        from repro.store import VerificationStore
+
+        net = tmp_path / "net"
+        net.mkdir()
+        (net / "topology.txt").write_text("device sw switch sw.mac\n")
+        (net / "sw.mac").write_text(
+            "Vlan    Mac Address       Type        Ports\n"
+            " 302    0011.2233.4455    DYNAMIC     out0\n"
+        )
+        calls = []
+        original = topology_file.load_network_directory
+
+        def counting_load(directory):
+            calls.append(directory)
+            return original(directory)
+
+        monkeypatch.setattr(topology_file, "load_network_directory", counting_load)
+        clear_runtime_cache()
+        store = VerificationStore(str(tmp_path / "store")) if with_store else None
+        result = NetworkModel.from_directory(str(net)).query(
+            ForAllPairs(Reach), Loop(), store=store
+        )
+        assert not result.job_errors
+        assert result.campaign.baseline_payload is not None
         assert len(calls) == 1
 
 
@@ -545,57 +577,3 @@ class TestPlannedVsDirectParity:
         sequential = model.query(ForAllPairs(Reach), Loop(), workers=1)
         parallel = model.query(ForAllPairs(Reach), Loop(), workers=2)
         assert sequential.fingerprint() == parallel.fingerprint()
-
-
-# ---------------------------------------------------------------------------
-# Deprecation shims
-# ---------------------------------------------------------------------------
-
-
-class TestDeprecationShims:
-    @pytest.fixture(scope="class")
-    def tiny_result(self):
-        network = forwarding_network()
-        from repro.core.engine import SymbolicExecutor
-
-        return SymbolicExecutor(network).inject(
-            models.symbolic_tcp_packet(), "a", "in0"
-        )
-
-    def test_every_free_function_warns_and_delegates(self, tiny_result):
-        from repro.core import checks
-        from repro.core import verification as V
-        from repro.sefl import IpDst, IpSrc
-
-        path = tiny_result.delivered()[0]
-        term = path.state.read_variable(IpDst)
-        calls = [
-            ("reachable_paths", (tiny_result, "b"), {}),
-            ("is_reachable", (tiny_result, "b"), {}),
-            ("admitted_values", (path, IpDst), {}),
-            ("state_subsumed", ([], []), {}),
-            ("find_loops", (tiny_result,), {}),
-            ("field_invariant", (path, IpDst), {}),
-            ("values_equal", (path, IpSrc, IpDst), {}),
-            ("header_visible", (path, IpDst, term), {}),
-            ("field_concrete_value", (path, IpDst), {}),
-            ("memory_safety_violations", (tiny_result,), {}),
-            ("constraint_violations", (tiny_result,), {}),
-        ]
-        assert sorted(name for name, _, _ in calls) == sorted(V.__all__)
-        for name, args, kwargs in calls:
-            with pytest.warns(DeprecationWarning, match=name):
-                shimmed = getattr(V, name)(*args, **kwargs)
-            assert shimmed == getattr(checks, name)(*args, **kwargs)
-
-    def test_campaign_query_flag_warns(self, tmp_path, capsys):
-        from repro.cli import main
-
-        (tmp_path / "topology.txt").write_text("device sw switch sw.mac\n")
-        (tmp_path / "sw.mac").write_text(
-            "Vlan    Mac Address       Type        Ports\n"
-            " 302    0011.2233.4455    DYNAMIC     out0\n"
-        )
-        with pytest.warns(DeprecationWarning, match="--query flag is deprecated"):
-            assert main(["campaign", str(tmp_path), "--query", "loops"]) == 0
-        assert "use the 'query' subcommand" in capsys.readouterr().err

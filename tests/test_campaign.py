@@ -80,7 +80,7 @@ class TestNetworkSource:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign workload"):
-            NetworkSource.from_workload("does-not-exist").build()
+            NetworkSource.from_workload("does-not-exist").build_full()
 
     def test_directory_source(self, tmp_path):
         (tmp_path / "topology.txt").write_text("device sw switch sw.mac\n")
@@ -90,7 +90,7 @@ class TestNetworkSource:
         )
         source = NetworkSource.from_directory(str(tmp_path))
         assert source.picklable
-        assert source.build().has_element("sw")
+        assert source.build_full()[0].has_element("sw")
 
     def test_edited_directory_is_not_served_stale(self, tmp_path):
         """The runtime cache keys directory sources by topology fingerprint:
@@ -406,7 +406,7 @@ class TestPoolFailureTaxonomy:
     @fork_only
     def test_job_runtime_error_propagates_under_workers2(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.core.campaign.execute_job", _explode_in_worker
+            "repro.core.executor.execute_job", _explode_in_worker
         )
         campaign = VerificationCampaign(self._source())
         with pytest.raises(RuntimeError, match="job exploded in worker"):
@@ -415,7 +415,7 @@ class TestPoolFailureTaxonomy:
     @fork_only
     def test_broken_pool_recovers_remaining_jobs_in_process(self, monkeypatch):
         sequential = VerificationCampaign(self._source()).run(workers=1)
-        monkeypatch.setattr("repro.core.campaign.execute_job", _die_in_worker)
+        monkeypatch.setattr("repro.core.executor.execute_job", _die_in_worker)
         campaign = VerificationCampaign(self._source())
         with pytest.warns(RuntimeWarning, match="worker process died"):
             result = campaign.run(workers=2)

@@ -7,16 +7,10 @@ The claims under test, per the verdict-cache design (see README):
 * full-solve counts are monotonically non-increasing as caching tiers are
   added (isolated -> shared -> warm-started);
 * the merge path works end to end: jobs report their fresh verdict entries,
-  the aggregation merges them into ``CampaignResult.verdict_cache``, and a
-  later campaign warm-started from that map stops re-solving.
-
-The in-memory ``warm_cache=`` path is deprecated in favour of the
-persistent store (see ``tests/test_store_campaign.py``) but must keep
-working as a shim — these tests pin its behaviour, acknowledging the
-DeprecationWarning explicitly.
+  the aggregation merges them into ``CampaignResult.verdict_cache``, the
+  campaign publishes that map to its ``VerificationStore``, and a later
+  campaign warm-started from the store stops re-solving.
 """
-
-from typing import Optional
 
 import pytest
 
@@ -25,6 +19,7 @@ from repro.core.campaign import (
     VerificationCampaign,
     clear_runtime_cache,
 )
+from repro.store import VerificationStore
 
 DEPARTMENT_OPTIONS = dict(
     access_switches=3, hosts_per_switch=2, mac_entries=120, extra_routes=10
@@ -39,19 +34,12 @@ def _run(
     *,
     shared: bool = True,
     workers: int = 1,
-    warm=None,
+    store=None,
 ):
     # Each run starts from a cold per-process runtime so the measured effect
     # comes from the verdict-cache plumbing, not leftover worker state.
     clear_runtime_cache()
-    if warm is not None:
-        # The in-memory warm-start path is a deprecated shim over the store.
-        with pytest.warns(DeprecationWarning, match="warm_cache"):
-            campaign = VerificationCampaign(
-                source, shared_cache=shared, warm_cache=warm
-            )
-    else:
-        campaign = VerificationCampaign(source, shared_cache=shared)
+    campaign = VerificationCampaign(source, shared_cache=shared, store=store)
     return campaign.run(workers=workers)
 
 
@@ -67,14 +55,15 @@ def _fingerprints(result):
     "workload, options",
     [("department", DEPARTMENT_OPTIONS), ("stanford", STANFORD_OPTIONS)],
 )
-def test_cold_vs_warm_and_workers(workload, options):
+def test_cold_vs_warm_and_workers(workload, options, tmp_path):
     source = NetworkSource.from_workload(workload, **options)
+    store = VerificationStore(str(tmp_path / "store"))
 
     isolated = _run(source, shared=False)
-    cold = _run(source, shared=True)
-    warm = _run(source, shared=True, warm=cold.verdict_cache)
+    cold = _run(source, shared=True, store=store)  # publishes its verdicts
+    warm = _run(source, shared=True, store=store)
     pooled = _run(source, shared=True, workers=2)
-    pooled_warm = _run(source, shared=True, workers=2, warm=cold.verdict_cache)
+    pooled_warm = _run(source, shared=True, workers=2, store=store)
 
     runs = [isolated, cold, warm, pooled, pooled_warm]
     assert not any(r.job_errors for r in runs)
@@ -92,12 +81,13 @@ def test_cold_vs_warm_and_workers(workload, options):
         <= pooled.stats.solver_cache_misses
     )
 
-    # The merge path: cold runs report their entries, the warm run imported
-    # them (solver_cache_merged counts per-job merges) and needed no solves.
+    # The merge path: cold runs report their entries, the store holds
+    # exactly those, the warm run imported them (solver_cache_merged counts
+    # per-worker merges) and needed no solves.
     assert cold.stats.verdict_cache_entries > 0
+    assert store.load() == cold.verdict_cache
     assert warm.stats.solver_cache_merged > 0
     assert warm.stats.solver_cache_misses == 0
-    assert warm.verdict_cache == cold.verdict_cache
 
 
 def test_shared_cache_cuts_cross_job_solves_on_symmetric_zones():
@@ -116,7 +106,7 @@ def test_shared_cache_cuts_cross_job_solves_on_symmetric_zones():
 
 def test_job_reports_carry_cache_statistics():
     source = NetworkSource.from_workload("stanford", **STANFORD_OPTIONS)
-    result = _run(source, shared=True, warm=None)
+    result = _run(source, shared=True)
     payload = result.to_dict()
     assert payload["verdict_cache"]["entries"] == len(result.verdict_cache)
     stats = payload["stats"]

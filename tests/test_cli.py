@@ -170,13 +170,12 @@ class TestCampaign:
 
     def test_explicit_injection_points(self, network_dir, capsys):
         assert main(
-            ["campaign", str(network_dir), "--inject", "sw:in0", "--query", "reachability"]
+            ["campaign", str(network_dir), "--inject", "sw:in0"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stats"]["jobs"] == 1
         sources = payload["reachability"]["sources"]
         assert sources == ["sw:in0"]
-        assert "loops" not in payload
 
     def test_workers_match_sequential(self, network_dir, tmp_path, capsys):
         target_seq = tmp_path / "seq.json"
@@ -201,8 +200,6 @@ class TestCampaign:
                 "enterprise",
                 "--workload-option",
                 "mirror_at_exit=true",
-                "--query",
-                "reachability",
             ]
         ) == 0
         payload = json.loads(capsys.readouterr().out)

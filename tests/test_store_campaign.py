@@ -11,10 +11,7 @@ The acceptance criteria under test:
   engine jobs, answers and fingerprints verbatim;
 * plan-cache entries are invalidated when the network source's content
   changes (directory sources fingerprint every snapshot file), plus the
-  explicit ``invalidate_plans`` path;
-* the ``CampaignResult.verdict_cache`` warm-start kwarg is deprecated in
-  favour of the store (``pytest.warns`` shim test, PR 4 pattern) but still
-  functional.
+  explicit ``invalidate_plans`` path.
 """
 
 import pytest
@@ -398,51 +395,21 @@ class TestPlanResultCache:
         assert not first.from_cache and not second.from_cache
 
     def test_failed_jobs_are_not_cached(self, tmp_path, monkeypatch):
-        import repro.core.campaign as campaign_module
+        import repro.core.executor as executor_module
 
         store = VerificationStore(str(tmp_path / "store"))
-        original = campaign_module.execute_job
+        original = executor_module.execute_job
 
         def failing(job):
             report = original(job)
             report.error = "synthetic failure"
             return report
 
-        monkeypatch.setattr(campaign_module, "execute_job", failing)
+        monkeypatch.setattr(executor_module, "execute_job", failing)
         clear_runtime_cache()
         broken = self._model().query(Loop(), store=store)
         assert broken.job_errors
-        monkeypatch.setattr(campaign_module, "execute_job", original)
+        monkeypatch.setattr(executor_module, "execute_job", original)
         clear_runtime_cache()
         retried = self._model().query(Loop(), store=store)
         assert not retried.from_cache  # the failed run must not have stuck
-
-
-# ---------------------------------------------------------------------------
-# warm_cache deprecation (PR 4 shim pattern)
-# ---------------------------------------------------------------------------
-
-
-class TestWarmCacheDeprecation:
-    def test_warm_cache_kwarg_warns_and_still_works(self):
-        source = NetworkSource.from_workload("stanford", **STANFORD_OPTIONS)
-        clear_runtime_cache()
-        cold = VerificationCampaign(source).run()
-        clear_runtime_cache()
-        with pytest.warns(DeprecationWarning, match="warm_cache.*deprecated"):
-            warm_campaign = VerificationCampaign(
-                source, warm_cache=cold.verdict_cache
-            )
-        warm = warm_campaign.run()
-        assert _fingerprints(warm) == _fingerprints(cold)
-        assert warm.stats.solver_cache_misses == 0
-
-    def test_execute_plan_warm_cache_warns(self):
-        model = NetworkModel.from_workload("stanford", **STANFORD_OPTIONS)
-        clear_runtime_cache()
-        plan = compile_plan(model, [Loop()])
-        cold = execute_plan(plan)
-        clear_runtime_cache()
-        with pytest.warns(DeprecationWarning, match="warm_cache.*deprecated"):
-            warm = execute_plan(plan, warm_cache=cold.verdict_cache)
-        assert warm.fingerprint() == cold.fingerprint()

@@ -36,7 +36,7 @@ from repro.core.campaign import (
     execute_job,
     semantic_projection,
 )
-import repro.core.campaign as campaign_module
+import repro.core.symmetry as symmetry_module
 from repro.network.element import NetworkElement
 from repro.network.topology import Network
 from repro.sefl.expressions import Eq, OneOf, Or
@@ -292,7 +292,7 @@ def test_symmetry_audit_passes_on_healthy_instantiation():
 
 
 def test_symmetry_audit_detects_corrupted_instantiation(monkeypatch):
-    original = campaign_module._instantiate_report
+    original = symmetry_module.instantiate_report
 
     def corrupted(rep, member, renaming, class_id):
         report = original(rep, member, renaming, class_id)
@@ -302,7 +302,7 @@ def test_symmetry_audit_detects_corrupted_instantiation(monkeypatch):
         )
         return report
 
-    monkeypatch.setattr(campaign_module, "_instantiate_report", corrupted)
+    monkeypatch.setattr(symmetry_module, "instantiate_report", corrupted)
     network, injections = build_symmetric_case(SEED + 2, zones=4)
     campaign = _campaign(
         network, injections, symmetry=True, symmetry_audit=True
