@@ -69,9 +69,20 @@ def _planned_batch(workload, options, workers):
     return result, time.perf_counter() - started
 
 
+#: Both workflows are timed this many times and compared on their fastest
+#: run: with the canonicaliser no longer dominating either side the whole
+#: comparison is tens of milliseconds, and one scheduling hiccup on a shared
+#: host must not decide it.
+REPEATS = 3
+
+
+def _fastest(workflow, *args):
+    return min((workflow(*args) for _ in range(REPEATS)), key=lambda run: run[1])
+
+
 def _compare(label, workload, options, workers, bench_report, bench_records):
-    separate, separate_wall = _separate_campaigns(workload, options, workers)
-    planned, planned_wall = _planned_batch(workload, options, workers)
+    separate, separate_wall = _fastest(_separate_campaigns, workload, options, workers)
+    planned, planned_wall = _fastest(_planned_batch, workload, options, workers)
 
     separate_jobs = sum(r.stats.jobs for r in separate.values())
     separate_solves = sum(r.stats.solver_cache_misses for r in separate.values())

@@ -1,12 +1,13 @@
 """Job-level symmetry reduction: one engine run per renaming class.
 
 Many campaign jobs are literal renamings of each other (the 16 stanford
-zones).  :class:`SymmetryReducer` encodes each job's (network, injection
-port, config) as an entity graph (:mod:`repro.network.view`), partitions
-the jobs into equivalence classes by canonical fingerprint, leaves one
-representative per class on the run list and — when a representative's
-report arrives — *instantiates* the member reports by applying the recorded
-bijection to every picklable artifact.
+zones).  :class:`SymmetryReducer` encodes the network once as an entity
+graph (:mod:`repro.network.view`), reads candidate classes off its stable
+colouring, canonicalises only the jobs that share a candidate class, groups
+them by canonical fingerprint, leaves one representative per class on the
+run list and — when a representative's report arrives — *instantiates* the
+member reports by applying the recorded bijection to every picklable
+artifact.
 
 The standing invariant applies: symmetry on/off changes which tier answers,
 never the answer — anything the renaming machinery cannot prove falls back
@@ -16,6 +17,7 @@ class to assert the instantiated report is bit-identical to a direct run.
 
 from __future__ import annotations
 
+import logging
 import random
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -36,6 +38,8 @@ from repro.network.view import (
     collect_constants,
 )
 from repro.obs import get_tracer
+
+_LOG = logging.getLogger(__name__)
 
 
 class SymmetryAuditError(RuntimeError):
@@ -123,7 +127,9 @@ class SymmetryReducer:
         self._audit = audit
         self._audit_seed = audit_seed
         self._view: Optional[CampaignSymmetryView] = None
-        #: (element, port) -> canonical form, for every job that encoded.
+        #: (element, port) -> canonical form, for every job that shares its
+        #: port's stable colour and its configuration with another — the one
+        #: place a campaign's forms are held.
         self._forms: Dict[Tuple[str, str], object] = {}
         #: representative (element, port) -> (member jobs, class
         #: fingerprint, audited member index or -1).
@@ -160,19 +166,41 @@ class SymmetryReducer:
                     per_program[key] = collect_constants(packet_program(job))
                 pinned.update(per_program[key])
             self._view = CampaignSymmetryView(self._network(), pinned)
-        except (SymmetryUnsupported, ValueError, KeyError):
+        except (SymmetryUnsupported, ValueError, KeyError) as exc:
             # Unknown template etc.: execute_job will report it.
+            _LOG.info(
+                "symmetry not applied, every job runs directly: %s: %s",
+                type(exc).__name__,
+                exc,
+            )
             return jobs, ()
-        grouped: Dict[str, List[CampaignJob]] = {}
+        # Candidate classes come off the network's shared stable colouring:
+        # ports of different colours (or jobs of different configurations)
+        # lie in different automorphism orbits, so a job alone in its
+        # candidate set is a proven singleton and is never canonicalised.
+        candidates: Dict[Tuple[int, str], List[CampaignJob]] = {}
         for job in eligible:
             try:
-                form = self._view.job_form(
-                    job.element, job.port, job_config_digest(job)
-                )
+                color = self._view.port_color(job.element, job.port)
             except SymmetryUnsupported:
                 continue
-            self._forms[(job.element, job.port)] = form
-            grouped.setdefault(form.fingerprint, []).append(job)
+            candidates.setdefault((color, job_config_digest(job)), []).append(job)
+        grouped: Dict[str, List[CampaignJob]] = {}
+        for (_, digest), sharing in candidates.items():
+            if len(sharing) < 2:
+                continue
+            for job in sharing:
+                form = self._view.job_form(job.element, job.port, digest)
+                self._forms[(job.element, job.port)] = form
+                grouped.setdefault(form.fingerprint, []).append(job)
+        unencoded = len(eligible) - sum(map(len, candidates.values()))
+        if unencoded:
+            _LOG.info(
+                "symmetry could not encode %d of %d eligible jobs; they run "
+                "directly",
+                unencoded,
+                len(eligible),
+            )
         # Pre-draw the audited member index for every class, in fingerprint
         # order: drawing everything upfront keeps the seeded choice
         # independent of the order in which representatives *complete*
@@ -187,10 +215,14 @@ class SymmetryReducer:
             audited = rng.randrange(len(members)) if self._audit else -1
             self._classes[(rep.element, rep.port)] = (members, fingerprint, audited)
             member_keys.update((member.element, member.port) for member in members)
+        get_tracer().annotate(
+            eligible=len(eligible), candidates=len(self._forms), classes=len(grouped)
+        )
         if not self._classes:
             return jobs, ()
-        # Distinct classes over the whole job set (non-encodable jobs count
-        # as singletons) — what engine runs drop to.
+        # Distinct classes over the whole job set (jobs without a form —
+        # proven singletons, non-encodable or ineligible ones — count one
+        # each): what engine runs drop to.
         self._class_count = len(grouped) + (len(jobs) - len(self._forms))
         return (
             [job for job in jobs if (job.element, job.port) not in member_keys],

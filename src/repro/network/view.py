@@ -2,14 +2,19 @@
 
 A campaign running one engine job per injection port re-executes isomorphic
 work whenever the network has renamed copies of the same structure (the 16
-Stanford zones).  This module encodes a ``(network, injection port, job
-config)`` triple as an entity graph — elements, directional ports, constant
-*cells* and string literals related by kind/link/program atoms — and
-canonicalizes it with :func:`repro.solver.canonical.canonical_entity_form`.
-Jobs with equal canonical fingerprints are isomorphic up to
-element/port/constant renaming, and the index-aligned entity orders of the
-two forms *are* the bijection, which :class:`SymmetryRenaming` turns into a
-report-rewriting function.
+Stanford zones).  :class:`CampaignSymmetryView` encodes the **network, once
+per campaign,** as an entity graph — elements, directional ports, constant
+*cells* and string literals related by kind/link/program atoms — compiles it
+into one :class:`repro.solver.canonical.EntityStructure` and refines it to
+its stable colouring at construction.  Jobs differ only in which injection
+port they mark: :meth:`~CampaignSymmetryView.port_color` reads a port's
+orbit candidate straight off the shared colouring (different colours can
+never be isomorphic), and :meth:`~CampaignSymmetryView.job_form`
+individualises the port on a copy of it and lets the core break the
+remaining ties.  Jobs with equal canonical fingerprints are isomorphic up
+to element/port/constant renaming, and the index-aligned entity orders of
+the two forms *are* the bijection, which :class:`SymmetryRenaming` turns
+into a report-rewriting function.
 
 Constants are abstracted the same way the solver's linear atom normal form
 abstracts variable names: every single-variable comparison/membership atom
@@ -34,9 +39,10 @@ every job directly — symmetry is an optimisation, never a semantics change.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sefl import instructions as si
 from repro.sefl.expressions import (
@@ -60,7 +66,13 @@ from repro.sefl.expressions import (
 )
 from repro.sefl.fields import HeaderField, TagOffset
 from repro.network.element import NetworkElement
-from repro.solver.canonical import Ent, EntityCanonicalForm, USet, canonical_entity_form
+from repro.solver.canonical import (
+    ENTITY_SYMMETRY_BUDGET,
+    Ent,
+    EntityCanonicalForm,
+    EntityStructure,
+    USet,
+)
 
 #: Exclusive top of the value axis used for cell construction; safely above
 #: any header-field domain (widths are <= 48 bits in practice).
@@ -215,6 +227,19 @@ def _collect_constants(node, found: set) -> None:
     # Allocate sizes, references, symbolic values, tags: no value constants.
 
 
+def _ports(element: NetworkElement) -> List[Tuple[str, str]]:
+    """Every declared port of ``element`` as ``(direction, name)``."""
+    return [("in", port) for port in element.input_ports] + [
+        ("out", port) for port in element.output_ports
+    ]
+
+
+def _program(element: NetworkElement, direction: str, port: str):
+    if direction == "in":
+        return element.input_program(port)
+    return element.output_program(port)
+
+
 class _RegionRef:
     """Placeholder for a coverage site inside a proto-atom; resolved to a
     USet of cell-group entities once the global cell partition is known."""
@@ -249,9 +274,16 @@ class CampaignSymmetryView:
         self._strings: Dict[str, None] = {}
         self._proto_atoms: List = []
         self._encode_network()
-        self._atoms, self._group_count = self._resolve_cells()
-        self._base_colors, self._fallback_keys = self._entity_tables()
-        self._form_cache: Dict[Tuple, EntityCanonicalForm] = {}
+        atoms, group_count = self._resolve_cells()
+        base_colors = self._base_colors(group_count)
+        self._tokens = base_colors.keys()
+        # Compiled and refined once; every job form starts from its stable
+        # colouring.  Tokens are their own tie keys (unique, and orderable
+        # within a class: tied entities share a kind).
+        self._structure = EntityStructure(
+            atoms, base_colors, {token: token for token in base_colors},
+            ENTITY_SYMMETRY_BUDGET,
+        )
 
     # -- encoding ------------------------------------------------------------
 
@@ -445,26 +477,16 @@ class CampaignSymmetryView:
         for element in network:
             elem_ent = Ent(("elem", element.name))
             self._proto_atoms.append(("element", elem_ent, element.kind))
-            for port in element.input_ports:
-                token = self._port_token(element.name, "in", port)
-                self._proto_atoms.append(("port", Ent(token), "in", elem_ent))
+            for direction, port in _ports(element):
+                port_ent = Ent(self._port_token(element.name, direction, port))
+                program = _program(element, direction, port)
+                self._proto_atoms.append(("port", port_ent, direction, elem_ent))
                 self._proto_atoms.append(
                     (
                         "program",
-                        Ent(token),
-                        "in",
-                        self._encode_instruction(element.input_program(port), element),
-                    )
-                )
-            for port in element.output_ports:
-                token = self._port_token(element.name, "out", port)
-                self._proto_atoms.append(("port", Ent(token), "out", elem_ent))
-                self._proto_atoms.append(
-                    (
-                        "program",
-                        Ent(token),
-                        "out",
-                        self._encode_instruction(element.output_program(port), element),
+                        port_ent,
+                        direction,
+                        self._encode_instruction(program, element),
                     )
                 )
         for link in network.links:
@@ -554,50 +576,44 @@ class CampaignSymmetryView:
 
     # -- canonical forms -------------------------------------------------------
 
-    def _entity_tables(self) -> Tuple[Dict, Dict]:
-        base_colors: Dict = {}
-        fallback_keys: Dict = {}
+    def _base_colors(self, group_count: int) -> Dict:
+        colors: Dict = {}
         for element in self.network:
-            token = ("elem", element.name)
-            base_colors[token] = ("E", element.kind)
-            fallback_keys[token] = token
-            for port in element.input_ports:
-                ptoken = self._port_token(element.name, "in", port)
-                base_colors[ptoken] = ("P", "in")
-                fallback_keys[ptoken] = ptoken
-            for port in element.output_ports:
-                ptoken = self._port_token(element.name, "out", port)
-                base_colors[ptoken] = ("P", "out")
-                fallback_keys[ptoken] = ptoken
-        for gid in range(self._group_count):
-            token = ("cells", gid)
-            base_colors[token] = ("C",)
-            fallback_keys[token] = token
+            colors[("elem", element.name)] = ("E", element.kind)
+            for direction, port in _ports(element):
+                colors[self._port_token(element.name, direction, port)] = (
+                    "P",
+                    direction,
+                )
+        for gid in range(group_count):
+            colors[("cells", gid)] = ("C",)
         for text in self._strings:
-            token = ("str", text)
-            base_colors[token] = ("S",)
-            fallback_keys[token] = token
-        return base_colors, fallback_keys
+            colors[("str", text)] = ("S",)
+        return colors
+
+    def _injection(self, element: str, port: str) -> Tuple[Tuple, Tuple]:
+        tokens = ("elem", element), self._port_token(element, "in", port)
+        if not all(token in self._tokens for token in tokens):
+            raise SymmetryUnsupported(f"unknown injection port {element}:{port}")
+        return tokens
+
+    def port_color(self, element: str, port: str) -> int:
+        """The injection port's colour in the network's stable partition.
+        Ports of different colours lie in different automorphism orbits, so
+        their jobs can never share a class — a cheap, exact pre-filter the
+        campaign applies before asking for any :meth:`job_form`."""
+        return self._structure.color_of(self._injection(element, port)[1])
 
     def job_form(
         self, element: str, port: str, config_digest: str
     ) -> EntityCanonicalForm:
-        """Canonical form of one job: the shared network atoms plus an
-        injection mark and the job-config digest (jobs with different
-        configurations can never share a class)."""
-        key = (element, port, config_digest)
-        cached = self._form_cache.get(key)
-        if cached is not None:
-            return cached
-        elem_token = ("elem", element)
-        port_token = self._port_token(element, "in", port)
-        if elem_token not in self._base_colors or port_token not in self._base_colors:
-            raise SymmetryUnsupported(f"unknown injection port {element}:{port}")
-        atoms = list(self._atoms)
-        atoms.append(("inject", Ent(elem_token), Ent(port_token), config_digest))
-        form = canonical_entity_form(atoms, self._base_colors, self._fallback_keys)
-        self._form_cache[key] = form
-        return form
+        """Canonical form of one job: the shared network structure with the
+        injection element and port individualised on a copy of its stable
+        colouring, plus an injection mark carrying the job-config digest
+        (jobs with different configurations can never share a class)."""
+        return self._structure.form(
+            self._injection(element, port), ("inject", config_digest)
+        )
 
 
 def config_digest(payload) -> str:
@@ -613,10 +629,26 @@ _BOUNDARY_BEFORE = r"(?<![A-Za-z0-9_.-])"
 _BOUNDARY_AFTER = r"(?![A-Za-z0-9_.-])"
 
 
+@functools.lru_cache(maxsize=4)
+def _token_pattern(keys: FrozenSet[str]) -> "re.Pattern[str]":
+    """One alternation matching any of ``keys`` as a whole token, longest
+    first (so swap renamings are safe).  Cached: every renaming of a
+    campaign is keyed by the same representative-side texts — the network's
+    element names, ports and program texts — so the pattern is compiled
+    once, not once per member."""
+    ordered = sorted(keys, key=lambda key: (-len(key), key))
+    return re.compile(
+        _BOUNDARY_BEFORE + "(?:" + "|".join(map(re.escape, ordered)) + ")" + _BOUNDARY_AFTER
+    )
+
+
 class SymmetryRenaming:
     """The explicit bijection between a class representative's job and a
     member's job, applied to report artifacts as one simultaneous text
-    substitution (longest key first, so swap renamings are safe)."""
+    substitution (longest key first, so swap renamings are safe).
+
+    ``text_pairs`` holds only what the member spells differently; texts the
+    pair shares are matched too (they are in the pattern) and kept whole."""
 
     def __init__(
         self,
@@ -624,44 +656,29 @@ class SymmetryRenaming:
         port_map: Dict[Tuple[str, str, str], str],
         text_pairs: Dict[str, str],
     ) -> None:
-        self.element_map = dict(element_map)
-        self.port_map = dict(port_map)
+        keys = set(text_pairs) | set(element_map)
         pairs = {key: value for key, value in text_pairs.items() if key != value}
-        for (elem, _direction, port), mapped_port in self.port_map.items():
-            mapped_elem = self.element_map.get(elem, elem)
+        for (elem, _direction, port), mapped_port in port_map.items():
             compound = f"{elem}:{port}"
-            mapped = f"{mapped_elem}:{mapped_port}"
+            mapped = f"{element_map.get(elem, elem)}:{mapped_port}"
+            keys.add(compound)
             if compound != mapped:
                 pairs[compound] = mapped
-        for elem, mapped_elem in self.element_map.items():
+        for elem, mapped_elem in element_map.items():
             if elem != mapped_elem:
                 pairs.setdefault(elem, mapped_elem)
         self.text_pairs = pairs
-        if pairs:
-            alternation = "|".join(
-                _BOUNDARY_BEFORE + re.escape(key) + _BOUNDARY_AFTER
-                for key in sorted(pairs, key=lambda k: (-len(k), k))
-            )
-            self._pattern: Optional[re.Pattern] = re.compile(alternation)
-        else:
-            self._pattern = None
+        self._pattern = _token_pattern(frozenset(keys)) if pairs else None
 
     def map_text(self, text: str) -> str:
         if self._pattern is None or not text:
             return text
-        return self._pattern.sub(lambda m: self.text_pairs[m.group(0)], text)
+        return self._pattern.sub(
+            lambda m: self.text_pairs.get(m.group(0), m.group(0)), text
+        )
 
-    def map_port_key(self, key: str) -> str:
-        return self.map_text(key)
 
-
-def _pair_programs(
-    rep_elem: NetworkElement,
-    member_elem: NetworkElement,
-    rep_prog,
-    member_prog,
-    pairs: Dict[str, str],
-) -> None:
+def _pair_programs(rep_prog, member_prog, pairs: Dict[str, str]) -> None:
     """Lockstep walk of two paired programs, recording repr/message pairs at
     every node the engine might quote in a report string.  Only block and
     branch structure is descended — equal canonical encodings guarantee the
@@ -678,38 +695,32 @@ def _pair_programs(
         for rep_child, member_child in zip(
             rep_prog.instructions, member_prog.instructions
         ):
-            _pair_programs(rep_elem, member_elem, rep_child, member_child, pairs)
-        return
-    if isinstance(rep_prog, si.If):
+            _pair_programs(rep_child, member_child, pairs)
+    elif isinstance(rep_prog, si.If):
         _record_pair(repr(rep_prog.condition), repr(member_prog.condition), pairs)
-        _pair_programs(
-            rep_elem, member_elem, rep_prog.then_branch, member_prog.then_branch, pairs
-        )
-        _pair_programs(
-            rep_elem, member_elem, rep_prog.else_branch, member_prog.else_branch, pairs
-        )
-        return
-    if isinstance(rep_prog, si.For):
-        return  # closures: only ever paired with themselves
-    if isinstance(rep_prog, si.Fail):
+        _pair_programs(rep_prog.then_branch, member_prog.then_branch, pairs)
+        _pair_programs(rep_prog.else_branch, member_prog.else_branch, pairs)
+    elif isinstance(rep_prog, si.Fail):
         _record_pair(rep_prog.message, member_prog.message, pairs)
-        return
-    if isinstance(rep_prog, si.Constrain):
+    elif isinstance(rep_prog, si.Constrain):
         _record_pair(repr(rep_prog.condition), repr(member_prog.condition), pairs)
-        return
-    _record_pair(repr(rep_prog), repr(member_prog), pairs)
+    elif not isinstance(rep_prog, si.For):  # closures only pair with themselves
+        _record_pair(repr(rep_prog), repr(member_prog), pairs)
 
 
 def _record_pair(rep_text: str, member_text: str, pairs: Dict[str, str]) -> None:
-    if rep_text == member_text:
-        return
-    existing = pairs.get(rep_text)
-    if existing is not None and existing != member_text:
+    """Texts the pair spells identically are recorded too, so the key set
+    does not depend on which member is being paired — but only weakly: a
+    different spelling met elsewhere replaces an identity, and two different
+    spellings conflict."""
+    existing = pairs.setdefault(rep_text, member_text)
+    if existing == rep_text:
+        pairs[rep_text] = member_text
+    elif member_text not in (rep_text, existing):
         raise SymmetryUnsupported(
             f"inconsistent text pairing for {rep_text!r}: "
             f"{existing!r} vs {member_text!r}"
         )
-    pairs[rep_text] = member_text
 
 
 def build_renaming(
@@ -724,7 +735,7 @@ def build_renaming(
     if len(rep_form.entities) != len(member_form.entities):
         raise SymmetryUnsupported("forms disagree on entity count")
     element_map: Dict[str, str] = {}
-    port_map: Dict[Tuple[str, str, str], str] = {}
+    port_map: Dict[Tuple[str, str, str], Tuple[str, str]] = {}
     text_pairs: Dict[str, str] = {}
     for rep_token, member_token in zip(rep_form.entities, member_form.entities):
         kind = rep_token[0]
@@ -736,53 +747,36 @@ def build_renaming(
         if kind == "elem":
             element_map[rep_token[1]] = member_token[1]
         elif kind == "port":
-            _, _elem, direction, port = rep_token
-            if direction != member_token[2]:
+            if rep_token[2] != member_token[2]:
                 raise SymmetryUnsupported("paired ports of different directions")
-            port_map[(rep_token[1], direction, port)] = member_token[3]
+            port_map[rep_token[1:]] = (member_token[1], member_token[3])
         elif kind == "str":
             _record_pair(rep_token[1], member_token[1], text_pairs)
     network = view.network
-    for rep_name, member_name in element_map.items():
-        mapped_elem_of_rep_ports = {
-            member_elem_name
-            for (elem, _d, _p), _mp in port_map.items()
-            if elem == rep_name
-            for member_elem_name in (element_map[elem],)
-        }
-        if mapped_elem_of_rep_ports - {member_name}:
+    for (rep_name, _direction, _port), (member_name, _) in port_map.items():
+        if element_map.get(rep_name) != member_name:
             raise SymmetryUnsupported("port map crosses element boundaries")
+    for rep_name, member_name in element_map.items():
         rep_elem = network.element(rep_name)
         member_elem = network.element(member_name)
         if rep_elem.kind != member_elem.kind:
             raise SymmetryUnsupported("paired elements of different kinds")
-        for port in rep_elem.input_ports:
-            member_port = port_map.get((rep_name, "in", port))
-            if member_port is None:
-                raise SymmetryUnsupported(f"unpaired input port {rep_name}:{port}")
+        for direction, port in _ports(rep_elem):
+            paired = port_map.get((rep_name, direction, port))
+            if paired is None:
+                raise SymmetryUnsupported(
+                    f"unpaired {direction}put port {rep_name}:{port}"
+                )
             _pair_programs(
-                rep_elem,
-                member_elem,
-                rep_elem.input_program(port),
-                member_elem.input_program(member_port),
+                _program(rep_elem, direction, port),
+                _program(member_elem, direction, paired[1]),
                 text_pairs,
             )
-        for port in rep_elem.output_ports:
-            member_port = port_map.get((rep_name, "out", port))
-            if member_port is None:
-                raise SymmetryUnsupported(f"unpaired output port {rep_name}:{port}")
-            _pair_programs(
-                rep_elem,
-                member_elem,
-                rep_elem.output_program(port),
-                member_elem.output_program(member_port),
-                text_pairs,
-            )
-    port_name_map = {
-        (elem, direction, port): member_port
-        for (elem, direction, port), member_port in port_map.items()
-    }
-    return SymmetryRenaming(element_map, port_name_map, text_pairs)
+    return SymmetryRenaming(
+        element_map,
+        {key: member_port for key, (_, member_port) in port_map.items()},
+        text_pairs,
+    )
 
 
 def elements_reaching(network, targets: Iterable[str]) -> set:

@@ -145,6 +145,9 @@ class NullTracer:
     def current_span_id(self) -> int:
         return 0
 
+    def annotate(self, **attrs: object) -> None:
+        pass
+
     def export(self) -> List[Dict[str, object]]:
         return []
 
@@ -168,7 +171,7 @@ class Tracer:
         self.spans: List[Span] = []
         self.dropped = 0
 
-    def _stack(self) -> List[int]:
+    def _stack(self) -> List[_ActiveSpan]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
@@ -176,7 +179,15 @@ class Tracer:
 
     def current_span_id(self) -> int:
         stack = self._stack()
-        return stack[-1] if stack else 0
+        return stack[-1].span_id if stack else 0
+
+    def annotate(self, **attrs: object) -> None:
+        """Attach attributes to this thread's innermost open span — for
+        facts a stage only knows once it has run (a partition's class
+        count), without handing span objects through its interface."""
+        stack = self._stack()
+        if stack:
+            stack[-1].attrs.update(attrs)
 
     def span(self, name: str, **attrs: object) -> _ActiveSpan:
         return _ActiveSpan(self, name, attrs)
@@ -184,17 +195,17 @@ class Tracer:
     def _open(self, active: _ActiveSpan) -> None:
         stack = self._stack()
         active.span_id = next(self._ids)
-        active.parent_id = stack[-1] if stack else 0
-        stack.append(active.span_id)
+        active.parent_id = stack[-1].span_id if stack else 0
+        stack.append(active)
         active.start_ns = time.perf_counter_ns()
 
     def _close(self, active: _ActiveSpan, failed: bool = False) -> None:
         end_ns = time.perf_counter_ns()
         stack = self._stack()
-        if stack and stack[-1] == active.span_id:
+        if stack and stack[-1] is active:
             stack.pop()
-        elif active.span_id in stack:  # defensive: mis-nested exit
-            stack.remove(active.span_id)
+        elif active in stack:  # defensive: mis-nested exit
+            stack.remove(active)
         attrs = active.attrs
         if failed:
             attrs = dict(attrs, error=True)
