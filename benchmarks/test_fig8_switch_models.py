@@ -81,14 +81,19 @@ def test_fig8_shape_runtime_ordering(bench_report):
     """At equal size the egress model must not be slower than the basic model,
     and the basic model's cost must grow much faster with table size."""
     small, large = SIZES["basic"][0], SIZES["basic"][1]
-    basic_small = _MEASURED.get(("basic", small)) or (_run_switch("basic", small)[1], 0)
-    basic_large = _MEASURED.get(("basic", large)) or (_run_switch("basic", large)[1], 0)
+
+    def fastest_of_three(entries):
+        # Both runs take ~10-20 ms: a single sample of each orders nothing on
+        # a shared host (one GC pause or neighbour burst outweighs the gap).
+        return min(_run_switch("basic", entries)[1] for _ in range(3))
+
+    basic_small, basic_large = fastest_of_three(small), fastest_of_three(large)
     egress_large_size = SIZES["egress"][-1]
     egress_large = _MEASURED.get(("egress", egress_large_size)) or (
         _run_switch("egress", egress_large_size)[1],
         0,
     )
-    basic_rate = basic_large[0] / large
+    basic_rate = basic_large / large
     egress_rate = egress_large[0] / egress_large_size
     bench_report.append(
         f"Figure 8 | per-entry cost: basic {basic_rate * 1e3:.3f} ms/entry vs "
@@ -96,4 +101,4 @@ def test_fig8_shape_runtime_ordering(bench_report):
     )
     assert egress_rate < basic_rate
     # The basic model's total cost grows superlinearly with the table.
-    assert basic_large[0] > basic_small[0]
+    assert basic_large > basic_small

@@ -345,7 +345,7 @@ class SymbolicExecutor:
                 pending = next_pending
             return pending
 
-        state.record_instruction(self._describe(instruction))
+        state.record_instruction(instruction)
 
         try:
             return self._execute_simple(instruction, outcome, element)
@@ -405,9 +405,7 @@ class SymbolicExecutor:
             self._assume(state, formula)
             if self.settings.check_constraints_eagerly:
                 if self._check_state(state).is_unsat:
-                    state.fail(
-                        f"constraint unsatisfiable: {self._describe(instruction)}"
-                    )
+                    state.fail(instruction.unsatisfiable_reason)
                     outcome.done = True
             return [outcome]
 
@@ -632,18 +630,3 @@ class SymbolicExecutor:
         if element is None:
             raise ModelError("Forward/Fork outside a network element")
         return element.resolve_output_port(port)
-
-    @staticmethod
-    def _describe(instruction: si.Instruction) -> str:
-        name = type(instruction).__name__
-        if isinstance(instruction, si.Constrain):
-            return f"Constrain({instruction.condition!r})"
-        if isinstance(instruction, si.Assign):
-            return f"Assign({instruction.variable!r})"
-        if isinstance(instruction, si.Forward):
-            return f"Forward({instruction.port!r})"
-        if isinstance(instruction, si.Fork):
-            return f"Fork{instruction.ports!r}"
-        if isinstance(instruction, si.Fail):
-            return f"Fail({instruction.message!r})"
-        return name

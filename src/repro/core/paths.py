@@ -81,7 +81,10 @@ class PathRecord:
                 "status": self.status,
                 "stop_reason": self.stop_reason,
                 "last_port": str(self.last_port) if self.last_port else None,
-                "instructions": list(self.state.instruction_trace),
+                "instructions": [
+                    instruction.description
+                    for instruction in self.state.instruction_trace
+                ],
             }
         )
         return summary

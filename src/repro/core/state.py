@@ -22,6 +22,7 @@ from repro.core.errors import MemorySafetyError
 from repro.core.memory import HeaderMemory, MetadataStore, MetaKey
 from repro.core.values import SymbolFactory, term_to_string
 from repro.sefl.fields import HeaderField, TagOffset, VariableLike
+from repro.sefl.instructions import Instruction
 from repro.solver.ast import Formula, Term
 
 _path_counter = itertools.count(1)
@@ -307,8 +308,9 @@ class ExecutionState:
     def record_port(self, port_id: str) -> None:
         self.port_trace.append(port_id)
 
-    def record_instruction(self, description: str) -> None:
-        self.instruction_trace.append(description)
+    def record_instruction(self, instruction: Instruction) -> None:
+        """Recorded by reference; path reports render ``.description``."""
+        self.instruction_trace.append(instruction)
 
     def snapshot_port(self, port_id: str) -> None:
         snapshot = PortSnapshot(port_id, tuple(self.constraints))

@@ -7,9 +7,10 @@ overlapping prefix from each rule ("``!a & b``") so that the per-port
 constraints become mutually exclusive, then groups rules per output
 interface, bringing the number of paths down to the number of links.
 
-``group_prefixes_by_port`` computes exactly that: the set of destination
-addresses each output port attracts under longest-prefix-match semantics,
-represented as an interval set (a prefix is a contiguous address range).
+``group_prefixes_by_port`` computes exactly that, in one sort plus a stack
+sweep over the (laminar) prefixes: the set of destination addresses each
+output port attracts under longest-prefix-match semantics, as an interval
+set (a prefix is a contiguous address range).
 Three model styles mirror Table 2:
 
 * **basic** — one ``If`` per prefix (most specific first);
@@ -19,6 +20,7 @@ Three model styles mirror Table 2:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -51,72 +53,69 @@ def group_prefixes_by_port(
     """Compute, per output port, the destination addresses it attracts under
     longest-prefix-match semantics.
 
-    Implemented as a sweep over prefix boundaries: prefixes of equal length
-    never partially overlap, so at any address the winning rule is the active
-    prefix with the greatest length.  The result is a set of mutually
+    Prefixes are laminar — two of them nest or are disjoint — so one sort
+    (by first address, then length) visits every prefix after all prefixes
+    that enclose it, and a stack of the prefixes open at the cursor always
+    has the longest match on top.  The sweep hands each stretch between two
+    boundaries to the port on top of the stack, in address order, so every
+    port's segments come out sorted, disjoint and merged: canonical bounds
+    for :meth:`IntervalSet.from_bounds`.  The result is a set of mutually
     exclusive interval sets — the paper's "``!a & b``" constraints in closed
-    form.
+    form.  Of two entries for the same prefix, the first in the FIB wins.
     """
-    if not fib:
-        return {}
-    events: List[Tuple[int, int, int, str]] = []  # (position, kind, plen, port)
-    for address, plen, port in fib:
-        interval = prefix_to_interval(address, plen, width)
-        events.append((interval.lo, 0, plen, port))  # 0 = start (processed first)
-        events.append((interval.hi + 1, 1, plen, port))  # 1 = end
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    active: List[Dict[str, str]] = [dict() for _ in range(width + 1)]
-    segments: Dict[str, List[Tuple[int, int]]] = {}
-
-    def winning_port() -> str | None:
-        for plen in range(width, -1, -1):
-            if active[plen]:
-                # All active prefixes of one length agree at the current
-                # position (equal-length prefixes are disjoint), so any entry
-                # will do.
-                return next(iter(active[plen].values()))
-        return None
-
-    position = events[0][0]
-    index = 0
     top = (1 << width) - 1
-    while index < len(events):
-        next_position = events[index][0]
-        if next_position > position:
-            port = winning_port()
-            if port is not None:
-                segments.setdefault(port, []).append((position, next_position - 1))
-            position = next_position
-        # apply all events at this position (ends before starts keeps the
-        # bookkeeping exact because ends are at hi + 1)
-        while index < len(events) and events[index][0] == next_position:
-            _, kind, plen, port = events[index]
-            key = f"{plen}:{port}:{index}"
-            if kind == 1:
-                # remove one active prefix of this length/port
-                bucket = active[plen]
-                for existing_key in list(bucket):
-                    if bucket[existing_key] == port:
-                        del bucket[existing_key]
-                        break
-            else:
-                active[plen][key] = port
-            index += 1
-    # trailing segment up to the end of the address space
-    port = winning_port()
-    if port is not None and position <= top:
-        segments.setdefault(port, []).append((position, top))
+    host_masks = [top >> plen for plen in range(width + 1)]
+    # Sort key: first address, then length, packed into one integer.  The
+    # sort is stable, so duplicates of a prefix stay in FIB order.
+    lengths = width + 1
+    keys = []
+    for address, plen, _ in fib:
+        if not 0 <= plen <= width:
+            raise ValueError(f"prefix length {plen} out of range for width {width}")
+        keys.append((address & (top ^ host_masks[plen])) * lengths + plen)
+    order = sorted(range(len(fib)), key=keys.__getitem__)
+    keys.append((top + 1) * lengths)  # sentinel past the address space:
+    order.append(len(fib))  # closes every prefix still open
 
-    return {port: IntervalSet(pairs) for port, pairs in segments.items()}
+    # port -> (los, his)
+    segments: Dict[str, Tuple[List[int], List[int]]] = defaultdict(lambda: ([], []))
+    open_prefixes: List[Tuple[int, Tuple[List[int], List[int]]]] = []  # innermost last
+    cursor = 0  # first address not yet handed to a port
+    previous = None
+    for index in order:
+        key = keys[index]
+        if key == previous:
+            continue  # same prefix again: the first entry won
+        previous = key
+        lo, plen = divmod(key, lengths)
+        while open_prefixes:
+            # The innermost open prefix owns the addresses up to the next
+            # boundary: where this prefix starts inside it, or where it ends.
+            hi, (los, his) = open_prefixes[-1]
+            boundary = lo if lo <= hi else hi + 1
+            if cursor < boundary:
+                if his and his[-1] + 1 == cursor:
+                    his[-1] = boundary - 1
+                else:
+                    los.append(cursor)
+                    his.append(boundary - 1)
+                cursor = boundary
+            if lo <= hi:
+                break
+            open_prefixes.pop()
+        if lo > top:
+            break
+        cursor = lo
+        open_prefixes.append((lo | host_masks[plen], segments[fib[index][2]]))
+    return {
+        port: IntervalSet.from_bounds(los, his)
+        for port, (los, his) in segments.items()
+        if los  # a port whose every prefix is shadowed attracts nothing
+    }
 
 
 def _port_order(fib: Sequence[FibEntry]) -> List[str]:
-    seen: List[str] = []
-    for _, _, port in fib:
-        if port not in seen:
-            seen.append(port)
-    return seen
+    return list(dict.fromkeys(port for _, _, port in fib))
 
 
 def router_basic(
@@ -191,12 +190,14 @@ def build_router(
     return router_egress(name, fib, input_ports)
 
 
-def longest_prefix_match(fib: Sequence[FibEntry], destination: int) -> str | None:
+def longest_prefix_match(
+    fib: Sequence[FibEntry], destination: int, width: int = 32
+) -> str | None:
     """Reference longest-prefix-match lookup (used by tests to validate the
     symbolic models against ground truth)."""
     best: Tuple[int, str] | None = None
     for address, plen, port in fib:
-        interval = prefix_to_interval(address, plen)
+        interval = prefix_to_interval(address, plen, width)
         if interval.lo <= destination <= interval.hi:
             if best is None or plen > best[0]:
                 best = (plen, port)

@@ -186,9 +186,8 @@ def _collect_constants(node, found: set) -> None:
         found.add(node.value)
         return
     if isinstance(node, OneOf):
-        for interval in node.values.intervals:
-            found.add(interval.lo)
-            found.add(interval.hi)
+        for bounds in node.values.pairs():
+            found.update(bounds)
         _collect_constants(node.expression, found)
         return
     if isinstance(node, si.InstructionBlock):
@@ -374,14 +373,12 @@ class CampaignSymmetryView:
                 width = _var_width(variable)
                 if width is not None:
                     region = _clamp_region(
-                        (interval.lo - offset, interval.hi - offset)
-                        for interval in condition.values.intervals
+                        (lo - offset, hi - offset)
+                        for lo, hi in condition.values.pairs()
                     )
                     ref = self._register_site(width, region)
                     return ("member", self._var_literal(variable), ref)
-            values = tuple(
-                (interval.lo, interval.hi) for interval in condition.values.intervals
-            )
+            values = tuple(condition.values.pairs())
             return ("memberL", self._expr_literal(condition.expression), values)
         if isinstance(condition, (And, Or)):
             tag = "and" if isinstance(condition, And) else "or"

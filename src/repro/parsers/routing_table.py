@@ -14,31 +14,48 @@ entries.
 
 from __future__ import annotations
 
+import logging
 import re
 from typing import List, Sequence, Tuple
 
 from repro.models.router import FibEntry, RouterModelStyle, build_router
 from repro.network.element import NetworkElement
-from repro.sefl.util import number_to_ip, parse_prefix
+from repro.sefl.util import number_to_ip
 
-_ENTRY = re.compile(r"^\s*(?P<prefix>[\d./]+)\s+(?P<port>\S+)\s*(#.*)?$")
+_LOG = logging.getLogger(__name__)
+
+# One match per line: a rule (four octets, optional length, port, optional
+# comment), a comment or blank line, or — last group — a line that is neither.
+_LINE = re.compile(
+    r"^[^\S\n]*(?:(\d+)\.(\d+)\.(\d+)\.(\d+)(?:/(\d+))?[^\S\n]+(\S+)[^\S\n]*(?:#.*)?"
+    r"|#.*|(\S.*))?$",
+    re.MULTILINE,
+)
 
 
 def parse_routing_table(text: str) -> List[FibEntry]:
-    """Parse a forwarding-table snapshot into a list of FIB entries."""
+    """Parse a forwarding-table snapshot into a list of FIB entries.
+
+    Lines that are not rules (a malformed address, an IPv6 prefix, a missing
+    port) are skipped, and reported in one warning per snapshot.
+    """
     entries: List[FibEntry] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        match = _ENTRY.match(stripped)
-        if not match:
-            continue
-        try:
-            address, plen = parse_prefix(match.group("prefix"))
-        except ValueError:
-            continue
-        entries.append((address, plen, match.group("port")))
+    skipped: List[int] = []
+    for number, (a, b, c, d, length, port, junk) in enumerate(_LINE.findall(text), 1):
+        if port:
+            a, b, c, d = int(a), int(b), int(c), int(d)
+            plen = int(length) if length else 32
+            if (a | b | c | d) <= 255 and plen <= 32:
+                entries.append((a << 24 | b << 16 | c << 8 | d, plen, port))
+                continue
+        if port or junk:
+            skipped.append(number)
+    if skipped:
+        _LOG.warning(
+            "routing table: skipped %d malformed line(s), first at line %d",
+            len(skipped),
+            skipped[0],
+        )
     return entries
 
 

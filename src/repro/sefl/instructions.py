@@ -9,6 +9,7 @@ may fail the path, modify it, fork it or forward it to output ports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
 from repro.sefl.expressions import Condition, Expression
@@ -26,6 +27,16 @@ class Instruction:
     """Base class for SEFL instructions."""
 
     __slots__ = ()
+
+    @cached_property
+    def description(self) -> str:
+        """How path traces name this instruction.  Rendered on first use and
+        kept on the object: a ``Constrain`` over a core router's interval set
+        is hundreds of kilobytes of text, and every path through it names it."""
+        return self._describe()
+
+    def _describe(self) -> str:
+        return type(self).__name__
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,9 @@ class Assign(Instruction):
     variable: VariableLike
     expression: Union[Expression, int, str, VariableLike]
 
+    def _describe(self) -> str:
+        return f"Assign({self.variable!r})"
+
 
 @dataclass(frozen=True)
 class CreateTag(Instruction):
@@ -93,12 +107,23 @@ class Constrain(Instruction):
     condition: Condition
     variable: Optional[VariableLike] = None
 
+    def _describe(self) -> str:
+        return f"Constrain({self.condition!r})"
+
+    @cached_property
+    def unsatisfiable_reason(self) -> str:
+        """Stop reason of a path this constraint made infeasible."""
+        return f"constraint unsatisfiable: {self.description}"
+
 
 @dataclass(frozen=True)
 class Fail(Instruction):
     """Stop the current path, recording ``message``."""
 
     message: str = "Fail"
+
+    def _describe(self) -> str:
+        return f"Fail({self.message!r})"
 
 
 @dataclass(frozen=True)
@@ -131,6 +156,9 @@ class Forward(Instruction):
 
     port: PortRef
 
+    def _describe(self) -> str:
+        return f"Forward({self.port!r})"
+
 
 @dataclass(frozen=True)
 class Fork(Instruction):
@@ -140,6 +168,9 @@ class Fork(Instruction):
 
     def __init__(self, *ports: PortRef) -> None:
         object.__setattr__(self, "ports", tuple(ports))
+
+    def _describe(self) -> str:
+        return f"Fork{self.ports!r}"
 
 
 @dataclass(frozen=True)

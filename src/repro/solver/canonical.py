@@ -456,9 +456,7 @@ def _normalize(formula: Formula, variables: Dict[Var, None]):
         return (tag, USet(_normalize(op, variables) for op in formula.operands))
     if isinstance(formula, Member):
         linear = linearize(formula.term)
-        values = tuple(
-            (interval.lo, interval.hi) for interval in formula.values.intervals
-        )
+        values = tuple(formula.values.pairs())
         return (
             "member",
             1 if formula.negated else 0,

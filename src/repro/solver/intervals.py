@@ -11,8 +11,12 @@ requiring boolean case splits.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+Bounds = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -49,221 +53,232 @@ class Interval:
 
 
 class IntervalSet:
-    """A set of non-overlapping, sorted, closed integer intervals."""
+    """A set of non-overlapping, non-adjacent, sorted, closed integer intervals.
 
-    __slots__ = ("_intervals",)
+    The representation is two parallel sorted tuples of bounds (``_los[i] <=
+    _his[i] < _los[i + 1] - 1``).  The public constructor normalises arbitrary
+    pairs; every operation below already produces canonical bounds and wraps
+    them with :meth:`from_bounds`, which trusts its caller and skips sorting,
+    merging and validation.
+    """
+
+    __slots__ = ("_los", "_his", "_hash")
 
     def __init__(self, intervals: Iterable[Tuple[int, int]] = ()) -> None:
-        normalized = self._normalize(list(intervals))
-        self._intervals: Tuple[Interval, ...] = tuple(
-            Interval(lo, hi) for lo, hi in normalized
-        )
+        los: List[int] = []
+        his: List[int] = []
+        for lo, hi in sorted((lo, hi) for lo, hi in intervals if lo <= hi):
+            if his and lo <= his[-1] + 1:
+                if hi > his[-1]:
+                    his[-1] = hi
+            else:
+                los.append(lo)
+                his.append(hi)
+        self._los: Bounds = tuple(los)
+        self._his: Bounds = tuple(his)
+        self._hash: Optional[int] = None
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def from_bounds(cls, los: Sequence[int], his: Sequence[int]) -> "IntervalSet":
+        """Trusted constructor: ``los``/``his`` must already be canonical
+        (equal length, sorted, ``lo <= hi``, a gap between neighbours)."""
+        self = cls.__new__(cls)
+        self._los = tuple(los)
+        self._his = tuple(his)
+        self._hash = None
+        return self
+
+    @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls(())
+        return cls.from_bounds((), ())
 
     @classmethod
     def full(cls, width: int) -> "IntervalSet":
         """Domain of an unsigned integer with ``width`` bits."""
-        return cls([(0, (1 << width) - 1)])
+        return cls.from_bounds((0,), ((1 << width) - 1,))
 
     @classmethod
     def point(cls, value: int) -> "IntervalSet":
-        return cls([(value, value)])
+        return cls.from_bounds((value,), (value,))
 
     @classmethod
     def points(cls, values: Iterable[int]) -> "IntervalSet":
-        return cls([(v, v) for v in values])
+        return cls((v, v) for v in values)
 
     @classmethod
     def range(cls, lo: int, hi: int) -> "IntervalSet":
         if lo > hi:
             return cls.empty()
-        return cls([(lo, hi)])
+        return cls.from_bounds((lo,), (hi,))
 
     @classmethod
     def at_most(cls, value: int) -> "IntervalSet":
-        if value < 0:
-            return cls.empty()
-        return cls([(0, value)])
+        return cls.range(0, value)
 
     @classmethod
     def at_least(cls, value: int, width: int) -> "IntervalSet":
-        hi = (1 << width) - 1
-        if value > hi:
-            return cls.empty()
-        return cls([(max(0, value), hi)])
-
-    @staticmethod
-    def _normalize(pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        valid = [(lo, hi) for lo, hi in pairs if lo <= hi]
-        if not valid:
-            return []
-        valid.sort()
-        merged: List[Tuple[int, int]] = [valid[0]]
-        for lo, hi in valid[1:]:
-            last_lo, last_hi = merged[-1]
-            if lo <= last_hi + 1:
-                merged[-1] = (last_lo, max(last_hi, hi))
-            else:
-                merged.append((lo, hi))
-        return merged
+        return cls.range(max(0, value), (1 << width) - 1)
 
     # -- queries --------------------------------------------------------------
 
+    def pairs(self) -> Iterator[Tuple[int, int]]:
+        """The ``(lo, hi)`` bounds of every interval, in order."""
+        return zip(self._los, self._his)
+
     @property
     def intervals(self) -> Tuple[Interval, ...]:
-        return self._intervals
+        """Compatibility view: materialises one :class:`Interval` per span."""
+        return tuple(map(Interval, self._los, self._his))
 
     def is_empty(self) -> bool:
-        return not self._intervals
+        return not self._los
 
     def __bool__(self) -> bool:
-        return bool(self._intervals)
+        return bool(self._los)
 
     def __contains__(self, value: int) -> bool:
-        lo, hi = 0, len(self._intervals) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            iv = self._intervals[mid]
-            if value < iv.lo:
-                hi = mid - 1
-            elif value > iv.hi:
-                lo = mid + 1
-            else:
-                return True
-        return False
-
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self._intervals)
+        index = bisect_left(self._his, value)
+        return index < len(self._los) and self._los[index] <= value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self._intervals == other._intervals
+        if self is other:
+            return True
+        return self._los == other._los and self._his == other._his
 
     def __hash__(self) -> int:
-        return hash(self._intervals)
+        if self._hash is None:
+            self._hash = hash((self._los, self._his))
+        return self._hash
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"[{iv.lo},{iv.hi}]" for iv in self._intervals)
+        parts = ", ".join(f"[{lo},{hi}]" for lo, hi in self.pairs())
         return f"IntervalSet({parts})"
 
     def size(self) -> int:
         """Number of integers contained in the set."""
-        return sum(len(iv) for iv in self._intervals)
+        return sum(self._his) - sum(self._los) + len(self._los)
 
     def min(self) -> int:
-        if not self._intervals:
+        if not self._los:
             raise ValueError("empty interval set has no minimum")
-        return self._intervals[0].lo
+        return self._los[0]
 
     def max(self) -> int:
-        if not self._intervals:
+        if not self._his:
             raise ValueError("empty interval set has no maximum")
-        return self._intervals[-1].hi
+        return self._his[-1]
 
     def is_singleton(self) -> bool:
-        return (
-            len(self._intervals) == 1
-            and self._intervals[0].lo == self._intervals[0].hi
-        )
+        return len(self._los) == 1 and self._los[0] == self._his[0]
 
     def singleton_value(self) -> int:
         if not self.is_singleton():
             raise ValueError("interval set is not a singleton")
-        return self._intervals[0].lo
-
-    def sample(self) -> int:
-        """Return an arbitrary member (the smallest)."""
-        return self.min()
+        return self._los[0]
 
     def iter_values(self, limit: Optional[int] = None) -> Iterator[int]:
         """Iterate over contained integers, optionally stopping after ``limit``."""
-        count = 0
-        for iv in self._intervals:
-            for value in range(iv.lo, iv.hi + 1):
-                if limit is not None and count >= limit:
-                    return
-                yield value
-                count += 1
+        values = chain.from_iterable(range(lo, hi + 1) for lo, hi in self.pairs())
+        return islice(values, limit)
 
     # -- set algebra ----------------------------------------------------------
 
+    def _clip(self, lo: int, hi: int) -> "IntervalSet":
+        """``self ∩ [lo, hi]``: two bisections and a slice — ``self`` itself
+        when nothing is cut."""
+        los, his = self._los, self._his
+        start = bisect_left(his, lo)  # first span ending at or after lo
+        stop = bisect_right(los, hi)  # one past the last span starting by hi
+        if start >= stop:
+            return IntervalSet.empty()
+        if start == 0 and stop == len(los) and lo <= los[0] and his[-1] <= hi:
+            return self
+        los, his = los[start:stop], his[start:stop]
+        if los[0] < lo:
+            los = (lo,) + los[1:]
+        if his[-1] > hi:
+            his = his[:-1] + (hi,)
+        return IntervalSet.from_bounds(los, his)
+
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        result: List[Tuple[int, int]] = []
-        i = j = 0
-        a, b = self._intervals, other._intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i].lo, b[j].lo)
-            hi = min(a[i].hi, b[j].hi)
-            if lo <= hi:
-                result.append((lo, hi))
-            if a[i].hi < b[j].hi:
+        a_los, a_his, b_los, b_his = self._los, self._his, other._los, other._his
+        if len(b_los) == 1:
+            return self._clip(b_los[0], b_his[0])
+        if len(a_los) == 1:
+            return other._clip(a_los[0], a_his[0])
+        if not a_los or not b_los:
+            return IntervalSet.empty()
+        # Two cursors, each started at its first span the other side reaches.
+        i, j = bisect_left(a_his, b_los[0]), bisect_left(b_his, a_los[0])
+        los: List[int] = []
+        his: List[int] = []
+        while i < len(a_los) and j < len(b_los):
+            lo = max(a_los[i], b_los[j])
+            a_hi, b_hi = a_his[i], b_his[j]
+            if a_hi < b_hi:
+                hi = a_hi
                 i += 1
             else:
+                hi = b_hi
                 j += 1
-        return IntervalSet(result)
+            if lo <= hi:
+                los.append(lo)
+                his.append(hi)
+        return IntervalSet.from_bounds(los, his)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        pairs = [(iv.lo, iv.hi) for iv in self._intervals]
-        pairs.extend((iv.lo, iv.hi) for iv in other._intervals)
-        return IntervalSet(pairs)
+        if not other._los:
+            return self
+        if not self._los:
+            return other
+        return IntervalSet(chain(self.pairs(), other.pairs()))
 
     def complement(self, width: int) -> "IntervalSet":
         """Complement relative to the full domain of ``width`` bits."""
         top = (1 << width) - 1
-        gaps: List[Tuple[int, int]] = []
-        cursor = 0
-        for iv in self._intervals:
-            if iv.lo > cursor:
-                gaps.append((cursor, iv.lo - 1))
-            cursor = iv.hi + 1
-            if cursor > top:
-                break
-        if cursor <= top:
-            gaps.append((cursor, top))
-        return IntervalSet(gaps)
+        inside = self._clip(0, top)
+        # The gaps run from just after each span to just before the next,
+        # with the domain's ends as the outermost bounds.
+        los = (0,) + tuple(hi + 1 for hi in inside._his)
+        his = tuple(lo - 1 for lo in inside._los) + (top,)
+        start = 1 if his[0] < 0 else 0  # the set starts at 0: no leading gap
+        stop = len(los) - 1 if los[-1] > top else len(los)  # ... ends at top
+        return IntervalSet.from_bounds(los[start:stop], his[start:stop])
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        if not self._intervals or not other._intervals:
+        if not self._los or not other._los:
             return self
         width = max(self.max(), other.max()).bit_length() or 1
         return self.intersection(other.complement(width))
 
     def remove_point(self, value: int) -> "IntervalSet":
         """Return a copy of the set with ``value`` removed."""
-        if value not in self:
+        los, his = self._los, self._his
+        index = bisect_left(his, value)
+        if index == len(los) or los[index] > value:
             return self
-        pairs: List[Tuple[int, int]] = []
-        for iv in self._intervals:
-            if value < iv.lo or value > iv.hi:
-                pairs.append((iv.lo, iv.hi))
-                continue
-            if iv.lo <= value - 1:
-                pairs.append((iv.lo, value - 1))
-            if value + 1 <= iv.hi:
-                pairs.append((value + 1, iv.hi))
-        return IntervalSet(pairs)
+        # Span ``index`` splits into what lies below and above ``value``.
+        lo, hi = los[index], his[index]
+        below, above = lo < value, value < hi
+        return IntervalSet.from_bounds(
+            los[:index] + ((lo,) if below else ()) + ((value + 1,) if above else ())
+            + los[index + 1 :],
+            his[:index] + ((value - 1,) if below else ()) + ((hi,) if above else ())
+            + his[index + 1 :],
+        )
 
     def shift(self, offset: int, width: Optional[int] = None) -> "IntervalSet":
         """Translate every interval by ``offset``, clamping at 0 and the width."""
-        top = (1 << width) - 1 if width is not None else None
-        pairs: List[Tuple[int, int]] = []
-        for iv in self._intervals:
-            lo = iv.lo + offset
-            hi = iv.hi + offset
-            if hi < 0 or (top is not None and lo > top):
-                continue
-            lo = max(0, lo)
-            if top is not None:
-                hi = min(hi, top)
-            if lo <= hi:
-                pairs.append((lo, hi))
-        return IntervalSet(pairs)
+        if not self._los:
+            return self
+        moved = IntervalSet.from_bounds(
+            [lo + offset for lo in self._los], [hi + offset for hi in self._his]
+        )
+        return moved._clip(0, moved._his[-1] if width is None else (1 << width) - 1)
 
     def covers(self, other: "IntervalSet") -> bool:
         """True if every value of ``other`` is contained in this set."""
@@ -289,8 +304,5 @@ def intervals_from_prefixes(
     prefixes: Sequence[Tuple[int, int]], width: int = 32
 ) -> IntervalSet:
     """Build the interval set covered by a list of ``(address, prefix_len)``."""
-    pairs = []
-    for address, plen in prefixes:
-        iv = prefix_to_interval(address, plen, width)
-        pairs.append((iv.lo, iv.hi))
-    return IntervalSet(pairs)
+    spans = (prefix_to_interval(address, plen, width) for address, plen in prefixes)
+    return IntervalSet((span.lo, span.hi) for span in spans)

@@ -1,10 +1,14 @@
 """Tests for the symbolic execution engine: instruction semantics, branching,
 forwarding, failure handling and loop detection."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import ExecutionSettings, Network, NetworkElement, SymbolicExecutor, models
 from repro.core import checks as V
+from repro.core.campaign import VerificationCampaign
 from repro.core.errors import ModelError
 from repro.core.paths import PathStatus
 from repro.sefl import (
@@ -40,6 +44,8 @@ from repro.sefl import (
     ip_to_number,
 )
 from repro.sefl.instructions import LOCAL
+from repro.solver.intervals import IntervalSet
+from repro.workloads import stanford
 
 
 def single_element_network(program, name="box", inputs=("in0",), outputs=("out0", "out1", "out2")):
@@ -449,10 +455,98 @@ class TestPropagationAndLoops:
         assert 1 <= len(result.paths) < 3
 
     def test_result_json_output(self):
-        import json
-
         result = run(Fork("out0", "out1"))
         payload = json.loads(result.to_json())
         assert payload["path_count"] == 2
         assert payload["paths"][0]["status"] == "delivered"
         assert payload["injected_at"] == "box:in0"
+
+
+# ---------------------------------------------------------------------------
+# Instructions are described once per object, not once per execution
+# ---------------------------------------------------------------------------
+
+
+def constrain_instructions(network):
+    """Every distinct ``Constrain`` object in the network's port programs."""
+    found = {}
+
+    def walk(node):
+        if isinstance(node, Constrain):
+            found[id(node)] = node
+        elif isinstance(node, InstructionBlock):
+            for child in node.instructions:
+                walk(child)
+        elif isinstance(node, If):
+            walk(node.then_branch)
+            walk(node.else_branch)
+
+    for element in network:
+        for port in element.input_ports:
+            walk(element.input_program(port))
+        for port in element.output_ports:
+            walk(element.output_program(port))
+    return list(found.values())
+
+
+class TestDescribeOnce:
+    # What the engine rendered per execution before descriptions were cached
+    # on the instruction: the trace and stop reason of the first failed path.
+    TRACE_TAIL = [
+        "Allocate",
+        "Assign(IpDst)",
+        "Fork('hosts', 'up1', 'up0')",
+        "Constrain(OneOf(expression=IpDst, values=IntervalSet([0,167772159], "
+        "[167903232,167968767], [168034304,4294967295])))",
+        "Fork('z0', 'z1', 'z2', 'z3')",
+        "Constrain(OneOf(expression=IpDst, values=IntervalSet([167772160,167837695])))",
+    ]
+    STOP_REASON = (
+        "constraint unsatisfiable: Constrain(OneOf(expression=IpDst, "
+        "values=IntervalSet([167772160,167837695])))"
+    )
+
+    def test_campaign_renders_each_constraint_at_most_once(self, monkeypatch):
+        network, injections = stanford.campaign_network(zones=4)
+        calls = []
+        render = IntervalSet.__repr__
+        monkeypatch.setattr(
+            IntervalSet, "__repr__", lambda self: calls.append(1) or render(self)
+        )
+        campaign = VerificationCampaign(network, symmetry=False, delta=False)
+        for element, port in injections:
+            campaign.add_injection(element, port)
+        result = campaign.run(workers=1)
+        assert result.stats.jobs == len(injections) == 4
+        # One render per execution used to make this 124.
+        assert 0 < len(calls) <= len(constrain_instructions(network)) == 20
+
+    def test_trace_and_stop_reason_are_byte_identical(self):
+        network, injections = stanford.campaign_network(zones=4)
+        result = SymbolicExecutor(network).inject(
+            models.symbolic_ip_packet(), *injections[0]
+        )
+        assert result.summary_counts() == {"delivered": 4, "failed": 11}
+        failed = result.failed()[0]
+        assert failed.to_dict()["instructions"][-6:] == self.TRACE_TAIL
+        assert failed.stop_reason == failed.to_dict()["stop_reason"] == self.STOP_REASON
+        traces = [path.to_dict()["instructions"] for path in result.paths]
+        assert hashlib.sha256(json.dumps(traces).encode()).hexdigest() == (
+            "1a8fbbf233d5104f14485c4256ef4fde58e6a4e012e64ce2df88d2245604db1b"
+        )
+        # Rendering again hands out the text cached on the instruction.
+        again = failed.to_dict()["instructions"]
+        assert all(a is b for a, b in zip(again, failed.to_dict()["instructions"]))
+
+    def test_description_is_cached_on_the_instruction(self):
+        constraint = Constrain(OneOf(IpDst, [(1, 5)]))
+        assert constraint.description is constraint.description
+        assert constraint.unsatisfiable_reason is constraint.unsatisfiable_reason
+        assert constraint == Constrain(OneOf(IpDst, [(1, 5)]))
+        assert hash(constraint) == hash(Constrain(OneOf(IpDst, [(1, 5)])))
+        assert [i.description for i in (NoOp(), Fail("x"), Forward(2), Fork("a", 1))] == [
+            "NoOp",
+            "Fail('x')",
+            "Forward(2)",
+            "Fork('a', 1)",
+        ]

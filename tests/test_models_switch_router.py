@@ -1,6 +1,8 @@
 """Tests for the switch and router models, including property-based
 equivalence against reference lookups."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +24,7 @@ from repro.models.switch import (
     switch_ingress,
 )
 from repro.sefl import EtherDst, IpDst
-from repro.solver.intervals import prefix_to_interval
+from repro.solver.intervals import IntervalSet, prefix_to_interval
 
 SETTINGS = ExecutionSettings(record_failed_paths=False)
 
@@ -191,6 +193,95 @@ class TestLpmGrouping:
                 actual = port
                 break
         assert actual == expected
+
+
+# -- the stack sweep against the reference lookup, address by address --------
+
+SWEEP_WIDTH = 8
+
+
+def sweep_disagreement(fib):
+    """First address of the 8-bit space where ``group_prefixes_by_port`` and
+    ``longest_prefix_match`` disagree (or a malformed group), else None."""
+    groups = group_prefixes_by_port(fib, width=SWEEP_WIDTH)
+    for port, allowed in groups.items():
+        if allowed.is_empty() or allowed != IntervalSet(allowed.pairs()):
+            return f"group {port} is not canonical: {allowed!r}"
+    for address in range(1 << SWEEP_WIDTH):
+        expected = longest_prefix_match(fib, address, width=SWEEP_WIDTH)
+        actual = [port for port, allowed in groups.items() if address in allowed]
+        if actual != ([expected] if expected is not None else []):
+            return f"address {address}: sweep says {actual}, lookup says {expected}"
+    return None
+
+
+def shrink(fib):
+    """Greedy: drop entries one at a time while the disagreement survives."""
+    index = 0
+    while index < len(fib):
+        smaller = fib[:index] + fib[index + 1 :]
+        if sweep_disagreement(smaller):
+            fib = smaller
+        else:
+            index += 1
+    return fib
+
+
+def random_small_fib(rng):
+    """Nested, duplicate, default-route and host-bits-set entries."""
+    top = (1 << SWEEP_WIDTH) - 1
+    fib = []
+    for _ in range(rng.randint(1, 12)):
+        roll = rng.random()
+        if fib and roll < 0.25:  # the same prefix again, maybe on another port
+            address, plen, _ = rng.choice(fib)
+            address ^= rng.randint(0, top >> plen)  # different host bits
+        elif fib and roll < 0.5:  # a more specific prefix inside an earlier one
+            address, shorter, _ = rng.choice(fib)
+            plen = rng.randint(shorter, SWEEP_WIDTH)
+            address ^= rng.randint(0, top >> shorter)
+        elif roll < 0.6:
+            address, plen = rng.randint(0, top), 0  # default route
+        else:
+            address, plen = rng.randint(0, top), rng.randint(1, SWEEP_WIDTH)
+        fib.append((address, plen, rng.choice(["if0", "if1", "if2", "if3"])))
+    return fib
+
+
+class TestStackSweep:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_agrees_with_reference_lookup_on_every_address(self, seed):
+        rng = random.Random(20260927 + seed)
+        for _ in range(150):
+            fib = random_small_fib(rng)
+            problem = sweep_disagreement(fib)
+            if problem:
+                minimal = shrink(fib)
+                pytest.fail(f"{sweep_disagreement(minimal)} for FIB {minimal}")
+
+    def test_first_entry_wins_for_a_duplicate_prefix(self):
+        groups = group_prefixes_by_port(
+            [(0x10, 4, "first"), (0x1F, 4, "second"), (0x00, 0, "default")],
+            width=SWEEP_WIDTH,
+        )
+        assert groups == {
+            "first": IntervalSet([(0x10, 0x1F)]),
+            "default": IntervalSet([(0x00, 0x0F), (0x20, 0xFF)]),
+        }
+
+    def test_adjacent_and_nested_prefixes_of_one_port_merge(self):
+        groups = group_prefixes_by_port(
+            [(0x00, 1, "a"), (0x80, 1, "a"), (0x40, 2, "a"), (0x44, 6, "b")],
+            width=SWEEP_WIDTH,
+        )
+        assert repr(groups["a"]) == "IntervalSet([0,67], [72,255])"
+        assert repr(groups["b"]) == "IntervalSet([68,71])"
+
+    def test_prefix_length_out_of_range_is_rejected(self):
+        with pytest.raises(ValueError):
+            group_prefixes_by_port([(0, 9, "a")], width=SWEEP_WIDTH)
+        with pytest.raises(ValueError):
+            group_prefixes_by_port([(0, -1, "a")], width=SWEEP_WIDTH)
 
 
 class TestRouterModels:

@@ -1,6 +1,9 @@
 """Tests for the configuration parsers (§7.1)."""
 
+import logging
 import os
+import random
+import re
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.parsers.mac_table import format_mac_table
 from repro.parsers.routing_table import format_routing_table
 from repro.parsers.topology_file import TopologyParseError
 from repro.sefl import EtherDst, IpDst, ip_to_number, mac_to_number
+from repro.sefl.util import parse_prefix
 
 SETTINGS = ExecutionSettings(record_failed_paths=False)
 
@@ -101,6 +105,99 @@ class TestRoutingTableParser:
     def test_roundtrip_through_formatter(self):
         fib = parse_routing_table(FIB_SNAPSHOT)
         assert parse_routing_table(format_routing_table(fib)) == fib
+
+
+OLD_ENTRY = re.compile(r"^\s*(?P<prefix>[\d./]+)\s+(?P<port>\S+)\s*(#.*)?$")
+
+
+def reference_parse(text):
+    """The line-at-a-time parser ``parse_routing_table`` replaced: the oracle
+    for which lines are rules and what they mean."""
+    entries = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        match = OLD_ENTRY.match(stripped)
+        if not stripped or stripped.startswith("#") or not match:
+            continue
+        try:
+            address, plen = parse_prefix(match.group("prefix"))
+        except ValueError:
+            continue
+        entries.append((address, plen, match.group("port")))
+    return entries
+
+
+@pytest.fixture
+def routing_table_log():
+    """Records of the parser's logger, captured on the logger itself (an
+    earlier CLI test may have stopped the ``repro`` hierarchy propagating)."""
+    logger = logging.getLogger("repro.parsers.routing_table")
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger.addHandler(handler)
+    yield records
+    logger.removeHandler(handler)
+
+
+class TestRoutingTableSkippedLines:
+    DIRTY = (
+        "# core router snapshot\n"
+        "10.0.0.0/8        if0\n"
+        "\n"
+        "10.0.0.300/24     if1\n"  # line 4: octet out of range
+        "2001:db8::/32     if0\n"  # IPv6
+        "10.1.0.0/16\n"  # no port
+        "10.2.0.0/33       if1\n"  # length out of range
+        "192.168.0.0/24    if1   # trailing comment\n"
+    )
+
+    def test_malformed_lines_are_skipped_with_one_warning(self, routing_table_log):
+        fib = parse_routing_table(self.DIRTY)
+        assert fib == [
+            (ip_to_number("10.0.0.0"), 8, "if0"),
+            (ip_to_number("192.168.0.0"), 24, "if1"),
+        ]
+        (record,) = routing_table_log
+        assert record.levelno == logging.WARNING
+        assert record.name == "repro.parsers.routing_table"
+        assert record.getMessage() == (
+            "routing table: skipped 4 malformed line(s), first at line 4"
+        )
+
+    def test_clean_snapshot_logs_nothing(self, routing_table_log):
+        assert len(parse_routing_table(FIB_SNAPSHOT)) == 4
+        assert parse_routing_table("") == []
+        assert routing_table_log == []
+
+    def test_unusual_but_valid_spellings_still_parse(self, routing_table_log):
+        text = "\t10.0.0.0/8\tif0\r\n192.168.0.1 if1#x\r\n  010.001.0.0/016   if2   \n"
+        assert parse_routing_table(text) == [
+            (ip_to_number("10.0.0.0"), 8, "if0"),
+            (ip_to_number("192.168.0.1"), 32, "if1#x"),
+            (ip_to_number("10.1.0.0"), 16, "if2"),
+        ]
+        assert routing_table_log == []
+
+    def test_agrees_with_line_at_a_time_reference(self):
+        lines = self.DIRTY.splitlines() + [
+            "1.2.3.4/8/3 if0",
+            "1.2.3 if0",
+            "1.2.3.4.5/8 if0",
+            "1.2.3.4/ if0",
+            "1.2.3.4/+8 if0",
+            "1.2.3.4/8 if0 extra",
+            "  # 1.2.3.4/8 if0",
+            "1.2.3.4/8 if0#no-space-comment",
+            "0.0.0.0/0 default",
+            "255.255.255.255 host",
+            "256.0.0.0/8 if0",
+        ]
+        rng = random.Random(20260927)
+        for _ in range(200):
+            sample = rng.sample(lines, rng.randint(0, len(lines)))
+            text = "\n".join(sample) + rng.choice(["", "\n"])
+            assert parse_routing_table(text) == reference_parse(text), text
 
 
 class TestAsaConfigParser:

@@ -1,8 +1,12 @@
 """Tests for interval sets, the solver's domain representation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.solver import Solver
+from repro.solver.ast import Lt, Ne, Var
 from repro.solver.intervals import (
     Interval,
     IntervalSet,
@@ -251,3 +255,108 @@ def test_prefix_interval_membership_matches_mask_semantics(address, plen, probe)
     mask = ((1 << plen) - 1) << host_bits if plen else 0
     expected = (probe & mask) == (address & mask)
     assert (interval.lo <= probe <= interval.hi) == expected
+
+
+# ---------------------------------------------------------------------------
+# The bound-array kernel against a set-of-ints oracle (seed-pinned)
+# ---------------------------------------------------------------------------
+
+
+def random_pairs(rng, width):
+    """Unnormalised input: overlapping, adjacent, inverted and duplicate pairs."""
+    top = (1 << width) - 1
+    pairs = []
+    for _ in range(rng.randrange(0, 7)):
+        lo = rng.randint(0, top)
+        pairs.append((lo, min(top, lo + rng.choice([-1, 0, 0, 1, 2, 5, top]))))
+    return pairs
+
+
+def assert_canonical(result):
+    """What ``from_bounds`` trusts its callers to deliver."""
+    pairs = list(result.pairs())
+    assert all(lo <= hi for lo, hi in pairs)
+    assert all(a_hi + 1 < b_lo for (_, a_hi), (b_lo, _) in zip(pairs, pairs[1:]))
+    assert result == IntervalSet(pairs) and hash(result) == hash(IntervalSet(pairs))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_operation_matches_a_set_of_ints(seed):
+    rng = random.Random(20260927 + seed)
+    for _ in range(250):
+        width = rng.randint(1, 8)
+        top = (1 << width) - 1
+        a_pairs, b_pairs = random_pairs(rng, width), random_pairs(rng, width)
+        a, b = IntervalSet(a_pairs), IntervalSet(b_pairs)
+        a_set, b_set = as_python_set(a_pairs), as_python_set(b_pairs)
+        point, offset = rng.randint(0, top), rng.randint(-top, top)
+        clamp = rng.choice([None, width])
+        shifted = {v + offset for v in a_set if v + offset >= 0}
+        if clamp is not None:
+            shifted = {v for v in shifted if v <= top}
+        cases = [
+            (a.intersection(b), a_set & b_set),
+            (a.union(b), a_set | b_set),
+            (a.complement(width), set(range(top + 1)) - a_set),
+            (a.difference(b), a_set - b_set),
+            (a.remove_point(point), a_set - {point}),
+            (a.shift(offset, clamp), shifted),
+        ]
+        for result, expected in cases:
+            assert set(result.iter_values()) == expected, (a, b, point, offset, clamp)
+            assert result.size() == len(expected)
+            assert_canonical(result)
+        assert a.covers(b) == (b_set <= a_set)
+        assert all((value in a) == (value in a_set) for value in range(-1, top + 2))
+        assert list(a.iter_values()) == sorted(a_set)
+        assert list(a.iter_values(limit=3)) == sorted(a_set)[:3]
+        assert a.is_empty() == (not a_set) and bool(a) == bool(a_set)
+        if a_set:
+            assert (a.min(), a.max()) == (min(a_set), max(a_set))
+        assert a.is_singleton() == (len(a_set) == 1)
+        assert [(iv.lo, iv.hi) for iv in a.intervals] == list(a.pairs())
+
+
+class TestKernelGoldens:
+    def test_repr_is_the_one_path_reports_have_always_carried(self):
+        assert repr(IntervalSet()) == "IntervalSet()"
+        assert repr(IntervalSet.point(7)) == "IntervalSet([7,7])"
+        messy = IntervalSet([(20, 30), (0, 5), (3, 9), (10, 10), (40, 39)])
+        assert repr(messy) == "IntervalSet([0,10], [20,30])"
+        assert repr(IntervalSet.full(32)) == "IntervalSet([0,4294967295])"
+
+    def test_equality_and_hash_follow_the_value_not_the_producer(self):
+        normalised = IntervalSet([(3, 9), (0, 5), (20, 30)])
+        trusted = IntervalSet.from_bounds([0, 20], [9, 30])
+        derived = IntervalSet([(0, 30)]).difference(IntervalSet([(10, 19)]))
+        assert normalised == trusted == derived
+        assert len({normalised, trusted, derived}) == 1
+        assert hash(normalised) == hash(((0, 20), (9, 30)))
+        assert normalised != IntervalSet([(0, 9)])
+        assert normalised != [(0, 9), (20, 30)]
+
+    def test_operations_that_cut_nothing_return_their_operand(self):
+        ports = IntervalSet([(10, 20), (40, 50), (70, 70)])
+        full = IntervalSet.full(8)
+        assert full.intersection(ports) is ports
+        assert ports.intersection(full) is ports
+        assert ports.intersection(IntervalSet([(10, 70)])) is ports
+        assert ports.intersection(IntervalSet([(11, 70)])) is not ports
+        assert ports.remove_point(30) is ports
+        assert ports.union(IntervalSet()) is ports
+        assert IntervalSet().union(ports) is ports
+        assert ports.difference(IntervalSet()) is ports
+        assert ports.shift(0) == ports
+
+    def test_size_is_integer_arithmetic_at_any_width(self):
+        for width in (64, 128):
+            assert IntervalSet.full(width).size() == 1 << width
+            assert IntervalSet.full(width).remove_point(5).size() == (1 << width) - 1
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_solver_orders_domains_wider_than_a_machine_word(width):
+    """``size()`` used to sum ``len(Interval)``, which overflows ``Py_ssize_t``
+    from 2**63 on; the theory solver sorts variables by it."""
+    x, y = Var("x", width), Var("y", width)
+    assert Solver().check([Lt(x, y), Ne(x, y)]).is_sat
