@@ -41,7 +41,6 @@ from repro.api.queries import (
     Query,
     QueryResult,
     Reach,
-    Requirements,
     normalize_port,
 )
 from repro.api.text import QueryParseError, parse_query
@@ -66,7 +65,6 @@ __all__ = [
     "QueryParseError",
     "QueryResult",
     "Reach",
-    "Requirements",
     "checks",
     "compile_plan",
     "execute_plan",

@@ -250,19 +250,11 @@ class NetworkModel:
         kwargs.setdefault("validation", self.validate())
         return VerificationCampaign(self.source, **kwargs)
 
-    def query(
-        self,
-        *queries,
-        workers: int = 1,
-        store=None,
-        cache_shards=None,
-        baseline=None,
-        delta: bool = True,
-        **settings,
-    ):
+    def query(self, *queries, workers: int = 1, store=None, baseline=None, **settings):
         """Compile a batch of declarative queries onto one shared plan and
         execute it (see :func:`repro.api.planner.compile_plan` for the
-        engine-sharing semantics and accepted ``settings``).  Passing a
+        engine-sharing semantics; ``settings`` are
+        :class:`~repro.core.settings.RunSettings` fields).  Passing a
         :class:`repro.store.VerificationStore` as ``store`` makes the run
         persistent: verdicts warm-start from (and publish to) the store's
         disk shards, and a repeated identical batch is answered from the
@@ -270,14 +262,7 @@ class NetworkModel:
         from repro.api.planner import compile_plan, execute_plan
 
         plan = compile_plan(self, queries, **settings)
-        return execute_plan(
-            plan,
-            workers=workers,
-            store=store,
-            cache_shards=cache_shards,
-            baseline=baseline,
-            delta=delta,
-        )
+        return execute_plan(plan, workers=workers, store=store, baseline=baseline)
 
     def __repr__(self) -> str:
         return f"NetworkModel({self.describe()})"

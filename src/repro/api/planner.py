@@ -21,21 +21,21 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import get_registry, get_tracer
 
 from repro.api.model import NetworkModel
-from repro.api.queries import Query, QueryResult, Requirements
+from repro.api.queries import Query, QueryResult
 from repro.core.campaign import (
-    CAMPAIGN_QUERIES,
     CampaignResult,
+    Facts,
     JobReport,
-    PortFacts,
+    RunSettings,
     VerificationCampaign,
 )
-from repro.core.queries import CampaignStats, port_key
+from repro.core.queries import AGGREGATIONS, CampaignStats, port_key
 
 
 # ---------------------------------------------------------------------------
@@ -43,66 +43,61 @@ from repro.core.queries import CampaignStats, port_key
 # ---------------------------------------------------------------------------
 
 
+#: ``plan.max_hops``, ``plan.kinds``, …: which declared object of a plan
+#: each flat read-only view comes from.
+_PLAN_VIEWS = {
+    spec.name: part
+    for part, declared in (("settings", RunSettings), ("facts", Facts))
+    for spec in fields(declared)
+}
+
+
 @dataclass(frozen=True)
 class Plan:
     """A compiled query batch: which jobs to run, which facts to collect.
 
-    ``injections`` is the deduplicated union of every query's ports — the
+    ``port_facts`` holds, per injection port, the union of the fact
+    requirements of exactly the queries that need that port — so a port
+    only pays for collection channels some query will read — and its keys
+    are ``injections``: the deduplicated union of every query's ports, the
     exact set of engine jobs the batch costs (``plan.job_count``).
-    ``port_facts`` narrows each job to the union of the fact requirements
-    of exactly the queries that need that port (not the whole batch), so a
-    port only pays for collection channels some query will read.
+    ``facts`` is the union over the whole batch (the kinds the campaign
+    aggregates); ``settings`` the run description it was compiled under.
     """
 
     model: NetworkModel
     queries: Tuple[Query, ...]
-    injections: Tuple[Tuple[str, str], ...]
-    kinds: Tuple[str, ...]
-    invariant_fields: Tuple[str, ...]
-    visibility_fields: Tuple[str, ...]
-    witness_fields: Tuple[Tuple[str, int], ...]
-    record_examples: bool
-    port_facts: Tuple[Tuple[Tuple[str, str], PortFacts], ...] = ()
-    packet: str = "tcp"
-    field_values: Tuple[Tuple[str, int], ...] = ()
-    max_hops: int = 128
-    max_paths: int = 1_000_000
-    strategy: str = "dfs"
-    shared_cache: bool = True
-    #: Job-level symmetry reduction (repro.network.view): the campaign
-    #: executes one engine job per renaming-equivalence class of the plan's
-    #: injections and instantiates the rest, so ``execution_counters()``
-    #: count class representatives, not ports.  Deliberately *excluded* from
-    #: the plan fingerprint: symmetry changes which tier answers, never the
-    #: answer, so symmetric and direct runs share one plan-cache identity.
-    symmetry: bool = True
+    facts: Facts
+    port_facts: Tuple[Tuple[Tuple[str, str], Facts], ...]
+    settings: RunSettings
+
+    def __getattr__(self, name: str):
+        if name in _PLAN_VIEWS:
+            return getattr(getattr(self, _PLAN_VIEWS[name]), name)
+        raise AttributeError(name)
+
+    @property
+    def injections(self) -> Tuple[Tuple[str, str], ...]:
+        return tuple(port for port, _ in self.port_facts)
 
     @property
     def job_count(self) -> int:
-        return len(self.injections)
+        return len(self.port_facts)
 
     def fingerprint(self) -> str:
         """Stable plan identity: independent of the order queries were
         given in (the same batch always compiles to the same plan) and —
         like the model fingerprint it pairs with in the plan-cache key —
         of *where* a snapshot directory lives, so byte-identical checkouts
-        share plan identities."""
+        share plan identities.  Of the settings only the identity fields
+        take part: tier switches never move an answer, so e.g. symmetric
+        and direct runs share one plan-cache identity."""
         payload = (
             self.model.fingerprint() or self.model.describe(),
             tuple(sorted(query.describe() for query in self.queries)),
-            self.injections,
-            self.kinds,
-            self.invariant_fields,
-            self.visibility_fields,
-            self.witness_fields,
-            self.record_examples,
+            self.facts,
             self.port_facts,
-            self.packet,
-            self.field_values,
-            self.max_hops,
-            self.max_paths,
-            self.strategy,
-            self.shared_cache,
+            self.settings.identity(),
         )
         return hashlib.sha256(repr(payload).encode()).hexdigest()
 
@@ -111,47 +106,21 @@ class Plan:
             "network": self.model.describe(),
             "queries": [query.describe() for query in self.queries],
             "injections": [port_key(*port) for port in self.injections],
-            "kinds": list(self.kinds),
-            "invariant_fields": list(self.invariant_fields),
-            "visibility_fields": list(self.visibility_fields),
-            "witness_fields": [list(pair) for pair in self.witness_fields],
-            "record_examples": self.record_examples,
+            **self.facts.to_dict(),
             "port_facts": {
-                port_key(*port): {
-                    "kinds": list(facts.queries),
-                    "invariant_fields": list(facts.invariant_fields),
-                    "visibility_fields": list(facts.visibility_fields),
-                    "witness_fields": [list(p) for p in facts.witness_fields],
-                    "record_examples": facts.record_examples,
-                }
-                for port, facts in self.port_facts
+                port_key(*port): facts.to_dict() for port, facts in self.port_facts
             },
             "jobs": self.job_count,
-            "symmetry": self.symmetry,
+            "symmetry": self.settings.symmetry,
             "fingerprint": self.fingerprint(),
         }
 
 
 def compile_plan(
-    model: NetworkModel,
-    queries: Sequence[Query],
-    *,
-    packet: str = "tcp",
-    field_values: Optional[Mapping[str, int]] = None,
-    max_hops: int = 128,
-    max_paths: int = 1_000_000,
-    strategy: str = "dfs",
-    shared_cache: bool = True,
-    narrow_facts: bool = True,
-    symmetry: bool = True,
+    model: NetworkModel, queries: Sequence[Query], **settings: object
 ) -> Plan:
-    """Compile a batch of queries into the minimal shared job set.
-
-    ``narrow_facts`` (on by default) computes each port's fact requirements
-    as the union over the queries that *need that port*; off, every job
-    collects the whole batch's union (the pre-narrowing behaviour, kept as
-    the comparison baseline for tests and benchmarks).
-    """
+    """Compile a batch of queries into the minimal shared job set, to run
+    under ``settings`` (:class:`~repro.core.settings.RunSettings` fields)."""
     if isinstance(queries, Query):
         queries = (queries,)
     queries = tuple(queries)
@@ -162,73 +131,27 @@ def compile_plan(
             if not isinstance(query, Query):
                 raise TypeError(f"not a query: {query!r}")
 
-        requirements = Requirements()
-        ports = set()
-        needs_defaults = False
-        for query in queries:
-            requirements = requirements.merge(query.requirements())
-            ports.update(query.injections())
-            needs_defaults = needs_defaults or query.needs_default_injections()
         default_ports: Tuple[Tuple[str, str], ...] = ()
-        if needs_defaults:
+        if any(query.needs_default_injections() for query in queries):
             default_ports = tuple(model.injection_ports())
-            ports.update(default_ports)
-
-        def _collapse_witness_budgets(
-            witness_fields: Iterable[Tuple[str, int]]
-        ) -> Tuple[Tuple[str, int], ...]:
-            # The same field requested with different sample budgets
-            # collapses to one collection pass at the largest budget.
-            budget: Dict[str, int] = {}
-            for name, samples in witness_fields:
-                budget[name] = max(budget.get(name, 0), samples)
-            return tuple(sorted(budget.items()))
-
-        port_facts: Tuple[Tuple[Tuple[str, str], PortFacts], ...] = ()
-        if narrow_facts:
-            per_port: Dict[Tuple[str, str], Requirements] = {}
-            for query in queries:
-                scope = set(query.injections())
-                if query.needs_default_injections():
-                    scope.update(default_ports)
-                query_requirements = query.requirements()
-                for port in scope:
-                    per_port[port] = per_port.get(port, Requirements()).merge(
-                        query_requirements
-                    )
-            port_facts = tuple(
-                (
-                    port,
-                    PortFacts(
-                        queries=tuple(
-                            k for k in CAMPAIGN_QUERIES if k in reqs.kinds
-                        ),
-                        invariant_fields=tuple(sorted(reqs.invariant_fields)),
-                        visibility_fields=tuple(sorted(reqs.visibility_fields)),
-                        witness_fields=_collapse_witness_budgets(reqs.witness_fields),
-                        record_examples=reqs.record_examples,
-                    ),
-                )
-                for port, reqs in sorted(per_port.items())
-            )
-
+        # Each port's facts are the union over the queries that *need that
+        # port*; the batch's are the union over all of them.
+        facts = nothing = Facts()
+        per_port: Dict[Tuple[str, str], Facts] = {}
+        for query in queries:
+            needed = query.requirements()
+            facts = facts.merge(needed)
+            scope = set(query.injections())
+            if query.needs_default_injections():
+                scope.update(default_ports)
+            for port in scope:
+                per_port[port] = per_port.get(port, nothing).merge(needed)
         return Plan(
             model=model,
             queries=queries,
-            injections=tuple(sorted(ports)),
-            kinds=tuple(k for k in CAMPAIGN_QUERIES if k in requirements.kinds),
-            invariant_fields=tuple(sorted(requirements.invariant_fields)),
-            visibility_fields=tuple(sorted(requirements.visibility_fields)),
-            witness_fields=_collapse_witness_budgets(requirements.witness_fields),
-            record_examples=requirements.record_examples,
-            port_facts=port_facts,
-            packet=packet,
-            field_values=tuple(sorted((field_values or {}).items())),
-            max_hops=max_hops,
-            max_paths=max_paths,
-            strategy=strategy,
-            shared_cache=shared_cache,
-            symmetry=symmetry,
+            facts=facts,
+            port_facts=tuple(sorted(per_port.items())),
+            settings=RunSettings(**settings),
         )
 
 
@@ -238,13 +161,12 @@ def compile_plan(
 
 
 class PlanContext:
-    """What a query's ``evaluate`` sees: the shared campaign result plus
-    scope-resolution and re-aggregation helpers.
+    """What a query's ``evaluate`` sees: the job reports of the shared
+    campaign plus scope-resolution and re-aggregation helpers.
 
-    ``subreport`` rebuilds a query's aggregation backend from the filtered
-    job reports **with the campaign's own aggregation code**, so a demuxed
-    answer is bit-identical to a dedicated legacy campaign over the same
-    ports.
+    ``subreport`` folds a query's aggregation backend out of the job reports
+    in its scope **with the campaign's own fold**, so a demuxed answer is
+    bit-identical to a dedicated legacy campaign over the same ports.
 
     Constructed either over a finished :class:`CampaignResult` or — for the
     incremental demux — over the live ``reports`` mapping (``source_key`` →
@@ -258,17 +180,12 @@ class PlanContext:
         plan: Plan,
         campaign: Optional[CampaignResult] = None,
         *,
-        source: Optional[str] = None,
         reports: Optional[Mapping[str, JobReport]] = None,
     ) -> None:
         self.plan = plan
-        self.campaign = campaign
         if campaign is not None:
-            self._source = campaign.source
-            self._jobs = {job.source_key: job for job in campaign.jobs}
-        else:
-            self._source = source if source is not None else plan.model.describe()
-            self._jobs = reports if reports is not None else {}
+            reports = {job.source_key: job for job in campaign.jobs}
+        self._jobs = reports if reports is not None else {}
         self._default_keys = tuple(
             sorted(port_key(*port) for port in plan.model.injection_ports())
         )
@@ -288,32 +205,21 @@ class PlanContext:
             self._jobs[key] for key in sorted(set(scope)) if key in self._jobs
         ]
 
-    def subreport(
-        self,
-        kind: str,
-        scope: Iterable[str],
-        invariant_fields: Optional[Sequence[str]] = None,
-    ):
-        jobs = self.jobs_for(scope)
-        if invariant_fields is not None:
-            wanted = set(invariant_fields)
-            jobs = [
-                replace(
-                    job,
-                    invariants={
-                        name: dict(cell)
-                        for name, cell in job.invariants.items()
-                        if name in wanted
-                    },
-                )
-                for job in jobs
-            ]
-        sub = CampaignResult.aggregate(self._source, (kind,), jobs)
-        return {
-            "reachability": sub.reachability,
-            "loops": sub.loop_report,
-            "invariants": sub.invariant_report,
-        }[kind]
+    def incomplete_ports(self, scope: Iterable[str]) -> List[str]:
+        """The ports in ``scope`` whose job explored only part of their
+        behaviour (cut short, or failed): absence of a finding there proves
+        nothing, so no verdict over the scope may rest on it."""
+        return [
+            job.source_key
+            for job in self.jobs_for(scope)
+            if job.truncated or job.error is not None
+        ]
+
+    def subreport(self, kind: str, scope: Iterable[str], **fold_options):
+        """One aggregation kind folded over the jobs in ``scope`` by the
+        campaign's own fold (``AGGREGATIONS[kind].from_jobs``)."""
+        jobs = sorted(self.jobs_for(scope), key=lambda j: (j.element, j.port))
+        return AGGREGATIONS[kind].from_jobs(jobs, **fold_options)
 
 
 @dataclass
@@ -442,54 +348,15 @@ def _first_result_histogram():
     )
 
 
-def _campaign_for(
-    plan: Plan,
-    *,
-    store: Optional[object] = None,
-    cache_shards: Optional[int] = None,
-    baseline: Optional[object] = None,
-    delta: bool = True,
-) -> VerificationCampaign:
-    """One fully-injected campaign for a compiled plan."""
-    campaign_kwargs = {}
-    if cache_shards is not None:
-        campaign_kwargs["cache_shards"] = cache_shards
-    campaign = VerificationCampaign(
-        plan.model.source,
-        packet=plan.packet,
-        field_values=dict(plan.field_values),
-        queries=plan.kinds,
-        invariant_fields=plan.invariant_fields,
-        visibility_fields=plan.visibility_fields,
-        witness_fields=plan.witness_fields,
-        record_examples=plan.record_examples,
-        max_hops=plan.max_hops,
-        max_paths=plan.max_paths,
-        strategy=plan.strategy,
-        shared_cache=plan.shared_cache,
-        symmetry=plan.symmetry,
-        store=store,
-        delta=delta,
-        baseline=baseline,
-        validation=plan.model.validate(),
-        **campaign_kwargs,
-    )
-    facts = dict(plan.port_facts)
-    for element, port in plan.injections:
-        campaign.add_injection(element, port, facts=facts.get((element, port)))
-    return campaign
-
-
 def execute_plan(
     plan: Plan,
     *,
     workers: int = 1,
     store: Optional[object] = None,
-    cache_shards: Optional[int] = None,
     baseline: Optional[object] = None,
-    delta: bool = True,
     pool: Optional[object] = None,
     on_result: Optional[Callable[[int, QueryResult, int, int], None]] = None,
+    **switches: object,
 ) -> PlanResult:
     """Run a compiled plan on the campaign pipeline and demultiplex the
     per-query answers.
@@ -506,9 +373,9 @@ def execute_plan(
     ``delta`` left on, directory models also auto-detect the store's
     recorded baseline, so an edited directory on a plan-cache miss only
     re-executes the injection ports the edit could have touched (see
-    :mod:`repro.core.delta`).  Neither knob is part of the plan
-    fingerprint: like symmetry, delta changes which tier answers, never
-    the answer.
+    :mod:`repro.core.delta`).  ``switches`` (``delta=``, ``symmetry=``, …)
+    override the plan's tier switches for this execution; none is part of
+    the plan fingerprint.
 
     Demultiplexing is **incremental**: each query's :class:`QueryResult` is
     computed — and handed to ``on_result`` when one is given — the moment
@@ -528,10 +395,11 @@ def execute_plan(
     emit every result immediately.
     """
     started = time.perf_counter()
+    settings = plan.settings.switched(**switches)
     # The whole persistence stack — plan cache included — is gated on the
-    # plan's shared_cache flag: a --no-shared-cache run is the isolated
+    # shared_cache switch: a --no-shared-cache run is the isolated
     # baseline and must neither read nor feed any cache tier.
-    use_store = store is not None and plan.shared_cache
+    use_store = store is not None and settings.shared_cache
     model_fingerprint = plan.model.fingerprint() if use_store else None
     plan_fingerprint = plan.fingerprint() if model_fingerprint else None
     jobs_total = plan.job_count
@@ -547,15 +415,18 @@ def execute_plan(
                         on_result(index, cached_result, jobs_total, jobs_total)
                 return restored
         _plan_cache_counter().inc(result="miss")
-    campaign = _campaign_for(
-        plan,
+    campaign = VerificationCampaign(
+        plan.model.source,
         store=store,
-        cache_shards=cache_shards,
         baseline=baseline,
-        delta=delta,
+        validation=plan.model.validate(),
+        **vars(settings),
+        **vars(plan.facts),
     )
+    for port, facts in plan.port_facts:
+        campaign.add_injection(*port, facts=facts)
     reports: Dict[str, JobReport] = {}
-    live = PlanContext(plan, source=campaign.source.describe(), reports=reports)
+    live = PlanContext(plan, reports=reports)
     pending: List[Tuple[int, frozenset]] = [
         (index, frozenset(live.resolve_scope(query)))
         for index, query in enumerate(plan.queries)
@@ -580,20 +451,17 @@ def execute_plan(
                 on_result(index, result, len(reports), jobs_total)
 
     result = campaign.run(workers=workers, on_report=on_report, pool=pool)
-    ctx = PlanContext(plan, result)
-    results: List[QueryResult] = []
     for index, query in enumerate(plan.queries):
-        if index in streamed:
-            results.append(streamed[index])
-            continue
-        # A scope referencing ports outside the plan (defensive: compile
-        # and demux disagreeing) still gets its barrier-time answer.
-        late = query.evaluate(ctx)
-        results.append(late)
-        if on_result is not None:
-            on_result(index, late, len(result.jobs), jobs_total)
+        if index not in streamed:
+            # A scope referencing ports outside the plan (defensive: compile
+            # and demux disagreeing) still gets its barrier-time answer.
+            streamed[index] = query.evaluate(live)
+            if on_result is not None:
+                on_result(index, streamed[index], len(result.jobs), jobs_total)
     plan_result = PlanResult(
-        plan=plan, campaign=result, results=tuple(results)
+        plan=plan,
+        campaign=result,
+        results=tuple(streamed[index] for index in range(len(plan.queries))),
     )
     if model_fingerprint and plan_fingerprint and not result.job_errors:
         store.put_plan(model_fingerprint, plan_fingerprint, plan_result.to_dict())

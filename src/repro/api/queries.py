@@ -21,6 +21,12 @@ Every query has a canonical textual form (:meth:`Query.describe`) — the same
 form the CLI's ``query`` subcommand parses — and every answer is a
 :class:`QueryResult` with a verdict, a JSON-able value, evidence, and a
 stable fingerprint.
+
+Verdicts are **three-valued**: a job cut short by ``max_paths`` or failed
+has shown only part of its port's behaviour, so a leaf over it answers
+``holds=None`` (unknown; ``evidence["incomplete_ports"]`` names the ports)
+unless what *was* explored already settles it, and the combinators follow
+Kleene logic.  No check falls through to "pass".
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.facts import Facts
 from repro.core.queries import port_key
 
 PortLike = Union[str, Tuple[str, str]]
@@ -47,10 +54,22 @@ def normalize_port(port: PortLike, default_port: str = "in0") -> Tuple[str, str]
     return (element, name if sep else default_port)
 
 
-def _endpoint_text(endpoint: str) -> str:
-    """Destination endpoints may be a full ``element:port`` or a bare
-    element (matching every port of that element)."""
-    return endpoint
+def _endpoint(at: Optional[PortLike]) -> Optional[str]:
+    """An endpoint argument as text: a full ``element:port``, a bare element
+    name, or ``None`` (anywhere)."""
+    if at is None:
+        return None
+    return port_key(*at) if isinstance(at, tuple) else str(at)
+
+
+def _endpoint_matches(endpoint: Optional[str], destination: str) -> bool:
+    """Does the delivered-at port ``destination`` fall under ``endpoint``?
+    A bare element matches every port of that element, ``None`` anything."""
+    if endpoint is None:
+        return True
+    if ":" in endpoint:
+        return destination == endpoint
+    return destination.partition(":")[0] == endpoint
 
 
 def _fingerprint_payload(payload: object) -> str:
@@ -68,8 +87,10 @@ def _fingerprint_payload(payload: object) -> str:
 class QueryResult:
     """One query's demultiplexed answer.
 
-    ``holds`` is the boolean verdict (``None`` for report-style queries such
-    as the all-pairs matrix or witness sampling), ``value`` the JSON-able
+    ``holds`` is the verdict — ``None`` when unknown (part of the query's
+    scope was explored incompletely and the rest does not decide it) and for
+    report-style queries such as the all-pairs matrix or witness sampling,
+    which have none — ``value`` the JSON-able
     answer body, ``evidence`` supporting facts (example delivery traces, loop
     port traces, violation lists), and ``backend`` the aggregation object the
     answer was computed from (:class:`~repro.core.queries.ReachabilityMatrix`
@@ -128,31 +149,6 @@ class QueryResult:
 
 
 # ---------------------------------------------------------------------------
-# Requirements (what the jobs must collect)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Requirements:
-    """The raw per-job facts a query needs the campaign workers to collect."""
-
-    kinds: frozenset = frozenset()
-    invariant_fields: frozenset = frozenset()
-    visibility_fields: frozenset = frozenset()
-    witness_fields: frozenset = frozenset()  # of (field, samples)
-    record_examples: bool = False
-
-    def merge(self, other: "Requirements") -> "Requirements":
-        return Requirements(
-            kinds=self.kinds | other.kinds,
-            invariant_fields=self.invariant_fields | other.invariant_fields,
-            visibility_fields=self.visibility_fields | other.visibility_fields,
-            witness_fields=self.witness_fields | other.witness_fields,
-            record_examples=self.record_examples or other.record_examples,
-        )
-
-
-# ---------------------------------------------------------------------------
 # Query base
 # ---------------------------------------------------------------------------
 
@@ -163,7 +159,8 @@ class Query:
     #: Whether the query has a boolean verdict (required under All/Any/Not).
     decidable = True
 
-    def requirements(self) -> Requirements:
+    def requirements(self) -> Facts:
+        """The per-job fact channels this query reads."""
         raise NotImplementedError
 
     def injections(self) -> Tuple[Tuple[str, str], ...]:
@@ -182,6 +179,33 @@ class Query:
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
         raise NotImplementedError
+
+    def _result(
+        self,
+        ctx,
+        scope: Sequence[str],
+        kind: str,
+        holds: Optional[bool],
+        value: object,
+        evidence: Dict[str, object],
+        settled: Optional[bool] = None,
+        backend: object = None,
+    ) -> QueryResult:
+        """The answer over ``scope``.  ``holds`` is the verdict a complete
+        exploration earns; with an incomplete job in scope only ``settled``
+        — what the explored part already decides, if anything — is claimed."""
+        incomplete = ctx.incomplete_ports(scope)
+        if incomplete:
+            holds = settled
+            evidence = dict(evidence, incomplete_ports=incomplete)
+        return QueryResult(
+            query=self.describe(),
+            kind=kind,
+            holds=holds,
+            value=value,
+            evidence=evidence,
+            backend=backend,
+        )
 
     def __repr__(self) -> str:
         return self.describe()
@@ -210,47 +234,43 @@ class Reach(Query):
 
     def __init__(self, src: PortLike, dst: PortLike) -> None:
         self.src = normalize_port(src)
-        if isinstance(dst, tuple):
-            self.dst = port_key(*dst)
-        else:
-            self.dst = str(dst)
+        self.dst = _endpoint(dst)
 
     @property
     def src_key(self) -> str:
         return port_key(*self.src)
 
-    def _dst_matches(self, destination: str) -> bool:
-        if ":" in self.dst:
-            return destination == self.dst
-        return destination.partition(":")[0] == self.dst
-
-    def requirements(self) -> Requirements:
-        return Requirements(
-            kinds=frozenset({"reachability"}), record_examples=True
-        )
+    def requirements(self) -> Facts:
+        return Facts(kinds=("reachability",), record_examples=True)
 
     def injections(self) -> Tuple[Tuple[str, str], ...]:
         return (self.src,)
 
     def describe(self) -> str:
-        return f"reach({self.src_key}, {_endpoint_text(self.dst)})"
+        return f"reach({self.src_key}, {self.dst})"
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
         matrix = ctx.subreport("reachability", (self.src_key,))
         counts = {
             destination: count
             for source, destination, count in matrix.pairs()
-            if source == self.src_key and self._dst_matches(destination)
+            if source == self.src_key and _endpoint_matches(self.dst, destination)
         }
         examples: Dict[str, List[str]] = {}
         for job in ctx.jobs_for((self.src_key,)):
             for destination, trace in sorted(job.delivered_examples.items()):
-                if self._dst_matches(destination) and destination not in examples:
+                if (
+                    _endpoint_matches(self.dst, destination)
+                    and destination not in examples
+                ):
                     examples[destination] = list(trace)
-        return QueryResult(
-            query=self.describe(),
-            kind="reach",
-            holds=sum(counts.values()) > 0,
+        delivered = sum(counts.values()) > 0
+        return self._result(
+            ctx,
+            (self.src_key,),
+            "reach",
+            holds=delivered,
+            settled=True if delivered else None,  # a delivery found stays found
             value={"path_counts": dict(sorted(counts.items()))},
             evidence={
                 "examples": examples,
@@ -261,16 +281,11 @@ class Reach(Query):
         )
 
 
-class Loop(Query):
-    """Is the network loop-free (from one injection port, or — by default —
-    from every default injection port)?  ``holds`` is True when **no** loop
-    was found."""
+class _PortScoped(Query):
+    """A leaf over one injection port or — ``port=None`` — over every
+    default injection port of the model."""
 
-    def __init__(self, port: Optional[PortLike] = None) -> None:
-        self.port = normalize_port(port) if port is not None else None
-
-    def requirements(self) -> Requirements:
-        return Requirements(kinds=frozenset({"loops"}))
+    port: Optional[Tuple[str, str]] = None
 
     def injections(self) -> Tuple[Tuple[str, str], ...]:
         return (self.port,) if self.port is not None else ()
@@ -278,15 +293,29 @@ class Loop(Query):
     def needs_default_injections(self) -> bool:
         return self.port is None
 
+
+class Loop(_PortScoped):
+    """Is the network loop-free (from one injection port, or — by default —
+    from every default injection port)?  ``holds`` is True when **no** loop
+    was found."""
+
+    def __init__(self, port: Optional[PortLike] = None) -> None:
+        self.port = normalize_port(port) if port is not None else None
+
+    def requirements(self) -> Facts:
+        return Facts(kinds=("loops",))
+
     def describe(self) -> str:
         return f"loop({port_key(*self.port) if self.port else ''})"
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
         report = ctx.subreport("loops", scope)
-        return QueryResult(
-            query=self.describe(),
-            kind="loop",
+        return self._result(
+            ctx,
+            scope,
+            "loop",
             holds=report.loop_free,
+            settled=None if report.loop_free else False,
             value=report.to_dict(),
             evidence={
                 "findings": len(report.findings),
@@ -296,7 +325,7 @@ class Loop(Query):
         )
 
 
-class Invariant(Query):
+class Invariant(_PortScoped):
     """Do the given header fields provably keep their injected values on
     every delivered path (from one port, or every default port)?
 
@@ -312,17 +341,8 @@ class Invariant(Query):
         self.fields = tuple(str(f) for f in fields)
         self.port = normalize_port(port) if port is not None else None
 
-    def requirements(self) -> Requirements:
-        return Requirements(
-            kinds=frozenset({"invariants"}),
-            invariant_fields=frozenset(self.fields),
-        )
-
-    def injections(self) -> Tuple[Tuple[str, str], ...]:
-        return (self.port,) if self.port is not None else ()
-
-    def needs_default_injections(self) -> bool:
-        return self.port is None
+    def requirements(self) -> Facts:
+        return Facts(kinds=("invariants",), invariant_fields=self.fields)
 
     def describe(self) -> str:
         fields = "+".join(self.fields)
@@ -331,12 +351,14 @@ class Invariant(Query):
         return f"invariant({fields})"
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
-        report = ctx.subreport("invariants", scope, invariant_fields=self.fields)
+        report = ctx.subreport("invariants", scope, fields=self.fields)
         vacuous = [f for f in self.fields if report.field_vacuous(f)]
-        return QueryResult(
-            query=self.describe(),
-            kind="invariant",
+        return self._result(
+            ctx,
+            scope,
+            "invariant",
             holds=all(report.field_holds(f) for f in self.fields),
+            settled=False if report.violations() else None,
             value=report.to_dict(),
             evidence={
                 "violations": [
@@ -349,7 +371,7 @@ class Invariant(Query):
         )
 
 
-class HeaderVisible(Query):
+class HeaderVisible(_PortScoped):
     """Is the symbol the source wrote into ``field`` still provably readable
     where the packets are delivered (at port/element ``at``, or anywhere)?
 
@@ -365,29 +387,11 @@ class HeaderVisible(Query):
         port: Optional[PortLike] = None,
     ) -> None:
         self.field_name = str(field_name)
-        if at is None:
-            self.at = None
-        elif isinstance(at, tuple):
-            self.at = port_key(*at)
-        else:
-            self.at = str(at)
+        self.at = _endpoint(at)
         self.port = normalize_port(port) if port is not None else None
 
-    def _at_matches(self, destination: str) -> bool:
-        if self.at is None:
-            return True
-        if ":" in self.at:
-            return destination == self.at
-        return destination.partition(":")[0] == self.at
-
-    def requirements(self) -> Requirements:
-        return Requirements(visibility_fields=frozenset({self.field_name}))
-
-    def injections(self) -> Tuple[Tuple[str, str], ...]:
-        return (self.port,) if self.port is not None else ()
-
-    def needs_default_injections(self) -> bool:
-        return self.port is None
+    def requirements(self) -> Facts:
+        return Facts(visibility_fields=(self.field_name,))
 
     def describe(self) -> str:
         parts = [self.field_name]
@@ -404,16 +408,18 @@ class HeaderVisible(Query):
             for destination, cell in sorted(
                 job.visibility.get(self.field_name, {}).items()
             ):
-                if not self._at_matches(destination):
+                if not _endpoint_matches(self.at, destination):
                     continue
                 checked += cell.get("checked", 0)
                 visible += cell.get("visible", 0)
                 skipped += cell.get("skipped", 0)
                 by_source.setdefault(job.source_key, {})[destination] = dict(cell)
-        return QueryResult(
-            query=self.describe(),
-            kind="header_visible",
+        return self._result(
+            ctx,
+            scope,
+            "header_visible",
             holds=checked > 0 and visible == checked,
+            settled=False if visible < checked else None,
             value={
                 "field": self.field_name,
                 "at": self.at,
@@ -425,7 +431,7 @@ class HeaderVisible(Query):
         )
 
 
-class AdmittedValues(Query):
+class AdmittedValues(_PortScoped):
     """Which concrete values can ``field`` take on packets delivered at
     ``at`` (or anywhere)?  A report query — no boolean verdict — collecting
     up to ``samples`` solver witnesses per (injection, destination)."""
@@ -442,32 +448,12 @@ class AdmittedValues(Query):
         if samples < 1:
             raise ValueError("samples must be >= 1")
         self.field_name = str(field_name)
-        if at is None:
-            self.at = None
-        elif isinstance(at, tuple):
-            self.at = port_key(*at)
-        else:
-            self.at = str(at)
+        self.at = _endpoint(at)
         self.samples = int(samples)
         self.port = normalize_port(port) if port is not None else None
 
-    def _at_matches(self, destination: str) -> bool:
-        if self.at is None:
-            return True
-        if ":" in self.at:
-            return destination == self.at
-        return destination.partition(":")[0] == self.at
-
-    def requirements(self) -> Requirements:
-        return Requirements(
-            witness_fields=frozenset({(self.field_name, self.samples)})
-        )
-
-    def injections(self) -> Tuple[Tuple[str, str], ...]:
-        return (self.port,) if self.port is not None else ()
-
-    def needs_default_injections(self) -> bool:
-        return self.port is None
+    def requirements(self) -> Facts:
+        return Facts(witness_fields=((self.field_name, self.samples),))
 
     def describe(self) -> str:
         parts = [self.field_name]
@@ -485,13 +471,14 @@ class AdmittedValues(Query):
             for destination, found in sorted(
                 job.witnesses.get(self.field_name, {}).items()
             ):
-                if not self._at_matches(destination) or not found:
+                if not _endpoint_matches(self.at, destination) or not found:
                     continue
                 values.update(found)
                 by_source.setdefault(job.source_key, {})[destination] = list(found)
-        return QueryResult(
-            query=self.describe(),
-            kind="admitted_values",
+        return self._result(
+            ctx,
+            scope,
+            "admitted_values",
             holds=None,
             value={
                 "field": self.field_name,
@@ -523,8 +510,8 @@ class _Combinator(Query):
                 )
         self.queries = tuple(queries)
 
-    def requirements(self) -> Requirements:
-        merged = Requirements()
+    def requirements(self) -> Facts:
+        merged = Facts()
         for query in self.queries:
             merged = merged.merge(query.requirements())
         return merged
@@ -541,36 +528,48 @@ class _Combinator(Query):
     def describe(self) -> str:
         return f"{self.name}({', '.join(q.describe() for q in self.queries)})"
 
-    def _verdict(self, verdicts: Sequence[bool]) -> bool:
+    def _verdict(self, verdicts: Sequence[Optional[bool]]) -> Optional[bool]:
+        """Kleene logic over the children's verdicts (``None`` = unknown)."""
         raise NotImplementedError
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
         children = [query.evaluate(ctx) for query in self.queries]
-        return QueryResult(
-            query=self.describe(),
-            kind=self.name,
-            holds=self._verdict([bool(child.holds) for child in children]),
+        # The children already answered three-valued; ``scope`` is the union
+        # of theirs, so the evidence names every job one of them rests on.
+        verdict = self._verdict([child.holds for child in children])
+        return self._result(
+            ctx,
+            scope,
+            self.name,
+            holds=verdict,
+            settled=verdict,
             value=[child.to_dict() for child in children],
             evidence={"children": [child.fingerprint for child in children]},
         )
 
 
 class All(_Combinator):
-    """True when every sub-query holds."""
+    """True when every sub-query holds; False as soon as one is known not
+    to, whatever the unknowns."""
 
     name = "all"
 
-    def _verdict(self, verdicts: Sequence[bool]) -> bool:
-        return all(verdicts)
+    def _verdict(self, verdicts: Sequence[Optional[bool]]) -> Optional[bool]:
+        if False in verdicts:
+            return False
+        return None if None in verdicts else True
 
 
 class Any_(_Combinator):
-    """True when at least one sub-query holds."""
+    """True as soon as one sub-query is known to hold; False when every one
+    is known not to."""
 
     name = "any"
 
-    def _verdict(self, verdicts: Sequence[bool]) -> bool:
-        return any(verdicts)
+    def _verdict(self, verdicts: Sequence[Optional[bool]]) -> Optional[bool]:
+        if True in verdicts:
+            return True
+        return None if None in verdicts else False
 
 
 class Not(_Combinator):
@@ -581,17 +580,13 @@ class Not(_Combinator):
     def __init__(self, query: Query) -> None:
         super().__init__(query)
 
-    def _verdict(self, verdicts: Sequence[bool]) -> bool:
-        return not verdicts[0]
+    def _verdict(self, verdicts: Sequence[Optional[bool]]) -> Optional[bool]:
+        return None if verdicts[0] is None else not verdicts[0]
 
 
 # ---------------------------------------------------------------------------
 # Quantifiers over port sets
 # ---------------------------------------------------------------------------
-
-
-def _is_reach_template(template: object) -> bool:
-    return template is Reach
 
 
 class _Quantifier(Query):
@@ -603,7 +598,7 @@ class _Quantifier(Query):
     # restores the template's own decidability in __init__.
 
     def __init__(self, template) -> None:
-        if _is_reach_template(template):
+        if template is Reach:
             self.template = Reach
         elif isinstance(template, Query):
             self.template = template
@@ -617,9 +612,9 @@ class _Quantifier(Query):
     def _template_text(self) -> str:
         return "reach" if self.template is Reach else self.template.describe()
 
-    def requirements(self) -> Requirements:
+    def requirements(self) -> Facts:
         if self.template is Reach:
-            return Requirements(kinds=frozenset({"reachability"}))
+            return Facts(kinds=("reachability",))
         return self.template.requirements()
 
     def _scope_keys(self, ctx) -> Tuple[str, ...]:
@@ -629,9 +624,10 @@ class _Quantifier(Query):
         keys = self._scope_keys(ctx)
         if self.template is Reach:
             matrix = ctx.subreport("reachability", keys)
-            return QueryResult(
-                query=self.describe(),
-                kind="reach_matrix",
+            return self._result(
+                ctx,
+                keys,
+                "reach_matrix",
                 holds=None,
                 value=matrix.to_dict(),
                 evidence={"reachable_pairs": matrix.pair_count()},

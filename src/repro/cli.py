@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api import NetworkModel, QueryParseError, parse_query
 from repro.core.campaign import DEFAULT_INVARIANT_FIELDS, PACKET_TEMPLATES
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
+from repro.core.settings import SETTING_NAMES, RunSettings
 from repro.core.strategy import STRATEGIES
 from repro.obs import (
     Tracer,
@@ -169,7 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "publishes) and write them to FILE on exit: Chrome trace-event "
         "JSON loadable in Perfetto, or JSONL when FILE ends in .jsonl",
     )
-    defaults = ExecutionSettings()
+    # Flags for run settings take their defaults from the one declaration
+    # (RunSettings) and use the setting's name as their dest, which is how
+    # _run_settings finds them again.
+    defaults = RunSettings()
     budgets = argparse.ArgumentParser(add_help=False)
     budgets.add_argument("--max-hops", type=int, default=defaults.max_hops)
     budgets.add_argument(
@@ -179,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     budgets.add_argument(
         "--strategy", choices=sorted(STRATEGIES), default=defaults.strategy,
-        help=f"worklist exploration strategy (default: {defaults.strategy})",
+        help="worklist exploration strategy (default: %(default)s)",
     )
     workload = argparse.ArgumentParser(add_help=False)
     workload.add_argument(
@@ -190,11 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workload-option", action="append", default=[], metavar="KEY=VALUE",
         help="builder option for --workload, e.g. access_switches=4 (repeatable)",
     )
-    packet = argparse.ArgumentParser(add_help=False)
-    packet.add_argument(
-        "--packet", choices=sorted(PACKET_TEMPLATES), default="tcp",
-        help="packet template to inject (default: tcp)",
+    template = argparse.ArgumentParser(add_help=False)
+    template.add_argument(
+        "--packet", choices=sorted(PACKET_TEMPLATES), default=defaults.packet,
+        help="packet template to inject (default: %(default)s)",
     )
+    packet = argparse.ArgumentParser(add_help=False, parents=[template])
     packet.add_argument(
         "--field", action="append", default=[], metavar="NAME=VALUE",
         help="pin a header field to a concrete value (repeatable)",
@@ -211,9 +216,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "store's disk shards and publish fresh verdicts back",
     )
     stored.add_argument(
-        "--cache-shards", type=_shard_count, default=None, metavar="N",
+        "--cache-shards", type=_shard_count, default=defaults.cache_shards,
+        metavar="N",
         help="shard the process-shared verdict tier (and a newly created "
-        "store) across N partitions (default: 8)",
+        "store) across N partitions (default: %(default)s)",
     )
     # The campaign pipeline's knobs, shared by every command that runs one.
     pipeline = argparse.ArgumentParser(add_help=False, parents=[stored])
@@ -222,25 +228,28 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run jobs on a process pool of this size (default: in-process)",
     )
     pipeline.add_argument(
-        "--shared-cache", action=argparse.BooleanOptionalAction, default=True,
+        "--shared-cache", action=argparse.BooleanOptionalAction,
+        default=defaults.shared_cache,
         help="share the canonical verdict cache across jobs (per-worker "
         "persistent cache, plus a sharded process-shared tier when "
         "--workers > 1); --no-shared-cache isolates every job "
-        "(default: enabled)",
+        "(default: %(default)s)",
     )
     pipeline.add_argument(
-        "--symmetry", action=argparse.BooleanOptionalAction, default=True,
+        "--symmetry", action=argparse.BooleanOptionalAction,
+        default=defaults.symmetry,
         help="execute one engine job per renaming-equivalence class of "
         "injection ports and instantiate the remaining reports via the "
-        "recorded renaming (default: enabled; answers are bit-identical "
+        "recorded renaming; pays off only when jobs cost more to run than "
+        "to canonicalise (default: %(default)s; answers are bit-identical "
         "either way)",
     )
     pipeline.add_argument(
-        "--delta", action=argparse.BooleanOptionalAction, default=True,
+        "--delta", action=argparse.BooleanOptionalAction, default=defaults.delta,
         help="when a baseline is available (--delta-from, the store's "
         "recorded one, or a scenario's previous state), re-execute only the "
         "injection ports the directory diff could have touched and splice "
-        "the rest from the baseline (default: enabled; answers are "
+        "the rest from the baseline (default: %(default)s; answers are "
         "bit-identical either way)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -300,13 +309,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--symmetry-audit", action="store_true",
-        help="additionally re-execute one random non-representative job per "
-        "symmetry class and fail unless its directly computed report is "
-        "bit-identical to the instantiated one (soundness self-check)",
+        default=defaults.symmetry_audit,
+        help="turn --symmetry on and additionally re-execute one random "
+        "non-representative job per symmetry class, failing unless its "
+        "directly computed report is bit-identical to the instantiated one "
+        "(soundness self-check)",
     )
     camp.add_argument(
-        "--symmetry-audit-seed", type=int, default=None, metavar="N",
-        help="seed for the audit's member choice (default: 0; only "
+        "--symmetry-audit-seed", type=int, metavar="N",
+        default=defaults.symmetry_audit_seed,
+        help="seed for the audit's member choice (default: %(default)s; only "
         "meaningful together with --symmetry-audit)",
     )
     camp.add_argument(
@@ -353,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     scen = sub.add_parser(
-        "scenario", parents=[common, traced, pipeline, output],
+        "scenario", parents=[common, traced, template, pipeline, output],
         help="transient-state scenario campaign: generate a seed-pinned "
         "update sequence over an exported (or given) snapshot directory, "
         "re-verify every transient state with delta splicing, and cluster "
@@ -400,10 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "repeatable)",
     )
     scen.add_argument(
-        "--packet", choices=sorted(PACKET_TEMPLATES), default="tcp",
-        help="packet template to inject (default: tcp)",
-    )
-    scen.add_argument(
         "--eps", type=float, default=0.5,
         help="clustering: maximum Jaccard distance between neighbouring "
         "violation feature sets (default: 0.5)",
@@ -434,6 +442,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_settings(args: argparse.Namespace) -> Dict[str, object]:
+    """Every run setting the subcommand has a flag for, under the setting's
+    own name — the one place the CLI turns flags into settings."""
+    settings = {
+        name: getattr(args, name) for name in SETTING_NAMES if hasattr(args, name)
+    }
+    if hasattr(args, "field"):
+        settings["field_values"] = {
+            field.name: value for field, value in _parse_overrides(args.field).items()
+        }
+    return settings
+
+
 def _shard_count(text: str) -> int:
     try:
         value = int(text)
@@ -448,11 +469,10 @@ def _open_store(args: argparse.Namespace):
     """The --store-dir flag as a VerificationStore (None when unset)."""
     if not getattr(args, "store_dir", None):
         return None
-    from repro.store import DEFAULT_SHARD_COUNT, StoreError, VerificationStore
+    from repro.store import StoreError, VerificationStore
 
-    shards = args.cache_shards or DEFAULT_SHARD_COUNT
     try:
-        return VerificationStore(args.store_dir, shards=shards)
+        return VerificationStore(args.store_dir, shards=args.cache_shards)
     except (StoreError, ValueError) as exc:
         raise SystemExit(f"unusable store {args.store_dir}: {exc}")
 
@@ -528,7 +548,7 @@ def _command_reachability(args: argparse.Namespace) -> int:
 def _command_campaign(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
 
-    if args.symmetry_audit_seed is not None and not args.symmetry_audit:
+    if args.symmetry_audit_seed and not args.symmetry_audit:
         _LOG.warning(
             "--symmetry-audit-seed has no effect without --symmetry-audit"
         )
@@ -539,26 +559,13 @@ def _command_campaign(args: argparse.Namespace) -> int:
                 baseline = json.load(handle)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"unusable baseline {args.delta_from}: {exc}")
-    overrides = _parse_overrides(args.field)
     # The model validated exactly once; the campaign inherits those findings.
-    campaign_kwargs = dict(
-        packet=args.packet,
-        field_values={field.name: value for field, value in overrides.items()},
+    campaign = model.campaign(
         invariant_fields=tuple(args.invariant_field) or DEFAULT_INVARIANT_FIELDS,
-        max_hops=args.max_hops,
-        max_paths=args.max_paths,
-        strategy=args.strategy,
-        shared_cache=args.shared_cache,
-        symmetry=args.symmetry,
-        symmetry_audit=args.symmetry_audit,
-        symmetry_audit_seed=args.symmetry_audit_seed or 0,
-        delta=args.delta,
         baseline=baseline,
         store=_open_store(args),
+        **_run_settings(args),
     )
-    if args.cache_shards:
-        campaign_kwargs["cache_shards"] = args.cache_shards
-    campaign = model.campaign(**campaign_kwargs)
     _warn_validation_problems(model)
     if args.inject:
         campaign.add_injections(_parse_injection(text) for text in args.inject)
@@ -625,22 +632,11 @@ def _command_query(args: argparse.Namespace) -> int:
         queries = [parse_query(text) for text in args.queries]
     except QueryParseError as exc:
         raise SystemExit(f"bad query: {exc}")
-    overrides = _parse_overrides(args.field)
+    settings = _run_settings(args)
     model = _model_from_args(args)
     _warn_validation_problems(model)
     result = model.query(
-        *queries,
-        workers=args.workers,
-        store=_open_store(args),
-        cache_shards=args.cache_shards,
-        packet=args.packet,
-        field_values={field.name: value for field, value in overrides.items()},
-        max_hops=args.max_hops,
-        max_paths=args.max_paths,
-        strategy=args.strategy,
-        shared_cache=args.shared_cache,
-        symmetry=args.symmetry,
-        delta=args.delta,
+        *queries, workers=args.workers, store=_open_store(args), **settings
     )
     if result.from_cache:
         _LOG.info(
@@ -657,6 +653,13 @@ def _command_query(args: argparse.Namespace) -> int:
         f"({result.plan.job_count} jobs shared by {len(result)} queries: "
         f"{verdicts})",
     )
+    stats = result.stats
+    if stats is not None and stats.truncated_jobs:
+        _LOG.warning(
+            "exploration truncated at --max-paths=%d in %d job(s); answers "
+            "that rest on those ports are unknown ('?', see "
+            "evidence.incomplete_ports)", args.max_paths, stats.truncated_jobs,
+        )
     return _exit_code(result)
 
 
@@ -708,13 +711,9 @@ def _command_scenario(args: argparse.Namespace) -> int:
         queries=queries,
         workers=args.workers,
         store=_open_store(args),
-        cache_shards=args.cache_shards,
-        delta=args.delta,
-        symmetry=args.symmetry,
-        shared_cache=args.shared_cache,
-        packet=args.packet,
         cluster_eps=args.eps,
         cluster_min_points=args.min_points,
+        **_run_settings(args),
     )
     try:
         run = campaign.run()

@@ -44,16 +44,15 @@ from typing import (
 
 from repro.core.delta import CampaignBaseline, DeltaReducer
 from repro.core.executor import run_jobs
-from repro.core.jobs import (
+from repro.core.facts import (
     CAMPAIGN_QUERIES,
     DEFAULT_INVARIANT_FIELDS,
+    Facts,
+)
+from repro.core.jobs import (
     PACKET_TEMPLATES,
-    QUERY_INVARIANTS,
-    QUERY_LOOPS,
-    QUERY_REACHABILITY,
     CampaignJob,
     JobReport,
-    PortFacts,
     Runtime,
     clear_runtime_cache,
     execute_job,
@@ -63,12 +62,13 @@ from repro.core.jobs import (
     semantic_projection,
 )
 from repro.core.queries import (
+    AGGREGATIONS,
     CampaignStats,
     InvariantReport,
-    LoopFinding,
     LoopReport,
     ReachabilityMatrix,
 )
+from repro.core.settings import SETTING_NAMES, RunSettings
 from repro.core.sources import (
     NetworkSource,
     default_injection_ports,
@@ -83,20 +83,17 @@ from repro.obs import (
     record_job_report,
 )
 from repro.solver.verdict_cache import CacheConflictError, resolve_verdict
-from repro.store.sharding import DEFAULT_PUBLISH_BATCH, DEFAULT_SHARD_COUNT
 
 __all__ = [
     "CAMPAIGN_QUERIES",
     "DEFAULT_INVARIANT_FIELDS",
     "PACKET_TEMPLATES",
-    "QUERY_INVARIANTS",
-    "QUERY_LOOPS",
-    "QUERY_REACHABILITY",
     "CampaignJob",
     "CampaignResult",
+    "Facts",
     "JobReport",
     "NetworkSource",
-    "PortFacts",
+    "RunSettings",
     "SymmetryAuditError",
     "VerificationCampaign",
     "clear_runtime_cache",
@@ -112,6 +109,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Campaign result
 # ---------------------------------------------------------------------------
+
+#: Aggregation kind -> the CampaignResult attribute holding its fold (the
+#: kind name is also its key in the JSON report).
+_AGGREGATE_ATTRIBUTES = {
+    "reachability": "reachability",
+    "loops": "loop_report",
+    "invariants": "invariant_report",
+}
 
 
 @dataclass
@@ -162,8 +167,8 @@ class CampaignResult:
         )
         # Sort by injection point so aggregation order (and therefore every
         # fingerprint) is independent of completion order.
-        for job in sorted(jobs, key=lambda j: (j.element, j.port)):
-            result.jobs.append(job)
+        result.jobs = sorted(jobs, key=lambda j: (j.element, j.port))
+        for job in result.jobs:
             result.stats.absorb(job)
             # Merge the job's fresh verdicts into the campaign-level cache
             # under the one verdict-combination policy (resolve_verdict):
@@ -180,34 +185,9 @@ class CampaignResult:
                     )
                 if action == "replace":
                     result.verdict_cache[fingerprint] = verdict
-            if job.error is not None:
-                continue
-            source_key = job.source_key
-            if QUERY_REACHABILITY in result.queries:
-                result.reachability.add_source(source_key)
-                for destination, count in job.delivered_to.items():
-                    result.reachability.record(source_key, destination, count)
-            if QUERY_LOOPS in result.queries:
-                result.loop_report.add_source(source_key)
-                for loop in job.loops:
-                    result.loop_report.record(
-                        LoopFinding(
-                            source=source_key,
-                            detected_at=str(loop.get("detected_at", "?")),
-                            reason=str(loop.get("reason", "")),
-                            trace=tuple(loop.get("trace", ())),
-                        )
-                    )
-            if QUERY_INVARIANTS in result.queries:
-                result.invariant_report.record_drops(source_key, job.drop_reasons)
-                for field_name, cell in job.invariants.items():
-                    result.invariant_report.record_field(
-                        source_key,
-                        field_name,
-                        checked=cell.get("checked", 0),
-                        held=cell.get("held", 0),
-                        skipped=cell.get("skipped", 0),
-                    )
+        for kind, attribute in _AGGREGATE_ATTRIBUTES.items():
+            if kind in result.queries:
+                setattr(result, attribute, AGGREGATIONS[kind].from_jobs(result.jobs))
         result.stats.wall_clock_seconds = wall_clock_seconds
         result.stats.verdict_cache_entries = len(result.verdict_cache)
         return result
@@ -229,12 +209,9 @@ class CampaignResult:
         }
         if self.delta_info:
             payload["delta"] = dict(self.delta_info)
-        if QUERY_REACHABILITY in self.queries:
-            payload["reachability"] = self.reachability.to_dict()
-        if QUERY_LOOPS in self.queries:
-            payload["loops"] = self.loop_report.to_dict()
-        if QUERY_INVARIANTS in self.queries:
-            payload["invariants"] = self.invariant_report.to_dict()
+        for kind, attribute in _AGGREGATE_ATTRIBUTES.items():
+            if kind in self.queries:
+                payload[kind] = getattr(self, attribute).to_dict()
         return payload
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -261,84 +238,40 @@ class VerificationCampaign:
         self,
         source: Union[NetworkSource, Network, str],
         *,
-        packet: str = "tcp",
-        field_values: Optional[Dict[str, int]] = None,
         queries: Sequence[str] = CAMPAIGN_QUERIES,
-        invariant_fields: Sequence[str] = DEFAULT_INVARIANT_FIELDS,
-        visibility_fields: Sequence[str] = (),
-        witness_fields: Sequence[Tuple[str, int]] = (),
-        record_examples: bool = False,
-        max_hops: int = 128,
-        max_paths: int = 1_000_000,
-        strategy: str = "dfs",
-        shared_cache: bool = True,
         store: Optional[object] = None,
-        cache_shards: int = DEFAULT_SHARD_COUNT,
-        publish_batch: int = DEFAULT_PUBLISH_BATCH,
         validation: Optional[Sequence[str]] = None,
-        symmetry: bool = True,
-        symmetry_audit: bool = False,
-        symmetry_audit_seed: int = 0,
-        delta: bool = True,
         baseline: Optional[object] = None,
+        **options: object,
     ) -> None:
+        """``options`` are :class:`~repro.core.settings.RunSettings` fields
+        (``packet``, ``max_paths``, ``symmetry``, …) and
+        :class:`~repro.core.facts.Facts` channels (``invariant_fields``, …);
+        ``queries`` is the campaign's spelling of the facts' ``kinds``."""
         if isinstance(source, Network):
             source = NetworkSource.from_network(source)
         elif isinstance(source, str):
             source = NetworkSource.from_directory(source)
         self.source = source
-        unknown = set(queries) - set(CAMPAIGN_QUERIES)
-        if unknown:
-            known = ", ".join(CAMPAIGN_QUERIES)
-            raise ValueError(f"unknown queries {sorted(unknown)}; known: {known}")
-        # ``shared_cache`` switches the whole cross-job verdict-cache stack:
-        # the per-worker persistent cache, the process-shared tier used on
-        # pools, *and* the persistent store — off, jobs are a truly isolated
-        # baseline.  ``store`` (a :class:`repro.store.VerificationStore`) is
-        # the durable warm-start path: workers merge its shards once per
-        # store state and the campaign publishes its fresh verdicts back
-        # after aggregation.
-        self._store = store if shared_cache else None
-        self._shared_tier_shards = cache_shards if shared_cache else 0
-        self._publish_batch = publish_batch
-        # Job-level symmetry reduction: execute one engine job per
-        # equivalence class of (network, injection port, config) up to
-        # renaming, instantiate the rest.  ``symmetry_audit`` re-executes
-        # one random member per class (seeded, so CI runs are pinned) and
-        # raises SymmetryAuditError unless the instantiated report is
-        # bit-identical to the direct run.
-        self._symmetry = symmetry
-        self._symmetry_audit = symmetry_audit
-        self._symmetry_audit_seed = symmetry_audit_seed
-        # Delta verification: splice a previous run's answers for injection
-        # ports the directory diff provably did not touch, and execute only
-        # the rest.  ``baseline`` is an explicit CampaignBaseline (or its
-        # payload dict, e.g. a ``--save-baseline`` file); with ``delta``
-        # left on, directory campaigns also auto-detect a baseline from the
-        # store.  Like every other tier this changes who answers, never the
-        # answer — anything unprovable falls back to executing the job.
-        self._delta = delta
+        self.settings = RunSettings(
+            **{name: options.pop(name) for name in SETTING_NAMES if name in options}
+        )
+        options.setdefault("kinds", tuple(queries))
+        options.setdefault("invariant_fields", DEFAULT_INVARIANT_FIELDS)
+        # What every job collects unless ``add_injection`` narrows it.
+        self.facts = Facts(**options)
+        # ``store`` (a :class:`repro.store.VerificationStore`) is the durable
+        # warm-start path: workers merge its shards once per store state and
+        # the campaign publishes its fresh verdicts back after aggregation.
+        # It is part of the cache stack ``shared_cache`` switches off.
+        self._store = store if self.settings.shared_cache else None
+        # An explicit delta baseline (a ``--save-baseline`` file, a
+        # scenario's previous state), possibly still in payload form.
         if baseline is not None and not isinstance(baseline, CampaignBaseline):
             baseline = CampaignBaseline.from_payload(baseline)
         self._baseline: Optional[CampaignBaseline] = baseline
-        self._job_template = CampaignJob(
-            source=source,
-            element="",
-            port="",
-            packet=packet,
-            field_values=tuple(sorted((field_values or {}).items())),
-            queries=tuple(queries),
-            invariant_fields=tuple(invariant_fields),
-            visibility_fields=tuple(visibility_fields),
-            witness_fields=tuple(witness_fields),
-            record_examples=record_examples,
-            max_hops=max_hops,
-            max_paths=max_paths,
-            strategy=strategy,
-            use_verdict_cache=shared_cache,
-        )
         self._injections: List[Tuple[str, str]] = []
-        self._injection_facts: Dict[Tuple[str, str], PortFacts] = {}
+        self._injection_facts: Dict[Tuple[str, str], Facts] = {}
         # The runtime-cache entry this campaign resolved, pinned for the
         # campaign's lifetime so every stage sees one build even if the
         # LRU evicts the entry in between.
@@ -357,18 +290,18 @@ class VerificationCampaign:
         self,
         element: str,
         port: str = "in0",
-        facts: Optional[PortFacts] = None,
+        facts: Optional[Facts] = None,
     ) -> "VerificationCampaign":
         """Add one injection point.  ``facts`` narrows the fact channels the
         port's job collects to a subset of the campaign's globals (the API
         planner's per-port narrowing); omitted, the job collects the full
         template."""
         if facts is not None:
-            unknown = set(facts.queries) - set(self._job_template.queries)
+            unknown = set(facts.kinds) - set(self.facts.kinds)
             if unknown:
                 raise ValueError(
                     f"per-port facts ask for {sorted(unknown)} which the "
-                    f"campaign does not aggregate {self._job_template.queries}"
+                    f"campaign does not aggregate {self.facts.kinds}"
                 )
             self._injection_facts[(element, port)] = facts
         self._injections.append((element, port))
@@ -412,7 +345,9 @@ class VerificationCampaign:
     def jobs(self) -> List[CampaignJob]:
         if not self._injections:
             self.add_default_injections()
-        template = self._job_template
+        template = CampaignJob(
+            self.source, "", "", settings=self.settings, facts=self.facts
+        )
         if self._store is not None:
             # Jobs reference the store by directory + content token; each
             # worker process merges the disk shards locally, exactly once
@@ -423,21 +358,15 @@ class VerificationCampaign:
                 store_token=self._store.content_token(),
                 store_shards=self._store.shard_count,
             )
-        jobs = []
-        for element, port in sorted(set(self._injections)):
-            job = replace(template, element=element, port=port)
-            facts = self._injection_facts.get((element, port))
-            if facts is not None:
-                job = replace(
-                    job,
-                    queries=tuple(facts.queries),
-                    invariant_fields=tuple(facts.invariant_fields),
-                    visibility_fields=tuple(facts.visibility_fields),
-                    witness_fields=tuple(facts.witness_fields),
-                    record_examples=facts.record_examples,
-                )
-            jobs.append(job)
-        return jobs
+        return [
+            replace(
+                template,
+                element=element,
+                port=port,
+                facts=self._injection_facts.get((element, port), self.facts),
+            )
+            for element, port in sorted(set(self._injections))
+        ]
 
     def _reducers(self) -> list:
         """The work-avoidance stages, outermost first.  A fixed list: delta
@@ -447,16 +376,11 @@ class VerificationCampaign:
             DeltaReducer(
                 self.source,
                 self.network,
-                enabled=self._delta,
+                enabled=self.settings.delta,
                 baseline=self._baseline,
                 store=self._store,
             ),
-            SymmetryReducer(
-                self.network,
-                enabled=self._symmetry,
-                audit=self._symmetry_audit,
-                audit_seed=self._symmetry_audit_seed,
-            ),
+            SymmetryReducer(self.network, self.settings),
         ]
 
     def _publish(self, result: CampaignResult) -> None:
@@ -568,13 +492,11 @@ class VerificationCampaign:
                     workers,
                     pool,
                     lambda report: deliver(report, len(reducers)),
-                    shared_tier_shards=self._shared_tier_shards,
-                    publish_batch=self._publish_batch,
                 )
             with tracer.span("aggregate", jobs=len(final_reports)):
                 result = CampaignResult.aggregate(
                     self.source.describe(),
-                    self._job_template.queries,
+                    self.facts.kinds,
                     final_reports,
                     validation_problems=validation_problems,
                     execution_mode=mode,

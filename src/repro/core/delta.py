@@ -38,12 +38,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.jobs import (
-    SEMANTIC_FIELDS,
-    CampaignJob,
-    JobReport,
-    job_config_digest,
-)
+from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS
+from repro.core.jobs import CampaignJob, JobReport, job_config_digest
 from repro.core.sources import NetworkSource
 from repro.network.view import elements_reaching
 from repro.obs import get_tracer
@@ -163,44 +159,12 @@ def report_from_payload(
     counters stay zero — no engine work happened for this port — and the
     report is marked with where it was spliced from, so JSON consumers can
     tell a reused answer from a recomputed one."""
-    report = JobReport(
+    return JobReport(
         element=str(payload["element"]),
         port=str(payload["port"]),
-        packet=str(payload["packet"]),
         delta_spliced_from=spliced_from,
+        **{spec.name: spec.rebuild(payload[spec.name]) for spec in REPORT_FIELDS},
     )
-    report.status_counts = {str(k): int(v) for k, v in payload["status_counts"].items()}
-    report.delivered_to = {str(k): int(v) for k, v in payload["delivered_to"].items()}
-    report.loops = [
-        {
-            "detected_at": str(loop.get("detected_at", "")),
-            "reason": str(loop.get("reason", "")),
-            "trace": [str(port) for port in loop.get("trace", ())],
-        }
-        for loop in payload["loops"]
-    ]
-    report.drop_reasons = {str(k): int(v) for k, v in payload["drop_reasons"].items()}
-    report.invariants = {
-        str(name): {str(k): int(v) for k, v in cell.items()}
-        for name, cell in payload["invariants"].items()
-    }
-    report.visibility = {
-        str(name): {
-            str(dest): {str(k): int(v) for k, v in cell.items()}
-            for dest, cell in row.items()
-        }
-        for name, row in payload["visibility"].items()
-    }
-    report.witnesses = {
-        str(name): {str(dest): [int(v) for v in vals] for dest, vals in row.items()}
-        for name, row in payload["witnesses"].items()
-    }
-    report.delivered_examples = {
-        str(dest): [str(port) for port in trace]
-        for dest, trace in payload["delivered_examples"].items()
-    }
-    report.truncated = bool(payload["truncated"])
-    return report
 
 
 @dataclass
@@ -213,18 +177,6 @@ class CampaignBaseline:
     reports: Dict[str, Dict[str, object]]
     #: Directory the baseline was recorded for (informational).
     source: str = ""
-
-    def ports(self) -> List[str]:
-        """The ``element:port`` keys this baseline holds answers for."""
-        return sorted(self.reports)
-
-    def describe(self) -> str:
-        """One-line summary for logs and scenario reports."""
-        origin = f" from {self.source}" if self.source else ""
-        return (
-            f"baseline{origin}: {len(self.reports)} ports, "
-            f"{len(self.manifest.files)} snapshot files"
-        )
 
     def report_for(
         self, key: str, config: str

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import MemorySafetyError, ModelError
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
+from repro.core.settings import RunSettings
 from repro.core.state import ExecutionState
 from repro.core.strategy import ExplorationStrategy, make_strategy
 from repro.core.values import SymbolFactory, concrete_value
@@ -34,18 +35,18 @@ from repro.solver.verdict_cache import VerdictCache
 
 @dataclass
 class ExecutionSettings:
-    """Tunables for a symbolic execution run."""
+    """Tunables for a symbolic execution run.  The budgets and the strategy
+    default to what :class:`~repro.core.settings.RunSettings` declares."""
 
-    max_hops: int = 128
+    max_hops: int = RunSettings.max_hops
     detect_loops: bool = True
     record_failed_paths: bool = True
     record_infeasible_branches: bool = False
-    check_constraints_eagerly: bool = True
-    max_paths: int = 1_000_000
+    max_paths: int = RunSettings.max_paths
     #: Worklist discipline: a name registered in
     #: :data:`repro.core.strategy.STRATEGIES` ("dfs", "bfs", "coverage") or a
     #: zero-argument factory returning an ExplorationStrategy.
-    strategy: Union[str, Callable[[], ExplorationStrategy]] = "dfs"
+    strategy: Union[str, Callable[[], ExplorationStrategy]] = RunSettings.strategy
     #: Route feasibility checks through the incremental solver (push/pop
     #: scopes + per-path propagated domains + memoized full checks).  Off,
     #: every check re-solves the whole path conjunction from scratch.
@@ -403,10 +404,9 @@ class SymbolicExecutor:
         if isinstance(instruction, si.Constrain):
             formula = self._condition(instruction.condition, state)
             self._assume(state, formula)
-            if self.settings.check_constraints_eagerly:
-                if self._check_state(state).is_unsat:
-                    state.fail(instruction.unsatisfiable_reason)
-                    outcome.done = True
+            if self._check_state(state).is_unsat:
+                state.fail(instruction.unsatisfiable_reason)
+                outcome.done = True
             return [outcome]
 
         if isinstance(instruction, si.Fail):
@@ -546,8 +546,6 @@ class SymbolicExecutor:
         """Would adding ``formula`` keep the path feasible?  Uses a
         speculative push/assume/check/pop scope when incremental solving is
         on; falls back to a from-scratch solve of the extended conjunction."""
-        if not self.settings.check_constraints_eagerly:
-            return True
         context = state.solver_context
         if context is not None:
             context.push()

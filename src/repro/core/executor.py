@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.core.jobs import CampaignJob, JobReport, execute_job
 from repro.obs import get_tracer
-from repro.store.sharding import DEFAULT_PUBLISH_BATCH, ShardedTier
+from repro.store.sharding import ShardedTier
 
 _LOG = logging.getLogger(__name__)
 
@@ -63,22 +63,19 @@ def run_jobs(
     workers: int,
     pool: Optional[ProcessPoolExecutor],
     on_report: Callable[[JobReport], None],
-    *,
-    shared_tier_shards: int = 0,
-    publish_batch: int = DEFAULT_PUBLISH_BATCH,
 ) -> str:
     """Run every job, calling ``on_report`` as each report completes.
     Returns the execution mode string for the result.
 
     ``pool`` lends an already-running :class:`ProcessPoolExecutor`
     (service-owned, reused across requests); a borrowed pool is never shut
-    down here.  ``shared_tier_shards > 0`` asks for the process-shared
-    verdict tier on pool runs: workers publish full-solve verdicts as they
-    land, so symmetric jobs on *different* workers stop re-solving each
-    other's constraint sets.  The fingerprint space is prefix-sharded
-    across that many Manager dicts and publishes are batched per worker
-    (repro.store.sharding), so misses contend shard-wise instead of on one
-    proxy lock.
+    down here.  Jobs whose settings leave ``shared_cache`` on get the
+    process-shared verdict tier on pool runs: workers publish full-solve
+    verdicts as they land, so symmetric jobs on *different* workers stop
+    re-solving each other's constraint sets.  The fingerprint space is
+    prefix-sharded across ``cache_shards`` Manager dicts and publishes are
+    batched per worker (repro.store.sharding), so misses contend shard-wise
+    instead of on one proxy lock.
 
     Failure taxonomy (one ``except (OSError, RuntimeError)`` around the
     whole pool run would conflate all three and silently re-run everything
@@ -112,10 +109,13 @@ def run_jobs(
             # Ask workers to record spans locally and ship them back in
             # report.spans; the driver re-parents them.
             pool_jobs = [replace(job, trace=True) for job in pool_jobs]
-        if shared_tier_shards:
-            manager, tier = _shared_tier(shared_tier_shards, publish_batch)
+        settings = jobs[0].settings  # one campaign, one settings object
+        if settings.shared_cache:
+            manager, tier = _shared_tier(
+                settings.cache_shards, settings.publish_batch
+            )
             if tier is not None:
-                pool_jobs = [replace(job, shared_cache=tier) for job in pool_jobs]
+                pool_jobs = [replace(job, shared_tier=tier) for job in pool_jobs]
         try:
             if pool is None:
                 pool = own_pool = ProcessPoolExecutor(

@@ -7,7 +7,10 @@ whatever process it lands in and digests the outcome into a
 :class:`JobReport` — *an answer plus one* :class:`SolverStats` *delta*.
 Only plain data crosses the process boundary — no states, no solver terms —
 so queries that need solver work (invariants, visibility, witnesses) run
-here, in the worker, where the states still exist.
+in the worker, where the states still exist.  What a job explores is a
+:class:`~repro.core.settings.RunSettings`, what it collects a
+:class:`~repro.core.facts.Facts`, and its report's answer fields are the
+rows of :data:`~repro.core.facts.REPORT_FIELDS`.
 
 The per-process **runtime cache** is the one holder of built networks: the
 session API, the campaign driver and every job resolve their network (and
@@ -20,13 +23,12 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.checks import admitted_values, field_invariant, header_visible
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
-from repro.core.errors import MemorySafetyError
-from repro.core.paths import ExecutionResult, PathStatus
+from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS, Facts, collect_facts
 from repro.core.queries import port_key
+from repro.core.settings import RunSettings
 from repro.core.sources import NetworkSource
 from repro.models import host as host_models
 from repro.network.topology import Network
@@ -48,38 +50,10 @@ PACKET_TEMPLATES = {
     "icmp": host_models.symbolic_icmp_packet,
 }
 
-QUERY_REACHABILITY = "reachability"
-QUERY_LOOPS = "loops"
-QUERY_INVARIANTS = "invariants"
-#: Query names the campaign understands; see queries.py for how to add one.
-CAMPAIGN_QUERIES = (QUERY_REACHABILITY, QUERY_LOOPS, QUERY_INVARIANTS)
-
-#: Header fields whose invariance the ``invariants`` query checks by default.
-DEFAULT_INVARIANT_FIELDS = ("IpSrc", "IpDst")
-
 
 # ---------------------------------------------------------------------------
 # Jobs and per-job reports
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PortFacts:
-    """Per-injection narrowing of the facts one job must collect.
-
-    The API planner computes, for every injection port, the union of the
-    fact requirements of exactly the queries that *need that port* — not the
-    whole batch (see :func:`repro.api.planner.compile_plan`).  A campaign
-    applies these as per-job overrides of its global fact template, so a
-    port only pays for the channels some query will actually read.
-    """
-
-    queries: Tuple[str, ...]
-    invariant_fields: Tuple[str, ...] = ()
-    visibility_fields: Tuple[str, ...] = ()
-    witness_fields: Tuple[Tuple[str, int], ...] = ()
-    record_examples: bool = False
-
 
 
 @dataclass(frozen=True)
@@ -94,26 +68,8 @@ class CampaignJob:
     source: NetworkSource
     element: str
     port: str
-    packet: str = "tcp"
-    field_values: Tuple[Tuple[str, int], ...] = ()
-    queries: Tuple[str, ...] = CAMPAIGN_QUERIES
-    invariant_fields: Tuple[str, ...] = DEFAULT_INVARIANT_FIELDS
-    #: Fields whose header visibility (is the source's symbol still readable?)
-    #: is checked per delivered destination — fed by the API planner's
-    #: ``HeaderVisible`` queries.
-    visibility_fields: Tuple[str, ...] = ()
-    #: (field, samples) pairs: collect up to ``samples`` concrete witness
-    #: values per delivered destination — the ``AdmittedValues`` queries.
-    witness_fields: Tuple[Tuple[str, int], ...] = ()
-    #: Record one example port trace per delivered destination (evidence
-    #: paths for ``Reach`` query results).
-    record_examples: bool = False
-    max_hops: int = 128
-    max_paths: int = 1_000_000
-    strategy: str = "dfs"
-    #: Share the worker's persistent verdict cache across jobs.  Off, every
-    #: job solves with an isolated cache (the pre-cache baseline).
-    use_verdict_cache: bool = True
+    settings: RunSettings = RunSettings()
+    facts: Facts = Facts()
     #: Persistent verdict store (repro.store): each worker process opens the
     #: store directory and merges its shards into the worker cache once per
     #: ``store_token`` (the store's content identity), so warm starts ship
@@ -124,7 +80,7 @@ class CampaignJob:
     #: Optional process-shared verdict tier (a sharded Manager-dict tier,
     #: see repro.store.sharding) consulted on local cache misses when the
     #: campaign runs on a process pool.
-    shared_cache: Optional[object] = field(default=None, compare=False, repr=False)
+    shared_tier: Optional[object] = field(default=None, compare=False, repr=False)
     #: Record spans inside the (pool) worker and ship them back through
     #: ``JobReport.spans``.  Telemetry only — deliberately absent from
     #: ``job_config_digest``, baselines and every report projection, so
@@ -134,6 +90,15 @@ class CampaignJob:
     @property
     def source_key(self) -> str:
         return port_key(self.element, self.port)
+
+
+def job_config_digest(job: CampaignJob) -> str:
+    """Digest of everything behaviour-relevant in a job except its injection
+    point: jobs may only share a symmetry class — and a baseline report may
+    only be spliced — when the settings' identity fields and the fact
+    channels agree exactly.  Tier switches and store wiring are deliberately
+    absent — they change which tier answers, never the answer."""
+    return config_digest((job.settings.identity(), job.facts))
 
 
 @expose_solver_counters
@@ -152,11 +117,8 @@ class JobReport:
     loops: List[Dict[str, object]] = field(default_factory=list)
     drop_reasons: Dict[str, int] = field(default_factory=dict)
     invariants: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: field -> destination port -> {checked, visible, skipped} counters.
     visibility: Dict[str, Dict[str, Dict[str, int]]] = field(default_factory=dict)
-    #: field -> destination port -> sorted concrete witness values.
     witnesses: Dict[str, Dict[str, List[int]]] = field(default_factory=dict)
-    #: destination port -> one example port trace demonstrating delivery.
     delivered_examples: Dict[str, List[str]] = field(default_factory=dict)
     truncated: bool = False
     error: Optional[str] = None
@@ -192,30 +154,11 @@ class JobReport:
         return sum(self.status_counts.values())
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "injected_at": self.source_key,
-            "packet": self.packet,
-            "status_counts": dict(sorted(self.status_counts.items())),
-            "delivered_to": dict(sorted(self.delivered_to.items())),
-            "loops": list(self.loops),
-            "drop_reasons": dict(sorted(self.drop_reasons.items())),
-            "invariants": {k: dict(v) for k, v in sorted(self.invariants.items())},
-        }
-        # Planner-only facts stay out of legacy campaign reports entirely.
-        if self.visibility:
-            payload["visibility"] = {
-                f: {d: dict(cell) for d, cell in sorted(row.items())}
-                for f, row in sorted(self.visibility.items())
-            }
-        if self.witnesses:
-            payload["witnesses"] = {
-                f: {d: list(vals) for d, vals in sorted(row.items())}
-                for f, row in sorted(self.witnesses.items())
-            }
-        if self.delivered_examples:
-            payload["delivered_examples"] = {
-                d: list(trace) for d, trace in sorted(self.delivered_examples.items())
-            }
+        payload: Dict[str, object] = {"injected_at": self.source_key}
+        for spec in REPORT_FIELDS:
+            value = getattr(self, spec.name)
+            if value or not spec.optional:
+                payload[spec.name] = spec.rebuild(value, ordered=True)
         if self.symmetry_class:
             payload["symmetry"] = {
                 "class": self.symmetry_class,
@@ -224,7 +167,6 @@ class JobReport:
         if self.delta_spliced_from:
             payload["delta"] = {"spliced_from": self.delta_spliced_from}
         payload.update({
-            "truncated": self.truncated,
             "error": self.error,
             "worker_pid": self.worker_pid,
             "stats": {
@@ -236,65 +178,15 @@ class JobReport:
         return payload
 
 
-def loop_sort_key(loop: Mapping[str, object]) -> Tuple:
-    """Canonical order for a report's loop findings: they must be
-    comparable across symmetric jobs whose Fork children enumerate in
-    different (renamed) orders, so discovery order is never kept."""
-    return (
-        str(loop.get("detected_at", "")),
-        str(loop.get("reason", "")),
-        tuple(str(port) for port in loop.get("trace", ())),
-    )
-
-
-def job_config_digest(job: CampaignJob) -> str:
-    """Digest of everything behaviour-relevant in a job except its injection
-    point: jobs may only share a symmetry class — and a baseline report may
-    only be spliced — when packet, fact channels and execution budgets agree
-    exactly.  Cache/store wiring is deliberately absent — it changes which
-    tier answers, never the answer."""
-    return config_digest(
-        (
-            job.packet,
-            job.field_values,
-            job.queries,
-            job.invariant_fields,
-            job.visibility_fields,
-            job.witness_fields,
-            job.record_examples,
-            job.max_hops,
-            job.max_paths,
-            job.strategy,
-        )
-    )
-
-
-#: The JobReport fields that *are* the answer — what a delta baseline
-#: persists and what two tiers must agree on — as opposed to provenance
-#: (pids, timings, solver counters, cache entries, symmetry/delta marks).
-SEMANTIC_FIELDS = (
-    "element",
-    "port",
-    "packet",
-    "status_counts",
-    "delivered_to",
-    "loops",
-    "drop_reasons",
-    "invariants",
-    "visibility",
-    "witnesses",
-    "delivered_examples",
-    "truncated",
-)
-
-
 def semantic_projection(report: JobReport) -> Dict[str, object]:
     """The tier-independent content of a job report: what the answer *is*,
     stripped of who computed it.  Two reports with equal projections are
     interchangeable for every query aggregation — the equality
     ``--symmetry-audit`` and the fuzz suites assert."""
     projection = {name: getattr(report, name) for name in SEMANTIC_FIELDS}
-    projection["loops"] = sorted(loop_sort_key(loop) for loop in report.loops)
+    for spec in REPORT_FIELDS:
+        if spec.order is not None:
+            projection[spec.name] = sorted(map(spec.order, projection[spec.name]))
     projection["error"] = report.error
     return projection
 
@@ -360,125 +252,24 @@ def reset_execution_counters() -> None:
         _EXECUTION_COUNTERS[key] = 0
 
 
-def _job_fact_channels(job: CampaignJob) -> int:
-    """How many collection channels this job pays for (counted into
-    ``execution_counters()['fact_channels']``)."""
-    return (
-        len(job.queries)
-        + (len(job.invariant_fields) if QUERY_INVARIANTS in job.queries else 0)
-        + len(job.visibility_fields)
-        + len(job.witness_fields)
-        + (1 if job.record_examples else 0)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Executing one job
 # ---------------------------------------------------------------------------
 
 
-def packet_program(job: CampaignJob):
+def packet_program(settings: RunSettings):
     try:
-        template = PACKET_TEMPLATES[job.packet]
+        template = PACKET_TEMPLATES[settings.packet]
     except KeyError:
         known = ", ".join(sorted(PACKET_TEMPLATES))
-        raise ValueError(f"unknown packet template {job.packet!r}; known: {known}")
-    if not job.field_values:
+        raise ValueError(
+            f"unknown packet template {settings.packet!r}; known: {known}"
+        )
+    if not settings.field_values:
         return template()
     fields = standard_fields()
-    overrides = {fields[name]: value for name, value in job.field_values}
+    overrides = {fields[name]: value for name, value in settings.field_values}
     return template(overrides)
-
-
-def _check_invariants(
-    result: ExecutionResult, job: CampaignJob, solver: Solver
-) -> Dict[str, Dict[str, int]]:
-    """Field invariance on every delivered path, computed where the states
-    live (worker side)."""
-    fields = standard_fields()
-    report: Dict[str, Dict[str, int]] = {}
-    for name in job.invariant_fields:
-        variable = fields.get(name, name)
-        checked = held = skipped = 0
-        for path in result.delivered():
-            try:
-                holds = field_invariant(path, variable, solver)
-            except MemorySafetyError:
-                # The template did not allocate this field (e.g. TcpDst on
-                # an ICMP packet): skipped, not a verdict.  Anything else
-                # propagates — a broken query must not masquerade as an
-                # inapplicable field (it becomes the job's error).
-                skipped += 1
-                continue
-            checked += 1
-            held += 1 if holds else 0
-        report[name] = {"checked": checked, "held": held, "skipped": skipped}
-    return report
-
-
-def _check_visibility(
-    result: ExecutionResult, job: CampaignJob, solver: Solver
-) -> Dict[str, Dict[str, Dict[str, int]]]:
-    """Per-destination header visibility: is the symbol the source wrote into
-    the field still provably readable where the packet was delivered?"""
-    fields = standard_fields()
-    report: Dict[str, Dict[str, Dict[str, int]]] = {}
-    for name in job.visibility_fields:
-        variable = fields.get(name, name)
-        per_destination: Dict[str, Dict[str, int]] = {}
-        for path in result.delivered():
-            destination = str(path.last_port)
-            cell = per_destination.setdefault(
-                destination, {"checked": 0, "visible": 0, "skipped": 0}
-            )
-            try:
-                history = path.state.variable_history(variable)
-                if not history:
-                    cell["skipped"] += 1
-                    continue
-                visible = header_visible(path, variable, history[0], solver)
-            except MemorySafetyError:
-                cell["skipped"] += 1
-                continue
-            cell["checked"] += 1
-            cell["visible"] += 1 if visible else 0
-        report[name] = per_destination
-    return report
-
-
-def _collect_witnesses(
-    result: ExecutionResult, job: CampaignJob, solver: Solver
-) -> Dict[str, Dict[str, List[int]]]:
-    """Concrete admitted values per delivered destination, up to the
-    requested sample count per (field, destination).  Paths are scanned in
-    the engine's (deterministic) discovery order, so the collected sets are
-    reproducible; the final per-destination lists are sorted."""
-    fields = standard_fields()
-    report: Dict[str, Dict[str, List[int]]] = {}
-    for name, samples in job.witness_fields:
-        variable = fields.get(name, name)
-        per_destination: Dict[str, List[int]] = {}
-        for path in result.delivered():
-            destination = str(path.last_port)
-            found = per_destination.setdefault(destination, [])
-            if len(found) >= samples:
-                continue
-            try:
-                values = admitted_values(path, variable, solver, samples)
-            except MemorySafetyError:
-                continue
-            for value in values:
-                if value not in found:
-                    found.append(value)
-                if len(found) >= samples:
-                    break
-        report[name] = {
-            destination: sorted(values)
-            for destination, values in per_destination.items()
-        }
-    return report
-
-
 
 
 def execute_job(job: CampaignJob) -> JobReport:
@@ -505,7 +296,7 @@ def execute_job(job: CampaignJob) -> JobReport:
         tracer = local
     try:
         with tracer.span(
-            "job", element=job.element, port=job.port, packet=job.packet
+            "job", element=job.element, port=job.port, packet=job.settings.packet
         ):
             report = _execute_job_impl(job)
     finally:
@@ -542,20 +333,22 @@ def _warm_from_store(job: CampaignJob, cache: VerdictCache, solver: Solver) -> N
 
 
 def _execute_job_impl(job: CampaignJob) -> JobReport:
+    settings, facts = job.settings, job.facts
     report = JobReport(
-        element=job.element, port=job.port, packet=job.packet, worker_pid=os.getpid()
+        element=job.element,
+        port=job.port,
+        packet=settings.packet,
+        worker_pid=os.getpid(),
     )
     try:
         runtime = runtime_for(job.source)
         solver = runtime.solver
         before = solver.stats.snapshot()
-        # ``use_verdict_cache`` off isolates the job from the worker's
-        # persistent cache (and from the shared tier and the store): the
-        # baseline the cache benchmarks compare against.
-        cache = runtime.verdict_cache if job.use_verdict_cache else VerdictCache()
+        # ``shared_cache`` off isolates the job from the worker's cache (the
+        # campaign then wires in neither store nor shared tier).
+        cache = runtime.verdict_cache if settings.shared_cache else VerdictCache()
         if (
-            job.use_verdict_cache
-            and job.store_dir
+            job.store_dir
             and job.store_token
             and job.store_token not in cache.applied_tokens
         ):
@@ -565,16 +358,16 @@ def _execute_job_impl(job: CampaignJob) -> JobReport:
             runtime.network,
             solver=solver,
             settings=ExecutionSettings(
-                max_hops=job.max_hops,
-                max_paths=job.max_paths,
-                strategy=job.strategy,
+                max_hops=settings.max_hops,
+                max_paths=settings.max_paths,
+                strategy=settings.strategy,
             ),
             verdict_cache=cache,
-            shared_cache=job.shared_cache if job.use_verdict_cache else None,
+            shared_cache=job.shared_tier,
         )
         _EXECUTION_COUNTERS["engine_runs"] += 1
-        _EXECUTION_COUNTERS["fact_channels"] += _job_fact_channels(job)
-        result = executor.inject(packet_program(job), job.element, job.port)
+        _EXECUTION_COUNTERS["fact_channels"] += facts.channels
+        result = executor.inject(packet_program(settings), job.element, job.port)
     except Exception as exc:  # surface, never kill the whole campaign
         report.error = f"{type(exc).__name__}: {exc}"
         return report
@@ -589,39 +382,7 @@ def _execute_job_impl(job: CampaignJob) -> JobReport:
     report.verdict_cache_entries = tuple(sorted(cache.fresh_entries().items()))
 
     try:
-        if QUERY_REACHABILITY in job.queries:
-            for path in result.delivered():
-                destination = str(path.last_port)
-                report.delivered_to[destination] = (
-                    report.delivered_to.get(destination, 0) + 1
-                )
-        if QUERY_LOOPS in job.queries:
-            for path in result.loops():
-                report.loops.append(
-                    {
-                        "detected_at": str(path.last_port) if path.last_port else "?",
-                        "reason": path.stop_reason,
-                        "trace": list(path.ports_visited),
-                    }
-                )
-            report.loops.sort(key=loop_sort_key)
-        if QUERY_INVARIANTS in job.queries:
-            for path in result.paths:
-                if path.status == PathStatus.DELIVERED:
-                    continue
-                reason = path.stop_reason
-                report.drop_reasons[reason] = report.drop_reasons.get(reason, 0) + 1
-            report.invariants = _check_invariants(result, job, solver)
-        if job.record_examples:
-            for path in result.delivered():
-                destination = str(path.last_port)
-                report.delivered_examples.setdefault(
-                    destination, list(path.ports_visited)
-                )
-        if job.visibility_fields:
-            report.visibility = _check_visibility(result, job, solver)
-        if job.witness_fields:
-            report.witnesses = _collect_witnesses(result, job, solver)
+        collect_facts(result, facts, solver, report)
     except Exception as exc:
         report.error = f"{type(exc).__name__}: {exc}"
     return report

@@ -17,14 +17,19 @@ All objects are plain-data: built from the picklable per-job reports the
 campaign workers return, serialisable with ``to_dict``, and comparable via
 ``fingerprint`` (used to assert parallel and sequential campaigns agree).
 
-Adding a new query type
------------------------
+Each class folds itself out of job reports with ``from_jobs`` — one fold
+per kind, shared by ``CampaignResult.aggregate`` and the session API's
+demultiplexer.  Failed jobs have no answer and are left out of every fold;
+callers hand the reports over in injection-point order.
 
-1. Collect the raw (picklable!) facts in ``jobs.JobReport`` — they must
-   cross the process boundary, so no solver terms or execution states;
+Adding a new aggregation kind
+-----------------------------
+
+1. Collect the raw (picklable!) facts into the job report — see
+   :mod:`repro.core.facts` for the three places that takes;
 2. add a result class here with ``from_jobs`` / ``to_dict`` / ``fingerprint``;
-3. register its name in :data:`repro.core.jobs.CAMPAIGN_QUERIES` so
-   ``CampaignResult`` aggregates it.
+3. register it under its kind name in :data:`AGGREGATIONS` and name the
+   ``CampaignResult`` attribute that holds it.
 """
 
 from __future__ import annotations
@@ -62,6 +67,16 @@ class ReachabilityMatrix:
         self._cells: Dict[str, Dict[str, int]] = {}
 
     # -- construction -----------------------------------------------------------
+
+    @classmethod
+    def from_jobs(cls, jobs: Iterable) -> "ReachabilityMatrix":
+        matrix = cls()
+        for job in jobs:
+            if job.error is None:
+                matrix.add_source(job.source_key)
+                for destination, count in job.delivered_to.items():
+                    matrix.record(job.source_key, destination, count)
+        return matrix
 
     def add_source(self, source: str) -> None:
         """Register an injection point even if nothing was reachable from it
@@ -172,6 +187,23 @@ class LoopReport:
         self._findings: List[LoopFinding] = []
         self._sources: List[str] = []
 
+    @classmethod
+    def from_jobs(cls, jobs: Iterable) -> "LoopReport":
+        report = cls()
+        for job in jobs:
+            if job.error is None:
+                report.add_source(job.source_key)
+                for loop in job.loops:
+                    report.record(
+                        LoopFinding(
+                            job.source_key,
+                            str(loop.get("detected_at", "?")),
+                            str(loop.get("reason", "")),
+                            tuple(loop.get("trace", ())),
+                        )
+                    )
+        return report
+
     def add_source(self, source: str) -> None:
         self._sources.append(source)
 
@@ -255,13 +287,25 @@ class InvariantReport:
 
     # -- construction -----------------------------------------------------------
 
-    def record_field(
-        self, source: str, field_name: str, checked: int, held: int, skipped: int = 0
-    ) -> None:
-        cell = self._cells.setdefault((source, field_name), InvariantCell())
-        cell.checked += checked
-        cell.held += held
-        cell.skipped += skipped
+    @classmethod
+    def from_jobs(
+        cls, jobs: Iterable, fields: Optional[Sequence[str]] = None
+    ) -> "InvariantReport":
+        """``fields`` keeps only those fields' cells (one query's share of
+        jobs that checked a whole batch's fields)."""
+        report = cls()
+        for job in jobs:
+            if job.error is None:
+                report.record_drops(job.source_key, job.drop_reasons)
+                for name, counts in job.invariants.items():
+                    if fields is None or name in fields:
+                        cell = report._cells.setdefault(
+                            (job.source_key, name), InvariantCell()
+                        )
+                        cell.checked += counts.get("checked", 0)
+                        cell.held += counts.get("held", 0)
+                        cell.skipped += counts.get("skipped", 0)
+        return report
 
     def record_drops(self, source: str, reasons: Dict[str, int]) -> None:
         row = self._drop_reasons.setdefault(source, {})
@@ -352,6 +396,15 @@ class InvariantReport:
             f"InvariantReport(fields={self.fields}, "
             f"violations={len(self.violations())}, covered={self.drops_covered})"
         )
+
+
+#: Aggregation kind -> the class that folds it out of job reports.  The one
+#: list of kinds: ``facts.CAMPAIGN_QUERIES`` is its keys.
+AGGREGATIONS = {
+    "reachability": ReachabilityMatrix,
+    "loops": LoopReport,
+    "invariants": InvariantReport,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import logging
 import random
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.facts import REPORT_FIELDS
 from repro.core.jobs import (
     CampaignJob,
     JobReport,
     execute_job,
     job_config_digest,
-    loop_sort_key,
     packet_program,
     semantic_projection,
 )
+from repro.core.settings import RunSettings
 from repro.network.topology import Network
 from repro.network.view import (
     CampaignSymmetryView,
@@ -47,62 +48,24 @@ class SymmetryAuditError(RuntimeError):
     encoding is unsound for this network and must be fixed, not tolerated."""
 
 
-def _map_keys(mapping: Mapping[str, object], renaming, map_value) -> Dict:
-    mapped: Dict[str, object] = {}
-    for key, value in mapping.items():
-        new_key = renaming.map_text(str(key))
-        if new_key in mapped:
-            raise SymmetryUnsupported(f"renaming collides on key {new_key!r}")
-        mapped[new_key] = map_value(value)
-    return mapped
-
-
 def instantiate_report(
     rep: JobReport, member: CampaignJob, renaming, class_id: str
 ) -> JobReport:
     """A member's JobReport, derived from its class representative's run by
-    renaming every port/element/message string.  The solver delta and
-    timings stay zero: no engine work happened for this job, and the
-    aggregated stats must say so."""
-    report = JobReport(
+    renaming every port/element/message string (the ``Text`` leaves of the
+    declared report shapes; names and counters are equal across the class).
+    The solver delta and timings stay zero: no engine work happened for this
+    job.  A renaming that folds two keys into one raises ``ValueError``."""
+    return JobReport(
         element=member.element,
         port=member.port,
-        packet=rep.packet,
         symmetry_class=class_id,
         symmetry_instantiated_from=rep.source_key,
+        **{
+            spec.name: spec.rebuild(getattr(rep, spec.name), renaming.map_text)
+            for spec in REPORT_FIELDS
+        },
     )
-    report.status_counts = dict(rep.status_counts)
-    report.truncated = rep.truncated
-    report.delivered_to = _map_keys(rep.delivered_to, renaming, lambda v: v)
-    report.loops = sorted(
-        (
-            {
-                "detected_at": renaming.map_text(str(loop.get("detected_at", ""))),
-                "reason": renaming.map_text(str(loop.get("reason", ""))),
-                "trace": [
-                    renaming.map_text(str(port)) for port in loop.get("trace", ())
-                ],
-            }
-            for loop in rep.loops
-        ),
-        key=loop_sort_key,
-    )
-    report.drop_reasons = _map_keys(rep.drop_reasons, renaming, lambda v: v)
-    # Invariant/visibility *field names* are part of the job config (equal
-    # across the class); only destination ports need renaming.
-    report.invariants = {name: dict(cell) for name, cell in rep.invariants.items()}
-    report.visibility = {
-        name: _map_keys(row, renaming, dict) for name, row in rep.visibility.items()
-    }
-    report.witnesses = {
-        name: _map_keys(row, renaming, list) for name, row in rep.witnesses.items()
-    }
-    report.delivered_examples = _map_keys(
-        rep.delivered_examples,
-        renaming,
-        lambda trace: [renaming.map_text(str(port)) for port in trace],
-    )
-    return report
 
 
 class SymmetryReducer:
@@ -117,15 +80,12 @@ class SymmetryReducer:
     def __init__(
         self,
         network: Callable[[], Network],
-        *,
-        enabled: bool,
-        audit: bool,
-        audit_seed: int,
+        settings: RunSettings,
     ) -> None:
         self._network = network
-        self._enabled = enabled
-        self._audit = audit
-        self._audit_seed = audit_seed
+        self._enabled = settings.symmetry
+        self._audit = settings.symmetry_audit
+        self._audit_seed = settings.symmetry_audit_seed
         self._view: Optional[CampaignSymmetryView] = None
         #: (element, port) -> canonical form, for every job that shares its
         #: port's stable colour and its configuration with another — the one
@@ -143,28 +103,15 @@ class SymmetryReducer:
     ) -> Tuple[List[CampaignJob], Sequence[JobReport]]:
         """Partition the job set into renaming-equivalence classes; jobs
         that symmetry is off for / cannot help / cannot prove stay on the
-        run list untouched.
-
-        Jobs that record discovery-order-sensitive artifacts (example
-        traces, capped witness samples) never merge: a renamed zone
-        enumerates its Fork children in a different order, so "the first
-        delivered path" is not renaming-stable.  Order-independent artifacts
-        (counts, loop sets, invariant verdicts, visibility tallies) are."""
-        eligible = [
-            job
-            for job in jobs
-            if not job.record_examples and not job.witness_fields
-        ]
+        run list untouched (as do jobs whose facts are discovery-order
+        sensitive — see :attr:`repro.core.facts.Facts.order_sensitive`)."""
+        eligible = [job for job in jobs if not job.facts.order_sensitive]
         if not self._enabled or len(eligible) < 2:
             return jobs, ()
         try:
             pinned: set = set()
-            per_program: Dict[Tuple, set] = {}
-            for job in eligible:
-                key = (job.packet, job.field_values)
-                if key not in per_program:
-                    per_program[key] = collect_constants(packet_program(job))
-                pinned.update(per_program[key])
+            for settings in {job.settings for job in eligible}:
+                pinned.update(collect_constants(packet_program(settings)))
             self._view = CampaignSymmetryView(self._network(), pinned)
         except (SymmetryUnsupported, ValueError, KeyError) as exc:
             # Unknown template etc.: execute_job will report it.
@@ -260,7 +207,7 @@ class SymmetryReducer:
                     instantiated = instantiate_report(
                         report, member, renaming, class_id
                     )
-                except SymmetryUnsupported:
+                except (SymmetryUnsupported, ValueError):
                     out.append(execute_job(member))
                     continue
                 self._skipped += 1

@@ -33,6 +33,7 @@ from repro.api.model import NetworkModel
 from repro.api.planner import Plan, compile_plan, execute_plan
 from repro.obs import get_tracer
 from repro.api.queries import ForAllPairs, Invariant, Loop, Query, Reach
+from repro.core.settings import RunSettings
 from repro.scenarios import reduce as reduce_mod
 from repro.scenarios.generator import Scenario, UpdateStep, read_directory_state, state_digest
 
@@ -65,11 +66,7 @@ class StepOutcome:
     def executed_jobs(self) -> int:
         """Injection jobs this state actually executed (total minus
         delta-spliced minus symmetry-instantiated)."""
-        return int(
-            self.stats.get("jobs", 0)
-            - self.stats.get("jobs_spliced_by_delta", 0)
-            - self.stats.get("jobs_skipped_by_symmetry", 0)
-        )
+        return int(self.stats.get("executed_jobs", 0))
 
     @property
     def spliced_jobs(self) -> int:
@@ -221,6 +218,7 @@ def violations_for_step(
 class ScenarioCampaign:
     """Walk an update sequence, re-verifying each transient state.
 
+    ``settings`` are :class:`~repro.core.settings.RunSettings` fields.
     ``delta`` toggles the chained-baseline splicing (off = every state runs
     from scratch — the comparison baseline the tests hold the delta path
     to).  ``store`` optionally adds the persistent tiers; answers are
@@ -235,24 +233,16 @@ class ScenarioCampaign:
         queries: Optional[Sequence[Query]] = None,
         workers: int = 1,
         store: Optional[object] = None,
-        cache_shards: Optional[int] = None,
-        delta: bool = True,
-        symmetry: bool = True,
-        shared_cache: bool = True,
-        packet: str = "tcp",
         cluster_eps: float = 0.5,
         cluster_min_points: int = 2,
+        **settings: object,
     ) -> None:
         self.directory = directory
         self.scenario = scenario
         self.queries = list(queries) if queries else default_scenario_queries()
         self.workers = workers
         self.store = store
-        self.cache_shards = cache_shards
-        self.delta = delta
-        self.symmetry = symmetry
-        self.shared_cache = shared_cache
-        self.packet = packet
+        self.settings = RunSettings(**settings)
         self.cluster_eps = cluster_eps
         self.cluster_min_points = cluster_min_points
 
@@ -293,9 +283,7 @@ class ScenarioCampaign:
                 plan,
                 workers=self.workers,
                 store=self.store,
-                cache_shards=self.cache_shards,
-                baseline=baseline if (self.delta and index > 0) else None,
-                delta=self.delta,
+                baseline=baseline if plan.settings.delta else None,
             )
         wall = time.perf_counter() - started
         engine_runs = execution_counters()["engine_runs"] - runs_before
@@ -331,13 +319,7 @@ class ScenarioCampaign:
         cluster whatever violated."""
         self._check_base()
         model = NetworkModel.from_directory(self.directory)
-        plan = compile_plan(
-            model,
-            self.queries,
-            packet=self.packet,
-            shared_cache=self.shared_cache,
-            symmetry=self.symmetry,
-        )
+        plan = compile_plan(model, self.queries, **vars(self.settings))
         element_kinds = {
             element.name: element.kind for element in model.network()
         }
@@ -365,5 +347,5 @@ class ScenarioCampaign:
             outcomes=outcomes,
             clusters=clusters,
             workers=self.workers,
-            delta=self.delta,
+            delta=self.settings.delta,
         )

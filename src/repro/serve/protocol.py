@@ -9,11 +9,13 @@ Requests (client → server)::
      "network": {"directory": "/path"} |
                 {"workload": "stanford", "options": {"zones": 4}},
      "queries": ["loop()", "forall_pairs(reach)"],
-     ... optional settings: packet, fields, max_hops, max_paths, strategy,
-         shared_cache, symmetry, delta ...}
+     ... optional run settings: <SETTINGS> ...}
     {"op": "ping", "id": "r2"}
     {"op": "stats", "id": "r3"}
     {"op": "metrics", "id": "r4"}
+
+Any other key of a ``query`` message must be one of those settings (the
+list is generated from :data:`SETTINGS`); an unknown one is an ``error``.
 
 Responses (server → client), all tagged with the request ``id``:
 
@@ -49,6 +51,16 @@ from __future__ import annotations
 
 import json
 from typing import Dict, List, Optional
+
+from repro.core.settings import SETTING_NAMES
+
+#: Setting keys of a ``query`` message, wire spelling -> ``RunSettings``
+#: field.  The one alias: header-field overrides travel as ``fields``.
+SETTINGS = {
+    ("fields" if name == "field_values" else name): name for name in SETTING_NAMES
+}
+if __doc__:  # stripped under -OO
+    __doc__ = __doc__.replace("<SETTINGS>", ", ".join(SETTINGS))
 
 
 class ProtocolError(ValueError):

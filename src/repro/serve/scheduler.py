@@ -42,16 +42,18 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import logging
+import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, MutableMapping, Optional, Tuple
 
 from repro.api import NetworkModel, compile_plan, execute_plan_streaming, parse_query
 from repro.api.model import _directory_stat_key
 from repro.api.queries import Query
 from repro.core.campaign import execution_counters
+from repro.core.settings import RunSettings
 from repro.obs import MetricsRegistry, ensure_core_families, get_registry
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
@@ -76,23 +78,20 @@ class Request:
 
     request_id: str
     session: object  # anything with send_nowait(message)
-    network: Dict[str, object]
     model_key: Tuple
     queries: Tuple[Query, ...]
     texts: Tuple[str, ...]
-    compile_kwargs: Dict[str, object]
-    delta: bool
-    compat_key: Tuple = field(default=())
+    settings: RunSettings
+
+    @property
+    def compat_key(self) -> Tuple:
+        """Requests merge into one plan only over the same network under
+        the same settings."""
+        return (self.model_key, self.settings)
 
 
-_SETTING_TYPES = {
-    "packet": str,
-    "max_hops": int,
-    "max_paths": int,
-    "strategy": str,
-    "shared_cache": bool,
-    "symmetry": bool,
-}
+#: Keys of a ``query`` message that are not run settings.
+_ENVELOPE = ("op", "id", "network", "queries")
 
 
 def _parse_request(request_id: str, session, message: Dict[str, object]) -> Request:
@@ -100,8 +99,6 @@ def _parse_request(request_id: str, session, message: Dict[str, object]) -> Requ
     if not isinstance(network, dict):
         raise ProtocolError("query needs a 'network' object")
     if "directory" in network:
-        import os
-
         directory = network["directory"]
         if not isinstance(directory, str):
             raise ProtocolError("'network.directory' must be a string")
@@ -129,56 +126,29 @@ def _parse_request(request_id: str, session, message: Dict[str, object]) -> Requ
         except Exception as exc:
             raise ProtocolError(f"bad query {text!r}: {exc}")
 
-    compile_kwargs: Dict[str, object] = {}
-    for key, expected in _SETTING_TYPES.items():
-        if key in message:
-            value = message[key]
-            if expected is int and isinstance(value, bool):
-                raise ProtocolError(f"'{key}' must be {expected.__name__}")
-            if not isinstance(value, expected):
-                raise ProtocolError(f"'{key}' must be {expected.__name__}")
-            compile_kwargs[key] = value
-    fields = message.get("fields", {})
-    if not isinstance(fields, dict):
-        raise ProtocolError("'fields' must be an object")
-    if fields:
-        try:
-            compile_kwargs["field_values"] = {
-                str(name): int(value) for name, value in fields.items()
-            }
-        except (TypeError, ValueError):
-            raise ProtocolError("'fields' values must be integers")
-    delta = message.get("delta", True)
-    if not isinstance(delta, bool):
-        raise ProtocolError("'delta' must be a boolean")
+    # Every other key must be a run setting: a misspelt budget that was
+    # silently ignored would answer as if it applied.
+    options = {k: v for k, v in message.items() if k not in _ENVELOPE}
+    unknown = sorted(set(options) - set(protocol.SETTINGS))
+    if unknown:
+        raise ProtocolError(
+            f"unknown setting(s) {unknown}; known: {', '.join(protocol.SETTINGS)}"
+        )
+    try:
+        settings = RunSettings(
+            **{protocol.SETTINGS[key]: value for key, value in options.items()}
+        )
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad settings: {exc}")
 
-    request = Request(
+    return Request(
         request_id=request_id,
         session=session,
-        network=dict(network),
         model_key=model_key,
         queries=tuple(queries),
         texts=tuple(str(t) for t in texts),
-        compile_kwargs=compile_kwargs,
-        delta=delta,
+        settings=settings,
     )
-    request.compat_key = (
-        model_key,
-        tuple(sorted(compile_kwargs.get("field_values", {}).items())),
-        tuple(
-            (key, compile_kwargs.get(key, default))
-            for key, default in (
-                ("packet", "tcp"),
-                ("max_hops", 128),
-                ("max_paths", 1_000_000),
-                ("strategy", "dfs"),
-                ("shared_cache", True),
-                ("symmetry", True),
-            )
-        ),
-        delta,
-    )
-    return request
 
 
 _COUNTER_NAMES = (
@@ -425,9 +395,7 @@ class VerificationService:
             if key[0] == "directory":
                 model = NetworkModel.from_directory(key[1])
             else:
-                name = request.network["workload"]
-                options = request.network.get("options", {})
-                model = NetworkModel.from_workload(name, **options)
+                model = NetworkModel.from_workload(key[1], **dict(key[2]))
             model.network()  # build now: residency means paying this once
             self.counters["model_builds"] += 1
             self._models[key] = model
@@ -462,9 +430,7 @@ class VerificationService:
                     routes.setdefault(index_of[text], []).append(
                         (request, local)
                     )
-            plan = compile_plan(
-                model, merged, **requests[0].compile_kwargs
-            )
+            plan = compile_plan(model, merged, **vars(requests[0].settings))
             for request in requests:
                 post(
                     request.session,
@@ -505,7 +471,6 @@ class VerificationService:
                 workers=self.workers,
                 store=self.store,
                 pool=self._pool_for_run(),
-                delta=requests[0].delta,
                 on_result=on_result,
             )
             return plan_result, streamed_fingerprints

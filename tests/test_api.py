@@ -11,6 +11,8 @@ The load-bearing guarantees:
 * validation is hoisted into NetworkModel and runs exactly once.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import Network, NetworkElement, models
@@ -331,7 +333,7 @@ class TestPlanner:
             model,
             [AdmittedValues("IpDst", samples=2), AdmittedValues("IpDst", samples=5)],
         )
-        assert plan.witness_fields == (("IpDst", 5),)
+        assert plan.facts.witness_fields == (("IpDst", 5),)
 
     def test_compile_rejects_non_queries(self):
         model = NetworkModel.from_network(forwarding_network())
@@ -369,13 +371,13 @@ class TestPerPortNarrowing:
         facts = dict(plan.port_facts)
         a_facts = facts[("a", "in-entry")]
         b_facts = facts[("b", "in-entry")]
-        assert a_facts.queries == ("loops",)
+        assert a_facts.kinds == ("loops",)
         assert a_facts.witness_fields == ()
-        assert b_facts.queries == ()
+        assert b_facts.kinds == ()
         assert b_facts.witness_fields == (("IpSrc", 2),)
         # The campaign-level union still aggregates everything.
         assert plan.kinds == ("loops",)
-        assert plan.witness_fields == (("IpSrc", 2),)
+        assert plan.facts.witness_fields == (("IpSrc", 2),)
 
     def test_narrowing_reduces_fact_channels_with_identical_answers(self):
         model = NetworkModel.from_network(loop_network())
@@ -387,8 +389,14 @@ class TestPerPortNarrowing:
 
         clear_runtime_cache()
         reset_execution_counters()
+        plan = compile_plan(model, self._queries())
+        # Every job collecting the whole batch's union — the pre-narrowing
+        # behaviour — is the comparison baseline.
         widened = execute_plan(
-            compile_plan(model, self._queries(), narrow_facts=False)
+            dataclasses.replace(
+                plan,
+                port_facts=tuple((port, plan.facts) for port, _ in plan.port_facts),
+            )
         )
         widened_channels = execution_counters()["fact_channels"]
 
@@ -407,7 +415,7 @@ class TestPerPortNarrowing:
         facts = dict(plan.port_facts)
         assert set(facts) == set(model.injection_ports())
         for port_facts in facts.values():
-            assert port_facts.queries == ("loops", "invariants")
+            assert port_facts.kinds == ("loops", "invariants")
             assert port_facts.invariant_fields == ("IpSrc",)
 
     def test_narrowed_batch_matches_dedicated_plans(self):
@@ -529,6 +537,7 @@ class TestPlannedVsDirectParity:
             Loop(),
             Invariant("IpSrc", "IpDst"),
             workers=workers,
+            symmetry=True,
         )
         assert batch.stats.jobs == len(ports)
         if workers == 1:
@@ -577,3 +586,156 @@ class TestPlannedVsDirectParity:
         sequential = model.query(ForAllPairs(Reach), Loop(), workers=1)
         parallel = model.query(ForAllPairs(Reach), Loop(), workers=2)
         assert sequential.fingerprint() == parallel.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# No green verdict from a partial exploration
+# ---------------------------------------------------------------------------
+
+TRUNCATION_OPTIONS = dict(zones=4, internal_prefixes_per_zone=4, service_acl_rules=2)
+
+
+class Fixed(Query):
+    """A leaf with a canned verdict, for the combinators' truth table."""
+
+    def __init__(self, verdict):
+        self.verdict = verdict
+
+    def describe(self):
+        return f"fixed({self.verdict})"
+
+    def evaluate(self, ctx):
+        from repro.api import QueryResult
+
+        return QueryResult(self.describe(), "fixed", self.verdict, None)
+
+
+class TestIncompleteExploration:
+    """A truncated or failed job has shown only part of its port's
+    behaviour: answers that rest on it are unknown (``holds is None``),
+    never a green verdict nobody earned."""
+
+    def _model(self):
+        return NetworkModel.from_workload("stanford", **TRUNCATION_OPTIONS)
+
+    def test_truncated_scope_answers_unknown_not_true(self):
+        queries = (Loop(), Not(Reach("acl3:in0", "zr3:hosts")))
+        cut = self._model().query(*queries, max_paths=1)
+        assert cut.stats.truncated_jobs == 4
+        assert [answer.holds for answer in cut] == [None, None]
+        assert cut[0].evidence["incomplete_ports"] == [
+            "acl0:in0", "acl1:in0", "acl2:in0", "acl3:in0"
+        ]
+        assert cut[1].evidence["incomplete_ports"] == ["acl3:in0"]
+        # The same batch at the default budget: the pair *is* reachable.
+        full = self._model().query(*queries)
+        assert full.stats.truncated_jobs == 0
+        assert [answer.holds for answer in full] == [True, False]
+        for answer in full:
+            assert "incomplete_ports" not in answer.evidence
+        # Unknown is a different answer, not a differently-labelled True.
+        assert cut[0].fingerprint != full[0].fingerprint
+
+    def test_what_was_explored_still_decides(self):
+        # max_paths=3 cuts acl3:in0 short after its zr3 delivery was found.
+        result = self._model().query(
+            Reach("acl3:in0", "zr3:hosts"),
+            Reach("acl3:in0", "zr0:hosts"),
+            Invariant("IpSrc", port="acl3:in0"),
+            max_paths=3,
+        )
+        assert result.stats.truncated_jobs == 1
+        found, not_found, invariant = result
+        assert found.holds is True  # a delivery found stays found
+        assert found.evidence["incomplete_ports"] == ["acl3:in0"]
+        assert not_found.holds is None  # absence proves nothing
+        assert invariant.holds is None
+        complete = self._model().query(Reach("acl3:in0", "zr0:hosts"))
+        assert complete[0].holds is True
+
+    @pytest.mark.parametrize(
+        "network,queries",
+        [
+            (loop_network, [Loop(("a", "in-entry"))]),
+            (rewriting_network, [Invariant("IpDst"), HeaderVisible("IpDst")]),
+        ],
+    )
+    def test_found_counterexamples_survive_truncation(self, network, queries):
+        """A loop / violation / invisible field that *was* found decides
+        the answer even if the job was then cut short; a clean but cut-short
+        report decides nothing."""
+        from repro.api import PlanContext
+
+        model = NetworkModel.from_network(network())
+        plan = compile_plan(model, queries)
+        complete = execute_plan(plan)
+        assert [answer.holds for answer in complete] == [False] * len(queries)
+        cut_short = {
+            job.source_key: dataclasses.replace(job, truncated=True)
+            for job in complete.campaign.jobs
+        }
+        ctx = PlanContext(plan, reports=cut_short)
+        for query in queries:
+            answer = query.evaluate(ctx)
+            assert answer.holds is False
+            assert answer.evidence["incomplete_ports"] == sorted(cut_short)
+        clean = {
+            key: dataclasses.replace(
+                job, loops=[], invariants={}, visibility={}, truncated=True
+            )
+            for key, job in cut_short.items()
+        }
+        ctx = PlanContext(plan, reports=clean)
+        assert [query.evaluate(ctx).holds for query in queries] == [None] * len(queries)
+
+    def test_failed_jobs_answer_unknown(self):
+        result = self._model().query(Loop(), ForAllPairs(Reach), packet="bogus")
+        assert len(result.job_errors) == 4
+        assert result[0].holds is None
+        assert len(result[0].evidence["incomplete_ports"]) == 4
+        assert len(result[1].evidence["incomplete_ports"]) == 4
+
+    @pytest.mark.parametrize(
+        "left,right,conjunction,disjunction",
+        [
+            (True, True, True, True),
+            (True, False, False, True),
+            (True, None, None, True),
+            (False, False, False, False),
+            (False, None, False, None),
+            (None, None, None, None),
+        ],
+    )
+    def test_combinators_follow_kleene_logic(
+        self, left, right, conjunction, disjunction
+    ):
+        from types import SimpleNamespace
+
+        ctx = SimpleNamespace(incomplete_ports=lambda scope: [])
+        for a, b in ((left, right), (right, left)):
+            assert All(Fixed(a), Fixed(b))._evaluate(ctx, ()).holds is conjunction
+            assert Any_(Fixed(a), Fixed(b))._evaluate(ctx, ()).holds is disjunction
+        for verdict, negation in ((True, False), (False, True), (None, None)):
+            assert Not(Fixed(verdict))._evaluate(ctx, ()).holds is negation
+
+    def test_unknown_round_trips_through_the_plan_cache(self, tmp_path):
+        from repro.store import VerificationStore
+
+        queries = (Loop(), Not(Reach("acl3:in0", "zr3:hosts")))
+        store = VerificationStore(str(tmp_path / "store"))
+        first = self._model().query(*queries, max_paths=1, store=store)
+        again = self._model().query(
+            *queries, max_paths=1, store=VerificationStore(str(tmp_path / "store"))
+        )
+        assert not first.from_cache and again.from_cache
+        assert [answer.holds for answer in again] == [None, None]
+        assert [a.fingerprint for a in again] == [a.fingerprint for a in first]
+        assert again[1].evidence["incomplete_ports"] == ["acl3:in0"]
+        assert again.stats.truncated_jobs == 4
+        # A different budget is a different plan: the cut-short answers can
+        # never be served to a run that explores everything.
+        full = self._model().query(
+            *queries, store=VerificationStore(str(tmp_path / "store"))
+        )
+        assert not full.from_cache
+        assert [answer.holds for answer in full] == [True, False]

@@ -288,6 +288,41 @@ class TestQueryCommand:
         assert payload["queries"][0]["holds"] is False  # the loopy topology
         assert "wrote query report" in capsys.readouterr().out
 
+    def test_truncated_run_prints_unknown_and_warns(self, tmp_path, capsys):
+        target = tmp_path / "cut.json"
+        assert main(
+            [
+                "query", "--workload", "stanford", "--workload-option", "zones=3",
+                "--max-paths", "1", "-o", str(target), "loop()",
+            ]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "loop()=?" in captured.out
+        assert "truncated at --max-paths=1 in 3 job(s)" in captured.err
+        answer = json.loads(target.read_text())["queries"][0]
+        assert answer["holds"] is None
+        assert len(answer["evidence"]["incomplete_ports"]) == 3
+
+    def test_symmetry_changes_which_tier_answers_never_the_answer(self, tmp_path):
+        reports = {}
+        for flag in ("--symmetry", "--no-symmetry"):
+            target = tmp_path / f"{flag.strip('-')}.json"
+            assert main(
+                [
+                    "query", "--workload", "stanford", "--workload-option", "zones=4",
+                    "--workload-option", "service_acl_rules=2", flag,
+                    "-o", str(target), "forall_pairs(reach)", "loop()",
+                ]
+            ) == 0
+            reports[flag] = json.loads(target.read_text())
+        on, off = reports["--symmetry"], reports["--no-symmetry"]
+        assert on["stats"]["jobs_skipped_by_symmetry"] > 0
+        assert off["stats"]["jobs_skipped_by_symmetry"] == 0
+        assert [q["fingerprint"] for q in on["queries"]] == [
+            q["fingerprint"] for q in off["queries"]
+        ]
+        assert on["plan"]["fingerprint"] == off["plan"]["fingerprint"]
+
     def test_workers_match_sequential(self, network_dir, tmp_path):
         seq, par = tmp_path / "seq.json", tmp_path / "par.json"
         args = ["query", str(network_dir), "forall_pairs(reach)", "loop()"]

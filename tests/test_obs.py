@@ -268,7 +268,7 @@ class TestCrossProcess:
         set_tracer(tracer)
         model = NetworkModel.from_workload(workload, **options)
         model.network()  # the build belongs to the model, not the campaign
-        result = model.campaign().run()
+        result = model.campaign(symmetry=True).run()
         assert not result.job_errors
         spans = tracer.export()
         (campaign_span,) = [s for s in spans if s["name"] == "campaign"]

@@ -173,6 +173,25 @@ def test_unknown_op_and_parse_errors_answer_with_error():
     assert responses[6] == [{"type": "pong", "id": "r7"}]
 
 
+def test_unknown_setting_is_refused_not_ignored():
+    """A misspelt budget used to run unbounded and answer as if it applied;
+    now it is one ``error`` naming the known settings, and the connection
+    (here: the service loop) keeps serving."""
+    responses = run_handles(
+        {},
+        [
+            {"op": "query", "id": "r1", "network": DEPARTMENT, "queries": ["loop()"],
+             "max_path": 10},
+            {"op": "ping", "id": "r2"},
+        ],
+        cancel_scheduler=True,
+    )
+    (reply,) = responses[0]
+    assert reply["type"] == "error" and reply["id"] == "r1"
+    assert "max_path" in reply["error"] and "max_paths" in reply["error"]
+    assert responses[1] == [{"type": "pong", "id": "r2"}]
+
+
 def test_admission_control_overloaded():
     query = {"op": "query", "network": DEPARTMENT, "queries": ["loop()"]}
     responses = run_handles(
@@ -239,6 +258,25 @@ def test_streamed_matches_batch(network, workers, with_store, tmp_path):
                 for m in results_by_index(repeat).values()
             } == expected
             assert repeat[-1]["fingerprint"] == messages[-1]["fingerprint"]
+
+
+def test_unknown_verdict_streams_as_null():
+    """``holds=None`` from a cut-short exploration crosses the wire as JSON
+    null, evidence included, bit-identical to the batch run — and an unknown
+    setting on a live connection costs one error, not the connection."""
+    texts = ["loop()", "not(reach(zr2:in-hosts, zr0:hosts))"]
+    expected = batch_fingerprints(STANFORD, texts, max_paths=1)
+    with service_endpoint(batch_window=0.01) as (service, host, port):
+        with ServiceClient(host, port) as client:
+            refused = client.query(STANFORD, texts, max_path=1)
+            assert [m["type"] for m in refused] == ["error"]
+            messages = client.query(STANFORD, texts, max_paths=1)
+    assert messages[-1]["type"] == "done"
+    assert messages[-1]["stats"]["truncated_jobs"] == 3
+    results = results_by_index(messages)
+    assert [results[i]["holds"] for i in (0, 1)] == [None, None]
+    assert results[1]["evidence"]["incomplete_ports"] == ["zr2:in-hosts"]
+    assert {m["query"]: m["fingerprint"] for m in results.values()} == expected
 
 
 def test_resident_model_reused_across_requests():
