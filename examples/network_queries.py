@@ -75,8 +75,7 @@ def main() -> None:
         AdmittedValues("TcpDst", at="nat:out0", samples=3),
     )
     for answer in answers:
-        verdict = "?" if answer.holds is None else answer.holds
-        print(f"{answer.query:48s} -> {verdict}")
+        print(f"{answer.query:48s} -> {answer.summary()}")
     values = answers["admitted_values(TcpDst, at=nat:out0, samples=3)"]
     print(f"  admitted TcpDst values at nat:out0: {values.value['values']}")
 

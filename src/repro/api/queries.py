@@ -125,6 +125,19 @@ class QueryResult:
              "payload": payload}
         )
 
+    def summary(self) -> str:
+        """The answer in a word: the verdict; ``?`` when it is unknown
+        because the exploration it rests on was cut short; for a report-style
+        query, which has no verdict to give, the value in brief."""
+        if self.holds is not None:
+            return str(self.holds)
+        if "incomplete_ports" in self.evidence:
+            return "?"
+        value = self.value if isinstance(self.value, dict) else {}
+        if "reachable_pairs" in value:
+            return f"{value['reachable_pairs']} pairs"
+        return str(value.get("values", self.value))
+
     @classmethod
     def from_cached(cls, payload: Dict[str, object]) -> "QueryResult":
         """Rebuild an answer from its serialised form (plan-result cache)."""
@@ -315,7 +328,7 @@ class Loop(_PortScoped):
             scope,
             "loop",
             holds=report.loop_free,
-            settled=None if report.loop_free else False,
+            settled=False if report.loop_proved else None,
             value=report.to_dict(),
             evidence={
                 "findings": len(report.findings),

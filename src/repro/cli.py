@@ -175,11 +175,14 @@ def _build_parser() -> argparse.ArgumentParser:
     # _run_settings finds them again.
     defaults = RunSettings()
     budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument("--max-hops", type=int, default=defaults.max_hops)
+    budgets.add_argument(
+        "--max-hops", type=int, default=defaults.max_hops,
+        help="stop a path after this many ports (default: %(default)s)",
+    )
     budgets.add_argument(
         "--max-paths", type=int, default=defaults.max_paths,
         help="stop exploring after this many recorded paths (the report is "
-        "marked as truncated when the budget cuts exploration short)",
+        "marked as truncated when either budget cuts exploration short)",
     )
     budgets.add_argument(
         "--strategy", choices=sorted(STRATEGIES), default=defaults.strategy,
@@ -216,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "store's disk shards and publish fresh verdicts back",
     )
     stored.add_argument(
-        "--cache-shards", type=_shard_count, default=defaults.cache_shards,
+        "--cache-shards", type=int, default=defaults.cache_shards,
         metavar="N",
         help="shard the process-shared verdict tier (and a newly created "
         "store) across N partitions (default: %(default)s)",
@@ -455,16 +458,6 @@ def _run_settings(args: argparse.Namespace) -> Dict[str, object]:
     return settings
 
 
-def _shard_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("shard count must be >= 1")
-    return value
-
-
 def _open_store(args: argparse.Namespace):
     """The --store-dir flag as a VerificationStore (None when unset)."""
     if not getattr(args, "store_dir", None):
@@ -539,8 +532,8 @@ def _command_reachability(args: argparse.Namespace) -> int:
     )
     if result.truncated:
         _LOG.warning(
-            "exploration truncated at --max-paths=%d; pending states were "
-            "discarded", args.max_paths,
+            "exploration truncated by a budget (--max-paths=%d, --max-hops=%d); "
+            "the path list is incomplete", args.max_paths, args.max_hops,
         )
     return 0
 
@@ -642,10 +635,7 @@ def _command_query(args: argparse.Namespace) -> int:
         _LOG.info(
             "answered from the store's plan-result cache (0 engine jobs)"
         )
-    verdicts = ", ".join(
-        f"{answer.query}={'?' if answer.holds is None else answer.holds}"
-        for answer in result
-    )
+    verdicts = ", ".join(f"{answer.query}={answer.summary()}" for answer in result)
     _emit_report(
         result.to_json(),
         args.output,
@@ -656,9 +646,10 @@ def _command_query(args: argparse.Namespace) -> int:
     stats = result.stats
     if stats is not None and stats.truncated_jobs:
         _LOG.warning(
-            "exploration truncated at --max-paths=%d in %d job(s); answers "
-            "that rest on those ports are unknown ('?', see "
-            "evidence.incomplete_ports)", args.max_paths, stats.truncated_jobs,
+            "exploration truncated by a budget (--max-paths=%d, --max-hops=%d) "
+            "in %d job(s); answers that rest on those ports are unknown ('?', "
+            "see evidence.incomplete_ports)",
+            args.max_paths, args.max_hops, stats.truncated_jobs,
         )
     return _exit_code(result)
 
@@ -816,6 +807,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         ):
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.queries.extend(extras)
+    try:
+        # Out-of-range settings are refused here, in the declaration's own
+        # words, before any subcommand opens a store or builds a network.
+        RunSettings(**_run_settings(args))
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
     configure_logging(
         level=getattr(args, "log_level", None),
         verbosity=getattr(args, "verbose", 0),

@@ -28,9 +28,17 @@ from repro.sefl import instructions as si
 from repro.sefl.fields import HeaderField, TagOffset
 from repro.solver import ast as sa
 from repro.solver.ast import Const, Formula, Term
+from repro.solver.form import PathCondition
 from repro.solver.incremental import IncrementalSolver
 from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
+
+
+#: SEFL node type -> the solver node it translates to, operands left to right.
+_ARITHMETIC = {sx.Plus: sa.Add, sx.Minus: sa.Sub}
+_COMPARISONS = {
+    sx.Eq: sa.Eq, sx.Ne: sa.Ne, sx.Lt: sa.Lt, sx.Le: sa.Le, sx.Gt: sa.Gt, sx.Ge: sa.Ge,
+}
 
 
 @dataclass
@@ -41,15 +49,15 @@ class ExecutionSettings:
     max_hops: int = RunSettings.max_hops
     detect_loops: bool = True
     record_failed_paths: bool = True
-    record_infeasible_branches: bool = False
     max_paths: int = RunSettings.max_paths
     #: Worklist discipline: a name registered in
     #: :data:`repro.core.strategy.STRATEGIES` ("dfs", "bfs", "coverage") or a
     #: zero-argument factory returning an ExplorationStrategy.
     strategy: Union[str, Callable[[], ExplorationStrategy]] = RunSettings.strategy
-    #: Route feasibility checks through the incremental solver (push/pop
-    #: scopes + per-path propagated domains + memoized full checks).  Off,
-    #: every check re-solves the whole path conjunction from scratch.
+    #: Answer feasibility checks off the path condition's solved form
+    #: (propagated domains + memoized full checks).  Off is the reference
+    #: mode the differential tests compare against: no fast paths, every
+    #: check re-solves the whole path conjunction from scratch.
     use_incremental_solver: bool = True
 
 
@@ -86,6 +94,12 @@ class SymbolicExecutor:
         self.incremental = IncrementalSolver(
             self.solver, verdict_cache=verdict_cache, shared_cache=shared_cache
         )
+        # The one solver-mode choice: who answers "is this path condition
+        # satisfiable?".  States are bound to neither.
+        if self.settings.use_incremental_solver:
+            self._check = self.incremental.check
+        else:
+            self._check = lambda form: self.solver.check(form.formulas)
 
     # ------------------------------------------------------------------ public
 
@@ -104,22 +118,6 @@ class SymbolicExecutor:
 
         result = ExecutionResult(injected_at=PortId(element, port))
         state = initial_state if initial_state is not None else ExecutionState(self.symbols)
-        if not self.settings.use_incremental_solver:
-            # A reused initial_state may carry a context from an earlier
-            # incremental run; drop it so this run really re-solves from
-            # scratch (descendant states clone from here).
-            state.solver_context = None
-        elif (
-            state.solver_context is None
-            or state.solver_context.owner is not self.incremental
-        ):
-            # No context yet, or one bound to a different executor's solver
-            # (reused state): rebuild from the accumulated constraints so
-            # checks and stats go through *this* executor.
-            context = self.incremental.context()
-            for existing in state.constraints:
-                context.assume(existing)
-            state.solver_context = context
 
         # The injection program runs outside any element; it must not forward.
         injected = self._run_program(packet_program, state, element=None)
@@ -174,9 +172,12 @@ class SymbolicExecutor:
         state.hop_count += 1
 
         if state.hop_count > self.settings.max_hops:
+            # A budget like max_paths, not a verdict: the path keeps the
+            # "loop" status it always had, but nothing proved one.
             state.status = PathStatus.LOOP
             state.stop_reason = f"hop limit ({self.settings.max_hops}) exceeded"
-            self._record(result, state, port_id)
+            result.truncated = True
+            self._record(result, state, port_id, cut_off=True)
             return
 
         if self.settings.detect_loops and self._detect_loop(state, str(port_id)):
@@ -252,7 +253,7 @@ class SymbolicExecutor:
         snapshots = state.snapshots_for(port_key)
         if not snapshots:
             return False
-        constraints = list(state.constraints)
+        constraints = state.constraints
         new_formula = None
         for snapshot in snapshots:
             # Structural fast path.  Constraints are append-only along a
@@ -266,18 +267,14 @@ class SymbolicExecutor:
                 return True
             if new_formula is None:
                 new_formula = sa.conjoin(constraints)
-            old_formula = sa.conjoin(list(snapshot.constraints))
-            query = sa.And(old_formula, sa.Not(new_formula))
-            if self.settings.use_incremental_solver:
-                # Loop checks at symmetric ports differ only in symbol
-                # names, so the canonical verdict cache shares them across
-                # paths — and, in campaigns, across jobs.
-                witness = self.incremental.check_cached(
-                    sa.split_conjuncts(query)
-                )
-            else:
-                witness = self.solver.check(query)
-            if witness.is_unsat:
+            # Loop checks at symmetric ports differ only in symbol names, so
+            # the canonical verdict cache shares them across paths — and, in
+            # campaigns, across jobs.
+            query = PathCondition()
+            query.assume(
+                sa.And(sa.conjoin(snapshot.constraints), sa.Not(new_formula))
+            )
+            if self._check(query).is_unsat:
                 return True
         return False
 
@@ -286,27 +283,18 @@ class SymbolicExecutor:
         result: ExecutionResult,
         state: ExecutionState,
         port: Optional[PortId],
+        cut_off: bool = False,
     ) -> None:
         """Append a terminated state to the result, honouring record settings."""
-        # The context only serves feasibility checks on live paths; drop it
-        # so recorded results don't retain the solved-form duplicates of
-        # every path's constraints.
-        state.solver_context = None
-        if state.status == PathStatus.INFEASIBLE:
-            if not (
-                self.settings.record_infeasible_branches
-                and self.settings.record_failed_paths
-            ):
-                return
-        elif state.status == PathStatus.FAILED:
-            if not self.settings.record_failed_paths:
-                return
+        if state.status == PathStatus.FAILED and not self.settings.record_failed_paths:
+            return
         result.add(
             PathRecord(
                 state=state,
                 status=state.status,
                 stop_reason=state.stop_reason,
                 last_port=port,
+                cut_off=cut_off,
             )
         )
 
@@ -402,9 +390,8 @@ class SymbolicExecutor:
             return [outcome]
 
         if isinstance(instruction, si.Constrain):
-            formula = self._condition(instruction.condition, state)
-            self._assume(state, formula)
-            if self._check_state(state).is_unsat:
+            state.add_constraint(self._condition(instruction.condition, state))
+            if self._check(state.condition).is_unsat:
                 state.fail(instruction.unsatisfiable_reason)
                 outcome.done = True
             return [outcome]
@@ -457,47 +444,26 @@ class SymbolicExecutor:
         negated = sa.negate(formula)
 
         # Probe both branches *before* cloning so an infeasible side costs a
-        # push/check/pop instead of a full state copy.
+        # push/check/pop instead of a full state copy; a branch is entered
+        # iff it is feasible.
         then_feasible = self._branch_feasible(state, formula)
         else_feasible = self._branch_feasible(state, negated)
-
-        record_infeasible = self.settings.record_infeasible_branches
-        need_then = then_feasible or record_infeasible
-        need_else = else_feasible or record_infeasible
-        if not need_then and not need_else:
+        if not then_feasible and not else_feasible:
             # Both branches proved unsatisfiable (possible when an earlier
-            # eager check returned "unknown"): terminate the path instead of
+            # check returned "unknown"): terminate the path instead of
             # silently vanishing it — same defect class as the empty Fork.
             state.fail("constraint unsatisfiable: both If branches infeasible")
             return [_Outcome(state, done=True)]
-        then_state: Optional[ExecutionState] = state if need_then else None
-        else_state: Optional[ExecutionState] = None
-        if need_else:
-            else_state = state.clone() if need_then else state
-
+        branches = []
+        if then_feasible:
+            branches.append((state, formula, instruction.then_branch))
+        if else_feasible:
+            else_state = state.clone() if then_feasible else state
+            branches.append((else_state, negated, instruction.else_branch))
         results: List[_Outcome] = []
-        if then_state is not None:
-            self._assume(then_state, formula)
-            if then_feasible:
-                results.extend(
-                    self._execute(
-                        instruction.then_branch, _Outcome(then_state), element
-                    )
-                )
-            else:
-                then_state.mark_infeasible("infeasible If branch (then)")
-                results.append(_Outcome(then_state, done=True))
-        if else_state is not None:
-            self._assume(else_state, negated)
-            if else_feasible:
-                results.extend(
-                    self._execute(
-                        instruction.else_branch, _Outcome(else_state), element
-                    )
-                )
-            else:
-                else_state.mark_infeasible("infeasible If branch (else)")
-                results.append(_Outcome(else_state, done=True))
+        for branch_state, assumed, body in branches:
+            branch_state.add_constraint(assumed)
+            results.extend(self._execute(body, _Outcome(branch_state), element))
         return results
 
     def _execute_for(
@@ -529,35 +495,16 @@ class SymbolicExecutor:
 
     # ------------------------------------------------------------- constraints
 
-    def _assume(self, state: ExecutionState, formula: Formula) -> None:
-        """Permanently add ``formula`` to the path, keeping the state's
-        incremental solver context (if any) in sync."""
-        state.add_constraint(formula)
-        if state.solver_context is not None:
-            state.solver_context.assume(formula)
-
-    def _check_state(self, state: ExecutionState):
-        """Satisfiability of the state's accumulated constraints."""
-        if state.solver_context is not None:
-            return state.solver_context.check()
-        return self.solver.check(list(state.constraints))
-
     def _branch_feasible(self, state: ExecutionState, formula: Formula) -> bool:
-        """Would adding ``formula`` keep the path feasible?  Uses a
-        speculative push/assume/check/pop scope when incremental solving is
-        on; falls back to a from-scratch solve of the extended conjunction."""
-        context = state.solver_context
-        if context is not None:
-            context.push()
-            try:
-                context.assume(formula)
-                verdict = context.check()
-            finally:
-                context.pop()
-            return not verdict.is_unsat
-        query = list(state.constraints)
-        query.append(formula)
-        return not self.solver.check(query).is_unsat
+        """Would adding ``formula`` keep the path feasible?  A speculative
+        push/assume/check/pop scope on the state's own path condition."""
+        form = state.condition
+        form.push()
+        try:
+            form.assume(formula)
+            return not self._check(form).is_unsat
+        finally:
+            form.pop()
 
     # -------------------------------------------------------------- evaluation
 
@@ -577,10 +524,9 @@ class SymbolicExecutor:
             return self.symbols.fresh(expression.label, expression.width)
         if isinstance(expression, sx.Reference):
             return state.read_variable(expression.variable)
-        if isinstance(expression, sx.Plus):
-            return sa.Add(self._eval(expression.left, state), self._eval(expression.right, state))
-        if isinstance(expression, sx.Minus):
-            return sa.Sub(self._eval(expression.left, state), self._eval(expression.right, state))
+        build = _ARITHMETIC.get(type(expression))
+        if build is not None:
+            return build(self._eval(expression.left, state), self._eval(expression.right, state))
         raise ModelError(f"cannot evaluate expression {expression!r}")
 
     def _eval_address(self, value, state: ExecutionState) -> int:
@@ -599,18 +545,9 @@ class SymbolicExecutor:
 
     def _condition(self, condition: sx.Condition, state: ExecutionState) -> Formula:
         """Translate a SEFL condition into a solver formula."""
-        if isinstance(condition, sx.Eq):
-            return sa.Eq(self._eval(condition.left, state), self._eval(condition.right, state))
-        if isinstance(condition, sx.Ne):
-            return sa.Ne(self._eval(condition.left, state), self._eval(condition.right, state))
-        if isinstance(condition, sx.Lt):
-            return sa.Lt(self._eval(condition.left, state), self._eval(condition.right, state))
-        if isinstance(condition, sx.Le):
-            return sa.Le(self._eval(condition.left, state), self._eval(condition.right, state))
-        if isinstance(condition, sx.Gt):
-            return sa.Gt(self._eval(condition.left, state), self._eval(condition.right, state))
-        if isinstance(condition, sx.Ge):
-            return sa.Ge(self._eval(condition.left, state), self._eval(condition.right, state))
+        build = _COMPARISONS.get(type(condition))
+        if build is not None:
+            return build(self._eval(condition.left, state), self._eval(condition.right, state))
         if isinstance(condition, sx.OneOf):
             return sa.Member(self._eval(condition.expression, state), condition.values)
         if isinstance(condition, sx.And):

@@ -207,7 +207,7 @@ REPORT_FIELDS = (
     ReportField("delivered_to", {Text: int}),
     ReportField(
         "loops",
-        [{"detected_at": Text, "reason": Text, "trace": [Text]}],
+        [{"detected_at": Text, "reason": Text, "trace": [Text], "cut_off": bool}],
         order=loop_sort_key,
     ),
     ReportField("drop_reasons", {Text: int}),
@@ -336,6 +336,7 @@ def collect_facts(
                     "detected_at": str(path.last_port) if path.last_port else "?",
                     "reason": path.stop_reason,
                     "trace": list(path.ports_visited),
+                    "cut_off": path.cut_off,
                 }
             )
         report.loops.sort(key=loop_sort_key)

@@ -27,12 +27,9 @@ class PathStatus(PathStatusValues):
     * ``dropped`` — an input-port program finished without forwarding;
     * ``failed`` — ``Fail`` was executed, a constraint was unsatisfiable, or
       a memory-safety violation occurred;
-    * ``infeasible`` — an ``If`` branch whose constraints the solver proved
-      unsatisfiable (recorded only when both
-      ``ExecutionSettings.record_infeasible_branches`` and
-      ``record_failed_paths`` are set);
     * ``loop`` — the loop-detection algorithm proved the packet revisits a
-      port with a subsuming state;
+      port with a subsuming state, or (``PathRecord.cut_off``) the path ran
+      out of its ``max_hops`` budget before anything was proved;
     * ``alive`` — only seen transiently while the engine is still running.
     """
 
@@ -45,6 +42,9 @@ class PathRecord:
     status: str
     stop_reason: str = ""
     last_port: Optional[PortId] = None
+    #: Stopped by the hop budget — the run is ``truncated`` — rather than
+    #: by the program or the loop detector.
+    cut_off: bool = False
 
     @property
     def path_id(self) -> int:
@@ -56,7 +56,7 @@ class PathRecord:
 
     @property
     def constraints(self):
-        return list(self.state.constraints)
+        return list(self.state.condition.formulas)
 
     def reached(self, element: str, port: Optional[str] = None) -> bool:
         """True if the path terminated at the given element (and port)."""
@@ -102,8 +102,9 @@ class ExecutionResult:
     #: degrade-path failures absorbed during the run); ``result.solver_calls``
     #: etc. read through to it.
     solver_stats: SolverStats = field(default_factory=SolverStats)
-    #: True when ``max_paths`` stopped exploration with frontier states
-    #: still pending — the path list is a prefix, not the full set.
+    #: True when a budget cut exploration short: ``max_paths`` stopped it
+    #: with frontier states still pending, or ``max_hops`` stopped a path —
+    #: the path list is not the full set.
     truncated: bool = False
 
     def add(self, record: PathRecord) -> None:
@@ -128,9 +129,6 @@ class ExecutionResult:
 
     def loops(self) -> List[PathRecord]:
         return [p for p in self.paths if p.status == PathStatus.LOOP]
-
-    def infeasible(self) -> List[PathRecord]:
-        return [p for p in self.paths if p.status == PathStatus.INFEASIBLE]
 
     def reaching(self, element: str, port: Optional[str] = None) -> List[PathRecord]:
         """Delivered paths that terminated at the given element/port."""

@@ -164,12 +164,14 @@ class ReachabilityMatrix:
 @dataclass(frozen=True)
 class LoopFinding:
     """One looping path: where it was injected, where the loop closed and the
-    port trace that demonstrates it."""
+    port trace that demonstrates it.  ``cut_off`` marks a path that merely
+    ran out of hop budget: reported, but proof of nothing."""
 
     source: str
     detected_at: str
     reason: str
     trace: Tuple[str, ...] = ()
+    cut_off: bool = False
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -177,6 +179,7 @@ class LoopFinding:
             "detected_at": self.detected_at,
             "reason": self.reason,
             "trace": list(self.trace),
+            "cut_off": self.cut_off,
         }
 
 
@@ -200,6 +203,7 @@ class LoopReport:
                             str(loop.get("detected_at", "?")),
                             str(loop.get("reason", "")),
                             tuple(loop.get("trace", ())),
+                            bool(loop.get("cut_off", False)),
                         )
                     )
         return report
@@ -213,6 +217,11 @@ class LoopReport:
     @property
     def loop_free(self) -> bool:
         return not self._findings
+
+    @property
+    def loop_proved(self) -> bool:
+        """A finding the loop detector proved (not a hop-budget cut-off)."""
+        return any(not finding.cut_off for finding in self._findings)
 
     @property
     def findings(self) -> List[LoopFinding]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
+from repro.core.strategy import STRATEGIES
 from repro.store.sharding import DEFAULT_PUBLISH_BATCH, DEFAULT_SHARD_COUNT
 
 
@@ -33,9 +34,10 @@ class RunSettings:
     #: Header fields pinned to concrete values, as sorted (name, value)
     #: pairs; a mapping is accepted and normalised.
     field_values: Tuple[Tuple[str, int], ...] = ()
+    #: The two budgets.  A path is stopped after ``max_hops`` ports, a job
+    #: after ``max_paths`` recorded paths; either way the job's report is
+    #: marked truncated and every answer over it says so.
     max_hops: int = 128
-    #: Stop a job after this many recorded paths; its report is marked
-    #: truncated and every answer over it says so.
     max_paths: int = 1_000_000
     #: Worklist discipline, by ``strategy.STRATEGIES`` name (jobs pickle).
     strategy: str = "dfs"
@@ -75,6 +77,14 @@ class RunSettings:
                 kind is int and isinstance(value, bool)
             ):
                 raise TypeError(f"'{spec.name}' must be {kind.__name__}")
+        for name in ("max_hops", "max_paths", "cache_shards", "publish_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"'{name}' must be >= 1, not {getattr(self, name)}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(
+                f"'strategy' must be one of {', '.join(sorted(STRATEGIES))}, "
+                f"not {self.strategy!r}"
+            )
 
     def identity(self) -> Tuple[Tuple[str, object], ...]:
         """The (name, value) pairs every digest of this run covers."""

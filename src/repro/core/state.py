@@ -8,15 +8,16 @@ copy whenever the engine forks.
 
 Cloning is copy-on-write throughout: header/metadata stores share slot
 stacks with the parent until mutated (see :mod:`repro.core.memory`), the
-port/instruction traces are :class:`AppendLog` chains that share their
-prefix, and port snapshots are immutable tuples shared by reference.
+port/instruction traces and the path condition's formula log are
+:class:`AppendLog` chains that share their prefix, and port snapshots —
+frozen prefixes of that log — sit in immutable tuples shared by reference.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import MemorySafetyError
 from repro.core.memory import HeaderMemory, MetadataStore, MetaKey
@@ -24,6 +25,7 @@ from repro.core.values import SymbolFactory, term_to_string
 from repro.sefl.fields import HeaderField, TagOffset, VariableLike
 from repro.sefl.instructions import Instruction
 from repro.solver.ast import Formula, Term
+from repro.solver.form import AppendLog, PathCondition
 
 _path_counter = itertools.count(1)
 
@@ -34,72 +36,20 @@ class PathStatusValues:
     DELIVERED = "delivered"
     DROPPED = "dropped"
     LOOP = "loop"
-    INFEASIBLE = "infeasible"
-
-
-class AppendLog:
-    """An append-only sequence with O(1) copy-on-write clones.
-
-    Each log is a chain: an immutable view of ``_upto`` items of a parent
-    log plus a private tail.  ``clone()`` freezes the current contents as the
-    shared prefix of a new log; the original keeps appending to its own tail
-    without affecting any clone (tails are append-only, and clones record
-    how far into the parent's tail they may look).
-    """
-
-    __slots__ = ("_parent", "_upto", "_base_len", "_items")
-
-    def __init__(
-        self, parent: Optional["AppendLog"] = None, upto: int = 0
-    ) -> None:
-        self._parent = parent
-        self._upto = upto
-        self._base_len = (parent._base_len + upto) if parent is not None else 0
-        self._items: list = []
-
-    def append(self, item) -> None:
-        self._items.append(item)
-
-    def clone(self) -> "AppendLog":
-        return AppendLog(self, len(self._items))
-
-    def __len__(self) -> int:
-        return self._base_len + len(self._items)
-
-    def __iter__(self) -> Iterator:
-        segments = []
-        node: Optional[AppendLog] = self
-        upto = len(self._items)
-        while node is not None:
-            segments.append((node._items, upto))
-            upto = node._upto
-            node = node._parent
-        for items, limit in reversed(segments):
-            for index in range(limit):
-                yield items[index]
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def to_list(self) -> list:
-        return list(self)
-
-    def __repr__(self) -> str:
-        return f"AppendLog({list(self)!r})"
 
 
 @dataclass
 class PortSnapshot:
     """Constraints recorded when the path previously visited a port.
 
-    ``constraints`` is the full conjunction at snapshot time.  Because path
-    constraints are append-only along one path, it is also a *prefix* of the
-    path's later constraint lists; ``len(constraints)`` therefore tells the
-    loop detector where the incremental suffix of new constraints starts.
+    ``constraints`` is the full conjunction at snapshot time: a frozen
+    prefix of the path's formula log, shared with it.  Because path
+    constraints are append-only along one path, ``len(constraints)`` also
+    tells the loop detector where the suffix of new constraints starts.
     """
 
     port: str
-    constraints: Tuple[Formula, ...]
+    constraints: AppendLog
     _constraint_set: Optional[frozenset] = field(
         default=None, repr=False, compare=False
     )
@@ -123,7 +73,9 @@ class ExecutionState:
         self.header = HeaderMemory()
         self.metadata = MetadataStore()
         self.tags: Dict[str, int] = {}
-        self.constraints: List[Formula] = []
+        #: The path condition — the one holder of the path's constraints,
+        #: as asserted and in solved form.  It belongs to no solver.
+        self.condition = PathCondition()
         self.port_trace: AppendLog = AppendLog()
         self.instruction_trace: AppendLog = AppendLog()
         self.port_snapshots: Dict[str, Tuple[PortSnapshot, ...]] = {}
@@ -133,24 +85,21 @@ class ExecutionState:
         self.path_id: int = next(_path_counter)
         self.parent_id: Optional[int] = None
         self.hop_count: int = 0
-        # Wired up by the engine when incremental solving is enabled; holds a
-        # repro.solver.incremental.SolverContext mirroring self.constraints.
-        self.solver_context = None
 
     # -- lifecycle -------------------------------------------------------------
 
     def clone(self) -> "ExecutionState":
         """Create an independent copy (used by If / Fork).
 
-        Copy-on-write: memory stores, traces, snapshots and the solver
-        context all share structure with the parent until one side mutates.
+        Copy-on-write: memory stores, traces, snapshots and the path
+        condition all share structure with the parent until one side mutates.
         """
         copy = ExecutionState.__new__(ExecutionState)
         copy.symbols = self.symbols  # shared on purpose: ids must stay unique
         copy.header = self.header.clone()
         copy.metadata = self.metadata.clone()
         copy.tags = dict(self.tags)
-        copy.constraints = list(self.constraints)
+        copy.condition = self.condition.clone()
         copy.port_trace = self.port_trace.clone()
         copy.instruction_trace = self.instruction_trace.clone()
         copy.port_snapshots = dict(self.port_snapshots)
@@ -160,18 +109,10 @@ class ExecutionState:
         copy.path_id = next(_path_counter)
         copy.parent_id = self.path_id
         copy.hop_count = self.hop_count
-        copy.solver_context = (
-            self.solver_context.clone() if self.solver_context is not None else None
-        )
         return copy
 
     def fail(self, reason: str) -> None:
         self.status = PathStatusValues.FAILED
-        self.stop_reason = reason
-
-    def mark_infeasible(self, reason: str) -> None:
-        """Terminate the path as a provably-infeasible branch."""
-        self.status = PathStatusValues.INFEASIBLE
         self.stop_reason = reason
 
     @property
@@ -297,11 +238,16 @@ class ExecutionState:
 
     # -- constraints -------------------------------------------------------------
 
+    @property
+    def constraints(self) -> Tuple[Formula, ...]:
+        """The formulas asserted along the path, in order (read-only)."""
+        return tuple(self.condition.formulas)
+
     def add_constraint(self, formula: Formula) -> None:
-        self.constraints.append(formula)
+        self.condition.assume(formula)
 
     def constraint_count(self) -> int:
-        return len(self.constraints)
+        return len(self.condition.formulas)
 
     # -- bookkeeping --------------------------------------------------------------
 
@@ -313,7 +259,7 @@ class ExecutionState:
         self.instruction_trace.append(instruction)
 
     def snapshot_port(self, port_id: str) -> None:
-        snapshot = PortSnapshot(port_id, tuple(self.constraints))
+        snapshot = PortSnapshot(port_id, self.condition.formulas.clone())
         # Snapshot tuples are immutable and rebound on append, so clones can
         # share the dict values by reference.
         existing = self.port_snapshots.get(port_id, ())
@@ -345,6 +291,6 @@ class ExecutionState:
             "tags": dict(self.tags),
             "headers": header_values,
             "metadata": metadata_values,
-            "constraint_count": len(self.constraints),
+            "constraint_count": self.constraint_count(),
             "ports_visited": list(self.port_trace),
         }

@@ -48,6 +48,7 @@ from repro.solver.ast import (
     disjoin,
 )
 from repro.solver.canonical import CanonicalForm, canonical_fingerprint, canonical_form
+from repro.solver.form import PathCondition
 from repro.solver.incremental import IncrementalSolver, SolverContext
 from repro.solver.intervals import Interval, IntervalSet
 from repro.solver.result import SolverResult, SolverStats
@@ -82,6 +83,7 @@ __all__ = [
     "Ne",
     "Not",
     "Or",
+    "PathCondition",
     "Solver",
     "SolverContext",
     "SolverResult",

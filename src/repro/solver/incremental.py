@@ -1,248 +1,61 @@
-"""Incremental satisfiability: push/pop assertion scopes over a base solver.
+"""Incremental satisfiability: cheap answers off a path condition's solved
+form, and a verdict memo in front of the full solve.
 
 The symbolic execution engine accumulates path constraints one conjunct at a
 time, and at every branch point it asks "is the conjunction still
-satisfiable?".  The plain :class:`repro.solver.solver.Solver` answers that by
-re-normalising and re-propagating the *entire* conjunction, which makes the
-per-branch cost grow linearly with path length (quadratic over a whole path).
+satisfiable?".  Re-normalising and re-propagating the *entire* conjunction
+each time makes the per-branch cost grow linearly with path length
+(quadratic over a whole path); a :class:`~repro.solver.form.PathCondition`
+keeps the committed prefix in solved form instead, and
+:meth:`IncrementalSolver.check` reads the answer off it, cheapest tier first:
 
-:class:`SolverContext` keeps the committed prefix in solved form instead:
-
-* every asserted formula is NNF-normalised once, and its conjuncts are
-  classified exactly the way the base solver would classify them;
-* conjuncts that constrain a single variable against constants (ordinary
-  comparisons, ``Member`` interval sets, single-variable disjunctions) are
-  absorbed immediately into a running per-variable domain map — asserting a
-  new constraint only re-propagates its own atoms;
-* everything else (difference atoms, mixed disjunctions, unsupported atoms)
-  is kept in a *residual* list.
-
-``check()`` then has three tiers, cheapest first:
-
-1. if domain propagation already emptied a variable's domain the context is
-   known unsat — no solver work at all (counted as a *fast path*);
+1. if domain propagation already emptied a variable's domain the condition
+   is known unsat — no solver work at all (counted as a *fast path*);
 2. if the residual is empty, the constraints are exactly the per-variable
    domains, which are non-empty by construction — satisfiable, again without
    a solver call (also a fast path);
-3. otherwise the full conjunction is handed to the base solver, behind a
-   memoization cache keyed on the canonicalized (order- and
+3. otherwise the base solver decides the residual, starting from the solved
+   form, behind a memoization cache keyed on the canonicalized (order- and
    duplicate-insensitive) set of conjuncts, with hit/miss counters recorded
    in :class:`repro.solver.result.SolverStats`.
 
-``push()``/``pop()`` bracket speculative assertions (the engine probes each
-``If`` branch with ``push(); assume(formula); check(); pop()``) using an undo
-log, so popping a scope is O(size of the scope), not O(path length).
-
-Verdict parity: tiers 1 and 2 reproduce exactly the answers the base
-solver's own domain propagation would give, and tier 3 *is* the base solver,
-so a context never disagrees with ``Solver.check`` on the same conjunction.
+Verdict parity with ``Solver.check`` holds by construction: a from-scratch
+check builds the same form from the same formulas and decides it with the
+same :meth:`Solver.decide` tier 3 calls, and tiers 1 and 2 are that call's
+own first two answers.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.solver.ast import (
-    And,
-    Atom,
-    BoolFalse,
-    BoolTrue,
-    Formula,
-    Member,
-    Or,
-    Var,
-    linearize,
-    to_nnf,
-)
+from repro.solver.ast import Formula
 from repro.obs.trace import get_tracer
 from repro.solver.canonical import canonical_fingerprint
-from repro.solver.intervals import IntervalSet
+from repro.solver.form import PathCondition
 from repro.solver.result import SolverResult, SolverStats
-from repro.solver.solver import _ATOM_TYPES, Solver
+from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
-from repro.solver.theory import (
-    UnsupportedAtomError,
-    _const_holds,
-    classify_atom,
-    domain_for,
-)
-
-_MISSING = object()  # undo-log sentinel: variable had no narrowed domain yet
 
 
-class _Frame:
-    """Undo information for one ``push()`` scope."""
+class SolverContext(PathCondition):
+    """A path condition that knows which solver answers its ``check()``."""
 
-    __slots__ = ("saved_domains", "conjunct_len", "residual_len", "unsat")
-
-    def __init__(self, conjunct_len: int, residual_len: int, unsat: bool) -> None:
-        self.saved_domains: Dict[Var, object] = {}
-        self.conjunct_len = conjunct_len
-        self.residual_len = residual_len
-        self.unsat = unsat
-
-
-class SolverContext:
-    """One path's incremental assertion stack (see module docstring)."""
-
-    __slots__ = ("_owner", "_domains", "_conjuncts", "_residual", "_unsat", "_frames")
+    __slots__ = ("owner",)
 
     def __init__(self, owner: "IncrementalSolver") -> None:
-        self._owner = owner
-        self._domains: Dict[Var, IntervalSet] = {}
-        self._conjuncts: List[Formula] = []
-        self._residual: List[Formula] = []
-        self._unsat = False
-        self._frames: List[_Frame] = []
-
-    @property
-    def owner(self) -> "IncrementalSolver":
-        return self._owner
-
-    # -- lifecycle ------------------------------------------------------------
+        super().__init__()
+        self.owner = owner
 
     def clone(self) -> "SolverContext":
-        """Copy for a forked path.  Formulas and interval sets are immutable,
-        so only the container objects are duplicated."""
-        if self._frames:
-            raise RuntimeError("cannot clone a context with open push() scopes")
-        copy = SolverContext(self._owner)
-        copy._domains = dict(self._domains)
-        copy._conjuncts = list(self._conjuncts)
-        copy._residual = list(self._residual)
-        copy._unsat = self._unsat
+        copy = super().clone()
+        copy.owner = self.owner
         return copy
-
-    # -- scopes ---------------------------------------------------------------
-
-    def push(self) -> None:
-        """Open a speculative scope; ``pop()`` undoes everything asserted in it."""
-        self._frames.append(
-            _Frame(len(self._conjuncts), len(self._residual), self._unsat)
-        )
-
-    def pop(self) -> None:
-        """Discard the most recent ``push()`` scope."""
-        if not self._frames:
-            raise RuntimeError("pop() without a matching push()")
-        frame = self._frames.pop()
-        del self._conjuncts[frame.conjunct_len:]
-        del self._residual[frame.residual_len:]
-        for var, previous in frame.saved_domains.items():
-            if previous is _MISSING:
-                del self._domains[var]
-            else:
-                self._domains[var] = previous  # type: ignore[assignment]
-        self._unsat = frame.unsat
-
-    @property
-    def depth(self) -> int:
-        return len(self._frames)
-
-    # -- assertion ------------------------------------------------------------
-
-    def assume(self, formula: Formula) -> None:
-        """Assert ``formula``, propagating only its own atoms."""
-        stack = [to_nnf(formula)]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, BoolTrue):
-                continue
-            if isinstance(item, And):
-                stack.extend(item.operands)
-                continue
-            self._conjuncts.append(item)
-            if self._unsat:
-                continue  # keep recording conjuncts, but no propagation needed
-            if isinstance(item, BoolFalse):
-                self._mark_unsat()
-            elif isinstance(item, _ATOM_TYPES):
-                self._assume_atom(item)
-            elif isinstance(item, Member):
-                self._assume_member(item)
-            elif isinstance(item, Or):
-                self._assume_disjunction(item)
-            else:
-                # to_nnf eliminates Not entirely, so anything else here is
-                # not a formula node at all.
-                raise TypeError(f"unexpected formula node: {item!r}")
-
-    def _assume_atom(self, atom: Atom) -> None:
-        try:
-            info = classify_atom(atom)
-        except UnsupportedAtomError:
-            self._residual.append(atom)
-            return
-        if info.kind == "const":
-            if not _const_holds(info.op, info.constant):
-                self._mark_unsat()
-            return
-        if info.kind == "domain":
-            assert info.var is not None
-            self._narrow(
-                info.var, domain_for(info.op, info.constant, info.var.width)
-            )
-            return
-        self._residual.append(atom)  # difference atom
-
-    def _assume_member(self, member: Member) -> None:
-        linear = linearize(member.term)
-        if linear.is_constant():
-            if not Solver._constant_member_holds(member, linear.constant):
-                self._mark_unsat()
-            return
-        resolved = Solver._member_domain(member)
-        if resolved is None:
-            self._residual.append(member)
-            return
-        var, allowed = resolved
-        self._narrow(var, allowed)
-
-    def _assume_disjunction(self, disjunction: Or) -> None:
-        domain = Solver._single_variable_domain(disjunction)
-        if domain is None:
-            self._residual.append(disjunction)
-            return
-        var, allowed = domain
-        self._narrow(var, allowed)
-
-    def _narrow(self, var: Var, allowed: IntervalSet) -> None:
-        current = self._domains.get(var)
-        if self._frames:
-            frame = self._frames[-1]
-            if var not in frame.saved_domains:
-                frame.saved_domains[var] = (
-                    current if current is not None else _MISSING
-                )
-        if current is None:
-            current = IntervalSet.full(var.width)
-        narrowed = current.intersection(allowed)
-        self._domains[var] = narrowed
-        if narrowed.is_empty():
-            self._mark_unsat()
-
-    def _mark_unsat(self) -> None:
-        self._unsat = True
-
-    # -- queries --------------------------------------------------------------
 
     def check(self, want_model: bool = False) -> SolverResult:
         """Satisfiability of everything asserted so far."""
-        stats = self._owner.stats
-        if self._unsat:
-            stats.record_fast_path()
-            return SolverResult(verdict="unsat")
-        if not want_model and not self._residual:
-            # Pure per-variable domains, all non-empty: trivially satisfiable.
-            stats.record_fast_path()
-            return SolverResult(verdict="sat")
-        if want_model:
-            return self._owner.base.check(list(self._conjuncts), want_model=True)
-        return self._owner.check_cached(self._conjuncts)
-
-    def constraint_count(self) -> int:
-        return len(self._conjuncts)
+        return self.owner.check(self, want_model)
 
 
 class IncrementalSolver:
@@ -326,7 +139,29 @@ class IncrementalSolver:
             self._fingerprints.popitem(last=False)
         return key
 
+    def check(self, form: PathCondition, want_model: bool = False) -> SolverResult:
+        """Satisfiability of a path condition, cheapest tier first (see the
+        module docstring)."""
+        if form.unsat:
+            self.stats.record_fast_path()
+            return SolverResult(verdict="unsat")
+        if want_model:
+            return self.base.decide(form, want_model=True)
+        if not form.residual:
+            # Pure per-variable domains, all non-empty: trivially satisfiable.
+            self.stats.record_fast_path()
+            return SolverResult(verdict="sat")
+        return self._memoized(form.conjuncts(), lambda: self.base.decide(form))
+
     def check_cached(self, conjuncts: List[Formula]) -> SolverResult:
+        """Memoized from-scratch solve of a conjunct list."""
+        return self._memoized(conjuncts, lambda: self.base.check(list(conjuncts)))
+
+    def _memoized(
+        self, conjuncts: List[Formula], solve: Callable[[], SolverResult]
+    ) -> SolverResult:
+        """The verdict filed under ``conjuncts``' canonical fingerprint, or
+        ``solve()``'s, filed for the next caller."""
         exact = frozenset(conjuncts)
         if exact in self._exact_unknowns:
             self._exact_unknowns.move_to_end(exact)
@@ -374,9 +209,9 @@ class IncrementalSolver:
             # record span-per-check.  Guarding on ``enabled`` keeps the
             # untraced hot path free of even the kwargs dict.
             with tracer.span("solver.check", conjuncts=len(conjuncts)):
-                result = self.base.check(list(conjuncts))
+                result = solve()
         else:
-            result = self.base.check(list(conjuncts))
+            result = solve()
         if result.verdict == "unknown":
             # Incompleteness, not an answer: budgets are consumed in
             # conjunct order, so an alpha-variant of this set might solve

@@ -9,11 +9,10 @@ the conformance-testing framework to build test packets).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.solver.ast import (
     And,
-    Atom,
     BoolFalse,
     BoolTrue,
     Eq,
@@ -27,21 +26,12 @@ from repro.solver.ast import (
     Not,
     Or,
     Var,
-    conjoin,
     formula_size,
-    linearize,
-    to_nnf,
 )
-from repro.solver.intervals import IntervalSet
+from repro.solver.form import PathCondition
 from repro.solver.result import SolverResult, SolverStats
-from repro.solver.theory import (
-    TheorySolver,
-    UnsupportedAtomError,
-    classify_atom,
-    domain_for,
-)
+from repro.solver.theory import TheorySolver
 
-_ATOM_TYPES = (Eq, Ne, Lt, Le, Gt, Ge)
 _FORMULA_NODES = (
     Eq, Ne, Lt, Le, Gt, Ge, Member, And, Or, Not, BoolTrue, BoolFalse,
 )
@@ -78,14 +68,29 @@ class Solver:
         constraints: Union[Formula, Sequence[Formula]],
         want_model: bool = False,
     ) -> SolverResult:
-        """Check satisfiability of ``constraints`` (a formula or a sequence)."""
+        """Check satisfiability of ``constraints`` (a formula, or any
+        iterable of formulas taken as their conjunction) from scratch: a
+        fresh path condition, everything assumed, the residual decided."""
+        if isinstance(constraints, _FORMULA_NODES):
+            constraints = (constraints,)
+        form = PathCondition()
+        for formula in constraints:
+            form.assume(formula)
+        return self.decide(form, want_model)
+
+    def decide(self, form: PathCondition, want_model: bool = False) -> SolverResult:
+        """Full solve of a path condition, starting from its solved form:
+        the theory solver on the domains and residual atoms, a DPLL case
+        split over the residual's mixed disjunctions.  ``form`` is used as
+        the split's scratch space (``push``/``pop``) and left as found."""
         start = time.perf_counter()
-        formula = self._as_formula(constraints)
-        atoms = formula_size(formula)
         splits = [0]
-        verdict, model = self._check_formula(formula, want_model, splits)
-        elapsed = time.perf_counter() - start
-        self.stats.record(verdict, elapsed, atoms, splits[0])
+        # Most recently asserted first, so the stable smallest-first sort
+        # keeps breaking ties the way it always has.
+        pending = [item for item in reversed(form.residual) if isinstance(item, Or)]
+        verdict, model = self._split(form, pending, want_model, splits)
+        atoms = sum(formula_size(formula) for formula in form.formulas)
+        self.stats.record(verdict, time.perf_counter() - start, atoms, splits[0])
         named_model = None
         if model is not None:
             named_model = {var.name: value for var, value in model.items()}
@@ -112,180 +117,48 @@ class Solver:
 
     # -- internals ------------------------------------------------------------
 
-    @staticmethod
-    def _as_formula(constraints: Union[Formula, Sequence[Formula]]) -> Formula:
-        if isinstance(constraints, _FORMULA_NODES):
-            return constraints
-        # Any other iterable (list, tuple, generator, AppendLog, ...) is a
-        # conjunction of formulas.
-        return conjoin(constraints)
-
-    def _check_formula(
-        self, formula: Formula, want_model: bool, splits: List[int]
-    ) -> Tuple[str, Optional[Dict[Var, int]]]:
-        formula = to_nnf(formula)
-        if isinstance(formula, BoolFalse):
-            return "unsat", None
-        if isinstance(formula, BoolTrue):
-            return ("sat", {}) if want_model else ("sat", None)
-
-        conjuncts = (
-            list(formula.operands) if isinstance(formula, And) else [formula]
-        )
-        return self._check_conjunction(conjuncts, {}, want_model, splits)
-
-    def _check_conjunction(
+    def _split(
         self,
-        conjuncts: List[Formula],
-        extra_domains: Dict[Var, IntervalSet],
+        form: PathCondition,
+        pending: List[Or],
         want_model: bool,
         splits: List[int],
     ) -> Tuple[str, Optional[Dict[Var, int]]]:
-        atoms: List[Atom] = []
-        disjunctions: List[Or] = []
-        domains: Dict[Var, IntervalSet] = dict(extra_domains)
-        # Member atoms outside the single-variable fragment cannot narrow a
-        # domain.  They are conjuncts, so dropping them only *relaxes* the
-        # problem: an "unsat" verdict on the rest is still sound, while a
-        # "sat" must degrade to "unknown" at the end.  (Mirrors how the
-        # theory solver treats unsupported comparison atoms — and keeps
-        # verdicts aligned with the incremental SolverContext, which also
-        # keeps propagating the remaining conjuncts.)
-        unsupported_member = False
-
-        stack = list(conjuncts)
-        while stack:
-            item = stack.pop()
-            if isinstance(item, BoolTrue):
-                continue
-            if isinstance(item, BoolFalse):
-                return "unsat", None
-            if isinstance(item, And):
-                stack.extend(item.operands)
-                continue
-            if isinstance(item, Not):
-                stack.append(to_nnf(item))
-                continue
-            if isinstance(item, _ATOM_TYPES):
-                atoms.append(item)
-                continue
-            if isinstance(item, Member):
-                linear = linearize(item.term)
-                if linear.is_constant():
-                    if not self._constant_member_holds(item, linear.constant):
-                        return "unsat", None
-                    continue
-                resolved = self._member_domain(item)
-                if resolved is None:
-                    unsupported_member = True
-                    continue
-                var, allowed = resolved
-                current = domains.get(var, IntervalSet.full(var.width))
-                narrowed = current.intersection(allowed)
-                if narrowed.is_empty():
-                    return "unsat", None
-                domains[var] = narrowed
-                continue
-            if isinstance(item, Or):
-                domain = self._single_variable_domain(item)
-                if domain is not None:
-                    var, allowed = domain
-                    current = domains.get(var, IntervalSet.full(var.width))
-                    narrowed = current.intersection(allowed)
-                    if narrowed.is_empty():
-                        return "unsat", None
-                    domains[var] = narrowed
-                else:
-                    disjunctions.append(item)
-                continue
-            raise TypeError(f"unexpected formula node: {item!r}")
-
-        if not disjunctions:
-            verdict, model = self._theory.check(atoms, domains, want_model)
-            if unsupported_member and verdict == "sat":
-                return "unknown", None
-            return verdict, model
+        """Decide ``form`` with the disjunctions in ``pending`` still to be
+        case-split (the others in its residual already are)."""
+        if not pending:
+            return self._theory.decide(form, want_model)
 
         # Quick feasibility check of the non-disjunctive part before splitting.
-        base_verdict, _ = self._theory.check(atoms, domains, want_model=False)
-        if base_verdict == "unsat":
+        if self._theory.decide(form)[0] == "unsat":
             return "unsat", None
 
         # DPLL-style case split over the smallest disjunction first.
-        disjunctions.sort(key=lambda d: len(d.operands))
-        chosen = disjunctions[0]
-        rest = disjunctions[1:]
+        pending.sort(key=lambda d: len(d.operands))
+        chosen, rest = pending[0], pending[1:]
         saw_unknown = False
         for branch in chosen.operands:
             if splits[0] >= self._max_case_splits:
                 return "unknown", None
             splits[0] += 1
-            branch_conjuncts: List[Formula] = list(atoms)
-            branch_conjuncts.extend(rest)
-            branch_conjuncts.append(branch)
-            verdict, model = self._check_conjunction(
-                branch_conjuncts, domains, want_model, splits
-            )
+            mark = len(form.residual)
+            form.push()
+            try:
+                form.assume(branch)
+                opened = [
+                    item for item in form.residual[mark:] if isinstance(item, Or)
+                ]
+                # Again most recent first: the branch's own, then the rest.
+                verdict, model = self._split(
+                    form, (rest + opened)[::-1], want_model, splits
+                )
+            finally:
+                form.pop()
             if verdict == "sat":
-                if unsupported_member:
-                    return "unknown", None
                 return "sat", model
             if verdict == "unknown":
                 saw_unknown = True
-        # All branches unsat: sound even with a dropped unsupported Member,
-        # since dropping a conjunct only relaxes the problem.
+        # No branch is satisfiable — provably, unless one was undecided (a
+        # residual atom outside the fragment makes every leaf "unknown" at
+        # best, so the split can then never answer "sat").
         return ("unknown", None) if saw_unknown else ("unsat", None)
-
-    @staticmethod
-    def _constant_member_holds(atom: Member, constant: int) -> bool:
-        """Decide a Member atom whose term linearized to a constant.  Shared
-        with the incremental solver so the two tiers cannot diverge."""
-        values: IntervalSet = atom.values  # type: ignore[assignment]
-        return (constant in values) != atom.negated
-
-    @staticmethod
-    def _member_domain(atom: Member) -> Optional[Tuple[Var, IntervalSet]]:
-        """Turn a membership atom into a variable-domain constraint."""
-        linear = linearize(atom.term)
-        if len(linear.coeffs) != 1 or linear.coeffs[0][1] != 1:
-            return None
-        var = linear.coeffs[0][0]
-        values: IntervalSet = atom.values  # type: ignore[assignment]
-        # term = var + constant in values  <=>  var in (values - constant)
-        allowed = values.shift(-linear.constant) if linear.constant else values
-        if atom.negated:
-            allowed = allowed.complement(var.width)
-        return var, allowed
-
-    @staticmethod
-    def _single_variable_domain(
-        disjunction: Or,
-    ) -> Optional[Tuple[Var, IntervalSet]]:
-        """If every disjunct constrains the same single variable against
-        constants, collapse the disjunction into one interval-set domain.
-
-        This is the optimisation that makes the egress switch/router models
-        cheap: a 480 000-way ``Or`` of MAC equalities becomes a single domain
-        with 480 000 points instead of 480 000 case splits.
-        """
-        target: Optional[Var] = None
-        allowed = IntervalSet.empty()
-        for operand in disjunction.operands:
-            if not isinstance(operand, _ATOM_TYPES):
-                return None
-            try:
-                info = classify_atom(operand)
-            except UnsupportedAtomError:
-                return None
-            if info.kind != "domain" or info.var is None:
-                return None
-            if target is None:
-                target = info.var
-            elif info.var != target:
-                return None
-            allowed = allowed.union(
-                domain_for(info.op, info.constant, info.var.width)
-            )
-        if target is None:
-            return None
-        return target, allowed

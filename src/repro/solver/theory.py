@@ -7,6 +7,11 @@ The theory solver decides conjunctions of:
 * difference atoms — ``x - y <= c`` and friends (difference-bound matrix);
 * disequality atoms — ``x != c`` and ``x != y + c``.
 
+The first kind arrives already decided: a :class:`PathCondition` classified
+every atom and narrowed the per-variable domains when it was asserted
+(:mod:`repro.solver.form`); what is decided here is those domains together
+with the form's residual difference atoms.
+
 It is sound for both "sat" and "unsat" answers within this fragment.  Atoms
 outside the fragment (e.g. ``x + y == z``) make the result "unknown"; the
 SEFL models shipped with the library never generate such atoms.
@@ -14,127 +19,11 @@ SEFL models shipped with the library never generate such atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.solver.ast import (
-    Atom,
-    Eq,
-    Ge,
-    Gt,
-    Le,
-    Lt,
-    Ne,
-    Var,
-    linearize,
-)
+from repro.solver.ast import Atom, Or, Var
+from repro.solver.form import ClassifiedAtom, PathCondition
 from repro.solver.intervals import IntervalSet
-
-
-class UnsupportedAtomError(Exception):
-    """Raised when an atom falls outside the decidable fragment."""
-
-
-@dataclass
-class _ClassifiedAtom:
-    """An atom reduced to at most two variables with unit coefficients."""
-
-    kind: str  # "const", "domain", "diff"
-    op: str
-    # for "domain": var, constant
-    var: Optional[Var] = None
-    constant: int = 0
-    # for "diff": left - right op constant
-    left: Optional[Var] = None
-    right: Optional[Var] = None
-
-
-def classify_atom(atom: Atom) -> _ClassifiedAtom:
-    """Normalise an atom into the var-vs-const / var-vs-var fragment."""
-    lhs = linearize(atom.left)
-    rhs = linearize(atom.right)
-    # move everything to the left: lhs - rhs op 0
-    coeffs: Dict[Var, int] = {}
-    for var, coeff in lhs.coeffs:
-        coeffs[var] = coeffs.get(var, 0) + coeff
-    for var, coeff in rhs.coeffs:
-        coeffs[var] = coeffs.get(var, 0) - coeff
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    constant = lhs.constant - rhs.constant
-    op = atom.op
-
-    if not coeffs:
-        return _ClassifiedAtom(kind="const", op=op, constant=constant)
-
-    if len(coeffs) == 1:
-        (var, coeff), = coeffs.items()
-        if coeff == 1:
-            # var + constant op 0  ->  var op -constant
-            return _ClassifiedAtom(kind="domain", op=op, var=var, constant=-constant)
-        if coeff == -1:
-            # -var + constant op 0  ->  constant op var  -> var flipped_op constant
-            return _ClassifiedAtom(
-                kind="domain", op=_flip(op), var=var, constant=constant
-            )
-        raise UnsupportedAtomError(f"non-unit coefficient in {atom!r}")
-
-    if len(coeffs) == 2:
-        items = sorted(coeffs.items(), key=lambda kv: kv[0].name)
-        (v1, c1), (v2, c2) = items
-        if c1 == 1 and c2 == -1:
-            left, right = v1, v2
-        elif c1 == -1 and c2 == 1:
-            left, right = v2, v1
-        else:
-            raise UnsupportedAtomError(f"non-difference atom {atom!r}")
-        # left - right + constant op 0  ->  left - right op -constant
-        return _ClassifiedAtom(
-            kind="diff", op=op, left=left, right=right, constant=-constant
-        )
-
-    raise UnsupportedAtomError(f"atom mentions more than two variables: {atom!r}")
-
-
-def _flip(op: str) -> str:
-    return {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-
-
-def _const_holds(op: str, value: int) -> bool:
-    if op == "==":
-        return value == 0
-    if op == "!=":
-        return value != 0
-    if op == "<":
-        return value < 0
-    if op == "<=":
-        return value <= 0
-    if op == ">":
-        return value > 0
-    if op == ">=":
-        return value >= 0
-    raise ValueError(op)
-
-
-def domain_for(op: str, constant: int, width: int) -> IntervalSet:
-    """Interval set of values of a ``width``-bit variable satisfying
-    ``var op constant``."""
-    full = IntervalSet.full(width)
-    top = (1 << width) - 1
-    if op == "==":
-        if 0 <= constant <= top:
-            return IntervalSet.point(constant)
-        return IntervalSet.empty()
-    if op == "!=":
-        return full.remove_point(constant) if 0 <= constant <= top else full
-    if op == "<":
-        return IntervalSet.at_most(min(constant - 1, top))
-    if op == "<=":
-        return IntervalSet.at_most(min(constant, top))
-    if op == ">":
-        return IntervalSet.at_least(constant + 1, width)
-    if op == ">=":
-        return IntervalSet.at_least(constant, width)
-    raise ValueError(op)
 
 
 class _UnionFind:
@@ -185,17 +74,6 @@ class _UnionFind:
         return self._parent.keys()
 
 
-@dataclass
-class TheoryProblem:
-    """The result of analysing a conjunction of atoms."""
-
-    domains: Dict[Var, IntervalSet] = field(default_factory=dict)
-    diff_upper: Dict[Tuple[Var, Var], int] = field(default_factory=dict)
-    diseqs: List[Tuple[Var, Var, int]] = field(default_factory=list)  # a != b + c
-    const_diseqs: List[Tuple[Var, int]] = field(default_factory=list)  # a != c
-    unsupported: List[Atom] = field(default_factory=list)
-
-
 class TheorySolver:
     """Decide conjunctions of classified atoms and produce models."""
 
@@ -210,49 +88,41 @@ class TheorySolver:
         extra_domains: Optional[Dict[Var, IntervalSet]] = None,
         want_model: bool = False,
     ) -> Tuple[str, Optional[Dict[Var, int]]]:
-        """Return ``(verdict, model)`` for the conjunction of ``atoms``.
+        """Return ``(verdict, model)`` for the conjunction of ``atoms``,
+        each variable of ``extra_domains`` confined to its domain."""
+        form = PathCondition()
+        for var, allowed in (extra_domains or {}).items():
+            form.narrow(var, allowed)
+        for atom in atoms:
+            form.assume(atom)
+        return self.decide(form, want_model)
 
-        ``extra_domains`` lets the DPLL layer pass down domain constraints
-        extracted from single-variable disjunctions.
-        """
+    def decide(
+        self, form: PathCondition, want_model: bool = False
+    ) -> Tuple[str, Optional[Dict[Var, int]]]:
+        """``(verdict, model)`` for the conjunctive part of ``form``: its
+        domains and residual atoms.  Disjunctions in the residual are the
+        caller's to split (``Solver`` does, one scope per branch)."""
+        if form.unsat:
+            return "unsat", None
         union = _UnionFind()
-        domains: Dict[Var, IntervalSet] = {}
+        domains = form.domains
         diff_upper: Dict[Tuple[Var, Var], int] = {}
         diseqs: List[Tuple[Var, Var, int]] = []
         has_unsupported = False
 
-        def narrow(var: Var, allowed: IntervalSet) -> bool:
-            current = domains.get(var, IntervalSet.full(var.width))
-            updated = current.intersection(allowed)
-            domains[var] = updated
-            return not updated.is_empty()
-
-        if extra_domains:
-            for var, allowed in extra_domains.items():
-                union.add(var)
-                if not narrow(var, allowed):
-                    return "unsat", None
-
-        for atom in atoms:
-            try:
-                info = classify_atom(atom)
-            except UnsupportedAtomError:
+        for var in domains:
+            union.add(var)
+        # Most recent first — the order conjuncts have always been taken in,
+        # which fixes the union-find roots and with them the model found.
+        for item in reversed(form.residual):
+            if isinstance(item, Or):
+                continue
+            if not isinstance(item, ClassifiedAtom):
                 has_unsupported = True
                 continue
-            if info.kind == "const":
-                if not _const_holds(info.op, info.constant):
-                    return "unsat", None
-                continue
-            if info.kind == "domain":
-                assert info.var is not None
-                union.add(info.var)
-                allowed = domain_for(info.op, info.constant, info.var.width)
-                if not narrow(info.var, allowed):
-                    return "unsat", None
-                continue
             # difference atom: left - right op constant
-            assert info.left is not None and info.right is not None
-            left, right, c, op = info.left, info.right, info.constant, info.op
+            left, right, c, op = item.left, item.right, item.constant, item.op
             union.add(left)
             union.add(right)
             if op == "==":
@@ -271,7 +141,7 @@ class TheorySolver:
 
         # Collapse everything onto union-find representatives.
         rep_domains: Dict[Var, IntervalSet] = {}
-        for var in list(domains.keys()) + list(union.variables()):
+        for var in list(union.variables()):
             root, offset = union.find(var)
             base = rep_domains.get(root, IntervalSet.full(root.width))
             # var = root + offset; domain(var) constrains root to domain(var) - offset

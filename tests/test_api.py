@@ -688,6 +688,47 @@ class TestIncompleteExploration:
         ctx = PlanContext(plan, reports=clean)
         assert [query.evaluate(ctx).holds for query in queries] == [None] * len(queries)
 
+    def test_hop_budget_cut_off_is_not_a_proven_loop(self):
+        """``max_hops`` is a budget like ``max_paths``: a path it stops marks
+        the job truncated, and only a loop the detector *proved* may settle
+        ``loop()``.  (The CI department workload: loop-free, 14 pairs.)"""
+        model = NetworkModel.from_workload(
+            "department", access_switches=4, hosts_per_switch=2,
+            mac_entries=300, extra_routes=20,
+        )
+        complete = model.query(Loop(), ForAllPairs(Reach))
+        assert complete.stats.truncated_jobs == 0
+        assert [answer.holds for answer in complete] == [True, None]
+        assert complete[0].value["findings"] == []
+        assert complete[1].evidence == {"reachable_pairs": 14}
+
+        cut = model.query(Loop(), ForAllPairs(Reach), max_hops=3)
+        assert cut.stats.truncated_jobs == 3
+        for answer in cut:
+            assert answer.holds is None
+            assert len(answer.evidence["incomplete_ports"]) == 3
+        # The cut-off stays visible: a finding with the status and reason it
+        # always had, flagged as proof of nothing.
+        findings = cut[0].value["findings"]
+        assert len(findings) == 4
+        for finding in findings:
+            assert finding["cut_off"] is True
+            assert finding["reason"] == "hop limit (3) exceeded"
+        assert cut[1].evidence["reachable_pairs"] == 8  # of the 14
+
+    def test_proven_loop_settles_the_answer_at_any_budget(self):
+        ring = NetworkModel.from_network(loop_network())
+        for budget in ({}, {"max_hops": 4}):
+            (answer,) = ring.query(Loop(("a", "in-entry")), **budget)
+            assert answer.holds is False
+            (finding,) = answer.value["findings"]
+            assert finding["cut_off"] is False
+            assert finding["reason"].startswith("loop detected at")
+        # One hop less and the detector never gets its second visit to b:in0.
+        (answer,) = ring.query(Loop(("a", "in-entry")), max_hops=3)
+        assert answer.holds is None
+        assert answer.evidence["incomplete_ports"] == ["a:in-entry"]
+
     def test_failed_jobs_answer_unknown(self):
         result = self._model().query(Loop(), ForAllPairs(Reach), packet="bogus")
         assert len(result.job_errors) == 4

@@ -298,10 +298,36 @@ class TestQueryCommand:
         ) == 0
         captured = capsys.readouterr()
         assert "loop()=?" in captured.out
-        assert "truncated at --max-paths=1 in 3 job(s)" in captured.err
+        assert (
+            "truncated by a budget (--max-paths=1, --max-hops=128) in 3 job(s)"
+            in captured.err
+        )
         answer = json.loads(target.read_text())["queries"][0]
         assert answer["holds"] is None
         assert len(answer["evidence"]["incomplete_ports"]) == 3
+
+    def test_complete_value_query_prints_its_value_not_unknown(self, tmp_path, capsys):
+        """``?`` is reserved for answers resting on an incomplete
+        exploration; a report-style query has no verdict and prints its
+        value."""
+        target = tmp_path / "values.json"
+        arguments = [
+            "query", "--workload", "department", "-o", str(target), "loop()",
+            "admitted_values(TcpDst, at=m1:to-internet, samples=3)",
+            "forall_pairs(reach)",
+        ]
+        assert main(arguments) == 0
+        captured = capsys.readouterr()
+        values = json.loads(target.read_text())["queries"][1]
+        assert values["holds"] is None and len(values["value"]["values"]) == 3
+        assert f"samples=3)={values['value']['values']}" in captured.out
+        assert "forall_pairs(reach)=26 pairs" in captured.out
+        assert "?" not in captured.out and "truncated" not in captured.err
+        # The same batch under a hop budget that cuts it short: all unknown.
+        assert main(arguments + ["--max-hops", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "loop()=?" in captured.out and "forall_pairs(reach)=?" in captured.out
+        assert "truncated by a budget (--max-paths=1000000, --max-hops=3)" in captured.err
 
     def test_symmetry_changes_which_tier_answers_never_the_answer(self, tmp_path):
         reports = {}
@@ -434,7 +460,7 @@ class TestStoreCommands:
             args.append("loop()")
         with pytest.raises(SystemExit):
             main(args)
-        assert "shard count must be >= 1" in capsys.readouterr().err
+        assert "'cache_shards' must be >= 1, not 0" in capsys.readouterr().err
 
     def test_unusable_store_fails_cleanly_on_query_and_campaign(
         self, network_dir, tmp_path

@@ -10,6 +10,7 @@ without anyone remembering to extend a second list.
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -233,6 +234,48 @@ def test_serve_message_refuses_unknown_and_mistyped_settings():
         _parse_request("r", None, _message(symmetry=1))
     with pytest.raises(ProtocolError):
         _parse_request("r", None, _message(fields=["IpSrc"]))
+
+
+#: A value outside each range-checked setting's range.
+OUT_OF_RANGE = {
+    "max_hops": 0,
+    "max_paths": -5,
+    "cache_shards": 0,
+    "publish_batch": -1,
+    "strategy": "nope",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_front_doors_refuse_out_of_range_settings(model, name, capsys):
+    """Range-checked where it is declared, so refused before any job runs —
+    by every front door, with the declaration's own message."""
+    from repro.core.campaign import VerificationCampaign
+    from repro.scenarios import ScenarioCampaign
+
+    bad = {name: OUT_OF_RANGE[name]}
+    with pytest.raises(ValueError) as declared:
+        RunSettings(**bad)
+    message = re.escape(str(declared.value))
+    assert f"'{name}' must be" in str(declared.value)
+    for front_door in (
+        lambda: compile_plan(model, [Loop()], **bad),
+        lambda: model.query(Loop(), **bad),
+        lambda: model.campaign(**bad),
+        lambda: VerificationCampaign(NetworkSource.from_workload("department"), **bad),
+        lambda: ScenarioCampaign("netdir", None, **bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            front_door()
+    with pytest.raises(ProtocolError, match=message):
+        _parse_request("r", None, _message(**bad))
+    if name in ("max_hops", "max_paths", "cache_shards"):
+        # (--strategy is an argparse ``choices`` flag; publish_batch has none.)
+        flag = "--" + name.replace("_", "-")
+        for command in (["query", "netdir", "loop()"], ["campaign", "netdir"]):
+            with pytest.raises(SystemExit):
+                cli.main(command + [flag, str(OUT_OF_RANGE[name])])
+            assert str(declared.value) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["query", "campaign", "scenario"])

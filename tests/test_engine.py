@@ -170,23 +170,6 @@ class TestIfSemantics:
         result = run(program)
         assert len(result.delivered()) == 3
 
-    def test_infeasible_branches_have_structured_status(self):
-        """Infeasible If branches carry PathStatus.INFEASIBLE instead of
-        relying on stop-reason string matching."""
-        packet = models.symbolic_tcp_packet({TcpDst: 123})
-        program = If(Eq(TcpDst, 123), Forward("out0"), Forward("out1"))
-        recorded = run(program, packet, record_infeasible_branches=True)
-        assert recorded.summary_counts() == {"delivered": 1, "infeasible": 1}
-        branch = recorded.infeasible()[0]
-        assert branch.status == PathStatus.INFEASIBLE
-        assert branch.stop_reason == "infeasible If branch (else)"
-        # Default settings filter them out without inspecting stop reasons.
-        filtered = run(program, packet)
-        assert filtered.summary_counts() == {"delivered": 1}
-        # A failed path whose reason merely *mentions* "infeasible" is kept.
-        fail_result = run(InstructionBlock(Fail("infeasible-sounding"), Forward("out0")))
-        assert fail_result.summary_counts() == {"failed": 1}
-
 
 class TestAssignAndExpressions:
     def test_assign_constant(self):

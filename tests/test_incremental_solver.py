@@ -288,24 +288,38 @@ class TestEngineAccounting:
         assert legacy.solver_calls >= 3
         assert incremental.solver_calls * 2 <= legacy.solver_calls
 
-    def test_no_incremental_setting_clears_reused_context(self):
-        """A state carrying a context from an earlier incremental run must
-        not sneak incremental solving into a use_incremental_solver=False
-        run."""
+    def test_reused_state_is_bound_to_no_executor(self):
+        """A state is bound to no solver: the same initial state serves an
+        incremental executor and then a reference-mode one with no
+        rebinding, and the reference run still takes no fast path."""
         from repro.core.state import ExecutionState
+        from repro.solver.ast import Var
 
         state = ExecutionState()
-        state.solver_context = IncrementalSolver().context()
-        executor = SymbolicExecutor(
-            _branching_network(),
-            settings=ExecutionSettings(use_incremental_solver=False),
-        )
-        result = executor.inject(
-            models.symbolic_tcp_packet(), "box", "in0", initial_state=state
-        )
-        assert state.solver_context is None
-        assert result.solver_fast_paths == 0
-        assert result.solver_calls >= 3
+        state.add_constraint(Ge(Var("carried", 8), Const(3)))
+
+        def run(**settings):
+            executor = SymbolicExecutor(
+                _branching_network(), settings=ExecutionSettings(**settings)
+            )
+            result = executor.inject(
+                models.symbolic_tcp_packet(), "box", "in0",
+                initial_state=state.clone(),
+            )
+            # Every check went through (and was counted by) this executor.
+            assert result.solver_stats == executor.solver.stats
+            return result
+
+        incremental = run()
+        reference = run(use_incremental_solver=False)
+        assert incremental.solver_fast_paths > 0
+        assert reference.solver_fast_paths == 0
+        assert reference.solver_calls >= 3
+        assert reference.summary_counts() == incremental.summary_counts()
+        for result in (incremental, reference):
+            assert all(
+                path.constraints[0] == state.constraints[0] for path in result.paths
+            )
 
     def test_json_report_includes_solver_instrumentation(self):
         import json

@@ -6,7 +6,7 @@ from repro.core.errors import MemorySafetyError
 from repro.core.memory import HeaderMemory, MetadataStore
 from repro.core.state import ExecutionState
 from repro.sefl.fields import IpDst, IpSrc, Tag
-from repro.solver.ast import Const, Var
+from repro.solver.ast import Const, Eq, Var
 
 
 class TestHeaderMemory:
@@ -164,14 +164,15 @@ class TestExecutionState:
         self.state.create_tag("L3", 0)
         self.state.allocate_header(IpDst, 32)
         self.state.write_header(IpDst, Const(1))
-        self.state.add_constraint(Const(0))  # placeholder formula object
+        self.state.add_constraint(Eq(Var("v", 32), Const(0)))
         copy = self.state.clone()
         copy.write_header(IpDst, Const(2))
         copy.create_tag("L4", 160)
-        copy.add_constraint(Const(1))
+        copy.add_constraint(Eq(Var("w", 32), Const(1)))
         assert self.state.read_header(IpDst) == Const(1)
         assert "L4" not in self.state.tags
         assert len(self.state.constraints) == 1
+        assert len(copy.constraints) == 2
 
     def test_clone_gets_fresh_path_id(self):
         copy = self.state.clone()

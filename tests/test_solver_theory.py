@@ -4,12 +4,8 @@ import pytest
 
 from repro.solver.ast import Add, Const, Eq, Ge, Gt, Le, Lt, Ne, Sub, Var
 from repro.solver.intervals import IntervalSet
-from repro.solver.theory import (
-    TheorySolver,
-    UnsupportedAtomError,
-    classify_atom,
-    domain_for,
-)
+from repro.solver.form import UnsupportedAtomError, classify_atom, domain_for
+from repro.solver.theory import TheorySolver
 
 x = Var("x", 8)
 y = Var("y", 8)
