@@ -9,10 +9,10 @@ constraint solver (the role Z3 plays in the paper).
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import MemorySafetyError, ModelError
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
@@ -30,6 +30,7 @@ from repro.solver import ast as sa
 from repro.solver.ast import Const, Formula, Term
 from repro.solver.form import PathCondition
 from repro.solver.incremental import IncrementalSolver
+from repro.solver.result import SolverResult
 from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
 
@@ -95,11 +96,16 @@ class SymbolicExecutor:
             self.solver, verdict_cache=verdict_cache, shared_cache=shared_cache
         )
         # The one solver-mode choice: who answers "is this path condition
-        # satisfiable?".  States are bound to neither.
+        # satisfiable?" and "would it still be with this formula added?".
+        # States are bound to neither.
         if self.settings.use_incremental_solver:
             self._check = self.incremental.check
+            self._probe = self.incremental.probe
         else:
             self._check = lambda form: self.solver.check(form.formulas)
+            self._probe = self.solver.probe
+        # A path survived on an "unknown" verdict during the current inject().
+        self._incomplete = False
 
     # ------------------------------------------------------------------ public
 
@@ -117,10 +123,11 @@ class SymbolicExecutor:
         before = stats.snapshot()
 
         result = ExecutionResult(injected_at=PortId(element, port))
+        self._incomplete = False
         state = initial_state if initial_state is not None else ExecutionState(self.symbols)
 
         # The injection program runs outside any element; it must not forward.
-        injected = self._run_program(packet_program, state, element=None)
+        injected = self._execute(packet_program, _Outcome(state), None)
         frontier = make_strategy(self.settings.strategy)
         for outcome in injected:
             if not outcome.state.is_alive:
@@ -151,6 +158,8 @@ class SymbolicExecutor:
                 self.incremental.shared = None
                 stats.record_degraded_operation()
 
+        # The case-split budget is a budget like max_paths and max_hops.
+        result.truncated = result.truncated or self._incomplete
         result.elapsed_seconds = time.perf_counter() - start
         result.solver_stats = stats.since(before)
         return result
@@ -167,8 +176,9 @@ class SymbolicExecutor:
     ) -> None:
         element = self.network.element(element_name)
         port_id = PortId(element_name, in_port)
+        port_key = str(port_id)
         state.current_scope = element_name
-        state.record_port(str(port_id))
+        state.record_port(port_key)
         state.hop_count += 1
 
         if state.hop_count > self.settings.max_hops:
@@ -180,32 +190,77 @@ class SymbolicExecutor:
             self._record(result, state, port_id, cut_off=True)
             return
 
-        if self.settings.detect_loops and self._detect_loop(state, str(port_id)):
+        if self.settings.detect_loops and self._detect_loop(state, port_key):
             state.status = PathStatus.LOOP
-            state.stop_reason = f"loop detected at {port_id}"
+            state.stop_reason = f"loop detected at {port_key}"
             self._record(result, state, port_id)
             return
-        state.snapshot_port(str(port_id))
+        state.snapshot_port(port_key)
 
-        outcomes = self._run_program(element.input_program(in_port), state, element)
+        outcomes = self._execute(element.input_program(in_port), _Outcome(state), element)
         for outcome in outcomes:
             if not outcome.state.is_alive:
                 self._record(result, outcome.state, port_id)
-                continue
-            if not outcome.forwards:
+            elif not outcome.forwards:
                 outcome.state.status = PathStatus.DROPPED
                 outcome.state.stop_reason = (
-                    outcome.state.stop_reason or f"no forward from {port_id}"
+                    outcome.state.stop_reason or f"no forward from {port_key}"
                 )
                 self._record(result, outcome.state, port_id)
+            else:
+                self._fan_out(outcome.state, element, outcome.forwards, frontier, result)
+
+    def _fan_out(self, state: ExecutionState, element: NetworkElement, ports: Sequence[str],
+                 frontier: ExplorationStrategy, result: ExecutionResult) -> None:
+        """Which of ``ports`` can this packet leave by?  Decided off
+        ``state.condition`` before any per-port state exists: a port whose
+        program is one guard (``Constrain.guard``, the egress models) is
+        probed, the atom already classified when the field holds a plain
+        variable; any other program is left to :meth:`_emit`.  Ports are then
+        served in order: a living one gets a clone (``state`` itself only when
+        it is the last and no port died), a dead one a flyweight record that
+        rebuilds its state on demand from ``state``, never mutated again."""
+        plans = []
+        living, died, last_field = 0, False, None
+        for port in ports:
+            program = element.output_program(port)
+            formula, atom, alive = None, None, True  # not a guard: interpret it
+            if program.guard is not None:
+                field, allowed = program.guard
+                try:
+                    if field is not last_field:  # one read per run of ports
+                        term = state.read_variable(field)
+                        last_field, plain = field, type(term) is sa.Var
+                except MemorySafetyError:
+                    pass  # the interpreter words the failure
+                else:
+                    formula = sa.Member(term, allowed)
+                    atom = (term, allowed) if plain else None
+                    alive = self._branch_feasible(state, formula, atom)
+            living += alive
+            died = died or not alive
+            plans.append((port, program, formula, atom, alive))
+
+        for port, program, formula, atom, alive in plans:
+            out_id = PortId(element.name, port)
+            if not alive:
+                if self.settings.record_failed_paths:
+                    recipe = partial(_dead_branch, state, str(out_id), program, formula)
+                    reason = program.unsatisfiable_reason
+                    result.add(PathRecord(recipe, PathStatus.FAILED, reason, out_id))
                 continue
-            for index, out_port in enumerate(outcome.forwards):
-                branch_state = (
-                    outcome.state
-                    if index == len(outcome.forwards) - 1
-                    else outcome.state.clone()
-                )
-                self._emit(branch_state, element, out_port, frontier, result)
+            living -= 1
+            branch = state.clone() if died or living else state
+            if formula is None:
+                self._emit(branch, element, port, frontier, result)
+                continue
+            branch.record_port(str(out_id))
+            branch.record_instruction(program)
+            if atom is None:
+                branch.add_constraint(formula)
+            else:
+                branch.condition.assume_member(formula, *atom)
+            self._follow(branch, element, port, out_id, frontier, result)
 
     def _emit(
         self,
@@ -218,33 +273,36 @@ class SymbolicExecutor:
         """Run the output-port program and follow the outgoing link."""
         out_id = PortId(element.name, out_port)
         state.record_port(str(out_id))
-        outcomes = self._run_program(element.output_program(out_port), state, element)
+        outcomes = self._execute(element.output_program(out_port), _Outcome(state), element)
         for outcome in outcomes:
             if not outcome.state.is_alive:
                 self._record(result, outcome.state, out_id)
-                continue
-            if outcome.forwards:
+            elif outcome.forwards:
                 raise ModelError(
                     f"output port program at {out_id} attempted to forward"
                 )
-            destination = self.network.link_from(element.name, out_port)
-            if destination is None:
-                outcome.state.status = PathStatus.DELIVERED
-                outcome.state.stop_reason = f"delivered at {out_id} (no outgoing link)"
-                self._record(result, outcome.state, out_id)
-            elif not self.network.has_element(destination.element):
-                # A dangling link (typo'd element in the topology file, kept
-                # by the permissive parser so Network.validate() can report
-                # it): terminate explicitly instead of crashing mid-run.
-                outcome.state.status = PathStatus.DROPPED
-                outcome.state.stop_reason = (
-                    f"dangling link {out_id} -> {destination} (unknown element)"
-                )
-                self._record(result, outcome.state, out_id)
             else:
-                frontier.push(
-                    (outcome.state, destination.element, destination.port)
-                )
+                self._follow(outcome.state, element, out_port, out_id, frontier, result)
+
+    def _follow(self, state: ExecutionState, element: NetworkElement, out_port: str,
+                out_id: PortId, frontier: ExplorationStrategy, result: ExecutionResult) -> None:
+        """The packet left by ``out_id``: deliver it or queue the next hop."""
+        destination = self.network.link_from(element.name, out_port)
+        if destination is None:
+            state.status = PathStatus.DELIVERED
+            state.stop_reason = f"delivered at {out_id} (no outgoing link)"
+            self._record(result, state, out_id)
+        elif not self.network.has_element(destination.element):
+            # A dangling link (typo'd element in the topology file, kept
+            # by the permissive parser so Network.validate() can report
+            # it): terminate explicitly instead of crashing mid-run.
+            state.status = PathStatus.DROPPED
+            state.stop_reason = (
+                f"dangling link {out_id} -> {destination} (unknown element)"
+            )
+            self._record(result, state, out_id)
+        else:
+            frontier.push((state, destination.element, destination.port))
 
     def _detect_loop(self, state: ExecutionState, port_key: str) -> bool:
         """Paper §6: a loop exists when the new state at a previously-visited
@@ -274,7 +332,7 @@ class SymbolicExecutor:
             query.assume(
                 sa.And(sa.conjoin(snapshot.constraints), sa.Not(new_formula))
             )
-            if self._check(query).is_unsat:
+            if not self._survives(self._check(query)):
                 return True
         return False
 
@@ -288,26 +346,9 @@ class SymbolicExecutor:
         """Append a terminated state to the result, honouring record settings."""
         if state.status == PathStatus.FAILED and not self.settings.record_failed_paths:
             return
-        result.add(
-            PathRecord(
-                state=state,
-                status=state.status,
-                stop_reason=state.stop_reason,
-                last_port=port,
-                cut_off=cut_off,
-            )
-        )
+        result.add(PathRecord(state, state.status, state.stop_reason, port, cut_off))
 
     # -------------------------------------------------------------- execution
-
-    def _run_program(
-        self,
-        program: si.Instruction,
-        state: ExecutionState,
-        element: Optional[NetworkElement],
-    ) -> List[_Outcome]:
-        """Execute ``program`` on ``state`` and return all resulting outcomes."""
-        return self._execute(program, _Outcome(state), element)
 
     def _execute(
         self,
@@ -318,117 +359,95 @@ class SymbolicExecutor:
         state = outcome.state
         if outcome.done or not state.is_alive:
             return [outcome]
-
-        if isinstance(instruction, si.NoOp):
-            return [outcome]
-
-        if isinstance(instruction, si.InstructionBlock):
-            pending = [outcome]
-            for child in instruction.instructions:
-                next_pending: List[_Outcome] = []
-                for item in pending:
-                    if item.done or not item.state.is_alive:
-                        next_pending.append(item)
-                    else:
-                        next_pending.extend(self._execute(child, item, element))
-                pending = next_pending
-            return pending
-
+        entry = _HANDLERS.get(type(instruction))
+        if entry is None:
+            entry = _resolve_handler(instruction)
+        handler, traced = entry
+        if not traced:
+            return handler(self, instruction, outcome, element)
         state.record_instruction(instruction)
-
         try:
-            return self._execute_simple(instruction, outcome, element)
+            return handler(self, instruction, outcome, element) or [outcome]
         except MemorySafetyError as exc:
             state.fail(f"memory safety violation: {exc}")
             outcome.done = True
             return [outcome]
 
-    def _execute_simple(
-        self,
-        instruction: si.Instruction,
-        outcome: _Outcome,
-        element: Optional[NetworkElement],
-    ) -> List[_Outcome]:
+    def _run_each(self, bodies: Iterable[si.Instruction], outcome: _Outcome, element):
+        """Run ``bodies`` in order over every outcome still running."""
+        pending = [outcome]
+        for body in bodies:
+            next_pending: List[_Outcome] = []
+            for item in pending:
+                if item.done or not item.state.is_alive:
+                    next_pending.append(item)
+                else:
+                    next_pending.extend(self._execute(body, item, element))
+            pending = next_pending
+        return pending
+
+    # One handler per instruction type: see ``_HANDLERS`` below the class.
+
+    def _noop(self, instruction, outcome, element):
+        return [outcome]
+
+    def _block(self, instruction, outcome, element):
+        return self._run_each(instruction.instructions, outcome, element)
+
+    def _allocate(self, instruction, outcome, element):
+        state, variable = outcome.state, instruction.variable
+        if isinstance(variable, str):
+            local = instruction.visibility == si.LOCAL
+            state.allocate_metadata(variable, instruction.size, local=local)
+        elif instruction.size is None:
+            raise MemorySafetyError(
+                f"header allocation of {state.describe_variable(variable)} "
+                "requires an explicit size"
+            )
+        else:
+            state.allocate_header(variable, instruction.size)
+
+    def _deallocate(self, instruction, outcome, element):
+        if isinstance(instruction.variable, str):
+            outcome.state.deallocate_metadata(instruction.variable, instruction.size)
+        else:
+            outcome.state.deallocate_header(instruction.variable, instruction.size)
+
+    def _assign(self, instruction, outcome, element):
         state = outcome.state
+        state.write_variable(instruction.variable, self._eval(instruction.expression, state))
 
-        if isinstance(instruction, si.Allocate):
-            variable = instruction.variable
-            if isinstance(variable, str):
-                state.allocate_metadata(
-                    variable,
-                    instruction.size,
-                    local=instruction.visibility == si.LOCAL,
-                )
-            else:
-                if instruction.size is None:
-                    raise MemorySafetyError(
-                        f"header allocation of {state.describe_variable(variable)} "
-                        "requires an explicit size"
-                    )
-                state.allocate_header(variable, instruction.size)
-            return [outcome]
+    def _create_tag(self, instruction, outcome, element):
+        state = outcome.state
+        state.create_tag(instruction.name, self._eval_address(instruction.value, state))
 
-        if isinstance(instruction, si.Deallocate):
-            variable = instruction.variable
-            if isinstance(variable, str):
-                state.deallocate_metadata(variable, instruction.size)
-            else:
-                state.deallocate_header(variable, instruction.size)
-            return [outcome]
+    def _destroy_tag(self, instruction, outcome, element):
+        outcome.state.destroy_tag(instruction.name)
 
-        if isinstance(instruction, si.Assign):
-            term = self._eval(instruction.expression, state)
-            state.write_variable(instruction.variable, term)
-            return [outcome]
-
-        if isinstance(instruction, si.CreateTag):
-            state.create_tag(instruction.name, self._eval_address(instruction.value, state))
-            return [outcome]
-
-        if isinstance(instruction, si.DestroyTag):
-            state.destroy_tag(instruction.name)
-            return [outcome]
-
-        if isinstance(instruction, si.Constrain):
-            state.add_constraint(self._condition(instruction.condition, state))
-            if self._check(state.condition).is_unsat:
-                state.fail(instruction.unsatisfiable_reason)
-                outcome.done = True
-            return [outcome]
-
-        if isinstance(instruction, si.Fail):
-            state.fail(instruction.message)
+    def _constrain(self, instruction, outcome, element):
+        state = outcome.state
+        state.add_constraint(self._condition(instruction.condition, state))
+        if not self._survives(self._check(state.condition)):
+            state.fail(instruction.unsatisfiable_reason)
             outcome.done = True
-            return [outcome]
 
-        if isinstance(instruction, si.If):
-            return self._execute_if(instruction, outcome, element)
+    def _fail(self, instruction, outcome, element):
+        outcome.state.fail(instruction.message)
+        outcome.done = True
 
-        if isinstance(instruction, si.For):
-            return self._execute_for(instruction, outcome, element)
+    def _forward(self, instruction, outcome, element):
+        outcome.forwards = [self._resolve_port(instruction.port, element)]
+        outcome.done = True
 
-        if isinstance(instruction, si.Forward):
-            port = self._resolve_port(instruction.port, element)
-            outcome.forwards = [port]
-            outcome.done = True
-            return [outcome]
-
-        if isinstance(instruction, si.Fork):
-            ports = [self._resolve_port(p, element) for p in instruction.ports]
-            if not ports:
-                # A Fork with no output ports must not silently vanish the
-                # state: terminate it as an explicit drop.
-                state.status = PathStatus.DROPPED
-                state.stop_reason = "Fork with no output ports"
-                outcome.done = True
-                return [outcome]
-            results: List[_Outcome] = []
-            for index, port in enumerate(ports):
-                branch_state = state if index == len(ports) - 1 else state.clone()
-                results.append(_Outcome(branch_state, forwards=[port], done=True))
-            return results
-
-        raise ModelError(f"unknown instruction {instruction!r}")
+    def _fork(self, instruction, outcome, element):
+        """Only names the ports: :meth:`_fan_out` decides who gets a state."""
+        outcome.forwards = [self._resolve_port(p, element) for p in instruction.ports]
+        outcome.done = True
+        if not outcome.forwards:
+            # A Fork with no output ports must not silently vanish the
+            # state: terminate it as an explicit drop.
+            outcome.state.status = PathStatus.DROPPED
+            outcome.state.stop_reason = "Fork with no output ports"
 
     def _execute_if(
         self,
@@ -475,36 +494,28 @@ class SymbolicExecutor:
         state = outcome.state
         if not callable(instruction.body):
             raise ModelError("For body must be a callable taking the matched key")
-        pattern = re.compile(instruction.pattern)
+        fullmatch = instruction.compiled.fullmatch
         names = [
             name
             for name in state.metadata.visible_names(state.current_scope)
-            if pattern.fullmatch(name)
+            if fullmatch(name)
         ]
-        pending = [outcome]
-        for name in names:
-            body = instruction.body(name)
-            next_pending: List[_Outcome] = []
-            for item in pending:
-                if item.done or not item.state.is_alive:
-                    next_pending.append(item)
-                else:
-                    next_pending.extend(self._execute(body, item, element))
-            pending = next_pending
-        return pending
+        return self._run_each(map(instruction.body, names), outcome, element)
 
     # ------------------------------------------------------------- constraints
 
-    def _branch_feasible(self, state: ExecutionState, formula: Formula) -> bool:
-        """Would adding ``formula`` keep the path feasible?  A speculative
-        push/assume/check/pop scope on the state's own path condition."""
-        form = state.condition
-        form.push()
-        try:
-            form.assume(formula)
-            return not self._check(form).is_unsat
-        finally:
-            form.pop()
+    def _survives(self, verdict: SolverResult) -> bool:
+        """The one place a verdict is consumed: a path lives unless proved
+        unsatisfiable, and living on "unknown" (the solver's case-split
+        budget ran out) makes the run incomplete."""
+        if verdict.verdict == "unknown":
+            self._incomplete = True
+        return verdict.verdict != "unsat"
+
+    def _branch_feasible(self, state: ExecutionState, formula: Formula, atom=None) -> bool:
+        """Would adding ``formula`` keep the path feasible?  ``atom`` is its
+        ``(var, allowed)`` classification when the caller already has it."""
+        return self._survives(self._probe(state.condition, formula, atom))
 
     # -------------------------------------------------------------- evaluation
 
@@ -565,3 +576,48 @@ class SymbolicExecutor:
         if element is None:
             raise ModelError("Forward/Fork outside a network element")
         return element.resolve_output_port(port)
+
+
+def _dead_branch(parent: ExecutionState, port_key: str, guard: si.Constrain, formula: Formula):
+    """The state of an egress branch its guard killed: what the interpreter
+    would have built, from the fork's never-again-mutated parent."""
+    state = parent.clone()
+    state.record_port(port_key)
+    state.record_instruction(guard)
+    state.add_constraint(formula)
+    state.fail(guard.unsatisfiable_reason)
+    return state
+
+
+#: ``handler(executor, instruction, outcome, element)``: the outcomes the
+#: instruction branched into, or None for "the one it was given".
+_Handler = Callable[
+    [SymbolicExecutor, si.Instruction, _Outcome, Optional[NetworkElement]],
+    Optional[List[_Outcome]],
+]
+
+#: Instruction type -> (handler, whether the instruction is traced and its
+#: memory-safety errors fail the path).  Subclasses are added on first sight.
+_HANDLERS: Dict[type, Tuple[_Handler, bool]] = {
+    si.NoOp: (SymbolicExecutor._noop, False),
+    si.InstructionBlock: (SymbolicExecutor._block, False),
+    si.Allocate: (SymbolicExecutor._allocate, True),
+    si.Deallocate: (SymbolicExecutor._deallocate, True),
+    si.Assign: (SymbolicExecutor._assign, True),
+    si.CreateTag: (SymbolicExecutor._create_tag, True),
+    si.DestroyTag: (SymbolicExecutor._destroy_tag, True),
+    si.Constrain: (SymbolicExecutor._constrain, True),
+    si.Fail: (SymbolicExecutor._fail, True),
+    si.If: (SymbolicExecutor._execute_if, True),
+    si.For: (SymbolicExecutor._execute_for, True),
+    si.Forward: (SymbolicExecutor._forward, True),
+    si.Fork: (SymbolicExecutor._fork, True),
+}
+
+
+def _resolve_handler(instruction: si.Instruction) -> Tuple[_Handler, bool]:
+    for base in type(instruction).__mro__:
+        if base in _HANDLERS:
+            entry = _HANDLERS[type(instruction)] = _HANDLERS[base]
+            return entry
+    raise ModelError(f"unknown instruction {instruction!r}")

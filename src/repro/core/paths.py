@@ -6,13 +6,17 @@ execution as well as all the instructions and ports this path has visited"
 (§7.1).  :class:`PathRecord` captures one such path; :class:`ExecutionResult`
 aggregates them and provides the query helpers used by the verification and
 benchmark layers.
+
+A record's ``state`` is the terminated :class:`ExecutionState` — for a failed
+egress branch the engine decided before building anything, the state the
+interpreter *would* have left behind, built when first asked for.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.core.state import ExecutionState, PathStatusValues
 from repro.network.ports import PortId
@@ -36,15 +40,24 @@ class PathStatus(PathStatusValues):
 
 @dataclass
 class PathRecord:
-    """One explored execution path."""
+    """One explored execution path.  ``source`` is the terminated state, or
+    a zero-argument recipe for it (a flyweight: an egress branch proved dead
+    before any state existed); status, stop reason and last port never need
+    it, :attr:`state` builds it once."""
 
-    state: ExecutionState
+    source: Union[ExecutionState, Callable[[], ExecutionState]]
     status: str
     stop_reason: str = ""
     last_port: Optional[PortId] = None
     #: Stopped by the hop budget — the run is ``truncated`` — rather than
     #: by the program or the loop detector.
     cut_off: bool = False
+
+    @property
+    def state(self) -> ExecutionState:
+        if not isinstance(self.source, ExecutionState):
+            self.source = self.source()
+        return self.source
 
     @property
     def path_id(self) -> int:
@@ -103,8 +116,9 @@ class ExecutionResult:
     #: etc. read through to it.
     solver_stats: SolverStats = field(default_factory=SolverStats)
     #: True when a budget cut exploration short: ``max_paths`` stopped it
-    #: with frontier states still pending, or ``max_hops`` stopped a path —
-    #: the path list is not the full set.
+    #: with frontier states still pending, ``max_hops`` stopped a path, or a
+    #: path lived on because the solver's case-split budget left a check
+    #: "unknown" — the path list is not the (proved) full set.
     truncated: bool = False
 
     def add(self, record: PathRecord) -> None:

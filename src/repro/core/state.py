@@ -265,8 +265,8 @@ class ExecutionState:
         existing = self.port_snapshots.get(port_id, ())
         self.port_snapshots[port_id] = existing + (snapshot,)
 
-    def snapshots_for(self, port_id: str) -> List[PortSnapshot]:
-        return list(self.port_snapshots.get(port_id, ()))
+    def snapshots_for(self, port_id: str) -> Tuple[PortSnapshot, ...]:
+        return self.port_snapshots.get(port_id, ())
 
     # -- reporting ----------------------------------------------------------------
 

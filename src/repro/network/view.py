@@ -333,13 +333,8 @@ class CampaignSymmetryView:
 
     def _encode_condition(self, condition):
         if isinstance(condition, si.Constrain):
-            # ``If(Constrain(var, cond), ..)`` spelling: unwrap.
-            extra = (
-                None
-                if condition.variable is None
-                else self._var_literal(condition.variable)
-            )
-            return ("cwrap", self._encode_condition(condition.condition), extra)
+            # ``If(Constrain(cond), ..)`` spelling: unwrap.
+            return ("cwrap", self._encode_condition(condition.condition), None)
         if isinstance(condition, tuple(_CMP_OPS)):
             op = _CMP_OPS[type(condition)]
             left = _linear_form(condition.left)
@@ -420,12 +415,7 @@ class CampaignSymmetryView:
         if isinstance(instruction, si.Fail):
             return ("fail", self._string(instruction.message))
         if isinstance(instruction, si.Constrain):
-            extra = (
-                None
-                if instruction.variable is None
-                else self._var_literal(instruction.variable)
-            )
-            return ("constrain", self._encode_condition(instruction.condition), extra)
+            return ("constrain", self._encode_condition(instruction.condition), None)
         if isinstance(instruction, si.If):
             return (
                 "if",

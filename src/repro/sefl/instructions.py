@@ -8,12 +8,14 @@ may fail the path, modify it, fork it or forward it to output ports.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
-from repro.sefl.expressions import Condition, Expression
-from repro.sefl.fields import VariableLike
+from repro.sefl.expressions import Condition, Expression, OneOf
+from repro.sefl.fields import HeaderField, TagOffset, VariableLike
+from repro.solver.intervals import IntervalSet
 
 # Visibility of metadata variables (paper: "global (default) or local to the
 # current module").
@@ -27,6 +29,10 @@ class Instruction:
     """Base class for SEFL instructions."""
 
     __slots__ = ()
+
+    #: ``(field, allowed)`` when executing the instruction is exactly "the
+    #: field's value lies in this constant set" (see :attr:`Constrain.guard`).
+    guard = None
 
     @cached_property
     def description(self) -> str:
@@ -94,21 +100,26 @@ class DestroyTag(Instruction):
 
 @dataclass(frozen=True)
 class Constrain(Instruction):
-    """Require ``condition`` to hold; the path fails if it cannot.
-
-    Two spellings are accepted, matching the paper's examples:
-
-    * ``Constrain(Eq(TcpDst, 80))`` — a single condition argument;
-    * ``Constrain(TcpDst, Eq(..)/"==80"-style condition)`` — variable plus a
-      condition whose left side is implicitly that variable (used by a few
-      models; the condition's ``left`` may be ``None`` in that case).
-    """
+    """Require ``condition`` to hold; the path fails if it cannot:
+    ``Constrain(Eq(TcpDst, 80))``."""
 
     condition: Condition
-    variable: Optional[VariableLike] = None
 
     def _describe(self) -> str:
         return f"Constrain({self.condition!r})"
+
+    @cached_property
+    def guard(self) -> Optional[Tuple[VariableLike, IntervalSet]]:
+        """``(field, allowed)`` when the condition is one field-against-
+        constant-set test, ``OneOf(field, values)`` — what the egress models
+        put on every output port.  A fact of the instruction alone, so it is
+        worked out once and kept beside ``description``."""
+        condition = self.condition
+        if isinstance(condition, OneOf) and isinstance(
+            condition.expression, (str, HeaderField, TagOffset)
+        ):
+            return condition.expression, condition.values
+        return None
 
     @cached_property
     def unsatisfiable_reason(self) -> str:
@@ -148,6 +159,10 @@ class For(Instruction):
 
     pattern: str
     body: Callable[[str], Instruction]
+
+    @cached_property
+    def compiled(self) -> "re.Pattern[str]":
+        return re.compile(self.pattern)
 
 
 @dataclass(frozen=True)

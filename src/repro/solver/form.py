@@ -377,6 +377,13 @@ class PathCondition:
                 # not a formula node at all.
                 raise TypeError(f"unexpected formula node: {item!r}")
 
+    def assume_member(self, formula: Formula, var: Var, allowed: IntervalSet) -> None:
+        """:meth:`assume` for a caller that already knows ``formula`` is the
+        atom ``var ∈ allowed``: the log entry and the one ``narrow``."""
+        self.formulas.append(formula)
+        if not self.unsat:
+            self.narrow(var, allowed)
+
     def narrow(self, var: Var, allowed: IntervalSet) -> None:
         """Intersect ``var``'s domain with ``allowed``; empty means unsat."""
         current = self.domains.get(var)

@@ -30,10 +30,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
-from repro.solver.ast import Formula
+from repro.solver.ast import Formula, Var
 from repro.obs.trace import get_tracer
 from repro.solver.canonical import canonical_fingerprint
 from repro.solver.form import PathCondition
+from repro.solver.intervals import IntervalSet
 from repro.solver.result import SolverResult, SolverStats
 from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
@@ -152,6 +153,38 @@ class IncrementalSolver:
             self.stats.record_fast_path()
             return SolverResult(verdict="sat")
         return self._memoized(form.conjuncts(), lambda: self.base.decide(form))
+
+    def probe(
+        self,
+        form: PathCondition,
+        formula: Formula,
+        atom: Optional[Tuple[Var, IntervalSet]] = None,
+    ) -> SolverResult:
+        """Satisfiability of ``form ∧ formula``, leaving ``form`` as it was:
+        ``push / assume / check / pop``.  A caller that knows ``formula`` is
+        the atom ``var ∈ allowed`` passes it as ``atom``, and the first two
+        tiers — counted exactly as ``check`` would have — are read off the
+        solved form without opening a scope or classifying anything."""
+        if atom is not None:
+            var, allowed = atom
+            domain = form.domains.get(var)
+            if domain is None:
+                domain = IntervalSet.full(var.width)
+            if form.unsat or domain.intersection(allowed).is_empty():
+                self.stats.record_fast_path()
+                return SolverResult(verdict="unsat")
+            if not form.residual:
+                self.stats.record_fast_path()
+                return SolverResult(verdict="sat")
+        form.push()
+        try:
+            if atom is None:
+                form.assume(formula)
+            else:
+                form.assume_member(formula, *atom)
+            return self.check(form)
+        finally:
+            form.pop()
 
     def check_cached(self, conjuncts: List[Formula]) -> SolverResult:
         """Memoized from-scratch solve of a conjunct list."""

@@ -78,6 +78,17 @@ class Solver:
             form.assume(formula)
         return self.decide(form, want_model)
 
+    def probe(self, form: PathCondition, formula: Formula, atom=None) -> SolverResult:
+        """Satisfiability of ``form ∧ formula`` from scratch, leaving ``form``
+        as it was — the reference for :meth:`IncrementalSolver.probe`, which
+        may take ``atom``'s word for what ``formula`` is; this one does not."""
+        form.push()
+        try:
+            form.assume(formula)
+            return self.check(form.formulas)
+        finally:
+            form.pop()
+
     def decide(self, form: PathCondition, want_model: bool = False) -> SolverResult:
         """Full solve of a path condition, starting from its solved form:
         the theory solver on the domains and residual atoms, a DPLL case

@@ -204,7 +204,7 @@ class TestExecutionState:
         self.state.snapshot_port("a:in0")
         self.state.snapshot_port("a:in0")
         assert len(self.state.snapshots_for("a:in0")) == 2
-        assert self.state.snapshots_for("b:in0") == []
+        assert self.state.snapshots_for("b:in0") == ()
 
 
 class TestCopyOnWrite:

@@ -166,6 +166,50 @@ def test_fresh_incremental_and_cloned_forms_agree_with_brute_force():
     assert definite > CASES * 0.8, definite
 
 
+def test_preclassified_probe_is_the_scoped_check():
+    """``IncrementalSolver.probe`` handed ``var ∈ allowed`` already classified
+    answers, counts and leaves the form exactly as ``push / assume(Member) /
+    check / pop`` does — on satisfiable, residual-carrying and unsat forms."""
+    rng = random.Random(SEED)
+    solver = IncrementalSolver()
+    stats = solver.stats
+    tiers = {"fast": 0, "solved": 0, "unsat_form": 0}
+    for case in range(CASES):
+        context = solver.context()
+        prefix = EVERYWHERE
+        for _ in range(rng.randrange(0, 4)):
+            formula = random_formula(rng, 1)
+            context.assume(formula)
+            prefix &= models_of(formula)
+        values = IntervalSet.points(rng.sample(range(-1, 10), rng.randrange(1, 5)))
+        guard = Member(rng.choice(VARS), values)
+        what = (SEED, case, list(context.formulas), guard)
+        solved_form = (dict(context.domains), list(context.residual), context.unsat)
+
+        before = stats.snapshot()
+        probed = solver.probe(context, guard, (guard.term, values)).verdict
+        by_probe = stats.since(before)
+        assert list(context.formulas) == what[2] and context.depth == 0, what
+        assert (dict(context.domains), list(context.residual), context.unsat) == solved_form
+
+        before = stats.snapshot()
+        context.push()
+        context.assume(guard)
+        scoped = context.check().verdict
+        context.pop()
+        by_scope = stats.since(before)
+
+        assert probed == scoped == solver.probe(context, guard).verdict, what
+        assert_sound(probed, bool(prefix & models_of(guard)), what)
+        assert by_probe.fast_paths == by_scope.fast_paths, what
+        # Tier 3 looks the same conjunct set up: a miss first, then the hit.
+        lookups = by_probe.cache_hits + by_probe.cache_misses
+        assert lookups == by_scope.cache_hits + by_scope.cache_misses == 1 - by_probe.fast_paths
+        tiers["fast" if by_probe.fast_paths else "solved"] += 1
+        tiers["unsat_form"] += context.unsat
+    assert min(tiers.values()) > CASES // 20, tiers
+
+
 # -- (b) the state's view -----------------------------------------------------
 
 A, B, C = VARS
