@@ -9,10 +9,9 @@ batches run against it:
 * building the network (resolved through the per-process campaign runtime
   cache, so the model, its campaigns and their in-process jobs share one
   build);
-* ``Network.validate()`` — the findings are computed once and handed to
-  every campaign the model spawns, so CLI and API warnings are identical
-  and directory networks are never silently re-validated per construction
-  site;
+* ``Network.validate()`` — the findings are a fact of the build, computed
+  once on its runtime-cache entry, so CLI, API and campaign warnings are
+  identical and nothing is re-validated per construction site;
 * the default injection ports (the workload's registered entry points, or
   every free input port, or — for fully wired rings — every input port).
 
@@ -25,7 +24,6 @@ declarative :mod:`repro.api.queries` objects onto one shared campaign plan
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import List, Optional, Tuple, Union
 
 from repro.core.campaign import (
@@ -37,77 +35,6 @@ from repro.core.jobs import Runtime, runtime_for
 from repro.network.topology import Network
 
 SourceLike = Union[NetworkSource, Network, str]
-
-
-def _error_nonce() -> str:
-    """A never-repeating token for identity keys of *broken* state.  An
-    unreadable topology or a stat-failed device file has no observable
-    identity, so collapsing it to a constant would make two different
-    broken directories — or the same directory before and after a file was
-    swapped while unreadable — compare equal and serve each other's cached
-    plans.  A fresh nonce makes every degenerate key unequal to every
-    other (including a recomputation of itself), which disables plan
-    caching for exactly the states we cannot identify."""
-    return os.urandom(16).hex()
-
-
-def _directory_stat_key(directory: str) -> tuple:
-    """Cheap (stat-only) snapshot of the referenced device files, taken at
-    network-build time so a later :meth:`NetworkModel.fingerprint` can tell
-    whether the directory still holds the bytes this model executed."""
-    from repro.parsers.topology_file import referenced_snapshot_files
-
-    try:
-        with open(os.path.join(directory, "topology.txt"), encoding="utf-8") as handle:
-            topology_text = handle.read()
-    except OSError:
-        return ("unreadable-topology", os.path.abspath(directory), _error_nonce())
-    stats = []
-    for name in sorted(referenced_snapshot_files(topology_text)):
-        try:
-            stat = os.stat(os.path.join(directory, name))
-            stats.append((name, stat.st_size, stat.st_mtime_ns))
-        except OSError:
-            stats.append((name, "unstatable", _error_nonce()))
-    return ("stats", topology_text, tuple(stats))
-
-
-def _directory_content_key(directory: str) -> tuple:
-    """Identity of a snapshot directory's *relevant* content: the topology
-    text itself plus a content hash of every device file it references.
-    Files the topology never reads (JSON reports, a ``--store-dir`` placed
-    in the snapshot directory) do not perturb the key — and because the
-    referenced files are *hashed*, not stat'ed, a same-size in-place
-    rewrite within a coarse filesystem mtime tick still invalidates.
-    Hashing costs one read per device file, the same order of work as
-    building the network the cached plan would otherwise skip."""
-    from repro.parsers.topology_file import referenced_snapshot_files
-
-    topology_path = os.path.join(directory, "topology.txt")
-    try:
-        with open(topology_path, encoding="utf-8") as handle:
-            topology_text = handle.read()
-    except OSError:
-        # No readable topology: this directory's content has no observable
-        # identity — produce a key that never matches anything (see
-        # _error_nonce) instead of a constant two broken directories share.
-        return (
-            "unreadable-topology",
-            os.path.abspath(directory),
-            _error_nonce(),
-        )
-    digests = []
-    for name in sorted(referenced_snapshot_files(topology_text)):
-        try:
-            with open(os.path.join(directory, name), "rb") as handle:
-                digest = hashlib.sha256(handle.read()).hexdigest()
-        except OSError:
-            digest = f"<unreadable:{_error_nonce()}>"
-        digests.append((name, digest))
-    # Content only — no directory path — so byte-identical snapshots at
-    # different paths (copied checkouts, run-numbered CI workspaces) share
-    # one plan-cache identity against a shared store.
-    return ("directory", topology_text, tuple(digests))
 
 
 class NetworkModel:
@@ -133,12 +60,8 @@ class NetworkModel:
         # The runtime-cache entry this model resolved, pinned for the
         # session: a model must keep answering for the snapshot it read even
         # after the cache's LRU evicts the entry (a rebuild could silently
-        # pick up edited files under an already-computed fingerprint).
+        # pick up edited files).
         self._runtime: Optional[Runtime] = None
-        self._validation: Optional[List[str]] = None
-        self._fingerprint: Optional[str] = None
-        self._fingerprint_known = False
-        self._build_stat_key: Optional[tuple] = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -163,12 +86,6 @@ class NetworkModel:
 
     def _resolve(self) -> Runtime:
         if self._runtime is None:
-            if self.source.kind == "directory" and self.source.directory:
-                # Stat-only snapshot (no content hashing — store-less runs
-                # must not pay a second read of every device file): enough
-                # for fingerprint() to later prove the directory still
-                # holds the bytes this build executed.
-                self._build_stat_key = _directory_stat_key(self.source.directory)
             self._runtime = runtime_for(self.source)
         return self._runtime
 
@@ -179,10 +96,8 @@ class NetworkModel:
         return self._resolve().network
 
     def validate(self) -> List[str]:
-        """``Network.validate()`` findings, computed exactly once per model."""
-        if self._validation is None:
-            self._validation = self.network().validate()
-        return list(self._validation)
+        """``Network.validate()`` findings, computed exactly once per build."""
+        return list(self._resolve().validation)
 
     def injection_ports(self) -> List[Tuple[str, str]]:
         """The model's default injection points — the same policy campaigns
@@ -197,57 +112,37 @@ class NetworkModel:
         return self.source.describe()
 
     def fingerprint(self) -> Optional[str]:
-        """Content identity of the model's network source, or ``None`` when
-        the source has no stable identity (in-process ``Network`` objects).
+        """Content identity of the network this model executes, or ``None``
+        when it has none (in-process ``Network`` objects).
 
         This is the model half of the persistent plan-result cache key
-        (:class:`repro.store.VerificationStore`): workload sources hash the
-        builder name and options; directory sources hash ``topology.txt``'s
-        *content* plus the content of exactly the snapshot files it
-        references — so editing the topology or any referenced device file
-        invalidates the directory's cached plans, while report files or a
-        store directory living alongside the snapshot do not.
-        For sources whose content can change invisibly (a workload builder
-        edited in place), use
-        :meth:`repro.store.VerificationStore.invalidate_plans` explicitly.
-
-        The fingerprint is computed **once per model**, lazily (store-less
-        runs never pay the hashing), and it must identify the content this
-        model *executes*: a model built before an in-place edit keeps
-        answering for the snapshot it read, so hashing the edited files
-        under the same session would file the old network's answers under
-        the new content's key, poisoning the plan cache for every later
-        process.  If the directory's referenced files no longer stat the
-        way they did at build time, the model therefore has **no**
-        fingerprint (plan caching is disabled for it) — edited the
-        directory?  Make a new :class:`NetworkModel`.
+        (:class:`repro.store.VerificationStore`).  Workload sources hash the
+        builder name and options (for a builder edited in place, use
+        :meth:`repro.store.VerificationStore.invalidate_plans`).  Directory
+        sources report what their build recorded
+        (:attr:`~repro.core.jobs.Runtime.content_digest`): ``topology.txt``'s
+        text plus a digest of exactly the snapshot files it references, taken
+        from the bytes the build parsed — so asking builds the network (or
+        raises what :meth:`network` raises: an unreadable directory has no
+        build and so no fingerprint).  It is therefore the identity of the
+        bytes this model *executes* by construction: a model built before an
+        in-place edit keeps the fingerprint of what it built, a model built
+        after it has the edited bytes' fingerprint, and neither can file one
+        content's answers under the other's key.  Report files or a store
+        directory living alongside the snapshot are not part of it.
         """
-        if self._fingerprint_known:
-            return self._fingerprint
-        if self.source.picklable:
-            payload: Optional[str] = None
-            if self.source.kind == "directory" and self.source.directory:
-                if (
-                    self._build_stat_key is None
-                    or self._build_stat_key
-                    == _directory_stat_key(self.source.directory)
-                ):
-                    payload = repr(
-                        ("network-model", _directory_content_key(self.source.directory))
-                    )
-            else:
-                payload = repr(("network-model", self.source.cache_key()))
-            if payload is not None:
-                self._fingerprint = hashlib.sha256(payload.encode()).hexdigest()
-        self._fingerprint_known = True
-        return self._fingerprint
+        if not self.source.picklable:
+            return None
+        if self.source.kind == "directory":
+            return self._resolve().content_digest
+        payload = repr(("network-model", self.source.cache_key()))
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- execution --------------------------------------------------------------
 
     def campaign(self, **kwargs) -> VerificationCampaign:
-        """A :class:`VerificationCampaign` over this model, inheriting the
-        model's already-computed validation (accepts every campaign kwarg)."""
-        kwargs.setdefault("validation", self.validate())
+        """A :class:`VerificationCampaign` over this model's source, sharing
+        its build and validation findings (accepts every campaign kwarg)."""
         return VerificationCampaign(self.source, **kwargs)
 
     def query(self, *queries, workers: int = 1, store=None, baseline=None, **settings):

@@ -419,7 +419,6 @@ def execute_plan(
         plan.model.source,
         store=store,
         baseline=baseline,
-        validation=plan.model.validate(),
         **vars(settings),
         **vars(plan.facts),
     )

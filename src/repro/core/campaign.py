@@ -240,7 +240,6 @@ class VerificationCampaign:
         *,
         queries: Sequence[str] = CAMPAIGN_QUERIES,
         store: Optional[object] = None,
-        validation: Optional[Sequence[str]] = None,
         baseline: Optional[object] = None,
         **options: object,
     ) -> None:
@@ -276,13 +275,6 @@ class VerificationCampaign:
         # campaign's lifetime so every stage sees one build even if the
         # LRU evicts the entry in between.
         self._runtime: Optional[Runtime] = None
-        # ``validation`` hoists Network.validate() out of the campaign: a
-        # NetworkModel validates its network exactly once and hands the
-        # findings to every campaign (and the CLI) it spawns, instead of each
-        # construction site silently re-validating the same network.
-        self._validation: Optional[List[str]] = (
-            list(validation) if validation is not None else None
-        )
 
     # -- injection points ---------------------------------------------------------
 
@@ -337,16 +329,21 @@ class VerificationCampaign:
         return self._resolve().network
 
     def validate(self) -> List[str]:
-        """Structural problems of the network, computed once per campaign."""
-        if self._validation is None:
-            self._validation = self.network().validate()
-        return self._validation
+        """Structural problems of the network, computed once per build (a
+        :class:`~repro.api.NetworkModel` over the same source, and the CLI,
+        report the same list)."""
+        return list(self._resolve().validation)
 
     def jobs(self) -> List[CampaignJob]:
         if not self._injections:
             self.add_default_injections()
         template = CampaignJob(
-            self.source, "", "", settings=self.settings, facts=self.facts
+            self.source,
+            "",
+            "",
+            settings=self.settings,
+            facts=self.facts,
+            built=self._resolve().content_digest,
         )
         if self._store is not None:
             # Jobs reference the store by directory + content token; each

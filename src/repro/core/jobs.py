@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
@@ -86,6 +87,13 @@ class CampaignJob:
     #: ``job_config_digest``, baselines and every report projection, so
     #: tracing can never move an answer or split a symmetry class.
     trace: bool = False
+    #: The content identity of the driver's build (directory sources).  A
+    #: process that rebuilds ``source`` from disk — a pool worker, or the
+    #: driver after an LRU eviction — does so under the driver's stat key,
+    #: which cannot see an edit made since; a job that finds itself on
+    #: different bytes reports an error instead of an answer.  Part of no
+    #: digest: it names what was built, not what is asked.
+    built: Optional[str] = None
 
     @property
     def source_key(self) -> str:
@@ -198,15 +206,30 @@ def semantic_projection(report: JobReport) -> Dict[str, object]:
 
 @dataclass
 class Runtime:
-    """Everything one process keeps per network source: the built network,
-    the injection ports its builder registered (``None`` when the source
-    kind defines none), and the solver + verdict cache that stay warm
+    """The one record of a build — everything one process keeps per network
+    source: the built network, the injection ports its builder registered
+    (``None`` when the source kind defines none), the facts of the build
+    every holder would otherwise recompute (its content identity, its
+    validation findings), and the solver + verdict cache that stay warm
     across the jobs a worker receives."""
 
     network: Network
     registered_injections: Optional[List[Tuple[str, str]]]
     solver: Solver = field(default_factory=Solver)
     verdict_cache: VerdictCache = field(default_factory=VerdictCache)
+
+    @property
+    def content_digest(self) -> Optional[str]:
+        """Identity of the exact bytes a directory build parsed, from the
+        manifest the build attached to its network (``None`` for networks
+        that did not come from a directory)."""
+        manifest = getattr(self.network, "source_manifest", None)
+        return manifest["content_digest"] if manifest else None
+
+    @cached_property
+    def validation(self) -> List[str]:
+        """``Network.validate()`` findings, computed once per build."""
+        return self.network.validate()
 
 
 # Bounded LRU: long-lived processes running campaigns over many networks
@@ -342,6 +365,11 @@ def _execute_job_impl(job: CampaignJob) -> JobReport:
     )
     try:
         runtime = runtime_for(job.source)
+        if job.built is not None and runtime.content_digest != job.built:
+            raise RuntimeError(
+                f"snapshot changed under the campaign: {job.source.describe()} "
+                "no longer holds the bytes the campaign's driver built"
+            )
         solver = runtime.solver
         before = solver.stats.snapshot()
         # ``shared_cache`` off isolates the job from the worker's cache (the

@@ -28,10 +28,17 @@ class NetworkSource:
     ``"workload"`` (a registered synthetic workload builder) or ``"object"``
     (an in-process :class:`Network`, which forces in-process execution).
 
-    ``fingerprint`` pins directory sources to the state of every file in the
-    directory (topology *and* device snapshots) at source-creation time, so
-    the per-process runtime cache does not serve a stale network after any
-    of them is edited between campaigns.
+    ``fingerprint`` is a directory source's **stat key**: name, mtime and
+    size of ``topology.txt`` and of exactly the files it references (see
+    :func:`repro.parsers.topology_file.snapshot_file_names`), taken at
+    source-creation time.  It answers the only question a stat can answer —
+    *might the disk have changed since I looked?* — for the per-process
+    runtime cache and for the resident service's staleness check
+    (``NetworkSource.from_directory(d) != model.source``).  *What was
+    built* is a different question, answered by the build's own manifest
+    (:attr:`repro.core.jobs.Runtime.content_digest`).  Files the topology
+    never references do not take part, so writing a report into the
+    directory rebuilds nothing.
     """
 
     kind: str
@@ -43,20 +50,25 @@ class NetworkSource:
 
     @classmethod
     def from_directory(cls, directory: str) -> "NetworkSource":
+        from repro.parsers.topology_file import TOPOLOGY_FILE, snapshot_file_names
+
         directory = os.path.abspath(directory)
-        entries = []
         try:
-            for entry in os.scandir(directory):
-                if entry.is_file():
-                    stat = entry.stat()
-                    entries.append((entry.name, stat.st_mtime_ns, stat.st_size))
-        except OSError:
-            pass
-        return cls(
-            kind="directory",
-            directory=directory,
-            fingerprint=tuple(sorted(entries)),
-        )
+            names = snapshot_file_names(directory)
+        except (OSError, UnicodeDecodeError):
+            names = [TOPOLOGY_FILE]  # nothing will build; key on what a stat sees
+        entries = []
+        for name in names:
+            try:
+                stat = os.stat(os.path.join(directory, name))
+                entries.append((name, stat.st_mtime_ns, stat.st_size))
+            except OSError:
+                # No observable state: a constant here would let two broken
+                # directories (or one, before and after a file was swapped
+                # while unreadable) share a cached build.  A fresh nonce
+                # never compares equal, not even to a rescan of itself.
+                entries.append((name, "unstatable", os.urandom(16).hex()))
+        return cls(kind="directory", directory=directory, fingerprint=tuple(entries))
 
     @classmethod
     def from_workload(cls, name: str, **options: object) -> "NetworkSource":

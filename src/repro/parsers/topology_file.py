@@ -26,6 +26,8 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.click.parser import parse_click_config
@@ -35,6 +37,8 @@ from repro.parsers.asa_config import parse_asa_config
 from repro.parsers.mac_table import switch_from_mac_table
 from repro.parsers.routing_table import router_from_routing_table
 from repro.parsers.service_acl import service_acl_from_snapshot
+
+TOPOLOGY_FILE = "topology.txt"
 
 _DEVICE = re.compile(r"^device\s+(?P<name>\S+)\s+(?P<kind>\S+)\s+(?P<file>\S+)$")
 _LINK = re.compile(
@@ -136,8 +140,8 @@ def _build_device(
 def referenced_snapshot_files(topology_text: str) -> List[str]:
     """The snapshot file names a topology description references, in
     declaration order (duplicates removed).  Uses the parser's own device
-    grammar, so callers that fingerprint a snapshot directory (the plan
-    cache's model identity) can never drift from what the parser reads."""
+    grammar, so nothing that asks "which files are this snapshot?" can
+    drift from what the parser reads."""
     seen: List[str] = []
     for raw_line in topology_text.splitlines():
         device = _DEVICE.match(raw_line.strip())
@@ -146,44 +150,96 @@ def referenced_snapshot_files(topology_text: str) -> List[str]:
     return seen
 
 
+def _read(directory: str, name: str) -> bytes:
+    """The one place a snapshot file is opened for reading."""
+    with open(os.path.join(directory, name), "rb") as handle:
+        return handle.read()
+
+
+def snapshot_file_names(directory: str) -> List[str]:
+    """The files that *are* the snapshot in ``directory``: ``topology.txt``
+    plus exactly the files it references.  Anything else living there (a
+    report, a baseline, a ``.DS_Store``) is not part of the network — it is
+    never opened, stat'ed or hashed."""
+    topology = _read(directory, TOPOLOGY_FILE).decode("utf-8")
+    return [TOPOLOGY_FILE, *referenced_snapshot_files(topology)]
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """One read of a snapshot directory: the bytes of every file
+    :func:`snapshot_file_names` lists, and their identity.  Every consumer
+    of a directory's content (the build, its manifest, the model
+    fingerprint, scenario generation) takes it from here, so they agree on
+    the file set and on the bytes by construction."""
+
+    #: file name -> bytes; ``topology.txt`` first, then declaration order.
+    files: Dict[str, bytes]
+
+    @classmethod
+    def read(cls, directory: str) -> "Snapshot":
+        """Raises ``OSError`` when ``topology.txt`` or a referenced file
+        cannot be read: bytes that could not be read have no identity."""
+        topology = _read(directory, TOPOLOGY_FILE)
+        files = {TOPOLOGY_FILE: topology}
+        for name in referenced_snapshot_files(topology.decode("utf-8")):
+            files[name] = _read(directory, name)
+        return cls(files)
+
+    def texts(self) -> Dict[str, str]:
+        return {name: data.decode("utf-8") for name, data in self.files.items()}
+
+    @cached_property
+    def digests(self) -> Dict[str, str]:
+        """Per-file sha256 of exactly the bytes read."""
+        return {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in self.files.items()
+        }
+
+    @cached_property
+    def digest(self) -> str:
+        """Content identity of the snapshot: topology text plus the sorted
+        per-file digests.  Content only — no path — so byte-identical
+        snapshots at different paths (copied checkouts, run-numbered CI
+        workspaces) share one identity against a shared store."""
+        referenced = dict(self.digests)
+        del referenced[TOPOLOGY_FILE]
+        key = (
+            "directory",
+            self.files[TOPOLOGY_FILE].decode("utf-8"),
+            tuple(sorted(referenced.items())),
+        )
+        return hashlib.sha256(repr(("network-model", key)).encode()).hexdigest()
+
+
 def load_network_directory(directory: str) -> Network:
     """Load a network from a directory containing ``topology.txt`` plus the
     per-device snapshot files it references.
 
-    The returned network carries a ``source_manifest`` attribute: the
-    per-element content manifest (``topology.txt`` digest plus, for every
-    referenced snapshot file, a digest of the exact bytes this build parsed
-    and the element names they expanded into).  Digesting happens on the
-    bytes already in hand, so the manifest adds no extra I/O — it is what
-    lets :mod:`repro.core.delta` later tell *which* elements an edited
-    directory actually touched.
+    The returned network carries a ``source_manifest`` attribute — what
+    this build *is*: the snapshot's content digest (the model fingerprint),
+    the ``topology.txt`` digest and, for every referenced snapshot file, a
+    digest of the exact bytes this build parsed and the element names they
+    expanded into.  All of it comes from the one :class:`Snapshot` read, so
+    the manifest adds no I/O — it is what lets :mod:`repro.core.delta`
+    later tell *which* elements an edited directory actually touched.
     """
-    topology_path = os.path.join(directory, "topology.txt")
-    with open(topology_path, "rb") as handle:
-        topology_bytes = handle.read()
-    topology_text = topology_bytes.decode("utf-8")
-    snapshots: Dict[str, str] = {}
-    raw: Dict[str, bytes] = {}
-    for entry in os.listdir(directory):
-        path = os.path.join(directory, entry)
-        if entry == "topology.txt" or not os.path.isfile(path):
-            continue
-        with open(path, "rb") as handle:
-            data = handle.read()
-        raw[entry] = data
-        snapshots[entry] = data.decode("utf-8")
+    snapshot = Snapshot.read(directory)
+    texts = snapshot.texts()
     provenance: Dict[str, List[str]] = {}
-    network = parse_topology_file(topology_text, snapshots, provenance=provenance)
+    network = parse_topology_file(
+        texts.pop(TOPOLOGY_FILE), texts, provenance=provenance
+    )
     network.source_manifest = {
-        "topology_digest": hashlib.sha256(topology_bytes).hexdigest(),
+        "content_digest": snapshot.digest,
+        "topology_digest": snapshot.digests[TOPOLOGY_FILE],
         "files": {
             name: {
-                "digest": hashlib.sha256(raw[name]).hexdigest(),
+                "digest": snapshot.digests[name],
                 "elements": sorted(provenance.get(name, [])),
             }
-            for name in referenced_snapshot_files(topology_text)
-            if name in raw
+            for name in texts
         },
     }
     return network
-

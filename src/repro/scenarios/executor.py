@@ -35,7 +35,7 @@ from repro.obs import get_tracer
 from repro.api.queries import ForAllPairs, Invariant, Loop, Query, Reach
 from repro.core.settings import RunSettings
 from repro.scenarios import reduce as reduce_mod
-from repro.scenarios.generator import Scenario, UpdateStep, read_directory_state, state_digest
+from repro.scenarios.generator import Scenario, UpdateStep
 
 
 def default_scenario_queries() -> List[Query]:
@@ -246,11 +246,9 @@ class ScenarioCampaign:
         self.cluster_eps = cluster_eps
         self.cluster_min_points = cluster_min_points
 
-    def _check_base(self) -> None:
-        if not self.scenario.base_digest:
-            return
-        digest = state_digest(read_directory_state(self.directory))
-        if digest != self.scenario.base_digest:
+    def _check_base(self, model: NetworkModel) -> None:
+        digest = model.fingerprint()
+        if self.scenario.base_digest and digest != self.scenario.base_digest:
             raise ValueError(
                 "scenario was generated against a different directory state "
                 f"(expected {self.scenario.base_digest[:16]}, "
@@ -317,8 +315,8 @@ class ScenarioCampaign:
     def run(self) -> ScenarioRun:
         """Verify the initial snapshot and every transient state, then
         cluster whatever violated."""
-        self._check_base()
         model = NetworkModel.from_directory(self.directory)
+        self._check_base(model)
         plan = compile_plan(model, self.queries, **vars(self.settings))
         element_kinds = {
             element.name: element.kind for element in model.network()

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -50,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.models.router import longest_prefix_match
 from repro.parsers.mac_table import format_mac_table, parse_mac_table
 from repro.parsers.routing_table import format_routing_table, parse_routing_table
-from repro.parsers.topology_file import referenced_snapshot_files
+from repro.parsers.topology_file import Snapshot
 from repro.sefl.util import number_to_ip
 
 #: Service ports the ACL churn draws from — disjoint from the seed policy in
@@ -135,22 +134,10 @@ class Scenario:
 
 
 def read_directory_state(directory: str) -> Dict[str, str]:
-    """The text of ``topology.txt`` plus every snapshot file it references
-    (the same file-set policy the manifest uses, so scenario edits can never
-    touch a file delta verification would not see)."""
-    with open(os.path.join(directory, "topology.txt"), encoding="utf-8") as handle:
-        topology = handle.read()
-    state = {"topology.txt": topology}
-    for name in referenced_snapshot_files(topology):
-        path = os.path.join(directory, name)
-        with open(path, encoding="utf-8") as handle:
-            state[name] = handle.read()
-    return state
-
-
-def state_digest(state: Dict[str, str]) -> str:
-    payload = json.dumps(sorted(state.items()), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """The text of ``topology.txt`` plus every snapshot file it references —
+    a view of the one reader the build uses, so scenario edits can never
+    touch a file delta verification would not see."""
+    return Snapshot.read(directory).texts()
 
 
 def _parse_devices(
@@ -439,8 +426,9 @@ def generate_scenario(
     """
     if steps < 1:
         raise ValueError("a scenario needs at least one step")
-    state = read_directory_state(directory)
-    base_digest = state_digest(state)
+    snapshot = Snapshot.read(directory)
+    state = snapshot.texts()
+    base_digest = snapshot.digest
     rng = random.Random(seed)
     devices, _ = _parse_devices(state["topology.txt"])
 

@@ -6,9 +6,9 @@ every invocation:
 
 * **resident models** — built :class:`~repro.api.NetworkModel` s keyed by
   their network spec, so the second request over a network skips the
-  build.  Directory models re-check the directory's stat snapshot on every
-  reuse and rebuild when the files drifted — a resident service must never
-  answer for bytes it is no longer looking at.
+  build.  Directory models re-take the source's stat key on every reuse
+  and rebuild when the snapshot's files drifted — a resident service must
+  never answer for bytes it is no longer looking at.
 * **one worker pool** — a persistent :class:`ProcessPoolExecutor` lent to
   every campaign (``workers > 1``), so requests stop paying process
   start-up.
@@ -50,9 +50,8 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, MutableMapping, Optional, Tuple
 
 from repro.api import NetworkModel, compile_plan, execute_plan_streaming, parse_query
-from repro.api.model import _directory_stat_key
 from repro.api.queries import Query
-from repro.core.campaign import execution_counters
+from repro.core.campaign import NetworkSource, execution_counters
 from repro.core.settings import RunSettings
 from repro.obs import MetricsRegistry, ensure_core_families, get_registry
 from repro.serve import protocol
@@ -377,25 +376,20 @@ class VerificationService:
 
     def _resident_model(self, request: Request) -> NetworkModel:
         """The hot model for a request's network spec, rebuilt when a
-        directory spec's files no longer stat the way they did at build
-        time (a resident model must answer for the bytes on disk *now*)."""
+        directory spec's snapshot files no longer stat the way they did
+        when the model was made (a resident model must answer for the bytes
+        on disk *now*)."""
         key = request.model_key
+        if key[0] == "directory":
+            source = NetworkSource.from_directory(key[1])
+        else:
+            source = NetworkSource.from_workload(key[1], **dict(key[2]))
         model = self._models.get(key)
-        if (
-            model is not None
-            and key[0] == "directory"
-            and (
-                model._build_stat_key is None
-                or model._build_stat_key != _directory_stat_key(key[1])
-            )
-        ):
+        if model is not None and source != model.source:
             self.counters["model_rebuilds"] += 1
             model = None
         if model is None:
-            if key[0] == "directory":
-                model = NetworkModel.from_directory(key[1])
-            else:
-                model = NetworkModel.from_workload(key[1], **dict(key[2]))
+            model = NetworkModel(source)
             model.network()  # build now: residency means paying this once
             self.counters["model_builds"] += 1
             self._models[key] = model

@@ -155,6 +155,10 @@ class TestNetworkModel:
         assert campaign_result.validation_problems == problems
         plan_result = model.query(Loop())
         assert plan_result.campaign.validation_problems == problems
+        # A campaign made without the model resolves the same build, so it
+        # reports the same findings without validating again.
+        bare = VerificationCampaign(str(tmp_path), queries=("loops",))
+        assert bare.validate() == problems
         assert len(calls) == 1
 
     @pytest.mark.parametrize("with_store", [False, True])

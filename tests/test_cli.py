@@ -372,6 +372,27 @@ class TestQueryCommand:
             l for l in campaign_err.splitlines() if "warning" in l
         ]
         assert query_warnings and query_warnings == campaign_warnings
+        # ... and to the API: the findings are one fact of the build.
+        from repro.api import NetworkModel
+
+        problems = NetworkModel.from_directory(str(dangling_network_dir)).validate()
+        assert query_warnings == [f"warning: {problem}" for problem in problems]
+
+    def test_report_written_into_the_directory_rebuilds_nothing(self, network_dir):
+        """Regression: the runtime cache keyed a directory on *every* file in
+        it, so ``--output DIR/report.json`` made the next command rebuild an
+        unchanged network."""
+        from repro.core.campaign import NetworkSource, clear_runtime_cache
+        from repro.core.jobs import runtime_for
+
+        clear_runtime_cache()
+        source = NetworkSource.from_directory(str(network_dir))
+        built = runtime_for(source)
+        report = network_dir / "report.json"
+        assert main(["query", str(network_dir), "loop()", "-o", str(report)]) == 0
+        assert report.exists()
+        after = NetworkSource.from_directory(str(network_dir))
+        assert after == source and runtime_for(after) is built
 
     def test_bad_query_rejected(self, network_dir):
         with pytest.raises(SystemExit, match="bad query"):

@@ -16,9 +16,10 @@ The acceptance criteria under test:
   flap, same-bytes no-op rewrite) over stanford- and department-style
   directories: delta never skips a port whose answer changed, with greedy
   shrink to a minimal failing edit on divergence;
-* degenerate directory-identity keys (unreadable topology, stat-failed
-  device files) can no longer produce a plan-cache hit: every such key is
-  unequal to everything, including a recomputation of itself.
+* degenerate directory stat keys (unreadable topology, stat-failed device
+  files) never share a cached build: every such key is unequal to
+  everything, including a recomputation of itself — while the content
+  identity is read off the build, so an unreadable directory has none.
 """
 
 import glob
@@ -489,28 +490,35 @@ class TestEditFuzz:
 
 
 class TestDegenerateIdentityKeys:
+    """Two mechanisms, two rules.  The *stat key* (``NetworkSource``) of
+    state it could not observe never compares equal, so nothing cached is
+    shared across it; the *content identity* needs no such rule, because
+    bytes that could not be read have no build to identify."""
+
     def test_unreadable_topology_keys_never_compare_equal(self, tmp_path):
-        from repro.api.model import _directory_content_key, _directory_stat_key
+        from repro.api.model import NetworkModel
+        from repro.core.campaign import NetworkSource
 
         broken = tmp_path / "broken"
         other = tmp_path / "other"
         broken.mkdir()
         other.mkdir()
         # Two broken directories — and the *same* broken directory keyed
-        # twice — must never share an identity a plan cache could hit.
-        assert _directory_stat_key(str(broken)) != _directory_stat_key(str(other))
-        assert _directory_stat_key(str(broken)) != _directory_stat_key(str(broken))
-        assert _directory_content_key(str(broken)) != _directory_content_key(
-            str(other)
-        )
-        assert _directory_content_key(str(broken)) != _directory_content_key(
-            str(broken)
-        )
+        # twice — must never share a stat key a cache could hit.
+        def key(directory):
+            return NetworkSource.from_directory(str(directory)).cache_key()
+
+        assert key(broken) != key(other)
+        assert key(broken) != key(broken)
+        # And an unreadable directory has no fingerprint because it has no
+        # build: asking raises what building raises.
+        with pytest.raises(OSError):
+            NetworkModel.from_directory(str(broken)).fingerprint()
 
     def test_stat_failed_device_file_keys_never_compare_equal(
         self, tmp_path, monkeypatch
     ):
-        from repro.api.model import _directory_stat_key
+        from repro.core.campaign import NetworkSource
 
         _export_stanford(tmp_path)
         target = os.path.join(str(tmp_path), "acl0.acl")
@@ -522,21 +530,24 @@ class TestDegenerateIdentityKeys:
             return real_stat(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "stat", failing_stat)
-        first = _directory_stat_key(str(tmp_path))
-        second = _directory_stat_key(str(tmp_path))
+        first = NetworkSource.from_directory(str(tmp_path))
+        second = NetworkSource.from_directory(str(tmp_path))
         assert first != second
+        assert first.cache_key() != second.cache_key()
 
-    def test_degenerate_build_identity_disables_plan_caching(
+    def test_degenerate_stat_key_shares_no_build(
         self, tmp_path, monkeypatch
     ):
-        """A model whose build-time identity scan could not stat a device
-        file has no provable identity: its fingerprint must be ``None`` so
-        it neither reads nor feeds the plan cache."""
+        """A model whose stat scan could not see a device file still reads
+        and builds the directory, so it has the exact identity of those
+        bytes (its plans are cacheable); what it must not do is share its
+        *build* with a source that could not prove it saw the same disk."""
         from repro.api import Loop
         from repro.api.model import NetworkModel
 
-        _export_stanford(tmp_path)
-        target = os.path.join(str(tmp_path), "acl0.acl")
+        _export_stanford(tmp_path / "net")
+        directory = str(tmp_path / "net")
+        target = os.path.join(directory, "acl0.acl")
         real_stat = os.stat
         state = {"failed": False}
 
@@ -548,18 +559,15 @@ class TestDegenerateIdentityKeys:
 
         monkeypatch.setattr(os, "stat", flaky_stat)
         clear_runtime_cache()
-        model = NetworkModel.from_directory(str(tmp_path))
-        model.network()
+        model = NetworkModel.from_directory(directory)
         assert state["failed"]
-        assert model.fingerprint() is None
+        healthy = NetworkModel.from_directory(directory)
+        assert healthy.network() is not model.network()
+        assert model.fingerprint() == healthy.fingerprint() is not None
 
         store = VerificationStore(str(tmp_path / "store"))
-        first = model.query(Loop(), store=store)
-        assert not first.from_cache
-        # Nothing was filed under any identity: a fresh, healthy model over
-        # the same directory misses the plan cache and executes for real.
+        assert not model.query(Loop(), store=store).from_cache
         clear_runtime_cache()
-        fresh = NetworkModel.from_directory(str(tmp_path)).query(
+        assert NetworkModel.from_directory(directory).query(
             Loop(), store=store
-        )
-        assert not fresh.from_cache
+        ).from_cache

@@ -286,6 +286,41 @@ class TestTopologyFile:
         assert network.has_element("sw1")
         assert network.has_element("r1")
 
+    def test_files_the_topology_never_references_are_never_opened(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: the directory loader read and UTF-8-decoded *every*
+        file, so a ``.DS_Store`` beside ``topology.txt`` crashed the build
+        and a multi-megabyte ``--save-baseline`` JSON was read on every
+        one.  The snapshot is ``topology.txt`` plus what it references."""
+        import builtins
+
+        from repro.api import Loop, NetworkModel
+        from repro.parsers.topology_file import Snapshot, snapshot_file_names
+
+        (tmp_path / "topology.txt").write_text(self.TOPOLOGY)
+        (tmp_path / "sw1.mac").write_text(MAC_SNAPSHOT)
+        (tmp_path / "r1.fib").write_text(FIB_SNAPSHOT)
+        (tmp_path / ".DS_Store").write_bytes(b"\xff\xfe\x00\x00Bud1")
+        (tmp_path / "baseline.json").write_bytes(b"[" + b" " * 3_600_000 + b"]")
+        snapshot_files = ["topology.txt", "sw1.mac", "r1.fib"]
+        assert snapshot_file_names(str(tmp_path)) == snapshot_files
+        assert list(Snapshot.read(str(tmp_path)).files) == snapshot_files
+
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(os.path.basename(os.fspath(path)))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        model = NetworkModel.from_directory(str(tmp_path))
+        assert not model.query(Loop()).job_errors
+        assert model.fingerprint() == Snapshot.read(str(tmp_path)).digest
+        monkeypatch.undo()
+        assert set(opened) == set(snapshot_files)
+
     def test_end_to_end_reachability_on_parsed_network(self):
         network = parse_topology_file(self.TOPOLOGY, self.SNAPSHOTS)
         packet = models.symbolic_tcp_packet(

@@ -17,7 +17,8 @@ from repro.scenarios import (
     trace_features,
     violation_fingerprint,
 )
-from repro.scenarios.generator import read_directory_state, state_digest
+from repro.parsers.topology_file import Snapshot
+from repro.scenarios.generator import read_directory_state
 from repro.workloads.export import (
     export_department_style_directory,
     export_stanford_directory,
@@ -57,7 +58,7 @@ class TestGenerator:
         assert one.fingerprint() == two.fingerprint()
         assert one.steps == two.steps
         # Generation must not touch the directory itself.
-        assert state_digest(read_directory_state(d1)) == one.base_digest
+        assert Snapshot.read(d1).digest == one.base_digest
 
     def test_different_seeds_differ(self, tmp_path):
         directory = _export(tmp_path)

@@ -290,6 +290,47 @@ def test_resident_model_reused_across_requests():
     assert stats["service"]["plans_executed"] == 2
 
 
+def test_resident_directory_model_rebuilds_only_for_snapshot_files(tmp_path):
+    """The staleness check is the source's stat key — over ``topology.txt``
+    and the files it references, nothing else: a report written into the
+    directory leaves the resident model alone, an edited device file ticks
+    ``model_rebuilds`` exactly once and the next answer is for the new
+    bytes."""
+    (tmp_path / "topology.txt").write_text("device sw switch sw.mac\n")
+    mac = tmp_path / "sw.mac"
+    mac.write_text(" 302    0011.2233.4455    DYNAMIC     out0\n")
+    network = {"directory": str(tmp_path)}
+    texts = ["forall_pairs(reach)"]
+
+    def fingerprints(messages):
+        assert messages[-1]["type"] == "done"
+        return {
+            m["query"]: m["fingerprint"]
+            for m in results_by_index(messages).values()
+        }
+
+    with service_endpoint(batch_window=0.01) as (service, host, port):
+        with ServiceClient(host, port) as client:
+            first = fingerprints(client.query(network, texts))
+            assert first == batch_fingerprints(network, texts)
+            (tmp_path / "report.json").write_bytes(b"\xff\xfe not a snapshot")
+            assert fingerprints(client.query(network, texts)) == first
+            assert client.stats()["service"]["model_rebuilds"] == 0
+
+            mac.write_text(
+                " 302    0011.2233.4455    DYNAMIC     out0\n"
+                " 302    0011.2233.4466    DYNAMIC     out1\n"
+            )
+            edited = fingerprints(client.query(network, texts))
+            assert edited != first
+            assert edited == batch_fingerprints(network, texts)
+            assert fingerprints(client.query(network, texts)) == edited
+            stats = client.stats()["service"]
+    assert stats["model_rebuilds"] == 1
+    assert stats["model_builds"] == 2
+    assert stats["models_resident"] == 1
+
+
 # ---------------------------------------------------------------------------
 # Cross-client merge + dedup, and streaming before the barrier
 # ---------------------------------------------------------------------------

@@ -10,9 +10,13 @@ The acceptance criteria under test:
 * a repeated identical query batch hits the **plan-result cache**: zero
   engine jobs, answers and fingerprints verbatim;
 * plan-cache entries are invalidated when the network source's content
-  changes (directory sources fingerprint every snapshot file), plus the
-  explicit ``invalidate_plans`` path.
+  changes (a directory model's fingerprint is the content digest of the
+  bytes it built), plus the explicit ``invalidate_plans`` path.
 """
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -24,7 +28,9 @@ from repro.core.campaign import (
     execution_counters,
     reset_execution_counters,
 )
+from repro.core.delta import CampaignBaseline
 from repro.store import VerificationStore
+from repro.workloads.export import export_department_style_directory
 
 STANFORD_OPTIONS = dict(
     zones=3, internal_prefixes_per_zone=12, service_acl_rules=3
@@ -365,18 +371,66 @@ class TestPlanResultCache:
         answer = fresh.query(Loop(), store=store)
         assert not answer.from_cache
 
-        # A model whose directory changed between its build and its first
-        # fingerprint use has no trustworthy identity at all: plan caching
-        # is disabled rather than guessed.
+        # A model created before an edit but built after it executes the
+        # edited bytes, and its identity is exactly theirs — read off the
+        # build, not guessed from a stat — so it files its answers where a
+        # later process over the same bytes finds them.
         clear_runtime_cache()
         late = NetworkModel.from_directory(str(snapshot))
-        late.network()  # build first, without ever fingerprinting
         (snapshot / "sw.mac").write_text(
             "Vlan    Mac Address       Type        Ports\n"
             " 302    0011.2233.4455    DYNAMIC     out2\n"
         )
-        assert late.fingerprint() is None
+        assert late.fingerprint() not in (pre_edit_fingerprint, fresh.fingerprint())
         assert not late.query(Loop(), store=store).from_cache
+        clear_runtime_cache()
+        after = NetworkModel.from_directory(str(snapshot))
+        assert after.fingerprint() == late.fingerprint()
+        assert after.query(Loop(), store=store).from_cache
+        # And it still cannot be served the pre-edit answers, nor serve its
+        # own to a model over them.
+        assert stale_model.fingerprint() == pre_edit_fingerprint
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="relies on workers forked before the driver's build",
+    )
+    def test_worker_that_built_different_bytes_says_so(self, tmp_path):
+        """Pool workers rebuild a directory from disk under the *driver's*
+        stat key, which cannot see an edit made since the driver looked.
+        A worker that finds itself on other bytes than the driver built must
+        report an error, not an answer — or the edited network's answers
+        would be filed under the old content's plan key and baseline."""
+        directory = tmp_path / "net"
+        directory.mkdir()
+        export_department_style_directory(str(directory))
+        store = VerificationStore(str(tmp_path / "store"))
+        clear_runtime_cache()
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            # Fork the workers now, before anything is built: their runtime
+            # caches are empty, so each will build from disk.
+            pool.submit(os.getpid).result()
+            model = NetworkModel.from_directory(str(directory))
+            plan = compile_plan(model, [Loop()])
+            built = model.fingerprint()
+            (directory / "edge.acl").write_text("block 22\n")
+            result = execute_plan(plan, workers=2, store=store, pool=pool)
+        assert result.campaign.execution_mode == "process-pool"
+        assert len(result.job_errors) == plan.job_count
+        assert all(
+            "snapshot changed under the campaign" in error
+            for _, error in result.job_errors
+        )
+        assert model.fingerprint() == built
+        assert store.plan_count() == 0
+        baseline = CampaignBaseline.from_payload(store.get_baseline(str(directory)))
+        assert baseline is not None and baseline.reports == {}
+        # A model made after the edit answers, and only it is filed.
+        clear_runtime_cache()
+        edited = NetworkModel.from_directory(str(directory))
+        assert edited.fingerprint() != built
+        assert not edited.query(Loop(), store=store).job_errors
+        assert store.plan_count() == 1
 
     def test_in_process_networks_never_hit_the_plan_cache(self, tmp_path):
         from repro.network.element import NetworkElement
