@@ -218,12 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "results) in a verification store at DIR: runs warm-start from the "
         "store's disk shards and publish fresh verdicts back",
     )
-    stored.add_argument(
-        "--cache-shards", type=int, default=defaults.cache_shards,
-        metavar="N",
-        help="shard the process-shared verdict tier (and a newly created "
-        "store) across N partitions (default: %(default)s)",
-    )
     # The campaign pipeline's knobs, shared by every command that runs one.
     pipeline = argparse.ArgumentParser(add_help=False, parents=[stored])
     pipeline.add_argument(
@@ -465,7 +459,7 @@ def _open_store(args: argparse.Namespace):
     from repro.store import StoreError, VerificationStore
 
     try:
-        return VerificationStore(args.store_dir, shards=args.cache_shards)
+        return VerificationStore(args.store_dir)
     except (StoreError, ValueError) as exc:
         raise SystemExit(f"unusable store {args.store_dir}: {exc}")
 

@@ -14,14 +14,14 @@ import logging
 import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.jobs import CampaignJob, JobReport, execute_job
 from repro.obs import get_tracer
-from repro.store.sharding import ShardedTier
+from repro.store.sharding import DEFAULT_SHARD_COUNT, ShardedTier
 
 _LOG = logging.getLogger(__name__)
 
@@ -37,16 +37,14 @@ def _run_in_process(
         on_report(execute_job(job))
 
 
-def _shared_tier(shards: int, publish_batch: int):
+def _shared_tier():
     """A started Manager plus the sharded verdict tier living in it, or
     ``(None, None)`` when this environment cannot start one — that only
     loses the shared tier, not the run."""
     manager = None
     try:
         manager = multiprocessing.Manager()
-        tier = ShardedTier(
-            [manager.dict() for _ in range(shards)], batch_size=publish_batch
-        )
+        tier = ShardedTier([manager.dict() for _ in range(DEFAULT_SHARD_COUNT)])
         return manager, tier
     except (OSError, RuntimeError) as exc:
         if manager is not None:
@@ -73,9 +71,9 @@ def run_jobs(
     process-shared verdict tier on pool runs: workers publish full-solve
     verdicts as they land, so symmetric jobs on *different* workers stop
     re-solving each other's constraint sets.  The fingerprint space is
-    prefix-sharded across ``cache_shards`` Manager dicts and publishes are
-    batched per worker (repro.store.sharding), so misses contend shard-wise
-    instead of on one proxy lock.
+    prefix-sharded across ``DEFAULT_SHARD_COUNT`` Manager dicts and
+    publishes are batched per worker (repro.store.sharding), so misses
+    contend shard-wise instead of on one proxy lock.
 
     Failure taxonomy (one ``except (OSError, RuntimeError)`` around the
     whole pool run would conflate all three and silently re-run everything
@@ -88,8 +86,9 @@ def run_jobs(
       ``BrokenProcessPool``; completed reports are kept and only the
       missing jobs re-execute in-process, with a warning.
     * *job-level* exception — ``execute_job`` already folds expected
-      failures into ``report.error``, so anything escaping it is an
-      infrastructure or invariant bug the caller must see: propagate.
+      failures into ``report.error``, so anything escaping it (or raised by
+      ``on_report``) is an infrastructure or invariant bug the caller must
+      see: propagate, after the jobs still queued are cancelled.
     """
     if not jobs:
         return "in-process"
@@ -109,11 +108,8 @@ def run_jobs(
             # Ask workers to record spans locally and ship them back in
             # report.spans; the driver re-parents them.
             pool_jobs = [replace(job, trace=True) for job in pool_jobs]
-        settings = jobs[0].settings  # one campaign, one settings object
-        if settings.shared_cache:
-            manager, tier = _shared_tier(
-                settings.cache_shards, settings.publish_batch
-            )
+        if jobs[0].settings.shared_cache:  # one campaign, one settings object
+            manager, tier = _shared_tier()
             if tier is not None:
                 pool_jobs = [replace(job, shared_tier=tier) for job in pool_jobs]
         try:
@@ -136,6 +132,7 @@ def run_jobs(
             _run_in_process(jobs, on_report)
             return "in-process"
         done_keys = set()
+        futures = []
         try:
             futures = [pool.submit(execute_job, job) for job in pool_jobs]
             for future in as_completed(futures):
@@ -156,6 +153,14 @@ def run_jobs(
             )
             _run_in_process(missing, on_report)
             return "process-pool-recovered"
+        except Exception:
+            # A job or ``on_report`` raised: propagate, but only once no job
+            # left on a lent pool can still unpickle a proxy of the Manager
+            # shut down below — that would kill the pool's workers.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
     finally:
         if own_pool is not None:
             own_pool.shutdown()

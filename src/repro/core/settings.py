@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 from repro.core.strategy import STRATEGIES
-from repro.store.sharding import DEFAULT_PUBLISH_BATCH, DEFAULT_SHARD_COUNT
 
 
 def _tier_switch(default):
@@ -47,9 +46,6 @@ class RunSettings:
     #: neither be served from nor feed anything a sharing run filed.
     shared_cache: bool = True
 
-    #: Shards of the process-shared tier, and of a newly created store.
-    cache_shards: int = _tier_switch(DEFAULT_SHARD_COUNT)
-    publish_batch: int = _tier_switch(DEFAULT_PUBLISH_BATCH)
     #: One engine job per renaming class of injection ports, the rest
     #: instantiated (``core.symmetry``).  Off by default: canonicalising a
     #: job costs more than running it on every workload measured so far.
@@ -77,7 +73,7 @@ class RunSettings:
                 kind is int and isinstance(value, bool)
             ):
                 raise TypeError(f"'{spec.name}' must be {kind.__name__}")
-        for name in ("max_hops", "max_paths", "cache_shards", "publish_batch"):
+        for name in ("max_hops", "max_paths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"'{name}' must be >= 1, not {getattr(self, name)}")
         if self.strategy not in STRATEGIES:

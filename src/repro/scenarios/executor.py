@@ -268,9 +268,6 @@ class ScenarioCampaign:
         step: Optional[UpdateStep],
         baseline: Optional[Dict[str, object]],
     ) -> Tuple[StepOutcome, Optional[Dict[str, object]]]:
-        from repro.core.campaign import execution_counters
-
-        runs_before = execution_counters()["engine_runs"]
         started = time.perf_counter()
         with get_tracer().span(
             "scenario.state",
@@ -284,13 +281,15 @@ class ScenarioCampaign:
                 baseline=baseline if plan.settings.delta else None,
             )
         wall = time.perf_counter() - started
-        engine_runs = execution_counters()["engine_runs"] - runs_before
         if result.job_errors:
             details = "; ".join(
                 f"{key}: {error}" for key, error in result.job_errors
             )
             raise RuntimeError(f"state {index} had job errors: {details}")
         stats = result.stats.to_dict() if result.stats is not None else {}
+        # A plan-cache hit rehydrates the stats of the run that computed the
+        # answers; this state itself ran nothing.
+        engine_runs = 0 if result.from_cache else stats["executed_jobs"]
         delta_info: Dict[str, object] = {}
         if result.campaign is not None:
             delta_info = dict(result.campaign.delta_info)

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-#: Default number of fingerprint-space shards for campaign shared tiers.
+#: Fingerprint-space shards of a campaign's shared tier and of a newly
+#: created store (an existing store keeps the layout its STORE.json pins).
 DEFAULT_SHARD_COUNT = 8
-#: Default per-shard publish batch size (1 reproduces PR 3's
-#: publish-per-solve behaviour; see benchmarks/test_store_persistence.py).
+#: Per-shard publish batch size of a campaign's shared tier.
 #: Deliberately small: a buffer that outlives the handful of full solves a
 #: typical injection performs would defer every publish to the
 #: end-of-injection flush and cost concurrent workers their live hits —

@@ -430,6 +430,24 @@ class TestPoolFailureTaxonomy:
             == sequential.loop_report.fingerprint()
         )
 
+    def test_refused_report_leaves_a_lent_pool_usable(self):
+        """A caller that refuses a report (an audit failure, say) stops the
+        run — and must not take a lent pool down with it: the jobs still
+        queued on it hold proxies of the run's shared-tier Manager."""
+
+        def refuse(report):
+            raise ValueError("refused")
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            with pytest.raises(ValueError, match="refused"):
+                VerificationCampaign(self._source()).run(
+                    workers=2, pool=pool, on_report=refuse
+                )
+            result = VerificationCampaign(self._source()).run(workers=2, pool=pool)
+        assert result.execution_mode == "process-pool"
+        assert not result.job_errors
+
     def test_broken_borrowed_pool_falls_back_before_submitting(self):
         # A lent pool is probed before any job is trusted to it: a pool
         # that cannot run anything demotes the run to in-process execution

@@ -472,16 +472,19 @@ class TestStoreCommands:
         with pytest.raises(SystemExit, match="not a store directory"):
             main(["store", "inspect", str(tmp_path / "nope")])
 
-    @pytest.mark.parametrize("command", ["query", "campaign"])
-    def test_cache_shards_validated_at_parse_time(
-        self, network_dir, command, capsys
+    def test_existing_store_keeps_its_shard_layout(
+        self, network_dir, tmp_path, capsys
     ):
-        args = [command, str(network_dir), "--cache-shards", "0"]
-        if command == "query":
-            args.append("loop()")
-        with pytest.raises(SystemExit):
-            main(args)
-        assert "'cache_shards' must be >= 1, not 0" in capsys.readouterr().err
+        from repro.store import VerificationStore
+
+        store_dir = tmp_path / "the-store"
+        VerificationStore(str(store_dir), shards=3)
+        assert main(
+            ["campaign", str(network_dir), "--store-dir", str(store_dir)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["store", "inspect", str(store_dir)]) == 0
+        assert json.loads(capsys.readouterr().out)["shards"] == 3
 
     def test_unusable_store_fails_cleanly_on_query_and_campaign(
         self, network_dir, tmp_path

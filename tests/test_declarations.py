@@ -52,8 +52,6 @@ CHANGED_SETTINGS = {
     "max_paths": 7,
     "strategy": "bfs",
     "shared_cache": False,
-    "cache_shards": 3,
-    "publish_batch": 9,
     "symmetry": True,
     "symmetry_audit": True,
     "symmetry_audit_seed": 5,
@@ -240,8 +238,6 @@ def test_serve_message_refuses_unknown_and_mistyped_settings():
 OUT_OF_RANGE = {
     "max_hops": 0,
     "max_paths": -5,
-    "cache_shards": 0,
-    "publish_batch": -1,
     "strategy": "nope",
 }
 
@@ -269,8 +265,8 @@ def test_front_doors_refuse_out_of_range_settings(model, name, capsys):
             front_door()
     with pytest.raises(ProtocolError, match=message):
         _parse_request("r", None, _message(**bad))
-    if name in ("max_hops", "max_paths", "cache_shards"):
-        # (--strategy is an argparse ``choices`` flag; publish_batch has none.)
+    if name in ("max_hops", "max_paths"):
+        # (--strategy is an argparse ``choices`` flag.)
         flag = "--" + name.replace("_", "-")
         for command in (["query", "netdir", "loop()"], ["campaign", "netdir"]):
             with pytest.raises(SystemExit):
@@ -301,7 +297,7 @@ def test_cli_flag_sets_the_setting_of_the_same_name(name):
         args = parser.parse_args([command] + positional + flags)
         settings = RunSettings(**cli._run_settings(args))
         assert getattr(settings, name) == value, command
-    assert flagged or name == "publish_batch"  # the one flagless setting
+    assert flagged
 
 
 def test_symmetry_audit_implies_symmetry():

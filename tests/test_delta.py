@@ -9,9 +9,9 @@ The acceptance criteria under test:
   elements through build provenance;
 * :func:`affected_injections` is the reverse link closure: a port is only
   spliced when its element provably cannot reach any touched element;
-* campaign-level: spliced runs are **bit-identical** to a from-scratch
-  rerun across workers {1, 2} × symmetry {on, off} × baseline
-  {store, file}, and a one-device edit re-executes O(1) engine jobs;
+* campaign-level: a one-device edit re-executes O(1) engine jobs, from a
+  store or a file baseline, with symmetry on or off (that splicing never
+  moves an answer is a coordinate of ``tests/test_config_lattice.py``);
 * seed-pinned random-edit fuzz (rule insert/delete, device rewrite, link
   flap, same-bytes no-op rewrite) over stanford- and department-style
   directories: delta never skips a port whose answer changed, with greedy
@@ -75,12 +75,11 @@ def _projections(result):
 def _run(directory, injections, **kwargs):
     """One campaign over a snapshot directory; returns ``(result, engine
     runs this campaign performed)``."""
-    workers = kwargs.pop("workers", 1)
     clear_runtime_cache()
     campaign = VerificationCampaign(str(directory), **kwargs)
     campaign.add_injections(injections)
     reset_execution_counters()
-    result = campaign.run(workers=workers)
+    result = campaign.run()
     assert not result.job_errors
     return result, execution_counters()["engine_runs"]
 
@@ -223,32 +222,21 @@ class TestAffectedInjections:
 
 
 class TestCampaignDelta:
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("symmetry", [True, False])
-    @pytest.mark.parametrize("mode", ["store", "file"])
-    def test_spliced_run_bit_identical_to_scratch(
-        self, tmp_path, workers, symmetry, mode
-    ):
+    @pytest.mark.parametrize("mode, symmetry", [("store", False), ("file", True)])
+    def test_one_acl_edit_splices_every_other_port(self, tmp_path, mode, symmetry):
         net = tmp_path / "net"
         injections = _export_stanford(net)
         store = (
             VerificationStore(str(tmp_path / "store")) if mode == "store" else None
         )
-        cold, cold_runs = _run(
-            net, injections, store=store, symmetry=symmetry, workers=workers
-        )
+        cold, _ = _run(net, injections, store=store, symmetry=symmetry)
         assert cold.stats.jobs_spliced_by_delta == 0
         assert cold.baseline_payload is not None
         baseline = cold.baseline_payload if mode == "file" else None
 
         (net / "acl1.acl").write_text("block 22\nblock 8080\n")
         delta, delta_runs = _run(
-            net,
-            injections,
-            store=store,
-            symmetry=symmetry,
-            workers=workers,
-            baseline=baseline,
+            net, injections, store=store, symmetry=symmetry, baseline=baseline
         )
         # The touched ACL symmetry-partitions alone: exactly one engine job.
         assert delta.stats.jobs_spliced_by_delta == 2
@@ -261,13 +249,6 @@ class TestCampaignDelta:
             "acl0:in0", "acl2:in0",
         }
         assert all(r.delta_spliced_from == mode for r in spliced)
-
-        scratch, scratch_runs = _run(
-            net, injections, symmetry=symmetry, shared_cache=False, delta=False
-        )
-        assert scratch_runs >= delta_runs
-        assert _fingerprints(delta) == _fingerprints(scratch)
-        assert _projections(delta) == _projections(scratch)
 
     def test_noop_rewrite_splices_every_port(self, tmp_path):
         net = tmp_path / "net"

@@ -10,9 +10,8 @@ The load-bearing guarantees:
   re-parented under the driver's campaign span with remapped ids;
 * **no blind spots** — every stage of the campaign pipeline runs under a
   span, so the children of a ``campaign`` span cover (nearly) all of it;
-* **answer invariance** — tracing {off, on} x workers {1, 2} changes which
-  telemetry is emitted, never the answer: per-query result fingerprints
-  are bit-identical across all four combinations;
+* **answer invariance** — tracing changes which telemetry is emitted,
+  never the answer (a coordinate of ``tests/test_config_lattice.py``);
 * **exposition** — the resident service answers the ``metrics`` protocol
   verb with Prometheus text covering the core families.
 """
@@ -25,7 +24,7 @@ import threading
 
 import pytest
 
-from repro.api import NetworkModel, compile_plan, execute_plan, parse_query
+from repro.api import NetworkModel
 from repro.obs import (
     MetricsRegistry,
     NullTracer,
@@ -40,9 +39,6 @@ from repro.obs import (
 )
 
 DEPARTMENT_OPTIONS = dict(access_switches=2, hosts_per_switch=1)
-STANFORD_OPTIONS = dict(
-    zones=2, internal_prefixes_per_zone=4, service_acl_rules=2
-)
 
 
 @pytest.fixture(autouse=True)
@@ -210,7 +206,7 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Cross-process propagation and answer invariance
+# Cross-process propagation and span coverage
 # ---------------------------------------------------------------------------
 
 
@@ -283,28 +279,6 @@ class TestCrossProcess:
         assert covered / duration >= 0.95, sorted(
             {s["name"] for s in spans if s["parent_id"] == campaign_span["span_id"]}
         )
-
-    @pytest.mark.parametrize(
-        "workload,options",
-        [
-            ("department", DEPARTMENT_OPTIONS),
-            ("stanford", STANFORD_OPTIONS),
-        ],
-    )
-    def test_tracing_and_workers_never_move_answers(self, workload, options):
-        queries = [parse_query("forall_pairs(reach)"), parse_query("loop()")]
-        fingerprints = []
-        for traced in (False, True):
-            for workers in (1, 2):
-                set_tracer(Tracer() if traced else NullTracer())
-                model = NetworkModel.from_workload(workload, **options)
-                plan = compile_plan(model, queries)
-                result = execute_plan(plan, workers=workers)
-                assert not result.job_errors
-                fingerprints.append(
-                    (result.fingerprint(), tuple(r.fingerprint for r in result.results))
-                )
-        assert len(set(fingerprints)) == 1
 
 
 # ---------------------------------------------------------------------------

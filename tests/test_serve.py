@@ -4,7 +4,9 @@ The load-bearing guarantees:
 
 * **parity** — every answer a service streams is bit-identical (per-query
   result fingerprints) to a standalone batch ``execute_plan`` of the same
-  queries, across workers {1, 2} and store {off, warm};
+  queries (the serve ``query`` path is a front door of
+  ``tests/test_config_lattice.py``), and a repeated request over a warm
+  store is answered from the plan cache;
 * **cross-client dedup** — two clients whose concurrent requests overlap
   merge into one shared plan: one engine job per distinct injection port,
   observable in the process's execution counters;
@@ -223,41 +225,28 @@ def test_admission_control_overloaded():
 QUERIES = ["loop()", "forall_pairs(reach)", "invariant(IpSrc)"]
 
 
-@pytest.mark.parametrize("network", [DEPARTMENT, STANFORD], ids=["department", "stanford"])
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("with_store", [False, True], ids=["store-off", "store-warm"])
-def test_streamed_matches_batch(network, workers, with_store, tmp_path):
+def test_repeat_request_is_answered_from_the_plan_cache(tmp_path):
     from repro.store import VerificationStore
 
-    expected = batch_fingerprints(network, QUERIES)
-    store = VerificationStore(str(tmp_path / "store")) if with_store else None
-    with service_endpoint(
-        workers=workers, store=store, batch_window=0.01
-    ) as (service, host, port):
+    expected = batch_fingerprints(DEPARTMENT, QUERIES)
+    store = VerificationStore(str(tmp_path / "store"))
+    with service_endpoint(store=store, batch_window=0.01) as (service, host, port):
         with ServiceClient(host, port) as client:
-            messages = client.query(network, QUERIES)
-            assert messages[-1]["type"] == "done"
-            results = results_by_index(messages)
-            assert len(results) == len(QUERIES)
-            streamed = {m["query"]: m["fingerprint"] for m in results.values()}
-            assert streamed == expected
-            # The done digest is reproducible from the batch run alone.
-            assert messages[-1]["fingerprint"] == results_digest(
-                expected.values()
-            )
-            assert messages[-1]["from_cache"] is False
-            if not with_store:
-                return
-            # Second identical request: the warm store answers from the
-            # plan cache — zero engine jobs, same fingerprints.
-            repeat = client.query(network, QUERIES)
-            assert repeat[-1]["type"] == "done"
-            assert repeat[-1]["from_cache"] is True
-            assert {
-                m["query"]: m["fingerprint"]
-                for m in results_by_index(repeat).values()
-            } == expected
-            assert repeat[-1]["fingerprint"] == messages[-1]["fingerprint"]
+            messages = client.query(DEPARTMENT, QUERIES)
+            repeat = client.query(DEPARTMENT, QUERIES)
+    assert messages[-1]["type"] == repeat[-1]["type"] == "done"
+    assert {
+        m["query"]: m["fingerprint"] for m in results_by_index(messages).values()
+    } == expected
+    # The done digest is reproducible from the batch run alone.
+    assert messages[-1]["fingerprint"] == results_digest(expected.values())
+    assert messages[-1]["from_cache"] is False
+    # The second identical request: zero engine jobs, same fingerprints.
+    assert repeat[-1]["from_cache"] is True
+    assert {
+        m["query"]: m["fingerprint"] for m in results_by_index(repeat).values()
+    } == expected
+    assert repeat[-1]["fingerprint"] == messages[-1]["fingerprint"]
 
 
 def test_unknown_verdict_streams_as_null():

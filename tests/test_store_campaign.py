@@ -2,16 +2,18 @@
 
 The acceptance criteria under test:
 
-* query/report fingerprints are **bit-identical** across {no store, cold
-  store, warm-from-disk store} × {workers 1, 2} — the store changes which
-  tier answers, never the answer;
 * a warm-from-disk rerun performs **0 full solves** (every verdict comes
-  from the merged disk shards), and nothing new is published back;
+  from the merged disk shards) on one worker or two, and nothing new is
+  published back;
 * a repeated identical query batch hits the **plan-result cache**: zero
   engine jobs, answers and fingerprints verbatim;
 * plan-cache entries are invalidated when the network source's content
   changes (a directory model's fingerprint is the content digest of the
   bytes it built), plus the explicit ``invalidate_plans`` path.
+
+That the store never moves an answer — off, cold or warm, any worker count —
+is one coordinate of the configuration lattice
+(``tests/test_config_lattice.py``).
 """
 
 import multiprocessing
@@ -45,12 +47,11 @@ def _fingerprints(result):
     )
 
 
-def _run(source, *, store=None, workers=1, shared=True, cache_shards=None):
+def _run(source, *, store=None, workers=1, shared=True):
     clear_runtime_cache()
-    kwargs = dict(shared_cache=shared, store=store)
-    if cache_shards is not None:
-        kwargs["cache_shards"] = cache_shards
-    return VerificationCampaign(source, **kwargs).run(workers=workers)
+    return VerificationCampaign(source, shared_cache=shared, store=store).run(
+        workers=workers
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -59,38 +60,25 @@ def _run(source, *, store=None, workers=1, shared=True, cache_shards=None):
 
 
 class TestCampaignPersistence:
-    def test_store_on_off_cold_warm_and_workers_bit_identical(self, tmp_path):
+    def test_warm_runs_answer_from_the_disk_shards(self, tmp_path):
         source = NetworkSource.from_workload("stanford", **STANFORD_OPTIONS)
         store_dir = str(tmp_path / "store")
 
-        no_store = _run(source)
         cold = _run(source, store=VerificationStore(store_dir))
         warm = _run(source, store=VerificationStore(store_dir))
-        pooled_warm = _run(
-            source, store=VerificationStore(store_dir), workers=2
-        )
-        pooled_sharded = _run(
-            source,
-            store=VerificationStore(store_dir),
-            workers=2,
-            cache_shards=1,
-        )
+        pooled_warm = _run(source, store=VerificationStore(store_dir), workers=2)
+        assert not any(run.job_errors for run in (cold, warm, pooled_warm))
 
-        runs = [no_store, cold, warm, pooled_warm, pooled_sharded]
-        assert not any(run.job_errors for run in runs)
-        expected = _fingerprints(no_store)
-        for run in runs[1:]:
-            assert _fingerprints(run) == expected
-
-        # The cold run derived verdicts and published them ...
+        # The cold run derived verdicts and published every one of them ...
         assert cold.stats.store_entries_published > 0
+        assert cold.stats.store_entries_published == cold.stats.solver_cache_misses
         assert cold.stats.store_entries_loaded == 0
         # ... and every warm run answered from the disk shards: zero full
         # solves, nothing new to publish, entries merged per worker.
-        for run in (warm, pooled_warm, pooled_sharded):
+        for run in (warm, pooled_warm):
             assert run.stats.solver_cache_misses == 0
             assert run.stats.store_entries_published == 0
-            assert run.stats.store_entries_loaded > 0
+            assert run.stats.store_entries_loaded == cold.stats.store_entries_published
             assert run.stats.solver_cache_merged > 0
 
     def test_disabled_shared_cache_ignores_the_store(self, tmp_path):

@@ -15,8 +15,10 @@ fuzz loops, chunked, greedy shrink-on-failure):
   executing the member job directly;
 * **splitting** — adversarial near-symmetric variants (one extra ACL rule,
   one rewired link, one overlapping address constant) must keep the
-  modified zone out of the pristine zones' class, while campaign answers
-  stay bit-identical to a symmetry-off run.
+  modified zone out of the pristine zones' class.
+
+That symmetry on or off never moves a campaign answer is a coordinate of
+``tests/test_config_lattice.py``.
 
 A mutation-style negative test then corrupts instantiation on purpose and
 asserts ``--symmetry-audit`` (the seeded random re-execution of one member
@@ -34,6 +36,8 @@ from repro.core.campaign import (
     VerificationCampaign,
     clear_runtime_cache,
     execute_job,
+    execution_counters,
+    reset_execution_counters,
     semantic_projection,
 )
 import repro.core.symmetry as symmetry_module
@@ -160,14 +164,6 @@ def _campaign(network, injections, **kwargs):
     return campaign
 
 
-def _fingerprints(result):
-    return (
-        result.reachability.fingerprint(),
-        result.loop_report.fingerprint(),
-        result.invariant_report.fingerprint(),
-    )
-
-
 def shrink_case(seed: int, zones: int, asymmetry: str, still_failing):
     """Greedily reduce the zone count while the failure reproduces
     (matching the shrinker conventions of test_canonical_cache.py)."""
@@ -185,16 +181,13 @@ def _describe(seed: int, zones: int, asymmetry: str) -> str:
 # ===========================================================================
 
 
-def _merge_diverges(seed: int, zones: int, asymmetry: str) -> bool:
+def _merge_fails(seed: int, zones: int, asymmetry: str) -> bool:
     network, injections = build_symmetric_case(seed, zones, asymmetry)
     on = _campaign(network, injections, symmetry=True).run()
-    if on.stats.symmetry_classes != 1:
-        return True
-    if on.stats.jobs_skipped_by_symmetry != zones - 1:
-        return True
-    network, injections = build_symmetric_case(seed, zones, asymmetry)
-    off = _campaign(network, injections, symmetry=False).run()
-    return _fingerprints(on) != _fingerprints(off)
+    return (
+        on.stats.symmetry_classes != 1
+        or on.stats.jobs_skipped_by_symmetry != zones - 1
+    )
 
 
 @pytest.mark.parametrize("chunk", range(3))
@@ -203,13 +196,10 @@ def test_cloned_zones_merge_and_instantiate_exactly(chunk):
     for offset in range(per_chunk):
         seed = SEED + chunk * per_chunk + offset
         zones = 3 + (seed % 3)
-        if _merge_diverges(seed, zones, ""):
-            zones = shrink_case(
-                seed, zones, "", lambda s, z, a: _merge_diverges(s, z, a)
-            )
+        if _merge_fails(seed, zones, ""):
+            zones = shrink_case(seed, zones, "", _merge_fails)
             pytest.fail(
-                f"symmetric case failed to merge or diverged: "
-                f"{_describe(seed, zones, '')}"
+                f"symmetric case failed to merge: {_describe(seed, zones, '')}"
             )
 
 
@@ -221,14 +211,14 @@ def test_instantiated_reports_match_direct_execution():
     campaign = _campaign(network, injections, symmetry=True)
     result = campaign.run()
     assert result.stats.symmetry_classes == 1
-    by_key = {}
-    network, injections = build_symmetric_case(SEED, zones=4)
-    direct = _campaign(network, injections, symmetry=False)
-    for job in direct.jobs():
-        by_key[(job.element, job.port)] = semantic_projection(execute_job(job))
-    for job in campaign.jobs():
-        key = (job.element, job.port)
-        assert key in by_key
+    instantiated = [job for job in result.jobs if job.symmetry_instantiated_from]
+    assert len(instantiated) == 3
+    direct = {
+        (job.element, job.port): semantic_projection(execute_job(job))
+        for job in campaign.jobs()
+    }
+    for report in instantiated:
+        assert semantic_projection(report) == direct[(report.element, report.port)]
 
 
 def test_stanford_parity_classes():
@@ -238,12 +228,26 @@ def test_stanford_parity_classes():
         "stanford", zones=16, internal_prefixes_per_zone=12, service_acl_rules=4
     )
     clear_runtime_cache()
+    reset_execution_counters()
     on = VerificationCampaign(source, symmetry=True).run()
-    clear_runtime_cache()
-    off = VerificationCampaign(source, symmetry=False).run()
     assert on.stats.symmetry_classes == 2
     assert on.stats.jobs_skipped_by_symmetry == 14
-    assert _fingerprints(on) == _fingerprints(off)
+    assert on.stats.jobs == 16  # every port still gets a report
+    # Only the class representatives reach the engine.
+    assert execution_counters()["engine_runs"] == 2
+
+
+def test_distinct_vantage_points_form_no_class():
+    """The department workload's vantage points are genuinely distinct:
+    nothing merges, every port runs."""
+    clear_runtime_cache()
+    reset_execution_counters()
+    result = VerificationCampaign(
+        NetworkSource.from_workload("department"), symmetry=True
+    ).run()
+    assert result.stats.symmetry_classes == 0
+    assert result.stats.jobs_skipped_by_symmetry == 0
+    assert execution_counters()["engine_runs"] == result.stats.jobs
 
 
 # ===========================================================================
@@ -253,14 +257,13 @@ def test_stanford_parity_classes():
 
 def _split_survives(seed: int, zones: int, asymmetry: str) -> bool:
     """True when the perturbed case wrongly merges everything into one
-    class, or the campaign answers drift from the symmetry-off run."""
+    class: the asymmetry was absorbed, an unsound merge."""
     network, injections = build_symmetric_case(seed, zones, asymmetry)
     on = _campaign(network, injections, symmetry=True).run()
-    if on.stats.symmetry_classes == 1 and on.stats.jobs_skipped_by_symmetry == zones - 1:
-        return True  # the asymmetry was absorbed: unsound merge risk
-    network, injections = build_symmetric_case(seed, zones, asymmetry)
-    off = _campaign(network, injections, symmetry=False).run()
-    return _fingerprints(on) != _fingerprints(off)
+    return (
+        on.stats.symmetry_classes == 1
+        and on.stats.jobs_skipped_by_symmetry == zones - 1
+    )
 
 
 @pytest.mark.parametrize("asymmetry", ["rule", "link", "const"])
@@ -272,8 +275,7 @@ def test_near_symmetric_cases_split(asymmetry):
         if _split_survives(seed, zones, asymmetry):
             zones = shrink_case(seed, zones, asymmetry, _split_survives)
             pytest.fail(
-                f"near-symmetric case merged or diverged: "
-                f"{_describe(seed, zones, asymmetry)}"
+                f"near-symmetric case merged: {_describe(seed, zones, asymmetry)}"
             )
 
 
@@ -315,8 +317,6 @@ def test_symmetry_audit_accounting_stays_consistent():
     """Regression: audit re-executions are real engine runs whose reports
     are discarded — they must land in ``symmetry_audit_runs``, not skew
     ``jobs == symmetry_classes + jobs_skipped_by_symmetry``."""
-    from repro.core.campaign import execution_counters, reset_execution_counters
-
     network, injections = build_symmetric_case(SEED + 9, zones=5)
     campaign = _campaign(
         network, injections, symmetry=True, symmetry_audit=True
@@ -339,7 +339,6 @@ def test_symmetry_audit_accounting_stays_consistent():
     network, injections = build_symmetric_case(SEED + 9, zones=5)
     plain = _campaign(network, injections, symmetry=True).run()
     assert plain.stats.symmetry_audit_runs == 0
-    assert _fingerprints(plain) == _fingerprints(result)
 
 
 def test_symmetry_audit_is_seed_pinned():
