@@ -24,7 +24,8 @@ import time
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_tracer
+from repro.obs.metrics import PLAN_CACHE, STREAM_FIRST_RESULT_SECONDS
 
 from repro.api.model import NetworkModel
 from repro.api.queries import Query, QueryResult
@@ -334,20 +335,6 @@ class PlanResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _plan_cache_counter():
-    return get_registry().counter(
-        "repro_plan_cache_total",
-        "Plan-result cache lookups against the store, by result.",
-    )
-
-
-def _first_result_histogram():
-    return get_registry().histogram(
-        "repro_stream_first_result_seconds",
-        "Seconds from plan execution start to the first streamed result.",
-    )
-
-
 def execute_plan(
     plan: Plan,
     *,
@@ -408,13 +395,13 @@ def execute_plan(
         if cached is not None:
             restored = PlanResult.from_cached(plan, cached)
             if restored is not None:
-                _plan_cache_counter().inc(result="hit")
-                _first_result_histogram().observe(time.perf_counter() - started)
+                PLAN_CACHE.get().inc(result="hit")
+                STREAM_FIRST_RESULT_SECONDS.get().observe(time.perf_counter() - started)
                 if on_result is not None:
                     for index, cached_result in enumerate(restored.results):
                         on_result(index, cached_result, jobs_total, jobs_total)
                 return restored
-        _plan_cache_counter().inc(result="miss")
+        PLAN_CACHE.get().inc(result="miss")
     campaign = VerificationCampaign(
         plan.model.source,
         store=store,
@@ -442,7 +429,7 @@ def execute_plan(
                 # Time-to-first-streamed-result: the latency a resident-
                 # service client actually feels, as opposed to the plan's
                 # barrier wall (repro.serve forwards answers from here).
-                _first_result_histogram().observe(
+                STREAM_FIRST_RESULT_SECONDS.get().observe(
                     time.perf_counter() - started
                 )
             streamed[index] = result

@@ -67,6 +67,8 @@ from repro.core.queries import (
     InvariantReport,
     LoopReport,
     ReachabilityMatrix,
+    record_campaign_stats,
+    record_job_report,
 )
 from repro.core.settings import SETTING_NAMES, RunSettings
 from repro.core.sources import (
@@ -76,12 +78,8 @@ from repro.core.sources import (
 )
 from repro.core.symmetry import SymmetryAuditError, SymmetryReducer
 from repro.network.topology import Network
-from repro.obs import (
-    get_registry,
-    get_tracer,
-    record_campaign_stats,
-    record_job_report,
-)
+from repro.obs import get_tracer
+from repro.obs.metrics import STORE_PUBLISH_SECONDS
 from repro.solver.verdict_cache import CacheConflictError, resolve_verdict
 
 __all__ = [
@@ -408,10 +406,7 @@ class VerificationCampaign:
             )
             result.stats.store_entries_published = 0
             return
-        get_registry().histogram(
-            "repro_store_publish_seconds",
-            "Wall-clock seconds per campaign store publish.",
-        ).observe(time.perf_counter() - publish_started)
+        STORE_PUBLISH_SECONDS.get().observe(time.perf_counter() - publish_started)
 
     def run(
         self,
@@ -511,8 +506,7 @@ class VerificationCampaign:
                 result.stats.solver_stats.record_degraded_operation(
                     self._store.degraded_operations - store_degraded_before
                 )
-            # One registry publication per finished campaign: the roll-up
-            # counters that have no per-report home (symmetry skips, store
-            # traffic, degraded operations) land in repro.obs.metrics here.
+            # One registry publication per finished campaign: every series
+            # the roll-up's counters name but the per-report outcomes.
             record_campaign_stats(result.stats)
             return result

@@ -247,13 +247,14 @@ class DeltaReducer:
     :meth:`repro.core.campaign.VerificationCampaign.run` for the reducer
     contract): ``partition`` answers from the baseline every job the
     directory diff provably did not touch, ``finish`` writes the stage's
-    counters and records the run as the directory's next baseline.
+    summary and records the run as the directory's next baseline.
 
-    ``baseline`` is an explicit :class:`CampaignBaseline` (a
-    ``--save-baseline`` file, a scenario's previous state); without one,
-    ``enabled`` directory campaigns auto-detect the baseline ``store``
-    recorded.  ``store`` is ``None`` whenever the campaign's cache stack is
-    off: an isolated run neither reads nor feeds any tier."""
+    Nothing is spliced unless ``enabled``.  ``baseline`` is an explicit
+    :class:`CampaignBaseline` (a ``--save-baseline`` file, a scenario's
+    previous state); without one, directory campaigns auto-detect the
+    baseline ``store`` recorded.  ``store`` is ``None`` whenever the
+    campaign's cache stack is off: an isolated run neither reads nor feeds
+    any tier."""
 
     name = "delta"
 
@@ -272,7 +273,6 @@ class DeltaReducer:
         self._baseline = baseline
         self._store = store
         self._jobs: List[CampaignJob] = []
-        self._spliced = 0
         self._info: Dict[str, object] = {}
 
     def partition(
@@ -286,13 +286,10 @@ class DeltaReducer:
         job config.  Any gap leaves the job on the run list; delta never
         degrades an answer."""
         self._jobs = jobs
+        if not self._enabled:
+            return jobs, ()
         baseline, origin = self._baseline, "file"
-        if (
-            baseline is None
-            and self._enabled
-            and self._store is not None
-            and self._directory
-        ):
+        if baseline is None and self._store is not None and self._directory:
             baseline = CampaignBaseline.from_payload(
                 self._store.get_baseline(self._directory)
             )
@@ -332,7 +329,6 @@ class DeltaReducer:
                 report_from_payload(payload, spliced_from=origin)
                 for payload in payloads
             ]
-        self._spliced = len(spliced)
         self._info = {
             "spliced": len(spliced),
             "executed": len(run),
@@ -347,7 +343,6 @@ class DeltaReducer:
         return ()
 
     def finish(self, result) -> None:
-        result.stats.jobs_spliced_by_delta = self._spliced
         result.delta_info = dict(self._info)
         if not self._directory:
             return

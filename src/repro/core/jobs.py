@@ -161,6 +161,20 @@ class JobReport:
     def path_count(self) -> int:
         return sum(self.status_counts.values())
 
+    @property
+    def outcome(self) -> str:
+        """How this report came to be, one of
+        :data:`~repro.core.queries.OUTCOMES`.  The marks never meet: splices
+        carry semantic fields only, and instantiations an error-free
+        representative's."""
+        if self.error is not None:
+            return "error"
+        if self.delta_spliced_from:
+            return "delta_spliced"
+        if self.symmetry_instantiated_from:
+            return "symmetry_instantiated"
+        return "executed"
+
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {"injected_at": self.source_key}
         for spec in REPORT_FIELDS:

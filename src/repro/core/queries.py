@@ -35,8 +35,29 @@ Adding a new aggregation kind
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    ClassVar,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.obs.metrics import (
+    CAMPAIGNS,
+    JOB_SECONDS,
+    JOBS,
+    STORE_ENTRIES,
+    STORE_PUBLISH_SECONDS,
+    STREAM_FIRST_RESULT_SECONDS,
+    Family,
+    MetricsRegistry,
+    get_registry,
+)
 from repro.solver.result import (
     REPORTED_COUNTERS,
     SolverStats,
@@ -421,58 +442,83 @@ AGGREGATIONS = {
 # ---------------------------------------------------------------------------
 
 
+#: How a final job report came to be (``JobReport.outcome``): the label
+#: values of ``repro_jobs_total``.  Every outcome but ``executed`` is counted
+#: by the :class:`CampaignStats` field that names it.
+OUTCOMES = ("executed", "error", "symmetry_instantiated", "delta_spliced")
+
+
+def _stat(family=None, *, default=0, **labels):
+    """A :class:`CampaignStats` counter: it feeds the registry series
+    ``family{labels}`` (none: JSON-only).  A field on ``repro_jobs_total``
+    counts the absorbed reports of its ``outcome``."""
+    return field(default=default, metadata={"family": family, "labels": labels})
+
+
 @expose_solver_counters
 @dataclass
 class CampaignStats:
-    """Aggregated engine/solver counters across every job of a campaign."""
+    """Aggregated engine/solver counters across every job of a campaign.
 
-    jobs: int = 0
-    paths: int = 0
-    elapsed_seconds: float = 0.0
+    This is the one declaration of the campaign counters.  Declaration order
+    is the :meth:`to_dict` key order: ``solver_stats`` stands for its
+    reported ``solver_*`` counters, and a ``ClassVar`` is a derived
+    read-only property, declared here for its key position only.  Each field
+    names the registry series it feeds, or none; :meth:`to_dict`,
+    :meth:`from_dict`, :meth:`absorb` and the registry publication below are
+    walks of these declarations."""
+
+    jobs: int = _stat()
+    paths: int = _stat()
+    elapsed_seconds: float = _stat(default=0.0)
+    wall_clock_seconds: float = _stat(default=0.0)
     #: Sum of every job's solver delta; ``stats.solver_cache_misses`` etc.
     #: read through to it.  Its ``degraded_operations`` additionally takes
     #: the campaign driver's own store failures (failed quarantine moves,
     #: baseline writes): the answers stay correct, a non-zero count means
     #: some tier ran degraded.
     solver_stats: SolverStats = field(default_factory=SolverStats)
-    #: Distinct verdict-cache entries merged back into the campaign report
-    #: (set by the aggregation, not absorbed per job).
-    verdict_cache_entries: int = 0
+    degraded_operations: ClassVar[int]
     #: Persistent-store traffic (set by the campaign driver, not absorbed
     #: per job): verdicts available on disk at campaign start, and fresh
     #: verdicts this campaign appended to the store.
-    store_entries_loaded: int = 0
-    store_entries_published: int = 0
-    #: Job-level symmetry reduction (set by the symmetry reducer): how many
-    #: renaming-equivalence classes the job set partitioned into (0 when
-    #: symmetry is off or could not be applied), and how many jobs were
+    store_entries_loaded: int = _stat(STORE_ENTRIES, direction="loaded")
+    store_entries_published: int = _stat(STORE_ENTRIES, direction="published")
+    #: Job-level symmetry reduction: how many renaming-equivalence classes
+    #: the job set partitioned into (set by the symmetry reducer; 0 when
+    #: symmetry is off or could not be applied), and how many reports were
     #: instantiated from a class representative instead of executed.
-    symmetry_classes: int = 0
-    jobs_skipped_by_symmetry: int = 0
+    symmetry_classes: int = _stat()
+    jobs_skipped_by_symmetry: int = _stat(JOBS, outcome="symmetry_instantiated")
     #: ``--symmetry-audit`` re-executions: real engine runs whose reports
     #: are discarded after comparing against the instantiated member, so
     #: they count here and never in ``jobs`` / ``jobs_skipped_by_symmetry``
     #: (``jobs == symmetry_classes + jobs_skipped_by_symmetry`` stays true
     #: with auditing on).
-    symmetry_audit_runs: int = 0
-    #: Delta verification (set by the delta reducer): jobs answered by
-    #: splicing a stored baseline report instead of executing anything.
-    jobs_spliced_by_delta: int = 0
-    truncated_jobs: int = 0
-    failed_jobs: int = 0
-    wall_clock_seconds: float = 0.0
+    symmetry_audit_runs: int = _stat()
+    #: Delta verification: reports spliced from a stored baseline instead of
+    #: executing anything.
+    jobs_spliced_by_delta: int = _stat(JOBS, outcome="delta_spliced")
+    executed_jobs: ClassVar[int]
+    cache_hit_rate: ClassVar[float]
+    #: Distinct verdict-cache entries merged back into the campaign report
+    #: (set by the aggregation, not absorbed per job).
+    verdict_cache_entries: int = _stat()
+    truncated_jobs: int = _stat()
+    failed_jobs: int = _stat(JOBS, outcome="error")
 
     def absorb(self, report) -> None:
-        """Fold one finished job report (its paths, engine time, solver
-        delta and outcome flags) into the roll-up."""
+        """Fold one final job report (its paths, engine time, solver delta
+        and outcome) into the roll-up."""
         self.jobs += 1
         self.paths += report.path_count
         self.elapsed_seconds += report.elapsed_seconds
         self.solver_stats.merge(report.solver_stats)
         if report.truncated:
             self.truncated_jobs += 1
-        if report.error is not None:
-            self.failed_jobs += 1
+        counted = _OUTCOME_FIELDS.get(report.outcome)
+        if counted is not None:
+            setattr(self, counted, getattr(self, counted) + 1)
 
     @property
     def degraded_operations(self) -> int:
@@ -494,39 +540,85 @@ class CampaignStats:
         lookups = hits + solver.cache_misses
         return hits / lookups if lookups else 0.0
 
+    def series(self) -> Iterator[Tuple[Family, Dict[str, str], float]]:
+        """``(family, labels, value)`` of every counter that feeds the
+        registry, the solver block's included."""
+        for owner in (self.solver_stats, self):
+            for spec in fields(owner):
+                family = spec.metadata.get("family")
+                if family is not None:
+                    yield family, spec.metadata["labels"], getattr(owner, spec.name)
+
     def to_dict(self) -> Dict[str, object]:
-        solver = self.solver_stats.reported()
-        degraded = solver.pop("solver_degraded_operations")
-        return {
-            "jobs": self.jobs,
-            "paths": self.paths,
-            "elapsed_seconds": self.elapsed_seconds,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            **solver,
-            "degraded_operations": degraded,
-            "store_entries_loaded": self.store_entries_loaded,
-            "store_entries_published": self.store_entries_published,
-            "symmetry_classes": self.symmetry_classes,
-            "jobs_skipped_by_symmetry": self.jobs_skipped_by_symmetry,
-            "symmetry_audit_runs": self.symmetry_audit_runs,
-            "jobs_spliced_by_delta": self.jobs_spliced_by_delta,
-            "executed_jobs": self.executed_jobs,
-            "cache_hit_rate": self.cache_hit_rate,
-            "verdict_cache_entries": self.verdict_cache_entries,
-            "truncated_jobs": self.truncated_jobs,
-            "failed_jobs": self.failed_jobs,
-        }
+        payload: Dict[str, object] = {}
+        for name in _DECLARED:
+            if name == "solver_stats":
+                payload.update(
+                    ("solver_" + counter, getattr(self.solver_stats, counter))
+                    for counter in REPORTED_COUNTERS
+                    if counter not in _DECLARED
+                )
+            else:
+                payload[name] = getattr(self, name)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CampaignStats":
         """Rehydrate a :meth:`to_dict` payload (the plan-result cache stores
         the stats of the run that computed the answers).  Unknown keys are
         ignored, so payloads written by other versions still load."""
-        plain = {f.name for f in fields(cls)} - {"solver_stats"}
-        stats = cls(**{k: v for k, v in payload.items() if k in plain})
-        solver = dict(
-            payload, solver_degraded_operations=payload.get("degraded_operations", 0)
-        )
-        for name in REPORTED_COUNTERS:
-            setattr(stats.solver_stats, name, solver.get("solver_" + name, 0))
+        stats = cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
+        for counter in REPORTED_COUNTERS:
+            key = counter if counter in _DECLARED else "solver_" + counter
+            setattr(stats.solver_stats, counter, payload.get(key, 0))
         return stats
+
+
+#: The declared names, in ``to_dict`` order (a reported solver counter
+#: declared here by its own name leaves the ``solver_*`` block).
+_DECLARED = tuple(CampaignStats.__annotations__)
+#: ``JobReport.outcome`` -> the field counting it.
+_OUTCOME_FIELDS = {
+    spec.metadata["labels"]["outcome"]: spec.name
+    for spec in fields(CampaignStats)
+    if spec.metadata.get("family") is JOBS
+}
+
+
+# ---------------------------------------------------------------------------
+# Registry publication: the campaign driver calls these once per final report
+# and once per finished campaign, so each series moves by the campaign's stats.
+# ---------------------------------------------------------------------------
+
+
+def record_job_report(report) -> None:
+    """Publish one final job report as the driver delivers it: its outcome,
+    and an executed job's wall clock."""
+    JOBS.get().inc(outcome=report.outcome)
+    if report.outcome == "executed":
+        JOB_SECONDS.get().observe(report.elapsed_seconds)
+
+
+def record_campaign_stats(stats: CampaignStats) -> None:
+    """Publish one finished campaign: every series its counters name, but
+    the outcome counts, which :func:`record_job_report` fed per report."""
+    CAMPAIGNS.get().inc()
+    for family, labels, value in stats.series():
+        if family is not JOBS:
+            family.get().inc(value, **labels)
+
+
+def ensure_core_families(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+    """Register every family a campaign or plan feeds, each series at zero,
+    so a scrape before any run still shows them — a service that has done
+    nothing must expose ``repro_degraded_operations_total 0``, not an
+    empty page."""
+    registry = registry or get_registry()
+    CAMPAIGNS.get(registry).inc(0)
+    for outcome in OUTCOMES:
+        JOBS.get(registry).inc(0, outcome=outcome)
+    for family, labels, _ in CampaignStats().series():
+        family.get(registry).inc(0, **labels)
+    for family in (JOB_SECONDS, STORE_PUBLISH_SECONDS, STREAM_FIRST_RESULT_SECONDS):
+        family.get(registry)
+    return registry

@@ -95,7 +95,6 @@ class SymmetryReducer:
         #: fingerprint, audited member index or -1).
         self._classes: Dict[Tuple[str, str], Tuple[List[CampaignJob], str, int]] = {}
         self._class_count = 0
-        self._skipped = 0
         self._audit_runs = 0
 
     def partition(
@@ -210,7 +209,6 @@ class SymmetryReducer:
                 except (SymmetryUnsupported, ValueError):
                     out.append(execute_job(member))
                     continue
-                self._skipped += 1
                 if index == audited:
                     self._audit_runs += 1
                     direct = execute_job(member)
@@ -230,5 +228,4 @@ class SymmetryReducer:
 
     def finish(self, result) -> None:
         result.stats.symmetry_classes = self._class_count
-        result.stats.jobs_skipped_by_symmetry = self._skipped
         result.stats.symmetry_audit_runs = self._audit_runs

@@ -13,9 +13,9 @@ package opens live windows:
   under the campaign span; exported as Chrome trace-event JSON (open in
   Perfetto) or JSONL via ``--trace-out``.
 * :mod:`repro.obs.metrics` — labeled counters/gauges/histograms with
-  Prometheus text exposition; fed from finished job reports and
-  campaigns, and literally backing the resident service's scheduler
-  counters (the ``metrics`` protocol verb renders it).
+  Prometheus text exposition, and the one declaration of every family;
+  fed from finished job reports and campaigns, and the resident service's
+  event counters (the ``metrics`` protocol verb renders it).
 * :mod:`repro.obs.logs` — the ``repro`` logging hierarchy behind the
   CLI's ``--log-level`` / ``-v`` flags.
 
@@ -27,13 +27,11 @@ which spans and series are emitted, never any answer or fingerprint
 from repro.obs.logs import configure_logging, get_logger
 from repro.obs.metrics import (
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
-    ensure_core_families,
     get_registry,
-    record_campaign_stats,
-    record_job_report,
     reset_registry,
 )
 from repro.obs.trace import (
@@ -48,6 +46,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -56,12 +55,9 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "configure_logging",
-    "ensure_core_families",
     "get_logger",
     "get_registry",
     "get_tracer",
-    "record_campaign_stats",
-    "record_job_report",
     "reset_registry",
     "set_tracer",
     "write_trace",

@@ -1,18 +1,15 @@
 """A small metrics registry: labeled counters, gauges and histograms with
 Prometheus text exposition.
 
-This is the aggregation backend behind the repo's hand-threaded counter
-plumbing.  The picklable counter structs themselves
-(:class:`~repro.solver.result.SolverStats` fields riding in
-``JobReport``, rolled up by ``CampaignStats.absorb``) stay exactly what
-they are — per-run deltas that must cross process boundaries and
-rehydrate from cached payloads, which a process-global registry cannot
-do.  Instead, the campaign driver publishes every finished report and
-every finished campaign into the registry at well-defined points
-(:func:`record_job_report`, :func:`record_campaign_stats`), and the
-resident service's scheduler counters are *literally* registry series
-(see ``repro.serve.scheduler``).  The ``metrics`` protocol verb renders
-it all as Prometheus text.
+Every family is declared once, at the bottom of this module, as a
+:class:`Family` (kind, name, help); a registry creates a family only from
+its declaration (``JOBS.get().inc(outcome="error")``).  Which counter feeds
+which series is declared with the counter: the fields of the picklable
+per-run structs (:class:`~repro.solver.result.SolverStats`,
+:class:`~repro.core.queries.CampaignStats`) each name their family and
+labels, or none, and the campaign driver publishes by walking them (see
+``repro.core.queries``).  The resident service counts its events straight
+into its own registry.  The ``metrics`` protocol verb renders it all.
 
 Like tracing, metrics are write-only telemetry: nothing in the engine
 reads them back, so they can never move an answer.
@@ -21,17 +18,16 @@ reads them back, so they can never move an answer.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "get_registry",
     "reset_registry",
-    "record_job_report",
-    "record_campaign_stats",
 ]
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -80,12 +76,30 @@ class _Metric:
         ]
 
 
-class Counter(_Metric):
-    kind = "counter"
+class _Scalar(_Metric):
+    """A family whose series each hold one number."""
 
     def __init__(self, name: str, help_text: str) -> None:
         super().__init__(name, help_text)
         self._series: Dict[LabelKey, float] = {}
+
+    def value(self, **labels: object) -> float:
+        with self._lock:
+            return self._series.get(_label_key(labels), 0)
+
+    def render(self) -> List[str]:
+        lines = self.header_lines()
+        with self._lock:
+            for key in sorted(self._series):
+                lines.append(
+                    f"{self.name}{_render_labels(key)} "
+                    f"{_format_value(self._series[key])}"
+                )
+        return lines
+
+
+class Counter(_Scalar):
+    kind = "counter"
 
     def inc(self, amount: float = 1, **labels: object) -> None:
         if amount < 0:
@@ -94,52 +108,13 @@ class Counter(_Metric):
         with self._lock:
             self._series[key] = self._series.get(key, 0) + amount
 
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            return self._series.get(_label_key(labels), 0)
 
-    def set_value(self, value: float, **labels: object) -> None:
-        """Internal backdoor for mapping-style wrappers (the serve
-        scheduler's ``counters[key] += 1`` pattern); not part of the
-        Prometheus counter contract."""
-        with self._lock:
-            self._series[_label_key(labels)] = value
-
-    def render(self) -> List[str]:
-        lines = self.header_lines()
-        with self._lock:
-            for key in sorted(self._series):
-                lines.append(
-                    f"{self.name}{_render_labels(key)} "
-                    f"{_format_value(self._series[key])}"
-                )
-        return lines
-
-
-class Gauge(_Metric):
+class Gauge(_Scalar):
     kind = "gauge"
-
-    def __init__(self, name: str, help_text: str) -> None:
-        super().__init__(name, help_text)
-        self._series: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: object) -> None:
         with self._lock:
             self._series[_label_key(labels)] = value
-
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            return self._series.get(_label_key(labels), 0)
-
-    def render(self) -> List[str]:
-        lines = self.header_lines()
-        with self._lock:
-            for key in sorted(self._series):
-                lines.append(
-                    f"{self.name}{_render_labels(key)} "
-                    f"{_format_value(self._series[key])}"
-                )
-        return lines
 
 
 class _HistogramSeries:
@@ -211,40 +186,25 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """Named metric families with get-or-create access.  Asking twice for
-    the same name returns the same family; asking with a conflicting kind
-    is a programming error and raises."""
+    """Metric families by name, each created on first use from its
+    :class:`Family` declaration.  Asking for a name under another kind is a
+    programming error and raises."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: "Dict[str, _Metric]" = {}
 
-    def _family(self, cls, name: str, help_text: str, **kwargs) -> _Metric:
+    def family(self, declared: Family) -> _Metric:
         with self._lock:
-            existing = self._families.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as {existing.kind}"
-                    )
-                return existing
-            family = cls(name, help_text, **kwargs)
-            self._families[name] = family
-            return family
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        return self._family(Counter, name, help_text)
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        return self._family(Gauge, name, help_text)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._family(Histogram, name, help_text, buckets=buckets)
+            existing = self._families.get(declared.name)
+            if existing is None:
+                existing = declared.kind(declared.name, declared.help)
+                self._families[declared.name] = existing
+            elif not isinstance(existing, declared.kind):
+                raise ValueError(
+                    f"metric {declared.name!r} already registered as {existing.kind}"
+                )
+            return existing
 
     def render_prometheus(self) -> str:
         """Every family in the Prometheus text exposition format, families
@@ -274,124 +234,84 @@ def reset_registry() -> MetricsRegistry:
     return _REGISTRY
 
 
-# -- publication points -------------------------------------------------------
-#
-# Called by the campaign driver; one call per report / per campaign, so
-# registry totals stay exact multiples of what the stats structs say.
+# -- the families -------------------------------------------------------------
 
 
-#: ``SolverStats`` field -> (family, help, labels): how a job report's solver
-#: delta lands in the registry.  One row per published counter, so the
-#: families pre-registered at zero and the ones fed per report cannot drift.
-_CHECKS = (
+class Family(NamedTuple):
+    """One metric family, declared once: its kind (:class:`Counter`,
+    :class:`Gauge` or :class:`Histogram`), name and help.  :meth:`get` is
+    the family in ``registry`` (the process-global one by default), created
+    on first use."""
+
+    kind: type
+    name: str
+    help: str
+
+    def get(self, registry: Optional[MetricsRegistry] = None) -> _Metric:
+        return (registry or get_registry()).family(self)
+
+
+# Campaigns.
+CAMPAIGNS = Family(Counter, "repro_campaigns_total", "Finished verification campaigns.")
+JOBS = Family(Counter, "repro_jobs_total", "Campaign job reports by outcome.")
+JOB_SECONDS = Family(
+    Histogram, "repro_job_seconds", "Wall-clock seconds per executed engine job."
+)
+SOLVER_CHECKS = Family(
+    Counter,
     "repro_solver_checks_total",
     "Solver checks by the cache tier that answered.",
 )
-_SOLVER_FAMILIES = (
-    ("fast_paths", *_CHECKS, {"tier": "fast_path"}),
-    ("cache_hits", *_CHECKS, {"tier": "cache_hit"}),
-    ("shared_cache_hits", *_CHECKS, {"tier": "shared_hit"}),
-    ("cache_misses", *_CHECKS, {"tier": "full_solve"}),
-    (
-        "time_seconds",
-        "repro_solver_seconds_total",
-        "Seconds spent inside the solver.",
-        {},
-    ),
-    (
-        "shared_round_trips",
-        "repro_shared_round_trips_total",
-        "Round-trips to the process-shared verdict tier.",
-        {},
-    ),
-    (
-        "shared_publish_entries",
-        "repro_shared_publish_entries_total",
-        "Verdicts published to the process-shared tier.",
-        {},
-    ),
+SOLVER_SECONDS = Family(
+    Counter, "repro_solver_seconds_total", "Seconds spent inside the solver."
 )
-
-
-def ensure_core_families(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Register the core families (at zero) so a scrape before any run
-    still shows them — a service that has done nothing must expose
-    ``repro_degraded_operations_total 0``, not an empty page."""
-    registry = registry or get_registry()
-    jobs = registry.counter(
-        "repro_jobs_total", "Campaign job reports by outcome."
-    )
-    for outcome in ("executed", "error", "symmetry_instantiated", "delta_spliced"):
-        jobs.inc(0, outcome=outcome)
-    for _, family, help_text, labels in _SOLVER_FAMILIES:
-        registry.counter(family, help_text).inc(0, **labels)
-    registry.counter(
-        "repro_degraded_operations_total",
-        "Best-effort operations absorbed by a degrade path.",
-    ).inc(0)
-    registry.counter(
-        "repro_campaigns_total", "Finished verification campaigns."
-    ).inc(0)
-    registry.histogram(
-        "repro_job_seconds", "Wall-clock seconds per executed engine job."
-    )
-    registry.histogram(
-        "repro_store_publish_seconds",
-        "Wall-clock seconds per campaign store publish.",
-    )
-    registry.histogram(
-        "repro_stream_first_result_seconds",
-        "Seconds from plan execution start to the first streamed result.",
-    )
-    return registry
-
-
-def record_job_report(report) -> None:
-    """Publish one finished :class:`~repro.core.jobs.JobReport` into
-    the global registry (called by the campaign driver as each report —
-    executed, instantiated or spliced — becomes final)."""
-    registry = get_registry()
-    if report.error is not None:
-        outcome = "error"
-    elif report.delta_spliced_from:
-        outcome = "delta_spliced"
-    elif report.symmetry_instantiated_from:
-        outcome = "symmetry_instantiated"
-    else:
-        outcome = "executed"
-    registry.counter(
-        "repro_jobs_total", "Campaign job reports by outcome."
-    ).inc(outcome=outcome)
-    if outcome != "executed":
-        return
-    registry.histogram(
-        "repro_job_seconds", "Wall-clock seconds per executed engine job."
-    ).observe(report.elapsed_seconds)
-    for name, family, help_text, labels in _SOLVER_FAMILIES:
-        registry.counter(family, help_text).inc(
-            getattr(report.solver_stats, name), **labels
-        )
-
-
-def record_campaign_stats(stats) -> None:
-    """Publish one finished campaign's aggregated
-    :class:`~repro.core.queries.CampaignStats` — the campaign-scoped
-    counters that have no per-report home (symmetry skips, store traffic,
-    degraded operations)."""
-    registry = get_registry()
-    registry.counter(
-        "repro_campaigns_total", "Finished verification campaigns."
-    ).inc()
-    registry.counter(
-        "repro_jobs_skipped_total",
-        "Jobs answered without execution, by mechanism.",
-    ).inc(stats.jobs_skipped_by_symmetry, reason="symmetry")
-    registry.counter(
-        "repro_degraded_operations_total",
-        "Best-effort operations absorbed by a degrade path.",
-    ).inc(stats.degraded_operations)
-    store = registry.counter(
-        "repro_store_entries_total", "Verdict-store entries by direction."
-    )
-    store.inc(stats.store_entries_loaded, direction="loaded")
-    store.inc(stats.store_entries_published, direction="published")
+SHARED_ROUND_TRIPS = Family(
+    Counter,
+    "repro_shared_round_trips_total",
+    "Round-trips to the process-shared verdict tier.",
+)
+SHARED_PUBLISH_ENTRIES = Family(
+    Counter,
+    "repro_shared_publish_entries_total",
+    "Verdicts published to the process-shared tier.",
+)
+DEGRADED_OPERATIONS = Family(
+    Counter,
+    "repro_degraded_operations_total",
+    "Best-effort operations absorbed by a degrade path.",
+)
+STORE_ENTRIES = Family(
+    Counter, "repro_store_entries_total", "Verdict-store entries by direction."
+)
+STORE_PUBLISH_SECONDS = Family(
+    Histogram,
+    "repro_store_publish_seconds",
+    "Wall-clock seconds per campaign store publish.",
+)
+# Plans.
+PLAN_CACHE = Family(
+    Counter,
+    "repro_plan_cache_total",
+    "Plan-result cache lookups against the store, by result.",
+)
+STREAM_FIRST_RESULT_SECONDS = Family(
+    Histogram,
+    "repro_stream_first_result_seconds",
+    "Seconds from plan execution start to the first streamed result.",
+)
+# The resident service (its own registry).
+SERVE_EVENTS = Family(
+    Counter, "repro_serve_events_total", "Service scheduler events by type."
+)
+SERVE_REQUEST_SECONDS = Family(
+    Histogram,
+    "repro_serve_request_seconds",
+    "End-to-end seconds per merged request group.",
+)
+SERVE_PENDING = Family(
+    Gauge, "repro_serve_pending", "Requests waiting on the admission queue."
+)
+SERVE_MODELS_RESIDENT = Family(
+    Gauge, "repro_serve_models_resident", "Hot NetworkModels held in memory."
+)
+SERVE_WORKERS = Family(Gauge, "repro_serve_workers", "Configured worker-pool size.")

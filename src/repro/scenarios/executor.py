@@ -33,6 +33,7 @@ from repro.api.model import NetworkModel
 from repro.api.planner import Plan, compile_plan, execute_plan
 from repro.obs import get_tracer
 from repro.api.queries import ForAllPairs, Invariant, Loop, Query, Reach
+from repro.core.queries import CampaignStats
 from repro.core.settings import RunSettings
 from repro.scenarios import reduce as reduce_mod
 from repro.scenarios.generator import Scenario, UpdateStep
@@ -66,11 +67,11 @@ class StepOutcome:
     def executed_jobs(self) -> int:
         """Injection jobs this state actually executed (total minus
         delta-spliced minus symmetry-instantiated)."""
-        return int(self.stats.get("executed_jobs", 0))
+        return CampaignStats.from_dict(self.stats).executed_jobs
 
     @property
     def spliced_jobs(self) -> int:
-        return int(self.stats.get("jobs_spliced_by_delta", 0))
+        return CampaignStats.from_dict(self.stats).jobs_spliced_by_delta
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -278,7 +279,7 @@ class ScenarioCampaign:
                 plan,
                 workers=self.workers,
                 store=self.store,
-                baseline=baseline if plan.settings.delta else None,
+                baseline=baseline,
             )
         wall = time.perf_counter() - started
         if result.job_errors:
@@ -289,7 +290,7 @@ class ScenarioCampaign:
         stats = result.stats.to_dict() if result.stats is not None else {}
         # A plan-cache hit rehydrates the stats of the run that computed the
         # answers; this state itself ran nothing.
-        engine_runs = 0 if result.from_cache else stats["executed_jobs"]
+        engine_runs = 0 if result.from_cache else result.stats.executed_jobs
         delta_info: Dict[str, object] = {}
         if result.campaign is not None:
             delta_info = dict(result.campaign.delta_info)

@@ -47,13 +47,21 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, MutableMapping, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.api import NetworkModel, compile_plan, execute_plan_streaming, parse_query
 from repro.api.queries import Query
 from repro.core.campaign import NetworkSource, execution_counters
+from repro.core.queries import ensure_core_families
 from repro.core.settings import RunSettings
-from repro.obs import MetricsRegistry, ensure_core_families, get_registry
+from repro.obs import MetricsRegistry, get_registry
+from repro.obs.metrics import (
+    SERVE_EVENTS,
+    SERVE_MODELS_RESIDENT,
+    SERVE_PENDING,
+    SERVE_REQUEST_SECONDS,
+    SERVE_WORKERS,
+)
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
 
@@ -150,7 +158,9 @@ def _parse_request(request_id: str, session, message: Dict[str, object]) -> Requ
     )
 
 
-_COUNTER_NAMES = (
+#: The scheduler events ``repro_serve_events_total`` counts by ``event``
+#: label, and the ``stats`` verb's ``service`` block reports.
+_EVENTS = (
     "requests",
     "groups",
     "merged_requests",
@@ -162,40 +172,6 @@ _COUNTER_NAMES = (
     "overloaded",
     "errors",
 )
-
-
-class _RegistryCounters(MutableMapping):
-    """The scheduler's hand-threaded counter dict, now literally backed by
-    a metrics registry: ``counters["requests"] += 1`` reads and writes one
-    labeled series of ``repro_serve_events_total``, so the ``stats`` verb
-    and the Prometheus exposition can never disagree."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._counter = registry.counter(
-            "repro_serve_events_total", "Service scheduler events by type."
-        )
-        self._names = list(_COUNTER_NAMES)
-        for name in self._names:
-            self._counter.inc(0, event=name)
-
-    def __getitem__(self, key: str) -> int:
-        if key not in self._names:
-            raise KeyError(key)
-        return int(self._counter.value(event=key))
-
-    def __setitem__(self, key: str, value: int) -> None:
-        if key not in self._names:
-            self._names.append(key)
-        self._counter.set_value(value, event=key)
-
-    def __delitem__(self, key: str) -> None:
-        raise TypeError("service counters cannot be removed")
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
 
 
 class VerificationService:
@@ -228,16 +204,13 @@ class VerificationService:
         #: two services in one process never mix their stats); the
         #: ``metrics`` verb renders this registry plus the global one.
         self.registry = MetricsRegistry()
-        self.counters: MutableMapping[str, int] = _RegistryCounters(
-            self.registry
-        )
+        self._events = SERVE_EVENTS.get(self.registry)
+        for event in _EVENTS:
+            self._events.inc(0, event=event)
         self.slow_requests: Deque[Dict[str, object]] = deque(
             maxlen=self.slow_request_limit
         )
-        self._request_seconds = self.registry.histogram(
-            "repro_serve_request_seconds",
-            "End-to-end seconds per merged request group.",
-        )
+        self._request_seconds = SERVE_REQUEST_SECONDS.get(self.registry)
         self._models: Dict[Tuple, NetworkModel] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._scheduler_task: Optional[asyncio.Task] = None
@@ -301,11 +274,11 @@ class VerificationService:
                 protocol.error(request_id, f"unknown op {op!r}")
             )
             return
-        self.counters["requests"] += 1
+        self._events.inc(event="requests")
         # Admission control: a full queue refuses loudly instead of letting
         # latency (or memory) grow without bound.
         if self._queue.qsize() >= self.max_pending:
-            self.counters["overloaded"] += 1
+            self._events.inc(event="overloaded")
             session.send_nowait(
                 protocol.overloaded(
                     request_id, self._queue.qsize(), self.max_pending
@@ -315,42 +288,47 @@ class VerificationService:
         try:
             request = _parse_request(request_id, session, message)
         except ProtocolError as exc:
-            self.counters["errors"] += 1
+            self._events.inc(event="errors")
             session.send_nowait(protocol.error(request_id, str(exc)))
             return
         self._queue.put_nowait(request)
 
     def metrics_text(self) -> str:
         """The live Prometheus exposition: this service's scheduler series
-        (request counters, request-latency histogram, admission gauges)
+        (event counters, request-latency histogram, admission gauges)
         concatenated with the process-global registry (cache-tier hits,
         job-latency histogram, degraded operations — everything the
         campaigns running in this process published)."""
-        self.registry.gauge(
-            "repro_serve_pending", "Requests waiting on the admission queue."
-        ).set(self._queue.qsize() if self._queue is not None else 0)
-        self.registry.gauge(
-            "repro_serve_models_resident", "Hot NetworkModels held in memory."
-        ).set(len(self._models))
-        self.registry.gauge(
-            "repro_serve_workers", "Configured worker-pool size."
-        ).set(self.workers)
+        self._service_block()
         ensure_core_families()
         return self.registry.render_prometheus() + get_registry().render_prometheus()
 
+    def _service_block(self) -> Dict[str, int]:
+        """The ``stats`` verb's ``service`` block, read off the registry:
+        every event count, then the admission gauges, set as they are
+        read — so ``stats`` and ``metrics`` can never disagree."""
+        block = {event: int(self._events.value(event=event)) for event in _EVENTS}
+        pending = self._queue.qsize() if self._queue is not None else 0
+        for family, key, value in (
+            (SERVE_MODELS_RESIDENT, "models_resident", len(self._models)),
+            (SERVE_PENDING, "pending", pending),
+            (SERVE_WORKERS, "workers", self.workers),
+        ):
+            family.get(self.registry).set(value)
+            block[key] = value
+        return block
+
     def _stats_message(self, request_id: str) -> Dict[str, object]:
-        message: Dict[str, object] = {"type": "stats", "id": request_id}
-        message["service"] = dict(self.counters)
-        message["service"]["models_resident"] = len(self._models)
-        message["service"]["pending"] = (
-            self._queue.qsize() if self._queue is not None else 0
-        )
-        message["service"]["workers"] = self.workers
-        # Engine-run counters of *this* process: with workers=1 every merged
-        # job executes here, so cross-client dedup is directly observable
-        # (pool workers count their runs in their own processes).
-        message["execution"] = execution_counters()
-        return message
+        return {
+            "type": "stats",
+            "id": request_id,
+            "service": self._service_block(),
+            # Engine-run counters of *this* process: with workers=1 every
+            # merged job executes here, so cross-client dedup is directly
+            # observable (pool workers count their runs in their own
+            # processes).
+            "execution": execution_counters(),
+        }
 
     # -- the scheduler ----------------------------------------------------------
 
@@ -386,20 +364,20 @@ class VerificationService:
             source = NetworkSource.from_workload(key[1], **dict(key[2]))
         model = self._models.get(key)
         if model is not None and source != model.source:
-            self.counters["model_rebuilds"] += 1
+            self._events.inc(event="model_rebuilds")
             model = None
         if model is None:
             model = NetworkModel(source)
             model.network()  # build now: residency means paying this once
-            self.counters["model_builds"] += 1
+            self._events.inc(event="model_builds")
             self._models[key] = model
         return model
 
     async def _run_group(self, requests: List[Request]) -> None:
         """Merge one compatible request group into a single plan, execute
         it streaming, and route each answer to its owning session."""
-        self.counters["groups"] += 1
-        self.counters["merged_requests"] += len(requests)
+        self._events.inc(event="groups")
+        self._events.inc(len(requests), event="merged_requests")
         loop = self._loop
 
         def post(session, message: Dict[str, object]) -> None:
@@ -445,7 +423,7 @@ class VerificationService:
             def on_result(index, query_result, jobs_reported, jobs_total):
                 payload = query_result.to_dict()
                 for request, local in routes.get(index, ()):
-                    self.counters["results_streamed"] += 1
+                    self._events.inc(event="results_streamed")
                     streamed_fingerprints[id(request)].append(
                         query_result.fingerprint
                     )
@@ -473,7 +451,7 @@ class VerificationService:
         try:
             plan_result, fingerprints = await loop.run_in_executor(None, work)
         except Exception as exc:  # any failure answers every merged client
-            self.counters["errors"] += 1
+            self._events.inc(event="errors")
             _LOG.warning(
                 "request group of %d failed, answering every merged "
                 "client with an error: %s", len(requests), exc,
@@ -501,9 +479,9 @@ class VerificationService:
                 "slow request group: %.3fs for %d merged request(s)",
                 elapsed, len(requests),
             )
-        self.counters["plans_executed"] += 1
+        self._events.inc(event="plans_executed")
         if plan_result.from_cache:
-            self.counters["plan_cache_hits"] += 1
+            self._events.inc(event="plan_cache_hits")
         stats = plan_result.stats
         stats_payload = stats.to_dict() if stats is not None else {}
         for request in requests:

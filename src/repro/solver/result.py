@@ -5,12 +5,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional
 
+from repro.obs.metrics import (
+    DEGRADED_OPERATIONS,
+    SHARED_PUBLISH_ENTRIES,
+    SHARED_ROUND_TRIPS,
+    SOLVER_CHECKS,
+    SOLVER_SECONDS,
+)
 
-def _reported(default=0):
+
+def _reported(default=0, family=None, **labels):
     """A :class:`SolverStats` counter that reports carry: it is exposed as
     ``solver_<field>`` on every report struct and JSON ``stats`` block (see
-    :func:`expose_solver_counters`).  Unmarked fields stay solver-internal."""
-    return field(default=default, metadata={"reported": True})
+    :func:`expose_solver_counters`), and a campaign's total feeds the
+    registry series ``family{labels}`` (none: JSON-only).  Unmarked fields
+    stay solver-internal."""
+    return field(
+        default=default,
+        metadata={"reported": True, "family": family, "labels": labels},
+    )
 
 
 @dataclass
@@ -20,41 +33,41 @@ class SolverStats:
 
     This is the one declaration of the solver-counter list.  An engine run,
     a campaign job and a campaign roll-up each carry *one* ``SolverStats``
-    delta (:meth:`since` / :meth:`merge`); their ``solver_*`` attributes and
-    JSON keys are derived from the fields marked :func:`_reported` here, so
-    a new counter is added in exactly one place."""
+    delta (:meth:`since` / :meth:`merge`); their ``solver_*`` attributes,
+    JSON keys and registry series are derived from the fields marked
+    :func:`_reported` here, so a new counter is added in exactly one place."""
 
     calls: int = _reported()
     sat: int = 0
     unsat: int = 0
     unknown: int = 0
-    time_seconds: float = _reported(0.0)
+    time_seconds: float = _reported(0.0, SOLVER_SECONDS)
     atoms_processed: int = 0
     case_splits: int = 0
     # Incremental-solver instrumentation: queries answered without a full
     # solve, either because domain propagation alone decided them
     # (``fast_paths``) or because a canonically-equal formula was memoized
     # (``cache_hits``).  ``cache_misses`` counts memoized full solves.
-    fast_paths: int = _reported()
-    cache_hits: int = _reported()
-    cache_misses: int = _reported()
+    fast_paths: int = _reported(0, SOLVER_CHECKS, tier="fast_path")
+    cache_hits: int = _reported(0, SOLVER_CHECKS, tier="cache_hit")
+    cache_misses: int = _reported(0, SOLVER_CHECKS, tier="full_solve")
     # Cross-job verdict-cache instrumentation: hits served by the
     # process-shared tier (``shared_cache_hits``) and entries imported into
     # a local cache from the persistent store (``cache_merged``).
-    shared_cache_hits: int = _reported()
+    shared_cache_hits: int = _reported(0, SOLVER_CHECKS, tier="shared_hit")
     cache_merged: int = _reported()
     # Sharded shared-tier instrumentation (repro.store.sharding): proxy
     # round-trips to the Manager shards, and batched verdict publishes
     # (``shared_publish_batches`` flushes carrying
     # ``shared_publish_entries`` verdicts in total).
-    shared_round_trips: int = _reported()
+    shared_round_trips: int = _reported(0, SHARED_ROUND_TRIPS)
     shared_publish_batches: int = _reported()
-    shared_publish_entries: int = _reported()
+    shared_publish_entries: int = _reported(0, SHARED_PUBLISH_ENTRIES)
     # Best-effort operations that failed and were absorbed by a degrade
     # path (dead Manager proxy, failed quarantine move, ...).  The answers
     # stay correct; the counter makes the degradation observable instead of
     # silent.
-    degraded_operations: int = _reported()
+    degraded_operations: int = _reported(0, DEGRADED_OPERATIONS)
 
     def record(self, verdict: str, elapsed: float, atoms: int, splits: int) -> None:
         self.calls += 1

@@ -645,6 +645,30 @@ class TestDeltaCli:
         assert out["delta"]["spliced"] == 2
         assert out["delta"]["executed"] == 1
 
+    def test_no_delta_ignores_delta_from(self, tmp_path, capsys):
+        """``--no-delta`` means no splice, whatever baseline is handed in."""
+        from repro.core.campaign import clear_runtime_cache
+
+        net = self._export(tmp_path)
+        baseline = tmp_path / "baseline.json"
+        inject = self._inject_acls()
+        clear_runtime_cache()
+        assert main(
+            ["campaign", str(net), *inject, "--save-baseline", str(baseline)]
+        ) == 0
+        clear_runtime_cache()
+        assert main(
+            [
+                "campaign", str(net), *inject, "--no-delta",
+                "--delta-from", str(baseline), "-o", str(tmp_path / "out.json"),
+            ]
+        ) == 0
+        capsys.readouterr()
+        out = json.loads((tmp_path / "out.json").read_text())
+        assert "delta" not in out
+        assert out["stats"]["jobs_spliced_by_delta"] == 0
+        assert out["stats"]["executed_jobs"] == 3
+
     def test_unusable_delta_from_fails_cleanly(self, tmp_path):
         net = self._export(tmp_path)
         bad = tmp_path / "bad.json"

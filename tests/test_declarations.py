@@ -1,11 +1,15 @@
-"""The three declarations are the only list.
+"""The declarations are the only list.
 
 ``RunSettings`` (core/settings.py), ``Facts`` and ``REPORT_FIELDS``
 (core/facts.py) are each written down once; digests, fingerprints, the CLI
 flag defaults, the serve message checks and the report codecs are derived
-from them.  These tests walk the declarations by introspection, so a field
-added to one of them is covered — or fails here until it is classified —
-without anyone remembering to extend a second list.
+from them.  So is the counter table — the fields of ``CampaignStats``
+(core/queries.py) and ``SolverStats`` (solver/result.py), each naming its
+registry series or none — from which the stats JSON, ``from_dict`` and the
+Prometheus registry are derived.  These tests walk the declarations by
+introspection, so a field added to one of them is covered — or fails here
+until it is classified — without anyone remembering to extend a second
+list.
 """
 
 import dataclasses
@@ -31,15 +35,25 @@ from repro.core.campaign import (
     JobReport,
     NetworkSource,
     RunSettings,
+    VerificationCampaign,
+    clear_runtime_cache,
     semantic_projection,
 )
-from repro.core.delta import report_from_payload, report_to_payload
+from repro.core.delta import DeltaReducer, report_from_payload, report_to_payload
 from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS
 from repro.core.jobs import job_config_digest
+from repro.core.queries import OUTCOMES, CampaignStats, ensure_core_families
 from repro.core.settings import SETTING_NAMES, TIER_SWITCHES
 from repro.core.symmetry import instantiate_report
+from repro.obs import Family, MetricsRegistry, get_registry, reset_registry
+from repro.obs.metrics import CAMPAIGNS, JOBS
 from repro.serve import ProtocolError, protocol
 from repro.serve.scheduler import _parse_request
+from repro.solver.result import SolverStats
+from repro.store import VerificationStore
+from repro.workloads.export import export_department_style_directory
+
+from test_config_lattice import CASES as LATTICE_CASES
 
 STANFORD = dict(zones=4, internal_prefixes_per_zone=4, service_acl_rules=2)
 
@@ -422,3 +436,220 @@ def test_renaming_rewrites_text_leaves_only_and_refuses_collisions():
     }
     with pytest.raises(ValueError, match="collides"):
         instantiate_report(report, member, Swap({"zr1": "zr2"}), "cls")
+
+
+# ---------------------------------------------------------------------------
+# (c) the counter table drives the stats JSON and the registry
+# ---------------------------------------------------------------------------
+
+#: ``CampaignStats.to_dict()`` keys in order, as recorded before the table
+#: was introduced.  ``bench/`` and the plan cache read this shape.
+CAMPAIGN_STATS_KEYS = [
+    "jobs", "paths", "elapsed_seconds", "wall_clock_seconds",
+    "solver_calls", "solver_time_seconds", "solver_fast_paths",
+    "solver_cache_hits", "solver_cache_misses", "solver_shared_cache_hits",
+    "solver_cache_merged", "solver_shared_round_trips",
+    "solver_shared_publish_batches", "solver_shared_publish_entries",
+    "degraded_operations", "store_entries_loaded", "store_entries_published",
+    "symmetry_classes", "jobs_skipped_by_symmetry", "symmetry_audit_runs",
+    "jobs_spliced_by_delta", "executed_jobs", "cache_hit_rate",
+    "verdict_cache_entries", "truncated_jobs", "failed_jobs",
+]
+#: The serve ``stats`` verb's ``service`` keys, recorded likewise.
+SERVICE_KEYS = {
+    "errors", "groups", "merged_requests", "model_builds", "model_rebuilds",
+    "models_resident", "overloaded", "pending", "plan_cache_hits",
+    "plans_executed", "requests", "results_streamed", "workers",
+}
+
+
+def test_wire_shapes_are_pinned():
+    from repro.serve import VerificationService
+
+    assert list(CampaignStats().to_dict()) == CAMPAIGN_STATS_KEYS
+    assert set(VerificationService()._stats_message("r")["service"]) == SERVICE_KEYS
+
+
+def _reported_solver_fields():
+    return [spec for spec in dataclasses.fields(SolverStats) if spec.metadata.get("reported")]
+
+
+def test_every_stats_field_is_in_the_json_and_round_trips():
+    stats = CampaignStats()
+    for value, spec in enumerate(dataclasses.fields(CampaignStats), start=1):
+        if spec.name != "solver_stats":
+            setattr(stats, spec.name, value)
+    for value, spec in enumerate(_reported_solver_fields(), start=100):
+        setattr(stats.solver_stats, spec.name, value)
+    payload = stats.to_dict()
+    for spec in dataclasses.fields(CampaignStats):
+        if spec.name != "solver_stats":
+            assert payload[spec.name] == getattr(stats, spec.name)
+    for spec in _reported_solver_fields():
+        assert getattr(stats.solver_stats, spec.name) in payload.values(), spec.name
+    assert CampaignStats.from_dict(json.loads(json.dumps(payload))) == stats
+
+
+def test_every_counter_names_a_family_or_is_json_only():
+    """A counter is declared through ``_stat`` / ``_reported``: its metadata
+    names a registry family and labels, or ``None`` (JSON-only).  A JSON key
+    that is neither kind of field is a derived read-only property."""
+    series = []
+    for spec in [
+        spec for spec in dataclasses.fields(CampaignStats) if spec.name != "solver_stats"
+    ] + _reported_solver_fields():
+        assert "family" in spec.metadata, f"{spec.name} is not classified"
+        family = spec.metadata["family"]
+        if family is not None:
+            assert isinstance(family, Family), spec.name
+            series.append((family.name, tuple(sorted(spec.metadata["labels"].items()))))
+    assert len(series) == len(set(series)), "two counters feed one series"
+    declared = {spec.name for spec in dataclasses.fields(CampaignStats)}
+    solver_keys = {"solver_" + spec.name for spec in _reported_solver_fields()}
+    for key in CampaignStats().to_dict():
+        if key not in declared | solver_keys:
+            assert isinstance(getattr(CampaignStats, key), property), key
+
+
+def test_outcomes_are_one_property():
+    outcome_fields = {
+        spec.metadata["labels"]["outcome"]
+        for spec in dataclasses.fields(CampaignStats)
+        if spec.metadata.get("family") is JOBS
+    }
+    assert outcome_fields | {"executed"} == set(OUTCOMES)
+    report = JobReport(element="a", port="in0", packet="tcp")
+    assert report.outcome == "executed"
+    spliced = report_from_payload(report_to_payload(report), spliced_from="file")
+    assert (spliced.outcome, spliced.symmetry_instantiated_from) == ("delta_spliced", "")
+    member = CampaignJob(NetworkSource.from_workload("department"), "b", "in0")
+    instantiated = instantiate_report(report, member, IdentityRenaming(), "cls")
+    assert (instantiated.outcome, instantiated.delta_spliced_from) == (
+        "symmetry_instantiated", ""
+    )
+    report.error = "boom"
+    assert report.outcome == "error"
+
+
+def _exposition(registry):
+    """``({family: kind}, {series: value})`` of a registry's Prometheus text."""
+    kinds, series = {}, {}
+    for line in registry.render_prometheus().splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split()
+            kinds[name] = kind
+        elif not line.startswith("#"):
+            key, value = line.rsplit(" ", 1)
+            series[key] = float(value)
+    return kinds, series
+
+
+def _department_runs(tmp_path):
+    """A department directory campaign with symmetry on, one erroring port
+    and a store, then a delta-spliced rerun after a same-bytes rewrite:
+    yields each finished result as it lands."""
+    net = tmp_path / "net"
+    net.mkdir()
+    export_department_style_directory(str(net), switches=3, macs_per_port=2, seed=23)
+    store = VerificationStore(str(tmp_path / "store"))
+    for _ in ("cold", "rerun"):
+        clear_runtime_cache()
+        campaign = VerificationCampaign(str(net), symmetry=True, store=store)
+        campaign.add_default_injections()
+        campaign.add_injection("nope", "in0")
+        yield campaign.run()
+        mac = net / "sw0.mac"
+        mac.write_bytes(mac.read_bytes())
+
+
+def _values(pairs):
+    return {
+        (family.name, tuple(sorted(labels.items()))): family.get().value(**labels)
+        for family, labels in pairs
+    }
+
+
+def test_registry_moves_by_exactly_the_campaign_stats(tmp_path):
+    watched = [(family, labels) for family, labels, _ in CampaignStats().series()]
+    watched += [(JOBS, {"outcome": outcome}) for outcome in OUTCOMES]
+    watched.append((CAMPAIGNS, {}))
+    before = _values(watched)
+    outcomes_seen = set()
+    for result in _department_runs(tmp_path):
+        after = _values(watched)
+        stats = result.stats
+        expected = {
+            (family.name, tuple(sorted(labels.items()))): value
+            for family, labels, value in stats.series()
+        }
+        expected[(JOBS.name, (("outcome", "executed"),))] = (
+            stats.executed_jobs - stats.failed_jobs
+        )
+        expected[(CAMPAIGNS.name, ())] = 1
+        for key, value in expected.items():
+            assert after[key] - before[key] == pytest.approx(value), key
+        outcomes_seen.update(report.outcome for report in result.jobs)
+        before = after
+    assert outcomes_seen == set(OUTCOMES)
+
+
+def test_core_families_cover_everything_a_campaign_feeds(tmp_path):
+    """A service that has done nothing shows, at zero, every series a
+    campaign can feed."""
+    reset_registry()
+    try:
+        for _ in _department_runs(tmp_path):
+            pass
+        fed_kinds, fed_series = _exposition(get_registry())
+    finally:
+        reset_registry()
+    kinds, series = _exposition(ensure_core_families(MetricsRegistry()))
+    assert fed_kinds.items() <= kinds.items()
+    for key in fed_series:
+        if fed_kinds.get(key.partition("{")[0]) == "counter":
+            assert series.get(key) == 0, key
+
+
+@pytest.mark.parametrize("index", range(len(LATTICE_CASES)))
+def test_absorbed_outcome_counts_equal_the_reducers_own(tmp_path, monkeypatch, index):
+    """On the lattice's networks, cold and after their mutation: the
+    absorbed counts equal what the reducers used to write themselves — one
+    splice per report a delta partition hands back, one skip per member
+    ``instantiate_report`` derives — and the failed count the errored
+    reports.  No report carries two outcome marks."""
+    from repro.core import symmetry
+
+    counted = {"spliced": 0, "skipped": 0}
+    partition, instantiate = DeltaReducer.partition, symmetry.instantiate_report
+
+    def counting_partition(self, jobs):
+        run, ready = partition(self, jobs)
+        counted["spliced"] += len(ready)
+        return run, ready
+
+    def counting_instantiate(*args):
+        report = instantiate(*args)
+        counted["skipped"] += 1
+        return report
+
+    monkeypatch.setattr(DeltaReducer, "partition", counting_partition)
+    monkeypatch.setattr(symmetry, "instantiate_report", counting_instantiate)
+    net = tmp_path / "net"
+    net.mkdir()
+    steps = LATTICE_CASES[index].network.materialise(str(net))
+    store = VerificationStore(str(tmp_path / "store"))
+    for edits in ((), steps):
+        for step in edits:
+            for name, text in step.writes:
+                (net / name).write_text(text, encoding="utf-8", newline="\n")
+        counted.update(spliced=0, skipped=0)
+        clear_runtime_cache()
+        result = VerificationCampaign(str(net), symmetry=True, store=store).run()
+        stats = result.stats
+        assert stats.jobs_spliced_by_delta == counted["spliced"]
+        assert stats.jobs_skipped_by_symmetry == counted["skipped"]
+        assert stats.failed_jobs == sum(r.error is not None for r in result.jobs)
+        for report in result.jobs:
+            marks = [report.error is not None, bool(report.delta_spliced_from),
+                     bool(report.symmetry_instantiated_from)]
+            assert sum(marks) <= 1, report.source_key

@@ -320,6 +320,17 @@ class TestCampaignDelta:
         assert off.delta_info == {}
         assert off_runs > 0
 
+    def test_delta_off_ignores_an_explicit_baseline(self, tmp_path):
+        net = tmp_path / "net"
+        injections = _export_stanford(net)
+        cold, _ = _run(net, injections)
+        off, off_runs = _run(
+            net, injections, delta=False, baseline=cold.baseline_payload
+        )
+        assert off.stats.jobs_spliced_by_delta == 0
+        assert off.delta_info == {}
+        assert off_runs == len(injections)
+
 
 # ---------------------------------------------------------------------------
 # Seed-pinned random-edit fuzz with greedy shrink

@@ -25,18 +25,22 @@ import threading
 import pytest
 
 from repro.api import NetworkModel
+from repro.core.queries import ensure_core_families
 from repro.obs import (
+    Counter,
+    Family,
+    Gauge,
+    Histogram,
     MetricsRegistry,
     NullTracer,
     Tracer,
     chrome_trace,
-    ensure_core_families,
-    get_registry,
     get_tracer,
     reset_registry,
     set_tracer,
     write_trace,
 )
+from repro.obs.metrics import CAMPAIGNS, JOB_SECONDS, JOBS, SOLVER_CHECKS
 
 DEPARTMENT_OPTIONS = dict(access_switches=2, hosts_per_switch=1)
 
@@ -150,7 +154,7 @@ class TestTracer:
 class TestMetrics:
     def test_counter_labels_and_rendering(self):
         registry = MetricsRegistry()
-        counter = registry.counter("repro_things_total", "things")
+        counter = Family(Counter, "repro_things_total", "things").get(registry)
         counter.inc(kind="a")
         counter.inc(2, kind="b")
         assert counter.value(kind="a") == 1
@@ -160,16 +164,13 @@ class TestMetrics:
         assert 'repro_things_total{kind="a"} 1' in text
 
     def test_histogram_buckets_sum_count(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram(
-            "repro_lat_seconds", "latency", buckets=(0.1, 1.0)
-        )
+        histogram = Histogram("repro_lat_seconds", "latency", buckets=(0.1, 1.0))
         histogram.observe(0.05)
         histogram.observe(0.5)
         histogram.observe(5.0)
         assert histogram.count() == 3
         assert histogram.sum() == pytest.approx(5.55)
-        text = registry.render_prometheus()
+        text = "\n".join(histogram.render())
         assert 'repro_lat_seconds_bucket{le="0.1"} 1' in text
         assert 'repro_lat_seconds_bucket{le="1.0"} 2' in text
         assert 'repro_lat_seconds_bucket{le="+Inf"} 3' in text
@@ -177,9 +178,9 @@ class TestMetrics:
 
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
-        registry.counter("repro_x_total")
+        Family(Counter, "repro_x_total", "x").get(registry)
         with pytest.raises(ValueError):
-            registry.gauge("repro_x_total")
+            Family(Gauge, "repro_x_total", "x").get(registry)
 
     def test_core_families_preregistered(self):
         text = ensure_core_families(MetricsRegistry()).render_prometheus()
@@ -195,14 +196,11 @@ class TestMetrics:
         model = NetworkModel.from_workload("department", **DEPARTMENT_OPTIONS)
         result = model.campaign().run()
         assert not result.job_errors
-        registry = get_registry()
-        jobs = registry.counter("repro_jobs_total")
-        executed = jobs.value(outcome="executed")
+        executed = JOBS.get().value(outcome="executed")
         assert executed >= 1
-        assert registry.histogram("repro_job_seconds").count() == executed
-        checks = registry.counter("repro_solver_checks_total")
-        assert checks.value(tier="full_solve") > 0
-        assert registry.counter("repro_campaigns_total").value() == 1
+        assert JOB_SECONDS.get().count() == executed
+        assert SOLVER_CHECKS.get().value(tier="full_solve") > 0
+        assert CAMPAIGNS.get().value() == 1
 
 
 # ---------------------------------------------------------------------------
