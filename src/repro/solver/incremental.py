@@ -27,7 +27,6 @@ own first two answers.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
 from repro.solver.ast import Formula, Var
@@ -70,8 +69,9 @@ class IncrementalSolver:
     alpha-renaming-invariant :func:`canonical_fingerprint` of the conjunct
     set, so structurally similar paths — different variable names, shuffled
     conjunct order, linear-arithmetic variants of the same atoms — share one
-    entry.  Passing ``verdict_cache`` lets many solvers (e.g. every job a
-    campaign worker runs) share one persistent cache; ``shared_cache`` adds
+    entry; the cache also memoises each exact set's key.  Passing
+    ``verdict_cache`` lets many solvers (e.g. every job a campaign worker
+    runs) share one persistent cache and key memo; ``shared_cache`` adds
     an optional cross-process tier (any dict-like object, typically a
     ``multiprocessing.Manager().dict()``) consulted on local misses and fed
     on full solves.  ``paranoid`` re-verifies every local hit against a
@@ -98,17 +98,6 @@ class IncrementalSolver:
             # and batched-publish counters through this solver's stats.
             shared_cache.bind_stats(self.base.stats)
         self.paranoid = paranoid
-        # Exact-match memo: frozenset(conjuncts) -> fingerprint.  Repeated
-        # checks of the *same* growing conjunct list (every feasibility
-        # probe along a path) skip re-canonicalization entirely; only the
-        # first sight of a structurally new set pays the WL refinement.
-        self._fingerprints: "OrderedDict[frozenset, str]" = OrderedDict()
-        self._max_fingerprints = max_cache_entries
-        # "unknown" results are memoized under the exact conjunct set only:
-        # sound (the solver is deterministic on identical input) without
-        # letting budget-dependent unknowns poison alpha-variants that a
-        # fresh solve might answer definitively.
-        self._exact_unknowns: "OrderedDict[frozenset, None]" = OrderedDict()
         # Per-instance counters (SolverStats aggregates across every
         # IncrementalSolver sharing the base solver).
         self._hits = 0
@@ -122,23 +111,6 @@ class IncrementalSolver:
         return SolverContext(self)
 
     # -- memoized full checks --------------------------------------------------
-
-    @staticmethod
-    def canonical_key(conjuncts: List[Formula]) -> str:
-        """Order-, duplicate- and variable-name-insensitive key for a
-        conjunction (see :mod:`repro.solver.canonical`)."""
-        return canonical_fingerprint(conjuncts)
-
-    def _fingerprint_of(self, exact: frozenset, conjuncts: List[Formula]) -> str:
-        key = self._fingerprints.get(exact)
-        if key is not None:
-            self._fingerprints.move_to_end(exact)
-            return key
-        key = canonical_fingerprint(conjuncts)
-        self._fingerprints[exact] = key
-        if len(self._fingerprints) > self._max_fingerprints:
-            self._fingerprints.popitem(last=False)
-        return key
 
     def check(self, form: PathCondition, want_model: bool = False) -> SolverResult:
         """Satisfiability of a path condition, cheapest tier first (see the
@@ -196,12 +168,14 @@ class IncrementalSolver:
         """The verdict filed under ``conjuncts``' canonical fingerprint, or
         ``solve()``'s, filed for the next caller."""
         exact = frozenset(conjuncts)
-        if exact in self._exact_unknowns:
-            self._exact_unknowns.move_to_end(exact)
+        key = self.cache.exact_key(exact)
+        if key == "unknown":
             self._hits += 1
             self.stats.record_cache_hit()
             return SolverResult(verdict="unknown")
-        key = self._fingerprint_of(exact, conjuncts)
+        if key is None:  # first sight in this cache's (worker's) lifetime
+            key = canonical_fingerprint(conjuncts)
+            self.cache.remember_exact(exact, key)
         verdict = self.cache.get(key)
         if verdict == "unknown":
             # Entries injected by merge/warm maps may carry "unknown";
@@ -249,9 +223,7 @@ class IncrementalSolver:
             # Incompleteness, not an answer: budgets are consumed in
             # conjunct order, so an alpha-variant of this set might solve
             # definitively.  Memoize only under the exact conjunct set.
-            self._exact_unknowns[exact] = None
-            if len(self._exact_unknowns) > self._max_fingerprints:
-                self._exact_unknowns.popitem(last=False)
+            self.cache.remember_exact(exact, "unknown")
             return result
         self.cache.put(
             key,
@@ -272,7 +244,5 @@ class IncrementalSolver:
 
     def clear_cache(self) -> None:
         self.cache.clear()
-        self._fingerprints.clear()
-        self._exact_unknowns.clear()
         self._hits = 0
         self._misses = 0

@@ -7,7 +7,9 @@ similar path of every campaign job that shares it: per-worker caches live in
 the campaign runtime cache and survive across jobs, their fresh entries are
 merged back into the campaign report (warming later campaigns), and an
 optional process-shared tier (a ``multiprocessing.Manager`` dict) lets
-parallel workers exchange verdicts live.
+parallel workers exchange verdicts live.  The cache also memoises each
+*exact* conjunct set's key, so a set the worker has seen — in this job or an
+earlier one — is canonicalised once per process, not once per job.
 
 Soundness instrumentation
 -------------------------
@@ -70,7 +72,7 @@ class VerdictCache:
     """Bounded LRU map from canonical fingerprints to solver verdicts."""
 
     __slots__ = ("_entries", "_witnesses", "_fresh", "_max_entries", "debug",
-                 "hits", "misses", "merged", "applied_tokens")
+                 "hits", "misses", "merged", "applied_tokens", "_exact")
 
     def __init__(self, max_entries: int = 100_000, debug: bool = False) -> None:
         self._entries: "OrderedDict[str, str]" = OrderedDict()
@@ -89,6 +91,18 @@ class VerdictCache:
         # map with a content token so only the first job per worker pays
         # the merge (see campaign.execute_job).
         self.applied_tokens: set = set()
+        # Exact-set memo: frozenset(conjuncts) -> its fingerprint, or
+        # "unknown" once its solve came back unknown.  Process-local cost
+        # cache, bounded like the entries: never snapshot, merged or pickled.
+        self._exact: "OrderedDict[frozenset, str]" = OrderedDict()
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {s: getattr(self, s) for s in self.__slots__ if s != "_exact"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for slot, value in state.items():
+            setattr(self, slot, value)
+        self._exact = OrderedDict()
 
     # -- basic mapping ---------------------------------------------------------
 
@@ -138,6 +152,20 @@ class VerdictCache:
             evicted, _ = self._entries.popitem(last=False)
             self._witnesses.pop(evicted, None)
 
+    def exact_key(self, exact: frozenset) -> Optional[str]:
+        """What :meth:`remember_exact` filed for this exact conjunct set."""
+        key = self._exact.get(exact)
+        if key is not None:
+            self._exact.move_to_end(exact)
+        return key
+
+    def remember_exact(self, exact: frozenset, key: str) -> None:
+        """File ``key`` (a fingerprint, or "unknown": deterministic on
+        identical input, so never shared with alpha-variants) for ``exact``."""
+        self._exact[exact] = key
+        if len(self._exact) > self._max_entries:
+            self._exact.popitem(last=False)
+
     def snapshot(self) -> Dict[str, str]:
         """Picklable copy of every entry (for merging / warm starts)."""
         return dict(self._entries)
@@ -146,6 +174,7 @@ class VerdictCache:
         self._entries.clear()
         self._witnesses.clear()
         self._fresh.clear()
+        self._exact.clear()
         self.applied_tokens.clear()
         self.hits = 0
         self.misses = 0

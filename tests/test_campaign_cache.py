@@ -85,3 +85,59 @@ def test_job_reports_carry_cache_statistics():
     for job in payload["jobs"]:
         assert "verdict_cache_entries" in job["stats"]
         assert "solver_shared_cache_hits" in job["stats"]
+
+
+def _count_fingerprints(monkeypatch, source, **options):
+    """Run a cold one-worker campaign, counting the canonical fingerprints
+    the solver computes; returns ``(result, calls, distinct exact sets)``."""
+    import repro.solver.incremental as incremental
+
+    real = incremental.canonical_fingerprint
+    seen = []
+
+    def counting(conjuncts):
+        seen.append(frozenset(conjuncts))
+        return real(conjuncts)
+
+    monkeypatch.setattr(incremental, "canonical_fingerprint", counting)
+    try:
+        result = _run(source, **options)
+    finally:
+        monkeypatch.setattr(incremental, "canonical_fingerprint", real)
+    assert not result.job_errors
+    return result, len(seen), len(set(seen))
+
+
+def test_each_exact_conjunct_set_is_fingerprinted_once_per_worker(monkeypatch):
+    """The exact-set key memo lives on the worker's VerdictCache, so a set
+    every ACL job re-derives under the same symbol names is canonicalised
+    once per process; ``shared_cache=False`` (a fresh cache per job) keeps it
+    per job, and where the key comes from never moves a counter."""
+    from repro.solver.incremental import IncrementalSolver
+
+    source = NetworkSource.from_workload(
+        "stanford", zones=4, service_acl_rules=4
+    )
+    shared, calls, distinct = _count_fingerprints(monkeypatch, source)
+    assert calls == distinct > 0
+
+    # A fresh exact-set memo for every job's solver.
+    built = IncrementalSolver.__init__
+
+    def per_job_memo(self, *args, **kwargs):
+        built(self, *args, **kwargs)
+        self.cache._exact.clear()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IncrementalSolver, "__init__", per_job_memo)
+        per_job, per_job_calls, _ = _count_fingerprints(monkeypatch, source)
+    assert per_job_calls > calls  # every ACL job re-fingerprinted its sets
+
+    isolated, isolated_calls, _ = _count_fingerprints(
+        monkeypatch, source, shared=False
+    )
+    assert isolated_calls == per_job_calls  # the memo never crosses jobs
+
+    for name in ("solver_cache_hits", "solver_cache_misses", "solver_fast_paths"):
+        assert getattr(shared.stats, name) == getattr(per_job.stats, name), name
+    assert shared.reachability.fingerprint() == per_job.reachability.fingerprint()

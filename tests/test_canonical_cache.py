@@ -472,11 +472,29 @@ def test_unknown_verdicts_never_cross_alpha_variants():
     assert inc.check_cached(renamed).verdict == "unknown"
     assert inc.cache_info()[1] == 2  # the alpha-variant re-solved
 
+    # The exact-set memo lives on the VerdictCache: a second solver sharing
+    # it (the next job on a worker) sees the first's "unknown" as a hit,
+    # an alpha-variant still re-solves, and a fresh cache sees neither.
+    shared = VerdictCache()
+    IncrementalSolver(verdict_cache=shared).check_cached(unsupported)
+    later = IncrementalSolver(verdict_cache=shared)
+    assert later.check_cached(unsupported).verdict == "unknown"
+    assert later.cache_info() == (1, 0, 0)
+    assert later.check_cached(renamed).verdict == "unknown"
+    assert later.cache_info() == (1, 1, 0)
+    isolated = IncrementalSolver(verdict_cache=VerdictCache())
+    assert isolated.check_cached(unsupported).verdict == "unknown"
+    assert isolated.cache_info() == (0, 1, 0)
+    shared.clear()  # empties the exact-set memo with the verdicts
+    cleared = IncrementalSolver(verdict_cache=shared)
+    assert cleared.check_cached(unsupported).verdict == "unknown"
+    assert cleared.cache_info() == (0, 1, 0)
+
     # An "unknown" injected via merge (old warm maps) must not suppress the
     # solve that can upgrade it.
     seeded = IncrementalSolver()
     sat_set = [sa.Le(sa.Sub(x, y), sa.Const(3))]
-    fingerprint = seeded.canonical_key(sat_set)
+    fingerprint = canonical_fingerprint(sat_set)
     seeded.cache.merge({fingerprint: "unknown"}, strict=True)
     assert seeded.check_cached(sat_set).verdict == "sat"  # solved, not served
     assert seeded.cache.snapshot()[fingerprint] == "sat"  # and upgraded
@@ -492,6 +510,27 @@ def test_unknown_verdicts_never_cross_alpha_variants():
     assert cache.snapshot()[fingerprint] == "sat"
     with pytest.raises(CacheConflictError):
         cache.put(fingerprint, "unsat")  # definite-vs-definite still fatal
+
+
+def test_exact_key_memo_never_leaves_the_process():
+    """The exact-set memo is a cost cache over live formula objects: it is
+    not a verdict, so snapshots, fresh entries, merges and pickles skip it."""
+    import pickle
+
+    x, y = sa.Var("x", 32), sa.Var("y", 32)
+    conjuncts = [sa.Le(sa.Sub(x, y), sa.Const(3))]
+    cache = VerdictCache()
+    cache.begin_collection()
+    IncrementalSolver(verdict_cache=cache).check_cached(conjuncts)
+    fingerprint = canonical_fingerprint(conjuncts)
+    assert cache.exact_key(frozenset(conjuncts)) == fingerprint
+    assert cache.snapshot() == cache.fresh_entries() == {fingerprint: "sat"}
+    clone = pickle.loads(pickle.dumps(cache))
+    assert clone.snapshot() == {fingerprint: "sat"}
+    assert clone.exact_key(frozenset(conjuncts)) is None
+    merged = VerdictCache()
+    merged.merge(cache.snapshot())
+    assert merged.exact_key(frozenset(conjuncts)) is None
 
 
 def test_conflicting_put_and_merge_are_refused():

@@ -196,6 +196,7 @@ class TestMemoizationCache:
                 ctx.assume(formula)
             ctx.check()
         assert inc.cache_info()[2] == 2  # bounded, oldest entries evicted
+        assert len(inc.cache._exact) == 2  # the exact-set key memo too
         # The most recent conjunction is still cached...
         ctx = inc.context()
         ctx.assume(conjunctions[-1][0])
