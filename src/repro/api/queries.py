@@ -17,10 +17,13 @@ Quantifiers over port sets
     :class:`ForAllPairs` (the model's default injection ports),
     :class:`FromPorts` (an explicit port set)
 
-Every query has a canonical textual form (:meth:`Query.describe`) — the same
-form the CLI's ``query`` subcommand parses — and every answer is a
-:class:`QueryResult` with a verdict, a JSON-able value, evidence, and a
-stable fingerprint.
+Every query type declares its textual form once — a ``name`` and an ordered
+``params`` list of :class:`Param` — and :data:`QUERY_TYPES` maps each name
+to its class.  :meth:`Query.describe` renders that declaration and
+:func:`repro.api.text.parse_query` binds it, so the canonical text every
+front end (CLI ``query``, serve, scenario ``--query``) speaks cannot drift
+from the objects.  Every answer is a :class:`QueryResult` with a verdict, a
+JSON-able value, evidence, and a stable fingerprint.
 
 Verdicts are **three-valued**: a job cut short by ``max_paths`` or failed
 has shown only part of its port's behaviour, so a leaf over it answers
@@ -34,12 +37,45 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.facts import Facts
 from repro.core.queries import port_key
 
 PortLike = Union[str, Tuple[str, str]]
+
+#: Parameter kinds: how a value is spelt and read back.  ``ATOM`` is one
+#: name — a port, an endpoint or a header field; ``LIST`` atoms joined by
+#: ``+``; ``INT`` an integer; ``QUERIES`` every remaining positional
+#: argument, each a query; ``TEMPLATE`` a query or the bare word ``reach``
+#: (the :class:`Reach` class itself: the all-pairs matrix).
+ATOM, LIST, INT, QUERIES, TEMPLATE = "atom", "list", "int", "queries", "template"
+
+
+class Param(NamedTuple):
+    """One parameter of a query's textual form: the attribute (and
+    constructor keyword) holding its value, its kind, and whether it is
+    spelt ``attr=value`` rather than by position.  A ``None`` value is
+    omitted."""
+
+    attr: str
+    kind: str
+    keyed: bool = False
+
+
+def _text(value) -> str:
+    """An atom's spelling: a port tuple as ``element:port``."""
+    return port_key(*value) if isinstance(value, tuple) else str(value)
+
+
+def _spell(kind: str, value) -> str:
+    if kind == LIST:
+        return "+".join(map(_text, value))
+    if kind == QUERIES:
+        return ", ".join(query.describe() for query in value)
+    if kind == TEMPLATE:
+        return "reach" if value is Reach else value.describe()
+    return _text(value)
 
 
 def normalize_port(port: PortLike, default_port: str = "in0") -> Tuple[str, str]:
@@ -57,9 +93,7 @@ def normalize_port(port: PortLike, default_port: str = "in0") -> Tuple[str, str]
 def _endpoint(at: Optional[PortLike]) -> Optional[str]:
     """An endpoint argument as text: a full ``element:port``, a bare element
     name, or ``None`` (anywhere)."""
-    if at is None:
-        return None
-    return port_key(*at) if isinstance(at, tuple) else str(at)
+    return None if at is None else _text(at)
 
 
 def _endpoint_matches(endpoint: Optional[str], destination: str) -> bool:
@@ -167,10 +201,18 @@ class QueryResult:
 
 
 class Query:
-    """Base class: a declarative, executable-by-plan network question."""
+    """Base class: a declarative, executable-by-plan network question.
+
+    A subclass declares its textual form as ``name`` plus ``params``;
+    :meth:`describe` renders it and :func:`repro.api.text.parse_query`
+    builds ``cls(first, **rest)`` from it — the first parameter by position
+    (spread when it is ``QUERIES``), every other under its attribute name.
+    """
 
     #: Whether the query has a boolean verdict (required under All/Any/Not).
     decidable = True
+    name = ""
+    params: Tuple[Param, ...] = ()
 
     def requirements(self) -> Facts:
         """The per-job fact channels this query reads."""
@@ -185,7 +227,15 @@ class Query:
         return False
 
     def describe(self) -> str:
-        raise NotImplementedError
+        """The canonical text: ``name(arg, ..., key=arg)``, read off
+        ``params``."""
+        args: List[str] = []
+        for param in self.params:
+            value = getattr(self, param.attr)
+            if value is not None:
+                text = _spell(param.kind, value)
+                args.append(f"{param.attr}={text}" if param.keyed else text)
+        return f"{self.name}({', '.join(args)})"
 
     def evaluate(self, ctx) -> QueryResult:
         return self._evaluate(ctx, ctx.resolve_scope(self))
@@ -245,6 +295,9 @@ class Reach(Query):
     output port, or a bare element name matching any of its ports.
     """
 
+    name = "reach"
+    params = (Param("src", ATOM), Param("dst", ATOM))
+
     def __init__(self, src: PortLike, dst: PortLike) -> None:
         self.src = normalize_port(src)
         self.dst = _endpoint(dst)
@@ -258,9 +311,6 @@ class Reach(Query):
 
     def injections(self) -> Tuple[Tuple[str, str], ...]:
         return (self.src,)
-
-    def describe(self) -> str:
-        return f"reach({self.src_key}, {self.dst})"
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
         matrix = ctx.subreport("reachability", (self.src_key,))
@@ -312,14 +362,14 @@ class Loop(_PortScoped):
     from every default injection port)?  ``holds`` is True when **no** loop
     was found."""
 
+    name = "loop"
+    params = (Param("port", ATOM),)
+
     def __init__(self, port: Optional[PortLike] = None) -> None:
         self.port = normalize_port(port) if port is not None else None
 
     def requirements(self) -> Facts:
         return Facts(kinds=("loops",))
-
-    def describe(self) -> str:
-        return f"loop({port_key(*self.port) if self.port else ''})"
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
         report = ctx.subreport("loops", scope)
@@ -346,6 +396,9 @@ class Invariant(_PortScoped):
     False — the tool never hands out a green verdict it did not earn.
     """
 
+    name = "invariant"
+    params = (Param("fields", LIST), Param("port", ATOM))
+
     def __init__(self, *fields: str, port: Optional[PortLike] = None) -> None:
         if len(fields) == 1 and isinstance(fields[0], (tuple, list)):
             fields = tuple(fields[0])
@@ -356,12 +409,6 @@ class Invariant(_PortScoped):
 
     def requirements(self) -> Facts:
         return Facts(kinds=("invariants",), invariant_fields=self.fields)
-
-    def describe(self) -> str:
-        fields = "+".join(self.fields)
-        if self.port is not None:
-            return f"invariant({fields}, {port_key(*self.port)})"
-        return f"invariant({fields})"
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
         report = ctx.subreport("invariants", scope, fields=self.fields)
@@ -393,6 +440,10 @@ class HeaderVisible(_PortScoped):
     lifted network-wide.
     """
 
+    name = "header_visible"
+    params = (Param("field_name", ATOM), Param("at", ATOM, keyed=True),
+              Param("port", ATOM, keyed=True))
+
     def __init__(
         self,
         field_name: str,
@@ -405,14 +456,6 @@ class HeaderVisible(_PortScoped):
 
     def requirements(self) -> Facts:
         return Facts(visibility_fields=(self.field_name,))
-
-    def describe(self) -> str:
-        parts = [self.field_name]
-        if self.at is not None:
-            parts.append(f"at={self.at}")
-        if self.port is not None:
-            parts.append(f"port={port_key(*self.port)}")
-        return f"header_visible({', '.join(parts)})"
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
         checked = visible = skipped = 0
@@ -450,6 +493,9 @@ class AdmittedValues(_PortScoped):
     up to ``samples`` solver witnesses per (injection, destination)."""
 
     decidable = False
+    name = "admitted_values"
+    params = (Param("field_name", ATOM), Param("at", ATOM, keyed=True),
+              Param("samples", INT, keyed=True), Param("port", ATOM, keyed=True))
 
     def __init__(
         self,
@@ -467,15 +513,6 @@ class AdmittedValues(_PortScoped):
 
     def requirements(self) -> Facts:
         return Facts(witness_fields=((self.field_name, self.samples),))
-
-    def describe(self) -> str:
-        parts = [self.field_name]
-        if self.at is not None:
-            parts.append(f"at={self.at}")
-        parts.append(f"samples={self.samples}")
-        if self.port is not None:
-            parts.append(f"port={port_key(*self.port)}")
-        return f"admitted_values({', '.join(parts)})"
 
     def _evaluate(self, ctx, scope: Tuple[str, ...]) -> QueryResult:
         values = set()
@@ -508,7 +545,7 @@ class AdmittedValues(_PortScoped):
 
 
 class _Combinator(Query):
-    name = "?"
+    params = (Param("queries", QUERIES),)
 
     def __init__(self, *queries: Query) -> None:
         if not queries:
@@ -537,9 +574,6 @@ class _Combinator(Query):
 
     def needs_default_injections(self) -> bool:
         return any(q.needs_default_injections() for q in self.queries)
-
-    def describe(self) -> str:
-        return f"{self.name}({', '.join(q.describe() for q in self.queries)})"
 
     def _verdict(self, verdicts: Sequence[Optional[bool]]) -> Optional[bool]:
         """Kleene logic over the children's verdicts (``None`` = unknown)."""
@@ -590,8 +624,10 @@ class Not(_Combinator):
 
     name = "not"
 
-    def __init__(self, query: Query) -> None:
-        super().__init__(query)
+    def __init__(self, *queries: Query) -> None:
+        if len(queries) != 1:
+            raise ValueError("not() takes exactly one query")
+        super().__init__(*queries)
 
     def _verdict(self, verdicts: Sequence[Optional[bool]]) -> Optional[bool]:
         return None if verdicts[0] is None else not verdicts[0]
@@ -621,9 +657,6 @@ class _Quantifier(Query):
                 "quantifiers take the Reach class or a query instance, "
                 f"not {template!r}"
             )
-
-    def _template_text(self) -> str:
-        return "reach" if self.template is Reach else self.template.describe()
 
     def requirements(self) -> Facts:
         if self.template is Reach:
@@ -657,11 +690,11 @@ class ForAllPairs(_Quantifier):
     ``ForAllPairs(Invariant("IpSrc"))`` forces network-wide scope even for a
     template that names a port."""
 
+    name = "forall_pairs"
+    params = (Param("template", TEMPLATE),)
+
     def needs_default_injections(self) -> bool:
         return True
-
-    def describe(self) -> str:
-        return f"forall_pairs({self._template_text()})"
 
     def _scope_keys(self, ctx) -> Tuple[str, ...]:
         return ctx.default_scope()
@@ -669,6 +702,9 @@ class ForAllPairs(_Quantifier):
 
 class FromPorts(_Quantifier):
     """Quantify a template over an explicit injection port set."""
+
+    name = "from_ports"
+    params = (Param("ports", LIST), Param("template", TEMPLATE))
 
     def __init__(self, ports: Sequence[PortLike], template) -> None:
         super().__init__(template)
@@ -685,10 +721,6 @@ class FromPorts(_Quantifier):
     def needs_default_injections(self) -> bool:
         return False
 
-    def describe(self) -> str:
-        ports = "+".join(port_key(*p) for p in self.ports)
-        return f"from_ports({ports}, {self._template_text()})"
-
     def _scope_keys(self, ctx) -> Tuple[str, ...]:
         return tuple(port_key(*p) for p in self.ports)
 
@@ -696,3 +728,11 @@ class FromPorts(_Quantifier):
 #: ``Any`` shadows ``typing.Any`` when star-imported; the trailing
 #: underscore is the class's real name, this alias the ergonomic one.
 Any = Any_
+
+#: Every query type by its textual name: the table the parser binds a call
+#: against.
+QUERY_TYPES: Dict[str, type] = {
+    cls.name: cls
+    for cls in (Reach, Loop, Invariant, HeaderVisible, AdmittedValues,
+                All, Any_, Not, ForAllPairs, FromPorts)
+}

@@ -1,15 +1,24 @@
-"""A tiny textual form of the query object model, for the CLI.
+"""The textual form of the query object model: the wire format of the CLI
+``query`` command, the serve protocol and scenario ``--query``.
 
-The grammar mirrors :meth:`Query.describe` exactly, so every query
-round-trips: ``parse_query(q.describe()).describe() == q.describe()``.
+The grammar is not written here: each query class declares its ``name`` and
+``params`` (:class:`repro.api.queries.Param`), :meth:`Query.describe`
+renders that declaration, and :func:`parse_query` binds a parsed call
+against it — so every query round-trips by construction:
+``parse_query(q.describe()) == q``.
 
 ::
 
-    query  := NAME [ '(' args ')' ]
+    query  := NAME [ '(' args ')' ]         # a bare NAME is NAME()
     args   := arg (',' arg)*
     arg    := NAME '=' value | value
     value  := query | atom ('+' atom)*      # '+' builds lists (ports, fields)
-    atom   := /[A-Za-z0-9_.:*\\-]+/          # element:port, field names, ints
+    atom   := [:\\w*/.-]+                    # element:port, field names, ints
+
+An atom is spelt with every character a topology file's element and port
+names use (:data:`repro.network.ports.PORT_CHARS`, so ``sw:Gi1/0/1`` is one
+atom) plus the ``:`` joining them.  An argument binds to its parameter by
+position or as ``attr=value``, whatever the parameter's rendering.
 
 Examples::
 
@@ -24,28 +33,17 @@ Examples::
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.api.queries import (
-    AdmittedValues,
-    All,
-    Any_,
-    ForAllPairs,
-    FromPorts,
-    HeaderVisible,
-    Invariant,
-    Loop,
-    Not,
-    Query,
-    Reach,
-)
+from repro.api.queries import INT, LIST, QUERIES, QUERY_TYPES, TEMPLATE, Query, Reach
+from repro.network.ports import PORT_CHARS
 
 
 class QueryParseError(ValueError):
     """A textual query that does not parse (or names an unknown query)."""
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z0-9_.:*\-]+|[(),=+])")
+_TOKEN = re.compile(rf"\s*(?:([:{PORT_CHARS}]+|[(),=+])|(\S))")
 
 # AST nodes: ("call", name, [(key|None, node), ...]) | ("atom", text)
 #            | ("list", [text, ...])
@@ -54,18 +52,10 @@ _Node = Tuple
 
 def _tokenize(text: str) -> List[str]:
     tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise QueryParseError(
-                    f"unexpected character {text[pos:].strip()[0]!r} in query "
-                    f"{text!r}"
-                )
-            break
-        tokens.append(match.group(1))
-        pos = match.end()
+    for token, stray in _TOKEN.findall(text):
+        if stray:
+            raise QueryParseError(f"unexpected character {stray!r} in query {text!r}")
+        tokens.append(token)
     return tokens
 
 
@@ -84,13 +74,6 @@ class _Parser:
             raise QueryParseError(f"unexpected end of query {self.text!r}")
         self.pos += 1
         return token
-
-    def expect(self, token: str) -> None:
-        got = self.take()
-        if got != token:
-            raise QueryParseError(
-                f"expected {token!r}, got {got!r} in query {self.text!r}"
-            )
 
     def parse(self) -> _Node:
         node = self.parse_value()
@@ -138,215 +121,87 @@ class _Parser:
             and self.tokens[self.pos] not in "(),=+"
         ):
             key = self.take()
-            self.expect("=")
+            self.take()  # the '=' peeked above
             return (key, self.parse_value())
         return (None, self.parse_value())
 
 
 # ---------------------------------------------------------------------------
-# AST -> query objects
+# AST -> query objects, by each class's declared parameters
 # ---------------------------------------------------------------------------
 
 
-def _atom_text(node: _Node, what: str, text: str) -> str:
+def _value(kind: str, node: _Node, text: str):
+    """One argument read as a value of parameter kind ``kind``."""
+    if kind == TEMPLATE and node == ("atom", "reach"):
+        return Reach
+    if kind in (QUERIES, TEMPLATE):
+        return _bind(node, text)
+    if kind == LIST and node[0] == "list":
+        return list(node[1])
     if node[0] != "atom":
-        raise QueryParseError(f"expected {what} in query {text!r}")
+        raise QueryParseError(f"expected a name, got a {node[0]} in {text!r}")
+    if kind == LIST:
+        return [node[1]]
+    if kind == INT:
+        try:
+            return int(node[1])
+        except ValueError:
+            raise QueryParseError(f"expected an integer, got {node[1]!r}") from None
     return node[1]
 
 
-def _atoms(node: _Node, what: str, text: str) -> List[str]:
-    if node[0] == "list":
-        return list(node[1])
-    return [_atom_text(node, what, text)]
-
-
-def _int_value(node: _Node, what: str, text: str) -> int:
-    raw = _atom_text(node, what, text)
-    try:
-        return int(raw)
-    except ValueError:
-        raise QueryParseError(f"{what} must be an integer, got {raw!r}")
-
-
-def _split_args(
-    args: Sequence[Tuple[Optional[str], _Node]],
-    name: str,
-    text: str,
-    allowed_keys: Sequence[str],
-) -> Tuple[List[_Node], dict]:
-    positional: List[_Node] = []
-    keywords: dict = {}
-    for key, node in args:
-        if key is None:
-            positional.append(node)
-        elif key in allowed_keys:
-            if key in keywords:
-                raise QueryParseError(f"duplicate {key}= in {name}(...)")
-            keywords[key] = node
-        else:
-            raise QueryParseError(
-                f"unknown keyword {key!r} in {name}(...); "
-                f"allowed: {', '.join(allowed_keys) or '(none)'}"
-            )
-    return positional, keywords
-
-
-def _build(node: _Node, text: str) -> Query:
+def _bind(node: _Node, text: str) -> Query:
+    """A parsed call as a query: look its name up in ``QUERY_TYPES``, bind
+    each argument to a declared parameter by position or by name, and
+    construct the class as :class:`~repro.api.queries.Query` documents."""
     if node[0] == "atom":
         # Bare names are sugar for zero-argument calls: "loop" == "loop()".
         node = ("call", node[1], [])
     if node[0] != "call":
         raise QueryParseError(f"expected a query in {text!r}")
     _, name, args = node
-    builder = _BUILDERS.get(name)
-    if builder is None:
-        known = ", ".join(sorted(_BUILDERS))
+    cls = QUERY_TYPES.get(name)
+    if cls is None:
+        known = ", ".join(sorted(QUERY_TYPES))
         raise QueryParseError(f"unknown query {name!r}; known: {known}")
-    return builder(args, text)
-
-
-def _build_template(node: _Node, text: str) -> Union[type, Query]:
-    if node[0] == "atom" and node[1] == "reach":
-        return Reach
-    return _build(node, text)
-
-
-def _build_reach(args, text) -> Query:
-    positional, _ = _split_args(args, "reach", text, ())
-    if len(positional) != 2:
-        raise QueryParseError("reach(src, dst) takes exactly two ports")
-    return Reach(
-        _atom_text(positional[0], "a source port", text),
-        _atom_text(positional[1], "a destination", text),
-    )
-
-
-def _build_loop(args, text) -> Query:
-    positional, keywords = _split_args(args, "loop", text, ("port",))
-    if len(positional) > 1:
-        raise QueryParseError("loop([port]) takes at most one port")
-    port = None
-    if positional:
-        port = _atom_text(positional[0], "a port", text)
-    elif "port" in keywords:
-        port = _atom_text(keywords["port"], "a port", text)
-    return Loop(port)
-
-
-def _build_invariant(args, text) -> Query:
-    positional, keywords = _split_args(args, "invariant", text, ("port",))
-    if not positional or len(positional) > 2:
-        raise QueryParseError("invariant(fields[, port]) takes 1-2 arguments")
-    fields = _atoms(positional[0], "field names", text)
-    port = None
-    if len(positional) == 2:
-        port = _atom_text(positional[1], "a port", text)
-    elif "port" in keywords:
-        port = _atom_text(keywords["port"], "a port", text)
-    return Invariant(*fields, port=port)
-
-
-def _build_header_visible(args, text) -> Query:
-    positional, keywords = _split_args(
-        args, "header_visible", text, ("at", "port")
-    )
-    if not positional or len(positional) > 2:
-        raise QueryParseError(
-            "header_visible(field[, at=PORT][, port=PORT]) takes a field"
-        )
-    field = _atom_text(positional[0], "a field name", text)
-    at = None
-    if len(positional) == 2:
-        at = _atom_text(positional[1], "an observation port", text)
-    elif "at" in keywords:
-        at = _atom_text(keywords["at"], "an observation port", text)
-    port = (
-        _atom_text(keywords["port"], "a port", text)
-        if "port" in keywords
-        else None
-    )
-    return HeaderVisible(field, at=at, port=port)
-
-
-def _build_admitted_values(args, text) -> Query:
-    positional, keywords = _split_args(
-        args, "admitted_values", text, ("at", "samples", "port")
-    )
-    if not positional or len(positional) > 2:
-        raise QueryParseError(
-            "admitted_values(field[, at=PORT][, samples=N]) takes a field"
-        )
-    field = _atom_text(positional[0], "a field name", text)
-    at = None
-    if len(positional) == 2:
-        at = _atom_text(positional[1], "an observation port", text)
-    elif "at" in keywords:
-        at = _atom_text(keywords["at"], "an observation port", text)
-    samples = (
-        _int_value(keywords["samples"], "samples", text)
-        if "samples" in keywords
-        else 3
-    )
-    port = (
-        _atom_text(keywords["port"], "a port", text)
-        if "port" in keywords
-        else None
-    )
-    return AdmittedValues(field, at=at, samples=samples, port=port)
-
-
-def _build_all(args, text) -> Query:
-    positional, _ = _split_args(args, "all", text, ())
-    return All(*[_build(node, text) for node in positional])
-
-
-def _build_any(args, text) -> Query:
-    positional, _ = _split_args(args, "any", text, ())
-    return Any_(*[_build(node, text) for node in positional])
-
-
-def _build_not(args, text) -> Query:
-    positional, _ = _split_args(args, "not", text, ())
-    if len(positional) != 1:
-        raise QueryParseError("not(query) takes exactly one query")
-    return Not(_build(positional[0], text))
-
-
-def _build_forall_pairs(args, text) -> Query:
-    positional, _ = _split_args(args, "forall_pairs", text, ())
-    if len(positional) != 1:
-        raise QueryParseError(
-            "forall_pairs(template) takes exactly one template"
-        )
-    return ForAllPairs(_build_template(positional[0], text))
-
-
-def _build_from_ports(args, text) -> Query:
-    positional, _ = _split_args(args, "from_ports", text, ())
-    if len(positional) != 2:
-        raise QueryParseError(
-            "from_ports(port+port+..., template) takes ports then a template"
-        )
-    ports = _atoms(positional[0], "ports", text)
-    return FromPorts(ports, _build_template(positional[1], text))
-
-
-_BUILDERS = {
-    "reach": _build_reach,
-    "loop": _build_loop,
-    "invariant": _build_invariant,
-    "header_visible": _build_header_visible,
-    "admitted_values": _build_admitted_values,
-    "all": _build_all,
-    "any": _build_any,
-    "not": _build_not,
-    "forall_pairs": _build_forall_pairs,
-    "from_ports": _build_from_ports,
-}
+    by_name = {param.attr: param for param in cls.params}
+    bound: Dict[str, object] = {}
+    position = 0
+    for key, arg in args:
+        if key is None:
+            if position == len(cls.params):
+                raise QueryParseError(f"too many arguments to {name}() in {text!r}")
+            param = cls.params[position]
+            if param.kind != QUERIES:  # a query list takes every remaining one
+                position += 1
+        elif key in by_name:
+            param = by_name[key]
+        else:
+            raise QueryParseError(
+                f"unknown keyword {key!r} in {name}(); "
+                f"allowed: {', '.join(by_name) or '(none)'}"
+            )
+        value = _value(param.kind, arg, text)
+        if param.kind == QUERIES:
+            bound.setdefault(param.attr, []).append(value)
+        elif param.attr in bound:
+            raise QueryParseError(f"{param.attr} given twice to {name}() in {text!r}")
+        else:
+            bound[param.attr] = value
+    leading: Tuple = ()
+    if cls.params and cls.params[0].attr in bound:
+        first = cls.params[0]
+        head = bound.pop(first.attr)
+        leading = tuple(head) if first.kind == QUERIES else (head,)
+    try:
+        return cls(*leading, **bound)
+    except (TypeError, ValueError) as exc:
+        raise QueryParseError(f"bad {name}() in {text!r}: {exc}") from None
 
 
 def parse_query(text: str) -> Query:
     """Parse one textual query into its query object."""
     if not text or not text.strip():
         raise QueryParseError("empty query")
-    return _build(_Parser(text).parse(), text)
+    return _bind(_Parser(text).parse(), text)

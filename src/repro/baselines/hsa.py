@@ -151,9 +151,6 @@ class HeaderSpace:
         probe = WildcardExpr.exact(self.width, value)
         return any(expr.intersect(probe) is not None for expr in self.exprs)
 
-    def expr_count(self) -> int:
-        return len(self.exprs)
-
 
 @dataclass(frozen=True)
 class TransferRule:

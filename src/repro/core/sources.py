@@ -50,12 +50,16 @@ class NetworkSource:
 
     @classmethod
     def from_directory(cls, directory: str) -> "NetworkSource":
-        from repro.parsers.topology_file import TOPOLOGY_FILE, snapshot_file_names
+        from repro.parsers.topology_file import (
+            TOPOLOGY_FILE,
+            TopologyParseError,
+            snapshot_file_names,
+        )
 
         directory = os.path.abspath(directory)
         try:
             names = snapshot_file_names(directory)
-        except (OSError, UnicodeDecodeError):
+        except (OSError, UnicodeDecodeError, TopologyParseError):
             names = [TOPOLOGY_FILE]  # nothing will build; key on what a stat sees
         entries = []
         for name in names:

@@ -9,7 +9,7 @@ solver variables — the paper's "each value has a unique identifier".
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.solver.ast import Add, Const, Sub, Term, Var
 
@@ -31,13 +31,6 @@ class SymbolFactory:
     def count(self) -> int:
         """Number of symbols created so far (instrumentation)."""
         return self._counter
-
-
-def as_term(value: Union[Term, int]) -> Term:
-    """Coerce a Python integer into a solver constant."""
-    if isinstance(value, int):
-        return Const(value)
-    return value
 
 
 def term_is_concrete(term: Term) -> bool:

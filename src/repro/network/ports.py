@@ -11,6 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+#: The characters an element name and a port name are spelt with — the
+#: topology file grammar (``link sw1:Gi1/0/1 -> r1:in0``) and the query
+#: grammar's atom (:mod:`repro.api.text`) are both built from these.
+ELEMENT_CHARS = r"\w.-"
+PORT_CHARS = r"\w*/.-"
+
 
 @dataclass(frozen=True)
 class PortId:

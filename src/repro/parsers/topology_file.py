@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.click.parser import parse_click_config
 from repro.models.asa import build_asa
+from repro.network.ports import ELEMENT_CHARS, PORT_CHARS
 from repro.network.topology import Network
 from repro.parsers.asa_config import parse_asa_config
 from repro.parsers.mac_table import switch_from_mac_table
@@ -40,15 +41,37 @@ from repro.parsers.service_acl import service_acl_from_snapshot
 
 TOPOLOGY_FILE = "topology.txt"
 
-_DEVICE = re.compile(r"^device\s+(?P<name>\S+)\s+(?P<kind>\S+)\s+(?P<file>\S+)$")
+_DEVICE = re.compile(r"^device\s+(\S+)\s+(\S+)\s+(\S+)$")
 _LINK = re.compile(
-    r"^link\s+(?P<src>[\w.-]+):(?P<srcport>[\w*/.-]+)\s*->\s*"
-    r"(?P<dst>[\w.-]+):(?P<dstport>[\w*/.-]+)$"
+    rf"^link\s+([{ELEMENT_CHARS}]+):([{PORT_CHARS}]+)\s*->\s*"
+    rf"([{ELEMENT_CHARS}]+):([{PORT_CHARS}]+)$"
 )
+
+#: ``(name, kind, snapshot file)`` of a ``device`` line.
+DeviceLine = Tuple[str, str, str]
+#: ``(src, src_port, dst, dst_port)`` of a ``link`` line.
+LinkLine = Tuple[str, str, str, str]
 
 
 class TopologyParseError(Exception):
     """Raised when a topology description cannot be parsed."""
+
+
+def read_declarations(text: str) -> Tuple[List[DeviceLine], List[LinkLine]]:
+    """The device and link declarations of a topology description, each in
+    file order.  The one reader of the grammar: the build, the snapshot file
+    set and scenario generation all take their declarations from here."""
+    devices: List[DeviceLine] = []
+    links: List[LinkLine] = []
+    for raw_line in text.splitlines():
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = _DEVICE.match(line) or _LINK.match(line)
+        if match is None:
+            raise TopologyParseError(f"cannot parse line: {line!r}")
+        (devices if match.re is _DEVICE else links).append(match.groups())
+    return devices, links
 
 
 def parse_topology_file(
@@ -69,38 +92,13 @@ def parse_topology_file(
     this to map an edited file back to the network elements it defines.
     """
     network = network if network is not None else Network("parsed-topology")
-    links: List[Tuple[str, str, str, str]] = []
-
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        device = _DEVICE.match(line)
-        if device:
-            before = set(network._elements) if provenance is not None else ()
-            _build_device(
-                network,
-                device.group("name"),
-                device.group("kind"),
-                device.group("file"),
-                snapshots,
-            )
-            if provenance is not None:
-                created = [name for name in network._elements if name not in before]
-                provenance.setdefault(device.group("file"), []).extend(created)
-            continue
-        link = _LINK.match(line)
-        if link:
-            links.append(
-                (
-                    link.group("src"),
-                    link.group("srcport"),
-                    link.group("dst"),
-                    link.group("dstport"),
-                )
-            )
-            continue
-        raise TopologyParseError(f"cannot parse line: {line!r}")
+    devices, links = read_declarations(text)
+    for name, kind, snapshot_name in devices:
+        before = set(network._elements) if provenance is not None else ()
+        _build_device(network, name, kind, snapshot_name, snapshots)
+        if provenance is not None:
+            created = [e for e in network._elements if e not in before]
+            provenance.setdefault(snapshot_name, []).extend(created)
 
     for src, src_port, dst, dst_port in links:
         # Permissive: links naming unknown elements are recorded rather than
@@ -139,15 +137,11 @@ def _build_device(
 
 def referenced_snapshot_files(topology_text: str) -> List[str]:
     """The snapshot file names a topology description references, in
-    declaration order (duplicates removed).  Uses the parser's own device
-    grammar, so nothing that asks "which files are this snapshot?" can
-    drift from what the parser reads."""
-    seen: List[str] = []
-    for raw_line in topology_text.splitlines():
-        device = _DEVICE.match(raw_line.strip())
-        if device and device.group("file") not in seen:
-            seen.append(device.group("file"))
-    return seen
+    declaration order (duplicates removed).  Read by the parser's own
+    :func:`read_declarations`, so nothing that asks "which files are this
+    snapshot?" can drift from what the parser reads."""
+    devices, _ = read_declarations(topology_text)
+    return list(dict.fromkeys(snapshot_name for _, _, snapshot_name in devices))
 
 
 def _read(directory: str, name: str) -> bytes:

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.models.router import longest_prefix_match
 from repro.parsers.mac_table import format_mac_table, parse_mac_table
 from repro.parsers.routing_table import format_routing_table, parse_routing_table
-from repro.parsers.topology_file import Snapshot
+from repro.parsers.topology_file import Snapshot, read_declarations
 from repro.sefl.util import number_to_ip
 
 #: Service ports the ACL churn draws from — disjoint from the seed policy in
@@ -57,12 +57,6 @@ from repro.sefl.util import number_to_ip
 #: inserts skip ports the file already blocks.
 ACL_PORT_POOL = (21, 22, 25, 53, 80, 110, 143, 443, 8080, 8443)
 
-_DEVICE_LINE = re.compile(
-    r"^device\s+(?P<name>\S+)\s+(?P<kind>\S+)\s+(?P<file>\S+)\s*$"
-)
-_LINK_LINE = re.compile(
-    r"^link\s+(?P<src>\S+):(?P<srcport>\S+)\s*->\s*(?P<dst>\S+):(?P<dstport>\S+)\s*$"
-)
 _MAC_VLAN = re.compile(r"^\s*(?P<vlan>\d+)\s+[0-9a-fA-F.:-]+\s+\w+\s+\S+\s*$")
 
 
@@ -138,35 +132,6 @@ def read_directory_state(directory: str) -> Dict[str, str]:
     a view of the one reader the build uses, so scenario edits can never
     touch a file delta verification would not see."""
     return Snapshot.read(directory).texts()
-
-
-def _parse_devices(
-    topology: str,
-) -> Tuple[Dict[str, Tuple[str, str]], List[Tuple[str, str, str, str]]]:
-    """``{device: (kind, file)}`` plus the link list, straight from the
-    topology grammar."""
-    devices: Dict[str, Tuple[str, str]] = {}
-    links: List[Tuple[str, str, str, str]] = []
-    for raw in topology.splitlines():
-        line = raw.strip()
-        device = _DEVICE_LINE.match(line)
-        if device:
-            devices[device.group("name")] = (
-                device.group("kind"),
-                device.group("file"),
-            )
-            continue
-        link = _LINK_LINE.match(line)
-        if link:
-            links.append(
-                (
-                    link.group("src"),
-                    link.group("srcport"),
-                    link.group("dst"),
-                    link.group("dstport"),
-                )
-            )
-    return devices, links
 
 
 def _edge_fib_files(
@@ -430,7 +395,6 @@ def generate_scenario(
     state = snapshot.texts()
     base_digest = snapshot.digest
     rng = random.Random(seed)
-    devices, _ = _parse_devices(state["topology.txt"])
 
     inject_at = revert_at = 0
     if inject_violation:
@@ -443,7 +407,8 @@ def generate_scenario(
     violation_file: Optional[str] = None
 
     for index in range(1, steps + 1):
-        devices, links = _parse_devices(state["topology.txt"])
+        declared, links = read_declarations(state["topology.txt"])
+        devices = {name: (kind, file) for name, kind, file in declared}
         acl_files = sorted(
             file for _, (kind, file) in devices.items() if kind == "service-acl"
         )

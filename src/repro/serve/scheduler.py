@@ -87,7 +87,6 @@ class Request:
     session: object  # anything with send_nowait(message)
     model_key: Tuple
     queries: Tuple[Query, ...]
-    texts: Tuple[str, ...]
     settings: RunSettings
 
     @property
@@ -153,7 +152,6 @@ def _parse_request(request_id: str, session, message: Dict[str, object]) -> Requ
         session=session,
         model_key=model_key,
         queries=tuple(queries),
-        texts=tuple(str(t) for t in texts),
         settings=settings,
     )
 
@@ -386,16 +384,16 @@ class VerificationService:
 
         def work():
             model = self._resident_model(requests[0])
-            # Merge: one plan entry per distinct query text across the
-            # group; routes maps each merged index back to every
-            # (request, local index) that asked it.
+            # Merge: one plan entry per distinct canonical query text across
+            # the group ("loop" and "loop()" are one entry); routes maps
+            # each merged index back to every (request, local index) that
+            # asked it.
             merged: List[Query] = []
             index_of: Dict[str, int] = {}
             routes: Dict[int, List[Tuple[Request, int]]] = {}
             for request in requests:
-                for local, (query, text) in enumerate(
-                    zip(request.queries, request.texts)
-                ):
+                for local, query in enumerate(request.queries):
+                    text = query.describe()
                     if text not in index_of:
                         index_of[text] = len(merged)
                         merged.append(query)
@@ -469,7 +467,7 @@ class VerificationService:
                     "seconds": round(elapsed, 6),
                     "requests": len(requests),
                     "queries": sorted(
-                        {text for r in requests for text in r.texts}
+                        {q.describe() for r in requests for q in r.queries}
                     ),
                     "jobs": plan_result.plan.job_count,
                     "from_cache": plan_result.from_cache,

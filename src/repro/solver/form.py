@@ -102,9 +102,6 @@ class AppendLog:
     def __bool__(self) -> bool:
         return len(self) > 0
 
-    def to_list(self) -> list:
-        return list(self)
-
     def __repr__(self) -> str:
         return f"AppendLog({list(self)!r})"
 

@@ -173,9 +173,5 @@ class SolverResult:
     def is_unsat(self) -> bool:
         return self.verdict == "unsat"
 
-    @property
-    def is_unknown(self) -> bool:
-        return self.verdict == "unknown"
-
     def __bool__(self) -> bool:
         return self.is_sat

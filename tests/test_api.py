@@ -12,6 +12,9 @@ The load-bearing guarantees:
 """
 
 import dataclasses
+import json
+import os
+import random
 
 import pytest
 
@@ -34,6 +37,7 @@ from repro.api import (
     execute_plan,
     parse_query,
 )
+from repro.api.queries import QUERY_TYPES
 from repro.core.campaign import (
     NetworkSource,
     VerificationCampaign,
@@ -47,6 +51,57 @@ from repro.sefl import Assign, Forward, InstructionBlock, IpDst, ip_to_number
 DEPARTMENT_OPTIONS = dict(
     access_switches=4, hosts_per_switch=2, mac_entries=300, extra_routes=20
 )
+
+SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260728"))
+
+#: Name characters of the round-trip property: every one the topology
+#: grammar allows in a port name.
+NAME_CHARS = "aZ09_./-*"
+
+
+def _name(rng):
+    return "".join(rng.choice(NAME_CHARS) for _ in range(rng.randint(1, 5)))
+
+
+def _port(rng):
+    """``element:port``, or a bare element (a port query's ``in0``, an
+    endpoint's every port)."""
+    return f"{_name(rng)}:{_name(rng)}" if rng.random() < 0.8 else _name(rng)
+
+
+def _maybe_port(rng):
+    return _port(rng) if rng.random() < 0.5 else None
+
+
+def _random_query(rng, depth):
+    """A random query of any of the ten types, nested up to ``depth``."""
+    kind = rng.choice(sorted(QUERY_TYPES)) if depth else rng.choice(
+        ["reach", "loop", "invariant", "header_visible", "admitted_values"]
+    )
+    if kind == "reach":
+        return Reach(_port(rng), _port(rng))
+    if kind == "loop":
+        return Loop(_maybe_port(rng))
+    if kind == "invariant":
+        fields = [_name(rng) for _ in range(rng.randint(1, 3))]
+        return Invariant(*fields, port=_maybe_port(rng))
+    if kind == "header_visible":
+        return HeaderVisible(_name(rng), at=_maybe_port(rng), port=_maybe_port(rng))
+    if kind == "admitted_values":
+        options = dict(at=_maybe_port(rng), port=_maybe_port(rng))
+        if rng.random() < 0.5:
+            options["samples"] = rng.randint(1, 9)
+        return AdmittedValues(_name(rng), **options)
+    if kind in ("all", "any", "not"):
+        children = []
+        for _ in range(1 if kind == "not" else rng.randint(1, 3)):
+            child = _random_query(rng, depth - 1)
+            children.append(child if child.decidable else Loop(_maybe_port(rng)))
+        return QUERY_TYPES[kind](*children)
+    template = Reach if rng.random() < 0.3 else _random_query(rng, depth - 1)
+    if kind == "forall_pairs":
+        return ForAllPairs(template)
+    return FromPorts([_port(rng) for _ in range(rng.randint(1, 3))], template)
 
 
 def forwarding_network():
@@ -220,30 +275,147 @@ class TestQueryObjects:
             ForAllPairs("reach")
 
     def test_parser_roundtrips(self):
-        texts = [
-            "reach(a:in0, b:out0)",
-            "loop()",
-            "loop(acl0:in0)",
-            "invariant(IpSrc+IpDst)",
-            "invariant(IpSrc, acl0:in0)",
-            "header_visible(IpSrc, at=r1:out0)",
-            "admitted_values(TcpDst, at=r1:out0, samples=3)",
-            "all(loop(), invariant(IpSrc))",
-            "any(loop(), reach(a:in0, b))",
-            "not(reach(a:in0, b))",
-            "forall_pairs(reach)",
-            "forall_pairs(invariant(IpSrc))",
-            "from_ports(a:in0+b:in0, loop())",
-            "from_ports(a:in0, reach)",
+        cases = [
+            ("reach(a:in0, b:out0)", Reach("a:in0", "b:out0")),
+            ("loop()", Loop()),
+            ("loop(acl0:in0)", Loop("acl0:in0")),
+            ("invariant(IpSrc+IpDst)", Invariant("IpSrc", "IpDst")),
+            ("invariant(IpSrc, acl0:in0)", Invariant("IpSrc", port="acl0:in0")),
+            ("header_visible(IpSrc, at=r1:out0)", HeaderVisible("IpSrc", at="r1:out0")),
+            (
+                "admitted_values(TcpDst, at=r1:out0, samples=3)",
+                AdmittedValues("TcpDst", at="r1:out0", samples=3),
+            ),
+            ("all(loop(), invariant(IpSrc))", All(Loop(), Invariant("IpSrc"))),
+            ("any(loop(), reach(a:in0, b))", Any_(Loop(), Reach("a:in0", "b"))),
+            ("not(reach(a:in0, b))", Not(Reach("a:in0", "b"))),
+            ("forall_pairs(reach)", ForAllPairs(Reach)),
+            ("forall_pairs(invariant(IpSrc))", ForAllPairs(Invariant("IpSrc"))),
+            ("from_ports(a:in0+b:in0, loop())", FromPorts(["a:in0", "b:in0"], Loop())),
+            ("from_ports(a:in0, reach)", FromPorts(["a:in0"], Reach)),
         ]
-        for text in texts:
+        for text, expected in cases:
             query = parse_query(text)
-            assert isinstance(query, Query)
+            assert type(query) is type(expected)
+            assert query == expected, text
             assert parse_query(query.describe()).describe() == query.describe()
 
     def test_parser_sugar(self):
         assert parse_query("loop") == Loop()
         assert parse_query(" loop( a:in0 ) ") == Loop("a:in0")
+
+    def test_any_parameter_binds_by_position_or_by_name(self):
+        assert parse_query("reach(dst=b, src=a:in0)") == Reach("a:in0", "b")
+        assert parse_query("loop(port=a:in0)") == Loop("a:in0")
+        assert parse_query("invariant(fields=IpSrc+IpDst, port=a:in0)") == Invariant(
+            "IpSrc", "IpDst", port="a:in0"
+        )
+        assert parse_query("header_visible(IpSrc, r1:out0, a:in0)") == HeaderVisible(
+            "IpSrc", at="r1:out0", port="a:in0"
+        )
+        assert parse_query("admitted_values(field_name=TcpDst, at=r1, samples=2)") == (
+            AdmittedValues("TcpDst", at="r1", samples=2)
+        )
+        assert parse_query("from_ports(template=loop, ports=b+a)") == FromPorts(
+            ["a", "b"], Loop()
+        )
+        assert parse_query("forall_pairs(template=reach)") == ForAllPairs(Reach)
+
+    def test_describe_spellings_are_pinned(self):
+        """The canonical texts are a wire format and a cache key (plan
+        fingerprints, result fingerprints, plan-cache entries hash them):
+        these spellings are pinned byte for byte."""
+        corpus = [
+            Reach("a:in0", "b"),
+            Reach(("a", "in0"), ("r1", "Gi0/1")),
+            Reach("a", "b:out0"),
+            Loop(),
+            Loop("acl0:in0"),
+            Loop("acl0"),
+            Invariant("IpSrc"),
+            Invariant("IpSrc", "IpDst", port="acl0:in0"),
+            HeaderVisible("IpSrc"),
+            HeaderVisible("IpSrc", at="r1:out0"),
+            HeaderVisible("IpSrc", port="a:in0"),
+            HeaderVisible("IpSrc", at="r1", port="a:in0"),
+            AdmittedValues("TcpDst"),
+            AdmittedValues("TcpDst", at="r1:out0", samples=5),
+            AdmittedValues("TcpDst", port="a:in0"),
+            AdmittedValues("TcpDst", at="r1", samples=1, port="a:in0"),
+            All(Loop(), Invariant("IpSrc")),
+            Any_(Loop("a:in0"), Reach("a:in0", "b")),
+            Not(Reach("a:in0", "b")),
+            Not(All(Loop(), Any_(Reach("a", "b"), Not(Loop("c:in1"))))),
+            ForAllPairs(Reach),
+            ForAllPairs(Invariant("IpSrc", port="a:in0")),
+            ForAllPairs(All(Loop(), HeaderVisible("IpDst", at="b"))),
+            FromPorts(["a:in0"], Reach),
+            FromPorts(["b:in0", "a", ("c", "in1")], Loop()),
+            FromPorts(["a:in0"], AdmittedValues("TcpDst", at="b")),
+        ]
+        assert [query.describe() for query in corpus] == [
+            "reach(a:in0, b)",
+            "reach(a:in0, r1:Gi0/1)",
+            "reach(a:in0, b:out0)",
+            "loop()",
+            "loop(acl0:in0)",
+            "loop(acl0:in0)",
+            "invariant(IpSrc)",
+            "invariant(IpSrc+IpDst, acl0:in0)",
+            "header_visible(IpSrc)",
+            "header_visible(IpSrc, at=r1:out0)",
+            "header_visible(IpSrc, port=a:in0)",
+            "header_visible(IpSrc, at=r1, port=a:in0)",
+            "admitted_values(TcpDst, samples=3)",
+            "admitted_values(TcpDst, at=r1:out0, samples=5)",
+            "admitted_values(TcpDst, samples=3, port=a:in0)",
+            "admitted_values(TcpDst, at=r1, samples=1, port=a:in0)",
+            "all(loop(), invariant(IpSrc))",
+            "any(loop(a:in0), reach(a:in0, b))",
+            "not(reach(a:in0, b))",
+            "not(all(loop(), any(reach(a:in0, b), not(loop(c:in1)))))",
+            "forall_pairs(reach)",
+            "forall_pairs(invariant(IpSrc, a:in0))",
+            "forall_pairs(all(loop(), header_visible(IpDst, at=b)))",
+            "from_ports(a:in0, reach)",
+            "from_ports(a:in0+b:in0+c:in1, loop())",
+            "from_ports(a:in0, admitted_values(TcpDst, at=b, samples=3))",
+        ]
+        assert {type(query) for query in corpus} == set(QUERY_TYPES.values())
+
+    def test_random_queries_roundtrip(self):
+        """Seed-pinned property: every generated query, nested up to three
+        deep over names using ``/ . - *``, parses back from its text to an
+        equal query whose text is the same (``describe()`` is a fixed
+        point)."""
+        rng = random.Random(SEED)
+        for _ in range(600):
+            query = _random_query(rng, depth=3)
+            text = query.describe()
+            parsed = parse_query(text)
+            assert parsed == query and type(parsed) is type(query), text
+            assert parsed.describe() == text
+
+    def test_port_names_with_slashes_parse(self):
+        query = Reach("a:in0", "r1:Gi0/1")
+        assert parse_query(query.describe()) == query
+        assert parse_query("loop(sw:Gi1/0/1)").port == ("sw", "Gi1/0/1")
+
+    def test_cli_queries_a_port_named_like_the_mac_table(self, tmp_path, capsys):
+        """A port the topology grammar and a MAC table accept can be named
+        in a query: the all-pairs matrix reports ``sw:Gi1/0/1`` and a
+        ``reach`` naming it runs."""
+        from repro.cli import main
+
+        (tmp_path / "topology.txt").write_text("device sw switch sw.mac\n")
+        (tmp_path / "sw.mac").write_text(" 302    0200.0000.0001    DYNAMIC     Gi1/0/1\n")
+        assert main(["query", str(tmp_path), "forall_pairs(reach)"]) == 0
+        matrix = json.loads(capsys.readouterr().out)["queries"][0]
+        assert "sw:Gi1/0/1" in json.dumps(matrix["value"])
+        assert main(["query", str(tmp_path), "reach(sw:in0, sw:Gi1/0/1)"]) == 0
+        answer = json.loads(capsys.readouterr().out)["queries"][0]
+        assert answer["query"] == "reach(sw:in0, sw:Gi1/0/1)"
+        assert answer["holds"] is True
 
     @pytest.mark.parametrize(
         "bad",
@@ -260,6 +432,14 @@ class TestQueryObjects:
             "forall_pairs(reach, loop)",
             "all(,)",
             "reach(a:in0, b:out0))",
+            "reach(a:in0, b, c)",
+            "reach(a:in0, b$)",
+            "loop(a:in0+b:in0)",
+            "loop(a:in0, port=b:in0)",
+            "not()",
+            "all(forall_pairs(reach))",
+            "from_ports(a:in0, reach+loop)",
+            "admitted_values(IpDst, samples=0)",
         ],
     )
     def test_parser_rejects(self, bad):
@@ -345,6 +525,30 @@ class TestPlanner:
         backward = compile_plan(model, list(reversed(queries)))
         assert forward.fingerprint() == backward.fingerprint()
         assert forward.injections == backward.injections
+
+    def test_plan_fingerprint_of_every_query_type_is_pinned(self):
+        """A plan's identity hashes its queries' canonical texts, so this
+        pinned fingerprint over all ten types guards every spelling (and the
+        plan-cache keys built from it)."""
+        model = NetworkModel.from_workload("department", **DEPARTMENT_OPTIONS)
+        batch = [
+            ForAllPairs(Reach),
+            Reach("office-sw0:in-host", "m1"),
+            Loop(),
+            Loop("cluster:in-node"),
+            Invariant("IpSrc", "IpDst"),
+            HeaderVisible("IpSrc", at="cluster"),
+            AdmittedValues("TcpDst", port="m1:in-internet"),
+            All(Loop(), Invariant("IpSrc")),
+            Any_(Reach("lab-sw1:in-host", "m1"), Not(Loop("m1:in-internet"))),
+            FromPorts(["office-sw0:in-host", "lab-sw1:in-host"], Reach),
+            FromPorts(["cluster:in-node"], HeaderVisible("IpDst")),
+        ]
+        plan = compile_plan(model, batch)
+        assert plan.job_count == 4
+        assert plan.fingerprint() == (
+            "e4578fc2119a9a0029a2f6ddd0d776d8f4919922044d53925ea7fbf37f502645"
+        )
 
     def test_plan_fingerprint_separates_different_batches(self):
         model = NetworkModel.from_workload("department", **DEPARTMENT_OPTIONS)

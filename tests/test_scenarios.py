@@ -62,6 +62,21 @@ class TestGenerator:
         # Generation must not touch the directory itself.
         assert Snapshot.read(d1).digest == one.base_digest
 
+    def test_ci_scenario_fingerprint_is_pinned(self, tmp_path):
+        """The CI scenario (stanford zones=3 with the edge ASA, 4 steps,
+        seed 7) generates exactly this sequence: the generator reads the
+        topology through the parser's own declaration reader."""
+        directory = str(tmp_path / "ci")
+        os.makedirs(directory)
+        export_stanford_directory(
+            directory, zones=3, internal_prefixes_per_zone=8,
+            service_acl_rules=3, edge_asa=True,
+        )
+        scenario = generate_scenario(directory, steps=4, seed=7, workload="stanford")
+        assert scenario.fingerprint() == (
+            "381d84b09680fc45e5898e3e37678e8d198679542f83f549be761126206186b5"
+        )
+
     def test_different_seeds_differ(self, tmp_path):
         directory = _export(tmp_path)
         fingerprints = {

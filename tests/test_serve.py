@@ -369,6 +369,34 @@ def test_concurrent_clients_merge_into_one_plan():
     assert messages_b[-1]["fingerprint"] == results_digest(expected_b.values())
 
 
+def test_clients_merge_on_the_canonical_query_text(monkeypatch):
+    """``loop`` and ``loop()`` are one query: two clients spelling it
+    differently within one batch window share one plan entry and get the
+    same answer."""
+    from repro.serve import scheduler
+
+    compiled = []
+    real_compile = scheduler.compile_plan
+
+    def recording_compile(model, queries, **settings):
+        compiled.append([query.describe() for query in queries])
+        return real_compile(model, queries, **settings)
+
+    monkeypatch.setattr(scheduler, "compile_plan", recording_compile)
+    with service_endpoint(workers=1, batch_window=1.0) as (service, host, port):
+        with ServiceClient(host, port) as a, ServiceClient(host, port) as b:
+            id_a = a.submit(DEPARTMENT, ["loop"])
+            id_b = b.submit(DEPARTMENT, ["loop()"])
+            messages_a = a.drain(id_a)
+            messages_b = b.drain(id_b)
+    assert compiled == [["loop()"]]
+    (result_a,) = results_by_index(messages_a).values()
+    (result_b,) = results_by_index(messages_b).values()
+    assert result_a["query"] == result_b["query"] == "loop()"
+    assert result_a["fingerprint"] == result_b["fingerprint"]
+    assert messages_a[-1]["fingerprint"] == messages_b[-1]["fingerprint"]
+
+
 def test_port_scoped_query_streams_before_barrier():
     # 'cluster:in-node' sorts first among department's injection ports, so
     # with workers=1 its job reports first and the loop query scoped to it
