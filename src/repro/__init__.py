@@ -25,9 +25,9 @@ Package map
                               reference dataplane (§8.3)
 ``repro.workloads``           synthetic workload generators used by the
                               benchmark harness
-``repro.store``               persistent verification store: disk-backed
-                              verdict shards, the sharded shared tier, and the
-                              plan-result cache
+``repro.store``               persistent verification store: checksummed
+                              verdict, plan and baseline records, plus the
+                              sharded shared tier
 ============================  ==================================================
 
 Quickstart

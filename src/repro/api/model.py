@@ -152,7 +152,7 @@ class NetworkModel:
         :class:`~repro.core.settings.RunSettings` fields).  Passing a
         :class:`repro.store.VerificationStore` as ``store`` makes the run
         persistent: verdicts warm-start from (and publish to) the store's
-        disk shards, and a repeated identical batch is answered from the
+        verdict records, and a repeated identical batch is answered from the
         plan-result cache without running any engine job."""
         from repro.api.planner import compile_plan, execute_plan
 

@@ -353,7 +353,7 @@ def execute_plan(
     repeated identical batch over an unchanged network returns the stored
     :class:`PlanResult` without running a single engine job, and the
     campaign that does run warm-starts from (and publishes back to) the
-    store's verdict shards.
+    store's verdict records.
 
     ``baseline`` hands the campaign an explicit delta baseline (a
     :class:`repro.core.delta.CampaignBaseline` or its payload dict); with

@@ -36,8 +36,8 @@ report and invariant checks.  ``--workload`` swaps the directory for one of
 the built-in synthetic workloads (department / enterprise / stanford).
 
 ``--store-dir DIR`` (on ``query`` and ``campaign``) makes runs persistent:
-solver verdicts warm-start from — and publish back to — the disk shards of
-a :class:`repro.store.VerificationStore` at ``DIR``, and a repeated
+solver verdicts warm-start from — and publish back to — the verdict records
+of a :class:`repro.store.VerificationStore` at ``DIR``, and a repeated
 identical ``query`` batch over an unchanged network is answered from the
 store's plan-result cache without running any engine job.  ``store``
 inspects, compacts or invalidates such a directory.
@@ -76,7 +76,7 @@ def _parse_field_value(field: HeaderField, text: str) -> int:
     text = text.strip()
     if text.lower().startswith("0x"):
         return int(text, 16)
-    if ":" in text or (text.count(".") == 3 and field.width == 48):
+    if ":" in text or (field.width == 48 and any(sep in text for sep in ".-")):
         return mac_to_number(text)
     if text.count(".") == 3:
         return ip_to_number(text)
@@ -216,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store-dir", default=None, metavar="DIR",
         help="persist solver verdicts (and, for 'query', finished plan "
         "results) in a verification store at DIR: runs warm-start from the "
-        "store's disk shards and publish fresh verdicts back",
+        "store's verdict records and publish fresh verdicts back",
     )
     # The campaign pipeline's knobs, shared by every command that runs one.
     pipeline = argparse.ArgumentParser(add_help=False, parents=[stored])
@@ -426,8 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     store.add_argument(
         "action", choices=("inspect", "compact", "clear-plans"),
-        help="inspect: summarize shards/segments/plans as JSON; compact: "
-        "fold each shard's segments into one; clear-plans: drop cached "
+        help="inspect: summarize verdicts/plans/baselines as JSON; compact: "
+        "fold every verdict record into one; clear-plans: drop cached "
         "plan results (the explicit invalidation path when a network "
         "source changed in ways the model fingerprint cannot see)",
     )

@@ -258,7 +258,7 @@ class VerificationCampaign:
         # What every job collects unless ``add_injection`` narrows it.
         self.facts = Facts(**options)
         # ``store`` (a :class:`repro.store.VerificationStore`) is the durable
-        # warm-start path: workers merge its shards once per store state and
+        # warm-start path: workers merge its verdicts once per store state and
         # the campaign publishes its fresh verdicts back after aggregation.
         # It is part of the cache stack ``shared_cache`` switches off.
         self._store = store if self.settings.shared_cache else None
@@ -345,13 +345,12 @@ class VerificationCampaign:
         )
         if self._store is not None:
             # Jobs reference the store by directory + content token; each
-            # worker process merges the disk shards locally, exactly once
-            # per store state (see execute_job).
+            # worker process merges the stored verdicts locally, exactly
+            # once per store state (see execute_job).
             template = replace(
                 template,
                 store_dir=self._store.directory,
                 store_token=self._store.content_token(),
-                store_shards=self._store.shard_count,
             )
         return [
             replace(
@@ -381,7 +380,7 @@ class VerificationCampaign:
     def _publish(self, result: CampaignResult) -> None:
         """Persist every fresh verdict this campaign derived.  A
         definite-vs-definite conflict with the store proves either unsound
-        canonicalization or a corrupted segment that slipped past the
+        canonicalization or a corrupted record that slipped past the
         integrity checks — but the finished result in hand was computed
         from live solves and is correct regardless, so the store's
         never-crash-a-campaign contract applies: warn loudly and skip the

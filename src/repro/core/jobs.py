@@ -39,7 +39,6 @@ from repro.sefl.fields import standard_fields
 from repro.solver.result import SolverStats, expose_solver_counters
 from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
-from repro.store.sharding import DEFAULT_SHARD_COUNT
 
 _LOG = logging.getLogger(__name__)
 
@@ -72,12 +71,11 @@ class CampaignJob:
     settings: RunSettings = RunSettings()
     facts: Facts = Facts()
     #: Persistent verdict store (repro.store): each worker process opens the
-    #: store directory and merges its shards into the worker cache once per
-    #: ``store_token`` (the store's content identity), so warm starts ship
-    #: nothing through job pickles.
+    #: store directory and merges its verdicts into the worker cache once
+    #: per ``store_token`` (the store's content identity), so warm starts
+    #: ship nothing through job pickles.
     store_dir: Optional[str] = None
     store_token: str = ""
-    store_shards: int = DEFAULT_SHARD_COUNT
     #: Optional process-shared verdict tier (a sharded Manager-dict tier,
     #: see repro.store.sharding) consulted on local cache misses when the
     #: campaign runs on a process pool.
@@ -346,13 +344,13 @@ def execute_job(job: CampaignJob) -> JobReport:
 
 def _warm_from_store(job: CampaignJob, cache: VerdictCache, solver: Solver) -> None:
     """Warm-from-disk: each worker opens the store once per store state and
-    merges its shards locally — no entries travel in job pickles.  Live
+    merges its verdicts locally — no entries travel in job pickles.  Live
     verdicts outrank stored ones (strict=False): a corrupted-but-well-formed
-    segment entry must degrade the cache, never crash the job."""
+    record entry must degrade the cache, never crash the job."""
     try:
         from repro.store import VerificationStore
 
-        store = VerificationStore(job.store_dir, shards=job.store_shards)
+        store = VerificationStore(job.store_dir)
         loaded = cache.merge(store.load(), strict=False)
     except Exception as exc:
         # An unreadable store only loses the warm start; the job still

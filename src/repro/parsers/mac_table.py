@@ -16,7 +16,7 @@ one VLAN.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.models.switch import SwitchModelStyle, build_switch
 from repro.network.element import NetworkElement
@@ -27,22 +27,28 @@ _ENTRY = re.compile(
 )
 
 
-def parse_mac_table(
-    text: str, vlan: Optional[int] = None
-) -> Dict[str, List[int]]:
-    """Parse a MAC-table snapshot into ``{port: [mac, ...]}``."""
-    table: Dict[str, List[int]] = {}
+def mac_table_entries(text: str) -> Iterator[Tuple[int, int, str]]:
+    """``(vlan, mac, port)`` for every table entry of a snapshot, in file
+    order."""
     for line in text.splitlines():
         match = _ENTRY.match(line)
         if not match:
-            continue
-        if vlan is not None and int(match.group("vlan")) != vlan:
             continue
         try:
             mac = mac_to_number(match.group("mac"))
         except ValueError:
             continue
-        table.setdefault(match.group("port"), []).append(mac)
+        yield int(match.group("vlan")), mac, match.group("port")
+
+
+def parse_mac_table(
+    text: str, vlan: Optional[int] = None
+) -> Dict[str, List[int]]:
+    """Parse a MAC-table snapshot into ``{port: [mac, ...]}``."""
+    table: Dict[str, List[int]] = {}
+    for entry_vlan, mac, port in mac_table_entries(text):
+        if vlan is None or entry_vlan == vlan:
+            table.setdefault(port, []).append(mac)
     return table
 
 

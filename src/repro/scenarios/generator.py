@@ -42,13 +42,17 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.models.router import longest_prefix_match
-from repro.parsers.mac_table import format_mac_table, parse_mac_table
+from repro.parsers.mac_table import (
+    format_mac_table,
+    mac_table_entries,
+    parse_mac_table,
+)
 from repro.parsers.routing_table import format_routing_table, parse_routing_table
+from repro.parsers.service_acl import format_service_acl, parse_service_acl
 from repro.parsers.topology_file import Snapshot, read_declarations
 from repro.sefl.util import number_to_ip
 
@@ -56,8 +60,6 @@ from repro.sefl.util import number_to_ip
 #: :data:`repro.workloads.stanford.SERVICE_ACL_PORTS` is not required;
 #: inserts skip ports the file already blocks.
 ACL_PORT_POOL = (21, 22, 25, 53, 80, 110, 143, 443, 8080, 8443)
-
-_MAC_VLAN = re.compile(r"^\s*(?P<vlan>\d+)\s+[0-9a-fA-F.:-]+\s+\w+\s+\S+\s*$")
 
 
 @dataclass(frozen=True)
@@ -166,25 +168,20 @@ def _edge_fib_files(
 def _acl_edit(
     text: str, target: str, rng: random.Random, insert: bool
 ) -> Optional[Tuple[str, str]]:
-    lines = [line for line in text.splitlines() if line.strip()]
-    blocked = set()
-    for line in lines:
-        parts = line.split()
-        if len(parts) == 2 and parts[0] == "block" and parts[1].isdigit():
-            blocked.add(int(parts[1]))
+    ports = parse_service_acl(text)
     if insert:
-        pool = [port for port in ACL_PORT_POOL if port not in blocked]
+        pool = [port for port in ACL_PORT_POOL if port not in ports]
         if not pool:
             return None
         port = rng.choice(pool)
-        lines.insert(rng.randrange(len(lines) + 1), f"block {port}")
+        ports.insert(rng.randrange(len(ports) + 1), port)
         description = f"insert 'block {port}' into {target}"
     else:
-        if len(lines) <= 1:
+        if len(ports) <= 1:
             return None
-        removed = lines.pop(rng.randrange(len(lines)))
-        description = f"delete '{removed.strip()}' from {target}"
-    return "\n".join(lines) + "\n", description
+        port = ports.pop(rng.randrange(len(ports)))
+        description = f"delete 'block {port}' from {target}"
+    return format_service_acl(ports), description
 
 
 def _fib_edit(
@@ -222,21 +219,13 @@ def _fib_edit(
     return format_routing_table(fib), description
 
 
-def _mac_vlan(text: str) -> int:
-    for line in text.splitlines():
-        match = _MAC_VLAN.match(line)
-        if match:
-            return int(match.group("vlan"))
-    return 1
-
-
 def _mac_edit(
     text: str, target: str, rng: random.Random, insert: bool
 ) -> Optional[Tuple[str, str]]:
     table = parse_mac_table(text)
     if not table:
         return None
-    vlan = _mac_vlan(text)
+    vlan = next((entry[0] for entry in mac_table_entries(text)), 1)
     known = {mac for macs in table.values() for mac in macs}
     if insert:
         port = rng.choice(sorted(table))

@@ -1,26 +1,28 @@
-"""Persistent sharded verification store.
+"""Persistent verification store and the sharded shared tier.
 
-The :class:`VerificationStore` owns every piece of cross-process and
-cross-run verdict state:
+The :class:`VerificationStore` owns every piece of cross-run verdict
+state in one directory of checksummed, versioned records
+(:mod:`repro.store.records`):
 
-* a **sharded shared tier** (:class:`ShardedTier`) — the fingerprint space
-  prefix-partitioned across N ``multiprocessing.Manager`` dicts with
-  per-worker write buffers and batched publishes, replacing PR 3's single
-  Manager dict;
-* **disk persistence** — append-only, checksummed verdict segment files
-  per shard with atomic writes, quarantine-on-corruption loading and
-  compaction, so campaign warm starts open the store instead of pickling
-  entries into every job;
+* **verdicts** — one record per publish, loaded with
+  quarantine-on-corruption and folded by compaction, so campaign warm
+  starts open the store instead of pickling entries into every job;
 * a **plan-result cache** — finished plan payloads keyed on
   ``(NetworkModel fingerprint, Plan fingerprint)``, so a repeated identical
-  query batch never runs a campaign at all.
+  query batch never runs a campaign at all;
+* **delta baselines** — the last campaign over each snapshot directory.
 
-The store inherits PR 3's invariant verbatim: any combination of
-{no store, cold store, warm store} × {1 shard, N shards} × {workers 1, N}
-changes *which tier answers* a satisfiability query, never the answer.
+The **sharded shared tier** (:class:`ShardedTier`) is the cross-process
+tier of one campaign: the fingerprint space prefix-partitioned across N
+``multiprocessing.Manager`` dicts with per-worker write buffers and batched
+publishes.
+
+Both inherit one invariant: any combination of {no store, cold store, warm
+store} × {workers 1, N} changes *which tier answers* a satisfiability
+query, never the answer.
 """
 
-from repro.store.segments import SegmentFormatError, read_segment, write_segment
+from repro.store.records import RecordError, read_record, write_record
 from repro.store.sharding import (
     DEFAULT_PUBLISH_BATCH,
     DEFAULT_SHARD_COUNT,
@@ -32,12 +34,12 @@ from repro.store.store import StoreError, VerificationStore, clear_load_cache
 __all__ = [
     "DEFAULT_PUBLISH_BATCH",
     "DEFAULT_SHARD_COUNT",
-    "SegmentFormatError",
+    "RecordError",
     "ShardedTier",
     "StoreError",
     "VerificationStore",
     "clear_load_cache",
-    "read_segment",
+    "read_record",
     "shard_index",
-    "write_segment",
+    "write_record",
 ]

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-#: Fingerprint-space shards of a campaign's shared tier and of a newly
-#: created store (an existing store keeps the layout its STORE.json pins).
+#: Fingerprint-space shards of a campaign's shared tier.
 DEFAULT_SHARD_COUNT = 8
 #: Per-shard publish batch size of a campaign's shared tier.
 #: Deliberately small: a buffer that outlives the handful of full solves a

@@ -1,39 +1,41 @@
-"""The persistent verification store: verdict shards + plan-result cache.
+"""The persistent verification store: one directory of checksummed records.
 
 A :class:`VerificationStore` owns a directory of cross-run verification
 state::
 
     <store-dir>/
-      STORE.json                 # {"format": 1, "shards": N}
-      shards/00/…/segment-*.seg  # append-only verdict segments (segments.py)
-      plans/<model-fp>/<plan-fp>.json   # finished plan results
-      quarantine/                # segments that failed integrity checks
+      STORE.json                         # {"format": 2}
+      verdicts/<time>-<rand>.rec         # verdict batches, one per publish
+      plans/<model-fp>/<plan-key>.rec    # finished plan results
+      baselines/<sha256(dir)>.rec        # per-directory delta baselines
+      quarantine/                        # refused records + .reason files
 
-Two kinds of state live here:
+Three kinds of state live here, all in one file format
+(:mod:`repro.store.records`):
 
-* **verdict shards** — canonical-fingerprint → verdict entries, the same
-  data a :class:`~repro.solver.verdict_cache.VerdictCache` holds in memory,
-  prefix-partitioned across ``shards`` directories.  Campaigns *load* the
-  store once per worker process (instead of pickling warm entries into
-  every job) and *publish* the fresh verdicts they derived as one new
-  segment per affected shard.
-* **plan results** — finished
-  :class:`~repro.api.planner.PlanResult` payloads keyed on
-  ``(NetworkModel fingerprint, Plan fingerprint)``, so a repeated identical
-  query batch is answered without running a single engine job.
+* **verdicts** — canonical-fingerprint → verdict entries, the same data a
+  :class:`~repro.solver.verdict_cache.VerdictCache` holds in memory.
+  Campaigns *load* the store once per worker process (instead of pickling
+  warm entries into every job) and *publish* the fresh verdicts they
+  derived as one new record.  ``describe()`` calls these records
+  *segments*.
+* **plan results** — finished :class:`~repro.api.planner.PlanResult`
+  payloads keyed on ``(NetworkModel fingerprint, plan key)``, so a
+  repeated identical query batch is answered without running a single
+  engine job.
+* **delta baselines** — the last campaign over a snapshot directory,
+  keyed on the directory's absolute path (:mod:`repro.core.delta`).
 
-Trust model: disk contents are *evidence, never truth*.  Every segment is
-checksummed and fully validated before a single entry is used
-(:func:`repro.store.segments.read_segment`), loaded entries are folded in
-with the verdict cache's own conflict-refusing policy
-(:func:`~repro.solver.verdict_cache.resolve_verdict` /
-:meth:`~repro.solver.verdict_cache.VerdictCache.merge`), and a segment that
-fails either check is moved to ``quarantine/`` and ignored — the store
-degrades to a smaller cache, it never crashes a campaign and never serves
-data it cannot vouch for.  The soundness backstop is unchanged from PR 3:
-caching (including this store) changes *which tier answers*, never the
-answer, and the mutation suite in ``tests/test_store.py`` corrupts segments
-deliberately to prove it.
+Trust model: disk contents are *evidence, never truth*, with one policy
+for every kind.  Each record is checksummed and fully validated before any
+of it is used (:func:`~repro.store.records.read_record`), loaded verdicts
+are folded in with the verdict cache's own conflict-refusing policy
+(:func:`~repro.solver.verdict_cache.resolve_verdict`), and a record that
+fails either check is moved to ``quarantine/`` beside a ``.reason`` file
+and ignored — the store degrades to a smaller cache, it never crashes a
+campaign and never serves data it cannot vouch for.  Caching (including
+this store) changes *which tier answers*, never the answer; the mutation
+suite in ``tests/test_store.py`` corrupts records deliberately to prove it.
 """
 
 from __future__ import annotations
@@ -41,34 +43,29 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import time
 import uuid
 import warnings
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, List, Mapping, Optional, Tuple
-
-try:  # POSIX-only advisory locks; the store degrades gracefully without.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.solver.verdict_cache import (
     CacheConflictError,
     VerdictCache,
     resolve_verdict,
 )
-from repro.store.segments import (
-    SEGMENT_SUFFIX,
-    SegmentFormatError,
+from repro.store.records import (
+    RECORD_SUFFIX,
+    RecordError,
     atomic_write_bytes,
-    read_segment,
-    segment_stat,
-    write_segment,
+    read_record,
+    write_record,
 )
-from repro.store.sharding import DEFAULT_SHARD_COUNT, shard_index
 
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 _META_NAME = "STORE.json"
+_FINGERPRINT_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
 class StoreError(RuntimeError):
@@ -78,9 +75,9 @@ class StoreError(RuntimeError):
 # Read-through cache in front of ``VerificationStore.load()``, keyed by
 # (directory, content token): campaign workers construct a fresh store
 # instance per job, and without this every one of them re-read and
-# re-validated every segment on disk.  The content token changes whenever
-# any segment does, so a publish (from this or another process) naturally
-# invalidates — stale entries just age out of the LRU.
+# re-validated every verdict record on disk.  The content token changes
+# whenever any record does, so a publish (from this or another process)
+# naturally invalidates — stale entries just age out of the LRU.
 _LOAD_CACHE: "OrderedDict[Tuple[str, str], Dict[str, str]]" = OrderedDict()
 _LOAD_CACHE_LIMIT = 8
 
@@ -90,17 +87,31 @@ def clear_load_cache() -> None:
     _LOAD_CACHE.clear()
 
 
-def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
-    data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    atomic_write_bytes(path, data.encode("utf-8"))
+def _write_json(path: str, payload: Dict[str, object]) -> None:
+    atomic_write_bytes(path, (json.dumps(payload, sort_keys=True) + "\n").encode())
+
+
+def _is_verdict_map(body: object) -> bool:
+    return isinstance(body, dict) and all(
+        isinstance(fingerprint, str)
+        and _FINGERPRINT_RE.match(fingerprint)
+        and verdict in ("sat", "unsat")
+        for fingerprint, verdict in body.items()
+    )
+
+
+def _is_payload(body: object) -> bool:
+    return isinstance(body, dict)
+
+
+def _stem(path: str) -> str:
+    return os.path.basename(path)[: -len(RECORD_SUFFIX)]
 
 
 class VerificationStore:
-    """Disk-backed verdict shards plus a plan-result cache (module docs)."""
+    """Disk-backed verdicts, plan results and delta baselines (module docs)."""
 
-    def __init__(self, directory: str, shards: int = DEFAULT_SHARD_COUNT) -> None:
-        if shards < 1:
-            raise ValueError("a store needs at least one shard")
+    def __init__(self, directory: str) -> None:
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         meta_path = os.path.join(self.directory, _META_NAME)
@@ -110,164 +121,90 @@ class VerificationStore:
                     meta = json.load(handle)
             except (OSError, ValueError) as exc:
                 raise StoreError(f"unreadable store metadata {meta_path}: {exc}")
-            if meta.get("format") != STORE_FORMAT:
-                raise StoreError(
-                    f"store format {meta.get('format')!r} is not {STORE_FORMAT}"
-                )
-            # The shard layout is pinned at creation time; opening with a
-            # different count silently uses the on-disk layout (the caller's
-            # value is only a default for *new* stores).  The on-disk value
-            # is untrusted input like everything else in the directory:
-            # reject anything that is not a usable shard count here, not
-            # deep inside a campaign's end-of-run publish.
-            stored_shards = meta.get("shards", shards)
-            if (
-                not isinstance(stored_shards, int)
-                or isinstance(stored_shards, bool)
-                or stored_shards < 1
-            ):
-                raise StoreError(
-                    f"store metadata declares an unusable shard count "
-                    f"{stored_shards!r}"
-                )
-            self.shard_count = stored_shards
+            if not isinstance(meta, dict) or meta.get("format") != STORE_FORMAT:
+                found = meta.get("format") if isinstance(meta, dict) else None
+                raise StoreError(f"store format {found!r} is not {STORE_FORMAT}")
         else:
-            self.shard_count = shards
-            _atomic_write_json(
-                meta_path, {"format": STORE_FORMAT, "shards": self.shard_count}
-            )
-        for index in range(self.shard_count):
-            os.makedirs(self._shard_dir(index), exist_ok=True)
-        os.makedirs(self._plan_dir(), exist_ok=True)
-        os.makedirs(self._quarantine_dir(), exist_ok=True)
+            _write_json(meta_path, {"format": STORE_FORMAT})
+        for name in ("verdicts", "plans", "baselines", "quarantine"):
+            os.makedirs(os.path.join(self.directory, name), exist_ok=True)
         self._verdicts: Optional[Dict[str, str]] = None
-        #: (segment path, reason) pairs quarantined by the last load.
+        #: (record path, reason) pairs this instance quarantined.
         self.quarantined: List[Tuple[str, str]] = []
-        #: Segments the last load skipped on transient read errors.
+        #: Records skipped on read errors since the last load began.
         self._transient_skips = 0
         #: Best-effort operations that failed on this instance (quarantine
-        #: moves, plan-cache unlinks, baseline writes, shard-lock
-        #: acquisition).  None of them affect answers, but a long-lived
-        #: service must see them: the campaign driver folds the delta into
-        #: ``CampaignStats.degraded_operations``.
+        #: moves, baseline writes, plan removals).  None of them affect
+        #: answers, but a long-lived service must see them: the campaign
+        #: driver folds the delta into ``CampaignStats.degraded_operations``.
         self.degraded_operations = 0
 
-    # -- layout ----------------------------------------------------------------
+    # -- one read path, one distrust policy ----------------------------------
 
-    def _shard_dir(self, index: int) -> str:
-        return os.path.join(self.directory, "shards", f"{index:02d}")
+    def _path(self, *parts: str) -> str:
+        return os.path.join(self.directory, *parts)
 
-    def _plan_dir(self) -> str:
-        return os.path.join(self.directory, "plans")
-
-    def _quarantine_dir(self) -> str:
-        return os.path.join(self.directory, "quarantine")
-
-    def _segments_of(self, index: int) -> List[str]:
-        shard_dir = self._shard_dir(index)
+    def _read(
+        self, path: str, kind: str, key: str, valid: Callable[[object], bool]
+    ) -> Optional[object]:
+        """The body of one record, or ``None``.  A record that fails a check
+        is quarantined; one that cannot be *read* (missing, a permissions
+        hiccup) proves nothing about its content and is left alone."""
         try:
-            names = sorted(
-                name
-                for name in os.listdir(shard_dir)
-                if name.endswith(SEGMENT_SUFFIX) and not name.startswith(".")
-            )
+            body = read_record(path, kind, key)
+            if not valid(body):
+                raise RecordError(f"malformed {kind} body")
+            return body
+        except RecordError as exc:
+            self._quarantine(path, str(exc))
         except OSError:
-            # Provably best-effort: an unlistable (usually not-yet-created)
-            # shard directory holds no loadable segments by definition.
-            return []
-        return [os.path.join(shard_dir, name) for name in names]
-
-    def _segment_path(self, index: int) -> str:
-        """A fresh, collision-free segment name.  The counter keeps load
-        order deterministic (sorted by name ≈ publish order); the random
-        suffix keeps concurrent writers from clobbering each other."""
-        existing = self._segments_of(index)
-        counter = len(existing)
-        for path in existing:
-            name = os.path.basename(path)
-            try:
-                counter = max(counter, int(name.split("-")[1]) + 1)
-            except (IndexError, ValueError):
-                pass
-        name = f"segment-{counter:08d}-{uuid.uuid4().hex[:8]}{SEGMENT_SUFFIX}"
-        return os.path.join(self._shard_dir(index), name)
-
-    @contextmanager
-    def _shard_lock(self, index: int):
-        """Advisory per-shard file lock held around choosing a segment name
-        and writing the segment, so two processes publishing into one store
-        directory cannot race ``_segment_path``'s counter scan and interleave
-        (or clobber) each other's appends.  Locking is best-effort: platforms
-        without ``fcntl`` (and lock-file I/O errors) fall back to the old
-        uuid-suffix collision avoidance instead of failing the publish."""
-        if fcntl is None:
-            yield
-            return
-        lock_path = os.path.join(self._shard_dir(index), ".lock")
-        # One flat acquire/yield/release: whatever happens — open failure,
-        # flock failure, an exception out of the caller's body — the single
-        # ``finally`` below releases the lock iff it was taken and closes
-        # the handle iff it was opened, so no branch can leak the file
-        # handle or leave the shard locked.
-        handle = None
-        locked = False
-        try:
-            try:
-                handle = open(lock_path, "a+b")
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-                locked = True
-            except OSError:
-                # Best-effort: uuid-suffixed segment names still avoid
-                # clobbers — but publishing unlocked is a degraded mode
-                # worth counting.
-                self.degraded_operations += 1
-            yield
-        finally:
-            if handle is not None:
-                if locked:
-                    try:
-                        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-                    except OSError:
-                        # Provably best-effort: close() below drops the
-                        # flock anyway; the explicit unlock only shortens
-                        # the window.
-                        pass
-                handle.close()
-
-    # -- integrity / quarantine ------------------------------------------------
+            self._transient_skips += 1
+        return None
 
     def _quarantine(self, path: str, reason: str) -> None:
         self.quarantined.append((path, reason))
-        target = os.path.join(
-            self._quarantine_dir(),
-            f"{os.path.basename(path)}.{uuid.uuid4().hex[:8]}",
+        target = self._path(
+            "quarantine", f"{os.path.basename(path)}.{uuid.uuid4().hex[:8]}"
         )
         try:
             os.replace(path, target)
-            _atomic_write_json(target + ".reason", {"segment": path, "reason": reason})
+            _write_json(target + ".reason", {"record": path, "reason": reason})
         except OSError as exc:
-            # The segment is already ignored for *this* load, but a failed
-            # move means every future load re-reads and re-convicts it —
+            # The record is already ignored for *this* read, but a failed
+            # move means every future read re-reads and re-convicts it —
             # warn instead of hiding the creeping cost.
             self.degraded_operations += 1
             warnings.warn(
-                f"could not move bad segment {path} to quarantine ({exc}); "
-                "it stays in place and will be re-checked on every load",
+                f"could not move bad record {path} to quarantine ({exc}); "
+                "it stays in place and will be re-checked on every read",
                 RuntimeWarning,
                 stacklevel=3,
             )
 
-    # -- verdict shards ----------------------------------------------------------
+    def _records(self, *parts: str) -> List[str]:
+        directory = self._path(*parts)
+        try:
+            names = sorted(
+                name
+                for name in os.listdir(directory)
+                if name.endswith(RECORD_SUFFIX) and not name.startswith(".")
+            )
+        except OSError:
+            # Provably best-effort: an unlistable directory holds no
+            # loadable records by definition.
+            return []
+        return [os.path.join(directory, name) for name in names]
+
+    # -- verdicts ------------------------------------------------------------
 
     def load(self, refresh: bool = False) -> Dict[str, str]:
-        """Every trustworthy verdict in the store, merged across shards.
+        """Every trustworthy verdict in the store.
 
-        Each segment is checksum-validated, then probed entry-by-entry
-        against everything already accepted under the verdict cache's one
-        combination policy (:func:`resolve_verdict`): a definite verdict may
-        supersede an "unknown", but a definite-vs-definite disagreement
-        convicts the *segment* — it is quarantined wholesale, never
-        half-trusted.  The surviving map is cached on the instance.
+        Each record is validated, then probed entry-by-entry against
+        everything already accepted under the verdict cache's one
+        combination policy (:func:`resolve_verdict`): a definite-vs-definite
+        disagreement convicts the *record* — it is quarantined wholesale,
+        never half-trusted.  The surviving map is cached on the instance.
         """
         if self._verdicts is not None and not refresh:
             return dict(self._verdicts)
@@ -278,97 +215,91 @@ class VerificationStore:
                 _LOAD_CACHE.move_to_end(cache_key)
                 self._verdicts = dict(cached)
                 return dict(self._verdicts)
-        self._verdicts = self._load_segments(
-            {
-                index: self._segments_of(index)
-                for index in range(self.shard_count)
-            }
-        )
-        if not self.quarantined and not self._transient_skips:
-            # A load that quarantined segments changed the directory out
+        quarantined = len(self.quarantined)
+        self._verdicts = self._merge_records(self._records("verdicts"))
+        if len(self.quarantined) == quarantined and not self._transient_skips:
+            # A load that quarantined records changed the directory out
             # from under its own key, and one that skipped an unreadable
-            # segment saw less than the key describes; only clean,
-            # complete loads are reusable.
+            # record saw less than the key describes; only clean, complete
+            # loads are reusable.
             _LOAD_CACHE[cache_key] = dict(self._verdicts)
             _LOAD_CACHE.move_to_end(cache_key)
             while len(_LOAD_CACHE) > _LOAD_CACHE_LIMIT:
                 _LOAD_CACHE.popitem(last=False)
         return dict(self._verdicts)
 
-    def _load_segments(self, segment_lists: Dict[int, List[str]]) -> Dict[str, str]:
-        """Validate-and-merge exactly the listed segment files (quarantining
-        failures), returning the surviving verdict map."""
+    def _merge_records(self, paths: List[str]) -> Dict[str, str]:
+        """Validate-and-merge exactly the listed verdict records
+        (quarantining failures), returning the surviving verdict map."""
         accepted = VerdictCache(max_entries=2**31)
         self._transient_skips = 0
-        for index in sorted(segment_lists):
-            for path in segment_lists[index]:
-                try:
-                    entries = read_segment(path, index)
-                except SegmentFormatError as exc:
-                    # Content-level failure: the file is provably bad.
-                    self._quarantine(path, str(exc))
-                    continue
-                except OSError:
-                    # Could not *read* the file (permissions hiccup,
-                    # transient I/O error): proves nothing about its
-                    # content — skip it for this load, never quarantine.
-                    self._transient_skips += 1
-                    continue
-                # Probe the whole segment against everything accepted so
-                # far, then commit: a conflicting segment is refused
-                # wholesale, never half-trusted.
-                staged = {}
-                conflict = None
-                for fingerprint in sorted(entries):
-                    action = resolve_verdict(
-                        accepted.peek(fingerprint), entries[fingerprint]
+        for path in paths:
+            entries = self._read(path, "verdicts", _stem(path), _is_verdict_map)
+            if entries is None:
+                continue
+            # Probe the whole record against everything accepted so far,
+            # then commit: a conflicting record is refused wholesale.
+            staged = {}
+            for fingerprint in sorted(entries):
+                action = resolve_verdict(
+                    accepted.peek(fingerprint), entries[fingerprint]
+                )
+                if action == "conflict":
+                    self._quarantine(
+                        path,
+                        f"fingerprint {fingerprint[:12]}… maps to "
+                        f"{accepted.peek(fingerprint)!r} elsewhere, "
+                        f"{entries[fingerprint]!r} here",
                     )
-                    if action == "conflict":
-                        conflict = (
-                            f"fingerprint {fingerprint[:12]}… maps to "
-                            f"{accepted.peek(fingerprint)!r} elsewhere, "
-                            f"{entries[fingerprint]!r} here"
-                        )
-                        break
-                    if action == "replace":
-                        staged[fingerprint] = entries[fingerprint]
-                if conflict is not None:
-                    self._quarantine(path, conflict)
-                    continue
+                    break
+                if action == "replace":
+                    staged[fingerprint] = entries[fingerprint]
+            else:
                 for fingerprint, verdict in staged.items():
                     accepted.put(fingerprint, verdict, fresh=False)
         return accepted.snapshot()
+
+    def _write_verdicts(self, entries: Mapping[str, str]) -> None:
+        """One new verdict record.  The time prefix keeps load order
+        deterministic (sorted by name ≈ publish order); the random suffix
+        keeps concurrent writers from clobbering each other."""
+        if not _is_verdict_map(entries):
+            raise ValueError(
+                "not a map of canonical fingerprint to sat/unsat verdict"
+            )
+        name = f"{time.time_ns():020d}-{uuid.uuid4().hex[:8]}"
+        write_record(
+            self._path("verdicts", name + RECORD_SUFFIX), "verdicts", name,
+            dict(entries),
+        )
 
     def verdict_count(self) -> int:
         return len(self.load())
 
     def content_token(self) -> str:
-        """Identity of the store's current segment set.  Campaign jobs carry
-        this token so each worker process merges the store into its verdict
-        cache exactly once per store state (the same idempotence scheme as
-        PR 3's warm-map tokens), and a later publish changes the token."""
+        """Identity of the store's current verdict records.  Campaign jobs
+        carry this token so each worker process merges the store into its
+        verdict cache exactly once per store state, and a later publish
+        changes the token."""
         stats = []
-        for index in range(self.shard_count):
-            for path in self._segments_of(index):
-                try:
-                    stats.append((index,) + segment_stat(path))
-                except OSError:
-                    # Provably best-effort: the segment vanished between
-                    # listing and stat (concurrent compaction) — the token
-                    # correctly describes the files that remain.
-                    continue
-        payload = repr((self.shard_count, sorted(stats)))
-        return "store:" + hashlib.sha256(payload.encode()).hexdigest()
+        for path in self._records("verdicts"):
+            try:
+                stat = os.stat(path)
+            except OSError:
+                # Provably best-effort: the record vanished between listing
+                # and stat (concurrent compaction) — the token correctly
+                # describes the files that remain.
+                continue
+            stats.append((os.path.basename(path), stat.st_size, stat.st_mtime_ns))
+        return "store:" + hashlib.sha256(repr(stats).encode()).hexdigest()
 
     def publish(self, entries: Mapping[str, str]) -> int:
         """Persist every entry the store does not already hold, as one new
-        segment per affected shard (atomic tmp-file + rename each).  Returns
-        how many entries were written.  "unknown" verdicts are never
-        persisted: they are budget-dependent incompleteness, worthless on a
-        later run that might solve the set definitively."""
+        record.  Returns how many entries were written.  "unknown" verdicts
+        are never persisted: they are budget-dependent incompleteness,
+        worthless on a later run that might solve the set definitively."""
         known = self.load()
-        fresh: List[Dict[str, str]] = [{} for _ in range(self.shard_count)]
-        added = 0
+        fresh: Dict[str, str] = {}
         for fingerprint in sorted(entries):
             verdict = entries[fingerprint]
             if verdict == "unknown":
@@ -380,117 +311,61 @@ class VerificationStore:
                     f"store has {known[fingerprint]!r}, incoming {verdict!r}"
                 )
             if action == "replace":
-                fresh[shard_index(fingerprint, self.shard_count)][fingerprint] = verdict
-                added += 1
-        for index, batch in enumerate(fresh):
-            if batch:
-                with self._shard_lock(index):
-                    write_segment(self._segment_path(index), index, batch)
-        if added:
-            self._verdicts = None  # next load() sees the new segments
-        return added
+                fresh[fingerprint] = verdict
+        if fresh:
+            self._write_verdicts(fresh)
+            self._verdicts = None  # next load() sees the new record
+        return len(fresh)
 
     def compact(self) -> Dict[str, int]:
-        """Fold every shard's segments into one, dropping duplicates (and
+        """Fold every verdict record into one, dropping duplicates (and
         quarantining anything untrustworthy on the way in).
 
-        Race-safe against concurrent publishers: the segment lists are
+        Race-safe against concurrent publishers: the record list is
         snapshotted once, the replacement is built from — and the deletions
-        limited to — exactly those files, so a segment published while the
-        compaction runs is neither folded in nor deleted; it simply
-        survives alongside the compacted one."""
-        listed = {
-            index: self._segments_of(index)
-            for index in range(self.shard_count)
-        }
-        merged = self._load_segments(listed)
-        segments_before = sum(len(paths) for paths in listed.values())
-        per_shard: List[Dict[str, str]] = [{} for _ in range(self.shard_count)]
-        for fingerprint, verdict in merged.items():
-            per_shard[shard_index(fingerprint, self.shard_count)][fingerprint] = verdict
-        for index, batch in enumerate(per_shard):
-            with self._shard_lock(index):
-                if batch:
-                    write_segment(self._segment_path(index), index, batch)
-                # Quarantined files are already gone; a concurrently deleted
-                # segment (another compactor) is not this compaction's
-                # problem.
-                for path in listed[index]:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        # Provably best-effort: the snapshotted segment was
-                        # already deleted by a concurrent compactor; its
-                        # entries are in the replacement segment either way.
-                        pass
+        limited to — exactly those files, so a record published while the
+        compaction runs is neither folded in nor deleted."""
+        listed = self._records("verdicts")
+        merged = self._merge_records(listed)
+        if merged:
+            self._write_verdicts(merged)
+        for path in listed:
+            try:
+                os.unlink(path)
+            except OSError:
+                # Provably best-effort: the record was quarantined, or
+                # deleted by a concurrent compactor; its entries are in a
+                # replacement record either way.
+                pass
         self._verdicts = None
         return {
             "entries": len(merged),
-            "segments_before": segments_before,
-            "segments_after": sum(
-                1 for i in range(self.shard_count) if per_shard[i]
-            ),
+            "segments_before": len(listed),
+            "segments_after": 1 if merged else 0,
         }
 
-    # -- plan-result cache -------------------------------------------------------
+    # -- plan-result cache ---------------------------------------------------
 
-    def _plan_path(self, model_fingerprint: str, plan_fingerprint: str) -> str:
-        return os.path.join(
-            self._plan_dir(), model_fingerprint, plan_fingerprint + ".json"
-        )
+    def _plan_path(self, model_fingerprint: str, plan_key: str) -> str:
+        return self._path("plans", model_fingerprint, plan_key + RECORD_SUFFIX)
 
     def get_plan(
-        self, model_fingerprint: str, plan_fingerprint: str
+        self, model_fingerprint: str, plan_key: str
     ) -> Optional[Dict[str, object]]:
-        """The stored payload of a finished plan, or None.  An unreadable or
-        structurally wrong file is treated as a miss (and removed) — same
-        distrust-and-degrade policy as the verdict shards."""
-        path = self._plan_path(model_fingerprint, plan_fingerprint)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except OSError:
-            # Provably best-effort: no (readable) file simply means a plan
-            # cache miss, the caller recomputes.
-            return None
-        except ValueError:
-            self._drop_bad_plan(path)
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("plan_fingerprint") != plan_fingerprint
-            or record.get("model_fingerprint") != model_fingerprint
-            or not isinstance(record.get("payload"), dict)
-        ):
-            self._drop_bad_plan(path)
-            return None
-        return record["payload"]
-
-    def _drop_bad_plan(self, path: str) -> None:
-        """Remove an unparseable/mismatched plan-cache file.  It is already
-        treated as a miss; a failed unlink only means the next lookup pays
-        the re-read again, so count it instead of failing the query."""
-        try:
-            os.unlink(path)
-        except OSError:
-            self.degraded_operations += 1
+        """The stored payload of a finished plan, or None."""
+        return self._read(
+            self._plan_path(model_fingerprint, plan_key),
+            "plan",
+            f"{model_fingerprint}/{plan_key}",
+            _is_payload,
+        )
 
     def put_plan(
-        self,
-        model_fingerprint: str,
-        plan_fingerprint: str,
-        payload: Mapping[str, object],
+        self, model_fingerprint: str, plan_key: str, payload: Mapping[str, object]
     ) -> None:
-        path = self._plan_path(model_fingerprint, plan_fingerprint)
+        path = self._plan_path(model_fingerprint, plan_key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        _atomic_write_json(
-            path,
-            {
-                "model_fingerprint": model_fingerprint,
-                "plan_fingerprint": plan_fingerprint,
-                "payload": dict(payload),
-            },
-        )
+        write_record(path, "plan", f"{model_fingerprint}/{plan_key}", dict(payload))
 
     def invalidate_plans(self, model_fingerprint: Optional[str] = None) -> int:
         """Drop cached plan results — all of them, or one model's.  This is
@@ -498,15 +373,14 @@ class VerificationStore:
         model fingerprint cannot see change (workload builders edited in
         place, regenerated snapshot directories restored with old mtimes)."""
         removed = 0
-        plan_dir = self._plan_dir()
         try:
-            model_dirs = sorted(os.listdir(plan_dir))
+            model_dirs = sorted(os.listdir(self._path("plans")))
         except OSError:
             return 0
         for name in model_dirs:
             if model_fingerprint is not None and name != model_fingerprint:
                 continue
-            model_dir = os.path.join(plan_dir, name)
+            model_dir = self._path("plans", name)
             if not os.path.isdir(model_dir):
                 continue
             for entry in sorted(os.listdir(model_dir)):
@@ -514,7 +388,7 @@ class VerificationStore:
                     os.unlink(os.path.join(model_dir, entry))
                     removed += 1
                 except OSError as exc:
-                    # A plan file that survives an explicit invalidation
+                    # A plan record that survives an explicit invalidation
                     # keeps getting *served* — silently reporting it
                     # removed would defeat the caller's whole intent.
                     self.degraded_operations += 1
@@ -535,52 +409,39 @@ class VerificationStore:
         return removed
 
     def plan_count(self) -> int:
-        count = 0
-        plan_dir = self._plan_dir()
         try:
-            names = os.listdir(plan_dir)
+            names = os.listdir(self._path("plans"))
         except OSError:
             return 0
-        for name in names:
-            model_dir = os.path.join(plan_dir, name)
-            if os.path.isdir(model_dir):
-                count += sum(
-                    1 for entry in os.listdir(model_dir) if entry.endswith(".json")
-                )
-        return count
+        return sum(len(self._records("plans", name)) for name in names)
 
-    # -- delta baselines ---------------------------------------------------------
-
-    def _baseline_dir(self) -> str:
-        return os.path.join(self.directory, "baselines")
+    # -- delta baselines -----------------------------------------------------
 
     def _baseline_path(self, directory: str) -> str:
-        key = hashlib.sha256(os.path.abspath(directory).encode()).hexdigest()
-        return os.path.join(self._baseline_dir(), key + ".json")
+        name = hashlib.sha256(os.path.abspath(directory).encode()).hexdigest()
+        return self._path("baselines", name + RECORD_SUFFIX)
 
     def get_baseline(self, directory: str) -> Optional[Dict[str, object]]:
         """The recorded delta baseline for one snapshot directory (element
-        manifest + per-port job reports), or ``None``.  Unreadable or
-        structurally wrong files are a miss, never an error — baselines
-        only ever accelerate, and :mod:`repro.core.delta` re-validates the
-        payload anyway."""
-        path = self._baseline_path(directory)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return record if isinstance(record, dict) else None
+        manifest + per-port job reports), or ``None``."""
+        return self._read(
+            self._baseline_path(directory),
+            "baseline",
+            os.path.abspath(directory),
+            _is_payload,
+        )
 
-    def put_baseline(
-        self, directory: str, payload: Mapping[str, object]
-    ) -> None:
+    def put_baseline(self, directory: str, payload: Mapping[str, object]) -> None:
         """Record a campaign's baseline payload for its directory, replacing
         any previous one (the payload already merges spliced-forward ports,
         so chains of edits keep a complete baseline)."""
-        os.makedirs(self._baseline_dir(), exist_ok=True)
         try:
-            _atomic_write_json(self._baseline_path(directory), dict(payload))
+            write_record(
+                self._baseline_path(directory),
+                "baseline",
+                os.path.abspath(directory),
+                dict(payload),
+            )
         except OSError as exc:
             # Best-effort — losing a baseline only costs a full rerun — but
             # a resident service leaning on delta verification should see
@@ -593,36 +454,15 @@ class VerificationStore:
                 stacklevel=2,
             )
 
-    def baseline_count(self) -> int:
-        try:
-            return sum(
-                1
-                for name in os.listdir(self._baseline_dir())
-                if name.endswith(".json")
-            )
-        except OSError:
-            return 0
-
-    # -- inspection ---------------------------------------------------------------
+    # -- inspection ----------------------------------------------------------
 
     def describe(self) -> Dict[str, object]:
         """JSON-able summary for ``repro.cli store inspect``."""
         verdicts = self.load(refresh=True)
-        per_shard = {}
-        for index in range(self.shard_count):
-            segments = self._segments_of(index)
-            per_shard[f"{index:02d}"] = {
-                "segments": len(segments),
-                "entries": sum(
-                    1
-                    for fingerprint in verdicts
-                    if shard_index(fingerprint, self.shard_count) == index
-                ),
-            }
         try:
             quarantine_files = [
                 name
-                for name in sorted(os.listdir(self._quarantine_dir()))
+                for name in sorted(os.listdir(self._path("quarantine")))
                 if not name.endswith(".reason")
             ]
         except OSError:
@@ -630,12 +470,10 @@ class VerificationStore:
         return {
             "directory": self.directory,
             "format": STORE_FORMAT,
-            "shards": self.shard_count,
             "verdicts": len(verdicts),
-            "segments": sum(cell["segments"] for cell in per_shard.values()),
-            "per_shard": per_shard,
+            "segments": len(self._records("verdicts")),
             "plans": self.plan_count(),
-            "baselines": self.baseline_count(),
+            "baselines": len(self._records("baselines")),
             "quarantined": quarantine_files,
             "content_token": self.content_token(),
         }

@@ -81,6 +81,27 @@ class TestReachability:
         assert delivered
         assert all(p["last_port"] == "r1:to-internet" for p in delivered)
 
+    @pytest.mark.parametrize(
+        "mac", ["0011.2233.4455", "00-11-22-33-44-55", "00:11:22:33:44:55"]
+    )
+    def test_field_takes_every_mac_notation(self, network_dir, capsys, mac):
+        """A 48-bit field takes the dotted notation the MAC-table snapshots
+        use, and the dashed one, as well as colons: the query answers as
+        if the colon form had been given."""
+        args = ["--field", "IpDst=8.8.8.8", "--no-shared-cache"]
+        assert main(
+            ["query", str(network_dir), "forall_pairs(reach)", *args,
+             "--field", "EtherDst=00:11:22:33:44:55"]
+        ) == 0
+        reference = json.loads(capsys.readouterr().out)
+        assert main(
+            ["query", str(network_dir), "forall_pairs(reach)", *args,
+             "--field", f"EtherDst={mac}"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["queries"] == reference["queries"]
+        assert report["fingerprint"] == reference["fingerprint"]
+
     def test_packet_template_selection(self, network_dir, capsys):
         assert main(
             ["reachability", str(network_dir), "sw", "in0", "--packet", "udp"]
@@ -458,12 +479,17 @@ class TestStoreCommands:
 
         assert main(["store", "inspect", str(store_dir)]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["verdicts"] >= 0
-        assert summary["shards"] == 8
+        assert summary["verdicts"] > 0
+        assert summary["format"] == 2
+        assert summary["segments"] >= 1
         assert summary["quarantined"] == []
 
         assert main(["store", "compact", str(store_dir)]) == 0
         assert "compacted" in capsys.readouterr().out
+        assert main(["store", "inspect", str(store_dir)]) == 0
+        compacted = json.loads(capsys.readouterr().out)
+        assert compacted["segments"] == 1
+        assert compacted["verdicts"] == summary["verdicts"]
 
         assert main(["store", "clear-plans", str(store_dir)]) == 0
         assert "plan result" in capsys.readouterr().out
@@ -472,19 +498,17 @@ class TestStoreCommands:
         with pytest.raises(SystemExit, match="not a store directory"):
             main(["store", "inspect", str(tmp_path / "nope")])
 
-    def test_existing_store_keeps_its_shard_layout(
-        self, network_dir, tmp_path, capsys
-    ):
-        from repro.store import VerificationStore
-
-        store_dir = tmp_path / "the-store"
-        VerificationStore(str(store_dir), shards=3)
-        assert main(
-            ["campaign", str(network_dir), "--store-dir", str(store_dir)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["store", "inspect", str(store_dir)]) == 0
-        assert json.loads(capsys.readouterr().out)["shards"] == 3
+    def test_format_1_store_is_unusable(self, network_dir, tmp_path):
+        """A directory in the sharded segment layout (format 1) is refused
+        by name, not half-read: the user points the run at a new store."""
+        old = tmp_path / "old-store"
+        (old / "shards" / "00").mkdir(parents=True)
+        (old / "shards" / "00" / "segment-00000000-abcdef00.seg").write_text("{}\n")
+        (old / "STORE.json").write_text('{"format": 1, "shards": 8}')
+        with pytest.raises(
+            SystemExit, match="unusable store .*: store format 1 is not 2"
+        ):
+            main(["query", str(network_dir), "loop()", "--store-dir", str(old)])
 
     def test_unusable_store_fails_cleanly_on_query_and_campaign(
         self, network_dir, tmp_path

@@ -25,6 +25,7 @@ The acceptance criteria under test:
 import glob
 import os
 import random
+import re
 
 import pytest
 
@@ -297,7 +298,7 @@ class TestCampaignDelta:
         injections = _export_stanford(net)
         store = VerificationStore(str(tmp_path / "store"))
         cold, _ = _run(net, injections, store=store)
-        for path in glob.glob(str(tmp_path / "store" / "baselines" / "*.json")):
+        for path in glob.glob(str(tmp_path / "store" / "baselines" / "*.rec")):
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write('{"format": "nope"')
         (net / "acl2.acl").write_text("block 22\n")
@@ -307,6 +308,36 @@ class TestCampaignDelta:
         scratch, _ = _run(
             net, injections, shared_cache=False, delta=False
         )
+        assert _fingerprints(rerun) == _fingerprints(scratch)
+
+    def test_tampered_store_baseline_splices_nothing(self, tmp_path):
+        """A baseline whose bytes changed but still parse (one port's
+        delivered-path count) is refused by its record checksum and
+        quarantined: nothing is spliced from it, the answers are a scratch
+        run's."""
+        net = tmp_path / "net"
+        injections = _export_stanford(net)
+        store = VerificationStore(str(tmp_path / "store"))
+        _run(net, injections, store=store)
+        (path,) = glob.glob(str(tmp_path / "store" / "baselines" / "*"))
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        tampered = re.sub(
+            rb'("delivered":\s*)(\d+)',
+            lambda match: match.group(1) + str(int(match.group(2)) + 1).encode(),
+            raw,
+            count=1,
+        )
+        assert tampered != raw
+        with open(path, "wb") as handle:
+            handle.write(tampered)
+        (net / "acl2.acl").write_text("block 22\n")
+        store = VerificationStore(str(tmp_path / "store"))
+        rerun, rerun_runs = _run(net, injections, store=store)
+        assert rerun.stats.jobs_spliced_by_delta == 0
+        assert rerun_runs == len(injections)
+        assert [p for p, _ in store.quarantined] == [path]
+        scratch, _ = _run(net, injections, shared_cache=False, delta=False)
         assert _fingerprints(rerun) == _fingerprints(scratch)
 
     def test_delta_off_never_consults_the_baseline(self, tmp_path):

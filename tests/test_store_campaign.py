@@ -16,8 +16,10 @@ is one coordinate of the configuration lattice
 (``tests/test_config_lattice.py``).
 """
 
+import glob
 import multiprocessing
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -100,18 +102,14 @@ class TestCampaignPersistence:
         assert fresh.stats.store_entries_published > 0
 
     def test_quarantined_store_still_yields_identical_answers(self, tmp_path):
-        """Corrupting a shard on disk degrades the warm start, never the
+        """Corrupting a verdict record on disk degrades the warm start, never the
         verdicts: the campaign re-solves what the store lost."""
         source = NetworkSource.from_workload("stanford", **STANFORD_OPTIONS)
         store_dir = str(tmp_path / "store")
         cold = _run(source, store=VerificationStore(store_dir))
 
         poisoned = VerificationStore(store_dir)
-        segments = [
-            path
-            for index in range(poisoned.shard_count)
-            for path in poisoned._segments_of(index)
-        ]
+        segments = poisoned._records("verdicts")
         raw = bytearray(open(segments[0], "rb").read())
         raw[-2] ^= 0xFF
         open(segments[0], "wb").write(bytes(raw))
@@ -129,7 +127,7 @@ class TestCampaignPersistence:
         self, tmp_path, monkeypatch
     ):
         """A store whose contents conflict with the campaign's live solves
-        at publish time (corrupted-but-well-formed segments, a concurrent
+        at publish time (corrupted-but-well-formed records, a concurrent
         writer with an unsound build) must cost only the publish: the
         finished result survives with a RuntimeWarning, it is not
         discarded by the raise."""
@@ -217,6 +215,36 @@ class TestPlanResultCache:
         # Positional access follows the caller's (reversed) order.
         assert permuted[0].query == queries[-1].describe()
         assert permuted[2].query == queries[0].describe()
+
+    def test_tampered_plan_record_is_quarantined_never_served(self, tmp_path):
+        """A plan record whose body changed but still parses (one answer
+        flipped) is refused by its checksum and quarantined: the batch is
+        answered by a fresh run, never from the tampered copy."""
+        store_dir = str(tmp_path / "store")
+        queries = (Loop(), Invariant("IpSrc"), Reach("zr0:in-hosts", "zr1"))
+        clear_runtime_cache()
+        fresh = self._model().query(*queries, store=VerificationStore(store_dir))
+        (path,) = glob.glob(os.path.join(store_dir, "plans", "*", "*"))
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        flip = {b"true": b"false", b"false": b"true"}
+        tampered = re.sub(
+            rb'("holds":\s*)(true|false)',
+            lambda match: match.group(1) + flip[match.group(2)],
+            raw,
+            count=1,
+        )
+        assert tampered != raw
+        with open(path, "wb") as handle:
+            handle.write(tampered)
+        clear_runtime_cache()
+        store = VerificationStore(store_dir)
+        rerun = self._model().query(*queries, store=store)
+        assert not rerun.from_cache
+        assert [p for p, _ in store.quarantined] == [path]
+        assert [(r.holds, r.value, r.fingerprint) for r in rerun] == [
+            (r.holds, r.value, r.fingerprint) for r in fresh
+        ]
 
     def test_cache_hit_rehydrates_stats(self, tmp_path):
         store = VerificationStore(str(tmp_path / "store"))
