@@ -28,7 +28,7 @@ from repro.obs import get_tracer
 from repro.obs.metrics import PLAN_CACHE, STREAM_FIRST_RESULT_SECONDS
 
 from repro.api.model import NetworkModel
-from repro.api.queries import Query, QueryResult
+from repro.api.queries import Query, QueryResult, recode_answer
 from repro.core.campaign import (
     CampaignResult,
     Facts,
@@ -37,6 +37,7 @@ from repro.core.campaign import (
     VerificationCampaign,
 )
 from repro.core.queries import AGGREGATIONS, CampaignStats, port_key
+from repro.core.shapes import ReasonTable
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +336,34 @@ class PlanResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def plan_record(payload: Mapping[str, object]) -> Dict[str, object]:
+    """A :meth:`PlanResult.to_dict` payload as a store record body: each
+    reason text stated once, in a trailing ``reasons`` table its answers
+    refer to by id (the inverse of :func:`plan_from_record`)."""
+    reasons = ReasonTable()
+    body = _recode_answers(payload, lambda shape, value: shape.encode(value, reasons))
+    body["reasons"] = reasons.texts
+    return body
+
+
+def plan_from_record(body: Mapping[str, object]) -> Dict[str, object]:
+    """The payload :func:`plan_record` stored, its reasons rendered back to
+    text: key for key and byte for byte the ``to_dict`` of the run that
+    computed it.  ``ValueError`` on a body without a reason table."""
+    reasons = ReasonTable.from_payload(body.get("reasons"))
+    payload = {key: value for key, value in body.items() if key != "reasons"}
+    return _recode_answers(
+        payload, lambda shape, value: shape.rebuild(value, reasons=reasons)
+    )
+
+
+def _recode_answers(payload: Mapping[str, object], recode: Callable) -> Dict[str, object]:
+    answers = payload.get("queries")
+    if not isinstance(answers, list):
+        return dict(payload)
+    return dict(payload, queries=[recode_answer(answer, recode) for answer in answers])
+
+
 def execute_plan(
     plan: Plan,
     *,
@@ -356,7 +385,8 @@ def execute_plan(
     store's verdict records.
 
     ``baseline`` hands the campaign an explicit delta baseline (a
-    :class:`repro.core.delta.CampaignBaseline` or its payload dict); with
+    :class:`repro.core.delta.CampaignBaseline`, or its payload dict, which
+    the campaign refuses with ``ValueError`` if it does not parse); with
     ``delta`` left on, directory models also auto-detect the store's
     recorded baseline, so an edited directory on a plan-cache miss only
     re-executes the injection ports the edit could have touched (see

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.facts import Facts
-from repro.core.queries import port_key
+from repro.core.queries import InvariantReport, LoopReport, port_key
+from repro.core.shapes import Shape
 
 PortLike = Union[str, Tuple[str, str]]
 
@@ -143,21 +144,27 @@ class QueryResult:
     #: answer carries the fingerprint its original computed — which the
     #: store-parity tests assert is bit-identical to a fresh execution.
     stored_fingerprint: Optional[str] = None
+    _fingerprint: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def fingerprint(self) -> str:
         """Stable content hash of the answer: identical for any execution
-        order, worker count, or cache configuration."""
+        order, worker count, or cache configuration.  Computed on first
+        read — a result is not changed once it is built."""
         if self.stored_fingerprint is not None:
             return self.stored_fingerprint
-        if self.backend is not None and hasattr(self.backend, "fingerprint"):
-            payload: object = repr(self.backend.fingerprint())
-        else:
-            payload = self.value
-        return _fingerprint_payload(
-            {"query": self.query, "kind": self.kind, "holds": self.holds,
-             "payload": payload}
-        )
+        if self._fingerprint is None:
+            if self.backend is not None and hasattr(self.backend, "fingerprint"):
+                payload: object = repr(self.backend.fingerprint())
+            else:
+                payload = self.value
+            self._fingerprint = _fingerprint_payload(
+                {"query": self.query, "kind": self.kind, "holds": self.holds,
+                 "payload": payload}
+            )
+        return self._fingerprint
 
     def summary(self) -> str:
         """The answer in a word: the verdict; ``?`` when it is unknown
@@ -213,6 +220,16 @@ class Query:
     decidable = True
     name = ""
     params: Tuple[Param, ...] = ()
+    #: The shape of the answer value, declared where the value holds
+    #: reasons (:class:`~repro.core.shapes.Reason`): the stored plan record
+    #: states them once (:func:`recode_answer`).
+    value_shape: Optional[Shape] = None
+
+    @classmethod
+    def recode_value(cls, value, recode: Callable):
+        """An answer value of this kind with ``recode(shape, value)``
+        applied where it holds reasons."""
+        return value if cls.value_shape is None else recode(cls.value_shape, value)
 
     def requirements(self) -> Facts:
         """The per-job fact channels this query reads."""
@@ -364,6 +381,7 @@ class Loop(_PortScoped):
 
     name = "loop"
     params = (Param("port", ATOM),)
+    value_shape = LoopReport.VALUE_SHAPE
 
     def __init__(self, port: Optional[PortLike] = None) -> None:
         self.port = normalize_port(port) if port is not None else None
@@ -398,6 +416,7 @@ class Invariant(_PortScoped):
 
     name = "invariant"
     params = (Param("fields", LIST), Param("port", ATOM))
+    value_shape = InvariantReport.VALUE_SHAPE
 
     def __init__(self, *fields: str, port: Optional[PortLike] = None) -> None:
         if len(fields) == 1 and isinstance(fields[0], (tuple, list)):
@@ -560,6 +579,10 @@ class _Combinator(Query):
                 )
         self.queries = tuple(queries)
 
+    @classmethod
+    def recode_value(cls, value, recode: Callable):
+        return [recode_answer(child, recode) for child in value]
+
     def requirements(self) -> Facts:
         merged = Facts()
         for query in self.queries:
@@ -679,9 +702,7 @@ class _Quantifier(Query):
                 evidence={"reachable_pairs": matrix.pair_count()},
                 backend=matrix,
             )
-        inner = self.template._evaluate(ctx, keys)
-        inner.query = self.describe()
-        return inner
+        return replace(self.template._evaluate(ctx, keys), query=self.describe())
 
 
 class ForAllPairs(_Quantifier):
@@ -736,3 +757,16 @@ QUERY_TYPES: Dict[str, type] = {
     for cls in (Reach, Loop, Invariant, HeaderVisible, AdmittedValues,
                 All, Any_, Not, ForAllPairs, FromPorts)
 }
+
+
+def recode_answer(answer: Dict[str, object], recode: Callable) -> Dict[str, object]:
+    """An answer as :meth:`QueryResult.to_dict` renders it, with
+    ``recode(shape, value)`` applied where its kind's value holds reasons
+    (``Query.value_shape``; a combinator's children each by their own
+    kind).  Key order is kept; anything that is not such an answer is
+    returned as it is."""
+    kind = QUERY_TYPES.get(answer.get("kind")) if isinstance(answer, dict) else None
+    if kind is None:
+        return answer
+    value = kind.recode_value(answer.get("value"), recode)
+    return answer if value is answer.get("value") else dict(answer, value=value)

@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import NetworkModel, QueryParseError, parse_query
 from repro.core.campaign import DEFAULT_INVARIANT_FIELDS, PACKET_TEMPLATES
+from repro.core.delta import CampaignBaseline
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
 from repro.core.settings import SETTING_NAMES, RunSettings
 from repro.core.strategy import STRATEGIES
@@ -543,7 +544,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
     if args.delta_from:
         try:
             with open(args.delta_from, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
+                baseline = CampaignBaseline.parse(json.load(handle))
         except (OSError, ValueError) as exc:
             raise SystemExit(f"unusable baseline {args.delta_from}: {exc}")
     # The model validated exactly once; the campaign inherits those findings.
@@ -567,19 +568,20 @@ def _command_campaign(args: argparse.Namespace) -> int:
             result.delta_info.get("executed", 0),
         )
     if args.save_baseline:
-        if result.baseline_payload is None:
+        payload = result.baseline_payload
+        if payload is None:
             _LOG.warning(
                 "--save-baseline needs a snapshot-directory network; "
                 "no baseline written"
             )
         else:
             with open(args.save_baseline, "w", encoding="utf-8") as handle:
-                json.dump(result.baseline_payload, handle, indent=2)
+                json.dump(payload, handle, indent=2)
                 handle.write("\n")
             _LOG.info(
                 "wrote delta baseline to %s (%d ports)",
                 args.save_baseline,
-                len(result.baseline_payload["reports"]),
+                len(payload["reports"]),
             )
     _emit_report(
         result.to_json(),

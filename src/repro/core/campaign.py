@@ -139,10 +139,8 @@ class CampaignResult:
     #: was in play.
     delta_info: Dict[str, object] = field(default_factory=dict)
     #: This run packaged as the next run's delta baseline (directory
-    #: sources only) — what ``--save-baseline`` writes and the store keeps.
-    baseline_payload: Optional[Dict[str, object]] = field(
-        default=None, repr=False
-    )
+    #: sources only).
+    baseline: Optional[CampaignBaseline] = field(default=None, repr=False)
 
     @classmethod
     def aggregate(
@@ -189,6 +187,12 @@ class CampaignResult:
         result.stats.wall_clock_seconds = wall_clock_seconds
         result.stats.verdict_cache_entries = len(result.verdict_cache)
         return result
+
+    @property
+    def baseline_payload(self) -> Optional[Dict[str, object]]:
+        """The persisted form of :attr:`baseline` — what ``--save-baseline``
+        writes and the store keeps."""
+        return self.baseline.to_payload() if self.baseline is not None else None
 
     @property
     def job_errors(self) -> List[Tuple[str, str]]:
@@ -244,7 +248,9 @@ class VerificationCampaign:
         """``options`` are :class:`~repro.core.settings.RunSettings` fields
         (``packet``, ``max_paths``, ``symmetry``, …) and
         :class:`~repro.core.facts.Facts` channels (``invariant_fields``, …);
-        ``queries`` is the campaign's spelling of the facts' ``kinds``."""
+        ``queries`` is the campaign's spelling of the facts' ``kinds``.
+        ``baseline`` is a :class:`~repro.core.delta.CampaignBaseline` or its
+        payload; a payload that does not parse raises ``ValueError``."""
         if isinstance(source, Network):
             source = NetworkSource.from_network(source)
         elif isinstance(source, str):
@@ -263,9 +269,10 @@ class VerificationCampaign:
         # It is part of the cache stack ``shared_cache`` switches off.
         self._store = store if self.settings.shared_cache else None
         # An explicit delta baseline (a ``--save-baseline`` file, a
-        # scenario's previous state), possibly still in payload form.
+        # scenario's previous state), possibly still in payload form: one
+        # that cannot be parsed is refused, never silently dropped.
         if baseline is not None and not isinstance(baseline, CampaignBaseline):
-            baseline = CampaignBaseline.from_payload(baseline)
+            baseline = CampaignBaseline.parse(baseline)
         self._baseline: Optional[CampaignBaseline] = baseline
         self._injections: List[Tuple[str, str]] = []
         self._injection_facts: Dict[Tuple[str, str], Facts] = {}

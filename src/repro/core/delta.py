@@ -19,7 +19,9 @@ networks:
   closure (:func:`repro.network.view.elements_reaching`) — a sound
   over-approximation of anything the engine can traverse.
 * :class:`CampaignBaseline` packages a previous run's manifest plus its
-  per-port :class:`~repro.core.jobs.JobReport` payloads.
+  per-port :class:`~repro.core.jobs.JobReport` payloads; persisted, it
+  states each reason text once, in a :class:`~repro.core.shapes.ReasonTable`
+  the payloads refer to by id.
 * :class:`DeltaReducer` is the pipeline stage built from those parts: it
   splices baseline reports for unaffected ports into the fresh result,
   leaves only the rest on the run list (one edited ACL on a wide network ≈
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS
+from repro.core.shapes import ReasonTable
 from repro.core.jobs import CampaignJob, JobReport, job_config_digest
 from repro.core.sources import NetworkSource
 from repro.network.view import elements_reaching
@@ -46,7 +49,9 @@ from repro.obs import get_tracer
 
 #: Baseline payload format version; bump on incompatible layout changes
 #: (readers reject unknown versions and fall back to a full rerun).
-BASELINE_FORMAT = 1
+#: Format 2 states each reason once, in the payload's ``reasons`` table.
+BASELINE_FORMAT = 2
+
 
 @dataclass
 class ElementManifest:
@@ -147,36 +152,48 @@ def affected_injections(
 
 
 def report_to_payload(report: object) -> Dict[str, object]:
-    """One JobReport's semantic content as a JSON-able payload (the
-    inverse of :func:`report_from_payload`)."""
+    """One JobReport's semantic content, by reference (the inverse of
+    :func:`report_from_payload`)."""
     return {name: getattr(report, name) for name in SEMANTIC_FIELDS}
 
 
 def report_from_payload(
-    payload: Mapping[str, object], spliced_from: str
+    payload: Mapping[str, object],
+    spliced_from: str,
+    reasons: Optional[ReasonTable] = None,
 ) -> JobReport:
-    """Rebuild a JobReport from a baseline payload.  Solver and timing
-    counters stay zero — no engine work happened for this port — and the
-    report is marked with where it was spliced from, so JSON consumers can
-    tell a reused answer from a recomputed one."""
+    """Rebuild a JobReport from a baseline payload, whose reasons are ids
+    into ``reasons`` when one is given.  Solver and timing counters stay
+    zero — no engine work happened for this port — and the report is
+    marked with where it was spliced from, so JSON consumers can tell a
+    reused answer from a recomputed one."""
     return JobReport(
         element=str(payload["element"]),
         port=str(payload["port"]),
         delta_spliced_from=spliced_from,
-        **{spec.name: spec.rebuild(payload[spec.name]) for spec in REPORT_FIELDS},
+        **{
+            spec.name: spec.rebuild(payload[spec.name], reasons=reasons)
+            for spec in REPORT_FIELDS
+        },
     )
 
 
 @dataclass
 class CampaignBaseline:
     """A previous campaign's manifest plus its per-port report payloads —
-    what delta verification splices unaffected answers from."""
+    what delta verification splices unaffected answers from.
+
+    A baseline this process recorded holds its payloads as text; parsed
+    from a payload, or once :meth:`to_payload` has encoded it, their
+    reasons are ids into ``reasons``."""
 
     manifest: ElementManifest
     #: ``element:port`` -> {"config": job config digest, "report": payload}.
     reports: Dict[str, Dict[str, object]]
     #: Directory the baseline was recorded for (informational).
     source: str = ""
+    #: The table the payloads' reasons index; ``None`` while they are text.
+    reasons: Optional[ReasonTable] = None
 
     def report_for(
         self, key: str, config: str
@@ -191,39 +208,71 @@ class CampaignBaseline:
         return payload if isinstance(payload, Mapping) else None
 
     def to_payload(self) -> Dict[str, object]:
+        """The persisted form (what the store and ``--save-baseline``
+        write).  The first call states every reason once, assigning ids in
+        the order the reports meet them; a run that writes nothing never
+        pays for it."""
+        if self.reasons is None:
+            table = ReasonTable()
+            for entry in self.reports.values():
+                report = entry["report"] = dict(entry["report"])
+                for spec in _REASON_FIELDS:
+                    report[spec.name] = spec.encode(report[spec.name], table)
+            self.reasons = table
         return {
             "format": BASELINE_FORMAT,
             "source": self.source,
             "manifest": self.manifest.to_payload(),
+            "reasons": self.reasons.texts,
             "reports": self.reports,
         }
 
     @classmethod
-    def from_payload(cls, payload: object) -> Optional["CampaignBaseline"]:
-        """Parse a baseline payload; ``None`` on anything malformed (the
-        caller falls back to a full rerun — baselines are an accelerator,
-        never a prerequisite)."""
+    def parse(cls, payload: object) -> "CampaignBaseline":
+        """Parse a baseline payload; ``ValueError`` naming what is wrong
+        with one that cannot serve as a baseline."""
         if not isinstance(payload, Mapping):
-            return None
+            raise ValueError("a baseline is a JSON object")
         if payload.get("format") != BASELINE_FORMAT:
-            return None
+            raise ValueError(
+                f"baseline format {payload.get('format')!r} is not {BASELINE_FORMAT}"
+            )
         manifest = ElementManifest.from_payload(payload.get("manifest"))
+        if manifest is None:
+            raise ValueError("malformed baseline manifest")
         reports = payload.get("reports")
-        if manifest is None or not isinstance(reports, Mapping):
-            return None
+        if not isinstance(reports, Mapping) or not all(
+            isinstance(entry, Mapping) for entry in reports.values()
+        ):
+            raise ValueError("malformed baseline reports")
         return cls(
             manifest=manifest,
             reports={str(k): dict(v) for k, v in reports.items()},
             source=str(payload.get("source", "")),
+            reasons=ReasonTable.from_payload(payload.get("reasons")),
         )
 
+    @classmethod
+    def from_payload(cls, payload: object) -> Optional["CampaignBaseline"]:
+        """:meth:`parse`, but ``None`` on anything malformed (the caller
+        falls back to a full rerun — baselines are an accelerator, never a
+        prerequisite)."""
+        try:
+            return cls.parse(payload)
+        except ValueError:
+            return None
 
-def baseline_payload(
+
+#: The report fields that hold reasons.
+_REASON_FIELDS = tuple(spec for spec in REPORT_FIELDS if spec.has_reasons)
+
+
+def record_baseline(
     manifest: ElementManifest,
     configs: Mapping[str, str],
     reports: Iterable[object],
     source: str = "",
-) -> Dict[str, object]:
+) -> CampaignBaseline:
     """Package a finished campaign as the next run's baseline.  Errored
     reports are left out (their answer is not an answer); everything else —
     executed, symmetry-instantiated or itself spliced — carries the same
@@ -237,9 +286,7 @@ def baseline_payload(
         if config is None:
             continue
         entries[key] = {"config": config, "report": report_to_payload(report)}
-    return CampaignBaseline(
-        manifest=manifest, reports=entries, source=source
-    ).to_payload()
+    return CampaignBaseline(manifest=manifest, reports=entries, source=source)
 
 
 class DeltaReducer:
@@ -313,7 +360,7 @@ class DeltaReducer:
             diff.touched_elements,
         )
         run: List[CampaignJob] = []
-        payloads: List[Mapping[str, object]] = []
+        candidates: List[Tuple[CampaignJob, Mapping[str, object]]] = []
         for job in jobs:
             payload = None
             if (job.element, job.port) not in affected:
@@ -323,12 +370,18 @@ class DeltaReducer:
             if payload is None:
                 run.append(job)
             else:
-                payloads.append(payload)
-        with get_tracer().span("delta.splice", count=len(payloads)):
-            spliced = [
-                report_from_payload(payload, spliced_from=origin)
-                for payload in payloads
-            ]
+                candidates.append((job, payload))
+        spliced: List[JobReport] = []
+        with get_tracer().span("delta.splice", count=len(candidates)):
+            for job, payload in candidates:
+                try:
+                    spliced.append(
+                        report_from_payload(payload, origin, baseline.reasons)
+                    )
+                except (LookupError, TypeError, ValueError):
+                    # A report that does not decode (a field missing, a
+                    # reason id outside the table) is executed instead.
+                    run.append(job)
         self._info = {
             "spliced": len(spliced),
             "executed": len(run),
@@ -350,12 +403,13 @@ class DeltaReducer:
         # manifest plus every non-errored report (executed, instantiated or
         # itself spliced — all carry the same semantic content a fresh run
         # would).  Attached to the result for --save-baseline; persisted in
-        # the store so the next campaign auto-detects it.
+        # the store so the next campaign auto-detects it.  Only a write
+        # encodes it.
         with get_tracer().span("baseline.record", jobs=len(result.jobs)):
             manifest = ElementManifest.of_network(self._network())
             if manifest is None:
                 return
-            result.baseline_payload = baseline_payload(
+            result.baseline = record_baseline(
                 manifest,
                 {job.source_key: job_config_digest(job) for job in self._jobs},
                 result.jobs,
@@ -363,5 +417,5 @@ class DeltaReducer:
             )
             if self._enabled and self._store is not None:
                 self._store.put_baseline(
-                    self._directory, result.baseline_payload
+                    self._directory, result.baseline.to_payload()
                 )

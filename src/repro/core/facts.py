@@ -3,8 +3,9 @@
 Two of the campaign layer's three declarations (the third is
 :class:`~repro.core.settings.RunSettings`): :class:`Facts`, the channels a
 job collects, and :data:`REPORT_FIELDS`, the answer fields of a
-:class:`~repro.core.jobs.JobReport` with the *shape* their baseline
-decoding, symmetry renaming and JSON rendering are derived from.
+:class:`~repro.core.jobs.JobReport` with the *shape*
+(:mod:`repro.core.shapes`) their baseline encoding and decoding, symmetry
+renaming and JSON rendering are derived from.
 
 A new fact channel is one ``Facts`` field, one collector called from
 :func:`collect_facts` and one ``REPORT_FIELDS`` row — all in this module —
@@ -20,6 +21,7 @@ from repro.core.checks import admitted_values, field_invariant, header_visible
 from repro.core.errors import MemorySafetyError
 from repro.core.paths import ExecutionResult, PathStatus
 from repro.core.queries import AGGREGATIONS
+from repro.core.shapes import Reason, Shape, Text
 from repro.sefl.fields import standard_fields
 from repro.solver.solver import Solver
 
@@ -131,70 +133,20 @@ def loop_sort_key(loop: Mapping[str, object]) -> Tuple:
     )
 
 
-class Text(str):
-    """Shape leaf for port / element / message strings — what a symmetry
-    renaming rewrites.  Plain ``str`` keys and leaves are names it never
-    touches: header fields, path statuses, counter keys."""
-
-
-def _builder(shape) -> Callable:
-    """``shape`` compiled to ``build(value, text, ordered)``: a fresh copy of
-    ``value`` with leaves coerced to their type (``Text`` ones through
-    ``text``) and maps key-sorted if ``ordered``.  Shapes are the literals
-    they describe: ``{Text: int}`` a map, ``[Text]`` a list, a dict with
-    literal keys a record."""
-    if shape is Text:
-        return lambda value, text, ordered: text(str(value))
-    if isinstance(shape, type):
-        return lambda value, text, ordered: shape(value)
-    if isinstance(shape, list):
-        (item,) = map(_builder, shape)
-        return lambda value, text, ordered: [item(v, text, ordered) for v in value]
-    if all(isinstance(key, str) for key in shape):
-        parts = [
-            (key, _builder(sub), "" if sub is Text else ())
-            for key, sub in shape.items()
-        ]
-        return lambda value, text, ordered: {
-            key: build(value.get(key, default), text, ordered)
-            for key, build, default in parts
-        }
-    ((key_of, item_of),) = ((_builder(k), _builder(v)) for k, v in shape.items())
-
-    def build_map(value, text, ordered):
-        items = sorted(value.items()) if ordered else value.items()
-        rebuilt = {
-            key_of(key, text, ordered): item_of(item, text, ordered)
-            for key, item in items
-        }
-        if len(rebuilt) != len(value):
-            raise ValueError(f"renaming collides on the keys of {sorted(value)}")
-        return rebuilt
-
-    return build_map
-
-
-@dataclass(frozen=True)
-class ReportField:
+class ReportField(Shape):
     """One answer field of a :class:`JobReport`."""
 
-    name: str
-    shape: object
-    #: Sort key giving a list-valued field its canonical order.
-    order: Optional[Callable] = None
-    #: Planner-only: left out of ``to_dict`` while empty.
-    optional: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_build", _builder(self.shape))
-
-    def rebuild(self, value, text: Callable[[str], str] = str, ordered: bool = False):
-        """``value`` decoded from a JSON payload (the defaults), renamed
-        (``text`` = a renaming's ``map_text``) or rendered (``ordered``)."""
-        rebuilt = self._build(value, text, ordered)
-        if self.order is not None:
-            rebuilt.sort(key=self.order)
-        return rebuilt
+    def __init__(
+        self,
+        name: str,
+        shape,
+        order: Optional[Callable] = None,
+        optional: bool = False,
+    ) -> None:
+        super().__init__(shape, order)
+        self.name = name
+        #: Planner-only: left out of ``to_dict`` while empty.
+        self.optional = optional
 
 
 #: The JobReport fields that *are* the answer — what a delta baseline
@@ -207,10 +159,10 @@ REPORT_FIELDS = (
     ReportField("delivered_to", {Text: int}),
     ReportField(
         "loops",
-        [{"detected_at": Text, "reason": Text, "trace": [Text], "cut_off": bool}],
+        [{"detected_at": Text, "reason": Reason, "trace": [Text], "cut_off": bool}],
         order=loop_sort_key,
     ),
-    ReportField("drop_reasons", {Text: int}),
+    ReportField("drop_reasons", {Reason: int}),
     ReportField("invariants", {str: {str: int}}),
     #: field -> destination port -> {checked, visible, skipped} counters.
     ReportField("visibility", {str: {Text: {str: int}}}, optional=True),

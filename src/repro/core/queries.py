@@ -47,6 +47,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.shapes import Reason, Shape, Text
 from repro.obs.metrics import (
     CAMPAIGNS,
     JOB_SECONDS,
@@ -207,6 +208,23 @@ class LoopFinding:
 class LoopReport:
     """Network-wide loop-freedom verdict: every loop found by any job."""
 
+    #: The shape of :meth:`to_dict`.
+    VALUE_SHAPE = Shape(
+        {
+            "loop_free": bool,
+            "sources_checked": [Text],
+            "findings": [
+                {
+                    "source": Text,
+                    "detected_at": Text,
+                    "reason": Reason,
+                    "trace": [Text],
+                    "cut_off": bool,
+                }
+            ],
+        }
+    )
+
     def __init__(self) -> None:
         self._findings: List[LoopFinding] = []
         self._sources: List[str] = []
@@ -309,6 +327,20 @@ class InvariantReport:
     vanishes), and tabulates those reasons so a policy audit can diff them
     against expectations.
     """
+
+    #: The shape of :meth:`to_dict`.
+    VALUE_SHAPE = Shape(
+        {
+            "fields": {
+                str: {"holds": bool, "vacuous": bool, "by_source": {Text: {str: int}}}
+            },
+            "drop_policy": {
+                "covered": bool,
+                "reasons": {Reason: int},
+                "by_source": {Text: {Reason: int}},
+            },
+        }
+    )
 
     def __init__(self) -> None:
         self._cells: Dict[Tuple[str, str], InvariantCell] = {}

@@ -5,8 +5,8 @@ the step-0 snapshot, then walks the scenario: each step's directory edits are
 applied, a fresh :class:`~repro.api.model.NetworkModel` is built over the
 edited directory, and the *same* plan — rebound to the new model — executes
 with the previous state's campaign as its delta baseline.  The baseline
-chains: every step's result becomes the next step's ``--delta-from``
-payload, so a K-step sequence costs one full campaign plus K splice-gated
+chains: every step's recorded baseline is handed, in memory, to the next
+step, so a K-step sequence costs one full campaign plus K splice-gated
 re-verifications instead of K+1 full campaigns.
 
 Invariant (asserted by the test suite, inherited from the delta layer):
@@ -33,6 +33,7 @@ from repro.api.model import NetworkModel
 from repro.api.planner import Plan, compile_plan, execute_plan
 from repro.obs import get_tracer
 from repro.api.queries import ForAllPairs, Invariant, Loop, Query, Reach
+from repro.core.delta import CampaignBaseline
 from repro.core.queries import CampaignStats
 from repro.core.settings import RunSettings
 from repro.scenarios import reduce as reduce_mod
@@ -267,8 +268,8 @@ class ScenarioCampaign:
         plan: Plan,
         index: int,
         step: Optional[UpdateStep],
-        baseline: Optional[Dict[str, object]],
-    ) -> Tuple[StepOutcome, Optional[Dict[str, object]]]:
+        baseline: Optional[CampaignBaseline],
+    ) -> Tuple[StepOutcome, Optional[CampaignBaseline]]:
         started = time.perf_counter()
         with get_tracer().span(
             "scenario.state",
@@ -308,8 +309,8 @@ class ScenarioCampaign:
             engine_runs=engine_runs,
         )
         next_baseline = baseline
-        if result.campaign is not None and result.campaign.baseline_payload:
-            next_baseline = result.campaign.baseline_payload
+        if result.campaign is not None and result.campaign.baseline is not None:
+            next_baseline = result.campaign.baseline
         return outcome, next_baseline
 
     def run(self) -> ScenarioRun:
@@ -322,7 +323,7 @@ class ScenarioCampaign:
             element.name: element.kind for element in model.network()
         }
         outcomes: List[StepOutcome] = []
-        baseline: Optional[Dict[str, object]] = None
+        baseline: Optional[CampaignBaseline] = None
         outcome, baseline = self._execute_state(plan, 0, None, baseline)
         outcomes.append(outcome)
         for step in self.scenario.steps:

@@ -4,15 +4,20 @@ Every file a store owns (a batch of verdicts, a finished plan's payload, a
 directory's delta baseline) is one *record*: a header line followed by a
 compact JSON body::
 
-    {"checksum":"<sha256 of the body>","key":"…","kind":"plan","magic":"symnet-store-record","version":1}
+    {"checksum":"<sha256 of the body>","key":"…","kind":"plan","magic":"symnet-store-record","version":2}
     {"payload":…}
 
 The header names what the record holds (``kind``) and what it answers
-(``key``); its checksum covers every body byte.  :func:`read_record` is
-handed the kind and key the caller is looking for and refuses — with
-:class:`RecordError` — a wrong magic, version, kind or key, a header that is
-not in canonical form, a checksum mismatch (truncation, bit flips, splices)
-or a body that does not parse.  It never returns partial data; the store
+(``key``); its checksum covers every body byte.  The body keeps the
+writer's key order, so a stored payload reads back exactly as it was
+rendered.  Version 2 bodies of plans and baselines state each reason text
+once, in a ``reasons`` table (:class:`~repro.core.shapes.ReasonTable`); a
+version-1 record is refused like any unknown version, never reinterpreted.
+
+:func:`read_record` is handed the kind and key the caller is looking for
+and refuses — with :class:`RecordError` — a wrong magic, version, kind or
+key, a header that is not in canonical form, a checksum mismatch
+(truncation, bit flips, splices) or a body that does not parse.  It never returns partial data; the store
 quarantines whatever it refuses.  :func:`write_record` writes a record
 atomically, so a crash mid-write leaves either the whole record or a
 dot-prefixed tmp file no reader looks at.
@@ -26,7 +31,7 @@ import os
 import tempfile
 
 RECORD_MAGIC = "symnet-store-record"
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 RECORD_SUFFIX = ".rec"
 
 
@@ -34,8 +39,8 @@ class RecordError(ValueError):
     """A store file failed an integrity check and must not be trusted."""
 
 
-def _compact(value: object) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _compact(value: object, sort_keys: bool = False) -> bytes:
+    return json.dumps(value, sort_keys=sort_keys, separators=(",", ":")).encode("utf-8")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -68,7 +73,7 @@ def write_record(path: str, kind: str, key: str, body: object) -> None:
         "magic": RECORD_MAGIC,
         "version": RECORD_VERSION,
     }
-    atomic_write_bytes(path, _compact(header) + b"\n" + data)
+    atomic_write_bytes(path, _compact(header, sort_keys=True) + b"\n" + data)
 
 
 def read_record(path: str, kind: str, key: str) -> object:
@@ -95,7 +100,7 @@ def read_record(path: str, kind: str, key: str) -> object:
         raise RecordError(f"a {header.get('kind')!r} record read as {kind!r}")
     if header.get("key") != key:
         raise RecordError(f"record answers {header.get('key')!r}, not {key!r}")
-    if _compact(header) != header_bytes:
+    if _compact(header, sort_keys=True) != header_bytes:
         raise RecordError("record header is not in canonical form")
     if hashlib.sha256(data).hexdigest() != header.get("checksum"):
         raise RecordError("checksum mismatch (truncated or corrupted body)")

@@ -145,16 +145,27 @@ class VerificationStore:
         return os.path.join(self.directory, *parts)
 
     def _read(
-        self, path: str, kind: str, key: str, valid: Callable[[object], bool]
+        self,
+        path: str,
+        kind: str,
+        key: str,
+        valid: Callable[[object], bool],
+        decode: Optional[Callable[[object], object]] = None,
     ) -> Optional[object]:
-        """The body of one record, or ``None``.  A record that fails a check
-        is quarantined; one that cannot be *read* (missing, a permissions
-        hiccup) proves nothing about its content and is left alone."""
+        """The body of one record (``decode``d, when given), or ``None``.  A
+        record that fails a check or does not decode is quarantined; one
+        that cannot be *read* (missing, a permissions hiccup) proves nothing
+        about its content and is left alone."""
         try:
             body = read_record(path, kind, key)
             if not valid(body):
                 raise RecordError(f"malformed {kind} body")
-            return body
+            if decode is None:
+                return body
+            try:
+                return decode(body)
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise RecordError(f"undecodable {kind} body: {exc}")
         except RecordError as exc:
             self._quarantine(path, str(exc))
         except OSError:
@@ -353,19 +364,26 @@ class VerificationStore:
         self, model_fingerprint: str, plan_key: str
     ) -> Optional[Dict[str, object]]:
         """The stored payload of a finished plan, or None."""
+        # Where a plan's reasons sit is the query layer's declaration.
+        from repro.api.planner import plan_from_record
+
         return self._read(
             self._plan_path(model_fingerprint, plan_key),
             "plan",
             f"{model_fingerprint}/{plan_key}",
             _is_payload,
+            plan_from_record,
         )
 
     def put_plan(
         self, model_fingerprint: str, plan_key: str, payload: Mapping[str, object]
     ) -> None:
+        """Record a finished plan's payload, each reason text stated once."""
+        from repro.api.planner import plan_record
+
         path = self._plan_path(model_fingerprint, plan_key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_record(path, "plan", f"{model_fingerprint}/{plan_key}", dict(payload))
+        write_record(path, "plan", f"{model_fingerprint}/{plan_key}", plan_record(payload))
 
     def invalidate_plans(self, model_fingerprint: Optional[str] = None) -> int:
         """Drop cached plan results — all of them, or one model's.  This is

@@ -741,6 +741,29 @@ class TestQuerySemantics:
         assert answer.value["reachable_pairs"] > 0
         assert answer.backend.fingerprint()  # the ReachabilityMatrix
 
+    def test_each_answer_is_fingerprinted_once(self, monkeypatch):
+        """Rendering a result reads every answer's fingerprint twice (its
+        own entry and the plan's); the backend is hashed once per answer,
+        after a quantifier has named it."""
+        from repro.core.queries import InvariantReport, LoopReport, ReachabilityMatrix
+
+        calls = []
+        for backend in (ReachabilityMatrix, LoopReport, InvariantReport):
+            original = backend.fingerprint
+
+            def counted(self, original=original):
+                calls.append(type(self).__name__)
+                return original(self)
+
+            monkeypatch.setattr(backend, "fingerprint", counted)
+        model = NetworkModel.from_workload("department", **DEPARTMENT_OPTIONS)
+        result = model.query(ForAllPairs(Reach), Loop(), ForAllPairs(Invariant("IpSrc")))
+        first = result.to_json()
+        assert result.to_json() == first
+        assert sorted(calls) == ["InvariantReport", "LoopReport", "ReachabilityMatrix"]
+        assert result[2].query == "forall_pairs(invariant(IpSrc))"
+        assert json.loads(first)["queries"][2]["query"] == result[2].query
+
 
 # ---------------------------------------------------------------------------
 # No green verdict from a partial exploration

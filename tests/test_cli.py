@@ -1,6 +1,8 @@
 """Tests for the command-line interface (the §7.1 directory workflow)."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -443,6 +445,49 @@ class TestQueryCommand:
         ) == 1
         assert "failed" in capsys.readouterr().err
 
+    def test_pinned_report_text(self, tmp_path, capsys):
+        """The report a user reads, pinned: on one small export with ACL
+        drop reasons, every answer fingerprint and the report text — its
+        three wall-clock timings zeroed, its directory path masked — stay
+        these literals however stored records spell their reasons."""
+        from repro.core.campaign import clear_runtime_cache
+        from repro.workloads.export import export_stanford_directory
+
+        net = tmp_path / "net"
+        net.mkdir()
+        export_stanford_directory(
+            str(net), zones=4, internal_prefixes_per_zone=4, service_acl_rules=2
+        )
+        out = tmp_path / "report.json"
+        clear_runtime_cache()
+        assert main(
+            [
+                "query", str(net), "-o", str(out), "forall_pairs(reach)",
+                "loop()", "invariant(IpSrc)", "all(loop(), invariant(IpDst))",
+            ]
+        ) == 0
+        capsys.readouterr()
+        text = out.read_text()
+        report = json.loads(text)
+        assert [entry["fingerprint"] for entry in report["queries"]] == [
+            "dc09d1cc4a5a81ec3edbd719ab898b7ff16c3091a21d24afd7839fea1f14ac6c",
+            "33f10dfbab16d52ddbb283cbf8e1d61a58008294facacef3dd28f1ee7ae2ba38",
+            "b83ca1a92bab179fa7ac1a2547a5c63bc54d0d0f59a78f2631431a0f81ab83fb",
+            "ab904e8f45e1ef7987f76deff9bf2aedc108fc14b3715d8da8722bd0c9ceea8e",
+        ]
+        assert report["fingerprint"] == (
+            "ac82adf10a536c00bf5787de8ce28b31d83f36d478fb65674af3fb19a87a1a7a"
+        )
+        assert report["queries"][2]["value"]["drop_policy"]["reasons"]
+        pinned = re.sub(
+            r'"(elapsed_seconds|wall_clock_seconds|solver_time_seconds)": [-0-9.e]+',
+            r'"\1": 0',
+            text,
+        ).replace(str(net), "NET")
+        assert hashlib.sha256(pinned.encode()).hexdigest() == (
+            "0cd5479a0417c9b435403ecb1368c4f83969a75fd16ab67ddb363e807a7ad05c"
+        )
+
 
 class TestStoreCommands:
     def _query(self, network_dir, store_dir, capsys):
@@ -651,8 +696,11 @@ class TestDeltaCli:
         ) == 0
         capsys.readouterr()
         payload = json.loads(baseline.read_text())
-        assert payload["format"] == 1
+        assert payload["format"] == 2
         assert payload["manifest"]["files"]
+        assert payload["reasons"] and all(
+            isinstance(text, str) for text in payload["reasons"]
+        )
 
         (net / "acl0.acl").write_text("block 22\nblock 443\n")
         clear_runtime_cache()
@@ -699,3 +747,29 @@ class TestDeltaCli:
         bad.write_text("{not json")
         with pytest.raises(SystemExit, match="unusable baseline"):
             main(["campaign", str(net), "--delta-from", str(bad)])
+
+    @pytest.mark.parametrize(
+        "payload, why",
+        [
+            ({"format": 1, "manifest": {}, "reports": {}}, "baseline format 1 is not 2"),
+            ({}, "baseline format None is not 2"),
+            ([], "a baseline is a JSON object"),
+        ],
+    )
+    def test_delta_from_that_is_no_baseline_is_refused(self, tmp_path, payload, why):
+        """A ``--delta-from`` file that is JSON but no usable baseline — a
+        format-1 file, an empty object — is refused by name, never dropped
+        in favour of the store's recorded baseline."""
+        from repro.core.campaign import clear_runtime_cache
+
+        net = self._export(tmp_path)
+        inject = self._inject_acls()
+        store = ["--store-dir", str(tmp_path / "store")]
+        clear_runtime_cache()
+        assert main(["campaign", str(net), *inject, *store]) == 0
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        clear_runtime_cache()
+        with pytest.raises(SystemExit) as refused:
+            main(["campaign", str(net), *inject, *store, "--delta-from", str(old)])
+        assert str(refused.value) == f"unusable baseline {old}: {why}"

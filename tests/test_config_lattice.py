@@ -10,7 +10,11 @@ configuration lattice, read off the declarations:
 * the cache stack (``shared_cache``) and the worklist ``strategy``;
 * the store: off, cold, or warm — primed by the same run over the snapshot
   as it was *before* the network's mutation, so a warm store holds that
-  run's delta baseline, verdict segments and plan payloads;
+  run's verdict segments and plan payloads;
+* the delta baseline's source: none, the one the warm store recorded, or
+  one passed in — a run over the pre-mutation snapshot, its baseline
+  payload round-tripped through JSON as ``--save-baseline`` writes it
+  (the service takes no baseline, so its points draw one of the others);
 * one worker, or two — on one process pool lent to the whole module (the
   service front door on the service's own resident pool); tracing on or off;
 * the front door: one merged plan (``execute_plan``), the same plan's facts
@@ -105,16 +109,19 @@ def _checked(result):
     return result
 
 
-def _plan_door(directory, settings, workers, store, pool):
+def _plan_door(directory, settings, workers, store, pool, baseline=None):
     plan = compile_plan(NetworkModel.from_directory(directory), QUERIES, **settings)
-    result = execute_plan(plan, workers=workers, store=store, pool=pool)
+    result = execute_plan(
+        plan, workers=workers, store=store, pool=pool, baseline=baseline
+    )
     return [answer.to_dict() for answer in _checked(result)]
 
 
-def _campaign_door(directory, settings, workers, store, pool):
+def _campaign_door(directory, settings, workers, store, pool, baseline=None):
     plan = compile_plan(NetworkModel.from_directory(directory), QUERIES, **settings)
     campaign = VerificationCampaign(
-        plan.model.source, store=store, **vars(plan.settings), **vars(plan.facts)
+        plan.model.source, store=store, baseline=baseline,
+        **vars(plan.settings), **vars(plan.facts),
     )
     for port, facts in plan.port_facts:
         campaign.add_injection(*port, facts=facts)
@@ -122,12 +129,12 @@ def _campaign_door(directory, settings, workers, store, pool):
     return [query.evaluate(context).to_dict() for query in plan.queries]
 
 
-def _per_query_door(directory, settings, workers, store, pool):
+def _per_query_door(directory, settings, workers, store, pool, baseline=None):
     model = NetworkModel.from_directory(directory)
     return [
         _checked(execute_plan(
             compile_plan(model, [query], **settings),
-            workers=workers, store=store, pool=pool,
+            workers=workers, store=store, pool=pool, baseline=baseline,
         ))[0].to_dict()
         for query in QUERIES
     ]
@@ -156,7 +163,8 @@ async def _serve_once(message, workers, store):
     return session.messages
 
 
-def _serve_door(directory, settings, workers, store, pool):
+def _serve_door(directory, settings, workers, store, pool, baseline=None):
+    assert baseline is None, "the service takes no baseline"
     wire = {name: key for key, name in protocol.SETTINGS.items()}
     message = {
         "op": "query",
@@ -184,6 +192,7 @@ DIMENSIONS: Dict[str, Tuple[object, ...]] = {
     "shared_cache": (False, True),
     "strategy": ("dfs",) + tuple(sorted(set(STRATEGIES) - {"dfs"})),
     "store": ("off", "cold", "warm"),
+    "baseline": ("none", "store", "passed"),
     "workers": (1, 2),
     "tracing": (False, True),
     "front_door": tuple(FRONT_DOORS),
@@ -194,9 +203,10 @@ TOP = {
     **{name: DIMENSIONS[name][-1] for name in TIER_SWITCHES},
     "shared_cache": True,
     "store": "warm",
+    "baseline": "store",
 }
 #: The coordinates that say which state the cache stack starts from.
-CACHE_STACK = {"shared_cache", "store"}
+CACHE_STACK = {"shared_cache", "store", "baseline"}
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +290,13 @@ def lattice_cases(seed: int = SEED) -> List[Case]:
     count = len(families) * (POINTS_PER_CASE + 1)
     columns = {name: _spread(rng, values, count) for name, values in DIMENSIONS.items()}
     points = [{name: columns[name][i] for name in DIMENSIONS} for i in range(count)]
+    for point in points:
+        if point["front_door"] == "serve" and point["baseline"] == "passed":
+            other = next(
+                p for p in points
+                if p["front_door"] != "serve" and p["baseline"] != "passed"
+            )
+            point["baseline"], other["baseline"] = other["baseline"], "passed"
     cases = []
     for index, (family, params) in enumerate(families):
         params.update(steps=mutations[index], violation=violations[index])
@@ -320,17 +337,29 @@ class Lattice:
 
     def answers(self, network: Network, point: Dict[str, object]) -> list:
         """The three answers at ``point``.  A warm store was primed by the
-        same run over the snapshot before the network's mutation."""
+        same run over the snapshot before the network's mutation; only at
+        a ``baseline="store"`` point does it keep the baseline that run
+        recorded.  A passed-in baseline is a plan run's over that same
+        snapshot, as ``--save-baseline`` writes it."""
         directory = self._fresh()
         steps = network.materialise(directory)
         door = FRONT_DOORS[point["front_door"]]
         settings = {name: point[name] for name in SETTING_NAMES if name in point}
-        store = None
+        store = baseline = None
         if point["store"] != "off":
             store_dir = self._fresh()
             if point["store"] == "warm":
                 door(directory, settings, point["workers"], VerificationStore(store_dir), self.pool)
+                if point["baseline"] != "store":
+                    for path in Path(store_dir, "baselines").iterdir():
+                        path.unlink()
             store = VerificationStore(store_dir)
+        if point["baseline"] == "passed":
+            primed = execute_plan(
+                compile_plan(NetworkModel.from_directory(directory), QUERIES, **settings),
+                workers=point["workers"], pool=self.pool,
+            )
+            baseline = json.loads(json.dumps(_checked(primed).campaign.baseline_payload))
         for step in steps:
             for name, text in step.writes:
                 Path(directory, name).write_text(text, encoding="utf-8", newline="\n")
@@ -338,7 +367,9 @@ class Lattice:
         clear_load_cache()
         previous = set_tracer(Tracer() if point["tracing"] else NullTracer())
         try:
-            return door(directory, settings, point["workers"], store, self.pool)
+            return door(
+                directory, settings, point["workers"], store, self.pool, baseline
+            )
         finally:
             set_tracer(previous)
 
@@ -497,7 +528,23 @@ def test_splicing_a_touched_port_is_caught(lattice, monkeypatch):
     monkeypatch.setattr(delta, "affected_injections", lambda *args, **kw: set())
     diff, report = _caught(lattice)
     assert set(diff) - CACHE_STACK == _switches_of(delta), report
-    assert diff.get("store") == "warm", report
+    assert diff.get("store") == "warm" and diff.get("baseline") == "store", report
+
+
+def test_delta_off_never_splices_a_passed_baseline(lattice, monkeypatch):
+    """The ``delta`` switch's meaning, with the splicing fault planted: a
+    baseline handed in is spliced from — and the fault caught — only with
+    ``delta`` on; with it off the answers stay the reference's."""
+    from repro.core import delta
+
+    monkeypatch.setattr(delta, "affected_injections", lambda *args, **kw: set())
+    case = next(
+        case for case in CASES
+        if case.network.family == "stanford" and dict(case.network.params).get("steps")
+    )
+    passed = {**REFERENCE, "baseline": "passed"}
+    assert lattice.failures(case.network, {**passed, "delta": True})
+    assert not lattice.failures(case.network, {**passed, "delta": False})
 
 
 def test_an_instantiated_report_losing_a_drop_reason_is_caught(lattice, monkeypatch):

@@ -23,6 +23,7 @@ The acceptance criteria under test:
 """
 
 import glob
+import json
 import os
 import random
 import re
@@ -42,8 +43,12 @@ from repro.core.delta import (
     ElementManifest,
     affected_injections,
     diff_manifests,
+    record_baseline,
+    report_from_payload,
 )
-from repro.core.queries import port_key
+from repro.core.jobs import JobReport
+from repro.core.queries import AGGREGATIONS, port_key
+from repro.core.shapes import ReasonTable
 from repro.network.view import elements_reaching
 from repro.parsers.service_acl import format_service_acl, parse_service_acl
 from repro.parsers.topology_file import load_network_directory
@@ -186,7 +191,113 @@ class TestElementManifest:
         ) is None
         assert CampaignBaseline.from_payload(
             {"format": BASELINE_FORMAT, "manifest": good_manifest, "reports": {}}
+        ) is None  # no reason table
+        assert CampaignBaseline.from_payload(
+            {"format": BASELINE_FORMAT, "manifest": good_manifest, "reports": {},
+             "reasons": [1]}
+        ) is None
+        assert CampaignBaseline.from_payload(
+            {"format": BASELINE_FORMAT, "manifest": good_manifest, "reports": {},
+             "reasons": []}
         ) is not None
+
+    def test_an_explicit_baseline_that_does_not_parse_is_refused(self, tmp_path):
+        """Handed to a campaign, a payload that is no baseline raises
+        instead of quietly leaving the campaign to the store's baseline."""
+        _export_stanford(tmp_path)
+        old = {"format": 1, "manifest": {"topology_digest": "t", "files": {}},
+               "reports": {}}
+        with pytest.raises(ValueError, match="baseline format 1 is not 2"):
+            VerificationCampaign(str(tmp_path), baseline=old)
+        with pytest.raises(ValueError, match="a baseline is a JSON object"):
+            VerificationCampaign(str(tmp_path), baseline=[])
+
+
+# ---------------------------------------------------------------------------
+# The reason table
+# ---------------------------------------------------------------------------
+
+
+class TestReasonTable:
+    def _reports(self):
+        loop = {"detected_at": "b:in0", "trace": ["a:in0", "b:in0"], "cut_off": False}
+        return [
+            JobReport(
+                "a", "in0", "ip",
+                loops=[dict(loop, reason="zeta")],
+                drop_reasons={"zeta": 1, "": 2, "alpha": 3},
+            ),
+            JobReport(
+                "b", "in0", "ip",
+                loops=[dict(loop, reason="yak"), dict(loop, reason="zeta")],
+                drop_reasons={"alpha": 4},
+            ),
+        ]
+
+    def test_ids_are_never_read_as_text_or_as_an_order(self):
+        """Ids follow first appearance — "zeta" is id 0 and the empty
+        (unexplained) reason id 1 — yet decoding gives back every reason,
+        the empty one included, in the order the reports held them, and
+        the folds over spliced and original reports render byte for
+        byte alike."""
+        reports = self._reports()
+        recorded = record_baseline(
+            ElementManifest("t", {}), {r.source_key: "c" for r in reports}, reports
+        )
+        payload = json.loads(json.dumps(recorded.to_payload()))
+        assert payload["reasons"] == ["zeta", "", "alpha", "yak"]
+        assert payload["reports"]["a:in0"]["report"]["drop_reasons"] == {
+            "0": 1, "1": 2, "2": 3,
+        }
+        assert [loop["reason"] for loop in payload["reports"]["b:in0"]["report"][
+            "loops"]] == [3, 0]
+        parsed = CampaignBaseline.parse(payload)
+        spliced = [
+            report_from_payload(
+                parsed.report_for(r.source_key, "c"), "file", parsed.reasons
+            )
+            for r in reports
+        ]
+        for original, copy in zip(reports, spliced):
+            assert semantic_projection(copy) == semantic_projection(original)
+            assert list(copy.drop_reasons) == list(original.drop_reasons)
+            assert copy.loops == original.loops
+        for kind in ("loops", "invariants"):
+            assert json.dumps(AGGREGATIONS[kind].from_jobs(spliced).to_dict()) == (
+                json.dumps(AGGREGATIONS[kind].from_jobs(reports).to_dict())
+            )
+        assert not AGGREGATIONS["invariants"].from_jobs(spliced).drops_covered
+
+    def test_an_id_outside_the_table_is_refused(self):
+        table = ReasonTable(["only"])
+        assert table.text_of("0") == "only"
+        for bad in ("1", "-1", -1, "x"):
+            with pytest.raises(ValueError):
+                table.text_of(bad)
+
+    def test_a_report_that_does_not_decode_is_executed(self, tmp_path):
+        """A passed-in baseline whose report names a reason id outside the
+        table splices every other port and re-executes that one."""
+        net = tmp_path / "net"
+        injections = _export_stanford(net)
+        cold, _ = _run(net, injections)
+        payload = json.loads(json.dumps(cold.baseline_payload))
+        bad = payload["reports"]["acl0:in0"]["report"]
+        bad["drop_reasons"] = {str(len(payload["reasons"])): 1}
+        rerun, runs = _run(net, injections, baseline=payload)
+        assert rerun.delta_info["executed_ports"] == ["acl0:in0"]
+        assert runs == 1
+        assert _fingerprints(rerun) == _fingerprints(cold)
+
+    def test_a_baseline_states_each_reason_once(self, tmp_path):
+        injections = _export_stanford(tmp_path)
+        cold, _ = _run(tmp_path, injections)
+        payload = cold.baseline_payload
+        assert payload["format"] == BASELINE_FORMAT == 2
+        text = json.dumps(payload)
+        assert len(payload["reasons"]) == len(set(payload["reasons"])) > 0
+        for reason in payload["reasons"]:
+            assert text.count(json.dumps(reason)) == 1, reason
 
 
 # ---------------------------------------------------------------------------

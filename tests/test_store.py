@@ -43,6 +43,7 @@ from repro.store import (
     shard_index,
     write_record,
 )
+from repro.store.records import RECORD_VERSION
 
 SEED = int(os.environ.get("REPRO_CACHE_SEED", "20260728"))
 
@@ -79,7 +80,7 @@ def forge(path: str, body: object, **header) -> None:
         "key": "",
         "kind": "verdicts",
         "magic": "symnet-store-record",
-        "version": 1,
+        "version": RECORD_VERSION,
         **header,
     }
     head = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
@@ -251,8 +252,9 @@ class TestSegmentFormat:
         write_record(path, "verdicts", "r", entries)
         assert read_record(path, "verdicts", "r") == entries
         header, body = open(path, "rb").read().split(b"\n")
-        assert json.loads(header)["version"] == 1
-        assert body == json.dumps(entries, sort_keys=True, separators=(",", ":")).encode()
+        assert json.loads(header)["version"] == RECORD_VERSION == 2
+        # The body keeps the writer's key order.
+        assert body == json.dumps(entries, separators=(",", ":")).encode()
 
     def test_wrong_kind_or_key_is_rejected(self, tmp_path):
         rng = random.Random(SEED)
@@ -265,9 +267,10 @@ class TestSegmentFormat:
 
     def test_unknown_version_is_rejected(self, tmp_path):
         path = str(tmp_path / "r.rec")
-        forge(path, {}, key="r", version=2)
-        with pytest.raises(RecordError, match="version 2"):
-            read_record(path, "verdicts", "r")
+        for version in (1, RECORD_VERSION + 1):
+            forge(path, {}, key="r", version=version)
+            with pytest.raises(RecordError, match=f"version {version}"):
+                read_record(path, "verdicts", "r")
 
     def test_writer_validates_its_input(self, tmp_path):
         store = VerificationStore(str(tmp_path))
@@ -439,7 +442,7 @@ class TestQuarantine:
         store.publish(entries)
         verdicts = os.path.join(store.directory, "verdicts")
         future = os.path.join(verdicts, "9-future.rec")
-        forge(future, random_entries(rng, 2), key="9-future", version=2)
+        forge(future, random_entries(rng, 2), key="9-future", version=RECORD_VERSION + 1)
         plan = os.path.join(verdicts, "9-plan.rec")
         write_record(plan, "plan", "9-plan", random_entries(rng, 2))
         renamed = plant_verdicts(store, "9-original", random_entries(rng, 2))
@@ -448,7 +451,7 @@ class TestQuarantine:
         assert survivor.load() == entries
         reasons = sorted(reason for _, reason in survivor.quarantined)
         assert len(reasons) == 3
-        assert any("version 2" in reason for reason in reasons)
+        assert any(f"version {RECORD_VERSION + 1}" in reason for reason in reasons)
         assert any("read as 'verdicts'" in reason for reason in reasons)
         assert any("answers '9-original'" in reason for reason in reasons)
         assert os.listdir(verdicts) == [os.path.basename(all_segments(store)[0])]

@@ -17,14 +17,25 @@ is one coordinate of the configuration lattice
 """
 
 import glob
+import json
 import multiprocessing
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from repro.api import Invariant, Loop, NetworkModel, Reach, compile_plan, execute_plan
+from repro.api import (
+    All,
+    ForAllPairs,
+    Invariant,
+    Loop,
+    NetworkModel,
+    Reach,
+    compile_plan,
+    execute_plan,
+)
 from repro.core.campaign import (
     NetworkSource,
     VerificationCampaign,
@@ -34,7 +45,11 @@ from repro.core.campaign import (
 )
 from repro.core.delta import CampaignBaseline
 from repro.store import VerificationStore
-from repro.workloads.export import export_department_style_directory
+from repro.scenarios import generate_scenario
+from repro.workloads.export import (
+    export_department_style_directory,
+    export_stanford_directory,
+)
 
 STANFORD_OPTIONS = dict(
     zones=3, internal_prefixes_per_zone=12, service_acl_rules=3
@@ -483,3 +498,128 @@ class TestPlanResultCache:
         clear_runtime_cache()
         retried = self._model().query(Loop(), store=store)
         assert not retried.from_cache  # the failed run must not have stuck
+
+
+# ---------------------------------------------------------------------------
+# Reasons stated once: record bodies, and the text rendered back at the edge
+# ---------------------------------------------------------------------------
+
+REASON_QUERIES = (
+    ForAllPairs(Reach), Loop(), Invariant("IpSrc"), All(Loop(), Invariant("IpDst")),
+)
+
+
+def _stanford_directory(directory, zones):
+    os.makedirs(directory)
+    export_stanford_directory(
+        str(directory), zones=zones, internal_prefixes_per_zone=4,
+        service_acl_rules=3,
+    )
+
+
+def _looping_department_directory(directory):
+    """A department export two scenario steps in: the second injects a
+    forwarding loop, so loop findings carry reasons too."""
+    os.makedirs(directory)
+    export_department_style_directory(
+        str(directory), switches=2, macs_per_port=2, seed=5
+    )
+    scenario = generate_scenario(str(directory), steps=6, seed=5, inject_violation=True)
+    for step in scenario.steps[:2]:
+        for name, text in step.writes:
+            (directory / name).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _downgrade(path):
+    """Relabel a record as version 1, checksum intact: a record an older
+    writer could have left behind."""
+    header, _, body = Path(path).read_bytes().partition(b"\n")
+    fields = dict(json.loads(header), version=1)
+    with open(path, "wb") as handle:
+        handle.write(
+            json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+            + b"\n" + body
+        )
+
+
+class TestReasonTableRecords:
+    @pytest.mark.parametrize("network", ["stanford-8", "department-loop"])
+    def test_a_cache_hit_renders_the_fresh_report_byte_for_byte(
+        self, tmp_path, network
+    ):
+        directory = tmp_path / "net"
+        if network == "stanford-8":
+            _stanford_directory(directory, zones=8)
+        else:
+            _looping_department_directory(directory)
+        store_dir = str(tmp_path / "store")
+        clear_runtime_cache()
+        fresh = NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=VerificationStore(store_dir)
+        )
+        hit = NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=VerificationStore(store_dir)
+        )
+        assert hit.from_cache and not fresh.from_cache
+        assert hit.to_json() == fresh.to_json()
+        assert [json.dumps(r.to_dict()) for r in hit] == [
+            json.dumps(r.to_dict()) for r in fresh
+        ]
+        if network == "department-loop":
+            assert fresh["loop()"].holds is False
+            assert fresh["loop()"].value["findings"][0]["reason"]
+
+    def test_stored_records_state_each_reason_once(self, tmp_path):
+        directory = tmp_path / "net"
+        _stanford_directory(directory, zones=4)
+        store_dir = tmp_path / "store"
+        clear_runtime_cache()
+        NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=VerificationStore(str(store_dir))
+        )
+        records = glob.glob(str(store_dir / "plans" / "*" / "*.rec")) + glob.glob(
+            str(store_dir / "baselines" / "*.rec")
+        )
+        assert len(records) == 2
+        for path in records:
+            raw = Path(path).read_bytes()
+            reasons = json.loads(raw.partition(b"\n")[2])["reasons"]
+            assert reasons and len(set(reasons)) == len(reasons)
+            for reason in reasons:
+                assert raw.count(json.dumps(reason).encode()) == 1, (path, reason)
+
+    def test_a_version_1_record_is_quarantined_once_and_answered_in_full(
+        self, tmp_path
+    ):
+        """Old plan and baseline records are refused as an unknown version —
+        one miss, a full run, nothing spliced — never reinterpreted."""
+        directory = tmp_path / "net"
+        _stanford_directory(directory, zones=3)
+        store_dir = tmp_path / "store"
+        clear_runtime_cache()
+        fresh = NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=VerificationStore(str(store_dir))
+        )
+        old = sorted(
+            glob.glob(str(store_dir / "plans" / "*" / "*.rec"))
+            + glob.glob(str(store_dir / "baselines" / "*.rec"))
+        )
+        for path in old:
+            _downgrade(path)
+        store = VerificationStore(str(store_dir))
+        rerun = NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=store
+        )
+        assert not rerun.from_cache
+        assert rerun.stats.jobs_spliced_by_delta == 0
+        assert rerun.stats.executed_jobs == rerun.stats.jobs
+        assert sorted(path for path, _ in store.quarantined) == old
+        assert all("version 1" in reason for _, reason in store.quarantined)
+        assert [(r.holds, r.value, r.fingerprint) for r in rerun] == [
+            (r.holds, r.value, r.fingerprint) for r in fresh
+        ]
+        again = VerificationStore(str(store_dir))
+        assert NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=again
+        ).from_cache
+        assert again.quarantined == []
