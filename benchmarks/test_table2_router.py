@@ -8,6 +8,11 @@ finishes the full table (~18 s).  The reproduction uses a generated FIB with
 the same overlap structure at a scaled-down size and checks the same
 qualitative outcome: egress is fastest, basic is slowest and only run at the
 smallest fraction, and the egress path count equals the number of interfaces.
+
+Each row starts from snapshot text, the path a real snapshot takes through
+``router_from_routing_table``: the FIB is rendered with
+``format_routing_table``, then parsed and built into a model, and the two
+steps are reported apart.
 """
 
 import time
@@ -16,6 +21,7 @@ import pytest
 
 from repro import ExecutionSettings, Network, SymbolicExecutor, models
 from repro.models.router import build_router
+from repro.parsers.routing_table import format_routing_table, parse_routing_table
 from repro.workloads import generate_fib
 from repro.workloads.fibs import fib_subset
 
@@ -43,28 +49,34 @@ COMBINATIONS = [
 
 def _analyse(style, fraction):
     fib = fib_subset(_FIB, fraction, seed=1)
-    generation_start = time.perf_counter()
-    element = build_router("core", fib, style=style)
-    generation = time.perf_counter() - generation_start
+    snapshot = format_routing_table(fib)
+    # router_from_routing_table, one step at a time.
+    parse_start = time.perf_counter()
+    parsed = parse_routing_table(snapshot)
+    build_start = time.perf_counter()
+    element = build_router("core", parsed, style=style)
+    build_end = time.perf_counter()
+    assert parsed == fib
     network = Network()
     network.add_element(element)
     executor = SymbolicExecutor(network, settings=SETTINGS)
     run_start = time.perf_counter()
     result = executor.inject(models.symbolic_ip_packet(), "core", "in0")
     runtime = time.perf_counter() - run_start
-    return result, generation, runtime, len(fib)
+    timings = (build_start - parse_start, build_end - build_start, runtime)
+    return result, timings, len(fib)
 
 
 @pytest.mark.parametrize("style,fraction", COMBINATIONS)
 def test_router_analysis(benchmark, style, fraction, bench_report):
-    result, generation, runtime, prefixes = benchmark.pedantic(
+    result, (parse, build, runtime), prefixes = benchmark.pedantic(
         _analyse, args=(style, fraction), rounds=1, iterations=1
     )
     _MEASURED[(style, fraction)] = runtime
     bench_report.append(
         f"Table 2 | {style:7s} model, {prefixes:6d} prefixes ({fraction:>4.0%}): "
-        f"generation {generation:6.2f}s, execution {runtime:7.2f}s, "
-        f"{len(result.delivered())} paths"
+        f"parse {parse:6.3f}s, model build {build:6.3f}s, "
+        f"execution {runtime:7.2f}s, {len(result.delivered())} paths"
     )
     assert result.delivered()
 
@@ -76,7 +88,7 @@ def test_table2_shape(bench_report):
     assert _MEASURED[("egress", 0.33)] <= _MEASURED[("ingress", 0.33)]
     assert ("basic", 1.0) not in _MEASURED  # DNF in the paper, not attempted here
 
-    result, _, _, _ = _analyse("egress", 1.0)
+    result, _, _ = _analyse("egress", 1.0)
     interfaces = len({port for _, _, port in _FIB})
     assert len(result.delivered()) <= interfaces
     bench_report.append(

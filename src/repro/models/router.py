@@ -20,7 +20,6 @@ Three model styles mirror Table 2:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -35,7 +34,7 @@ from repro.sefl.instructions import (
     If,
     Instruction,
 )
-from repro.solver.intervals import IntervalSet, prefix_to_interval
+from repro.solver.intervals import Interval, IntervalSet, prefix_to_interval
 
 # A forwarding table entry: (prefix address, prefix length, output port name).
 FibEntry = Tuple[int, int, str]
@@ -45,6 +44,17 @@ class RouterModelStyle(str, Enum):
     BASIC = "basic"
     INGRESS = "ingress"
     EGRESS = "egress"
+
+
+def _hand_out(owner: Tuple[List[int], List[int]], lo: int, hi: int) -> None:
+    """Append ``[lo, hi]`` to a port's sorted segments, merged with the last
+    one when they touch."""
+    los, his = owner
+    if his and his[-1] + 1 == lo:
+        his[-1] = hi
+    else:
+        los.append(lo)
+        his.append(hi)
 
 
 def group_prefixes_by_port(
@@ -65,48 +75,58 @@ def group_prefixes_by_port(
     """
     top = (1 << width) - 1
     host_masks = [top >> plen for plen in range(width + 1)]
-    # Sort key: first address, then length, packed into one integer.  The
-    # sort is stable, so duplicates of a prefix stay in FIB order.
-    lengths = width + 1
+    # One integer per entry — network address, then length, then FIB
+    # position — so the sort compares plain integers.  Entries for one prefix
+    # differ only in position: the first in the FIB sorts first.
+    length_bits = width.bit_length()
+    position_bits = len(fib).bit_length()
     keys = []
-    for address, plen, _ in fib:
+    for position, (address, plen, _) in enumerate(fib):
         if not 0 <= plen <= width:
             raise ValueError(f"prefix length {plen} out of range for width {width}")
-        keys.append((address & (top ^ host_masks[plen])) * lengths + plen)
-    order = sorted(range(len(fib)), key=keys.__getitem__)
-    keys.append((top + 1) * lengths)  # sentinel past the address space:
-    order.append(len(fib))  # closes every prefix still open
+        network = address & (top ^ host_masks[plen])
+        keys.append((network << length_bits | plen) << position_bits | position)
+    keys.sort()
 
     # port -> (los, his)
-    segments: Dict[str, Tuple[List[int], List[int]]] = defaultdict(lambda: ([], []))
-    open_prefixes: List[Tuple[int, Tuple[List[int], List[int]]]] = []  # innermost last
+    segments: Dict[str, Tuple[List[int], List[int]]] = {}
+    ends: List[int] = []  # last address of each open prefix, innermost last
+    owners: List[Tuple[List[int], List[int]]] = []  # and its port's segments
     cursor = 0  # first address not yet handed to a port
-    previous = None
-    for index in order:
-        key = keys[index]
-        if key == previous:
+    previous = -1
+    length_mask = (1 << length_bits) - 1
+    position_mask = (1 << position_bits) - 1
+    for key in keys:
+        prefix = key >> position_bits
+        if prefix == previous:
             continue  # same prefix again: the first entry won
-        previous = key
-        lo, plen = divmod(key, lengths)
-        while open_prefixes:
-            # The innermost open prefix owns the addresses up to the next
-            # boundary: where this prefix starts inside it, or where it ends.
-            hi, (los, his) = open_prefixes[-1]
-            boundary = lo if lo <= hi else hi + 1
-            if cursor < boundary:
-                if his and his[-1] + 1 == cursor:
-                    his[-1] = boundary - 1
-                else:
-                    los.append(cursor)
-                    his.append(boundary - 1)
-                cursor = boundary
-            if lo <= hi:
-                break
-            open_prefixes.pop()
-        if lo > top:
-            break
+        previous = prefix
+        lo = prefix >> length_bits
+        # Each open prefix that ends before this one starts owns the
+        # addresses from the cursor up to its end.
+        while ends and ends[-1] < lo:
+            last = ends.pop()
+            owner = owners.pop()
+            if cursor <= last:
+                _hand_out(owner, cursor, last)
+                cursor = last + 1
+        # The innermost prefix still open encloses this one: it owns the
+        # addresses up to where this one starts.
+        if owners and cursor < lo:
+            _hand_out(owners[-1], cursor, lo - 1)
         cursor = lo
-        open_prefixes.append((lo | host_masks[plen], segments[fib[index][2]]))
+        port = fib[key & position_mask][2]
+        owner = segments.get(port)
+        if owner is None:
+            owner = segments[port] = ([], [])
+        ends.append(lo | host_masks[prefix & length_mask])
+        owners.append(owner)
+    while ends:  # close every prefix still open, innermost first
+        last = ends.pop()
+        owner = owners.pop()
+        if cursor <= last:
+            _hand_out(owner, cursor, last)
+            cursor = last + 1
     return {
         port: IntervalSet.from_bounds(los, his)
         for port, (los, his) in segments.items()
@@ -126,10 +146,13 @@ def router_basic(
     element = NetworkElement(
         name, input_ports=list(input_ports), output_ports=ports, kind="router"
     )
+    routes: Dict[Interval, Tuple[int, str]] = {}
+    for address, plen, port in fib:  # of two entries for one prefix, the first wins
+        routes.setdefault(prefix_to_interval(address, plen), (plen, port))
     program: Instruction = Fail("no route to destination")
-    ordered = sorted(fib, key=lambda entry: entry[1])  # least specific first
-    for address, plen, port in ordered:
-        interval = prefix_to_interval(address, plen)
+    # Least specific first: the cascade is built inside out.
+    ordered = sorted(routes.items(), key=lambda route: route[1][0])
+    for interval, (plen, port) in ordered:
         condition = OneOf(IpDst, IntervalSet([(interval.lo, interval.hi)]))
         program = If(condition, Forward(port), program)
     element.set_input_program(WILDCARD_PORT, program)

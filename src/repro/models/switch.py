@@ -84,14 +84,20 @@ def switch_ingress(name: str, table: MacTable, input_ports: Sequence[str] = ("in
 
 
 def switch_egress(name: str, table: MacTable, input_ports: Sequence[str] = ("in0",)) -> NetworkElement:
-    """Fork to all ports and filter on egress (optimal branching and constraints)."""
+    """Fork to all ports and filter on egress (optimal branching and constraints).
+
+    Each port constrains to its MACs minus those an earlier port claimed, so
+    the per-port sets are disjoint; a port left with none always fails.
+    """
     ports = _ordered_ports(table)
     element = NetworkElement(
         name, input_ports=list(input_ports), output_ports=ports, kind="switch"
     )
     element.set_input_program(WILDCARD_PORT, Fork(*ports))
+    claimed = set()
     for port in ports:
-        macs = table[port]
+        macs = [mac for mac in table[port] if mac not in claimed]
+        claimed.update(macs)
         if macs:
             element.set_output_program(port, Constrain(OneOf(EtherDst, macs)))
         else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import re
+from socket import AF_INET, inet_pton
 from typing import List, Sequence, Tuple
 
 from repro.models.router import FibEntry, RouterModelStyle, build_router
@@ -24,7 +25,7 @@ from repro.sefl.util import number_to_ip
 
 _LOG = logging.getLogger(__name__)
 
-# One match per line: a rule (four octets, optional length, port, optional
+# The grammar of one line: a rule (four octets, optional length, port, optional
 # comment), a comment or blank line, or — last group — a line that is neither.
 _LINE = re.compile(
     r"^[^\S\n]*(?:(\d+)\.(\d+)\.(\d+)\.(\d+)(?:/(\d+))?[^\S\n]+(\S+)[^\S\n]*(?:#.*)?"
@@ -32,16 +33,39 @@ _LINE = re.compile(
     re.MULTILINE,
 )
 
+# The prefix lengths the fast path reads, spelled canonically ("8", not "08").
+_LENGTHS = {str(plen): plen for plen in range(33)}
+
 
 def parse_routing_table(text: str) -> List[FibEntry]:
     """Parse a forwarding-table snapshot into a list of FIB entries.
 
     Lines that are not rules (a malformed address, an IPv6 prefix, a missing
     port) are skipped, and reported in one warning per snapshot.
+
+    ``_LINE`` is the only definition of a rule.  A line in the common shape —
+    exactly ``address[/length] port``, the address canonical dotted decimal —
+    is read off its two tokens without the regex; any line that is not
+    exactly that shape, valid or not, goes through ``_LINE``.
     """
     entries: List[FibEntry] = []
     skipped: List[int] = []
-    for number, (a, b, c, d, length, port, junk) in enumerate(_LINE.findall(text), 1):
+    for number, line in enumerate(text.split("\n"), 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) == 2:
+            address, slash, length = tokens[0].partition("/")
+            plen = _LENGTHS.get(length) if slash else 32
+            if plen is not None:
+                try:
+                    packed = inet_pton(AF_INET, address)
+                except (OSError, ValueError):  # ValueError: an embedded NUL
+                    pass
+                else:
+                    entries.append((int.from_bytes(packed, "big"), plen, tokens[1]))
+                    continue
+        a, b, c, d, length, port, junk = _LINE.match(line).groups(default="")
         if port:
             a, b, c, d = int(a), int(b), int(c), int(d)
             plen = int(length) if length else 32

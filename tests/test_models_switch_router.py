@@ -1,6 +1,8 @@
 """Tests for the switch and router models, including property-based
 equivalence against reference lookups."""
 
+import hashlib
+import os
 import random
 
 import pytest
@@ -25,8 +27,11 @@ from repro.models.switch import (
 )
 from repro.sefl import EtherDst, IpDst
 from repro.solver.intervals import IntervalSet, prefix_to_interval
+from repro.workloads.fibs import fib_subset, generate_fib
 
 SETTINGS = ExecutionSettings(record_failed_paths=False)
+# Seeds the sweep and router fuzz, like the other property suites.
+SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260728"))
 
 
 def run_element(element, packet):
@@ -96,32 +101,36 @@ class TestSwitchModels:
     @given(
         st.dictionaries(
             st.sampled_from(["out0", "out1", "out2"]),
-            st.lists(st.integers(1, 500), min_size=1, max_size=4, unique=True),
+            st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True),
             min_size=1,
             max_size=3,
         ),
-        st.integers(1, 500),
+        st.integers(1, 12),
     )
     def test_switch_models_agree_with_reference_lookup(self, table, probe_mac):
-        # Remove duplicate MACs across ports (a real table maps a MAC to one port).
-        seen = set()
-        cleaned = {}
-        for port, macs in table.items():
-            cleaned[port] = [m for m in macs if m not in seen]
-            seen.update(cleaned[port])
+        # A MAC listed on two ports goes to the first of them.
         expected_port = None
-        for port, macs in cleaned.items():
+        for port, macs in table.items():
             if probe_mac in macs:
                 expected_port = port
                 break
         packet = models.symbolic_tcp_packet({EtherDst: probe_mac})
         for builder in (switch_basic, switch_ingress, switch_egress):
-            result = run_element(builder("sw", cleaned), packet)
+            result = run_element(builder("sw", table), packet)
             ports = [p.last_port.port for p in result.delivered()]
             if expected_port is None:
                 assert ports == []
             else:
                 assert ports == [expected_port]
+
+    def test_a_mac_on_two_ports_goes_to_the_first(self):
+        table = {"p0": [5, 7], "p1": [5], "p2": [7, 5]}
+        packet = models.symbolic_tcp_packet({EtherDst: 5})
+        for builder in (switch_basic, switch_ingress, switch_egress):
+            result = run_element(builder("sw", table), packet)
+            assert [p.last_port.port for p in result.delivered()] == ["p0"]
+        symbolic = run_element(switch_egress("sw", table), models.symbolic_tcp_packet())
+        assert [p.last_port.port for p in symbolic.delivered()] == ["p0"]
 
 
 FIB = [
@@ -227,23 +236,23 @@ def shrink(fib):
     return fib
 
 
-def random_small_fib(rng):
+def random_small_fib(rng, size=None, width=SWEEP_WIDTH):
     """Nested, duplicate, default-route and host-bits-set entries."""
-    top = (1 << SWEEP_WIDTH) - 1
+    top = (1 << width) - 1
     fib = []
-    for _ in range(rng.randint(1, 12)):
+    for _ in range(rng.randint(1, 12) if size is None else size):
         roll = rng.random()
         if fib and roll < 0.25:  # the same prefix again, maybe on another port
             address, plen, _ = rng.choice(fib)
             address ^= rng.randint(0, top >> plen)  # different host bits
         elif fib and roll < 0.5:  # a more specific prefix inside an earlier one
             address, shorter, _ = rng.choice(fib)
-            plen = rng.randint(shorter, SWEEP_WIDTH)
+            plen = rng.randint(shorter, width)
             address ^= rng.randint(0, top >> shorter)
         elif roll < 0.6:
             address, plen = rng.randint(0, top), 0  # default route
         else:
-            address, plen = rng.randint(0, top), rng.randint(1, SWEEP_WIDTH)
+            address, plen = rng.randint(0, top), rng.randint(1, width)
         fib.append((address, plen, rng.choice(["if0", "if1", "if2", "if3"])))
     return fib
 
@@ -251,13 +260,43 @@ def random_small_fib(rng):
 class TestStackSweep:
     @pytest.mark.parametrize("seed", range(6))
     def test_sweep_agrees_with_reference_lookup_on_every_address(self, seed):
-        rng = random.Random(20260927 + seed)
+        rng = random.Random(SEED + seed)
         for _ in range(150):
             fib = random_small_fib(rng)
             problem = sweep_disagreement(fib)
             if problem:
                 minimal = shrink(fib)
                 pytest.fail(f"{sweep_disagreement(minimal)} for FIB {minimal}")
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_sizes_around_a_power_of_two(self, bits):
+        """The packed sort key gives the FIB position ``len(fib).bit_length()``
+        bits: sizes on both sides of a power of two, with the first entry's
+        prefix repeated (other host bits, other port) at the last position."""
+        rng = random.Random(SEED + 100 + bits)
+        top = (1 << SWEEP_WIDTH) - 1
+        for size in (2**bits - 1, 2**bits, 2**bits + 1):
+            if size < 2:
+                continue
+            for _ in range(4):
+                fib = random_small_fib(rng, size)
+                address, plen, port = fib[0]
+                fib[-1] = (address ^ rng.randint(0, top >> plen), plen, port + "-last")
+                problem = sweep_disagreement(fib)
+                if problem:
+                    minimal = shrink(fib)
+                    pytest.fail(f"{sweep_disagreement(minimal)} for FIB {minimal}")
+
+    def test_router_fib_grouping_is_pinned(self):
+        """The 62 205-prefix FIB of Table 2's 33 % row: the groups, in dict
+        order, hash to the digest captured before the sort key packed the
+        FIB position."""
+        fib = fib_subset(generate_fib(188_500, ports=16, seed=12), 0.33, seed=1)
+        groups = group_prefixes_by_port(fib)
+        text = repr([(port, list(allowed.pairs())) for port, allowed in groups.items()])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "90037f9b23901bf181ef0c1e55159ebabe12b06ef55d88c603991310ca18947a"
+        )
 
     def test_first_entry_wins_for_a_duplicate_prefix(self):
         groups = group_prefixes_by_port(
@@ -311,6 +350,34 @@ class TestRouterModels:
     def test_build_router_dispatch(self):
         for style in RouterModelStyle:
             assert build_router("r", FIB, style=style).kind == "router"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_style_agrees_with_reference_lpm_on_duplicate_prefixes(self, seed):
+        """Each FIB repeats prefixes, some with other host bits; every style
+        must send each probe where ``longest_prefix_match`` does."""
+        rng = random.Random(SEED + 200 + seed)
+        for _ in range(4):
+            fib = random_small_fib(rng, rng.randint(2, 12), width=32)
+            address, plen, port = fib[0]
+            fib.append((address | (rng.getrandbits(32) >> plen), plen, port + "-dup"))
+            probes = [rng.getrandbits(32) for _ in range(3)]
+            for address, plen, _ in fib:
+                interval = prefix_to_interval(address, plen)
+                probes += [interval.lo, interval.hi]
+            elements = {style: build_router("r", fib, style=style) for style in RouterModelStyle}
+            for probe in probes:
+                expected = longest_prefix_match(fib, probe)
+                packet = models.symbolic_ip_packet({IpDst: probe})
+                for style, element in elements.items():
+                    ports = [p.last_port.port for p in run_element(element, packet).delivered()]
+                    assert ports == ([expected] if expected else []), (style, fib, probe)
+
+    def test_duplicate_prefix_goes_to_the_first_entry(self):
+        fib = [(0x0A000000, 8, "a"), (0x0A000000, 8, "b"), (0x0A0000FF, 8, "c")]
+        packet = models.symbolic_ip_packet({IpDst: 0x0A010203})
+        for builder in (router_basic, router_ingress, router_egress):
+            result = run_element(builder("r", fib), packet)
+            assert [p.last_port.port for p in result.delivered()] == ["a"]
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, (1 << 32) - 1))

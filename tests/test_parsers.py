@@ -20,12 +20,15 @@ from repro.parsers import (
 )
 from repro.parsers.asa_config import format_asa_config
 from repro.parsers.mac_table import format_mac_table
-from repro.parsers.routing_table import format_routing_table
+from repro.parsers.routing_table import _LINE, format_routing_table
 from repro.parsers.topology_file import TopologyParseError
 from repro.sefl import EtherDst, IpDst, ip_to_number, mac_to_number
 from repro.sefl.util import parse_prefix
+from repro.workloads.fibs import fib_as_text, fib_subset, generate_fib
 
 SETTINGS = ExecutionSettings(record_failed_paths=False)
+# Seeds the routing-table fuzz, like the other property suites.
+SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260728"))
 
 MAC_SNAPSHOT = """
 Vlan    Mac Address       Type        Ports
@@ -112,19 +115,49 @@ OLD_ENTRY = re.compile(r"^\s*(?P<prefix>[\d./]+)\s+(?P<port>\S+)\s*(#.*)?$")
 
 def reference_parse(text):
     """The line-at-a-time parser ``parse_routing_table`` replaced: the oracle
-    for which lines are rules and what they mean."""
-    entries = []
-    for line in text.splitlines():
+    for which lines are rules and what they mean.  Lines end at ``"\\n"``,
+    as in the snapshot grammar; returns the entries and the numbers of the
+    lines that are neither rules, comments nor blank."""
+    entries, skipped = [], []
+    for number, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
-        match = OLD_ENTRY.match(stripped)
-        if not stripped or stripped.startswith("#") or not match:
+        if not stripped or stripped.startswith("#"):
             continue
+        match = OLD_ENTRY.match(stripped)
         try:
+            if not match:
+                raise ValueError(stripped)
             address, plen = parse_prefix(match.group("prefix"))
         except ValueError:
+            skipped.append(number)
             continue
         entries.append((address, plen, match.group("port")))
-    return entries
+    return entries, skipped
+
+
+def grammar_parse(text):
+    """``_LINE`` alone, over the whole text at once: the parser before its
+    two-token fast path.  Returns the entries and the skipped line numbers."""
+    entries, skipped = [], []
+    for number, (a, b, c, d, length, port, junk) in enumerate(_LINE.findall(text), 1):
+        if port:
+            a, b, c, d = int(a), int(b), int(c), int(d)
+            plen = int(length) if length else 32
+            if (a | b | c | d) <= 255 and plen <= 32:
+                entries.append((a << 24 | b << 16 | c << 8 | d, plen, port))
+                continue
+        if port or junk:
+            skipped.append(number)
+    return entries, skipped
+
+
+def warnings_for(skipped):
+    if not skipped:
+        return []
+    return [
+        f"routing table: skipped {len(skipped)} malformed line(s), "
+        f"first at line {skipped[0]}"
+    ]
 
 
 @pytest.fixture
@@ -179,12 +212,13 @@ class TestRoutingTableSkippedLines:
         ]
         assert routing_table_log == []
 
-    def test_agrees_with_line_at_a_time_reference(self):
+    def test_agrees_with_line_at_a_time_reference(self, routing_table_log):
         lines = self.DIRTY.splitlines() + [
             "1.2.3.4/8/3 if0",
             "1.2.3 if0",
             "1.2.3.4.5/8 if0",
             "1.2.3.4/ if0",
+            "1.2.3.4/",
             "1.2.3.4/+8 if0",
             "1.2.3.4/8 if0 extra",
             "  # 1.2.3.4/8 if0",
@@ -192,12 +226,48 @@ class TestRoutingTableSkippedLines:
             "0.0.0.0/0 default",
             "255.255.255.255 host",
             "256.0.0.0/8 if0",
+            # Spellings the grammar accepts and the two-token fast path does
+            # not: leading zeros, non-ASCII digits.
+            "010.0.0.0/8 if0",
+            "10.0.0.0/08 if0",
+            "10.0.0.0/032 if0",
+            "\u0661.2.3.4/8 if0",
+            "1.2.3.4/\u0668 if0",
+            # Not rules in either.
+            "1.2.3.4\x00/8 if0",
+            "1.2.3.4/8\x00 if0",
+            "2001:db8::/32 if0",
+            "::/0 if0",
+            "foo bar",
+            "1.2.3.4/33 if0",
+            # Every Unicode whitespace separates tokens; only "\n" ends a line.
+            "1.2.3.4/8\u00a0if0",
+            "1.2.3.4/8\x85if0",
+            "1.2.3.4/8\x1cif0",
+            "\u30001.2.3.4/8\u3000if0\u3000",
+            "1.2.3.4/8 if0\r",
+            "\r",
+            # A port may start with "#"; a first token that does is a comment.
+            "1.2.3.4/8 #if0",
+            "1.2.3.4 #",
+            "#1.2.3.4/8 if0",
         ]
-        rng = random.Random(20260927)
+        rng = random.Random(SEED)
         for _ in range(200):
             sample = rng.sample(lines, rng.randint(0, len(lines)))
             text = "\n".join(sample) + rng.choice(["", "\n"])
-            assert parse_routing_table(text) == reference_parse(text), text
+            expected, skipped = reference_parse(text)
+            assert grammar_parse(text) == (expected, skipped), text
+            routing_table_log.clear()
+            assert parse_routing_table(text) == expected, text
+            assert [r.getMessage() for r in routing_table_log] == warnings_for(skipped), text
+
+    def test_router_fib_snapshot_agrees_with_reference(self, routing_table_log):
+        """The 62 205-prefix FIB of Table 2's 33 % row, as snapshot text."""
+        fib = fib_subset(generate_fib(188_500, ports=16, seed=12), 0.33, seed=1)
+        text = fib_as_text(fib)
+        assert parse_routing_table(text) == reference_parse(text)[0] == fib
+        assert routing_table_log == []
 
 
 class TestAsaConfigParser:
