@@ -228,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument(
         "--shared-cache", action=argparse.BooleanOptionalAction,
         default=defaults.shared_cache,
-        help="share the canonical verdict cache across jobs (per-worker "
+        help="share the verdict cache across jobs (per-worker "
         "persistent cache, plus a sharded process-shared tier when "
         "--workers > 1); --no-shared-cache isolates every job "
         "(default: %(default)s)",

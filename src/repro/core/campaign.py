@@ -170,14 +170,15 @@ class CampaignResult:
             # under the one verdict-combination policy (resolve_verdict):
             # definite verdicts supersede "unknown"s, so the merged map is
             # order-independent; a definite-vs-definite conflict would mean
-            # canonicalization is unsound and must fail loudly.
+            # two jobs solved one set differently and must fail loudly.
             for fingerprint, verdict in job.verdict_cache_entries:
                 known = result.verdict_cache.get(fingerprint)
                 action = resolve_verdict(known, verdict)
                 if action == "conflict":
                     raise CacheConflictError(
                         f"jobs disagree on fingerprint {fingerprint[:12]}…: "
-                        f"{known!r} vs {verdict!r}"
+                        f"{known!r} vs {verdict!r} (the solver is "
+                        "deterministic: one of them is corrupt)"
                     )
                 if action == "replace":
                     result.verdict_cache[fingerprint] = verdict
@@ -386,12 +387,12 @@ class VerificationCampaign:
 
     def _publish(self, result: CampaignResult) -> None:
         """Persist every fresh verdict this campaign derived.  A
-        definite-vs-definite conflict with the store proves either unsound
-        canonicalization or a corrupted record that slipped past the
-        integrity checks — but the finished result in hand was computed
-        from live solves and is correct regardless, so the store's
-        never-crash-a-campaign contract applies: warn loudly and skip the
-        publish instead of discarding the run."""
+        definite-vs-definite conflict with the store proves a corrupted
+        record that slipped past the integrity checks — but the finished
+        result in hand was computed from live solves and is correct
+        regardless, so the store's never-crash-a-campaign contract applies:
+        warn loudly, count a degraded operation and skip the publish
+        instead of discarding the run."""
         result.stats.store_entries_loaded = self._store.verdict_count()
         publish_started = time.perf_counter()
         try:
@@ -406,10 +407,11 @@ class VerificationCampaign:
                 f"verdict store at {self._store.directory} conflicts "
                 f"with this campaign's live solves ({exc}); nothing was "
                 "published — the store is likely corrupted (inspect / "
-                "compact it), or canonicalization is unsound",
+                "compact it)",
                 RuntimeWarning,
                 stacklevel=2,
             )
+            self._store.degraded_operations += 1
             result.stats.store_entries_published = 0
             return
         STORE_PUBLISH_SECONDS.get().observe(time.perf_counter() - publish_started)

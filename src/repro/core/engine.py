@@ -325,9 +325,8 @@ class SymbolicExecutor:
                 return True
             if new_formula is None:
                 new_formula = sa.conjoin(constraints)
-            # Loop checks at symmetric ports differ only in symbol names, so
-            # the canonical verdict cache shares them across paths — and, in
-            # campaigns, across jobs.
+            # Loop checks repeat exact conjunct sets, so the verdict cache
+            # shares them across paths — and, in campaigns, across jobs.
             query = PathCondition()
             query.assume(
                 sa.And(sa.conjoin(snapshot.constraints), sa.Not(new_formula))

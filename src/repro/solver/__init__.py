@@ -47,7 +47,7 @@ from repro.solver.ast import (
     conjoin,
     disjoin,
 )
-from repro.solver.canonical import CanonicalForm, canonical_fingerprint, canonical_form
+from repro.solver.canonical import canonical_fingerprint
 from repro.solver.form import PathCondition
 from repro.solver.incremental import IncrementalSolver, SolverContext
 from repro.solver.intervals import Interval, IntervalSet
@@ -67,7 +67,6 @@ __all__ = [
     "BoolTrue",
     "CacheConflictError",
     "CacheCorruptionError",
-    "CanonicalForm",
     "Const",
     "Eq",
     "FALSE",
@@ -93,7 +92,6 @@ __all__ = [
     "Var",
     "VerdictCache",
     "canonical_fingerprint",
-    "canonical_form",
     "conjoin",
     "disjoin",
     "resolve_verdict",

@@ -1,21 +1,15 @@
-"""Canonical forms by colour refinement: renaming-invariant cache keys.
+"""Canonical forms by colour refinement, and the verdict cache's key.
 
-Two layers need the same answer to "are these two structures the same up to
-renaming?".  The incremental solver memoizes full solves on the conjunct
-set of a path, and the huge number of structurally similar paths a network
-induces (the paper's scalability argument) produces sets that differ
-**only** in the names of the fresh symbols the engine allocated along the
-way.  The campaign symmetry layer asks it of whole networks: an injection
-port of one Stanford zone against the same port of a renamed zone.
-
-Both are answered by **one core**, :class:`EntityStructure`: a set of
-*entities* (solver variables; network elements, ports, constant cells,
-string literals) related by *atoms* — nested tuples in which entity
-occurrences are wrapped in :class:`Ent` and unordered sub-collections in
-:class:`USet`; everything not wrapped is a literal and must match exactly.
-The structure is compiled once — entities interned to ``0..n-1``, every
-atom to *(template id, slot entities, unordered entity groups)* — and
-canonical indices are chosen by
+The campaign symmetry layer asks "are these two structures the same up to
+renaming?" of whole networks: an injection port of one Stanford zone
+against the same port of a renamed zone.  It is answered by one core,
+:class:`EntityStructure`: a set of *entities* (network elements, ports,
+constant cells, string literals) related by *atoms* — nested tuples in
+which entity occurrences are wrapped in :class:`Ent` and unordered
+sub-collections in :class:`USet`; everything not wrapped is a literal and
+must match exactly.  The structure is compiled once — entities interned to
+``0..n-1``, every atom to *(template id, slot entities, unordered entity
+groups)* — and canonical indices are chosen by
 
 * **colour refinement** (:meth:`EntityStructure.refine`, Weisfeiler-Lehman
   style): each round colours every atom once from its entities' colours and
@@ -29,25 +23,21 @@ canonical indices are chosen by
   leaf budget; otherwise the search *continues from the same colouring*
   greedily, ordering each tied class by the caller's tie keys.
 
-:func:`canonical_form` (conjunct sets: order-, duplicate- and
-variable-name-independent, after NNF and linear normalisation so ``x + 1 ==
-5`` and ``x == 4`` are one conjunct) and :func:`canonical_entity_form` are
-thin adapters; :class:`repro.network.view.CampaignSymmetryView` keeps one
-structure per network and pays the compilation and the first refinement
-once for all of a campaign's jobs.
+:func:`canonical_entity_form` is a thin adapter;
+:class:`repro.network.view.CampaignSymmetryView` keeps one structure per
+network and pays the compilation and the first refinement once for all of
+a campaign's jobs.
 
 **Soundness invariant**: the canonical index assignment is always a
 *bijection* from the entities onto ``0..n-1`` and the final rendering
 replaces every entity occurrence by its index, so the rendering is a
 renamed copy of the input.  Equal renderings therefore certify that the
-index-aligned entity pairing is an isomorphism — for conjunct sets: the
-sets are alpha-equivalent, hence equisatisfiable, and a cache keyed on the
-fingerprint can never serve a verdict for a semantically different set
-(fingerprints are SHA-256 over the rendering; hash collisions aside).  Any
-deterministic tie-break keeps this true, so the greedy pass can only cost
-a missed merge, never a wrong one; ``used_name_fallback`` reports when it
-ran, and the mutation/soundness suite in ``tests/test_canonical_cache.py``
-pins both directions.
+index-aligned entity pairing is an isomorphism.  Any deterministic
+tie-break keeps this true, so the greedy pass can only cost a missed
+merge, never a wrong one; ``used_name_fallback`` reports when it ran.
+
+The verdict cache's key, :func:`canonical_fingerprint`, renames nothing:
+it is SHA-256 over the exact conjunct set (see its docstring).
 """
 
 from __future__ import annotations
@@ -57,22 +47,24 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.solver.ast import (
+    Add,
     And,
     BoolFalse,
     BoolTrue,
+    Const,
+    Eq,
     Formula,
+    Ge,
+    Gt,
+    Le,
+    Lt,
     Member,
+    Ne,
+    Not,
     Or,
+    Sub,
     Var,
-    linearize,
-    to_nnf,
 )
-
-#: Leaf budget for the individualise-and-refine search over conjunct sets.
-#: Sets produced by network models have tiny symmetric classes (usually
-#: none), so this is generous; exceeding it triggers the sound name-order
-#: greedy pass.
-SYMMETRY_BUDGET = 64
 
 #: Leaf budget for entity graphs.  Campaign topologies routinely keep large
 #: automorphism groups even after the injection port is individualised (the
@@ -412,127 +404,52 @@ def canonical_entity_form(
     ).form()
 
 
+
+
 # ---------------------------------------------------------------------------
 # Conjunct sets (the verdict-cache key)
 # ---------------------------------------------------------------------------
-#
-# Formulas are normalised to atom trees over ``Ent(Var)`` leaves:
-#   ("bool", 0|1)
-#   ("cmp", op, terms, k)             -- sum(c_i * v_i) + k  op  0
-#   ("member", negated, terms, k, values)
-#   ("and"|"or", USet(children))
-# ``terms`` groups a linear combination by coefficient and bit width —
-# ``((coeff, width, USet(variables)), ...)`` in literal order — so the
-# width is part of the rendering and two sets differing only in a
-# variable's bit width can never share one.
 
-_OP_NAMES = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le"}
-_FLIPPED = {">": "lt", ">=": "le"}
+#: Leads every key's hashed bytes: no other scheme's key (an older,
+#: renaming-based one included) can equal one of this scheme's.
+_SCHEME = b"exact-conjunct-set/1\n"
+
+_BINARY = (Add, Sub, Eq, Ne, Lt, Le, Gt, Ge)
 
 
-def _terms(coeffs: Iterable[Tuple[Var, int]], variables: Dict, sign: int = 1) -> Tuple:
-    buckets: Dict[Tuple[int, int], List[Ent]] = {}
-    for var, coeff in coeffs:
-        variables.setdefault(var, None)
-        buckets.setdefault((sign * coeff, var.width), []).append(Ent(var))
-    return tuple(
-        (coeff, width, USet(members))
-        for (coeff, width), members in sorted(buckets.items())
-    )
-
-
-def _shape(terms: Tuple, constant: int) -> Tuple:
-    return (constant, tuple((c, w, len(group.items)) for c, w, group in terms))
-
-
-def _normalize(formula: Formula, variables: Dict[Var, None]):
-    formula = to_nnf(formula)
-    if isinstance(formula, BoolTrue):
-        return ("bool", 1)
-    if isinstance(formula, BoolFalse):
-        return ("bool", 0)
-    if isinstance(formula, (And, Or)):
-        tag = "and" if isinstance(formula, And) else "or"
-        return (tag, USet(_normalize(op, variables) for op in formula.operands))
-    if isinstance(formula, Member):
-        linear = linearize(formula.term)
-        values = tuple(formula.values.pairs())
-        return (
-            "member",
-            1 if formula.negated else 0,
-            _terms(linear.coeffs, variables),
-            linear.constant,
-            values,
-        )
-    # Comparison atom: move everything left (lhs - rhs op 0) and orient
-    # > / >= as < / <= by negating the linear combination.
-    lhs = linearize(formula.left)
-    rhs = linearize(formula.right)
-    merged: Dict[Var, int] = {}
-    for var, coeff in lhs.coeffs:
-        merged[var] = merged.get(var, 0) + coeff
-    for var, coeff in rhs.coeffs:
-        merged[var] = merged.get(var, 0) - coeff
-    coeffs = [(var, coeff) for var, coeff in merged.items() if coeff != 0]
-    constant = lhs.constant - rhs.constant
-    if formula.op in _FLIPPED:
-        return ("cmp", _FLIPPED[formula.op], _terms(coeffs, variables, -1), -constant)
-    op = _OP_NAMES[formula.op]
-    forward = (_terms(coeffs, variables), constant)
-    if op in ("eq", "ne"):
-        # x - y == k and y - x == -k are the same atom: keep the
-        # orientation whose literal shape is smaller, and when the shapes
-        # coincide (x == y) keep both as an unordered pair.
-        backward = (_terms(coeffs, variables, -1), -constant)
-        shapes = _shape(*forward), _shape(*backward)
-        if shapes[0] == shapes[1]:
-            return ("cmp", op, USet((forward, backward)))
-        if shapes[1] < shapes[0]:
-            forward = backward
-    return ("cmp", op, *forward)
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """The canonical normal form of one conjunct set."""
-
-    #: SHA-256 hex digest of ``rendering`` — the cross-process cache key.
-    fingerprint: str
-    #: The canonical rendering itself (nested tuples of ints/strings only,
-    #: so it is hashable, comparable and stable across processes).
-    rendering: Tuple
-    #: The original variables in canonical-index order: ``variables[i]`` is
-    #: the variable renamed to index ``i`` (the witness bijection).
-    variables: Tuple[Var, ...]
-    #: True when symmetry breaking exceeded the budget and ties were broken
-    #: by original variable names (sound, but not name-independent).
-    used_name_fallback: bool = False
-
-
-def canonical_form(conjuncts: Iterable[Formula]) -> CanonicalForm:
-    """Canonicalize a conjunct set (see module docstring)."""
-    trees = []
-    variables: Dict[Var, None] = {}
-    for formula in conjuncts:
-        tree = _normalize(formula, variables)
-        if tree != ("bool", 1):  # TRUE conjuncts carry no information
-            trees.append(tree)
-    rendered, ordered, used_fallback = EntityStructure(
-        trees,
-        dict.fromkeys(variables, 0),
-        {var: (var.width, var.name) for var in variables},
-        SYMMETRY_BUDGET,
-    ).canonicalise()
-    # A conjunct *set*: structurally equal conjuncts collapse.
-    rendering = ("cf2", tuple(dict.fromkeys(rendered)))
-    return CanonicalForm(
-        fingerprint=_digest(rendering),
-        rendering=rendering,
-        variables=ordered,
-        used_name_fallback=used_fallback,
-    )
+def _spell(node) -> str:
+    """An injective spelling of a term or formula: equal nodes spell alike,
+    unequal ones differently.  Names are ``repr``-quoted, so a spelling never
+    holds a bare newline; an ``IntervalSet`` is spelled off its two tuples
+    of integer bounds."""
+    kind = type(node)
+    if kind is Var:
+        return f"Var({node.name!r},{node.width:d})"
+    if kind is Const:
+        return f"Const({node.value:d})"
+    if kind in _BINARY:
+        return f"{kind.__name__}({_spell(node.left)},{_spell(node.right)})"
+    if kind is Member:
+        los, his = node.values.bounds
+        return f"Member({_spell(node.term)},{node.negated:d},{los!r},{his!r})"
+    if kind is And or kind is Or:
+        return f"{kind.__name__}({','.join(map(_spell, node.operands))})"
+    if kind is Not:
+        return f"Not({_spell(node.operand)})"
+    if kind is BoolTrue or kind is BoolFalse:
+        return kind.__name__
+    raise TypeError(f"not a term or formula: {node!r}")
 
 
 def canonical_fingerprint(conjuncts: Iterable[Formula]) -> str:
-    """The alpha-renaming-invariant cache key of a conjunct set."""
-    return canonical_form(conjuncts).fingerprint
+    """The verdict cache's key of a conjunct set: SHA-256 over the scheme
+    tag and the set's sorted, distinct conjunct spellings, one per line.
+
+    Two keys are equal exactly when the two sets are equal as ``frozenset``
+    objects: order and duplicates do not count, everything else — variable
+    names, widths, ``x + 1 == 5`` against ``x == 4`` — does.  No step
+    depends on ``hash()``, so the key is the same in every process.
+    """
+    spellings = sorted({_spell(formula) for formula in conjuncts})
+    text = "\n".join(spellings).encode("utf-8")
+    return hashlib.sha256(_SCHEME + text).hexdigest()

@@ -15,7 +15,7 @@ keeps the committed prefix in solved form instead, and
    domains, which are non-empty by construction — satisfiable, again without
    a solver call (also a fast path);
 3. otherwise the base solver decides the residual, starting from the solved
-   form, behind a memoization cache keyed on the canonicalized (order- and
+   form, behind a memoization cache keyed on the exact (order- and
    duplicate-insensitive) set of conjuncts, with hit/miss counters recorded
    in :class:`repro.solver.result.SolverStats`.
 
@@ -59,17 +59,16 @@ class SolverContext(PathCondition):
 
 
 class IncrementalSolver:
-    """Factory for :class:`SolverContext` plus a canonical verdict cache.
+    """Factory for :class:`SolverContext` plus a verdict cache.
 
     Wraps a base :class:`Solver`; all statistics (including cache and
-    fast-path counters) accumulate in ``base.stats`` so existing
-    instrumentation keeps working.
+    fast-path counters) accumulate in ``base.stats``, the one place they
+    are read.
 
-    Full solves are memoized in a :class:`VerdictCache` keyed on the
-    alpha-renaming-invariant :func:`canonical_fingerprint` of the conjunct
-    set, so structurally similar paths — different variable names, shuffled
-    conjunct order, linear-arithmetic variants of the same atoms — share one
-    entry; the cache also memoises each exact set's key.  Passing
+    Full solves are memoized in a :class:`VerdictCache` keyed on
+    :func:`canonical_fingerprint`, SHA-256 over the exact conjunct set, so
+    paths that assert the same conjuncts — in any order, any number of
+    times — share one entry; the cache also memoises each set's key.  Passing
     ``verdict_cache`` lets many solvers (e.g. every job a campaign worker
     runs) share one persistent cache and key memo; ``shared_cache`` adds
     an optional cross-process tier (any dict-like object, typically a
@@ -98,10 +97,6 @@ class IncrementalSolver:
             # and batched-publish counters through this solver's stats.
             shared_cache.bind_stats(self.base.stats)
         self.paranoid = paranoid
-        # Per-instance counters (SolverStats aggregates across every
-        # IncrementalSolver sharing the base solver).
-        self._hits = 0
-        self._misses = 0
 
     @property
     def stats(self) -> SolverStats:
@@ -165,12 +160,11 @@ class IncrementalSolver:
     def _memoized(
         self, conjuncts: List[Formula], solve: Callable[[], SolverResult]
     ) -> SolverResult:
-        """The verdict filed under ``conjuncts``' canonical fingerprint, or
+        """The verdict filed under ``conjuncts``' fingerprint, or
         ``solve()``'s, filed for the next caller."""
         exact = frozenset(conjuncts)
         key = self.cache.exact_key(exact)
         if key == "unknown":
-            self._hits += 1
             self.stats.record_cache_hit()
             return SolverResult(verdict="unknown")
         if key is None:  # first sight in this cache's (worker's) lifetime
@@ -185,7 +179,6 @@ class IncrementalSolver:
         if verdict is not None:
             if self.paranoid:
                 self.cache.verify_entry(key, conjuncts)
-            self._hits += 1
             self.stats.record_cache_hit()
             return SolverResult(verdict=verdict)
         if self.shared is not None:
@@ -207,7 +200,6 @@ class IncrementalSolver:
                 self.cache.put(key, verdict)
                 self.stats.record_shared_cache_hit()
                 return SolverResult(verdict=verdict)
-        self._misses += 1
         self.stats.record_cache_miss()
         tracer = get_tracer()
         if tracer.enabled:
@@ -221,8 +213,9 @@ class IncrementalSolver:
             result = solve()
         if result.verdict == "unknown":
             # Incompleteness, not an answer: budgets are consumed in
-            # conjunct order, so an alpha-variant of this set might solve
-            # definitively.  Memoize only under the exact conjunct set.
+            # conjunct order, so a later run handed this set in another
+            # order might solve it definitively.  Memoize it only in this
+            # process's exact-set memo, never as a verdict to publish.
             self.cache.remember_exact(exact, "unknown")
             return result
         self.cache.put(
@@ -238,11 +231,5 @@ class IncrementalSolver:
                 self.stats.record_degraded_operation()
         return result
 
-    def cache_info(self) -> Tuple[int, int, int]:
-        """``(hits, misses, size)`` of *this* solver's memoization cache."""
-        return (self._hits, self._misses, len(self.cache))
-
     def clear_cache(self) -> None:
         self.cache.clear()
-        self._hits = 0
-        self._misses = 0

@@ -128,6 +128,11 @@ class IntervalSet:
         return zip(self._los, self._his)
 
     @property
+    def bounds(self) -> Tuple[Bounds, Bounds]:
+        """The ``(los, his)`` tuples :meth:`from_bounds` takes."""
+        return self._los, self._his
+
+    @property
     def intervals(self) -> Tuple[Interval, ...]:
         """Compatibility view: materialises one :class:`Interval` per span."""
         return tuple(map(Interval, self._los, self._his))

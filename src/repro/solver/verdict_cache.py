@@ -1,15 +1,15 @@
-"""Cross-job verdict cache keyed on canonical constraint fingerprints.
+"""Cross-job verdict cache keyed on exact conjunct-set fingerprints.
 
 A :class:`VerdictCache` maps :func:`repro.solver.canonical.canonical_fingerprint`
-keys to solver verdicts (``"sat"`` / ``"unsat"`` / ``"unknown"``).  Because
-the key is alpha-renaming-invariant, one cache serves every structurally
-similar path of every campaign job that shares it: per-worker caches live in
-the campaign runtime cache and survive across jobs, their fresh entries are
-merged back into the campaign report (warming later campaigns), and an
-optional process-shared tier (a ``multiprocessing.Manager`` dict) lets
-parallel workers exchange verdicts live.  The cache also memoises each
-*exact* conjunct set's key, so a set the worker has seen — in this job or an
-earlier one — is canonicalised once per process, not once per job.
+keys to solver verdicts (``"sat"`` / ``"unsat"`` / ``"unknown"``).  The key
+is SHA-256 over the exact conjunct set, so it means the same set in every
+process: per-worker caches live in the campaign runtime cache and survive
+across jobs, their fresh entries are merged back into the campaign report
+(warming later campaigns), and an optional process-shared tier (a
+``multiprocessing.Manager`` dict) lets parallel workers exchange verdicts
+live.  The cache also memoises each exact conjunct set's key, so a set the
+worker has seen — in this job or an earlier one — is hashed once per
+process, not once per job.
 
 Soundness instrumentation
 -------------------------
@@ -18,8 +18,8 @@ Aggressive caching is only shippable with a tripwire for silent weakening:
 
 * ``put``/``merge`` refuse to overwrite an entry with a *different* verdict
   (:class:`CacheConflictError`) — the solver is deterministic, so a conflict
-  proves either canonicalization collapsed two inequivalent sets or an entry
-  was corrupted;
+  proves either the key function merged two different sets or an entry was
+  corrupted;
 * in ``debug`` mode the cache retains a witness conjunct set per entry, and
   :meth:`VerdictCache.verify_entry` / :meth:`VerdictCache.verify_witnesses`
   re-derive the fingerprint and re-solve from scratch, raising
@@ -54,10 +54,11 @@ def resolve_verdict(existing: Optional[str], incoming: str) -> str:
 
     "unknown" is budget-dependent solver incompleteness, not a semantic
     claim — the split/model-search budgets are consumed in conjunct order,
-    so alpha-variants of one set may legitimately land on "unknown" vs a
-    definite verdict.  A definite verdict therefore supersedes an unknown
-    and is never downgraded by one; only definite-vs-definite disagreement
-    proves a cache (or canonicalization) is corrupt.
+    so two solves of one set, handed its conjuncts in different orders, may
+    legitimately land on "unknown" vs a definite verdict.  A definite
+    verdict therefore supersedes an unknown and is never downgraded by one;
+    only definite-vs-definite disagreement proves a cache (or its key
+    function) is corrupt.
     """
     if incoming not in _VERDICTS:
         raise ValueError(f"not a solver verdict: {incoming!r}")
@@ -69,10 +70,10 @@ def resolve_verdict(existing: Optional[str], incoming: str) -> str:
 
 
 class VerdictCache:
-    """Bounded LRU map from canonical fingerprints to solver verdicts."""
+    """Bounded LRU map from conjunct-set fingerprints to solver verdicts."""
 
     __slots__ = ("_entries", "_witnesses", "_fresh", "_max_entries", "debug",
-                 "hits", "misses", "merged", "applied_tokens", "_exact")
+                 "applied_tokens", "_exact")
 
     def __init__(self, max_entries: int = 100_000, debug: bool = False) -> None:
         self._entries: "OrderedDict[str, str]" = OrderedDict()
@@ -84,9 +85,6 @@ class VerdictCache:
         self._fresh: Dict[str, str] = {}
         self._max_entries = max_entries
         self.debug = debug
-        self.hits = 0
-        self.misses = 0
-        self.merged = 0
         # Idempotence tokens for bulk imports: a campaign stamps its warm
         # map with a content token so only the first job per worker pays
         # the merge (see campaign.execute_job).
@@ -114,17 +112,9 @@ class VerdictCache:
 
     def get(self, fingerprint: str) -> Optional[str]:
         verdict = self._entries.get(fingerprint)
-        if verdict is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(fingerprint)
-        self.hits += 1
+        if verdict is not None:
+            self._entries.move_to_end(fingerprint)
         return verdict
-
-    def peek(self, fingerprint: str) -> Optional[str]:
-        """Look up an entry without touching LRU order or hit/miss counters
-        (the store's load-time conflict probing must not skew statistics)."""
-        return self._entries.get(fingerprint)
 
     def put(
         self,
@@ -161,7 +151,7 @@ class VerdictCache:
 
     def remember_exact(self, exact: frozenset, key: str) -> None:
         """File ``key`` (a fingerprint, or "unknown": deterministic on
-        identical input, so never shared with alpha-variants) for ``exact``."""
+        identical input, so kept off the verdict map) for ``exact``."""
         self._exact[exact] = key
         if len(self._exact) > self._max_entries:
             self._exact.popitem(last=False)
@@ -176,9 +166,6 @@ class VerdictCache:
         self._fresh.clear()
         self._exact.clear()
         self.applied_tokens.clear()
-        self.hits = 0
-        self.misses = 0
-        self.merged = 0
 
     # -- campaign plumbing -----------------------------------------------------
 
@@ -209,7 +196,6 @@ class VerdictCache:
                 self.put(fingerprint, verdict, fresh=False)
                 if existing is None:
                     added += 1
-        self.merged += added
         return added
 
     # -- soundness hooks -------------------------------------------------------
@@ -227,7 +213,7 @@ class VerdictCache:
         if recomputed != fingerprint:
             raise CacheCorruptionError(
                 f"fingerprint mismatch: entry keyed {fingerprint[:12]}… but "
-                f"witness canonicalizes to {recomputed[:12]}…"
+                f"witness keys to {recomputed[:12]}…"
             )
         stored = self._entries.get(fingerprint)
         if stored is None:

@@ -2,7 +2,7 @@
 
 PR 3's shared tier was a single ``multiprocessing.Manager`` dict: every miss
 is one proxy round-trip, every publish another, and all of them serialise on
-one writer lock.  :class:`ShardedTier` partitions the canonical fingerprint
+one writer lock.  :class:`ShardedTier` partitions the verdict fingerprint
 space by hex prefix across N Manager dicts and buffers publishes per shard,
 flushing a whole batch in one ``dict.update`` round-trip — so W workers
 publishing into N shards contend N-ways instead of queueing on one proxy,
@@ -34,7 +34,7 @@ DEFAULT_PUBLISH_BATCH = 4
 
 
 def shard_index(fingerprint: str, shards: int) -> int:
-    """Which shard owns a canonical fingerprint.  Prefix-partitioned: the
+    """Which shard owns a verdict fingerprint.  Prefix-partitioned: the
     first eight hex digits (32 bits) of SHA-256 output spread uniformly
     over any practical shard count, and the mapping depends only on
     (fingerprint, shard count) — every process agrees."""

@@ -253,13 +253,13 @@ class VerificationStore:
             staged = {}
             for fingerprint in sorted(entries):
                 action = resolve_verdict(
-                    accepted.peek(fingerprint), entries[fingerprint]
+                    accepted.get(fingerprint), entries[fingerprint]
                 )
                 if action == "conflict":
                     self._quarantine(
                         path,
                         f"fingerprint {fingerprint[:12]}… maps to "
-                        f"{accepted.peek(fingerprint)!r} elsewhere, "
+                        f"{accepted.get(fingerprint)!r} elsewhere, "
                         f"{entries[fingerprint]!r} here",
                     )
                     break

@@ -137,7 +137,7 @@ def build_service_acl(name: str, rules: int) -> NetworkElement:
     Each rule's match (``TcpSrc == p or TcpDst == p``) mixes two symbolic
     variables, so probing it falls outside the interval-domain fast path and
     costs a real solve — the constraint shape whose repetition across
-    symmetric zones the canonical verdict cache exists to absorb.
+    symmetric zones the verdict cache exists to absorb.
     """
     if rules > len(SERVICE_ACL_PORTS):
         raise ValueError(

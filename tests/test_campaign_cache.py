@@ -88,7 +88,7 @@ def test_job_reports_carry_cache_statistics():
 
 
 def _count_fingerprints(monkeypatch, source, **options):
-    """Run a cold one-worker campaign, counting the canonical fingerprints
+    """Run a cold one-worker campaign, counting the verdict fingerprints
     the solver computes; returns ``(result, calls, distinct exact sets)``."""
     import repro.solver.incremental as incremental
 
@@ -110,7 +110,7 @@ def _count_fingerprints(monkeypatch, source, **options):
 
 def test_each_exact_conjunct_set_is_fingerprinted_once_per_worker(monkeypatch):
     """The exact-set key memo lives on the worker's VerdictCache, so a set
-    every ACL job re-derives under the same symbol names is canonicalised
+    every ACL job re-derives under the same symbol names is hashed
     once per process; ``shared_cache=False`` (a fresh cache per job) keeps it
     per job, and where the key comes from never moves a counter."""
     from repro.solver.incremental import IncrementalSolver

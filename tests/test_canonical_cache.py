@@ -1,37 +1,42 @@
-"""Cache-soundness fuzz suite for canonical fingerprints + verdict cache.
+"""Contract suite for the verdict cache's key and the cache itself.
 
-The cross-job verdict cache (solver/canonical.py + solver/verdict_cache.py)
-lets one solver verdict answer every alpha-equivalent constraint set any
-campaign job produces.  That is only safe if canonicalization never merges
-semantically distinct sets, so this suite attacks it from three directions,
-mirroring the conventions of ``test_differential_baselines.py`` (seed-pinned
-fuzz loops, chunked, greedy shrink-on-failure, case-budget check):
+The cross-job verdict cache (solver/canonical.py's ``canonical_fingerprint``
++ solver/verdict_cache.py) files each solver verdict under SHA-256 of the
+exact conjunct set.  That is only safe — and only useful — if the key is
+equal exactly when the sets are, so this suite pins the contract from three
+directions, mirroring the conventions of ``test_differential_baselines.py``
+(seed-pinned fuzz loops, chunked, greedy shrink-on-failure, case-budget
+check):
 
-* **invariance** — alpha-renaming, conjunct reordering and linear-arithmetic
-  rewrites must not change the fingerprint;
-* **separation** — across >= 2000 random conjunct sets, sets sharing a
-  fingerprint must share the canonical rendering (no hash collision) and the
-  solver verdict (the cache would have served the right answer), plus
-  hand-crafted near-miss pairs must get distinct fingerprints;
-* **verdict parity** — a verdict served from the cache (including for a
-  renamed copy of the original set) always equals a from-scratch
-  ``Solver.check``.
+* **the key contract** — across >= 2000 random conjunct sets and variants
+  of each (shuffles, duplicates, renamed copies, linear rewrites, width
+  changes, nested ``And``/``Or``/``Not``, large ``Member`` sets),
+  ``key(a) == key(b)`` exactly when ``frozenset(a) == frozenset(b)``, and
+  the key is the same in every process whatever its hash seed;
+* **separation** — hand-crafted near-miss pairs get distinct keys;
+* **verdict parity** — a verdict served from the cache always equals a
+  from-scratch ``Solver.check``; a renamed copy is a miss, solved afresh,
+  and gets an equal verdict.
 
 Mutation-style negative tests then corrupt the cache on purpose — flipped
-verdicts, re-keyed entries, a canonicalization collapsed to a constant — and
+verdicts, re-keyed entries, a key function collapsed to a constant — and
 assert the soundness hooks (``VerdictCache.verify_entry`` /
 ``verify_witnesses``, put/merge conflict detection, paranoid mode) catch
-every one: the suite fails if canonicalization ever silently weakens.
+every one.
 """
 
 import os
 import random
+import re
+import subprocess
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
+import repro
 from repro.solver import ast as sa
-from repro.solver.canonical import canonical_fingerprint, canonical_form
+from repro.solver.canonical import canonical_fingerprint
 from repro.solver.incremental import IncrementalSolver
 from repro.solver.intervals import IntervalSet
 from repro.solver.solver import Solver
@@ -43,17 +48,16 @@ from repro.solver.verdict_cache import (
 
 SEED = int(os.environ.get("REPRO_CACHE_SEED", "20260728"))
 
-INVARIANCE_CASES = 600
-SEPARATION_CASES = 2200
+CONTRACT_CASES = 2200
 PARITY_CASES = 250
 
-_CASES_RUN = {"invariance": 0, "separation": 0, "parity": 0}
+_CASES_RUN = {"contract": 0, "parity": 0}
 
 WIDTHS = (8, 16, 32)
 
 
 # ===========================================================================
-# Random conjunct-set generator and alpha-renaming helpers
+# Random conjunct-set generator and renaming helpers
 # ===========================================================================
 
 
@@ -194,88 +198,157 @@ def _describe(conjuncts: Sequence[sa.Formula]) -> str:
 
 
 # ===========================================================================
-# (a) invariance: alpha-renaming / reordering keep the fingerprint
+# (a) the key contract: equal keys exactly for equal conjunct sets
 # ===========================================================================
 
 
-@pytest.mark.parametrize("chunk", range(10))
-def test_fingerprint_invariant_under_alpha_renaming(chunk):
-    per_chunk = INVARIANCE_CASES // 10
-    for offset in range(per_chunk):
-        seed = SEED + chunk * per_chunk + offset
-        case = generate_case(seed)
-        rng = random.Random(seed ^ 0x5EED)
-        renamed = alpha_rename(case, rng)
-        _CASES_RUN["invariance"] += 1
-        if canonical_fingerprint(case) != canonical_fingerprint(renamed):
-
-            def diverges(sub):
-                return canonical_fingerprint(sub) != canonical_fingerprint(
-                    alpha_rename(sub, random.Random(seed ^ 0x5EED))
-                )
-
-            minimal = shrink_case(case, diverges)
-            pytest.fail(
-                f"fingerprint changed under alpha-renaming (seed={seed})\n"
-                f"minimal case:\n{_describe(minimal)}"
-            )
+def _rewrite(formula: sa.Formula) -> sa.Formula:
+    """An equivalent conjunct written differently: ``x + 1 == k + 1`` for
+    a comparison ``x == k``, a double negation for anything else."""
+    if isinstance(formula, (sa.Eq, sa.Ne, sa.Lt, sa.Le, sa.Gt, sa.Ge)):
+        one = sa.Const(1)
+        return type(formula)(sa.Add(formula.left, one), sa.Add(formula.right, one))
+    return sa.Not(sa.Not(formula))
 
 
-def test_fingerprint_ignores_duplicates_and_linear_rewrites():
-    x, y = sa.Var("x", 32), sa.Var("y", 32)
-    base = [sa.Eq(x, sa.Const(4)), sa.Le(sa.Sub(x, y), sa.Const(3))]
-    rewritten = [
-        sa.Eq(sa.Add(x, sa.Const(1)), sa.Const(5)),  # x + 1 == 5  <=>  x == 4
-        sa.Eq(x, sa.Const(4)),                        # duplicate conjunct
-        sa.Ge(sa.Const(3), sa.Sub(x, y)),             # flipped orientation
+def _large_member(rng: random.Random, var: sa.Var) -> sa.Member:
+    """A membership in up to 1,500 intervals, like a router port's set."""
+    top = (1 << var.width) - 1
+    stride = max(2, top // rng.randint(200, 1500))
+    span = rng.randrange(stride - 1)  # leaves a gap before the next interval
+    los = range(rng.randrange(stride), top - span, stride)[:1500]
+    return sa.Member(var, IntervalSet.from_bounds(los, [lo + span for lo in los]))
+
+
+def contract_variants(
+    case: Tuple[sa.Formula, ...], rng: random.Random
+) -> List[Tuple[str, Tuple[sa.Formula, ...]]]:
+    """Sets to hold against ``case``: some equal to it as sets, the rest one
+    detail away from it."""
+    variables = sorted(
+        {v for f in case for v in sa.formula_variables(f)}, key=lambda v: v.name
+    )
+    pick = rng.randrange(len(case))
+    shuffled = list(case)
+    rng.shuffle(shuffled)
+    first = variables[0]
+    widened = {var: var for var in variables}
+    widened[first] = sa.Var(
+        first.name, rng.choice([w for w in WIDTHS if w != first.width])
+    )
+    wrapped = rng.choice(
+        [
+            sa.Not(sa.Not(case[pick])),
+            sa.Or(case[pick], sa.FALSE),
+            sa.And(case[pick], sa.TRUE),
+            sa.Or(sa.And(case[pick], case[pick])),
+        ]
+    )
+    var = variables[-1]
+    member = _large_member(rng, var)
+    original = list(member.values.pairs())
+    lo, hi = original[-1]
+    moved = original[:-1] + [(lo, hi - 1) if hi > lo else (lo - 1, hi)]
+    return [
+        ("shuffled", tuple(shuffled)),
+        ("duplicated", tuple(shuffled) + (case[pick], case[0])),
+        ("renamed", alpha_rename(case, rng)),
+        ("rewritten", case[:pick] + (_rewrite(case[pick]),) + case[pick + 1:]),
+        ("widened", tuple(rename_formula(f, widened) for f in case)),
+        ("nested", case[:pick] + (wrapped,) + case[pick + 1:]),
+        ("with member", case + (member,)),
+        ("with member rebuilt", case + (sa.Member(var, IntervalSet(reversed(original))),)),
+        ("with member moved", case + (sa.Member(var, IntervalSet(moved)),)),
     ]
-    assert canonical_fingerprint(base) == canonical_fingerprint(rewritten)
 
 
-# ===========================================================================
-# (b) separation: semantically distinct sets never collide
-# ===========================================================================
+def contract_violation(
+    case: Tuple[sa.Formula, ...], seed: int, seen: Dict[str, frozenset]
+) -> Optional[str]:
+    """None when every variant of ``case`` gets a key equal to ``case``'s
+    exactly when it is the same set, and no key in ``seen`` names two sets;
+    else a description.  Files every set it keyed in ``seen``."""
+    key = canonical_fingerprint(case)
+    for label, variant in [("case", case)] + contract_variants(
+        case, random.Random(seed ^ 0x5EED)
+    ):
+        variant_key = canonical_fingerprint(variant)
+        same_set = frozenset(variant) == frozenset(case)
+        if (variant_key == key) != same_set:
+            return (
+                f"{label}: the sets are {'equal' if same_set else 'different'} "
+                f"but their keys are {'different' if same_set else 'equal'}"
+            )
+        filed = seen.setdefault(variant_key, frozenset(variant))
+        if filed != frozenset(variant):
+            return f"{label}: key {variant_key[:12]}… names two different sets"
+    return None
 
 
 @pytest.mark.parametrize("chunk", range(10))
 def test_no_fingerprint_collisions_across_random_sets(chunk):
-    """Fingerprint equality must imply canonical-rendering equality (no hash
-    collision) and solver-verdict equality (the cache would have answered
-    correctly).  Renderings are compared per chunk; fingerprint->verdict
-    consistency is checked across the whole run via a shared registry."""
-    per_chunk = SEPARATION_CASES // 10
-    by_fingerprint: Dict[str, Tuple] = {}
-    solver = Solver()
-    verdicts: Dict[str, str] = _SEPARATION_VERDICTS
+    """``key(a) == key(b)`` exactly when ``frozenset(a) == frozenset(b)``:
+    each random set against its variants, and every key of the chunk against
+    every other — a key may neither name two sets nor one set get two."""
+    per_chunk = CONTRACT_CASES // 10
+    seen: Dict[str, frozenset] = {}
     for offset in range(per_chunk):
         seed = SEED + 50_000 + chunk * per_chunk + offset
         case = generate_case(seed)
-        form = canonical_form(case)
-        _CASES_RUN["separation"] += 1
-        seen = by_fingerprint.get(form.fingerprint)
-        if seen is not None and seen != form.rendering:
+        _CASES_RUN["contract"] += 1
+        violation = contract_violation(case, seed, seen)
+        if violation is not None:
+            minimal = shrink_case(
+                case, lambda sub: contract_violation(sub, seed, {}) is not None
+            )
             pytest.fail(
-                f"fingerprint collision between distinct renderings "
-                f"(seed={seed}):\n{seen!r}\nvs\n{form.rendering!r}"
+                f"key contract broken (seed={seed}): {violation}\n"
+                f"minimal case:\n{_describe(minimal)}"
             )
-        by_fingerprint[form.fingerprint] = form.rendering
-        if form.fingerprint in verdicts:
-            verdict = solver.check(list(case)).verdict
-            assert verdicts[form.fingerprint] == verdict, (
-                f"seed={seed}: colliding sets have different verdicts\n"
-                f"{_describe(case)}"
-            )
-        elif seen is None and len(verdicts) < 500:
-            # Sample verdicts for cross-chunk consistency checking without
-            # solving all >= 2000 cases.
-            verdicts[form.fingerprint] = solver.check(list(case)).verdict
+    sets_by_key: Dict[frozenset, str] = {}
+    for key, conjuncts in seen.items():
+        assert sets_by_key.setdefault(conjuncts, key) == key, _describe(conjuncts)
 
 
-_SEPARATION_VERDICTS: Dict[str, str] = {}
+def test_fingerprint_is_the_same_under_any_hash_seed():
+    """The key never reads ``hash()``: two processes with different
+    ``PYTHONHASHSEED`` values compute the same keys for pinned sets."""
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from test_canonical_cache import generate_case\n"
+        "from repro.solver.canonical import canonical_fingerprint\n"
+        "for seed in range(40):\n"
+        "    print(canonical_fingerprint(generate_case(seed)))\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    outputs = []
+    for hash_seed in ("1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, os.environ.get("PYTHONPATH")])
+        )
+        outputs.append(
+            subprocess.run(
+                [sys.executable, "-c", script, os.path.dirname(__file__)],
+                env=env,
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout.split()
+        )
+    expected = [canonical_fingerprint(generate_case(seed)) for seed in range(40)]
+    assert outputs[0] == outputs[1] == expected
+    assert all(re.fullmatch("[0-9a-f]{64}", key) for key in expected)
+
+
+# ===========================================================================
+# (b) separation: near-miss pairs never share a key
+# ===========================================================================
 
 
 def test_near_miss_pairs_get_distinct_fingerprints():
-    """Adversarial pairs that differ by one semantic detail must separate."""
+    """Pairs that differ by one detail must separate — equivalent rewrites
+    included: the key names the set as written."""
     x, y, z = sa.Var("x", 32), sa.Var("y", 32), sa.Var("z", 32)
     member_values = IntervalSet([(10, 20)])
     pairs = [
@@ -305,34 +378,15 @@ def test_near_miss_pairs_get_distinct_fingerprints():
             [sa.Eq(x, sa.Const(1)), sa.Eq(y, sa.Const(2))],
             [sa.Or(sa.Eq(x, sa.Const(1)), sa.Eq(y, sa.Const(2)))],
         ),
+        # equivalent, written differently: x + 1 == 5 against x == 4
+        ([sa.Eq(sa.Add(x, sa.Const(1)), sa.Const(5))], [sa.Eq(x, sa.Const(4))]),
+        # a renamed copy
+        ([sa.Le(sa.Sub(x, y), sa.Const(3))], [sa.Le(sa.Sub(y, z), sa.Const(3))]),
     ]
     for left, right in pairs:
         assert canonical_fingerprint(left) != canonical_fingerprint(right), (
             f"near-miss pair collided:\n{_describe(left)}\nvs\n{_describe(right)}"
         )
-
-
-def test_automorphic_sets_still_rename_invariantly():
-    """Fully symmetric variable classes force the individualise-and-refine
-    search; its result must still be name-independent."""
-    rng = random.Random(SEED)
-    a, b, c = (sa.Var(name, 32) for name in ("a", "b", "c"))
-    cycle = (
-        sa.Le(sa.Sub(a, b), sa.Const(1)),
-        sa.Le(sa.Sub(b, c), sa.Const(1)),
-        sa.Le(sa.Sub(c, a), sa.Const(1)),
-    )
-    form = canonical_form(cycle)
-    assert not form.used_name_fallback
-    for _ in range(5):
-        assert canonical_fingerprint(alpha_rename(cycle, rng)) == form.fingerprint
-    # ... and a broken cycle must not merge with the intact one.
-    broken = (
-        sa.Le(sa.Sub(a, b), sa.Const(1)),
-        sa.Le(sa.Sub(b, c), sa.Const(1)),
-        sa.Le(sa.Sub(a, c), sa.Const(1)),
-    )
-    assert canonical_fingerprint(broken) != form.fingerprint
 
 
 # ===========================================================================
@@ -341,25 +395,28 @@ def test_automorphic_sets_still_rename_invariantly():
 
 
 def _parity_divergence(case: Tuple[sa.Formula, ...]) -> Optional[str]:
-    """None when cache-served verdicts (original + renamed lookup) match
-    from-scratch solves, else a description."""
+    """None when the cache-served verdict matches a from-scratch solve and
+    a renamed copy — a miss, solved afresh — gets an equal verdict, else a
+    description."""
     fresh = Solver().check(list(case)).verdict
     inc = IncrementalSolver()
     first = inc.check_cached(list(case)).verdict
     second = inc.check_cached(list(case)).verdict  # served from cache
     renamed = alpha_rename(case, random.Random(len(case) * 7919 + 13))
-    served = inc.check_cached(list(renamed)).verdict  # alpha-equivalent hit
+    solved = inc.check_cached(list(renamed)).verdict  # a different set: a miss
     fresh_renamed = Solver().check(list(renamed)).verdict
-    hits = inc.cache_info()[0]
+    counters = (inc.stats.cache_hits, inc.stats.cache_misses)
     problems = []
     if first != fresh:
         problems.append(f"first={first} fresh={fresh}")
     if second != fresh:
         problems.append(f"cached={second} fresh={fresh}")
-    if served != fresh_renamed:
-        problems.append(f"renamed cached={served} fresh={fresh_renamed}")
-    if hits < 2:
-        problems.append(f"expected 2 cache hits, saw {hits}")
+    if solved != fresh_renamed:
+        problems.append(f"renamed cached={solved} fresh={fresh_renamed}")
+    if "unknown" not in (fresh, fresh_renamed) and fresh != fresh_renamed:
+        problems.append(f"renamed copy fresh={fresh_renamed} original={fresh}")
+    if counters != (1, 2):
+        problems.append(f"expected 1 hit and 2 misses, saw {counters}")
     return "; ".join(problems) or None
 
 
@@ -382,20 +439,22 @@ def test_cached_verdicts_match_fresh_solves(chunk):
 
 
 def test_context_checks_match_fresh_solves_via_cache():
-    """End-to-end through SolverContext: two contexts over renamed copies of
-    the same constraints share one full solve and agree with Solver.check."""
+    """End-to-end through SolverContext: two contexts over the same
+    constraints share one full solve; a renamed copy is solved afresh and
+    agrees with Solver.check."""
     x, y = sa.Var("x", 32), sa.Var("y", 32)
     p, q = sa.Var("p", 32), sa.Var("q", 32)
     inc = IncrementalSolver()
-    first = inc.context()
-    first.assume(sa.Le(sa.Sub(x, y), sa.Const(3)))
-    first.assume(sa.Member(x, IntervalSet([(0, 100)])))
-    second = inc.context()
-    second.assume(sa.Le(sa.Sub(p, q), sa.Const(3)))
-    second.assume(sa.Member(p, IntervalSet([(0, 100)])))
-    assert first.check().verdict == second.check().verdict == "sat"
-    hits, misses, _ = inc.cache_info()
-    assert (hits, misses) == (1, 1)  # the renamed twin was served from cache
+    contexts = []
+    for left, right in ((x, y), (x, y), (p, q)):
+        context = inc.context()
+        context.assume(sa.Le(sa.Sub(left, right), sa.Const(3)))
+        context.assume(sa.Member(left, IntervalSet([(0, 100)])))
+        contexts.append(context)
+    assert [context.check().verdict for context in contexts] == ["sat"] * 3
+    assert Solver().check(list(contexts[2].formulas)).verdict == "sat"
+    # The identical twin was served from cache; the renamed one was solved.
+    assert (inc.stats.cache_hits, inc.stats.cache_misses) == (1, 2)
 
 
 # ===========================================================================
@@ -437,7 +496,7 @@ def test_mutated_fingerprint_is_caught():
 
 
 def test_collapsed_canonicalization_is_caught(monkeypatch):
-    """Simulate canonicalization silently weakening to a constant key: the
+    """Simulate the key function silently weakening to a constant: the
     paranoid re-verification hook must refuse the resulting false hit."""
     import repro.solver.incremental as incremental
 
@@ -454,41 +513,46 @@ def test_collapsed_canonicalization_is_caught(monkeypatch):
         inc.check_cached(unsat_set)  # false hit on the collapsed key
 
 
+def _memo(inc: IncrementalSolver) -> Tuple[int, int, int]:
+    """``(hits, misses, entries)`` of a solver's verdict memo."""
+    return (inc.stats.cache_hits, inc.stats.cache_misses, len(inc.cache))
+
+
 def test_unknown_verdicts_never_cross_alpha_variants():
-    """"unknown" is budget-dependent incompleteness, not an answer: sharing
-    it across alpha-variants would poison queries a fresh solve could
-    answer, and treating it as a conflict would crash campaigns on harmless
-    solver-budget differences.  It IS memoized for the bit-identical
-    conjunct set (the solver is deterministic on identical input)."""
+    """"unknown" is budget-dependent incompleteness, not an answer: filing
+    it as a verdict would poison queries a fresh solve could answer, and
+    treating it as a conflict would crash campaigns on harmless
+    solver-budget differences.  It IS memoized for the exact conjunct set
+    in this process (the solver is deterministic on identical input)."""
     x, y, z = sa.Var("x", 32), sa.Var("y", 32), sa.Var("z", 32)
     unsupported = [sa.Eq(sa.Add(x, y), z)]  # outside the decidable fragment
     assert Solver().check(unsupported).verdict == "unknown"
     inc = IncrementalSolver()
     assert inc.check_cached(unsupported).verdict == "unknown"
-    assert len(inc.cache) == 0  # kept out of the cross-variant cache
+    assert len(inc.cache) == 0  # kept out of the verdict map
     assert inc.check_cached(unsupported).verdict == "unknown"
-    assert inc.cache_info() == (1, 1, 0)  # exact-match memo hit, no re-solve
+    assert _memo(inc) == (1, 1, 0)  # exact-match memo hit, no re-solve
     renamed = [rename_formula(unsupported[0], {x: y, y: z, z: x})]
     assert inc.check_cached(renamed).verdict == "unknown"
-    assert inc.cache_info()[1] == 2  # the alpha-variant re-solved
+    assert _memo(inc) == (1, 2, 0)  # the renamed copy re-solved
 
     # The exact-set memo lives on the VerdictCache: a second solver sharing
     # it (the next job on a worker) sees the first's "unknown" as a hit,
-    # an alpha-variant still re-solves, and a fresh cache sees neither.
+    # a renamed copy still re-solves, and a fresh cache sees neither.
     shared = VerdictCache()
     IncrementalSolver(verdict_cache=shared).check_cached(unsupported)
     later = IncrementalSolver(verdict_cache=shared)
     assert later.check_cached(unsupported).verdict == "unknown"
-    assert later.cache_info() == (1, 0, 0)
+    assert _memo(later) == (1, 0, 0)
     assert later.check_cached(renamed).verdict == "unknown"
-    assert later.cache_info() == (1, 1, 0)
+    assert _memo(later) == (1, 1, 0)
     isolated = IncrementalSolver(verdict_cache=VerdictCache())
     assert isolated.check_cached(unsupported).verdict == "unknown"
-    assert isolated.cache_info() == (0, 1, 0)
+    assert _memo(isolated) == (0, 1, 0)
     shared.clear()  # empties the exact-set memo with the verdicts
     cleared = IncrementalSolver(verdict_cache=shared)
     assert cleared.check_cached(unsupported).verdict == "unknown"
-    assert cleared.cache_info() == (0, 1, 0)
+    assert _memo(cleared) == (0, 1, 0)
 
     # An "unknown" injected via merge (old warm maps) must not suppress the
     # solve that can upgrade it.
@@ -555,12 +619,10 @@ def test_eviction_never_loses_fresh_entries():
 
 
 def test_case_budget():
-    """The campaign requirement: >= 2000 fuzzed separation cases (and the
-    other loops at their configured sizes) actually ran."""
-    assert SEPARATION_CASES >= 2000
-    if _CASES_RUN["separation"]:
-        assert _CASES_RUN["separation"] == SEPARATION_CASES
-    if _CASES_RUN["invariance"]:
-        assert _CASES_RUN["invariance"] == INVARIANCE_CASES
+    """The campaign requirement: >= 2000 fuzzed key-contract cases (and the
+    parity loop at its configured size) actually ran."""
+    assert CONTRACT_CASES >= 2000
+    if _CASES_RUN["contract"]:
+        assert _CASES_RUN["contract"] == CONTRACT_CASES
     if _CASES_RUN["parity"]:
         assert _CASES_RUN["parity"] == PARITY_CASES

@@ -45,6 +45,7 @@ from repro.core.campaign import (
 )
 from repro.core.delta import CampaignBaseline
 from repro.store import VerificationStore
+from repro.store.records import write_record
 from repro.scenarios import generate_scenario
 from repro.workloads.export import (
     export_department_style_directory,
@@ -54,6 +55,15 @@ from repro.workloads.export import (
 STANFORD_OPTIONS = dict(
     zones=3, internal_prefixes_per_zone=12, service_acl_rules=3
 )
+
+#: The verdicts a cold campaign over ``STANFORD_OPTIONS`` files, under the
+#: keys the alpha-renaming canonicaliser gave them before the verdict key
+#: became SHA-256 of the exact conjunct set.
+RENAMING_ERA_VERDICTS = {
+    "4612ce5d6ed702a6a02a935fa9f8fbbcdc1800dd0aba508abd26da6dfe76402a": "sat",
+    "91b837b40bbb9e26b2c42e19567df0c668c1eb5a4bba306175927d287fc03c75": "sat",
+    "d0f34cfca5069df7f275b9fada00ca1386f9bd43e3b95fd611de0e049d0f48f1": "sat",
+}
 
 
 def _fingerprints(result):
@@ -157,11 +167,54 @@ class TestCampaignPersistence:
 
         monkeypatch.setattr(store, "publish", conflicting_publish)
         clear_runtime_cache()
-        with pytest.warns(RuntimeWarning, match="conflicts"):
+        with pytest.warns(RuntimeWarning, match="conflicts") as caught:
             degraded = VerificationCampaign(source, store=store).run()
         assert _fingerprints(degraded) == reference
         assert not degraded.job_errors
         assert degraded.stats.store_entries_published == 0
+        # The refused publish is a degraded operation, counted once.
+        assert degraded.stats.degraded_operations == 1
+        assert store.degraded_operations == 1
+        assert "canonicali" not in str(caught[0].message)
+
+    def test_renaming_era_records_open_but_never_answer(self, tmp_path):
+        """A store written while verdicts were keyed by alpha-renaming still
+        opens — nothing quarantined — but its records are never served: the
+        exact key's scheme tag keeps every new key apart from them.  The run
+        solves live, answers alike and publishes the exact keys, and the
+        next run makes no full solve."""
+        source = NetworkSource.from_workload("stanford", **STANFORD_OPTIONS)
+        reference = _run(source)
+        store_dir = str(tmp_path / "store")
+        old = VerificationStore(store_dir)
+        name = "00000000000000000001-renaming"
+        write_record(
+            os.path.join(old.directory, "verdicts", name + ".rec"),
+            "verdicts",
+            name,
+            RENAMING_ERA_VERDICTS,
+        )
+        opened = VerificationStore(store_dir)
+        assert opened.load() == RENAMING_ERA_VERDICTS
+        assert opened.quarantined == []
+
+        upgraded = _run(source, store=VerificationStore(store_dir))
+        assert not upgraded.job_errors
+        assert _fingerprints(upgraded) == _fingerprints(reference)
+        assert upgraded.stats.store_entries_loaded == len(RENAMING_ERA_VERDICTS)
+        # Never served: every set the reference solved is solved live.
+        misses = reference.stats.solver_cache_misses
+        assert upgraded.stats.solver_cache_misses == misses > 0
+        assert not set(upgraded.verdict_cache) & set(RENAMING_ERA_VERDICTS)
+        assert upgraded.stats.store_entries_published == misses
+
+        warm = _run(source, store=VerificationStore(store_dir))
+        assert _fingerprints(warm) == _fingerprints(reference)
+        assert warm.stats.solver_cache_misses == 0
+        assert warm.stats.store_entries_published == 0
+        reopened = VerificationStore(store_dir)
+        assert reopened.verdict_count() == len(RENAMING_ERA_VERDICTS) + misses
+        assert reopened.quarantined == []
 
     def test_campaign_json_reports_store_counters(self, tmp_path):
         source = NetworkSource.from_workload("stanford", **STANFORD_OPTIONS)
