@@ -13,6 +13,8 @@ check):
   changes, nested ``And``/``Or``/``Not``, large ``Member`` sets),
   ``key(a) == key(b)`` exactly when ``frozenset(a) == frozenset(b)``, and
   the key is the same in every process whatever its hash seed;
+* **renaming** — a renamed copy keys apart from the original, alike in any
+  order, and renamed back keys exactly as the original did;
 * **separation** — hand-crafted near-miss pairs get distinct keys;
 * **verdict parity** — a verdict served from the cache always equals a
   from-scratch ``Solver.check``; a renamed copy is a miss, solved afresh,
@@ -48,10 +50,11 @@ from repro.solver.verdict_cache import (
 
 SEED = int(os.environ.get("REPRO_CACHE_SEED", "20260728"))
 
+INVARIANCE_CASES = 600
 CONTRACT_CASES = 2200
 PARITY_CASES = 250
 
-_CASES_RUN = {"contract": 0, "parity": 0}
+_CASES_RUN = {"invariance": 0, "contract": 0, "parity": 0}
 
 WIDTHS = (8, 16, 32)
 
@@ -158,19 +161,24 @@ def rename_formula(formula: sa.Formula, mapping: Dict[sa.Var, sa.Var]) -> sa.For
     )
 
 
-def alpha_rename(
+def alpha_mapping(
     conjuncts: Sequence[sa.Formula], rng: random.Random
-) -> Tuple[sa.Formula, ...]:
-    """A renamed + reordered copy of ``conjuncts`` under a fresh bijection."""
+) -> Dict[sa.Var, sa.Var]:
+    """A fresh bijection from the variables of ``conjuncts`` to new names."""
     variables = sorted(
         {v for f in conjuncts for v in sa.formula_variables(f)},
         key=lambda v: v.name,
     )
     fresh = [f"w{rng.randrange(10_000)}_{i}" for i, _ in enumerate(variables)]
     rng.shuffle(fresh)
-    mapping = {
-        var: sa.Var(name, var.width) for var, name in zip(variables, fresh)
-    }
+    return {var: sa.Var(name, var.width) for var, name in zip(variables, fresh)}
+
+
+def alpha_rename(
+    conjuncts: Sequence[sa.Formula], rng: random.Random
+) -> Tuple[sa.Formula, ...]:
+    """A renamed + reordered copy of ``conjuncts`` under a fresh bijection."""
+    mapping = alpha_mapping(conjuncts, rng)
     renamed = [rename_formula(f, mapping) for f in conjuncts]
     rng.shuffle(renamed)
     return tuple(renamed)
@@ -200,6 +208,53 @@ def _describe(conjuncts: Sequence[sa.Formula]) -> str:
 # ===========================================================================
 # (a) the key contract: equal keys exactly for equal conjunct sets
 # ===========================================================================
+
+
+def renaming_divergence(
+    case: Tuple[sa.Formula, ...], seed: int
+) -> Optional[str]:
+    """None when the key treats an alpha-renamed copy of ``case`` as the set
+    it is: its own key (fresh names make a different set), the same key in
+    any order, and the original's key again once renamed back; else a
+    description."""
+    rng = random.Random(seed ^ 0x5EED)
+    mapping = alpha_mapping(case, rng)
+    renamed = [rename_formula(f, mapping) for f in case]
+    reordered = list(renamed)
+    rng.shuffle(reordered)
+    inverse = {new: old for old, new in mapping.items()}
+    restored = [rename_formula(f, inverse) for f in reordered]
+    key, renamed_key = canonical_fingerprint(case), canonical_fingerprint(renamed)
+    if renamed_key == key:
+        return "a renamed copy shares the original's key"
+    if canonical_fingerprint(reordered) != renamed_key:
+        return "reordering the renamed copy changed its key"
+    if canonical_fingerprint(restored) != key:
+        return "renaming the copy back did not restore the original's key"
+    return None
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_fingerprint_invariant_under_alpha_renaming(chunk):
+    """The key is a function of the set as written, so alpha-renaming moves
+    it and the inverse renaming moves it back: a renamed copy keys apart
+    from the original, alike in any order, and renamed back it keys exactly
+    as the original did."""
+    per_chunk = INVARIANCE_CASES // 10
+    for offset in range(per_chunk):
+        seed = SEED + chunk * per_chunk + offset
+        case = generate_case(seed)
+        _CASES_RUN["invariance"] += 1
+        divergence = renaming_divergence(case, seed)
+        if divergence is not None:
+            minimal = shrink_case(
+                case, lambda sub: renaming_divergence(sub, seed) is not None
+            )
+            pytest.fail(
+                f"{divergence} (seed={seed})\n"
+                f"minimal case:\n{_describe(minimal)}"
+            )
+
 
 
 def _rewrite(formula: sa.Formula) -> sa.Formula:
@@ -620,9 +675,11 @@ def test_eviction_never_loses_fresh_entries():
 
 def test_case_budget():
     """The campaign requirement: >= 2000 fuzzed key-contract cases (and the
-    parity loop at its configured size) actually ran."""
+    other loops at their configured sizes) actually ran."""
     assert CONTRACT_CASES >= 2000
     if _CASES_RUN["contract"]:
         assert _CASES_RUN["contract"] == CONTRACT_CASES
+    if _CASES_RUN["invariance"]:
+        assert _CASES_RUN["invariance"] == INVARIANCE_CASES
     if _CASES_RUN["parity"]:
         assert _CASES_RUN["parity"] == PARITY_CASES
