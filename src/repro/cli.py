@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     budgets.add_argument(
         "--max-paths", type=int, default=defaults.max_paths,
-        help="stop exploring after this many recorded paths (the report is "
+        help="stop exploring after this many terminated paths (the report is "
         "marked as truncated when either budget cuts exploration short)",
     )
     budgets.add_argument(
@@ -267,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     reach.add_argument("port", nargs="?", default="in0", help="input port (default in0)")
     reach.add_argument(
         "--no-failed-paths", action="store_true",
-        help="omit failed/filtered paths from the output",
+        help="omit failed/filtered paths from the output (still counted and "
+        "budgeted by --max-paths)",
     )
 
     query = sub.add_parser(

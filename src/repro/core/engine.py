@@ -10,12 +10,14 @@ constraint solver (the role Z3 plays in the paper).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.errors import MemorySafetyError, ModelError
-from repro.core.paths import ExecutionResult, PathRecord, PathStatus
+from repro.core.paths import TERMINAL_STATUSES, ExecutionResult, PathRecord, PathStatus
 from repro.core.settings import RunSettings
 from repro.core.state import ExecutionState
 from repro.core.strategy import ExplorationStrategy, make_strategy
@@ -49,6 +51,8 @@ class ExecutionSettings:
 
     max_hops: int = RunSettings.max_hops
     detect_loops: bool = True
+    #: Keep the records of failed paths.  Off, a failed path is still
+    #: counted (``summary_counts()``, ``max_paths``) but not listed.
     record_failed_paths: bool = True
     max_paths: int = RunSettings.max_paths
     #: Worklist discipline: a name registered in
@@ -62,13 +66,52 @@ class ExecutionSettings:
     use_incremental_solver: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class _Outcome:
     """Intermediate result of executing a port program on one state."""
 
     state: ExecutionState
-    forwards: List[str] = field(default_factory=list)
+    #: The egress entries a ``Forward`` / ``Fork`` named, in order.
+    forwards: Sequence["Egress"] = ()
     done: bool = False
+
+
+class Egress:
+    """Leaving ``element:port``, worked out once per network: the port's
+    program and its guard, the port as a :class:`PortId` and as the string
+    traces record, and where the packet goes — the next hop's element and
+    input port, or, when there is none, the status and stop reason the path
+    ends with.  Entries live in :attr:`Network.egress_table
+    <repro.network.topology.Network.egress_table>`, which the network's
+    mutators empty; an entry whose port got another program since is
+    rebuilt on its next use (:meth:`SymbolicExecutor._exits`)."""
+
+    __slots__ = (
+        "program", "guard", "port_id", "key", "next_element", "next_port",
+        "status", "reason",
+    )
+
+    def __init__(self, network: Network, element: NetworkElement, port: str) -> None:
+        self.program = element.output_program(port)
+        self.guard = self.program.guard
+        self.port_id = PortId(element.name, port)
+        self.key = str(self.port_id)
+        destination = network.link_from(element.name, port)
+        self.next_element = self.next_port = None
+        if destination is None:
+            self.status = PathStatus.DELIVERED
+            self.reason = f"delivered at {self.key} (no outgoing link)"
+        elif not network.has_element(destination.element):
+            # A dangling link (typo'd element in the topology file, kept
+            # by the permissive parser so Network.validate() can report
+            # it): terminate explicitly instead of crashing mid-run.
+            self.status = PathStatus.DROPPED
+            self.reason = (
+                f"dangling link {self.key} -> {destination} (unknown element)"
+            )
+        else:
+            self.next_element, self.next_port = destination.element, destination.port
+            self.status = self.reason = None
 
 
 class SymbolicExecutor:
@@ -101,9 +144,13 @@ class SymbolicExecutor:
         if self.settings.use_incremental_solver:
             self._check = self.incremental.check
             self._probe = self.incremental.probe
+            self._probe_member = self.incremental.probe_member
         else:
             self._check = lambda form: self.solver.check(form.formulas)
             self._probe = self.solver.probe
+            self._probe_member = lambda form, var, allowed: (
+                self.solver.probe(form, sa.Member(var, allowed)), None
+            )
         # A path survived on an "unknown" verdict during the current inject().
         self._incomplete = False
 
@@ -115,14 +162,19 @@ class SymbolicExecutor:
         element: str,
         port: str = "in0",
         initial_state: Optional[ExecutionState] = None,
+        keep: AbstractSet[str] = TERMINAL_STATUSES,
     ) -> ExecutionResult:
         """Build a packet with ``packet_program`` and inject it at
-        ``element:port``, returning every explored path."""
+        ``element:port``, returning every explored path: a record of each
+        whose status is in ``keep`` (less ``failed`` when the settings do
+        not record failed paths), a tally of every one."""
         start = time.perf_counter()
         stats = self.solver.stats
         before = stats.snapshot()
 
-        result = ExecutionResult(injected_at=PortId(element, port))
+        if not self.settings.record_failed_paths:
+            keep = keep - {PathStatus.FAILED}
+        result = ExecutionResult(injected_at=PortId(element, port), keep=frozenset(keep))
         self._incomplete = False
         state = initial_state if initial_state is not None else ExecutionState(self.symbols)
 
@@ -138,7 +190,7 @@ class SymbolicExecutor:
             frontier.push((outcome.state, element, port))
 
         while frontier:
-            if len(result.paths) >= self.settings.max_paths:
+            if result.terminations >= self.settings.max_paths:
                 result.truncated = True
                 break
             current, element_name, in_port = frontier.pop()
@@ -175,8 +227,8 @@ class SymbolicExecutor:
         result: ExecutionResult,
     ) -> None:
         element = self.network.element(element_name)
-        port_id = PortId(element_name, in_port)
-        port_key = str(port_id)
+        # str(PortId(...)); the PortId itself is built only for a path that ends here.
+        port_key = f"{element_name}:{in_port}"
         state.current_scope = element_name
         state.record_port(port_key)
         state.hop_count += 1
@@ -187,122 +239,145 @@ class SymbolicExecutor:
             state.status = PathStatus.LOOP
             state.stop_reason = f"hop limit ({self.settings.max_hops}) exceeded"
             result.truncated = True
-            self._record(result, state, port_id, cut_off=True)
+            self._record(result, state, PortId(element_name, in_port), cut_off=True)
             return
 
         if self.settings.detect_loops and self._detect_loop(state, port_key):
             state.status = PathStatus.LOOP
             state.stop_reason = f"loop detected at {port_key}"
-            self._record(result, state, port_id)
+            self._record(result, state, PortId(element_name, in_port))
             return
         state.snapshot_port(port_key)
 
         outcomes = self._execute(element.input_program(in_port), _Outcome(state), element)
         for outcome in outcomes:
             if not outcome.state.is_alive:
-                self._record(result, outcome.state, port_id)
+                self._record(result, outcome.state, PortId(element_name, in_port))
             elif not outcome.forwards:
                 outcome.state.status = PathStatus.DROPPED
                 outcome.state.stop_reason = (
                     outcome.state.stop_reason or f"no forward from {port_key}"
                 )
-                self._record(result, outcome.state, port_id)
+                self._record(result, outcome.state, PortId(element_name, in_port))
             else:
                 self._fan_out(outcome.state, element, outcome.forwards, frontier, result)
 
-    def _fan_out(self, state: ExecutionState, element: NetworkElement, ports: Sequence[str],
-                 frontier: ExplorationStrategy, result: ExecutionResult) -> None:
-        """Which of ``ports`` can this packet leave by?  Decided off
+    def _fan_out(self, state: ExecutionState, element: NetworkElement,
+                 exits: Sequence[Egress], frontier: ExplorationStrategy,
+                 result: ExecutionResult) -> None:
+        """Which of ``exits`` can this packet leave by?  Decided off
         ``state.condition`` before any per-port state exists: a port whose
         program is one guard (``Constrain.guard``, the egress models) is
         probed, the atom already classified when the field holds a plain
         variable; any other program is left to :meth:`_emit`.  Ports are then
         served in order: a living one gets a clone (``state`` itself only when
-        it is the last and no port died), a dead one a flyweight record that
-        rebuilds its state on demand from ``state``, never mutated again."""
+        it is the last and no port died) and, for a plain variable, the domain
+        the probe narrowed it to; a dead one is counted, and recorded only if
+        the result keeps failed paths — as a flyweight that rebuilds its
+        state on demand from ``state``, never mutated again."""
         plans = []
         living, died, last_field = 0, False, None
-        for port in ports:
-            program = element.output_program(port)
-            formula, atom, alive = None, None, True  # not a guard: interpret it
-            if program.guard is not None:
-                field, allowed = program.guard
+        for egress in exits:
+            # ``term`` stays None unless the guard is probed: _emit interprets.
+            term, narrowed, alive = None, None, True
+            guard = egress.guard
+            if guard is not None:
+                field, allowed = guard
                 try:
                     if field is not last_field:  # one read per run of ports
-                        term = state.read_variable(field)
-                        last_field, plain = field, type(term) is sa.Var
+                        value = state.read_variable(field)
+                        last_field, plain = field, type(value) is sa.Var
                 except MemorySafetyError:
                     pass  # the interpreter words the failure
                 else:
-                    formula = sa.Member(term, allowed)
-                    atom = (term, allowed) if plain else None
-                    alive = self._branch_feasible(state, formula, atom)
+                    term = value
+                    if plain:
+                        verdict, narrowed = self._probe_member(
+                            state.condition, term, allowed
+                        )
+                        alive = self._survives(verdict)
+                    else:
+                        alive = self._branch_feasible(state, sa.Member(term, allowed))
             living += alive
             died = died or not alive
-            plans.append((port, program, formula, atom, alive))
+            plans.append((egress, term, narrowed, alive))
 
-        for port, program, formula, atom, alive in plans:
-            out_id = PortId(element.name, port)
+        keep_failed = PathStatus.FAILED in result.keep
+        for egress, term, narrowed, alive in plans:
+            program = egress.program
             if not alive:
-                if self.settings.record_failed_paths:
-                    recipe = partial(_dead_branch, state, str(out_id), program, formula)
-                    reason = program.unsatisfiable_reason
-                    result.add(PathRecord(recipe, PathStatus.FAILED, reason, out_id))
+                reason = program.unsatisfiable_reason
+                if keep_failed:
+                    formula = sa.Member(term, egress.guard[1])
+                    recipe = partial(_dead_branch, state, egress.key, program, formula)
+                    result.add(PathRecord(recipe, PathStatus.FAILED, reason, egress.port_id))
+                else:
+                    result.count(PathStatus.FAILED, reason)
                 continue
             living -= 1
             branch = state.clone() if died or living else state
-            if formula is None:
-                self._emit(branch, element, port, frontier, result)
+            if term is None:
+                self._emit(branch, element, egress, frontier, result)
                 continue
-            branch.record_port(str(out_id))
+            branch.record_port(egress.key)
             branch.record_instruction(program)
-            if atom is None:
-                branch.add_constraint(formula)
+            allowed = egress.guard[1]
+            formula = sa.Member(term, allowed)
+            if type(term) is sa.Var:
+                branch.condition.assume_member(formula, term, allowed, narrowed)
             else:
-                branch.condition.assume_member(formula, *atom)
-            self._follow(branch, element, port, out_id, frontier, result)
+                branch.add_constraint(formula)
+            self._follow(branch, egress, frontier, result)
 
     def _emit(
         self,
         state: ExecutionState,
         element: NetworkElement,
-        out_port: str,
+        egress: Egress,
         frontier: ExplorationStrategy,
         result: ExecutionResult,
     ) -> None:
         """Run the output-port program and follow the outgoing link."""
-        out_id = PortId(element.name, out_port)
-        state.record_port(str(out_id))
-        outcomes = self._execute(element.output_program(out_port), _Outcome(state), element)
+        state.record_port(egress.key)
+        outcomes = self._execute(egress.program, _Outcome(state), element)
         for outcome in outcomes:
             if not outcome.state.is_alive:
-                self._record(result, outcome.state, out_id)
+                self._record(result, outcome.state, egress.port_id)
             elif outcome.forwards:
                 raise ModelError(
-                    f"output port program at {out_id} attempted to forward"
+                    f"output port program at {egress.port_id} attempted to forward"
                 )
             else:
-                self._follow(outcome.state, element, out_port, out_id, frontier, result)
+                self._follow(outcome.state, egress, frontier, result)
 
-    def _follow(self, state: ExecutionState, element: NetworkElement, out_port: str,
-                out_id: PortId, frontier: ExplorationStrategy, result: ExecutionResult) -> None:
-        """The packet left by ``out_id``: deliver it or queue the next hop."""
-        destination = self.network.link_from(element.name, out_port)
-        if destination is None:
-            state.status = PathStatus.DELIVERED
-            state.stop_reason = f"delivered at {out_id} (no outgoing link)"
-            self._record(result, state, out_id)
-        elif not self.network.has_element(destination.element):
-            # A dangling link (typo'd element in the topology file, kept
-            # by the permissive parser so Network.validate() can report
-            # it): terminate explicitly instead of crashing mid-run.
-            state.status = PathStatus.DROPPED
-            state.stop_reason = (
-                f"dangling link {out_id} -> {destination} (unknown element)"
-            )
-            self._record(result, state, out_id)
+    def _follow(self, state: ExecutionState, egress: Egress,
+                frontier: ExplorationStrategy, result: ExecutionResult) -> None:
+        """The packet left by ``egress``: queue the next hop, or end the path
+        the way the entry says (delivered, or a dangling link)."""
+        if egress.next_element is None:
+            state.status = egress.status
+            state.stop_reason = egress.reason
+            self._record(result, state, egress.port_id)
         else:
-            frontier.push((state, destination.element, destination.port))
+            frontier.push((state, egress.next_element, egress.next_port))
+
+    def _exits(self, element: Optional[NetworkElement], ports) -> List[Egress]:
+        """The egress entries of ``element``'s output ``ports`` (names, or
+        indices into its port list), from the network's egress table: built
+        on first use, rebuilt when the port got another program since."""
+        if element is None:
+            raise ModelError("Forward/Fork outside a network element")
+        table = self.network.egress_table
+        name = element.name
+        exits = []
+        for port in ports:
+            if type(port) is not str:
+                port = element.resolve_output_port(port)
+            entry = table.get((name, port))
+            if entry is None or entry.program is not element.output_program(port):
+                entry = table[name, port] = Egress(self.network, element, port)
+            exits.append(entry)
+        return exits
 
     def _detect_loop(self, state: ExecutionState, port_key: str) -> bool:
         """Paper §6: a loop exists when the new state at a previously-visited
@@ -335,17 +410,19 @@ class SymbolicExecutor:
                 return True
         return False
 
+    @staticmethod
     def _record(
-        self,
         result: ExecutionResult,
         state: ExecutionState,
         port: Optional[PortId],
         cut_off: bool = False,
     ) -> None:
-        """Append a terminated state to the result, honouring record settings."""
-        if state.status == PathStatus.FAILED and not self.settings.record_failed_paths:
-            return
-        result.add(PathRecord(state, state.status, state.stop_reason, port, cut_off))
+        """Count a terminated state, and keep its record if the result keeps
+        its status."""
+        status, reason = state.status, state.stop_reason
+        result.count(status, reason)
+        if status in result.keep:
+            result.paths.append(PathRecord(state, status, reason, port, cut_off))
 
     # -------------------------------------------------------------- execution
 
@@ -435,12 +512,12 @@ class SymbolicExecutor:
         outcome.done = True
 
     def _forward(self, instruction, outcome, element):
-        outcome.forwards = [self._resolve_port(instruction.port, element)]
+        outcome.forwards = self._exits(element, (instruction.port,))
         outcome.done = True
 
     def _fork(self, instruction, outcome, element):
         """Only names the ports: :meth:`_fan_out` decides who gets a state."""
-        outcome.forwards = [self._resolve_port(p, element) for p in instruction.ports]
+        outcome.forwards = self._exits(element, instruction.ports)
         outcome.done = True
         if not outcome.forwards:
             # A Fork with no output ports must not silently vanish the
@@ -511,10 +588,9 @@ class SymbolicExecutor:
             self._incomplete = True
         return verdict.verdict != "unsat"
 
-    def _branch_feasible(self, state: ExecutionState, formula: Formula, atom=None) -> bool:
-        """Would adding ``formula`` keep the path feasible?  ``atom`` is its
-        ``(var, allowed)`` classification when the caller already has it."""
-        return self._survives(self._probe(state.condition, formula, atom))
+    def _branch_feasible(self, state: ExecutionState, formula: Formula) -> bool:
+        """Would adding ``formula`` keep the path feasible?"""
+        return self._survives(self._probe(state.condition, formula))
 
     # -------------------------------------------------------------- evaluation
 
@@ -567,14 +643,6 @@ class SymbolicExecutor:
         if isinstance(condition, sx.Not):
             return sa.Not(self._condition(condition.operand, state))
         raise ModelError(f"cannot translate condition {condition!r}")
-
-    # ---------------------------------------------------------------- helpers
-
-    @staticmethod
-    def _resolve_port(port, element: Optional[NetworkElement]) -> str:
-        if element is None:
-            raise ModelError("Forward/Fork outside a network element")
-        return element.resolve_output_port(port)
 
 
 def _dead_branch(parent: ExecutionState, port_key: str, guard: si.Constrain, formula: Formula):

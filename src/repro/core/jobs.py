@@ -407,7 +407,9 @@ def _execute_job_impl(job: CampaignJob) -> JobReport:
         )
         _EXECUTION_COUNTERS["engine_runs"] += 1
         _EXECUTION_COUNTERS["fact_channels"] += facts.channels
-        result = executor.inject(packet_program(settings), job.element, job.port)
+        result = executor.inject(
+            packet_program(settings), job.element, job.port, keep=facts.read_statuses
+        )
     except Exception as exc:  # surface, never kill the whole campaign
         report.error = f"{type(exc).__name__}: {exc}"
         return report

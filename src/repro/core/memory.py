@@ -15,13 +15,13 @@ header-visibility checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import MemorySafetyError
 from repro.solver.ast import Term
 
 
-@dataclass
+@dataclass(slots=True)
 class Slot:
     """One allocation of a variable: its size and its value history."""
 
@@ -39,6 +39,12 @@ class Slot:
         return Slot(self.size, list(self.values))
 
 
+#: The owned-key set of a store that shares every stack (just cloned, or
+#: cloned from): one frozen empty set for all of them, replaced by a store's
+#: own set on its first write.
+_OWNS_NOTHING: AbstractSet = frozenset()
+
+
 class _CowSlotStore:
     """A dict of per-key slot stacks with copy-on-write cloning.
 
@@ -49,11 +55,20 @@ class _CowSlotStore:
     mutate through ``_push_slot`` / ``_pop_slot`` / ``_assign_top``.
     """
 
+    __slots__ = ("_slots", "_owned")
+
     def __init__(self) -> None:
         self._slots: Dict = {}
         # None: this store was never cloned and owns every stack.  Otherwise:
-        # the set of keys whose stacks are private to this instance.
-        self._owned: Optional[set] = None
+        # the set of keys whose stacks are private to this instance
+        # (``_OWNS_NOTHING`` until the first write after a clone).
+        self._owned: Optional[AbstractSet] = None
+
+    def _claim(self, key) -> None:
+        """Note that ``key``'s stack is now private to this instance."""
+        if self._owned is _OWNS_NOTHING:
+            self._owned = set()
+        self._owned.add(key)
 
     def _own(self, key) -> Optional[List[Slot]]:
         """Return a privately-owned (mutable) stack for ``key``."""
@@ -63,7 +78,7 @@ class _CowSlotStore:
         if self._owned is not None and key not in self._owned:
             stack = [slot.clone() for slot in stack]
             self._slots[key] = stack
-            self._owned.add(key)
+            self._claim(key)
         return stack
 
     def _push_slot(self, key, slot: Slot) -> None:
@@ -72,7 +87,7 @@ class _CowSlotStore:
             stack = []
             self._slots[key] = stack
             if self._owned is not None:
-                self._owned.add(key)
+                self._claim(key)
         stack.append(slot)
 
     def _pop_slot(self, key) -> None:
@@ -83,6 +98,7 @@ class _CowSlotStore:
         if not stack:
             del self._slots[key]
             if self._owned is not None:
+                # _own() claimed the key, so this is a set of our own.
                 self._owned.discard(key)
 
     def _assign_top(self, key, term: Term) -> None:
@@ -94,15 +110,17 @@ class _CowSlotStore:
     def clone(self):
         copy = type(self).__new__(type(self))
         copy._slots = dict(self._slots)
-        copy._owned = set()
+        copy._owned = _OWNS_NOTHING
         # The parent now shares every stack with the clone, so it no longer
         # owns anything either.
-        self._owned = set()
+        self._owned = _OWNS_NOTHING
         return copy
 
 
 class HeaderMemory(_CowSlotStore):
     """Bit-addressed header variables with allocation stacks."""
+
+    __slots__ = ()
 
     # -- allocation -----------------------------------------------------------
 
@@ -192,6 +210,8 @@ MetaKey = Union[str, Tuple[str, str]]
 
 class MetadataStore(_CowSlotStore):
     """String-keyed metadata map with global / element-local scoping."""
+
+    __slots__ = ()
 
     @staticmethod
     def scoped_key(name: str, scope: Optional[str]) -> MetaKey:

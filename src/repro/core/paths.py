@@ -10,13 +10,19 @@ benchmark layers.
 A record's ``state`` is the terminated :class:`ExecutionState` — for a failed
 egress branch the engine decided before building anything, the state the
 interpreter *would* have left behind, built when first asked for.
+
+Every termination is *counted* — by status and by stop reason, in the order
+paths terminated — but a result keeps records only for the statuses its
+reader needs (:attr:`ExecutionResult.keep`, every status by default): a
+campaign job that reads only delivered and loop paths pays one tally for a
+dead egress branch, not a record and the state behind it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.core.state import ExecutionState, PathStatusValues
 from repro.network.ports import PortId
@@ -38,7 +44,13 @@ class PathStatus(PathStatusValues):
     """
 
 
-@dataclass
+#: Every terminal status: what an :class:`ExecutionResult` keeps by default.
+TERMINAL_STATUSES: FrozenSet[str] = frozenset(
+    (PathStatus.DELIVERED, PathStatus.DROPPED, PathStatus.FAILED, PathStatus.LOOP)
+)
+
+
+@dataclass(slots=True)
 class PathRecord:
     """One explored execution path.  ``source`` is the terminated state, or
     a zero-argument recipe for it (a flyweight: an egress branch proved dead
@@ -106,7 +118,8 @@ class PathRecord:
 @expose_solver_counters
 @dataclass
 class ExecutionResult:
-    """All paths produced by one symbolic execution run."""
+    """All paths produced by one symbolic execution run: a record of each
+    whose status is in :attr:`keep`, and a tally of every one."""
 
     paths: List[PathRecord] = field(default_factory=list)
     injected_at: Optional[PortId] = None
@@ -120,9 +133,30 @@ class ExecutionResult:
     #: path lived on because the solver's case-split budget left a check
     #: "unknown" — the path list is not the (proved) full set.
     truncated: bool = False
+    #: The statuses whose records :attr:`paths` keeps; a termination of any
+    #: other status is only counted.
+    keep: FrozenSet[str] = TERMINAL_STATUSES
+    #: Terminations by status, and by ``(status, stop reason)``, each in
+    #: first-termination order — kept records or not.
+    status_counts: Dict[str, int] = field(default_factory=dict)
+    reason_counts: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    #: How many paths terminated (what ``max_paths`` budgets).
+    terminations: int = 0
+
+    def count(self, status: str, reason: str) -> None:
+        """Tally one termination."""
+        self.terminations += 1
+        counts = self.status_counts
+        counts[status] = counts.get(status, 0) + 1
+        key = (status, reason)
+        counts = self.reason_counts
+        counts[key] = counts.get(key, 0) + 1
 
     def add(self, record: PathRecord) -> None:
-        self.paths.append(record)
+        """Tally ``record``'s termination and keep it if its status is kept."""
+        self.count(record.status, record.stop_reason)
+        if record.status in self.keep:
+            self.paths.append(record)
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -182,7 +216,5 @@ class ExecutionResult:
         return json.dumps(payload, indent=indent)
 
     def summary_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.paths:
-            counts[record.status] = counts.get(record.status, 0) + 1
-        return counts
+        """Terminations by status, kept records or not."""
+        return dict(self.status_counts)

@@ -34,7 +34,7 @@ class RunSettings:
     #: pairs; a mapping is accepted and normalised.
     field_values: Tuple[Tuple[str, int], ...] = ()
     #: The two budgets.  A path is stopped after ``max_hops`` ports, a job
-    #: after ``max_paths`` recorded paths; either way the job's report is
+    #: after ``max_paths`` terminated paths; either way the job's report is
     #: marked truncated and every answer over it says so.
     max_hops: int = 128
     max_paths: int = 1_000_000

@@ -38,7 +38,7 @@ class PathStatusValues:
     LOOP = "loop"
 
 
-@dataclass
+@dataclass(slots=True)
 class PortSnapshot:
     """Constraints recorded when the path previously visited a port.
 
@@ -67,6 +67,12 @@ class PortSnapshot:
 
 class ExecutionState:
     """The symbolic state of one execution path (one packet)."""
+
+    __slots__ = (
+        "symbols", "header", "metadata", "tags", "condition", "port_trace",
+        "instruction_trace", "port_snapshots", "status", "stop_reason",
+        "current_scope", "path_id", "parent_id", "hop_count",
+    )
 
     def __init__(self, symbols: Optional[SymbolFactory] = None) -> None:
         self.symbols = symbols if symbols is not None else SymbolFactory()

@@ -38,6 +38,10 @@ class Network:
         self.name = name
         self._elements: Dict[str, NetworkElement] = {}
         self._links: Dict[Tuple[str, str], PortId] = {}
+        #: ``(element, output port)`` -> what the engine worked out about
+        #: leaving by that port (:class:`repro.core.engine.Egress`): filled
+        #: lazily, emptied by every mutator, gone with the network.
+        self.egress_table: Dict[Tuple[str, str], object] = {}
 
     # -- elements ---------------------------------------------------------------
 
@@ -45,6 +49,7 @@ class Network:
         if element.name in self._elements:
             raise ModelError(f"duplicate element name {element.name!r}")
         self._elements[element.name] = element
+        self.egress_table.clear()
         return element
 
     def add_elements(self, *elements: NetworkElement) -> None:
@@ -114,6 +119,7 @@ class Network:
         if key in self._links:
             raise ModelError(f"output port {src} is already linked")
         self._links[key] = dst
+        self.egress_table.clear()
         return Link(src, dst)
 
     def link_from(self, element: str, output_port: str) -> Optional[PortId]:

@@ -26,7 +26,7 @@ exactly one.  It belongs to no solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.solver.ast import (
     And,
@@ -272,6 +272,10 @@ def _single_variable_domain(disjunction: Or) -> Optional[Tuple[Var, IntervalSet]
 # The form
 # ---------------------------------------------------------------------------
 
+#: The undo stack of every path condition with no scope open yet: most never
+#: open one, so a fork does not pay for an empty list.
+_NO_FRAMES: Tuple = ()
+
 
 class PathCondition:
     """One conjunction of constraints in solved form (see module docstring)."""
@@ -291,8 +295,8 @@ class PathCondition:
         self.unsat = False
         # One undo record per open push(): the log and residual lengths, the
         # unsat flag, and each touched variable's domain as it was (None:
-        # it had none).
-        self._frames: List[Tuple[int, int, bool, dict]] = []
+        # it had none).  ``_NO_FRAMES`` until the first push().
+        self._frames: Sequence[Tuple[int, int, bool, dict]] = _NO_FRAMES
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -307,16 +311,18 @@ class PathCondition:
         copy.domains = dict(self.domains)
         copy.residual = list(self.residual)
         copy.unsat = self.unsat
-        copy._frames = []
+        copy._frames = _NO_FRAMES
         return copy
 
     # -- scopes ---------------------------------------------------------------
 
     def push(self) -> None:
         """Open a speculative scope; ``pop()`` undoes everything asserted in it."""
-        self._frames.append(
-            (len(self.formulas), len(self.residual), self.unsat, {})
-        )
+        frame = (len(self.formulas), len(self.residual), self.unsat, {})
+        if self._frames:
+            self._frames.append(frame)
+        else:
+            self._frames = [frame]
 
     def pop(self) -> None:
         """Discard the most recent ``push()`` scope."""
@@ -374,21 +380,34 @@ class PathCondition:
                 # not a formula node at all.
                 raise TypeError(f"unexpected formula node: {item!r}")
 
-    def assume_member(self, formula: Formula, var: Var, allowed: IntervalSet) -> None:
+    def assume_member(
+        self,
+        formula: Formula,
+        var: Var,
+        allowed: IntervalSet,
+        narrowed: Optional[IntervalSet] = None,
+    ) -> None:
         """:meth:`assume` for a caller that already knows ``formula`` is the
-        atom ``var ∈ allowed``: the log entry and the one ``narrow``."""
+        atom ``var ∈ allowed``: the log entry and the one ``narrow``
+        (``narrowed``, when the caller already intersected the domain)."""
         self.formulas.append(formula)
         if not self.unsat:
-            self.narrow(var, allowed)
+            self.narrow(var, allowed, narrowed)
 
-    def narrow(self, var: Var, allowed: IntervalSet) -> None:
-        """Intersect ``var``'s domain with ``allowed``; empty means unsat."""
+    def narrow(
+        self, var: Var, allowed: IntervalSet, narrowed: Optional[IntervalSet] = None
+    ) -> None:
+        """Intersect ``var``'s domain with ``allowed``; empty means unsat.
+        ``narrowed`` is that intersection when the caller has it already
+        (:meth:`IncrementalSolver.probe_member
+        <repro.solver.incremental.IncrementalSolver.probe_member>` does)."""
         current = self.domains.get(var)
         if self._frames:
             self._frames[-1][3].setdefault(var, current)
-        if current is None:
-            current = IntervalSet.full(var.width)
-        narrowed = current.intersection(allowed)
+        if narrowed is None:
+            if current is None:
+                current = IntervalSet.full(var.width)
+            narrowed = current.intersection(allowed)
         self.domains[var] = narrowed
         if narrowed.is_empty():
             self.unsat = True

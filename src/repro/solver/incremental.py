@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.solver.ast import Formula, Var
+from repro.solver.ast import Formula, Member, Var
 from repro.obs.trace import get_tracer
 from repro.solver.canonical import canonical_fingerprint
 from repro.solver.form import PathCondition
@@ -37,6 +37,11 @@ from repro.solver.intervals import IntervalSet
 from repro.solver.result import SolverResult, SolverStats
 from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
+
+#: The verdicts tiers 1 and 2 answer with: one shared object each, so an
+#: answer read off the solved form allocates nothing.  Never mutated.
+SAT = SolverResult(verdict="sat")
+UNSAT = SolverResult(verdict="unsat")
 
 
 class SolverContext(PathCondition):
@@ -112,44 +117,60 @@ class IncrementalSolver:
         module docstring)."""
         if form.unsat:
             self.stats.record_fast_path()
-            return SolverResult(verdict="unsat")
+            return UNSAT
         if want_model:
             return self.base.decide(form, want_model=True)
         if not form.residual:
             # Pure per-variable domains, all non-empty: trivially satisfiable.
             self.stats.record_fast_path()
-            return SolverResult(verdict="sat")
+            return SAT
         return self._memoized(form.conjuncts(), lambda: self.base.decide(form))
 
-    def probe(
-        self,
-        form: PathCondition,
-        formula: Formula,
-        atom: Optional[Tuple[Var, IntervalSet]] = None,
-    ) -> SolverResult:
+    def probe(self, form: PathCondition, formula: Formula) -> SolverResult:
         """Satisfiability of ``form ∧ formula``, leaving ``form`` as it was:
         ``push / assume / check / pop``.  A caller that knows ``formula`` is
-        the atom ``var ∈ allowed`` passes it as ``atom``, and the first two
-        tiers — counted exactly as ``check`` would have — are read off the
-        solved form without opening a scope or classifying anything."""
-        if atom is not None:
-            var, allowed = atom
-            domain = form.domains.get(var)
-            if domain is None:
-                domain = IntervalSet.full(var.width)
-            if form.unsat or domain.intersection(allowed).is_empty():
-                self.stats.record_fast_path()
-                return SolverResult(verdict="unsat")
-            if not form.residual:
-                self.stats.record_fast_path()
-                return SolverResult(verdict="sat")
+        the atom ``var ∈ allowed`` asks :meth:`probe_member` instead."""
         form.push()
         try:
-            if atom is None:
-                form.assume(formula)
-            else:
-                form.assume_member(formula, *atom)
+            form.assume(formula)
             return self.check(form)
+        finally:
+            form.pop()
+
+    def probe_member(
+        self,
+        form: PathCondition,
+        var: Var,
+        allowed: IntervalSet,
+        formula: Optional[Formula] = None,
+    ) -> Tuple[SolverResult, Optional[IntervalSet]]:
+        """:meth:`probe` of the atom ``var ∈ allowed`` (``formula``, built
+        only if tier 3 needs it), plus the domain the atom leaves ``var``
+        with — what a branch that goes on to assume it passes to
+        :meth:`PathCondition.assume_member`, so the intersection is worked
+        out once (``None`` when ``form`` is unsat already).  The first two
+        tiers, counted exactly as ``check`` would have, are read off the
+        solved form without opening a scope or classifying anything."""
+        stats = self.base.stats
+        if form.unsat:
+            stats.record_fast_path()
+            return UNSAT, None
+        domain = form.domains.get(var)
+        if domain is None:
+            domain = IntervalSet.full(var.width)
+        narrowed = domain.intersection(allowed)
+        if narrowed.is_empty():
+            stats.record_fast_path()
+            return UNSAT, narrowed
+        if not form.residual:
+            stats.record_fast_path()
+            return SAT, narrowed
+        if formula is None:
+            formula = Member(var, allowed)
+        form.push()
+        try:
+            form.assume_member(formula, var, allowed, narrowed)
+            return self.check(form), narrowed
         finally:
             form.pop()
 

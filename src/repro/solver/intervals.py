@@ -92,7 +92,9 @@ class IntervalSet:
 
     @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls.from_bounds((), ())
+        """The empty set: one shared object, sets being immutable (a dead
+        egress port's probe makes one per port)."""
+        return _EMPTY
 
     @classmethod
     def full(cls, width: int) -> "IntervalSet":
@@ -288,6 +290,9 @@ class IntervalSet:
     def covers(self, other: "IntervalSet") -> bool:
         """True if every value of ``other`` is contained in this set."""
         return other.difference(self).is_empty()
+
+
+_EMPTY = IntervalSet.from_bounds((), ())
 
 
 def prefix_to_interval(address: int, prefix_len: int, width: int = 32) -> Interval:

@@ -78,10 +78,11 @@ class Solver:
             form.assume(formula)
         return self.decide(form, want_model)
 
-    def probe(self, form: PathCondition, formula: Formula, atom=None) -> SolverResult:
+    def probe(self, form: PathCondition, formula: Formula) -> SolverResult:
         """Satisfiability of ``form ∧ formula`` from scratch, leaving ``form``
-        as it was — the reference for :meth:`IncrementalSolver.probe`, which
-        may take ``atom``'s word for what ``formula`` is; this one does not."""
+        as it was — the reference for :meth:`IncrementalSolver.probe` and
+        :meth:`IncrementalSolver.probe_member`, which takes its caller's word
+        that ``formula`` is the atom ``var ∈ allowed``; this one does not."""
         form.push()
         try:
             form.assume(formula)

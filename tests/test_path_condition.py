@@ -167,9 +167,10 @@ def test_fresh_incremental_and_cloned_forms_agree_with_brute_force():
 
 
 def test_preclassified_probe_is_the_scoped_check():
-    """``IncrementalSolver.probe`` handed ``var ∈ allowed`` already classified
-    answers, counts and leaves the form exactly as ``push / assume(Member) /
-    check / pop`` does — on satisfiable, residual-carrying and unsat forms."""
+    """``IncrementalSolver.probe_member`` handed ``var ∈ allowed`` already
+    classified answers, counts and leaves the form exactly as ``push /
+    assume(Member) / check / pop`` does — on satisfiable, residual-carrying
+    and unsat forms — and hands back the domain that assume leaves."""
     rng = random.Random(SEED)
     solver = IncrementalSolver()
     stats = solver.stats
@@ -187,7 +188,8 @@ def test_preclassified_probe_is_the_scoped_check():
         solved_form = (dict(context.domains), list(context.residual), context.unsat)
 
         before = stats.snapshot()
-        probed = solver.probe(context, guard, (guard.term, values)).verdict
+        probed, narrowed = solver.probe_member(context, guard.term, values, guard)
+        probed = probed.verdict
         by_probe = stats.since(before)
         assert list(context.formulas) == what[2] and context.depth == 0, what
         assert (dict(context.domains), list(context.residual), context.unsat) == solved_form
@@ -195,9 +197,12 @@ def test_preclassified_probe_is_the_scoped_check():
         before = stats.snapshot()
         context.push()
         context.assume(guard)
+        assumed = context.domains.get(guard.term)
         scoped = context.check().verdict
         context.pop()
         by_scope = stats.since(before)
+        # The domain handed back is the one assuming the atom leaves.
+        assert narrowed == (None if solved_form[2] else assumed), what
 
         assert probed == scoped == solver.probe(context, guard).verdict, what
         assert_sound(probed, bool(prefix & models_of(guard)), what)
