@@ -12,12 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import (
-    AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import MemorySafetyError, ModelError
-from repro.core.paths import TERMINAL_STATUSES, ExecutionResult, PathRecord, PathStatus
+from repro.core.paths import ExecutionResult, PathRecord, PathStatus
 from repro.core.settings import RunSettings
 from repro.core.state import ExecutionState
 from repro.core.strategy import ExplorationStrategy, make_strategy
@@ -77,23 +75,21 @@ class _Outcome:
 
 
 class Egress:
-    """Leaving ``element:port``, worked out once per network: the port's
-    program and its guard, the port as a :class:`PortId` and as the string
+    """Leaving ``element:port``, as far as the network decides it, worked
+    out once per network: the port as a :class:`PortId` and as the string
     traces record, and where the packet goes — the next hop's element and
     input port, or, when there is none, the status and stop reason the path
-    ends with.  Entries live in :attr:`Network.egress_table
+    ends with.  The port's program is not part of it (a hop reads that off
+    the element).  Entries live in :attr:`Network.egress_table
     <repro.network.topology.Network.egress_table>`, which the network's
-    mutators empty; an entry whose port got another program since is
-    rebuilt on its next use (:meth:`SymbolicExecutor._exits`)."""
+    mutators empty."""
 
     __slots__ = (
-        "program", "guard", "port_id", "key", "next_element", "next_port",
-        "status", "reason",
+        "port", "port_id", "key", "next_element", "next_port", "status", "reason",
     )
 
     def __init__(self, network: Network, element: NetworkElement, port: str) -> None:
-        self.program = element.output_program(port)
-        self.guard = self.program.guard
+        self.port = port
         self.port_id = PortId(element.name, port)
         self.key = str(self.port_id)
         destination = network.link_from(element.name, port)
@@ -162,19 +158,15 @@ class SymbolicExecutor:
         element: str,
         port: str = "in0",
         initial_state: Optional[ExecutionState] = None,
-        keep: AbstractSet[str] = TERMINAL_STATUSES,
     ) -> ExecutionResult:
         """Build a packet with ``packet_program`` and inject it at
-        ``element:port``, returning every explored path: a record of each
-        whose status is in ``keep`` (less ``failed`` when the settings do
-        not record failed paths), a tally of every one."""
+        ``element:port``, returning every explored path: a tally of each, and
+        a record of each but failed ones the settings do not record."""
         start = time.perf_counter()
         stats = self.solver.stats
         before = stats.snapshot()
 
-        if not self.settings.record_failed_paths:
-            keep = keep - {PathStatus.FAILED}
-        result = ExecutionResult(injected_at=PortId(element, port), keep=frozenset(keep))
+        result = ExecutionResult(injected_at=PortId(element, port))
         self._incomplete = False
         state = initial_state if initial_state is not None else ExecutionState(self.symbols)
 
@@ -273,14 +265,15 @@ class SymbolicExecutor:
         served in order: a living one gets a clone (``state`` itself only when
         it is the last and no port died) and, for a plain variable, the domain
         the probe narrowed it to; a dead one is counted, and recorded only if
-        the result keeps failed paths — as a flyweight that rebuilds its
+        the settings record failed paths — as a flyweight that rebuilds its
         state on demand from ``state``, never mutated again."""
         plans = []
         living, died, last_field = 0, False, None
         for egress in exits:
+            program = element.output_program(egress.port)
             # ``term`` stays None unless the guard is probed: _emit interprets.
             term, narrowed, alive = None, None, True
-            guard = egress.guard
+            guard = program.guard
             if guard is not None:
                 field, allowed = guard
                 try:
@@ -300,15 +293,14 @@ class SymbolicExecutor:
                         alive = self._branch_feasible(state, sa.Member(term, allowed))
             living += alive
             died = died or not alive
-            plans.append((egress, term, narrowed, alive))
+            plans.append((egress, program, term, narrowed, alive))
 
-        keep_failed = PathStatus.FAILED in result.keep
-        for egress, term, narrowed, alive in plans:
-            program = egress.program
+        keep_failed = self.settings.record_failed_paths
+        for egress, program, term, narrowed, alive in plans:
             if not alive:
                 reason = program.unsatisfiable_reason
                 if keep_failed:
-                    formula = sa.Member(term, egress.guard[1])
+                    formula = sa.Member(term, program.guard[1])
                     recipe = partial(_dead_branch, state, egress.key, program, formula)
                     result.add(PathRecord(recipe, PathStatus.FAILED, reason, egress.port_id))
                 else:
@@ -317,11 +309,11 @@ class SymbolicExecutor:
             living -= 1
             branch = state.clone() if died or living else state
             if term is None:
-                self._emit(branch, element, egress, frontier, result)
+                self._emit(branch, element, egress, program, frontier, result)
                 continue
             branch.record_port(egress.key)
             branch.record_instruction(program)
-            allowed = egress.guard[1]
+            allowed = program.guard[1]
             formula = sa.Member(term, allowed)
             if type(term) is sa.Var:
                 branch.condition.assume_member(formula, term, allowed, narrowed)
@@ -334,12 +326,13 @@ class SymbolicExecutor:
         state: ExecutionState,
         element: NetworkElement,
         egress: Egress,
+        program: si.Instruction,
         frontier: ExplorationStrategy,
         result: ExecutionResult,
     ) -> None:
         """Run the output-port program and follow the outgoing link."""
         state.record_port(egress.key)
-        outcomes = self._execute(egress.program, _Outcome(state), element)
+        outcomes = self._execute(program, _Outcome(state), element)
         for outcome in outcomes:
             if not outcome.state.is_alive:
                 self._record(result, outcome.state, egress.port_id)
@@ -363,8 +356,8 @@ class SymbolicExecutor:
 
     def _exits(self, element: Optional[NetworkElement], ports) -> List[Egress]:
         """The egress entries of ``element``'s output ``ports`` (names, or
-        indices into its port list), from the network's egress table: built
-        on first use, rebuilt when the port got another program since."""
+        indices into its port list), from the network's egress table, built
+        on first use."""
         if element is None:
             raise ModelError("Forward/Fork outside a network element")
         table = self.network.egress_table
@@ -374,7 +367,7 @@ class SymbolicExecutor:
             if type(port) is not str:
                 port = element.resolve_output_port(port)
             entry = table.get((name, port))
-            if entry is None or entry.program is not element.output_program(port):
+            if entry is None:
                 entry = table[name, port] = Egress(self.network, element, port)
             exits.append(entry)
         return exits
@@ -410,19 +403,20 @@ class SymbolicExecutor:
                 return True
         return False
 
-    @staticmethod
     def _record(
+        self,
         result: ExecutionResult,
         state: ExecutionState,
         port: Optional[PortId],
         cut_off: bool = False,
     ) -> None:
-        """Count a terminated state, and keep its record if the result keeps
-        its status."""
+        """Count a terminated state, and keep its record unless it is a
+        failed path the settings do not record."""
         status, reason = state.status, state.stop_reason
-        result.count(status, reason)
-        if status in result.keep:
-            result.paths.append(PathRecord(state, status, reason, port, cut_off))
+        if status == PathStatus.FAILED and not self.settings.record_failed_paths:
+            result.count(status, reason)
+        else:
+            result.add(PathRecord(state, status, reason, port, cut_off))
 
     # -------------------------------------------------------------- execution
 

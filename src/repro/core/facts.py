@@ -15,7 +15,7 @@ plus the :class:`~repro.api.queries.Query` subclass that asks for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.checks import admitted_values, field_invariant, header_visible
 from repro.core.errors import MemorySafetyError
@@ -107,24 +107,6 @@ class Facts:
         different order, so "the first delivered path" is not
         renaming-stable; counts, loop sets and tallies are."""
         return self.record_examples or bool(self.witness_fields)
-
-    @property
-    def read_statuses(self) -> FrozenSet[str]:
-        """The statuses of the paths :func:`collect_facts` reads records of
-        (states, traces, ports) for these channels: what a job's result keeps.
-        Counts and drop reasons come off the result's tally, so a path of
-        any other status is only counted."""
-        statuses = set()
-        if (
-            {"reachability", "invariants"} & set(self.kinds)
-            or self.record_examples
-            or self.visibility_fields
-            or self.witness_fields
-        ):
-            statuses.add(PathStatus.DELIVERED)
-        if "loops" in self.kinds:
-            statuses.add(PathStatus.LOOP)
-        return frozenset(statuses)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -292,8 +274,8 @@ def collect_facts(
 ) -> None:
     """Fill ``report`` (a :class:`~repro.core.jobs.JobReport`) with every
     channel ``facts`` asks for.  Only plain data lands in the report: it
-    has to cross the process boundary.  ``result`` need keep no records but
-    those of :attr:`Facts.read_statuses`."""
+    has to cross the process boundary.  Counts and drop reasons come off
+    ``result``'s tally, so it need keep no failed path's record."""
     if "reachability" in facts.kinds:
         for path in result.delivered():
             destination = str(path.last_port)

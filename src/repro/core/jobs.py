@@ -401,15 +401,16 @@ def _execute_job_impl(job: CampaignJob) -> JobReport:
                 max_hops=settings.max_hops,
                 max_paths=settings.max_paths,
                 strategy=settings.strategy,
+                # collect_facts reads no failed path's record, only the
+                # tally, so a dead egress port costs one count.
+                record_failed_paths=False,
             ),
             verdict_cache=cache,
             shared_cache=job.shared_tier,
         )
         _EXECUTION_COUNTERS["engine_runs"] += 1
         _EXECUTION_COUNTERS["fact_channels"] += facts.channels
-        result = executor.inject(
-            packet_program(settings), job.element, job.port, keep=facts.read_statuses
-        )
+        result = executor.inject(packet_program(settings), job.element, job.port)
     except Exception as exc:  # surface, never kill the whole campaign
         report.error = f"{type(exc).__name__}: {exc}"
         return report

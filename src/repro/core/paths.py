@@ -12,17 +12,17 @@ egress branch the engine decided before building anything, the state the
 interpreter *would* have left behind, built when first asked for.
 
 Every termination is *counted* — by status and by stop reason, in the order
-paths terminated — but a result keeps records only for the statuses its
-reader needs (:attr:`ExecutionResult.keep`, every status by default): a
-campaign job that reads only delivered and loop paths pays one tally for a
-dead egress branch, not a record and the state behind it.
+paths terminated — whether or not its record is kept: a run that does not
+record failed paths (``ExecutionSettings.record_failed_paths``, off in
+campaign jobs) pays one tally for a dead egress branch, not a record and
+the state behind it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.state import ExecutionState, PathStatusValues
 from repro.network.ports import PortId
@@ -42,12 +42,6 @@ class PathStatus(PathStatusValues):
       out of its ``max_hops`` budget before anything was proved;
     * ``alive`` — only seen transiently while the engine is still running.
     """
-
-
-#: Every terminal status: what an :class:`ExecutionResult` keeps by default.
-TERMINAL_STATUSES: FrozenSet[str] = frozenset(
-    (PathStatus.DELIVERED, PathStatus.DROPPED, PathStatus.FAILED, PathStatus.LOOP)
-)
 
 
 @dataclass(slots=True)
@@ -119,7 +113,7 @@ class PathRecord:
 @dataclass
 class ExecutionResult:
     """All paths produced by one symbolic execution run: a record of each
-    whose status is in :attr:`keep`, and a tally of every one."""
+    the run keeps, and a tally of every one."""
 
     paths: List[PathRecord] = field(default_factory=list)
     injected_at: Optional[PortId] = None
@@ -133,9 +127,6 @@ class ExecutionResult:
     #: path lived on because the solver's case-split budget left a check
     #: "unknown" — the path list is not the (proved) full set.
     truncated: bool = False
-    #: The statuses whose records :attr:`paths` keeps; a termination of any
-    #: other status is only counted.
-    keep: FrozenSet[str] = TERMINAL_STATUSES
     #: Terminations by status, and by ``(status, stop reason)``, each in
     #: first-termination order — kept records or not.
     status_counts: Dict[str, int] = field(default_factory=dict)
@@ -153,10 +144,9 @@ class ExecutionResult:
         counts[key] = counts.get(key, 0) + 1
 
     def add(self, record: PathRecord) -> None:
-        """Tally ``record``'s termination and keep it if its status is kept."""
+        """Tally ``record``'s termination and keep the record."""
         self.count(record.status, record.stop_reason)
-        if record.status in self.keep:
-            self.paths.append(record)
+        self.paths.append(record)
 
     def __len__(self) -> int:
         return len(self.paths)

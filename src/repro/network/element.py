@@ -10,10 +10,6 @@ from repro.sefl.instructions import Instruction, NoOp
 # to attach the same program to every input port.
 WILDCARD_PORT = "*"
 
-#: The program of a port nobody gave one: one object, so "is this still the
-#: port's program?" is an identity test (see repro.core.engine.Egress).
-_NO_PROGRAM = NoOp()
-
 
 class NetworkElement:
     """A network box: named input/output ports, each with a SEFL program.
@@ -80,14 +76,14 @@ class NetworkElement:
             return self._input_programs[port]
         if WILDCARD_PORT in self._input_programs:
             return self._input_programs[WILDCARD_PORT]
-        return _NO_PROGRAM
+        return NoOp()
 
     def output_program(self, port: str) -> Instruction:
         if port in self._output_programs:
             return self._output_programs[port]
         if WILDCARD_PORT in self._output_programs:
             return self._output_programs[WILDCARD_PORT]
-        return _NO_PROGRAM
+        return NoOp()
 
     def resolve_output_port(self, port: Union[int, str]) -> str:
         """Resolve a ``Forward`` / ``Fork`` target to an output-port name.

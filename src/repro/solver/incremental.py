@@ -39,7 +39,7 @@ from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
 
 #: The verdicts tiers 1 and 2 answer with: one shared object each, so an
-#: answer read off the solved form allocates nothing.  Never mutated.
+#: answer read off the solved form allocates nothing (results are frozen).
 SAT = SolverResult(verdict="sat")
 UNSAT = SolverResult(verdict="unsat")
 
@@ -142,9 +142,8 @@ class IncrementalSolver:
         form: PathCondition,
         var: Var,
         allowed: IntervalSet,
-        formula: Optional[Formula] = None,
     ) -> Tuple[SolverResult, Optional[IntervalSet]]:
-        """:meth:`probe` of the atom ``var ∈ allowed`` (``formula``, built
+        """:meth:`probe` of the atom ``var ∈ allowed`` (built as a formula
         only if tier 3 needs it), plus the domain the atom leaves ``var``
         with — what a branch that goes on to assume it passes to
         :meth:`PathCondition.assume_member`, so the intersection is worked
@@ -165,11 +164,9 @@ class IncrementalSolver:
         if not form.residual:
             stats.record_fast_path()
             return SAT, narrowed
-        if formula is None:
-            formula = Member(var, allowed)
         form.push()
         try:
-            form.assume_member(formula, var, allowed, narrowed)
+            form.assume_member(Member(var, allowed), var, allowed, narrowed)
             return self.check(form), narrowed
         finally:
             form.pop()

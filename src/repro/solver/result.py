@@ -152,13 +152,14 @@ def expose_solver_counters(cls):
     return cls
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverResult:
     """Outcome of a satisfiability query.
 
     ``verdict`` is one of ``"sat"``, ``"unsat"`` or ``"unknown"``; ``model``
     maps variable names to concrete values when ``verdict == "sat"`` and a
-    model was requested.
+    model was requested.  Frozen: the incremental solver hands out one
+    shared result per fast-path verdict.
     """
 
     verdict: str

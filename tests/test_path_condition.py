@@ -11,8 +11,11 @@ what a state promises about the formulas it holds.
 Seed-pinned (override with ``REPRO_DIFF_SEED``); a failure prints the case.
 """
 
+import dataclasses
 import os
 import random
+
+import pytest
 
 from repro import Network, NetworkElement, SymbolicExecutor, models
 from repro.core.state import ExecutionState
@@ -188,7 +191,7 @@ def test_preclassified_probe_is_the_scoped_check():
         solved_form = (dict(context.domains), list(context.residual), context.unsat)
 
         before = stats.snapshot()
-        probed, narrowed = solver.probe_member(context, guard.term, values, guard)
+        probed, narrowed = solver.probe_member(context, guard.term, values)
         probed = probed.verdict
         by_probe = stats.since(before)
         assert list(context.formulas) == what[2] and context.depth == 0, what
@@ -213,6 +216,22 @@ def test_preclassified_probe_is_the_scoped_check():
         tiers["fast" if by_probe.fast_paths else "solved"] += 1
         tiers["unsat_form"] += context.unsat
     assert min(tiers.values()) > CASES // 20, tiers
+
+
+def test_fast_path_verdicts_are_read_only():
+    """Tiers 1 and 2 hand every caller the same result object, so writing
+    to one must fail rather than change every later fast-path verdict."""
+    solver = IncrementalSolver()
+    context = solver.context()
+    sat = solver.check(context)
+    unsat, _ = solver.probe_member(context, VARS[0], IntervalSet.empty())
+    assert (sat.verdict, unsat.verdict) == ("sat", "unsat")
+    assert solver.stats.fast_paths == 2
+    for result in (sat, unsat):
+        for name, value in (("verdict", "unknown"), ("reason", "edited"), ("model", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, value)
+    assert solver.check(context) is sat and sat.verdict == "sat" and sat.reason == ""
 
 
 # -- (b) the state's view -----------------------------------------------------

@@ -4,9 +4,9 @@ Every terminated path is counted — by status and by stop reason, in the
 order paths terminated — and ``max_paths`` budgets those terminations; a
 record is kept only for the statuses the result's reader needs.  So an
 output flag (``record_failed_paths``, the CLI's ``--no-failed-paths``)
-changes the path list and nothing else, and a campaign job, whose result
-keeps only what :func:`~repro.core.facts.collect_facts` reads records of,
-reports exactly what a keep-everything run would.  The random networks are
+changes the path list and nothing else, and a campaign job, which records
+no failed path (:func:`~repro.core.facts.collect_facts` reads their tally
+only), reports exactly what a keep-everything run would.  The random networks are
 ``tests/test_strategies.py``'s, seed-pinned (override with
 ``REPRO_DIFF_SEED``).
 
@@ -15,7 +15,6 @@ that no change to a network can be served from a stale entry.
 """
 
 import dataclasses
-import functools
 import re
 
 import pytest
@@ -25,7 +24,7 @@ from repro.cli import main
 from repro.core import jobs
 from repro.core.facts import CAMPAIGN_QUERIES, REPORT_FIELDS, Facts
 from repro.core.jobs import CampaignJob, clear_runtime_cache, execute_job, packet_program
-from repro.core.paths import TERMINAL_STATUSES, PathStatus
+from repro.core.paths import PathStatus
 from repro.core.settings import RunSettings
 from repro.core.sources import NetworkSource
 from repro.core.strategy import STRATEGIES
@@ -101,8 +100,8 @@ class TestFailedPathsFlag:
 # Tally ≡ keep-everything, on a campaign job's report
 # ---------------------------------------------------------------------------
 
-#: Every fact channel, then subsets whose keep sets differ: loops only,
-#: delivered only, and nothing at all (counts come off the tally alone).
+#: Every fact channel, then subsets that read different records: loops
+#: only, delivered only, and none at all (counts come off the tally alone).
 FACT_SETS = (
     Facts(
         kinds=CAMPAIGN_QUERIES,
@@ -129,16 +128,17 @@ POINTS = [
 def _job_report(monkeypatch, network, facts, strategy, incremental, max_paths, keep_all):
     """A campaign job's report and the result it was digested from.
     ``keep_all`` makes the job's result keep every record, as a plain
-    ``inject`` does; the solver mode is swapped in the way the job builds
-    its settings."""
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            jobs,
-            "ExecutionSettings",
-            functools.partial(ExecutionSettings, use_incremental_solver=incremental),
-        )
+    ``inject`` does; it and the solver mode are swapped in where the job
+    builds its settings."""
+
+    def settings(**kwargs):
+        kwargs["use_incremental_solver"] = incremental
         if keep_all:
-            patch.setattr(Facts, "read_statuses", property(lambda self: TERMINAL_STATUSES))
+            kwargs["record_failed_paths"] = True
+        return ExecutionSettings(**kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jobs, "ExecutionSettings", settings)
         seen = []
         collect = jobs.collect_facts
 
@@ -212,9 +212,11 @@ def test_tallied_job_report_equals_keep_everything(case, monkeypatch):
         assert tallied.truncated == reference.truncated, context
         assert _counters(tallied.solver_stats) == _counters(reference.solver_stats), context
         assert tallied.verdict_cache_entries == reference.verdict_cache_entries, context
-        # The job's own result kept only what its facts read.
-        assert {p.status for p in result} <= facts.read_statuses, context
-        assert not {p.status for p in result} & {PathStatus.FAILED, PathStatus.DROPPED}
+        # The job's own result kept no failed path, yet counted every one.
+        assert PathStatus.FAILED not in {p.status for p in result}, context
+        assert len(result) == result.terminations - result.status_counts.get(
+            PathStatus.FAILED, 0
+        ), context
         assert len(everything) == everything.terminations == result.terminations, context
 
 
