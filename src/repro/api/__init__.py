@@ -25,7 +25,6 @@ from repro.api.planner import (
     PlanResult,
     compile_plan,
     execute_plan,
-    execute_plan_streaming,
 )
 from repro.api.queries import (
     AdmittedValues,
@@ -68,7 +67,6 @@ __all__ = [
     "checks",
     "compile_plan",
     "execute_plan",
-    "execute_plan_streaming",
     "normalize_port",
     "parse_query",
 ]

@@ -411,6 +411,8 @@ def execute_plan(
     is bit-identical to one evaluated after the barrier.  Plan-cache hits
     emit every result immediately.
     """
+    if workers < 1:
+        raise ValueError(f"'workers' must be >= 1, not {workers}")
     started = time.perf_counter()
     settings = plan.settings.switched(**switches)
     # The whole persistence stack — plan cache included — is gated on the
@@ -482,8 +484,3 @@ def execute_plan(
     if model_fingerprint and plan_fingerprint and not result.job_errors:
         store.put_plan(model_fingerprint, plan_fingerprint, plan_result.to_dict())
     return plan_result
-
-
-#: The resident service's name for the same executor: it always passes
-#: ``on_result`` (and its own ``pool``).
-execute_plan_streaming = execute_plan

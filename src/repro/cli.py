@@ -810,6 +810,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         RunSettings(**_run_settings(args))
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
+    # The pool and serve options, by the same rule (absent ones pass).
+    for name, least in (("workers", 1), ("max_pending", 1), ("batch_window", 0)):
+        value = getattr(args, name, least)
+        if value < least:
+            parser.error(f"--{name.replace('_', '-')} must be >= {least}, not {value}")
     configure_logging(
         level=getattr(args, "log_level", None),
         verbosity=getattr(args, "verbose", 0),

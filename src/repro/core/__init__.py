@@ -48,7 +48,6 @@ from repro.core.strategy import (
     BreadthFirstStrategy,
     CoverageOrderedStrategy,
     DepthFirstStrategy,
-    ExplorationStrategy,
     STRATEGIES,
     make_strategy,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ExecutionResult",
     "ExecutionSettings",
     "ExecutionState",
-    "ExplorationStrategy",
     "InvariantReport",
     "JobReport",
     "LoopFinding",

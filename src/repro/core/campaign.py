@@ -445,6 +445,8 @@ class VerificationCampaign:
         Every stage runs under a span named after it, so the ``campaign``
         span of a traced run has no unattributed remainder.
         """
+        if workers < 1:
+            raise ValueError(f"'workers' must be >= 1, not {workers}")
         tracer = get_tracer()
         with tracer.span(
             "campaign", source=self.source.describe(), workers=workers

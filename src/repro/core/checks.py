@@ -21,10 +21,9 @@ which calls into this module from inside campaign workers.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.core.paths import ExecutionResult, PathRecord
-from repro.core.state import ExecutionState
 from repro.core.values import concrete_value
 from repro.sefl.fields import VariableLike
 from repro.solver import ast as sa
@@ -100,12 +99,6 @@ def state_subsumed(
     new_formula = sa.conjoin(list(new_constraints))
     witness = solver.check(sa.And(old_formula, sa.Not(new_formula)))
     return witness.is_unsat
-
-
-def find_loops(result: ExecutionResult) -> List[PathRecord]:
-    """Paths the engine terminated because they revisited a port with a
-    subsuming state (or exceeded the hop budget)."""
-    return result.loops()
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import MemorySafetyError, ModelError
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
 from repro.core.settings import RunSettings
 from repro.core.state import ExecutionState
-from repro.core.strategy import ExplorationStrategy, make_strategy
+from repro.core.strategy import Frontier, make_strategy
 from repro.core.values import SymbolFactory, concrete_value
 from repro.network.element import NetworkElement
 from repro.network.ports import PortId
@@ -48,15 +48,13 @@ class ExecutionSettings:
     default to what :class:`~repro.core.settings.RunSettings` declares."""
 
     max_hops: int = RunSettings.max_hops
-    detect_loops: bool = True
     #: Keep the records of failed paths.  Off, a failed path is still
     #: counted (``summary_counts()``, ``max_paths``) but not listed.
     record_failed_paths: bool = True
     max_paths: int = RunSettings.max_paths
     #: Worklist discipline: a name registered in
-    #: :data:`repro.core.strategy.STRATEGIES` ("dfs", "bfs", "coverage") or a
-    #: zero-argument factory returning an ExplorationStrategy.
-    strategy: Union[str, Callable[[], ExplorationStrategy]] = RunSettings.strategy
+    #: :data:`repro.core.strategy.STRATEGIES` ("dfs", "bfs", "coverage").
+    strategy: str = RunSettings.strategy
     #: Answer feasibility checks off the path condition's solved form
     #: (propagated domains + memoized full checks).  Off is the reference
     #: mode the differential tests compare against: no fast paths, every
@@ -66,12 +64,12 @@ class ExecutionSettings:
 
 @dataclass(slots=True)
 class _Outcome:
-    """Intermediate result of executing a port program on one state."""
+    """Intermediate result of executing a port program on one state.  It
+    is finished once it names egress entries or its state has terminated."""
 
     state: ExecutionState
     #: The egress entries a ``Forward`` / ``Fork`` named, in order.
     forwards: Sequence["Egress"] = ()
-    done: bool = False
 
 
 class Egress:
@@ -118,14 +116,13 @@ class SymbolicExecutor:
         network: Network,
         solver: Optional[Solver] = None,
         settings: Optional[ExecutionSettings] = None,
-        symbols: Optional[SymbolFactory] = None,
         verdict_cache: Optional["VerdictCache"] = None,
         shared_cache: Optional[object] = None,
     ) -> None:
         self.network = network
         self.solver = solver if solver is not None else Solver()
         self.settings = settings if settings is not None else ExecutionSettings()
-        self.symbols = symbols if symbols is not None else SymbolFactory()
+        self.symbols = SymbolFactory()
         # Shares the base solver (and its stats); the verdict cache persists
         # across inject() calls so repeated analyses reuse verdicts.  Pass
         # ``verdict_cache`` to share one cache across executors (campaign
@@ -168,7 +165,7 @@ class SymbolicExecutor:
 
         result = ExecutionResult(injected_at=PortId(element, port))
         self._incomplete = False
-        state = initial_state if initial_state is not None else ExecutionState(self.symbols)
+        state = initial_state if initial_state is not None else ExecutionState()
 
         # The injection program runs outside any element; it must not forward.
         injected = self._execute(packet_program, _Outcome(state), None)
@@ -215,7 +212,7 @@ class SymbolicExecutor:
         state: ExecutionState,
         element_name: str,
         in_port: str,
-        frontier: ExplorationStrategy,
+        frontier: Frontier,
         result: ExecutionResult,
     ) -> None:
         element = self.network.element(element_name)
@@ -234,7 +231,7 @@ class SymbolicExecutor:
             self._record(result, state, PortId(element_name, in_port), cut_off=True)
             return
 
-        if self.settings.detect_loops and self._detect_loop(state, port_key):
+        if self._detect_loop(state, port_key):
             state.status = PathStatus.LOOP
             state.stop_reason = f"loop detected at {port_key}"
             self._record(result, state, PortId(element_name, in_port))
@@ -255,7 +252,7 @@ class SymbolicExecutor:
                 self._fan_out(outcome.state, element, outcome.forwards, frontier, result)
 
     def _fan_out(self, state: ExecutionState, element: NetworkElement,
-                 exits: Sequence[Egress], frontier: ExplorationStrategy,
+                 exits: Sequence[Egress], frontier: Frontier,
                  result: ExecutionResult) -> None:
         """Which of ``exits`` can this packet leave by?  Decided off
         ``state.condition`` before any per-port state exists: a port whose
@@ -327,7 +324,7 @@ class SymbolicExecutor:
         element: NetworkElement,
         egress: Egress,
         program: si.Instruction,
-        frontier: ExplorationStrategy,
+        frontier: Frontier,
         result: ExecutionResult,
     ) -> None:
         """Run the output-port program and follow the outgoing link."""
@@ -344,7 +341,7 @@ class SymbolicExecutor:
                 self._follow(outcome.state, egress, frontier, result)
 
     def _follow(self, state: ExecutionState, egress: Egress,
-                frontier: ExplorationStrategy, result: ExecutionResult) -> None:
+                frontier: Frontier, result: ExecutionResult) -> None:
         """The packet left by ``egress``: queue the next hop, or end the path
         the way the entry says (delivered, or a dangling link)."""
         if egress.next_element is None:
@@ -427,7 +424,7 @@ class SymbolicExecutor:
         element: Optional[NetworkElement],
     ) -> List[_Outcome]:
         state = outcome.state
-        if outcome.done or not state.is_alive:
+        if outcome.forwards or not state.is_alive:
             return [outcome]
         entry = _HANDLERS.get(type(instruction))
         if entry is None:
@@ -440,7 +437,6 @@ class SymbolicExecutor:
             return handler(self, instruction, outcome, element) or [outcome]
         except MemorySafetyError as exc:
             state.fail(f"memory safety violation: {exc}")
-            outcome.done = True
             return [outcome]
 
     def _run_each(self, bodies: Iterable[si.Instruction], outcome: _Outcome, element):
@@ -449,7 +445,7 @@ class SymbolicExecutor:
         for body in bodies:
             next_pending: List[_Outcome] = []
             for item in pending:
-                if item.done or not item.state.is_alive:
+                if item.forwards or not item.state.is_alive:
                     next_pending.append(item)
                 else:
                     next_pending.extend(self._execute(body, item, element))
@@ -499,20 +495,16 @@ class SymbolicExecutor:
         state.add_constraint(self._condition(instruction.condition, state))
         if not self._survives(self._check(state.condition)):
             state.fail(instruction.unsatisfiable_reason)
-            outcome.done = True
 
     def _fail(self, instruction, outcome, element):
         outcome.state.fail(instruction.message)
-        outcome.done = True
 
     def _forward(self, instruction, outcome, element):
         outcome.forwards = self._exits(element, (instruction.port,))
-        outcome.done = True
 
     def _fork(self, instruction, outcome, element):
         """Only names the ports: :meth:`_fan_out` decides who gets a state."""
         outcome.forwards = self._exits(element, instruction.ports)
-        outcome.done = True
         if not outcome.forwards:
             # A Fork with no output ports must not silently vanish the
             # state: terminate it as an explicit drop.
@@ -542,7 +534,7 @@ class SymbolicExecutor:
             # check returned "unknown"): terminate the path instead of
             # silently vanishing it — same defect class as the empty Fork.
             state.fail("constraint unsatisfiable: both If branches infeasible")
-            return [_Outcome(state, done=True)]
+            return [_Outcome(state)]
         branches = []
         if then_feasible:
             branches.append((state, formula, instruction.then_branch))

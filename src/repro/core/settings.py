@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 from repro.core.strategy import STRATEGIES
+from repro.sefl.fields import standard_fields
 
 
 def _tier_switch(default):
@@ -31,7 +32,8 @@ class RunSettings:
     #: Packet template injected at every port (``jobs.PACKET_TEMPLATES``).
     packet: str = "tcp"
     #: Header fields pinned to concrete values, as sorted (name, value)
-    #: pairs; a mapping is accepted and normalised.
+    #: pairs; a mapping is accepted and normalised.  Each name must be a
+    #: standard header field and each value fit its width.
     field_values: Tuple[Tuple[str, int], ...] = ()
     #: The two budgets.  A path is stopped after ``max_hops`` ports, a job
     #: after ``max_paths`` terminated paths; either way the job's report is
@@ -81,6 +83,15 @@ class RunSettings:
                 f"'strategy' must be one of {', '.join(sorted(STRATEGIES))}, "
                 f"not {self.strategy!r}"
             )
+        known = standard_fields()
+        for name, value in self.field_values:
+            if name not in known:
+                raise ValueError(f"'field_values' names unknown header field {name!r}")
+            width = known[name].width
+            if not 0 <= value < 1 << width:
+                raise ValueError(
+                    f"'field_values' {name}={value} does not fit a {width}-bit field"
+                )
 
     def identity(self) -> Tuple[Tuple[str, object], ...]:
         """The (name, value) pairs every digest of this run covers."""

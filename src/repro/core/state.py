@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import MemorySafetyError
 from repro.core.memory import HeaderMemory, MetadataStore, MetaKey
-from repro.core.values import SymbolFactory, term_to_string
+from repro.core.values import term_to_string
 from repro.sefl.fields import HeaderField, TagOffset, VariableLike
 from repro.sefl.instructions import Instruction
 from repro.solver.ast import Formula, Term
@@ -69,13 +69,12 @@ class ExecutionState:
     """The symbolic state of one execution path (one packet)."""
 
     __slots__ = (
-        "symbols", "header", "metadata", "tags", "condition", "port_trace",
+        "header", "metadata", "tags", "condition", "port_trace",
         "instruction_trace", "port_snapshots", "status", "stop_reason",
-        "current_scope", "path_id", "parent_id", "hop_count",
+        "current_scope", "path_id", "hop_count",
     )
 
-    def __init__(self, symbols: Optional[SymbolFactory] = None) -> None:
-        self.symbols = symbols if symbols is not None else SymbolFactory()
+    def __init__(self) -> None:
         self.header = HeaderMemory()
         self.metadata = MetadataStore()
         self.tags: Dict[str, int] = {}
@@ -89,7 +88,6 @@ class ExecutionState:
         self.stop_reason: str = ""
         self.current_scope: Optional[str] = None
         self.path_id: int = next(_path_counter)
-        self.parent_id: Optional[int] = None
         self.hop_count: int = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -101,7 +99,6 @@ class ExecutionState:
         condition all share structure with the parent until one side mutates.
         """
         copy = ExecutionState.__new__(ExecutionState)
-        copy.symbols = self.symbols  # shared on purpose: ids must stay unique
         copy.header = self.header.clone()
         copy.metadata = self.metadata.clone()
         copy.tags = dict(self.tags)
@@ -113,7 +110,6 @@ class ExecutionState:
         copy.stop_reason = self.stop_reason
         copy.current_scope = self.current_scope
         copy.path_id = next(_path_counter)
-        copy.parent_id = self.path_id
         copy.hop_count = self.hop_count
         return copy
 
@@ -210,9 +206,6 @@ class ExecutionState:
     def write_metadata(self, name: str, term: Term) -> None:
         self.metadata.write(self._visible_metadata_key(name), term)
 
-    def has_metadata(self, name: str) -> bool:
-        return self.metadata.resolve(name, self.current_scope) is not None
-
     # -- unified variable access ------------------------------------------------
 
     def read_variable(self, variable: VariableLike) -> Term:
@@ -232,15 +225,6 @@ class ExecutionState:
             return self.metadata.history(self._visible_metadata_key(variable))
         address = self.resolve_address(variable)  # type: ignore[arg-type]
         return self.header.history(address)
-
-    def variable_stack(self, variable: VariableLike) -> List[Optional[Term]]:
-        """Current value of every stacked allocation of a header variable,
-        bottom (oldest, possibly masked) to top (visible)."""
-        if isinstance(variable, str):
-            key = self._visible_metadata_key(variable)
-            return [self.metadata.read(key)]
-        address = self.resolve_address(variable)  # type: ignore[arg-type]
-        return self.header.stack_values(address)
 
     # -- constraints -------------------------------------------------------------
 

@@ -1,8 +1,7 @@
-"""Pluggable exploration strategies for the symbolic execution worklist.
+"""Exploration strategies for the symbolic execution worklist.
 
-The engine's frontier used to be a hard-coded LIFO list.  A strategy object
-now owns the frontier, deciding which pending ``(state, element, port)``
-work item to execute next:
+The engine's frontier decides which pending ``(state, element, port)`` work
+item to execute next:
 
 * ``dfs`` — depth-first (LIFO), the historical default: follows one packet
   to a terminal before starting the next, keeping the frontier small;
@@ -17,9 +16,8 @@ The terminal *set* of paths is strategy-independent (loop detection and
 feasibility are per-path properties); only the order of discovery — and
 therefore which paths survive a ``max_paths`` truncation — changes.
 
-New strategies: subclass :class:`ExplorationStrategy` and register the class
-in :data:`STRATEGIES`, or pass a zero-argument factory callable as
-``ExecutionSettings.strategy``.
+A frontier has ``push``, ``pop`` and ``__len__`` (which also makes an empty
+one false); :data:`STRATEGIES` names the three, and a run picks one by name.
 """
 
 from __future__ import annotations
@@ -33,25 +31,7 @@ from typing import Callable, Dict, List, Tuple, Union
 WorkItem = Tuple[object, str, str]
 
 
-class ExplorationStrategy:
-    """Order in which pending execution states are expanded."""
-
-    name = "abstract"
-
-    def push(self, item: WorkItem) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> WorkItem:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-
-class DepthFirstStrategy(ExplorationStrategy):
+class DepthFirstStrategy:
     """LIFO frontier — follow one packet to the end before backtracking."""
 
     name = "dfs"
@@ -69,7 +49,7 @@ class DepthFirstStrategy(ExplorationStrategy):
         return len(self._stack)
 
 
-class BreadthFirstStrategy(ExplorationStrategy):
+class BreadthFirstStrategy:
     """FIFO frontier — expand all states at hop N before any at hop N+1."""
 
     name = "bfs"
@@ -87,7 +67,7 @@ class BreadthFirstStrategy(ExplorationStrategy):
         return len(self._queue)
 
 
-class CoverageOrderedStrategy(ExplorationStrategy):
+class CoverageOrderedStrategy:
     """Prefer work items entering the least-visited input port.
 
     Visit counts are taken at push time (a cheap, deterministic
@@ -118,32 +98,23 @@ class CoverageOrderedStrategy(ExplorationStrategy):
         return len(self._heap)
 
 
-STRATEGIES: Dict[str, Callable[[], ExplorationStrategy]] = {
+#: The order in which pending execution states are expanded.
+Frontier = Union[DepthFirstStrategy, BreadthFirstStrategy, CoverageOrderedStrategy]
+
+STRATEGIES: Dict[str, Callable[[], Frontier]] = {
     DepthFirstStrategy.name: DepthFirstStrategy,
     BreadthFirstStrategy.name: BreadthFirstStrategy,
     CoverageOrderedStrategy.name: CoverageOrderedStrategy,
 }
 
 
-def make_strategy(
-    strategy: Union[str, Callable[[], ExplorationStrategy]]
-) -> ExplorationStrategy:
-    """Build a fresh frontier from a registered name or a factory callable."""
-    if isinstance(strategy, str):
-        try:
-            factory = STRATEGIES[strategy]
-        except KeyError:
-            known = ", ".join(sorted(STRATEGIES))
-            raise ValueError(
-                f"unknown exploration strategy {strategy!r}; known: {known}"
-            ) from None
-        return factory()
-    if callable(strategy):
-        frontier = strategy()
-        if not isinstance(frontier, ExplorationStrategy):
-            raise TypeError(
-                "strategy factory must produce an ExplorationStrategy, "
-                f"got {frontier!r}"
-            )
-        return frontier
-    raise TypeError(f"invalid exploration strategy {strategy!r}")
+def make_strategy(strategy: str) -> Frontier:
+    """Build a fresh frontier from a registered name."""
+    try:
+        factory = STRATEGIES[strategy]
+    except KeyError:
+        known = ", ".join(sorted(STRATEGIES))
+        raise ValueError(
+            f"unknown exploration strategy {strategy!r}; known: {known}"
+        ) from None
+    return factory()

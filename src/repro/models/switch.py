@@ -19,7 +19,7 @@ of Figure 8:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.network.element import NetworkElement, WILDCARD_PORT
 from repro.sefl.expressions import Eq, OneOf, Or
@@ -31,8 +31,6 @@ from repro.sefl.instructions import (
     Forward,
     If,
     Instruction,
-    InstructionBlock,
-    NoOp,
 )
 
 # A MAC table groups the 48-bit MAC addresses reachable through each output
@@ -118,17 +116,3 @@ def build_switch(
     if style is SwitchModelStyle.INGRESS:
         return switch_ingress(name, table, input_ports)
     return switch_egress(name, table, input_ports)
-
-
-def learning_switch_flood(
-    name: str, ports: Sequence[str], input_ports: Sequence[str] = ("in0",)
-) -> NetworkElement:
-    """A degenerate switch that floods every packet to all ports (used as a
-    stress-test topology element and to exercise loop detection)."""
-    element = NetworkElement(
-        name, input_ports=list(input_ports), output_ports=list(ports), kind="switch"
-    )
-    element.set_input_program(WILDCARD_PORT, Fork(*ports))
-    for port in ports:
-        element.set_output_program(port, NoOp())
-    return element

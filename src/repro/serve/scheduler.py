@@ -27,7 +27,7 @@ that arrive while a group is executing wait on the queue and merge into
 the next group.
 
 Results stream: the merged plan runs through
-:func:`~repro.api.planner.execute_plan_streaming`, and each query's answer
+:func:`~repro.api.planner.execute_plan`, and each query's answer
 is forwarded to its owning client the moment its port scope has reported —
 before the slowest job of the merged plan lands.  Streamed answers are
 bit-identical to the batch path by construction (see the planner module).
@@ -49,7 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.api import NetworkModel, compile_plan, execute_plan_streaming, parse_query
+from repro.api import NetworkModel, compile_plan, execute_plan, parse_query
 from repro.api.queries import Query
 from repro.core.campaign import NetworkSource, execution_counters
 from repro.core.queries import ensure_core_families
@@ -436,7 +436,7 @@ class VerificationService:
                         ),
                     )
 
-            plan_result = execute_plan_streaming(
+            plan_result = execute_plan(
                 plan,
                 workers=self.workers,
                 store=self.store,

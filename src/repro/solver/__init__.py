@@ -49,7 +49,7 @@ from repro.solver.ast import (
 )
 from repro.solver.canonical import canonical_fingerprint
 from repro.solver.form import PathCondition
-from repro.solver.incremental import IncrementalSolver, SolverContext
+from repro.solver.incremental import IncrementalSolver
 from repro.solver.intervals import Interval, IntervalSet
 from repro.solver.result import SolverResult, SolverStats
 from repro.solver.solver import Solver
@@ -84,7 +84,6 @@ __all__ = [
     "Or",
     "PathCondition",
     "Solver",
-    "SolverContext",
     "SolverResult",
     "SolverStats",
     "Sub",

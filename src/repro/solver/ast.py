@@ -331,14 +331,3 @@ def formula_variables(formula: Formula) -> FrozenSet[Var]:
     if isinstance(formula, Member):
         return formula.variables()
     return formula.variables()
-
-
-def formula_size(formula: Formula) -> int:
-    """Number of atoms in the formula (used by benchmark instrumentation)."""
-    if isinstance(formula, (BoolTrue, BoolFalse)):
-        return 0
-    if isinstance(formula, Not):
-        return formula_size(formula.operand)
-    if isinstance(formula, (And, Or)):
-        return sum(formula_size(op) for op in formula.operands)
-    return 1

@@ -306,7 +306,7 @@ class PathCondition:
         duplicated."""
         if self._frames:
             raise RuntimeError("cannot clone a path condition with open push() scopes")
-        copy = type(self).__new__(type(self))
+        copy = PathCondition.__new__(PathCondition)
         copy.formulas = self.formulas.clone()
         copy.domains = dict(self.domains)
         copy.residual = list(self.residual)

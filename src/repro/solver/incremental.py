@@ -19,6 +19,11 @@ keeps the committed prefix in solved form instead, and
    duplicate-insensitive) set of conjuncts, with hit/miss counters recorded
    in :class:`repro.solver.result.SolverStats`.
 
+A path condition belongs to its caller (the engine's state holds one per
+path) and is handed to :meth:`~IncrementalSolver.check`,
+:meth:`~IncrementalSolver.probe` or :meth:`~IncrementalSolver.probe_member`;
+the solver keeps no per-path data, only the verdict memo and the counters.
+
 Verdict parity with ``Solver.check`` holds by construction: a from-scratch
 check builds the same form from the same formulas and decides it with the
 same :meth:`Solver.decide` tier 3 calls, and tiers 1 and 2 are that call's
@@ -44,27 +49,9 @@ SAT = SolverResult(verdict="sat")
 UNSAT = SolverResult(verdict="unsat")
 
 
-class SolverContext(PathCondition):
-    """A path condition that knows which solver answers its ``check()``."""
-
-    __slots__ = ("owner",)
-
-    def __init__(self, owner: "IncrementalSolver") -> None:
-        super().__init__()
-        self.owner = owner
-
-    def clone(self) -> "SolverContext":
-        copy = super().clone()
-        copy.owner = self.owner
-        return copy
-
-    def check(self, want_model: bool = False) -> SolverResult:
-        """Satisfiability of everything asserted so far."""
-        return self.owner.check(self, want_model)
-
-
 class IncrementalSolver:
-    """Factory for :class:`SolverContext` plus a verdict cache.
+    """Answers satisfiability questions about a :class:`PathCondition`
+    (which belongs to no solver), behind a verdict cache.
 
     Wraps a base :class:`Solver`; all statistics (including cache and
     fast-path counters) accumulate in ``base.stats``, the one place they
@@ -80,12 +67,13 @@ class IncrementalSolver:
     ``multiprocessing.Manager().dict()``) consulted on local misses and fed
     on full solves.  ``paranoid`` re-verifies every local hit against a
     from-scratch solve — a debug tripwire used by the mutation tests.
+    Without ``verdict_cache`` the solver gets a cache of its own, bounded
+    at 10,000 entries.
     """
 
     def __init__(
         self,
         base: Optional[Solver] = None,
-        max_cache_entries: int = 10_000,
         verdict_cache: Optional[VerdictCache] = None,
         shared_cache: Optional[object] = None,
         paranoid: bool = False,
@@ -94,7 +82,7 @@ class IncrementalSolver:
         self.cache = (
             verdict_cache
             if verdict_cache is not None
-            else VerdictCache(max_entries=max_cache_entries)
+            else VerdictCache(max_entries=10_000)
         )
         self.shared = shared_cache
         if shared_cache is not None and hasattr(shared_cache, "bind_stats"):
@@ -107,19 +95,14 @@ class IncrementalSolver:
     def stats(self) -> SolverStats:
         return self.base.stats
 
-    def context(self) -> SolverContext:
-        return SolverContext(self)
-
     # -- memoized full checks --------------------------------------------------
 
-    def check(self, form: PathCondition, want_model: bool = False) -> SolverResult:
+    def check(self, form: PathCondition) -> SolverResult:
         """Satisfiability of a path condition, cheapest tier first (see the
         module docstring)."""
         if form.unsat:
             self.stats.record_fast_path()
             return UNSAT
-        if want_model:
-            return self.base.decide(form, want_model=True)
         if not form.residual:
             # Pure per-variable domains, all non-empty: trivially satisfiable.
             self.stats.record_fast_path()
@@ -248,6 +231,3 @@ class IncrementalSolver:
                 self.shared = None
                 self.stats.record_degraded_operation()
         return result
-
-    def clear_cache(self) -> None:
-        self.cache.clear()

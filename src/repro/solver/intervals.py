@@ -41,9 +41,6 @@ class Interval:
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def intersection(self, other: "Interval") -> Optional["Interval"]:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -308,11 +305,3 @@ def prefix_to_interval(address: int, prefix_len: int, width: int = 32) -> Interv
     lo = address & mask
     hi = lo | ((1 << host_bits) - 1)
     return Interval(lo, hi)
-
-
-def intervals_from_prefixes(
-    prefixes: Sequence[Tuple[int, int]], width: int = 32
-) -> IntervalSet:
-    """Build the interval set covered by a list of ``(address, prefix_len)``."""
-    spans = (prefix_to_interval(address, plen, width) for address, plen in prefixes)
-    return IntervalSet((span.lo, span.hi) for span in spans)

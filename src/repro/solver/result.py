@@ -42,7 +42,6 @@ class SolverStats:
     unsat: int = 0
     unknown: int = 0
     time_seconds: float = _reported(0.0, SOLVER_SECONDS)
-    atoms_processed: int = 0
     case_splits: int = 0
     # Incremental-solver instrumentation: queries answered without a full
     # solve, either because domain propagation alone decided them
@@ -69,10 +68,9 @@ class SolverStats:
     # silent.
     degraded_operations: int = _reported(0, DEGRADED_OPERATIONS)
 
-    def record(self, verdict: str, elapsed: float, atoms: int, splits: int) -> None:
+    def record(self, verdict: str, elapsed: float, splits: int) -> None:
         self.calls += 1
         self.time_seconds += elapsed
-        self.atoms_processed += atoms
         self.case_splits += splits
         if verdict == "sat":
             self.sat += 1
@@ -164,7 +162,6 @@ class SolverResult:
 
     verdict: str
     model: Optional[Dict[str, int]] = None
-    reason: str = ""
 
     @property
     def is_sat(self) -> bool:

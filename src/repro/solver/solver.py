@@ -26,7 +26,6 @@ from repro.solver.ast import (
     Not,
     Or,
     Var,
-    formula_size,
 )
 from repro.solver.form import PathCondition
 from repro.solver.result import SolverResult, SolverStats
@@ -46,20 +45,12 @@ class Solver:
         Upper bound on the number of disjunction branches explored before the
         solver gives up and reports "unknown".  Network models keep mixed
         disjunctions tiny, so the default is generous.
-    model_search_budget:
-        Budget for the concrete-assignment search used to back "sat" answers
-        and to produce models.
     """
 
-    def __init__(
-        self,
-        max_case_splits: int = 20_000,
-        model_search_budget: int = 256,
-        stats: Optional[SolverStats] = None,
-    ) -> None:
-        self.stats = stats if stats is not None else SolverStats()
+    def __init__(self, max_case_splits: int = 20_000) -> None:
+        self.stats = SolverStats()
         self._max_case_splits = max_case_splits
-        self._theory = TheorySolver(model_search_budget=model_search_budget)
+        self._theory = TheorySolver()
 
     # -- public API -----------------------------------------------------------
 
@@ -101,22 +92,11 @@ class Solver:
         # keeps breaking ties the way it always has.
         pending = [item for item in reversed(form.residual) if isinstance(item, Or)]
         verdict, model = self._split(form, pending, want_model, splits)
-        atoms = sum(formula_size(formula) for formula in form.formulas)
-        self.stats.record(verdict, time.perf_counter() - start, atoms, splits[0])
+        self.stats.record(verdict, time.perf_counter() - start, splits[0])
         named_model = None
         if model is not None:
             named_model = {var.name: value for var, value in model.items()}
         return SolverResult(verdict=verdict, model=named_model)
-
-    def is_satisfiable(
-        self, constraints: Union[Formula, Sequence[Formula]]
-    ) -> bool:
-        """Convenience wrapper treating "unknown" as satisfiable.
-
-        The symbolic execution engine is conservative: a path is only killed
-        when its constraints are *provably* unsatisfiable.
-        """
-        return not self.check(constraints).is_unsat
 
     def get_model(
         self, constraints: Union[Formula, Sequence[Formula]]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.solver.ast import Atom, Or, Var
+from repro.solver.ast import Or, Var
 from repro.solver.form import ClassifiedAtom, PathCondition
 from repro.solver.intervals import IntervalSet
 
@@ -74,28 +74,13 @@ class _UnionFind:
         return self._parent.keys()
 
 
+#: Budget for the concrete-assignment search that backs "sat" answers and
+#: produces models: values tried per variable, and per variable searched.
+MODEL_SEARCH_BUDGET = 256
+
+
 class TheorySolver:
     """Decide conjunctions of classified atoms and produce models."""
-
-    def __init__(self, model_search_budget: int = 256) -> None:
-        self._budget = model_search_budget
-
-    # -- public API -----------------------------------------------------------
-
-    def check(
-        self,
-        atoms: Iterable[Atom],
-        extra_domains: Optional[Dict[Var, IntervalSet]] = None,
-        want_model: bool = False,
-    ) -> Tuple[str, Optional[Dict[Var, int]]]:
-        """Return ``(verdict, model)`` for the conjunction of ``atoms``,
-        each variable of ``extra_domains`` confined to its domain."""
-        form = PathCondition()
-        for var, allowed in (extra_domains or {}).items():
-            form.narrow(var, allowed)
-        for atom in atoms:
-            form.assume(atom)
-        return self.decide(form, want_model)
 
     def decide(
         self, form: PathCondition, want_model: bool = False
@@ -309,13 +294,13 @@ class TheorySolver:
                         return False
             return True
 
-        budget = [self._budget * max(1, len(order))]
+        budget = [MODEL_SEARCH_BUDGET * max(1, len(order))]
 
         def backtrack(index: int) -> bool:
             if index == len(order):
                 return True
             var = order[index]
-            candidates = domains[var].iter_values(limit=self._budget)
+            candidates = domains[var].iter_values(limit=MODEL_SEARCH_BUDGET)
             for value in candidates:
                 if budget[0] <= 0:
                     return False

@@ -31,7 +31,7 @@ Aggressive caching is only shippable with a tripwire for silent weakening:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.solver.ast import Formula
 from repro.solver.canonical import canonical_fingerprint

@@ -39,6 +39,7 @@ import pytest
 import repro
 from repro.solver import ast as sa
 from repro.solver.canonical import canonical_fingerprint
+from repro.solver.form import PathCondition
 from repro.solver.incremental import IncrementalSolver
 from repro.solver.intervals import IntervalSet
 from repro.solver.solver import Solver
@@ -494,19 +495,19 @@ def test_cached_verdicts_match_fresh_solves(chunk):
 
 
 def test_context_checks_match_fresh_solves_via_cache():
-    """End-to-end through SolverContext: two contexts over the same
-    constraints share one full solve; a renamed copy is solved afresh and
-    agrees with Solver.check."""
+    """End-to-end through IncrementalSolver.check: two path conditions over
+    the same constraints share one full solve; a renamed copy is solved
+    afresh and agrees with Solver.check."""
     x, y = sa.Var("x", 32), sa.Var("y", 32)
     p, q = sa.Var("p", 32), sa.Var("q", 32)
     inc = IncrementalSolver()
     contexts = []
     for left, right in ((x, y), (x, y), (p, q)):
-        context = inc.context()
+        context = PathCondition()
         context.assume(sa.Le(sa.Sub(left, right), sa.Const(3)))
         context.assume(sa.Member(left, IntervalSet([(0, 100)])))
         contexts.append(context)
-    assert [context.check().verdict for context in contexts] == ["sat"] * 3
+    assert [inc.check(context).verdict for context in contexts] == ["sat"] * 3
     assert Solver().check(list(contexts[2].formulas)).verdict == "sat"
     # The identical twin was served from cache; the renamed one was solved.
     assert (inc.stats.cache_hits, inc.stats.cache_misses) == (1, 2)

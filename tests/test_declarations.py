@@ -288,6 +288,87 @@ def test_front_doors_refuse_out_of_range_settings(model, name, capsys):
             assert str(declared.value) in capsys.readouterr().err
 
 
+#: Header-field pins the declaration refuses: a name that is no standard
+#: field, and values that do not fit the field's width.
+BAD_PINS = {
+    "unknown_name": {"NoSuchField": 1},
+    "too_wide": {"TcpDst": 99999999},
+    "negative": {"TcpDst": -1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PINS))
+def test_front_doors_refuse_bad_field_values(model, case, capsys):
+    """A header pin is checked where it is declared, so it is refused before
+    any job runs: an unknown name used to run every job into a KeyError
+    (``holds=None``), and a value too wide for its field was answered."""
+    pins = BAD_PINS[case]
+    with pytest.raises(ValueError) as declared:
+        RunSettings(field_values=pins)
+    message = re.escape(str(declared.value))
+    for front_door in (
+        lambda: compile_plan(model, [Loop()], field_values=pins),
+        lambda: model.query(Loop(), field_values=pins),
+        lambda: model.campaign(field_values=pins),
+        lambda: VerificationCampaign(
+            NetworkSource.from_workload("department"), field_values=pins
+        ),
+    ):
+        with pytest.raises(ValueError, match=message):
+            front_door()
+    with pytest.raises(ProtocolError, match=message):
+        _parse_request("r", None, _message(fields=pins))
+    ((name, value),) = pins.items()
+    for command in (
+        ["query", "netdir", "loop()"], ["campaign", "netdir"],
+        ["reachability", "netdir", "sw", "in0"],
+    ):
+        with pytest.raises(SystemExit) as refused:
+            cli.main(command + ["--field", f"{name}={value}"])
+        # An unknown name is refused by the flag parser, in its own words.
+        said = capsys.readouterr().err + str(refused.value.code)
+        assert (str(declared.value) if case != "unknown_name" else name) in said
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "netdir", "loop()", "--workers", "-3"],
+        ["campaign", "netdir", "--workers", "0"],
+        ["scenario", "netdir", "--workers", "-1"],
+        ["serve", "--workers", "0"],
+        ["serve", "--max-pending", "0"],
+        ["serve", "--batch-window", "-1"],
+    ],
+)
+def test_cli_refuses_out_of_range_pool_and_serve_options(argv, monkeypatch, capsys):
+    """A usage error before anything runs: a negative pool size used to be
+    run and written into the report, and serve started or raised."""
+    import repro.serve
+
+    started = []
+
+    async def serve_nothing(*args, **kwargs):
+        started.append(args)
+
+    monkeypatch.setattr(repro.serve, "run_server", serve_nothing)
+    with pytest.raises(SystemExit) as refused:
+        cli.main(argv)
+    assert refused.value.code == 2
+    assert f"{argv[-2]} must be >= " in capsys.readouterr().err
+    assert started == []
+
+
+def test_campaign_and_plan_refuse_fewer_than_one_worker(model):
+    plan = compile_plan(model, [Loop()])
+    campaign = VerificationCampaign(NetworkSource.from_workload("department"))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="'workers' must be >= 1"):
+            execute_plan(plan, workers=workers)
+        with pytest.raises(ValueError, match="'workers' must be >= 1"):
+            campaign.run(workers=workers)
+
+
 @pytest.mark.parametrize("command", ["query", "campaign", "scenario"])
 def test_cli_defaults_are_the_declared_ones(command):
     positional = ["netdir", "loop()"] if command == "query" else ["netdir"]

@@ -337,15 +337,6 @@ class TestPropagationAndLoops:
         )
         assert result.summary_counts() == {"loop": 1}
 
-    def test_hop_limit_fallback(self):
-        network = self.build_ring()
-        settings = ExecutionSettings(detect_loops=False, max_hops=10)
-        result = SymbolicExecutor(network, settings=settings).inject(
-            models.symbolic_tcp_packet(), "n0", "in0"
-        )
-        assert result.summary_counts() == {"loop": 1}
-        assert "hop limit" in result.loops()[0].stop_reason
-
     def test_ttl_decrement_escapes_full_state_loop_detection(self):
         """A ring that decrements TTL: the full-state comparison sees a
         different state each time round (the paper's observation), so the

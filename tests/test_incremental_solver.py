@@ -13,96 +13,99 @@ from repro.sefl import (
     TcpDst,
     TcpSrc,
 )
-from repro.solver import IncrementalSolver, Solver
+from repro.solver import IncrementalSolver, PathCondition, Solver
 from repro.solver.ast import Add, Const, Eq, Ge, Le, Lt, Member, Ne, Or, Var
 from repro.solver.intervals import IntervalSet
+from repro.solver.verdict_cache import VerdictCache
 
 X = Var("x", 16)
 Y = Var("y", 16)
 
 
 class TestSolverContext:
+    """A :class:`PathCondition` checked by an :class:`IncrementalSolver`."""
+
     def test_domain_only_constraints_are_fast_paths(self):
         inc = IncrementalSolver()
-        ctx = inc.context()
-        ctx.assume(Ge(X, Const(10)))
-        ctx.assume(Le(X, Const(20)))
-        assert ctx.check().is_sat
-        ctx.assume(Eq(X, Const(15)))
-        assert ctx.check().is_sat
-        ctx.assume(Eq(X, Const(16)))
-        assert ctx.check().is_unsat
+        form = PathCondition()
+        form.assume(Ge(X, Const(10)))
+        form.assume(Le(X, Const(20)))
+        assert inc.check(form).is_sat
+        form.assume(Eq(X, Const(15)))
+        assert inc.check(form).is_sat
+        form.assume(Eq(X, Const(16)))
+        assert inc.check(form).is_unsat
         # Every query above was decided by propagation, not the base solver.
         assert inc.stats.calls == 0
         assert inc.stats.fast_paths == 3
 
     def test_push_pop_restores_domains_and_verdict(self):
         inc = IncrementalSolver()
-        ctx = inc.context()
-        ctx.assume(Eq(X, Const(5)))
-        assert ctx.check().is_sat
+        form = PathCondition()
+        form.assume(Eq(X, Const(5)))
+        assert inc.check(form).is_sat
 
-        ctx.push()
-        ctx.assume(Ne(X, Const(5)))
-        assert ctx.check().is_unsat
-        ctx.pop()
+        form.push()
+        form.assume(Ne(X, Const(5)))
+        assert inc.check(form).is_unsat
+        form.pop()
 
-        assert ctx.check().is_sat
-        assert ctx.constraint_count() == 1
+        assert inc.check(form).is_sat
+        assert form.constraint_count() == 1
 
-        ctx.push()
-        ctx.assume(Lt(X, Const(100)))
-        assert ctx.check().is_sat
-        ctx.pop()
-        assert ctx.constraint_count() == 1
+        form.push()
+        form.assume(Lt(X, Const(100)))
+        assert inc.check(form).is_sat
+        form.pop()
+        assert form.constraint_count() == 1
 
     def test_nested_scopes(self):
         inc = IncrementalSolver()
-        ctx = inc.context()
-        ctx.assume(Ge(X, Const(10)))
-        ctx.push()
-        ctx.assume(Le(X, Const(10)))  # x == 10
-        ctx.push()
-        ctx.assume(Ne(X, Const(10)))
-        assert ctx.check().is_unsat
-        ctx.pop()
-        assert ctx.check().is_sat
-        ctx.pop()
-        assert ctx.check().is_sat
-        assert ctx.depth == 0
+        form = PathCondition()
+        form.assume(Ge(X, Const(10)))
+        form.push()
+        form.assume(Le(X, Const(10)))  # x == 10
+        form.push()
+        form.assume(Ne(X, Const(10)))
+        assert inc.check(form).is_unsat
+        form.pop()
+        assert inc.check(form).is_sat
+        form.pop()
+        assert inc.check(form).is_sat
+        assert form.depth == 0
 
     def test_pop_without_push_raises(self):
-        ctx = IncrementalSolver().context()
+        form = PathCondition()
         with pytest.raises(RuntimeError):
-            ctx.pop()
+            form.pop()
 
     def test_clone_isolates_branches(self):
         inc = IncrementalSolver()
-        ctx = inc.context()
-        ctx.assume(Ge(X, Const(10)))
-        sibling = ctx.clone()
-        ctx.assume(Lt(X, Const(5)))
-        assert ctx.check().is_unsat
-        assert sibling.check().is_sat
+        form = PathCondition()
+        form.assume(Ge(X, Const(10)))
+        sibling = form.clone()
+        form.assume(Lt(X, Const(5)))
+        assert inc.check(form).is_unsat
+        assert inc.check(sibling).is_sat
         sibling.assume(Le(X, Const(10)))
-        assert sibling.check().is_sat
+        assert inc.check(sibling).is_sat
 
     def test_member_and_disjunction_absorbed_into_domains(self):
         inc = IncrementalSolver()
-        ctx = inc.context()
-        ctx.assume(Member(X, IntervalSet.points([1, 5, 9])))
-        ctx.assume(Or(Eq(X, Const(5)), Eq(X, Const(7))))
-        assert ctx.check().is_sat
-        ctx.assume(Ne(X, Const(5)))
-        assert ctx.check().is_unsat
+        form = PathCondition()
+        form.assume(Member(X, IntervalSet.points([1, 5, 9])))
+        form.assume(Or(Eq(X, Const(5)), Eq(X, Const(7))))
+        assert inc.check(form).is_sat
+        form.assume(Ne(X, Const(5)))
+        assert inc.check(form).is_unsat
         assert inc.stats.calls == 0  # never left the propagation tier
 
     def test_residual_atoms_fall_back_to_base_solver(self):
         inc = IncrementalSolver()
-        ctx = inc.context()
-        ctx.assume(Eq(X, Add(Y, Const(1))))  # difference atom: not domain-able
-        ctx.assume(Eq(Y, Const(4)))
-        result = ctx.check()
+        form = PathCondition()
+        form.assume(Eq(X, Add(Y, Const(1))))  # difference atom: not domain-able
+        form.assume(Eq(Y, Const(4)))
+        result = inc.check(form)
         assert result.is_sat
         assert inc.stats.calls == 1
         assert inc.stats.cache_misses == 1
@@ -129,10 +132,11 @@ class TestSolverContext:
         ]
         for conjunction in cases:
             fresh = Solver().check(conjunction).verdict
-            ctx = IncrementalSolver().context()
+            inc = IncrementalSolver()
+            form = PathCondition()
             for formula in conjunction:
-                ctx.assume(formula)
-            assert ctx.check().verdict == fresh, conjunction
+                form.assume(formula)
+            assert inc.check(form).verdict == fresh, conjunction
 
     def test_engine_parity_with_unsupported_member_on_path(self):
         """Regression: a OneOf over a derived two-variable field used to make
@@ -174,52 +178,52 @@ class TestMemoizationCache:
         diff = Eq(X, Add(Y, Const(1)))  # keeps a residual -> full check
         bound = Ge(Y, Const(3))
 
-        first = inc.context()
+        first = PathCondition()
         first.assume(diff)
         first.assume(bound)
-        assert first.check().is_sat
+        assert inc.check(first).is_sat
         assert _memo(inc) == (0, 1, 1)
 
         # Same conjunction asserted in the opposite order: the exact-set
         # key (order/duplicate-insensitive) must produce a cache hit.
-        second = inc.context()
+        second = PathCondition()
         second.assume(bound)
         second.assume(diff)
         second.assume(bound)  # duplicate conjunct, same key
-        assert second.check().is_sat
+        assert inc.check(second).is_sat
         assert _memo(inc) == (1, 1, 1)
         assert inc.stats.calls == 1  # only one real solve happened
 
     def test_lru_eviction_bounds_the_cache(self):
-        inc = IncrementalSolver(max_cache_entries=2)
+        inc = IncrementalSolver(verdict_cache=VerdictCache(max_entries=2))
         conjunctions = [
             [Eq(X, Add(Y, Const(offset)))] for offset in range(4)
         ]
         for conjunction in conjunctions:
-            ctx = inc.context()
+            form = PathCondition()
             for formula in conjunction:
-                ctx.assume(formula)
-            ctx.check()
+                form.assume(formula)
+            inc.check(form)
         assert len(inc.cache) == 2  # bounded, oldest entries evicted
         assert len(inc.cache._exact) == 2  # the exact-set key memo too
         # The most recent conjunction is still cached...
-        ctx = inc.context()
-        ctx.assume(conjunctions[-1][0])
-        ctx.check()
+        form = PathCondition()
+        form.assume(conjunctions[-1][0])
+        inc.check(form)
         assert inc.stats.cache_hits == 1
         # ...and the evicted oldest one re-solves (a miss, still cached OK).
-        ctx = inc.context()
-        ctx.assume(conjunctions[0][0])
-        ctx.check()
+        form = PathCondition()
+        form.assume(conjunctions[0][0])
+        inc.check(form)
         assert inc.stats.cache_misses == 5
 
     def test_clear_cache(self):
         inc = IncrementalSolver()
-        ctx = inc.context()
-        ctx.assume(Eq(X, Add(Y, Const(1))))
-        ctx.check()
+        form = PathCondition()
+        form.assume(Eq(X, Add(Y, Const(1))))
+        inc.check(form)
         assert len(inc.cache) == 1
-        inc.clear_cache()
+        inc.cache.clear()
         assert len(inc.cache) == 0
 
 

@@ -6,6 +6,7 @@ from repro.core.errors import MemorySafetyError
 from repro.core.memory import HeaderMemory, MetadataStore
 from repro.core.state import ExecutionState
 from repro.sefl.fields import IpDst, IpSrc, Tag
+from repro.sefl.instructions import NoOp
 from repro.solver.ast import Const, Eq, Var
 
 
@@ -156,7 +157,7 @@ class TestExecutionState:
         self.state.allocate_metadata("orig", local=True)
         self.state.write_metadata("orig", Const(1))
         self.state.current_scope = "nat2"
-        assert not self.state.has_metadata("orig")
+        assert self.state.metadata.resolve("orig", "nat2") is None
         self.state.current_scope = "nat1"
         assert self.state.read_metadata("orig") == Const(1)
 
@@ -177,7 +178,61 @@ class TestExecutionState:
     def test_clone_gets_fresh_path_id(self):
         copy = self.state.clone()
         assert copy.path_id != self.state.path_id
-        assert copy.parent_id == self.state.path_id
+
+    def test_clone_sets_every_slot_and_isolates_the_parent(self):
+        """Walks ``__slots__``, so a slot added to the state but not to the
+        hand-written ``clone()`` fails here instead of on some later path."""
+        state = self.state
+        state.create_tag("L3", 0)
+        state.allocate_header(IpDst, 32)
+        state.write_header(IpDst, Const(1))
+        state.current_scope = "nat1"
+        state.allocate_metadata("m", local=True)
+        state.write_metadata("m", Const(2))
+        state.add_constraint(Eq(Var("v", 32), Const(0)))
+        state.record_port("nat1:in0")
+        state.record_instruction(NoOp())
+        state.snapshot_port("nat1:in0")
+        state.stop_reason = "populated"
+        state.hop_count = 3
+        # How each slot that holds a store, log or table is compared.
+        views = {
+            "header": lambda s: s.read_header(IpDst),
+            "metadata": lambda s: s.read_metadata("m"),
+            "tags": lambda s: dict(s.tags),
+            "condition": lambda s: (
+                list(s.condition.formulas), dict(s.condition.domains),
+                list(s.condition.residual), s.condition.unsat,
+            ),
+            "port_trace": lambda s: list(s.port_trace),
+            "instruction_trace": lambda s: list(s.instruction_trace),
+            "port_snapshots": lambda s: {
+                port: [list(snapshot.constraints) for snapshot in snapshots]
+                for port, snapshots in s.port_snapshots.items()
+            },
+        }
+
+        def view(s, name):
+            return views[name](s) if name in views else getattr(s, name)
+
+        before = {name: view(state, name) for name in ExecutionState.__slots__}
+        copy = state.clone()
+        for name in ExecutionState.__slots__:
+            assert hasattr(copy, name), f"clone() does not set {name!r}"
+            if name != "path_id":
+                assert view(copy, name) == before[name], name
+
+        copy.write_header(IpDst, Const(9))
+        copy.write_metadata("m", Const(8))
+        copy.create_tag("L4", 160)
+        copy.add_constraint(Eq(Var("w", 32), Const(1)))
+        copy.record_port("nat1:out0")
+        copy.record_instruction(NoOp())
+        copy.snapshot_port("nat1:in0")
+        copy.snapshot_port("nat2:in0")
+        for name in views:
+            assert view(copy, name) != before[name], name
+            assert view(state, name) == before[name], name
 
     def test_variable_history(self):
         self.state.create_tag("L3", 0)

@@ -113,7 +113,7 @@ class TestCustomPolicies:
         )
         result = run_options({OPTION_WSCALE: 1}, policy=policy)
         path = result.reaching("asa-options", "out0")[0]
-        assert not path.state.has_metadata(option_var(OPTION_MSS))
+        assert path.state.metadata.resolve(option_var(OPTION_MSS), path.state.current_scope) is None
 
     def test_verdict_lookup_default(self):
         assert ASA_DEFAULT_OPTION_POLICY.verdict(OPTION_MSS) == ALLOW

@@ -22,7 +22,7 @@ from repro.core.state import ExecutionState
 from repro.sefl import (
     Constrain, Eq as SEq, Forward, If, InstructionBlock, Not as SNot, TcpDst, TcpSrc,
 )
-from repro.solver import IncrementalSolver, Solver
+from repro.solver import IncrementalSolver, PathCondition, Solver
 from repro.solver.ast import (
     Add, And, Const, Eq, Ge, Gt, Le, Lt, Member, Ne, Not, Or, Sub, Var,
 )
@@ -138,7 +138,8 @@ def test_fresh_incremental_and_cloned_forms_agree_with_brute_force():
         masks = [models_of(formula) for formula in formulas]
         what = (SEED, case, formulas)
 
-        context = IncrementalSolver().context()
+        solver = IncrementalSolver()
+        context = PathCondition()
         fork_at = rng.randrange(len(formulas))
         prefix = EVERYWHERE
         for index, formula in enumerate(formulas):
@@ -148,18 +149,18 @@ def test_fresh_incremental_and_cloned_forms_agree_with_brute_force():
                 junk = random_formula(rng, 1)
                 context.push()
                 context.assume(junk)
-                probe = context.check().verdict
+                probe = solver.check(context).verdict
                 context.pop()
                 assert_sound(probe, bool(prefix & models_of(junk)), (what, junk))
             context.assume(formula)
             prefix &= masks[index]
-            assert_sound(context.check().verdict, bool(prefix), (what, index))
+            assert_sound(solver.check(context).verdict, bool(prefix), (what, index))
         for formula in formulas[fork_at:]:
             fork.assume(formula)
 
         fresh = Solver().check(formulas).verdict
-        assert context.check().verdict == fresh, what
-        assert fork.check().verdict == fresh, what
+        assert solver.check(context).verdict == fresh, what
+        assert solver.check(fork).verdict == fresh, what
         assert_sound(fresh, bool(prefix), what)
         # Popped scopes leave nothing behind, in the log or the solved form.
         assert list(context.formulas) == formulas == list(fork.formulas), what
@@ -179,7 +180,7 @@ def test_preclassified_probe_is_the_scoped_check():
     stats = solver.stats
     tiers = {"fast": 0, "solved": 0, "unsat_form": 0}
     for case in range(CASES):
-        context = solver.context()
+        context = PathCondition()
         prefix = EVERYWHERE
         for _ in range(rng.randrange(0, 4)):
             formula = random_formula(rng, 1)
@@ -201,7 +202,7 @@ def test_preclassified_probe_is_the_scoped_check():
         context.push()
         context.assume(guard)
         assumed = context.domains.get(guard.term)
-        scoped = context.check().verdict
+        scoped = solver.check(context).verdict
         context.pop()
         by_scope = stats.since(before)
         # The domain handed back is the one assuming the atom leaves.
@@ -222,16 +223,16 @@ def test_fast_path_verdicts_are_read_only():
     """Tiers 1 and 2 hand every caller the same result object, so writing
     to one must fail rather than change every later fast-path verdict."""
     solver = IncrementalSolver()
-    context = solver.context()
+    context = PathCondition()
     sat = solver.check(context)
     unsat, _ = solver.probe_member(context, VARS[0], IntervalSet.empty())
     assert (sat.verdict, unsat.verdict) == ("sat", "unsat")
     assert solver.stats.fast_paths == 2
     for result in (sat, unsat):
-        for name, value in (("verdict", "unknown"), ("reason", "edited"), ("model", {})):
+        for name, value in (("verdict", "unknown"), ("model", {})):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(result, name, value)
-    assert solver.check(context) is sat and sat.verdict == "sat" and sat.reason == ""
+    assert solver.check(context) is sat and sat.verdict == "sat"
 
 
 # -- (b) the state's view -----------------------------------------------------

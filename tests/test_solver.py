@@ -55,7 +55,7 @@ class TestSolverBasics:
 
     def test_is_satisfiable_conservative_on_unknown(self):
         # Unsupported fragment -> unknown -> treated as satisfiable.
-        assert self.solver.is_satisfiable([Eq(Add(x, y), Const(5))])
+        assert not self.solver.check([Eq(Add(x, y), Const(5))]).is_unsat
 
     def test_stats_recorded(self):
         solver = Solver()

@@ -23,7 +23,6 @@ from repro.solver.ast import (
     Var,
     conjoin,
     disjoin,
-    formula_size,
     formula_variables,
     linearize,
     negate,
@@ -156,7 +155,3 @@ class TestCombinators:
     def test_formula_variables(self):
         formula = And(Eq(x, Const(1)), Or(Lt(y, z), Not(Eq(x, y))))
         assert formula_variables(formula) == frozenset({x, y, z})
-
-    def test_formula_size_counts_atoms(self):
-        formula = And(Eq(x, Const(1)), Or(Lt(y, z), Eq(x, y)), TRUE)
-        assert formula_size(formula) == 3

@@ -10,7 +10,6 @@ from repro.solver.ast import Lt, Ne, Var
 from repro.solver.intervals import (
     Interval,
     IntervalSet,
-    intervals_from_prefixes,
     prefix_to_interval,
 )
 
@@ -42,8 +41,8 @@ class TestInterval:
         assert Interval(0, 2).intersection(Interval(3, 9)) is None
 
     def test_intersects(self):
-        assert Interval(0, 5).intersects(Interval(5, 9))
-        assert not Interval(0, 4).intersects(Interval(5, 9))
+        assert Interval(0, 5).intersection(Interval(5, 9)) is not None
+        assert Interval(0, 4).intersection(Interval(5, 9)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,8 @@ class TestPrefixes:
             prefix_to_interval(0, 33)
 
     def test_intervals_from_prefixes(self):
-        merged = intervals_from_prefixes([(0x0A000000, 8), (0x0A000000, 16)])
+        spans = [prefix_to_interval(0x0A000000, 8), prefix_to_interval(0x0A000000, 16)]
+        merged = IntervalSet((span.lo, span.hi) for span in spans)
         assert merged.size() == 1 << 24
 
 

@@ -4,7 +4,12 @@ import pytest
 
 from repro.solver.ast import Add, Const, Eq, Ge, Gt, Le, Lt, Ne, Sub, Var
 from repro.solver.intervals import IntervalSet
-from repro.solver.form import UnsupportedAtomError, classify_atom, domain_for
+from repro.solver.form import (
+    PathCondition,
+    UnsupportedAtomError,
+    classify_atom,
+    domain_for,
+)
 from repro.solver.theory import TheorySolver
 
 x = Var("x", 8)
@@ -79,75 +84,84 @@ class TestDomainFor:
         assert domain_for(">", 255, 8).is_empty()
 
 
+def check(atoms, extra_domains=None, want_model=False):
+    """``(verdict, model)`` of the conjunction of ``atoms``, each variable of
+    ``extra_domains`` confined to its domain, decided by the theory solver."""
+    form = PathCondition()
+    for var, allowed in (extra_domains or {}).items():
+        form.narrow(var, allowed)
+    for atom in atoms:
+        form.assume(atom)
+    return TheorySolver().decide(form, want_model)
+
+
 class TestTheorySolver:
-    def setup_method(self):
-        self.solver = TheorySolver()
 
     def test_simple_sat(self):
-        verdict, _ = self.solver.check([Eq(x, Const(5))])
+        verdict, _ = check([Eq(x, Const(5))])
         assert verdict == "sat"
 
     def test_contradictory_domains(self):
-        verdict, _ = self.solver.check([Eq(x, Const(5)), Eq(x, Const(6))])
+        verdict, _ = check([Eq(x, Const(5)), Eq(x, Const(6))])
         assert verdict == "unsat"
 
     def test_equality_chain_propagates(self):
-        verdict, _ = self.solver.check(
+        verdict, _ = check(
             [Eq(x, y), Eq(y, z), Eq(x, Const(5)), Eq(z, Const(6))]
         )
         assert verdict == "unsat"
 
     def test_equality_with_offsets(self):
-        verdict, model = self.solver.check(
+        verdict, model = check(
             [Eq(x, Add(y, Const(3))), Eq(y, Const(10))], want_model=True
         )
         assert verdict == "sat"
         assert model[x] == 13
 
     def test_difference_bounds_conflict(self):
-        verdict, _ = self.solver.check([Lt(x, y), Lt(y, x)])
+        verdict, _ = check([Lt(x, y), Lt(y, x)])
         assert verdict == "unsat"
 
     def test_difference_bounds_chain(self):
-        verdict, _ = self.solver.check([Lt(x, y), Lt(y, z), Eq(z, Const(1))])
+        verdict, _ = check([Lt(x, y), Lt(y, z), Eq(z, Const(1))])
         assert verdict == "unsat"  # would need x < y < 1 with x, y >= 0... x=0? y must be <1 and >x>=0 -> impossible
 
     def test_difference_bounds_feasible_chain(self):
-        verdict, model = self.solver.check(
+        verdict, model = check(
             [Lt(x, y), Lt(y, z), Eq(z, Const(4))], want_model=True
         )
         assert verdict == "sat"
         assert model[x] < model[y] < model[z] == 4
 
     def test_disequality_pruning(self):
-        verdict, _ = self.solver.check(
+        verdict, _ = check(
             [Ge(x, Const(3)), Le(x, Const(4)), Ne(x, Const(3)), Ne(x, Const(4))]
         )
         assert verdict == "unsat"
 
     def test_disequality_between_variables(self):
-        verdict, _ = self.solver.check([Eq(x, y), Ne(x, y)])
+        verdict, _ = check([Eq(x, y), Ne(x, y)])
         assert verdict == "unsat"
 
     def test_model_respects_disequalities(self):
-        verdict, model = self.solver.check(
+        verdict, model = check(
             [Le(x, Const(1)), Le(y, Const(1)), Ne(x, y)], want_model=True
         )
         assert verdict == "sat"
         assert model[x] != model[y]
 
     def test_extra_domains_narrow(self):
-        verdict, _ = self.solver.check(
+        verdict, _ = check(
             [Eq(x, Const(5))], extra_domains={x: IntervalSet.points([1, 2, 3])}
         )
         assert verdict == "unsat"
 
     def test_width_respected_in_model(self):
-        verdict, model = self.solver.check([Ge(x, Const(200))], want_model=True)
+        verdict, model = check([Ge(x, Const(200))], want_model=True)
         assert verdict == "sat"
         assert 200 <= model[x] <= 255
 
     def test_unsupported_atoms_yield_unknown_not_sat(self):
-        verdict, _ = self.solver.check([Eq(Add(x, y), z)])
+        verdict, _ = check([Eq(Add(x, y), z)])
         assert verdict in ("unknown", "unsat")
         assert verdict != "sat"

@@ -132,10 +132,6 @@ class TestStrategyObjects:
         with pytest.raises(ValueError, match="unknown exploration strategy"):
             make_strategy("random-walk")
 
-    def test_make_strategy_from_factory(self):
-        frontier = make_strategy(BreadthFirstStrategy)
-        assert isinstance(frontier, BreadthFirstStrategy)
-
     def test_dfs_is_lifo_bfs_is_fifo(self):
         items = [(object(), "a", "in0"), (object(), "b", "in0")]
         dfs = make_strategy("dfs")
@@ -375,7 +371,7 @@ class TestRandomProgramProperties:
 
         fresh = executor.inject(packet, "root", "in0")
 
-        base = ExecutionState(executor.symbols)
+        base = ExecutionState()
         clone = base.clone()
         from_base = executor.inject(packet, "root", "in0", initial_state=base)
         # base was consumed/mutated above; the clone must be unaffected.
