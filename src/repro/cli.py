@@ -55,6 +55,7 @@ from repro.api import NetworkModel, QueryParseError, parse_query
 from repro.core.campaign import DEFAULT_INVARIANT_FIELDS, PACKET_TEMPLATES
 from repro.core.delta import CampaignBaseline
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
+from repro.core.errors import ModelError
 from repro.core.settings import SETTING_NAMES, RunSettings
 from repro.core.strategy import STRATEGIES
 from repro.obs import (
@@ -249,6 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "injection ports the directory diff could have touched and splice "
         "the rest from the baseline (default: %(default)s; answers are "
         "bit-identical either way)",
+    )
+    pipeline.add_argument(
+        "--state-memo", action=argparse.BooleanOptionalAction,
+        default=defaults.state_memo,
+        help="explore each state the jobs of a run share once and replay "
+        "its subtree where another job reaches it (depth-first only; "
+        "default: %(default)s; answers are bit-identical either way)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -781,7 +789,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    return {
+    command = {
         "show": _command_show,
         "reachability": _command_reachability,
         "campaign": _command_campaign,
@@ -789,7 +797,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         "scenario": _command_scenario,
         "store": _command_store,
         "serve": _command_serve,
-    }[args.command](args)
+    }[args.command]
+    try:
+        return command(args)
+    except (OSError, ModelError) as exc:
+        # A missing input, or a port the network lacks: one line, exit 1.
+        raise SystemExit(f"symnet: error: {exc}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -28,6 +28,7 @@ This module keeps the orchestration (:class:`VerificationCampaign`,
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -340,7 +341,8 @@ class VerificationCampaign:
         report the same list)."""
         return list(self._resolve().validation)
 
-    def jobs(self) -> List[CampaignJob]:
+    def jobs(self, memo_scope: str = "") -> List[CampaignJob]:
+        """One job per injection point, of the run ``memo_scope`` names."""
         if not self._injections:
             self.add_default_injections()
         template = CampaignJob(
@@ -350,6 +352,7 @@ class VerificationCampaign:
             settings=self.settings,
             facts=self.facts,
             built=self._resolve().content_digest,
+            memo_scope=memo_scope,
         )
         if self._store is not None:
             # Jobs reference the store by directory + content token; each
@@ -458,7 +461,7 @@ class VerificationCampaign:
                 self._store.degraded_operations if self._store is not None else 0
             )
             with tracer.span("jobs"):
-                pending = self.jobs()
+                pending = self.jobs(memo_scope=os.urandom(8).hex())
             reducers = self._reducers()
             final_reports: List[JobReport] = []
 

@@ -15,6 +15,7 @@ from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import MemorySafetyError, ModelError
+from repro.core.memo import Recorder, StateMemo
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
 from repro.core.settings import RunSettings
 from repro.core.state import ExecutionState
@@ -118,6 +119,7 @@ class SymbolicExecutor:
         settings: Optional[ExecutionSettings] = None,
         verdict_cache: Optional["VerdictCache"] = None,
         shared_cache: Optional[object] = None,
+        state_memo: Optional[StateMemo] = None,
     ) -> None:
         self.network = network
         self.solver = solver if solver is not None else Solver()
@@ -146,6 +148,13 @@ class SymbolicExecutor:
             )
         # A path survived on an "unknown" verdict during the current inject().
         self._incomplete = False
+        # A campaign's state memo (repro.core.memo): depth-first only.
+        self.memo = (
+            state_memo
+            if self.settings.strategy == "dfs" and self.settings.use_incremental_solver
+            else None
+        )
+        self._recorder: Optional[Recorder] = None  # the current inject()'s
 
     # ------------------------------------------------------------------ public
 
@@ -165,10 +174,16 @@ class SymbolicExecutor:
 
         result = ExecutionResult(injected_at=PortId(element, port))
         self._incomplete = False
+        target = self.network.element(element)
+        if not target.accepts_input(port):
+            raise ModelError(f"element {element!r} has no input port {port!r}")
         state = initial_state if initial_state is not None else ExecutionState()
+        recorder = self._recorder = (
+            Recorder(self.memo, self, result) if self.memo is not None else None
+        )
 
         # The injection program runs outside any element; it must not forward.
-        injected = self._execute(packet_program, _Outcome(state), None)
+        injected = self._inject_packet(packet_program, state, initial_state is None)
         frontier = make_strategy(self.settings.strategy)
         for outcome in injected:
             if not outcome.state.is_alive:
@@ -184,6 +199,10 @@ class SymbolicExecutor:
                 break
             current, element_name, in_port = frontier.pop()
             self._step(current, element_name, in_port, frontier, result)
+        else:
+            if recorder is not None:
+                recorder.close(-1)  # every open subtree is complete
+        self._recorder = None
 
         # Publish any verdicts still buffered in a batched shared tier
         # *before* the stats deltas are read, so the run's own report sees
@@ -205,6 +224,24 @@ class SymbolicExecutor:
         result.solver_stats = stats.since(before)
         return result
 
+    def _inject_packet(self, program: si.Instruction, state: ExecutionState,
+                       fresh: bool) -> List[_Outcome]:
+        """Run the packet program on ``state``; under a memo, on a ``fresh``
+        state, a run's jobs after its second clone what it built."""
+        if self.memo is None or not fresh:
+            return self._execute(program, _Outcome(state), None)
+        symbols, key = self.symbols, (id(program), self.symbols.count)
+        known = self.memo.packets.get(key)
+        seen = known is not None and known[0] is program
+        if seen and known[1]:
+            symbols.advance(known[2])
+            return [_Outcome(template.clone(), forwards) for template, forwards in known[1]]
+        start = symbols.count
+        outcomes = self._execute(program, _Outcome(state), None)
+        templates = [(each.state.clone(), each.forwards) for each in outcomes] if seen else ()
+        self.memo.packets[key] = (program, templates, symbols.count - start)
+        return outcomes
+
     # ------------------------------------------------------------ propagation
 
     def _step(
@@ -215,9 +252,13 @@ class SymbolicExecutor:
         frontier: Frontier,
         result: ExecutionResult,
     ) -> None:
-        element = self.network.element(element_name)
+        recorder = self._recorder
+        if recorder is not None and recorder.enter(state, element_name, in_port, len(frontier)):
+            return  # replayed from the memo
+        self.solver.stats.engine_steps += 1
         # str(PortId(...)); the PortId itself is built only for a path that ends here.
         port_key = f"{element_name}:{in_port}"
+        element = self.network.element(element_name)
         state.current_scope = element_name
         state.record_port(port_key)
         state.hop_count += 1
@@ -295,13 +336,12 @@ class SymbolicExecutor:
         keep_failed = self.settings.record_failed_paths
         for egress, program, term, narrowed, alive in plans:
             if not alive:
-                reason = program.unsatisfiable_reason
+                reason, record = program.unsatisfiable_reason, None
                 if keep_failed:
                     formula = sa.Member(term, program.guard[1])
                     recipe = partial(_dead_branch, state, egress.key, program, formula)
-                    result.add(PathRecord(recipe, PathStatus.FAILED, reason, egress.port_id))
-                else:
-                    result.count(PathStatus.FAILED, reason)
+                    record = PathRecord(recipe, PathStatus.FAILED, reason, egress.port_id)
+                self._end(result, PathStatus.FAILED, reason, record)
                 continue
             living -= 1
             branch = state.clone() if died or living else state
@@ -409,11 +449,21 @@ class SymbolicExecutor:
     ) -> None:
         """Count a terminated state, and keep its record unless it is a
         failed path the settings do not record."""
-        status, reason = state.status, state.stop_reason
-        if status == PathStatus.FAILED and not self.settings.record_failed_paths:
+        status, reason, record = state.status, state.stop_reason, None
+        if status != PathStatus.FAILED or self.settings.record_failed_paths:
+            record = PathRecord(state, status, reason, port, cut_off)
+        self._end(result, status, reason, record)
+
+    def _end(self, result: ExecutionResult, status: str, reason: str,
+             record: Optional[PathRecord]) -> None:
+        """Tally a termination, keep ``record`` if any, tell the recorder."""
+        if record is None:
             result.count(status, reason)
         else:
-            result.add(PathRecord(state, status, reason, port, cut_off))
+            result.add(record)
+        recorder = self._recorder
+        if recorder is not None and recorder.own is not None:
+            recorder.own.append((status, reason, record))
 
     # -------------------------------------------------------------- execution
 
@@ -572,6 +622,8 @@ class SymbolicExecutor:
         budget ran out) makes the run incomplete."""
         if verdict.verdict == "unknown":
             self._incomplete = True
+            if self._recorder is not None:
+                self._recorder.poison()
         return verdict.verdict != "unsat"
 
     def _branch_feasible(self, state: ExecutionState, formula: Formula) -> bool:

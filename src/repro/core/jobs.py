@@ -23,11 +23,12 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
 from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS, Facts, collect_facts
+from repro.core.memo import StateMemo
 from repro.core.queries import port_key
 from repro.core.settings import RunSettings
 from repro.core.sources import NetworkSource
@@ -92,6 +93,9 @@ class CampaignJob:
     #: different bytes reports an error instead of an answer.  Part of no
     #: digest: it names what was built, not what is asked.
     built: Optional[str] = None
+    #: The campaign run whose jobs share a state memo in each process
+    #: (``Runtime.memo_for``); empty: none.  Part of no digest.
+    memo_scope: str = field(default="", compare=False)
 
     @property
     def source_key(self) -> str:
@@ -229,6 +233,19 @@ class Runtime:
     registered_injections: Optional[List[Tuple[str, str]]]
     solver: Solver = field(default_factory=Solver)
     verdict_cache: VerdictCache = field(default_factory=VerdictCache)
+    #: The last campaign run served here, and its state memo.
+    memo_scope: str = ""
+    state_memo: Optional[StateMemo] = None
+
+    def memo_for(self, job: CampaignJob) -> Optional[StateMemo]:
+        """``job``'s memo: none, its own (no shared cache), or its run's."""
+        if not (job.settings.state_memo and job.memo_scope):
+            return None
+        if not job.settings.shared_cache:
+            return StateMemo()
+        if job.memo_scope != self.memo_scope:
+            self.memo_scope, self.state_memo = job.memo_scope, StateMemo()
+        return self.state_memo
 
     @property
     def content_digest(self) -> Optional[str]:
@@ -292,7 +309,10 @@ def reset_execution_counters() -> None:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def packet_program(settings: RunSettings):
+    """The injection program ``settings`` ask for: one (immutable) object
+    per settings, so a run's jobs inject the very same program."""
     try:
         template = PACKET_TEMPLATES[settings.packet]
     except KeyError:
@@ -407,6 +427,7 @@ def _execute_job_impl(job: CampaignJob) -> JobReport:
             ),
             verdict_cache=cache,
             shared_cache=job.shared_tier,
+            state_memo=runtime.memo_for(job),
         )
         _EXECUTION_COUNTERS["engine_runs"] += 1
         _EXECUTION_COUNTERS["fact_channels"] += facts.channels

@@ -10,6 +10,9 @@ slot (masking the previous value, e.g. during encapsulation) and
 ``Deallocate`` pops it, restoring the old value.  Each slot also records its
 full assignment history, which the verification layer uses for invariance and
 header-visibility checks.
+
+A store's digest is the XOR of its slots' digests, each a running hash of
+its key, stack position, size and values: every mutation moves it in O(1).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ class Slot:
 
     size: Optional[int]
     values: List[Term] = field(default_factory=list)
+    #: Seeded by the store with where the slot sits, extended by ``assign``.
+    digest: int = field(default=0, compare=False)
 
     @property
     def current(self) -> Optional[Term]:
@@ -34,9 +39,10 @@ class Slot:
 
     def assign(self, term: Term) -> None:
         self.values.append(term)
+        self.digest = hash((self.digest, term))
 
     def clone(self) -> "Slot":
-        return Slot(self.size, list(self.values))
+        return Slot(self.size, list(self.values), self.digest)
 
 
 #: The owned-key set of a store that shares every stack (just cloned, or
@@ -55,10 +61,12 @@ class _CowSlotStore:
     mutate through ``_push_slot`` / ``_pop_slot`` / ``_assign_top``.
     """
 
-    __slots__ = ("_slots", "_owned")
+    __slots__ = ("_slots", "_owned", "digest")
 
     def __init__(self) -> None:
         self._slots: Dict = {}
+        #: XOR of every slot's digest.
+        self.digest = 0
         # None: this store was never cloned and owns every stack.  Otherwise:
         # the set of keys whose stacks are private to this instance
         # (``_OWNS_NOTHING`` until the first write after a clone).
@@ -88,13 +96,15 @@ class _CowSlotStore:
             self._slots[key] = stack
             if self._owned is not None:
                 self._claim(key)
+        slot.digest = hash((key, len(stack), slot.size))
+        self.digest ^= slot.digest
         stack.append(slot)
 
     def _pop_slot(self, key) -> None:
         """Pop the top slot of an existing stack (caller has validated)."""
         stack = self._own(key)
         assert stack is not None
-        stack.pop()
+        self.digest ^= stack.pop().digest
         if not stack:
             del self._slots[key]
             if self._owned is not None:
@@ -105,12 +115,20 @@ class _CowSlotStore:
         """Assign to the top slot of an existing stack (caller has validated)."""
         stack = self._own(key)
         assert stack is not None
-        stack[-1].assign(term)
+        top = stack[-1]
+        before = top.digest
+        top.assign(term)
+        self.digest ^= before ^ top.digest
+
+    def same_slots(self, other: "_CowSlotStore") -> bool:
+        """Whether both stores hold equal stacks under equal keys."""
+        return self._slots == other._slots
 
     def clone(self):
         copy = type(self).__new__(type(self))
         copy._slots = dict(self._slots)
         copy._owned = _OWNS_NOTHING
+        copy.digest = self.digest
         # The parent now shares every stack with the clone, so it no longer
         # owns anything either.
         self._owned = _OWNS_NOTHING

@@ -143,6 +143,15 @@ class ExecutionResult:
         counts = self.reason_counts
         counts[key] = counts.get(key, 0) + 1
 
+    def tally(self, reasons) -> None:
+        """Tally ``((status, reason), count)`` pairs in first-termination
+        order, as counting their terminations one by one would."""
+        statuses, counts = self.status_counts, self.reason_counts
+        for key, times in reasons:
+            self.terminations += times
+            statuses[key[0]] = statuses.get(key[0], 0) + times
+            counts[key] = counts.get(key, 0) + times
+
     def add(self, record: PathRecord) -> None:
         """Tally ``record``'s termination and keep the record."""
         self.count(record.status, record.stop_reason)

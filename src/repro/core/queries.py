@@ -502,6 +502,9 @@ class CampaignStats:
 
     jobs: int = _stat()
     paths: int = _stat()
+    engine_steps: ClassVar[int]
+    state_memo_hits: ClassVar[int]
+    state_memo_misses: ClassVar[int]
     elapsed_seconds: float = _stat(default=0.0)
     wall_clock_seconds: float = _stat(default=0.0)
     #: Sum of every job's solver delta; ``stats.solver_cache_misses`` etc.
@@ -551,10 +554,6 @@ class CampaignStats:
         counted = _OUTCOME_FIELDS.get(report.outcome)
         if counted is not None:
             setattr(self, counted, getattr(self, counted) + 1)
-
-    @property
-    def degraded_operations(self) -> int:
-        return self.solver_stats.degraded_operations
 
     @property
     def executed_jobs(self) -> int:
@@ -609,6 +608,9 @@ class CampaignStats:
 #: The declared names, in ``to_dict`` order (a reported solver counter
 #: declared here by its own name leaves the ``solver_*`` block).
 _DECLARED = tuple(CampaignStats.__annotations__)
+# A reported solver counter declared above by its own name reads through.
+for _name in set(_DECLARED) & set(REPORTED_COUNTERS):
+    setattr(CampaignStats, _name, property(lambda self, _n=_name: getattr(self.solver_stats, _n)))
 #: ``JobReport.outcome`` -> the field counting it.
 _OUTCOME_FIELDS = {
     spec.metadata["labels"]["outcome"]: spec.name

@@ -59,6 +59,9 @@ class RunSettings:
     #: Splice answers a directory diff provably did not touch from the
     #: baseline (``core.delta``), and record each run as the next one.
     delta: bool = _tier_switch(True)
+    #: Explore each state a run's jobs share once, and replay its subtree
+    #: where another job reaches it (``core.memo``; depth-first only).
+    state_memo: bool = _tier_switch(True)
 
     def __post_init__(self) -> None:
         pairs = dict(self.field_values or ())

@@ -11,6 +11,14 @@ stacks with the parent until mutated (see :mod:`repro.core.memory`), the
 port/instruction traces and the path condition's formula log are
 :class:`AppendLog` chains that share their prefix, and port snapshots —
 frozen prefixes of that log — sit in immutable tuples shared by reference.
+
+A state's **future** is what every later verdict and fan-out reads: the
+path condition's solved form, the header and metadata stores (value
+histories included) and the tags (plus, at a lookup, the symbol counter).
+Its **history** — traces, formula log, port snapshots, hop count, path id,
+status — only records and loop detection read.  The future's mutators keep
+its digest current (:meth:`ExecutionState.digest`); two states with the same
+future (:meth:`ExecutionState.same_future`) explore one subtree.
 """
 
 from __future__ import annotations
@@ -28,6 +36,11 @@ from repro.solver.ast import Formula, Term
 from repro.solver.form import AppendLog, PathCondition
 
 _path_counter = itertools.count(1)
+
+
+def next_path_id() -> int:
+    """A fresh path id (every state gets one, clones included)."""
+    return next(_path_counter)
 
 
 class PathStatusValues:
@@ -69,7 +82,7 @@ class ExecutionState:
     """The symbolic state of one execution path (one packet)."""
 
     __slots__ = (
-        "header", "metadata", "tags", "condition", "port_trace",
+        "header", "metadata", "tags", "tags_digest", "condition", "port_trace",
         "instruction_trace", "port_snapshots", "status", "stop_reason",
         "current_scope", "path_id", "hop_count",
     )
@@ -78,6 +91,8 @@ class ExecutionState:
         self.header = HeaderMemory()
         self.metadata = MetadataStore()
         self.tags: Dict[str, int] = {}
+        #: XOR of one hash per tag, kept by the tag mutators.
+        self.tags_digest = 0
         #: The path condition — the one holder of the path's constraints,
         #: as asserted and in solved form.  It belongs to no solver.
         self.condition = PathCondition()
@@ -102,6 +117,7 @@ class ExecutionState:
         copy.header = self.header.clone()
         copy.metadata = self.metadata.clone()
         copy.tags = dict(self.tags)
+        copy.tags_digest = self.tags_digest
         copy.condition = self.condition.clone()
         copy.port_trace = self.port_trace.clone()
         copy.instruction_trace = self.instruction_trace.clone()
@@ -121,15 +137,47 @@ class ExecutionState:
     def is_alive(self) -> bool:
         return self.status == PathStatusValues.ALIVE
 
+    def digest(self) -> int:
+        """Digest of the future (module docstring): equal futures have
+        equal digests.  O(1): every part is kept up to date."""
+        condition = self.condition
+        return hash((
+            condition.digest, condition.unsat, self.header.digest,
+            self.metadata.digest, self.tags_digest,
+        ))
+
+    def future(self) -> "ExecutionState":
+        """A state holding a copy of this one's future, and no history."""
+        copy, solved = ExecutionState(), self.condition
+        copy.header, copy.metadata = self.header.clone(), self.metadata.clone()
+        copy.tags, copy.tags_digest = dict(self.tags), self.tags_digest
+        copy.condition = PathCondition.of(
+            AppendLog(), dict(solved.domains), list(solved.residual), solved.unsat, solved.digest
+        )
+        return copy
+
+    def same_future(self, other: "ExecutionState") -> bool:
+        """Whether ``other``'s future is exactly this state's."""
+        mine, theirs = self.condition, other.condition
+        return (
+            mine.unsat == theirs.unsat and self.tags == other.tags
+            and self.header.same_slots(other.header)
+            and self.metadata.same_slots(other.metadata)
+            and mine.residual == theirs.residual and mine.domains == theirs.domains
+        )
+
     # -- tags -----------------------------------------------------------------
 
     def create_tag(self, name: str, value: int) -> None:
+        if name in self.tags:
+            self.tags_digest ^= hash((name, self.tags[name]))
         self.tags[name] = value
+        self.tags_digest ^= hash((name, value))
 
     def destroy_tag(self, name: str) -> None:
         if name not in self.tags:
             raise MemorySafetyError(f"destroying unknown tag {name!r}")
-        del self.tags[name]
+        self.tags_digest ^= hash((name, self.tags.pop(name)))
 
     def tag_value(self, name: str) -> int:
         if name not in self.tags:

@@ -29,8 +29,12 @@ class SymbolFactory:
 
     @property
     def count(self) -> int:
-        """Number of symbols created so far (instrumentation)."""
+        """Number of symbols created so far: the next name's number."""
         return self._counter
+
+    def advance(self, count: int) -> None:
+        """Skip ``count`` names, as if that many symbols had been drawn."""
+        self._counter += count
 
 
 def term_is_concrete(term: Term) -> bool:

@@ -57,6 +57,11 @@ class NetworkElement:
     def has_output_port(self, port: str) -> bool:
         return port in self._output_ports
 
+    def accepts_input(self, port: str) -> bool:
+        """Whether a packet may enter at ``port``: it is declared, or a
+        ``"*"`` input program covers every port."""
+        return port in self._input_ports or WILDCARD_PORT in self._input_programs
+
     # -- program management -------------------------------------------------------
 
     def set_input_program(self, port: str, program: Instruction) -> None:

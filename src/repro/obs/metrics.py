@@ -257,6 +257,10 @@ JOBS = Family(Counter, "repro_jobs_total", "Campaign job reports by outcome.")
 JOB_SECONDS = Family(
     Histogram, "repro_job_seconds", "Wall-clock seconds per executed engine job."
 )
+ENGINE_STEPS = Family(Counter, "repro_engine_steps_total", "Engine steps explored.")
+STATE_MEMO_LOOKUPS = Family(
+    Counter, "repro_state_memo_lookups_total", "State-memo lookups by result."
+)
 SOLVER_CHECKS = Family(
     Counter,
     "repro_solver_checks_total",

@@ -79,6 +79,12 @@ class AppendLog:
     def clone(self) -> "AppendLog":
         return AppendLog(self, len(self._items))
 
+    def grown(self, items: list) -> "AppendLog":
+        """A clone with a copy of ``items`` appended."""
+        log = AppendLog(self, len(self._items))
+        log._items = list(items)
+        return log
+
     def truncate(self, length: int) -> None:
         """Forget what was appended past ``length``.  Only for items no
         clone can see: appended to this log since its last ``clone()``."""
@@ -99,6 +105,18 @@ class AppendLog:
             for index in range(limit):
                 yield items[index]
 
+    def since(self, start: int) -> list:
+        """The items from index ``start`` on (only their segments walked)."""
+        segments = []
+        node: Optional[AppendLog] = self
+        upto = len(self._items)
+        while node is not None and node._base_len + upto > start:
+            first = max(0, start - node._base_len)
+            segments.append(node._items[first:upto])
+            upto = node._upto
+            node = node._parent
+        return [item for segment in reversed(segments) for item in segment]
+
     def __bool__(self) -> bool:
         return len(self) > 0
 
@@ -115,7 +133,7 @@ class UnsupportedAtomError(Exception):
     """Raised when an atom falls outside the decidable fragment."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClassifiedAtom:
     """An atom reduced to at most two variables with unit coefficients."""
 
@@ -268,6 +286,12 @@ def _single_variable_domain(disjunction: Or) -> Optional[Tuple[Var, IntervalSet]
     return target, allowed
 
 
+def _sketch(var: Var, domain: IntervalSet) -> int:
+    """A domain's share of a digest: O(1), where hashing a FIB's set is not."""
+    los, his = domain.bounds
+    return hash((var.name, len(los), los[:1], his[-1:]))
+
+
 # ---------------------------------------------------------------------------
 # The form
 # ---------------------------------------------------------------------------
@@ -280,7 +304,7 @@ _NO_FRAMES: Tuple = ()
 class PathCondition:
     """One conjunction of constraints in solved form (see module docstring)."""
 
-    __slots__ = ("formulas", "domains", "residual", "unsat", "_frames")
+    __slots__ = ("formulas", "domains", "residual", "unsat", "digest", "_frames")
 
     def __init__(self) -> None:
         #: Every formula as asserted, in order.
@@ -293,10 +317,12 @@ class PathCondition:
         self.residual: list = []
         #: Propagation alone proved the conjunction unsatisfiable.
         self.unsat = False
+        #: XOR of a hash per domain and per residual item (with its index).
+        self.digest = 0
         # One undo record per open push(): the log and residual lengths, the
-        # unsat flag, and each touched variable's domain as it was (None:
-        # it had none).  ``_NO_FRAMES`` until the first push().
-        self._frames: Sequence[Tuple[int, int, bool, dict]] = _NO_FRAMES
+        # unsat flag, the digest, and each touched variable's domain as it
+        # was (None: it had none).  ``_NO_FRAMES`` until the first push().
+        self._frames: Sequence[Tuple[int, int, bool, int, dict]] = _NO_FRAMES
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -306,19 +332,24 @@ class PathCondition:
         duplicated."""
         if self._frames:
             raise RuntimeError("cannot clone a path condition with open push() scopes")
-        copy = PathCondition.__new__(PathCondition)
-        copy.formulas = self.formulas.clone()
-        copy.domains = dict(self.domains)
-        copy.residual = list(self.residual)
-        copy.unsat = self.unsat
-        copy._frames = _NO_FRAMES
-        return copy
+        return PathCondition.of(
+            self.formulas.clone(), dict(self.domains), list(self.residual), self.unsat, self.digest
+        )
+
+    @staticmethod
+    def of(formulas: AppendLog, domains: Dict[Var, IntervalSet], residual: list,
+           unsat: bool, digest: int) -> "PathCondition":
+        """A path condition made of these parts, taken as they are."""
+        form = PathCondition.__new__(PathCondition)
+        form.formulas, form.domains, form.residual = formulas, domains, residual
+        form.unsat, form.digest, form._frames = unsat, digest, _NO_FRAMES
+        return form
 
     # -- scopes ---------------------------------------------------------------
 
     def push(self) -> None:
         """Open a speculative scope; ``pop()`` undoes everything asserted in it."""
-        frame = (len(self.formulas), len(self.residual), self.unsat, {})
+        frame = (len(self.formulas), len(self.residual), self.unsat, self.digest, {})
         if self._frames:
             self._frames.append(frame)
         else:
@@ -328,7 +359,7 @@ class PathCondition:
         """Discard the most recent ``push()`` scope."""
         if not self._frames:
             raise RuntimeError("pop() without a matching push()")
-        formula_len, residual_len, self.unsat, saved = self._frames.pop()
+        formula_len, residual_len, self.unsat, self.digest, saved = self._frames.pop()
         self.formulas.truncate(formula_len)
         del self.residual[residual_len:]
         for var, previous in saved.items():
@@ -355,12 +386,12 @@ class PathCondition:
                 except UnsupportedAtomError:
                     # Kept as asserted: it cannot narrow anything, and who
                     # decides the residual must degrade "sat" to "unknown".
-                    self.residual.append(item)
+                    self._keep(item)
                     continue
                 if info.kind == "domain":
                     self.narrow(info.var, info.allowed)
                 elif info.kind == "diff":
-                    self.residual.append(info)
+                    self._keep(info)
                 elif not info.holds:
                     self.unsat = True
             elif isinstance(item, And):
@@ -370,7 +401,7 @@ class PathCondition:
             elif isinstance(item, Or):
                 collapsed = _single_variable_domain(item)
                 if collapsed is None:
-                    self.residual.append(item)
+                    self._keep(item)
                 else:
                     self.narrow(*collapsed)
             elif isinstance(item, BoolFalse):
@@ -379,6 +410,11 @@ class PathCondition:
                 # to_nnf eliminates Not entirely, so anything else here is
                 # not a formula node at all.
                 raise TypeError(f"unexpected formula node: {item!r}")
+
+    def _keep(self, item) -> None:
+        """Append ``item`` to the residual."""
+        self.digest ^= hash((len(self.residual), item))
+        self.residual.append(item)
 
     def assume_member(
         self,
@@ -403,12 +439,15 @@ class PathCondition:
         <repro.solver.incremental.IncrementalSolver.probe_member>` does)."""
         current = self.domains.get(var)
         if self._frames:
-            self._frames[-1][3].setdefault(var, current)
+            self._frames[-1][4].setdefault(var, current)
+        if current is not None:
+            self.digest ^= _sketch(var, current)
         if narrowed is None:
             if current is None:
                 current = IntervalSet.full(var.width)
             narrowed = current.intersection(allowed)
         self.domains[var] = narrowed
+        self.digest ^= _sketch(var, narrowed)
         if narrowed.is_empty():
             self.unsat = True
 

@@ -7,10 +7,12 @@ from typing import Dict, Optional
 
 from repro.obs.metrics import (
     DEGRADED_OPERATIONS,
+    ENGINE_STEPS,
     SHARED_PUBLISH_ENTRIES,
     SHARED_ROUND_TRIPS,
     SOLVER_CHECKS,
     SOLVER_SECONDS,
+    STATE_MEMO_LOOKUPS,
 )
 
 
@@ -29,7 +31,8 @@ def _reported(default=0, family=None, **labels):
 @dataclass
 class SolverStats:
     """Counters mirroring the instrumentation used in the paper's evaluation
-    ("time spent in and number of calls to the constraint solver").
+    ("time spent in and number of calls to the constraint solver"), and the
+    engine's own: the steps it explored and its state-memo lookups.
 
     This is the one declaration of the solver-counter list.  An engine run,
     a campaign job and a campaign roll-up each carry *one* ``SolverStats``
@@ -67,6 +70,10 @@ class SolverStats:
     # stay correct; the counter makes the degradation observable instead of
     # silent.
     degraded_operations: int = _reported(0, DEGRADED_OPERATIONS)
+    # Engine steps explored, and state-memo lookups (repro.core.memo).
+    engine_steps: int = _reported(0, ENGINE_STEPS)
+    state_memo_hits: int = _reported(0, STATE_MEMO_LOOKUPS, result="hit")
+    state_memo_misses: int = _reported(0, STATE_MEMO_LOOKUPS, result="miss")
 
     def record(self, verdict: str, elapsed: float, splits: int) -> None:
         self.calls += 1

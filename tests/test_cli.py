@@ -133,6 +133,70 @@ def dangling_network_dir(tmp_path):
     return tmp_path
 
 
+class TestInputErrors:
+    """A missing input or a port the network lacks is the user's mistake:
+    one ``symnet: error:`` line and a non-zero exit, never a traceback."""
+
+    def _one_error_line(self, argv, capsys):
+        """The message ``SystemExit`` prints, exiting with status 1."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        (line,) = str(exited.value.code).splitlines()
+        assert line.startswith("symnet: error: ")
+        return line
+
+    def test_the_process_prints_one_line_and_exits_1(self, tmp_path):
+        import subprocess
+        import sys
+
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "show", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("symnet: error: ") and "Traceback" not in done.stderr
+        assert len(done.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["show"],
+        ["reachability", "{}", "sw", "in0"],
+        ["query", "{}", "loop()"],
+        ["campaign"],
+        ["scenario", "{}", "--steps", "1"],
+    ])
+    def test_a_directory_without_a_topology(self, tmp_path, capsys, command):
+        argv = [word.format(tmp_path) for word in command]
+        if "{}" not in command:
+            argv.insert(1, str(tmp_path))
+        assert "topology.txt" in self._one_error_line(argv, capsys)
+
+    def test_an_unknown_element(self, network_dir, capsys):
+        line = self._one_error_line(["reachability", str(network_dir), "nope", "in0"], capsys)
+        assert line.endswith("unknown element 'nope'")
+
+    @pytest.fixture()
+    def stanford_dir(self, tmp_path):
+        """``acl0`` declares only ``in0`` (the switch and router of the
+        directory above take any port through a ``"*"`` program)."""
+        from repro.workloads.export import export_stanford_directory
+
+        export_stanford_directory(str(tmp_path), zones=2, internal_prefixes_per_zone=2)
+        return tmp_path
+
+    def test_an_undeclared_port(self, stanford_dir, capsys):
+        line = self._one_error_line(["reachability", str(stanford_dir), "acl0", "nope"], capsys)
+        assert line.endswith("element 'acl0' has no input port 'nope'")
+
+    def test_a_query_from_an_undeclared_port_has_no_answer(self, stanford_dir, tmp_path, capsys):
+        """It used to answer False: a packet 'dropped' at a port that does
+        not exist."""
+        out = tmp_path / "report.json"
+        assert main(["query", str(stanford_dir), "-o", str(out), "reach(acl0:nope, zr1)"]) == 1
+        assert "has no input port 'nope'" in capsys.readouterr().err
+        (answer,) = json.loads(out.read_text())["queries"]
+        assert answer["holds"] is None
+
+
 class TestValidationWarnings:
     """Regression: Network.validate() findings must surface before execution
     instead of crashing the parse or being silently ignored."""
@@ -485,7 +549,7 @@ class TestQueryCommand:
             text,
         ).replace(str(net), "NET")
         assert hashlib.sha256(pinned.encode()).hexdigest() == (
-            "0cd5479a0417c9b435403ecb1368c4f83969a75fd16ab67ddb363e807a7ad05c"
+            "a59a9f12b99e89c29e9985a5df5810705bb7b1fd79c41477b0c9b2d6c9653a96"
         )
 
 

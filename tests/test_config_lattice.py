@@ -528,7 +528,10 @@ def test_splicing_a_touched_port_is_caught(lattice, monkeypatch):
     monkeypatch.setattr(delta, "affected_injections", lambda *args, **kw: set())
     diff, report = _caught(lattice)
     assert set(diff) - CACHE_STACK == _switches_of(delta), report
-    assert diff.get("store") == "warm" and diff.get("baseline") == "store", report
+    # Spliced from a baseline: the one a warm store recorded, or one passed
+    # in (which the sampled lattice reaches first depends on its draws).
+    assert diff.get("baseline") in ("store", "passed"), report
+    assert diff.get("baseline") == "passed" or diff.get("store") == "warm", report
 
 
 def test_delta_off_never_splices_a_passed_baseline(lattice, monkeypatch):

@@ -70,6 +70,7 @@ CHANGED_SETTINGS = {
     "symmetry_audit": True,
     "symmetry_audit_seed": 5,
     "delta": False,
+    "state_memo": False,
 }
 CHANGED_FACTS = {
     "kinds": ("loops", "invariants"),
@@ -87,6 +88,7 @@ CLI_FLAGS = {
     "symmetry": ["--symmetry"],
     "symmetry_audit": ["--symmetry-audit"],
     "delta": ["--no-delta"],
+    "state_memo": ["--no-state-memo"],
 }
 #: The one setting's wire spelling that is not its name.
 WIRE_NAMES = {"field_values": "fields"}
@@ -526,7 +528,8 @@ def test_renaming_rewrites_text_leaves_only_and_refuses_collisions():
 #: ``CampaignStats.to_dict()`` keys in order, as recorded before the table
 #: was introduced.  ``bench/`` and the plan cache read this shape.
 CAMPAIGN_STATS_KEYS = [
-    "jobs", "paths", "elapsed_seconds", "wall_clock_seconds",
+    "jobs", "paths", "engine_steps", "state_memo_hits", "state_memo_misses",
+    "elapsed_seconds", "wall_clock_seconds",
     "solver_calls", "solver_time_seconds", "solver_fast_paths",
     "solver_cache_hits", "solver_cache_misses", "solver_shared_cache_hits",
     "solver_cache_merged", "solver_shared_round_trips",

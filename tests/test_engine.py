@@ -409,6 +409,23 @@ class TestPropagationAndLoops:
         with pytest.raises(ModelError):
             SymbolicExecutor(network).inject(Forward("out0"), "box", "in0")
 
+    def test_injection_at_an_undeclared_port_is_refused(self):
+        """A port the element neither declares nor covers with a ``"*"``
+        program used to run as a silent drop there."""
+        network = Network()
+        element = NetworkElement("box", ["in0"], ["out0"])
+        element.set_input_program("in0", Forward("out0"))
+        network.add_element(element)
+        executor = SymbolicExecutor(network)
+        with pytest.raises(ModelError, match="element 'box' has no input port 'nope'"):
+            executor.inject(models.symbolic_tcp_packet(), "box", "nope")
+        with pytest.raises(ModelError, match="unknown element 'nobox'"):
+            executor.inject(models.symbolic_tcp_packet(), "nobox", "in0")
+        # A "*" program covers every port, declared or not.
+        covered = single_element_network(Forward("out0"))
+        result = SymbolicExecutor(covered).inject(models.symbolic_tcp_packet(), "box", "in7")
+        assert result.summary_counts() == {"delivered": 1}
+
     def test_max_paths_budget_stops_exploration(self):
         # Three parallel branches, each ending at its own sink element; with a
         # budget of one recorded path the engine must stop before exploring
