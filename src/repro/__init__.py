@@ -26,8 +26,7 @@ Package map
 ``repro.workloads``           synthetic workload generators used by the
                               benchmark harness
 ``repro.store``               persistent verification store: checksummed
-                              verdict, plan and baseline records, plus the
-                              sharded shared tier
+                              verdict, plan and baseline records
 ============================  ==================================================
 
 Quickstart

@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shared-cache", action=argparse.BooleanOptionalAction,
         default=defaults.shared_cache,
         help="share the verdict cache across jobs (per-worker "
-        "persistent cache, plus a sharded process-shared tier when "
+        "persistent cache, plus a process-shared tier when "
         "--workers > 1); --no-shared-cache isolates every job "
         "(default: %(default)s)",
     )
@@ -823,11 +823,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         RunSettings(**_run_settings(args))
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
-    # The pool and serve options, by the same rule (absent ones pass).
-    for name, least in (("workers", 1), ("max_pending", 1), ("batch_window", 0)):
+    # The pool, serve and clustering options, by the same rule (absent
+    # ones pass).
+    for name, least in (
+        ("workers", 1), ("max_pending", 1), ("batch_window", 0), ("min_points", 1)
+    ):
         value = getattr(args, name, least)
         if value < least:
             parser.error(f"--{name.replace('_', '-')} must be >= {least}, not {value}")
+    eps = getattr(args, "eps", 0.0)
+    if not 0 <= eps <= 1:  # a Jaccard distance; NaN fails both comparisons
+        parser.error(f"--eps must be a Jaccard distance in [0, 1], not {eps}")
     configure_logging(
         level=getattr(args, "log_level", None),
         verbosity=getattr(args, "verbose", 0),

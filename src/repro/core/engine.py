@@ -204,20 +204,6 @@ class SymbolicExecutor:
                 recorder.close(-1)  # every open subtree is complete
         self._recorder = None
 
-        # Publish any verdicts still buffered in a batched shared tier
-        # *before* the stats deltas are read, so the run's own report sees
-        # its own flushes (and another worker never waits a whole extra job
-        # for them).  A broken proxy only loses the shared tier.
-        shared = self.incremental.shared
-        if shared is not None and hasattr(shared, "flush"):
-            # ShardedTier.flush never raises (it degrades itself and counts
-            # the failure); the guard covers duck-typed tiers that do.
-            try:
-                shared.flush()
-            except Exception:
-                self.incremental.shared = None
-                stats.record_degraded_operation()
-
         # The case-split budget is a budget like max_paths and max_hops.
         result.truncated = result.truncated or self._incomplete
         result.elapsed_seconds = time.perf_counter() - start

@@ -21,7 +21,6 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.core.jobs import CampaignJob, JobReport, execute_job
 from repro.obs import get_tracer
-from repro.store.sharding import DEFAULT_SHARD_COUNT, ShardedTier
 
 _LOG = logging.getLogger(__name__)
 
@@ -38,14 +37,13 @@ def _run_in_process(
 
 
 def _shared_tier():
-    """A started Manager plus the sharded verdict tier living in it, or
+    """A started Manager plus the one verdict dict living in it, or
     ``(None, None)`` when this environment cannot start one — that only
     loses the shared tier, not the run."""
     manager = None
     try:
         manager = multiprocessing.Manager()
-        tier = ShardedTier([manager.dict() for _ in range(DEFAULT_SHARD_COUNT)])
-        return manager, tier
+        return manager, manager.dict()
     except (OSError, RuntimeError) as exc:
         if manager is not None:
             manager.shutdown()
@@ -70,10 +68,8 @@ def run_jobs(
     down here.  Jobs whose settings leave ``shared_cache`` on get the
     process-shared verdict tier on pool runs: workers publish full-solve
     verdicts as they land, so symmetric jobs on *different* workers stop
-    re-solving each other's constraint sets.  The fingerprint space is
-    prefix-sharded across ``DEFAULT_SHARD_COUNT`` Manager dicts and
-    publishes are batched per worker (repro.store.sharding), so misses
-    contend shard-wise instead of on one proxy lock.
+    re-solving each other's constraint sets.  The tier is one Manager dict
+    and every pool job carries the same proxy to it.
 
     Failure taxonomy (one ``except (OSError, RuntimeError)`` around the
     whole pool run would conflate all three and silently re-run everything

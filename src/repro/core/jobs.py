@@ -77,9 +77,9 @@ class CampaignJob:
     #: ship nothing through job pickles.
     store_dir: Optional[str] = None
     store_token: str = ""
-    #: Optional process-shared verdict tier (a sharded Manager-dict tier,
-    #: see repro.store.sharding) consulted on local cache misses when the
-    #: campaign runs on a process pool.
+    #: Optional process-shared verdict tier: the proxy of the campaign's one
+    #: ``multiprocessing.Manager`` dict (repro.core.executor), consulted on
+    #: local cache misses when the campaign runs on a process pool.
     shared_tier: Optional[object] = field(default=None, compare=False, repr=False)
     #: Record spans inside the (pool) worker and ship them back through
     #: ``JobReport.spans``.  Telemetry only — deliberately absent from

@@ -274,11 +274,6 @@ SHARED_ROUND_TRIPS = Family(
     "repro_shared_round_trips_total",
     "Round-trips to the process-shared verdict tier.",
 )
-SHARED_PUBLISH_ENTRIES = Family(
-    Counter,
-    "repro_shared_publish_entries_total",
-    "Verdicts published to the process-shared tier.",
-)
 DEGRADED_OPERATIONS = Family(
     Counter,
     "repro_degraded_operations_total",

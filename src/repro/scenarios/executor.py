@@ -239,6 +239,7 @@ class ScenarioCampaign:
         cluster_min_points: int = 2,
         **settings: object,
     ) -> None:
+        reduce_mod.check_cluster_options(cluster_eps, cluster_min_points)
         self.directory = directory
         self.scenario = scenario
         self.queries = list(queries) if queries else default_scenario_queries()

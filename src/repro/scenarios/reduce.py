@@ -195,6 +195,17 @@ def _medoid(indices: Sequence[int], distances: Dict[Tuple[int, int], float]) -> 
     return best
 
 
+def check_cluster_options(eps: float, min_points: int) -> None:
+    """Refuse clustering options outside their meaning: ``eps`` is a
+    Jaccard distance, so it lies in [0, 1] (a NaN or negative one leaves
+    every violation without neighbours, a noise singleton), and a cluster
+    needs at least one point."""
+    if not 0 <= eps <= 1:
+        raise ValueError(f"eps must be a Jaccard distance in [0, 1], not {eps}")
+    if min_points < 1:
+        raise ValueError(f"min_points must be >= 1, not {min_points}")
+
+
 def cluster_violations(
     violations: Sequence[Mapping[str, object]],
     element_kinds: Optional[Mapping[str, str]] = None,
@@ -215,6 +226,7 @@ def cluster_violations(
     is truncated *after* sorting (deterministically) and the truncation is
     visible as fewer fingerprints than violations in the report.
     """
+    check_cluster_options(eps, min_points)
     if not violations:
         return []
     # Deterministic point order: fingerprint, then step (the fingerprint

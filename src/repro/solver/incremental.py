@@ -65,8 +65,9 @@ class IncrementalSolver:
     runs) share one persistent cache and key memo; ``shared_cache`` adds
     an optional cross-process tier (any dict-like object, typically a
     ``multiprocessing.Manager().dict()``) consulted on local misses and fed
-    on full solves.  ``paranoid`` re-verifies every local hit against a
-    from-scratch solve — a debug tripwire used by the mutation tests.
+    on full solves, each ``get`` or store one counted round-trip.
+    ``paranoid`` re-verifies every local hit against a from-scratch solve —
+    a debug tripwire used by the mutation tests.
     Without ``verdict_cache`` the solver gets a cache of its own, bounded
     at 10,000 entries.
     """
@@ -85,10 +86,6 @@ class IncrementalSolver:
             else VerdictCache(max_entries=10_000)
         )
         self.shared = shared_cache
-        if shared_cache is not None and hasattr(shared_cache, "bind_stats"):
-            # A sharded tier (repro.store.sharding) reports its round-trip
-            # and batched-publish counters through this solver's stats.
-            shared_cache.bind_stats(self.base.stats)
         self.paranoid = paranoid
 
     @property
@@ -183,6 +180,7 @@ class IncrementalSolver:
             self.stats.record_cache_hit()
             return SolverResult(verdict=verdict)
         if self.shared is not None:
+            self.stats.record_shared_round_trip()
             try:
                 verdict = self.shared.get(key)
             except Exception:
@@ -225,6 +223,7 @@ class IncrementalSolver:
             witness=list(conjuncts) if self.cache.debug else None,
         )
         if self.shared is not None:
+            self.stats.record_shared_round_trip()
             try:
                 self.shared[key] = result.verdict
             except Exception:

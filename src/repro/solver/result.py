@@ -8,7 +8,6 @@ from typing import Dict, Optional
 from repro.obs.metrics import (
     DEGRADED_OPERATIONS,
     ENGINE_STEPS,
-    SHARED_PUBLISH_ENTRIES,
     SHARED_ROUND_TRIPS,
     SOLVER_CHECKS,
     SOLVER_SECONDS,
@@ -58,13 +57,9 @@ class SolverStats:
     # a local cache from the persistent store (``cache_merged``).
     shared_cache_hits: int = _reported(0, SOLVER_CHECKS, tier="shared_hit")
     cache_merged: int = _reported()
-    # Sharded shared-tier instrumentation (repro.store.sharding): proxy
-    # round-trips to the Manager shards, and batched verdict publishes
-    # (``shared_publish_batches`` flushes carrying
-    # ``shared_publish_entries`` verdicts in total).
+    # Proxy round-trips to the process-shared tier: one per lookup on a
+    # local miss and one per verdict published after a full solve.
     shared_round_trips: int = _reported(0, SHARED_ROUND_TRIPS)
-    shared_publish_batches: int = _reported()
-    shared_publish_entries: int = _reported(0, SHARED_PUBLISH_ENTRIES)
     # Best-effort operations that failed and were absorbed by a degrade
     # path (dead Manager proxy, failed quarantine move, ...).  The answers
     # stay correct; the counter makes the degradation observable instead of
@@ -103,10 +98,6 @@ class SolverStats:
 
     def record_shared_round_trip(self) -> None:
         self.shared_round_trips += 1
-
-    def record_shared_publish(self, entries: int) -> None:
-        self.shared_publish_batches += 1
-        self.shared_publish_entries += entries
 
     def record_degraded_operation(self, count: int = 1) -> None:
         self.degraded_operations += count

@@ -1,4 +1,4 @@
-"""Persistent verification store and the sharded shared tier.
+"""Persistent verification store.
 
 The :class:`VerificationStore` owns every piece of cross-run verdict
 state in one directory of checksummed, versioned records
@@ -12,34 +12,23 @@ state in one directory of checksummed, versioned records
   query batch never runs a campaign at all;
 * **delta baselines** — the last campaign over each snapshot directory.
 
-The **sharded shared tier** (:class:`ShardedTier`) is the cross-process
-tier of one campaign: the fingerprint space prefix-partitioned across N
-``multiprocessing.Manager`` dicts with per-worker write buffers and batched
-publishes.
+The cross-process tier of one pooled campaign is not here: it is a single
+``multiprocessing.Manager`` dict, started by :mod:`repro.core.executor` and
+consulted by :class:`~repro.solver.incremental.IncrementalSolver`.
 
-Both inherit one invariant: any combination of {no store, cold store, warm
+Both obey one invariant: any combination of {no store, cold store, warm
 store} × {workers 1, N} changes *which tier answers* a satisfiability
 query, never the answer.
 """
 
 from repro.store.records import RecordError, read_record, write_record
-from repro.store.sharding import (
-    DEFAULT_PUBLISH_BATCH,
-    DEFAULT_SHARD_COUNT,
-    ShardedTier,
-    shard_index,
-)
 from repro.store.store import StoreError, VerificationStore, clear_load_cache
 
 __all__ = [
-    "DEFAULT_PUBLISH_BATCH",
-    "DEFAULT_SHARD_COUNT",
     "RecordError",
-    "ShardedTier",
     "StoreError",
     "VerificationStore",
     "clear_load_cache",
     "read_record",
-    "shard_index",
     "write_record",
 ]

@@ -14,6 +14,12 @@ sequential or process pool — is one coordinate of the configuration lattice
 (``tests/test_config_lattice.py``).
 """
 
+import multiprocessing
+from multiprocessing.managers import DictProxy
+
+import pytest
+
+import repro.core.executor as executor
 from repro.core.campaign import (
     NetworkSource,
     VerificationCampaign,
@@ -141,3 +147,30 @@ def test_each_exact_conjunct_set_is_fingerprinted_once_per_worker(monkeypatch):
     for name in ("solver_cache_hits", "solver_cache_misses", "solver_fast_paths"):
         assert getattr(shared.stats, name) == getattr(per_job.stats, name), name
     assert shared.reachability.fingerprint() == per_job.reachability.fingerprint()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit this process's emptied runtime cache via fork",
+)
+def test_pool_jobs_share_one_manager_dict(monkeypatch):
+    """A pooled campaign hands every job the same single proxy, and its
+    workers consult it: round-trips are counted on the solver side."""
+    submitted = []
+
+    class RecordingPool(executor.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            if fn is executor.execute_job:
+                submitted.append(args[0].shared_tier)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingPool)
+    clear_runtime_cache()
+    source = NetworkSource.from_workload("stanford", **STANFORD_OPTIONS)
+    result = VerificationCampaign(source).run(workers=2)
+    assert not result.job_errors
+    assert result.execution_mode == "process-pool"
+    assert len(submitted) == result.stats.jobs > 1
+    assert len({id(tier) for tier in submitted}) == 1
+    assert isinstance(submitted[0], DictProxy)
+    assert result.stats.solver_shared_round_trips > 0

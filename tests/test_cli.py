@@ -36,6 +36,28 @@ def network_dir(tmp_path):
     return tmp_path
 
 
+def test_importing_the_cli_leaves_the_store_unloaded():
+    """A query without ``--store-dir`` never opens a store, so the CLI's
+    import does not load ``repro.store`` (a fresh interpreter: this test
+    process has imported everything already)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print(sorted(m for m in sys.modules"
+         " if m.startswith('repro.store')))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.stdout.strip() == "[]"
+
+
 class TestShow:
     def test_show_lists_elements_and_links(self, network_dir, capsys):
         assert main(["show", str(network_dir)]) == 0
@@ -549,7 +571,7 @@ class TestQueryCommand:
             text,
         ).replace(str(net), "NET")
         assert hashlib.sha256(pinned.encode()).hexdigest() == (
-            "a59a9f12b99e89c29e9985a5df5810705bb7b1fd79c41477b0c9b2d6c9653a96"
+            "5f85e1e3dba0830c647efe5f8e48be484dbfa8f9fc4332062d2a7a43702bb05f"
         )
 
 

@@ -533,7 +533,6 @@ CAMPAIGN_STATS_KEYS = [
     "solver_calls", "solver_time_seconds", "solver_fast_paths",
     "solver_cache_hits", "solver_cache_misses", "solver_shared_cache_hits",
     "solver_cache_merged", "solver_shared_round_trips",
-    "solver_shared_publish_batches", "solver_shared_publish_entries",
     "degraded_operations", "store_entries_loaded", "store_entries_published",
     "symmetry_classes", "jobs_skipped_by_symmetry", "symmetry_audit_runs",
     "jobs_spliced_by_delta", "executed_jobs", "cache_hit_rate",

@@ -369,6 +369,39 @@ class TestReducer:
         assert corrupted == 1  # everything collapsed into one blob
 
 
+def _refused_everywhere(capsys, flag, value, api_option, error):
+    """One out-of-range clustering option is refused by ``cluster_violations``
+    and ``ScenarioCampaign`` (ValueError) and by the CLI (usage error, exit
+    2, before anything is exported or run)."""
+    from repro.cli import main
+
+    with pytest.raises(ValueError, match=error):
+        cluster_violations(_synthetic_violations(), **{api_option: value})
+    with pytest.raises(ValueError, match=error):
+        ScenarioCampaign("unused", None, **{f"cluster_{api_option}": value})
+    with pytest.raises(SystemExit) as refused:
+        main(["scenario", "--workload", "stanford", flag, str(value)])
+    assert refused.value.code == 2
+    assert f"{flag} must be " in capsys.readouterr().err
+
+
+class TestClusterOptions:
+    @pytest.mark.parametrize("eps", [float("nan"), -0.25, 1.5])
+    def test_eps_outside_the_unit_interval_is_refused(self, eps, capsys):
+        """``eps`` is a Jaccard distance.  NaN or a negative one gave every
+        violation no neighbours, so each became a noise singleton."""
+        _refused_everywhere(capsys, "--eps", eps, "eps", r"in \[0, 1\]")
+
+    @pytest.mark.parametrize("min_points", [0, -2])
+    def test_min_points_below_one_is_refused(self, min_points, capsys):
+        _refused_everywhere(capsys, "--min-points", min_points, "min_points", ">= 1")
+
+    def test_the_bounds_themselves_cluster(self):
+        violations = _synthetic_violations()
+        for eps in (0.0, 1.0):
+            assert cluster_violations(violations, eps=eps, min_points=1)
+
+
 class TestScenarioCli:
     def test_scenario_subcommand_end_to_end(self, tmp_path, capsys):
         from repro.cli import main

@@ -33,14 +33,13 @@ import pytest
 
 from repro.solver.ast import Const, Ge, Le, Var
 from repro.solver.canonical import canonical_fingerprint
+from repro.solver.incremental import IncrementalSolver
 from repro.solver.verdict_cache import CacheCorruptionError, VerdictCache
 from repro.store import (
     RecordError,
-    ShardedTier,
     StoreError,
     VerificationStore,
     read_record,
-    shard_index,
     write_record,
 )
 from repro.store.records import RECORD_VERSION
@@ -581,121 +580,79 @@ class TestBaselineFiles:
 
 
 # ---------------------------------------------------------------------------
-# The sharded tier client
+# The process-shared tier, as the incremental solver uses it
 # ---------------------------------------------------------------------------
 
 
-class TestShardedTier:
-    def test_shard_index_is_stable_and_in_range(self):
-        rng = random.Random(SEED)
-        for _ in range(200):
-            fingerprint = fake_fingerprint(rng)
-            for shards in (1, 2, 8, 13):
-                index = shard_index(fingerprint, shards)
-                assert 0 <= index < shards
-                assert index == shard_index(fingerprint, shards)
+class DeadProxy:
+    """A shared-tier proxy whose Manager died: ``fails`` names the call
+    (``"get"`` or ``"set"``) that raises; every call is logged."""
 
-    def test_shard_index_covers_large_shard_counts(self):
-        """The prefix must be wide enough that shard counts beyond 256
-        are actually used (a 2-hex-digit prefix would cap at 256)."""
-        rng = random.Random(SEED)
-        for shards in (300, 512):
-            seen = {
-                shard_index(fake_fingerprint(rng), shards) for _ in range(4000)
-            }
-            assert max(seen) >= 256
-            # Uniformity, loosely: a large majority of shards get traffic.
-            assert len(seen) > shards * 0.9
+    def __init__(self, fails: str) -> None:
+        self.fails = fails
+        self.calls = []
+        self.entries = {}
 
-    def test_batched_publish_and_flush(self):
-        rng = random.Random(SEED)
-        tier = ShardedTier([{} for _ in range(4)], batch_size=5)
-        entries = random_entries(rng, 23)
-        for fingerprint, verdict in entries.items():
-            tier[fingerprint] = verdict
-        tier.flush()
-        assert tier.pending() == 0
-        assert len(tier) == len(entries)
-        assert tier.published_entries == len(entries)
-        # Batching means far fewer update round-trips than entries.
-        assert tier.publish_batches < len(entries)
-        for fingerprint, verdict in entries.items():
-            assert tier.get(fingerprint) == verdict
+    def get(self, key, default=None):
+        self.calls.append("get")
+        if self.fails == "get":
+            raise EOFError("manager is gone")
+        return self.entries.get(key, default)
 
-    def test_batch_size_one_publishes_immediately(self):
-        tier = ShardedTier([{}], batch_size=1)
-        tier["ab" * 32] = "sat"
-        assert tier.pending() == 0
-        assert tier.publish_batches == 1
+    def __setitem__(self, key, verdict):
+        self.calls.append("set")
+        if self.fails == "set":
+            raise ConnectionRefusedError("manager is gone")
+        self.entries[key] = verdict
 
-    def test_pickling_ships_shards_not_buffers(self):
-        import pickle
 
-        tier = ShardedTier([{} for _ in range(2)], batch_size=7)
-        tier["ab" * 32] = "sat"  # buffered, below batch size
-        clone = pickle.loads(pickle.dumps(tier))
-        assert clone.batch_size == 7
-        assert clone.pending() == 0
-        assert clone.round_trips == 0
+def _conjunct_sets():
+    x, y = Var("x", 16), Var("y", 16)
+    return [
+        [Ge(x, Const(10)), Le(x, Const(20))],  # sat
+        [Ge(x, Const(30)), Le(x, Const(20))],  # unsat
+        [Ge(y, Const(5)), Le(x, Const(3))],  # sat
+        [Ge(x, Const(10)), Le(x, Const(20))],  # a local hit
+    ]
+
+
+class TestSharedTier:
+    def _degrades_once(self, fails):
+        proxy = DeadProxy(fails)
+        solver = IncrementalSolver(shared_cache=proxy)
+        reference = IncrementalSolver()
+        for conjuncts in _conjunct_sets():
+            # Nothing raises, and the answer is the tier-less solve's.
+            assert (
+                solver.check_cached(conjuncts).verdict
+                == reference.check_cached(conjuncts).verdict
+            )
+        assert solver.stats.degraded_operations == 1
+        assert solver.shared is None
+        return proxy.calls
 
     def test_dead_proxy_degrades_instead_of_raising(self):
-        """Regression: a Manager proxy dying mid-run used to clear the
-        write buffer before the failed ``update`` (losing the verdicts)
-        and let the exception escape through ``flush()`` into the engine.
-        A dead proxy must degrade the tier — buffered verdicts keep
-        serving local hits, nothing raises, the run survives."""
-
-        class DeadProxy(dict):
-            def update(self, *args, **kwargs):
-                raise ConnectionRefusedError("manager is gone")
-
-            def get(self, key, default=None):
-                raise ConnectionRefusedError("manager is gone")
-
-        from repro.solver.result import SolverStats
-
-        stats = SolverStats()
-        tier = ShardedTier([DeadProxy()], batch_size=100)
-        tier.bind_stats(stats)
-        tier["ab" * 32] = "sat"
-        tier["cd" * 32] = "unsat"
-        tier.flush()  # must not raise
-        assert tier.degraded
-        # The verdicts this process computed were NOT lost: they stay
-        # buffered and keep answering local lookups.
-        assert tier.pending() == 2
-        assert tier.get("ab" * 32) == "sat"
-        assert tier.get("cd" * 32) == "unsat"
-        # A degraded tier never touches the proxies again (a miss is a
-        # miss, not another exception), and later publishes stay local.
-        assert tier.get("ef" * 32) is None
-        tier["12" * 32] = "sat"
-        tier.flush()
-        assert tier.get("12" * 32) == "sat"
-        assert stats.degraded_operations == 1
+        """Regression: a Manager proxy dying on a publish must not escape
+        into the engine.  The solver drops the tier, counts one degraded
+        operation and never calls the proxy again."""
+        assert self._degrades_once("set") == ["get", "set"]
 
     def test_dead_proxy_on_lookup_degrades(self):
-        class DeadProxy(dict):
-            def get(self, key, default=None):
-                raise EOFError("manager is gone")
+        assert self._degrades_once("get") == ["get"]
 
-        tier = ShardedTier([DeadProxy()], batch_size=4)
-        assert tier.get("ab" * 32) is None  # must not raise
-        assert tier.degraded
-
-    def test_counters_flow_into_bound_solver_stats(self):
-        from repro.solver.result import SolverStats
-
-        stats = SolverStats()
-        tier = ShardedTier([{} for _ in range(2)], batch_size=2)
-        tier.bind_stats(stats)
-        tier["ab" * 32] = "sat"
-        tier["cd" * 32] = "unsat"
-        tier.flush()
-        tier.get("ef" * 32)
-        assert stats.shared_publish_entries == 2
-        assert stats.shared_publish_batches >= 1
-        assert stats.shared_round_trips >= 2
+    def test_each_proxy_call_is_one_counted_round_trip(self):
+        tier = {}
+        first = IncrementalSolver(shared_cache=tier)
+        conjuncts = _conjunct_sets()[0]
+        first.check_cached(conjuncts)  # a miss: one lookup, one publish
+        first.check_cached(conjuncts)  # a local hit: no proxy call
+        assert first.stats.shared_round_trips == 2
+        assert list(tier.values()) == ["sat"]
+        second = IncrementalSolver(shared_cache=tier)
+        second.check_cached(conjuncts)  # served by the shared tier
+        assert second.stats.shared_round_trips == 1
+        assert second.stats.shared_cache_hits == 1
+        assert second.stats.cache_misses == 0
 
 
 # ---------------------------------------------------------------------------

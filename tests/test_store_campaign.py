@@ -224,8 +224,6 @@ class TestCampaignPersistence:
             "store_entries_loaded",
             "store_entries_published",
             "solver_shared_round_trips",
-            "solver_shared_publish_batches",
-            "solver_shared_publish_entries",
         ):
             assert key in stats
 
