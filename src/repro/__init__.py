@@ -29,6 +29,10 @@ Package map
                               verdict, plan and baseline records
 ============================  ==================================================
 
+Each package is reachable as ``repro.<name>`` and, like the names exported
+here, is imported when it is first used, so a program loads only the layers
+it runs.
+
 Quickstart
 ----------
 
@@ -40,19 +44,57 @@ Quickstart
 ['out0', 'out1']
 """
 
-from repro.core import (
-    ExecutionResult,
-    ExecutionSettings,
-    ExecutionState,
-    PathRecord,
-    SymbolicExecutor,
-)
-from repro.network import Network, NetworkElement
-from repro.solver import Solver
-from repro import api, models, sefl
-from repro.api import NetworkModel
+from importlib import import_module
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(namespace, exports, submodules=()):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for the package whose
+    ``globals()`` is ``namespace``.
+
+    ``exports`` maps each exported name to the submodule that defines it;
+    every name in ``submodules`` is a submodule reachable as an attribute.
+    Nothing is imported until it is first asked for, and each resolved value
+    is then cached in the package namespace, so a name resolves once.  This
+    is what keeps ``import repro.cli`` down to the modules a command runs."""
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        if name in exports:
+            value = getattr(import_module(f"{package}.{exports[name]}"), name)
+        elif name in submodules:
+            value = import_module(f"{package}.{name}")
+        else:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports, *submodules})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "ExecutionResult": "core.paths",
+        "ExecutionSettings": "core.engine",
+        "ExecutionState": "core.state",
+        "Network": "network.topology",
+        "NetworkElement": "network.element",
+        "NetworkModel": "api.model",
+        "PathRecord": "core.paths",
+        "Solver": "solver.solver",
+        "SymbolicExecutor": "core.engine",
+    },
+    (
+        "api", "baselines", "click", "core", "models", "network", "obs",
+        "parsers", "scenarios", "sefl", "serve", "solver", "store", "testing",
+        "workloads",
+    ),
+)
 
 __all__ = [
     "ExecutionResult",

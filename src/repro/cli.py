@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -68,9 +69,13 @@ from repro.obs import (
 from repro.sefl.fields import HeaderField, standard_fields
 from repro.sefl.util import ip_to_number, mac_to_number
 from repro.workloads import CAMPAIGN_WORKLOADS
-from repro.workloads.export import EXPORTERS
 
 _LOG = get_logger("repro.cli")
+
+#: The scenario command's ``--workload`` values: the keys of
+#: :data:`repro.workloads.export.EXPORTERS`, which the command imports only
+#: when it runs.
+EXPORTABLE_WORKLOADS = ("department", "stanford")
 
 
 def _parse_field_value(field: HeaderField, text: str) -> int:
@@ -384,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(omit when using --workload)",
     )
     scen.add_argument(
-        "--workload", choices=sorted(EXPORTERS),
+        "--workload", choices=EXPORTABLE_WORKLOADS,
         help="export this workload into a scratch directory (see --dir) "
         "and run the scenario over the export",
     )
@@ -825,12 +830,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(exc))
     # The pool, serve and clustering options, by the same rule (absent
     # ones pass).
-    for name, least in (
-        ("workers", 1), ("max_pending", 1), ("batch_window", 0), ("min_points", 1)
-    ):
+    for name, least in (("workers", 1), ("max_pending", 1), ("min_points", 1)):
         value = getattr(args, name, least)
         if value < least:
             parser.error(f"--{name.replace('_', '-')} must be >= {least}, not {value}")
+    window = getattr(args, "batch_window", 0.0)
+    if not 0 <= window < math.inf:  # NaN fails both comparisons
+        parser.error(f"--batch-window must be >= 0 and finite, not {window}")
     eps = getattr(args, "eps", 0.0)
     if not 0 <= eps <= 1:  # a Jaccard distance; NaN fails both comparisons
         parser.error(f"--eps must be a Jaccard distance in [0, 1], not {eps}")

@@ -18,41 +18,47 @@ Public entry points:
 The declarative front door over all of this lives in :mod:`repro.api`.
 """
 
-from repro.core.campaign import (
-    CAMPAIGN_QUERIES,
-    CampaignJob,
-    CampaignResult,
-    JobReport,
-    NetworkSource,
-    VerificationCampaign,
-    clear_runtime_cache,
-    execute_job,
-    free_input_ports,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "BreadthFirstStrategy": "strategy",
+        "CAMPAIGN_QUERIES": "facts",
+        "CampaignJob": "jobs",
+        "CampaignResult": "campaign",
+        "CampaignStats": "queries",
+        "CoverageOrderedStrategy": "strategy",
+        "DepthFirstStrategy": "strategy",
+        "ExecutionResult": "paths",
+        "ExecutionSettings": "engine",
+        "ExecutionState": "state",
+        "InvariantReport": "queries",
+        "JobReport": "jobs",
+        "LoopFinding": "queries",
+        "LoopReport": "queries",
+        "MemorySafetyError": "errors",
+        "ModelError": "errors",
+        "NetworkSource": "sources",
+        "PathRecord": "paths",
+        "PathStatus": "paths",
+        "ReachabilityMatrix": "queries",
+        "STRATEGIES": "strategy",
+        "SymNetError": "errors",
+        "SymbolFactory": "values",
+        "SymbolicExecutor": "engine",
+        "VerificationCampaign": "campaign",
+        "clear_runtime_cache": "jobs",
+        "execute_job": "jobs",
+        "free_input_ports": "sources",
+        "make_strategy": "strategy",
+    },
+    (
+        "campaign", "checks", "delta", "engine", "errors", "executor", "facts",
+        "jobs", "memo", "memory", "paths", "queries", "settings", "shapes",
+        "sources", "state", "strategy", "symmetry", "values",
+    ),
 )
-from repro.core.engine import ExecutionSettings, SymbolicExecutor
-from repro.core.errors import (
-    MemorySafetyError,
-    ModelError,
-    SymNetError,
-)
-from repro.core.paths import ExecutionResult, PathRecord, PathStatus
-from repro.core.queries import (
-    CampaignStats,
-    InvariantReport,
-    LoopFinding,
-    LoopReport,
-    ReachabilityMatrix,
-)
-from repro.core.state import ExecutionState
-from repro.core.strategy import (
-    BreadthFirstStrategy,
-    CoverageOrderedStrategy,
-    DepthFirstStrategy,
-    STRATEGIES,
-    make_strategy,
-)
-from repro.core.values import SymbolFactory
-from repro.core import checks
 
 __all__ = [
     "BreadthFirstStrategy",

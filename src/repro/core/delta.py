@@ -44,7 +44,6 @@ from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS
 from repro.core.shapes import ReasonTable
 from repro.core.jobs import CampaignJob, JobReport, job_config_digest
 from repro.core.sources import NetworkSource
-from repro.network.view import elements_reaching
 from repro.obs import get_tracer
 
 #: Baseline payload format version; bump on incompatible layout changes
@@ -144,6 +143,8 @@ def affected_injections(
 ) -> Set[Tuple[str, str]]:
     """The injection ports whose answers could depend on a touched element:
     every port whose element reaches a touched name along the link graph."""
+    from repro.network.view import elements_reaching
+
     touched = set(touched_elements)
     if not touched:
         return set()

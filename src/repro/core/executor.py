@@ -11,16 +11,16 @@ different backend is a change to this module alone.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.core.jobs import CampaignJob, JobReport, execute_job
 from repro.obs import get_tracer
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _LOG = logging.getLogger(__name__)
 
@@ -40,6 +40,8 @@ def _shared_tier():
     """A started Manager plus the one verdict dict living in it, or
     ``(None, None)`` when this environment cannot start one — that only
     loses the shared tier, not the run."""
+    import multiprocessing
+
     manager = None
     try:
         manager = multiprocessing.Manager()
@@ -95,6 +97,11 @@ def run_jobs(
     ):
         _run_in_process(jobs, on_report)
         return "in-process"
+
+    # The pool machinery loads here, on the pool path only: an in-process
+    # run never imports multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor, as_completed, wait
+    from concurrent.futures.process import BrokenProcessPool
 
     manager = None
     own_pool = None

@@ -34,7 +34,6 @@ from repro.core.settings import RunSettings
 from repro.core.sources import NetworkSource
 from repro.models import host as host_models
 from repro.network.topology import Network
-from repro.network.view import config_digest
 from repro.obs import Tracer, get_tracer, set_tracer
 from repro.sefl.fields import standard_fields
 from repro.solver.result import SolverStats, expose_solver_counters
@@ -108,6 +107,8 @@ def job_config_digest(job: CampaignJob) -> str:
     only be spliced — when the settings' identity fields and the fact
     channels agree exactly.  Tier switches and store wiring are deliberately
     absent — they change which tier answers, never the answer."""
+    from repro.network.view import config_digest
+
     return config_digest((job.settings.identity(), job.facts))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.facts import REPORT_FIELDS
 from repro.core.jobs import (
@@ -32,13 +32,10 @@ from repro.core.jobs import (
 )
 from repro.core.settings import RunSettings
 from repro.network.topology import Network
-from repro.network.view import (
-    CampaignSymmetryView,
-    SymmetryUnsupported,
-    build_renaming,
-    collect_constants,
-)
 from repro.obs import get_tracer
+
+if TYPE_CHECKING:
+    from repro.network.view import CampaignSymmetryView
 
 _LOG = logging.getLogger(__name__)
 
@@ -107,6 +104,12 @@ class SymmetryReducer:
         eligible = [job for job in jobs if not job.facts.order_sensitive]
         if not self._enabled or len(eligible) < 2:
             return jobs, ()
+        from repro.network.view import (
+            CampaignSymmetryView,
+            SymmetryUnsupported,
+            collect_constants,
+        )
+
         try:
             pinned: set = set()
             for settings in {job.settings for job in eligible}:
@@ -188,6 +191,8 @@ class SymmetryReducer:
         if entry is None:
             return []
         members, fingerprint, audited = entry
+        from repro.network.view import SymmetryUnsupported, build_renaming
+
         with get_tracer().span(
             "symmetry.class",
             representative=report.source_key,

@@ -8,46 +8,56 @@ per-flow state carried in packet metadata, and map-based ("pre-parsed") TCP
 options.
 """
 
-from repro.models.host import (
-    ethernet_header,
-    ip_header,
-    symbolic_ip_packet,
-    symbolic_tcp_packet,
-    symbolic_udp_packet,
-    tcp_header,
-    udp_header,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        **dict.fromkeys(
+            (
+                "ethernet_header", "ip_header", "symbolic_ip_packet",
+                "symbolic_tcp_packet", "symbolic_udp_packet", "tcp_header",
+                "udp_header",
+            ),
+            "host",
+        ),
+        **dict.fromkeys(
+            (
+                "SwitchModelStyle", "build_switch", "switch_basic",
+                "switch_egress", "switch_ingress",
+            ),
+            "switch",
+        ),
+        **dict.fromkeys(
+            (
+                "RouterModelStyle", "build_router", "group_prefixes_by_port",
+                "router_basic", "router_egress", "router_ingress",
+            ),
+            "router",
+        ),
+        "build_nat": "nat",
+        "build_acl_firewall": "firewall",
+        "build_stateful_firewall": "firewall",
+        "build_decapsulator": "tunnel",
+        "build_encapsulator": "tunnel",
+        "build_decryptor": "encryption",
+        "build_encryptor": "encryption",
+        **dict.fromkeys(
+            (
+                "ASA_DEFAULT_OPTION_POLICY", "OPTION_MSS", "OPTION_MPTCP",
+                "OPTION_SACK_OK", "OPTION_TIMESTAMP", "OPTION_WSCALE",
+                "build_tcp_options_filter", "tcp_options_metadata",
+            ),
+            "tcp_options",
+        ),
+        "build_asa": "asa",
+        "build_ip_mirror": "mirror",
+    },
+    (
+        "asa", "encryption", "firewall", "host", "mirror", "nat", "router",
+        "switch", "tcp_options", "tunnel",
+    ),
 )
-from repro.models.switch import (
-    SwitchModelStyle,
-    build_switch,
-    switch_basic,
-    switch_egress,
-    switch_ingress,
-)
-from repro.models.router import (
-    RouterModelStyle,
-    build_router,
-    group_prefixes_by_port,
-    router_basic,
-    router_egress,
-    router_ingress,
-)
-from repro.models.nat import build_nat
-from repro.models.firewall import build_acl_firewall, build_stateful_firewall
-from repro.models.tunnel import build_decapsulator, build_encapsulator
-from repro.models.encryption import build_decryptor, build_encryptor
-from repro.models.tcp_options import (
-    ASA_DEFAULT_OPTION_POLICY,
-    OPTION_MSS,
-    OPTION_MPTCP,
-    OPTION_SACK_OK,
-    OPTION_TIMESTAMP,
-    OPTION_WSCALE,
-    build_tcp_options_filter,
-    tcp_options_metadata,
-)
-from repro.models.asa import build_asa
-from repro.models.mirror import build_ip_mirror
 
 __all__ = [
     "ASA_DEFAULT_OPTION_POLICY",

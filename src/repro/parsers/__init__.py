@@ -14,10 +14,21 @@ implement that workflow:
   → a fully wired :class:`repro.network.Network`.
 """
 
-from repro.parsers.mac_table import parse_mac_table, switch_from_mac_table
-from repro.parsers.routing_table import parse_routing_table, router_from_routing_table
-from repro.parsers.asa_config import parse_asa_config
-from repro.parsers.topology_file import load_network_directory, parse_topology_file
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "load_network_directory": "topology_file",
+        "parse_asa_config": "asa_config",
+        "parse_mac_table": "mac_table",
+        "parse_routing_table": "routing_table",
+        "parse_topology_file": "topology_file",
+        "router_from_routing_table": "routing_table",
+        "switch_from_mac_table": "mac_table",
+    },
+    ("asa_config", "mac_table", "routing_table", "service_acl", "topology_file"),
+)
 
 __all__ = [
     "load_network_directory",

@@ -42,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import logging
+import math
 import os
 import time
 from collections import deque
@@ -193,6 +194,10 @@ class VerificationService:
             raise ValueError("workers must be >= 1")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
+        if not 0 <= batch_window < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"batch_window must be >= 0 and finite, not {batch_window}"
+            )
         self.workers = workers
         self.store = store
         self.max_pending = max_pending

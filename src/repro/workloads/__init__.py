@@ -10,26 +10,43 @@ overlap patterns, topology shape and rule counts.  See DESIGN.md §2 for the
 substitution rationale.
 """
 
+from functools import partial
+from importlib import import_module
 from typing import Callable, Dict, List, Tuple
 
+from repro import _lazy_exports
 from repro.network.topology import Network
-from repro.workloads.mac_tables import generate_mac_table
-from repro.workloads.fibs import generate_fib
-from repro.workloads import department, enterprise, stanford
-from repro.workloads.stanford import build_stanford_like_backbone, stanford_hsa_network
-from repro.workloads.department import build_department_network
-from repro.workloads.enterprise import build_split_tcp_network
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "build_department_network": "department",
+        "build_split_tcp_network": "enterprise",
+        "build_stanford_like_backbone": "stanford",
+        "generate_fib": "fibs",
+        "generate_mac_table": "mac_tables",
+        "stanford_hsa_network": "stanford",
+    },
+    ("department", "enterprise", "export", "fibs", "mac_tables", "stanford"),
+)
+
+
+def _campaign_network(
+    module: str, /, **options
+) -> Tuple[Network, List[Tuple[str, str]]]:
+    return import_module(f"{__name__}.{module}").campaign_network(**options)
+
 
 #: Campaign-facing registry: workload name -> builder returning the network
 #: plus its default injection ports.  Campaign workers rebuild workloads
 #: from (name, options) pairs, so builders must be deterministic in their
-#: arguments (they are: every generator is seeded).
+#: arguments (they are: every generator is seeded).  A workload's module is
+#: imported when the workload is first built.
 CAMPAIGN_WORKLOADS: Dict[
     str, Callable[..., Tuple[Network, List[Tuple[str, str]]]]
 ] = {
-    "department": department.campaign_network,
-    "enterprise": enterprise.campaign_network,
-    "stanford": stanford.campaign_network,
+    name: partial(_campaign_network, name)
+    for name in ("department", "enterprise", "stanford")
 }
 
 

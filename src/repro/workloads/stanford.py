@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.baselines.hsa import HsaNetwork, TransferFunction, TransferRule, WildcardExpr
 from repro.models.router import FibEntry, RouterModelStyle, build_router
 from repro.network.element import NetworkElement
 from repro.network.topology import Network
 from repro.parsers.service_acl import service_acl_element
 from repro.sefl.util import ip_to_number
+
+if TYPE_CHECKING:
+    from repro.baselines.hsa import HsaNetwork
 
 #: Campus-wide blocked service ports, most infamous first.  Every zone edge
 #: applies the same policy (the realistic case: one security baseline for
@@ -173,6 +175,13 @@ def campaign_network(
 def stanford_hsa_network(workload: StanfordWorkload) -> HsaNetwork:
     """Build the HSA encoding of the same backbone: every FIB rule becomes a
     prefix-match transfer rule on the 32-bit destination header."""
+    from repro.baselines.hsa import (
+        HsaNetwork,
+        TransferFunction,
+        TransferRule,
+        WildcardExpr,
+    )
+
     hsa = HsaNetwork(HSA_HEADER_WIDTH)
     for router, fib in workload.fibs.items():
         box = TransferFunction(router, HSA_HEADER_WIDTH)

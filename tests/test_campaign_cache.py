@@ -14,6 +14,7 @@ sequential or process pool — is one coordinate of the configuration lattice
 (``tests/test_config_lattice.py``).
 """
 
+import concurrent.futures
 import multiprocessing
 from multiprocessing.managers import DictProxy
 
@@ -158,13 +159,14 @@ def test_pool_jobs_share_one_manager_dict(monkeypatch):
     workers consult it: round-trips are counted on the solver side."""
     submitted = []
 
-    class RecordingPool(executor.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args, **kwargs):
             if fn is executor.execute_job:
                 submitted.append(args[0].shared_tier)
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingPool)
+    # The executor imports the pool class when it starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     clear_runtime_cache()
     source = NetworkSource.from_workload("stanford", **STANFORD_OPTIONS)
     result = VerificationCampaign(source).run(workers=2)

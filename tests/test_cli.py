@@ -36,10 +36,9 @@ def network_dir(tmp_path):
     return tmp_path
 
 
-def test_importing_the_cli_leaves_the_store_unloaded():
-    """A query without ``--store-dir`` never opens a store, so the CLI's
-    import does not load ``repro.store`` (a fresh interpreter: this test
-    process has imported everything already)."""
+def _loaded_in_fresh_interpreter(code, names):
+    """Which of ``names`` are in ``sys.modules`` after running ``code`` in
+    a fresh interpreter (this test process has imported everything)."""
     import os
     import subprocess
     import sys
@@ -50,12 +49,51 @@ def test_importing_the_cli_leaves_the_store_unloaded():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.cli; print(sorted(m for m in sys.modules"
-         " if m.startswith('repro.store')))"],
+         f"import json, sys\n{code}\n"
+         f"print(json.dumps([m for m in {list(names)!r} if m in sys.modules]))"],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+#: Layers no ``query`` without a pool, symmetry, a store or a snapshot
+#: directory runs.
+UNUSED_BY_A_QUERY = (
+    "multiprocessing",
+    "concurrent.futures",
+    "repro.network.view",
+    "repro.baselines",
+    "repro.click",
+    "repro.workloads.export",
+    "repro.models.asa",
+    "repro.parsers.topology_file",
+    "repro.store",
+)
+
+
+def test_importing_the_cli_leaves_the_store_unloaded():
+    """``import repro.cli`` loads only what a command runs: no pool
+    machinery, symmetry view, baseline, Click, exporter, ASA model,
+    directory parser or store (a query without ``--store-dir`` never opens
+    one)."""
+    assert _loaded_in_fresh_interpreter("import repro.cli", UNUSED_BY_A_QUERY) == []
+
+
+def test_a_single_worker_query_loads_no_pool_and_no_symmetry_view(tmp_path):
+    """A workers=1 query runs in-process with symmetry off: it never starts
+    a pool or builds a symmetry view, so neither layer is imported."""
+    report = tmp_path / "report.json"
+    code = (
+        "from repro.cli import main\n"
+        "assert main(['query', '--workload', 'stanford', '--workload-option', "
+        f"'zones=4', '-o', {str(report)!r}, 'forall_pairs(reach)', 'loop()']) == 0"
+    )
+    loaded = _loaded_in_fresh_interpreter(
+        code, ("multiprocessing", "repro.network.view")
+    )
+    assert report.exists()
+    assert loaded == []
 
 
 class TestShow:

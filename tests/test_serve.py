@@ -217,6 +217,48 @@ def test_admission_control_overloaded():
         assert message["pending"] >= 2
 
 
+class TestBatchWindow:
+    """The collection window must be a finite number of seconds >= 0.  A NaN
+    window used to pass the CLI's ``< 0`` check and made the scheduler's
+    deadline NaN; an infinite one never dispatched."""
+
+    @staticmethod
+    def _serve(monkeypatch, window):
+        """``main(["serve", ...])`` with the server stubbed out: returns the
+        exit code and the services it would have served."""
+        import repro.serve
+        from repro.cli import main
+
+        served = []
+
+        async def fake_run_server(service, **_):
+            served.append(service)
+
+        monkeypatch.setattr(repro.serve, "run_server", fake_run_server)
+        return main(["serve", "--batch-window", str(window)]), served
+
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), -0.5])
+    def test_the_api_refuses_the_window(self, window):
+        with pytest.raises(ValueError, match="batch_window must be >= 0 and finite"):
+            VerificationService(batch_window=window)
+
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), -0.5])
+    def test_the_cli_refuses_the_window(self, window, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as refused:
+            self._serve(monkeypatch, window)
+        assert refused.value.code == 2
+        assert (
+            f"--batch-window must be >= 0 and finite, not {window}"
+            in capsys.readouterr().err
+        )
+
+    def test_a_zero_window_is_accepted(self, monkeypatch):
+        assert VerificationService(batch_window=0).batch_window == 0
+        code, served = self._serve(monkeypatch, 0)
+        assert code == 0
+        assert [service.batch_window for service in served] == [0.0]
+
+
 # ---------------------------------------------------------------------------
 # Parity: streamed answers == batch answers, bit for bit
 # ---------------------------------------------------------------------------
