@@ -15,6 +15,7 @@ from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import MemorySafetyError, ModelError
+from repro.core.facts import FactFold
 from repro.core.memo import Recorder, StateMemo
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
 from repro.core.settings import RunSettings
@@ -142,7 +143,7 @@ class SymbolicExecutor:
             self._probe_member = self.incremental.probe_member
         else:
             self._check = lambda form: self.solver.check(form.formulas)
-            self._probe = self.solver.probe
+            self._probe = lambda form, formula, steps: self.solver.probe(form, formula)
             self._probe_member = lambda form, var, allowed: (
                 self.solver.probe(form, sa.Member(var, allowed)), None
             )
@@ -155,6 +156,7 @@ class SymbolicExecutor:
             else None
         )
         self._recorder: Optional[Recorder] = None  # the current inject()'s
+        self._fold: Optional[FactFold] = None  # likewise
 
     # ------------------------------------------------------------------ public
 
@@ -164,10 +166,13 @@ class SymbolicExecutor:
         element: str,
         port: str = "in0",
         initial_state: Optional[ExecutionState] = None,
+        fold: Optional[FactFold] = None,
     ) -> ExecutionResult:
         """Build a packet with ``packet_program`` and inject it at
         ``element:port``, returning every explored path: a tally of each, and
-        a record of each but failed ones the settings do not record."""
+        a record of each but failed ones the settings do not record.  Given a
+        ``fold`` (a campaign job's), each path is folded into it as it ends
+        and no record is kept; only such a run uses the state memo."""
         start = time.perf_counter()
         stats = self.solver.stats
         before = stats.snapshot()
@@ -178,8 +183,11 @@ class SymbolicExecutor:
         if not target.accepts_input(port):
             raise ModelError(f"element {element!r} has no input port {port!r}")
         state = initial_state if initial_state is not None else ExecutionState()
+        self._fold = fold
         recorder = self._recorder = (
-            Recorder(self.memo, self, result) if self.memo is not None else None
+            Recorder(self.memo, self, result, fold)
+            if self.memo is not None and fold is not None
+            else None
         )
 
         # The injection program runs outside any element; it must not forward.
@@ -202,7 +210,7 @@ class SymbolicExecutor:
         else:
             if recorder is not None:
                 recorder.close(-1)  # every open subtree is complete
-        self._recorder = None
+        self._recorder = self._fold = None
 
         # The case-split budget is a budget like max_paths and max_hops.
         result.truncated = result.truncated or self._incomplete
@@ -289,8 +297,9 @@ class SymbolicExecutor:
         served in order: a living one gets a clone (``state`` itself only when
         it is the last and no port died) and, for a plain variable, the domain
         the probe narrowed it to; a dead one is counted, and recorded only if
-        the settings record failed paths — as a flyweight that rebuilds its
-        state on demand from ``state``, never mutated again."""
+        the run keeps records and the settings record failed paths — as a
+        flyweight that rebuilds its state on demand from ``state``, never
+        mutated again."""
         plans = []
         living, died, last_field = 0, False, None
         for egress in exits:
@@ -314,20 +323,22 @@ class SymbolicExecutor:
                         )
                         alive = self._survives(verdict)
                     else:
-                        alive = self._branch_feasible(state, sa.Member(term, allowed))
+                        alive = self._branch_feasible(state, sa.Member(term, allowed))[0]
             living += alive
             died = died or not alive
             plans.append((egress, program, term, narrowed, alive))
 
-        keep_failed = self.settings.record_failed_paths
+        keep_failed = self._fold is None and self.settings.record_failed_paths
         for egress, program, term, narrowed, alive in plans:
             if not alive:
-                reason, record = program.unsatisfiable_reason, None
+                reason = program.unsatisfiable_reason
                 if keep_failed:
                     formula = sa.Member(term, program.guard[1])
                     recipe = partial(_dead_branch, state, egress.key, program, formula)
-                    record = PathRecord(recipe, PathStatus.FAILED, reason, egress.port_id)
-                self._end(result, PathStatus.FAILED, reason, record)
+                    result.paths.append(
+                        PathRecord(recipe, PathStatus.FAILED, reason, egress.port_id)
+                    )
+                self._end(result, PathStatus.FAILED, reason)
                 continue
             living -= 1
             branch = state.clone() if died or living else state
@@ -433,23 +444,29 @@ class SymbolicExecutor:
         port: Optional[PortId],
         cut_off: bool = False,
     ) -> None:
-        """Count a terminated state, and keep its record unless it is a
-        failed path the settings do not record."""
-        status, reason, record = state.status, state.stop_reason, None
-        if status != PathStatus.FAILED or self.settings.record_failed_paths:
-            record = PathRecord(state, status, reason, port, cut_off)
-        self._end(result, status, reason, record)
+        """End a terminated state's path, and keep its record unless the
+        run folds its facts or it is a failed path the settings do not
+        record."""
+        status, reason = state.status, state.stop_reason
+        if self._fold is None and (
+            status != PathStatus.FAILED or self.settings.record_failed_paths
+        ):
+            result.paths.append(PathRecord(state, status, reason, port, cut_off))
+        self._end(result, status, reason, port, state, cut_off)
 
     def _end(self, result: ExecutionResult, status: str, reason: str,
-             record: Optional[PathRecord]) -> None:
-        """Tally a termination, keep ``record`` if any, tell the recorder."""
-        if record is None:
-            result.count(status, reason)
-        else:
-            result.add(record)
-        recorder = self._recorder
-        if recorder is not None and recorder.own is not None:
-            recorder.own.append((status, reason, record))
+             port: Optional[PortId] = None, state: Optional[ExecutionState] = None,
+             cut_off: bool = False) -> None:
+        """Tally a termination and hand it to the run's fold, and what the
+        fold made of it to the recorder."""
+        result.count(status, reason)
+        fold = self._fold
+        if fold is not None:
+            recorder = self._recorder
+            own = recorder.own if recorder is not None else None
+            ending = fold.end(status, reason, port, state, cut_off, own is not None)
+            if own is not None:
+                own.append((status, reason, ending))
 
     # -------------------------------------------------------------- execution
 
@@ -562,9 +579,9 @@ class SymbolicExecutor:
 
         # Probe both branches *before* cloning so an infeasible side costs a
         # push/check/pop instead of a full state copy; a branch is entered
-        # iff it is feasible.
-        then_feasible = self._branch_feasible(state, formula)
-        else_feasible = self._branch_feasible(state, negated)
+        # iff it is feasible, its assumption compiled once for both.
+        then_feasible, then_steps = self._branch_feasible(state, formula)
+        else_feasible, else_steps = self._branch_feasible(state, negated)
         if not then_feasible and not else_feasible:
             # Both branches proved unsatisfiable (possible when an earlier
             # check returned "unknown"): terminate the path instead of
@@ -573,13 +590,13 @@ class SymbolicExecutor:
             return [_Outcome(state)]
         branches = []
         if then_feasible:
-            branches.append((state, formula, instruction.then_branch))
+            branches.append((state, formula, then_steps, instruction.then_branch))
         if else_feasible:
             else_state = state.clone() if then_feasible else state
-            branches.append((else_state, negated, instruction.else_branch))
+            branches.append((else_state, negated, else_steps, instruction.else_branch))
         results: List[_Outcome] = []
-        for branch_state, assumed, body in branches:
-            branch_state.add_constraint(assumed)
+        for branch_state, assumed, steps, body in branches:
+            branch_state.condition.apply(assumed, steps)
             results.extend(self._execute(body, _Outcome(branch_state), element))
         return results
 
@@ -612,9 +629,12 @@ class SymbolicExecutor:
                 self._recorder.poison()
         return verdict.verdict != "unsat"
 
-    def _branch_feasible(self, state: ExecutionState, formula: Formula) -> bool:
-        """Would adding ``formula`` keep the path feasible?"""
-        return self._survives(self._probe(state.condition, formula))
+    def _branch_feasible(self, state: ExecutionState, formula: Formula):
+        """Would adding ``formula`` keep the path feasible?  And its
+        compiled steps (:meth:`PathCondition.compile`), for the branch that
+        adds it."""
+        steps = PathCondition.compile(formula)
+        return self._survives(self._probe(state.condition, formula, steps)), steps
 
     # -------------------------------------------------------------- evaluation
 

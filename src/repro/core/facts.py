@@ -7,19 +7,25 @@ job collects, and :data:`REPORT_FIELDS`, the answer fields of a
 (:mod:`repro.core.shapes`) their baseline encoding and decoding, symmetry
 renaming and JSON rendering are derived from.
 
-A new fact channel is one ``Facts`` field, one collector called from
-:func:`collect_facts` and one ``REPORT_FIELDS`` row — all in this module —
-plus the :class:`~repro.api.queries.Query` subclass that asks for it.
+A job collects by folding: its :class:`FactFold` takes each path the moment
+it ends (the engine's ``_end``), so the job keeps no path record, and a
+state-memo summary keeps the fold of its subtree — a *fact delta* — that a
+replay folds in.  :func:`collect_facts` reads the fold into the report.
+
+A new fact channel is one ``Facts`` field, one fold in :class:`FactFold`
+and one ``REPORT_FIELDS`` row — all in this module — plus the
+:class:`~repro.api.queries.Query` subclass that asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.checks import admitted_values, field_invariant, header_visible
 from repro.core.errors import MemorySafetyError
-from repro.core.paths import ExecutionResult, PathStatus
+from repro.core.paths import ExecutionResult, PathRecord, PathStatus
 from repro.core.queries import AGGREGATIONS
 from repro.core.shapes import Reason, Shape, Text
 from repro.sefl.fields import standard_fields
@@ -176,135 +182,213 @@ SEMANTIC_FIELDS = ("element", "port") + tuple(spec.name for spec in REPORT_FIELD
 
 
 # ---------------------------------------------------------------------------
-# Collectors (worker side)
+# The fold (worker side)
 # ---------------------------------------------------------------------------
 
 
-def _check_invariants(
-    result: ExecutionResult, facts: Facts, solver: Solver
-) -> Dict[str, Dict[str, int]]:
-    """Field invariance on every delivered path, computed where the states
-    live (worker side)."""
-    fields = standard_fields()
-    report: Dict[str, Dict[str, int]] = {}
-    for name in facts.invariant_fields:
-        variable = fields.get(name, name)
-        checked = held = skipped = 0
-        for path in result.delivered():
+class FactFold:
+    """One job's fact channels, folded as its paths terminate.
+
+    :meth:`end` folds one termination of the live run — the channels read
+    delivered paths and loops only — and hands back what a delivered path
+    contributed (its *ending*), which a state-memo frame folds into its own
+    fold: the subtree's **fact delta**.  :meth:`merge` folds such a delta
+    where a run replays the subtree.  A delta's example traces are relative
+    to the state its subtree was entered with; every other channel is a
+    count, or, for witnesses, the first ``samples`` distinct values in
+    termination order, and folding those first values of each part keeps
+    the first values of the whole.
+
+    The per-path checks run on ``solver``, which no job reports: their
+    solver work is query work, not exploration cost."""
+
+    __slots__ = (
+        "facts", "solver", "delivered_to", "loops", "invariants", "visibility",
+        "witnesses", "examples", "_variables",
+    )
+
+    def __init__(self, facts: Facts, solver: Optional[Solver] = None) -> None:
+        self.facts = facts
+        self.solver = solver if solver is not None else Solver()
+        #: Delivered paths by last port, in first-termination order.
+        self.delivered_to: Dict[str, int] = {}
+        #: One entry per loop termination (live runs only: a memo summary
+        #: never holds one).
+        self.loops: List[Dict[str, object]] = []
+        self.invariants = {
+            name: {"checked": 0, "held": 0, "skipped": 0} for name in facts.invariant_fields
+        }
+        self.visibility: Dict[str, Dict[str, Dict[str, int]]] = {
+            name: {} for name in facts.visibility_fields
+        }
+        #: field -> destination -> witness values in the order found.
+        self.witnesses: Dict[str, Dict[str, List[int]]] = {
+            name: {} for name, _ in facts.witness_fields
+        }
+        self.examples: Dict[str, List[str]] = {}
+        self._variables = _variables(facts)
+
+    def end(self, status: str, reason: str, port, state, cut_off: bool = False,
+            recording: bool = False):
+        """Fold one termination at ``port`` of ``state`` (``None`` for a
+        failed egress branch: no channel reads one).  Returns a delivered
+        path's ending, its witnesses worked out in full when ``recording``
+        (a memo frame folds it too), else ``None``."""
+        if status == PathStatus.DELIVERED:
+            ending = self._ending(str(port), state, recording)
+            self.add(ending)
+            return ending
+        if status == PathStatus.LOOP and "loops" in self.facts.kinds:
+            self.loops.append({
+                "detected_at": str(port) if port else "?",
+                "reason": reason,
+                "trace": list(state.port_trace),
+                "cut_off": cut_off,
+            })
+        return None
+
+    def _ending(self, destination: str, state, recording: bool) -> tuple:
+        """What the path delivered at ``destination`` contributes: per
+        invariant and per visibility field a verdict (``None``: skipped),
+        per witness field its admitted values (``None``: not needed), and
+        its port trace."""
+        facts, solver = self.facts, self.solver
+        invariants, visibility, witnesses = self._variables
+        path = PathRecord(state, PathStatus.DELIVERED)
+        held = []
+        for variable in invariants:
             try:
-                holds = field_invariant(path, variable, solver)
+                held.append(field_invariant(path, variable, solver))
             except MemorySafetyError:
                 # The template did not allocate this field (e.g. TcpDst on
                 # an ICMP packet): skipped, not a verdict.  Anything else
                 # propagates — a broken query must not masquerade as an
                 # inapplicable field (it becomes the job's error).
-                skipped += 1
+                held.append(None)
+        visible = []
+        for variable in visibility:
+            # Is the symbol the source wrote into the field still provably
+            # readable where the packet was delivered?
+            try:
+                history = state.variable_history(variable)
+                visible.append(
+                    header_visible(path, variable, history[0], solver) if history else None
+                )
+            except MemorySafetyError:
+                visible.append(None)
+        values = []
+        for variable, (name, samples) in zip(witnesses, facts.witness_fields):
+            found = self.witnesses[name].get(destination)
+            if not recording and found is not None and len(found) >= samples:
+                values.append(None)
                 continue
-            checked += 1
-            held += 1 if holds else 0
-        report[name] = {"checked": checked, "held": held, "skipped": skipped}
-    return report
+            try:
+                values.append(admitted_values(path, variable, solver, samples))
+            except MemorySafetyError:
+                values.append(())
+        return destination, held, visible, values, state.port_trace
 
-
-def _check_visibility(
-    result: ExecutionResult, facts: Facts, solver: Solver
-) -> Dict[str, Dict[str, Dict[str, int]]]:
-    """Per-destination header visibility: is the symbol the source wrote into
-    the field still provably readable where the packet was delivered?"""
-    fields = standard_fields()
-    report: Dict[str, Dict[str, Dict[str, int]]] = {}
-    for name in facts.visibility_fields:
-        variable = fields.get(name, name)
-        per_destination: Dict[str, Dict[str, int]] = {}
-        for path in result.delivered():
-            destination = str(path.last_port)
+    def add(self, ending: tuple, start: int = 0) -> None:
+        """Fold a delivered path's ``ending``; its example trace is what
+        the path's port trace gained after ``start`` ports."""
+        destination, held, visible, values, trace = ending
+        self.delivered_to[destination] = self.delivered_to.get(destination, 0) + 1
+        for cell, verdict in zip(self.invariants.values(), held):
+            if verdict is None:
+                cell["skipped"] += 1
+            else:
+                cell["checked"] += 1
+                cell["held"] += verdict
+        for per_destination, verdict in zip(self.visibility.values(), visible):
             cell = per_destination.setdefault(
                 destination, {"checked": 0, "visible": 0, "skipped": 0}
             )
-            try:
-                history = path.state.variable_history(variable)
-                if not history:
-                    cell["skipped"] += 1
-                    continue
-                visible = header_visible(path, variable, history[0], solver)
-            except MemorySafetyError:
+            if verdict is None:
                 cell["skipped"] += 1
-                continue
-            cell["checked"] += 1
-            cell["visible"] += 1 if visible else 0
-        report[name] = per_destination
-    return report
+            else:
+                cell["checked"] += 1
+                cell["visible"] += verdict
+        for (name, samples), found in zip(self.facts.witness_fields, values):
+            if found is not None:
+                _take(self.witnesses[name].setdefault(destination, []), found, samples)
+        if self.facts.record_examples and destination not in self.examples:
+            self.examples[destination] = trace.since(start)
+
+    def merge(self, delta: "FactFold", trace) -> None:
+        """Fold ``delta``, gathered below a state whose port trace is
+        ``trace`` (any iterable of ports)."""
+        counts = self.delivered_to
+        for destination, count in delta.delivered_to.items():
+            counts[destination] = counts.get(destination, 0) + count
+        for name, theirs in delta.invariants.items():
+            mine = self.invariants[name]
+            for key, count in theirs.items():
+                mine[key] += count
+        for name, theirs in delta.visibility.items():
+            per_destination = self.visibility[name]
+            for destination, cell in theirs.items():
+                mine = per_destination.setdefault(
+                    destination, {"checked": 0, "visible": 0, "skipped": 0}
+                )
+                for key, count in cell.items():
+                    mine[key] += count
+        for name, samples in self.facts.witness_fields:
+            per_destination = self.witnesses[name]
+            for destination, found in delta.witnesses[name].items():
+                _take(per_destination.setdefault(destination, []), found, samples)
+        prefix = None
+        for destination, suffix in delta.examples.items():
+            if destination not in self.examples:
+                if prefix is None:
+                    prefix = list(trace)
+                self.examples[destination] = prefix + suffix
 
 
-def _collect_witnesses(
-    result: ExecutionResult, facts: Facts, solver: Solver
-) -> Dict[str, Dict[str, List[int]]]:
-    """Concrete admitted values per delivered destination, up to the
-    requested sample count per (field, destination).  Paths are scanned in
-    the engine's (deterministic) discovery order, so the collected sets are
-    reproducible; the final per-destination lists are sorted."""
+@lru_cache(maxsize=64)
+def _variables(facts: Facts) -> tuple:
+    """The variables ``facts``' invariant, visibility and witness fields
+    name."""
     fields = standard_fields()
-    report: Dict[str, Dict[str, List[int]]] = {}
-    for name, samples in facts.witness_fields:
-        variable = fields.get(name, name)
-        per_destination: Dict[str, List[int]] = {}
-        for path in result.delivered():
-            destination = str(path.last_port)
-            found = per_destination.setdefault(destination, [])
-            if len(found) >= samples:
-                continue
-            try:
-                values = admitted_values(path, variable, solver, samples)
-            except MemorySafetyError:
-                continue
-            for value in values:
-                if value not in found:
-                    found.append(value)
-                if len(found) >= samples:
-                    break
-        report[name] = {
-            destination: sorted(values)
-            for destination, values in per_destination.items()
-        }
-    return report
+    return tuple(
+        tuple(fields.get(name, name) for name in names)
+        for names in (
+            facts.invariant_fields,
+            facts.visibility_fields,
+            [name for name, _ in facts.witness_fields],
+        )
+    )
 
 
-def collect_facts(
-    result: ExecutionResult, facts: Facts, solver: Solver, report
-) -> None:
+def _take(found: List[int], values, samples: int) -> None:
+    """Append ``values`` not in ``found`` until it holds ``samples``."""
+    for value in values:
+        if len(found) >= samples:
+            return
+        if value not in found:
+            found.append(value)
+
+
+def collect_facts(result: ExecutionResult, fold: FactFold, report) -> None:
     """Fill ``report`` (a :class:`~repro.core.jobs.JobReport`) with every
-    channel ``facts`` asks for.  Only plain data lands in the report: it
-    has to cross the process boundary.  Counts and drop reasons come off
-    ``result``'s tally, so it need keep no failed path's record."""
+    channel ``fold``'s facts ask for.  Only plain data lands in the report:
+    it has to cross the process boundary.  Drop reasons come off
+    ``result``'s tally."""
+    facts = fold.facts
     if "reachability" in facts.kinds:
-        for path in result.delivered():
-            destination = str(path.last_port)
-            report.delivered_to[destination] = (
-                report.delivered_to.get(destination, 0) + 1
-            )
+        report.delivered_to = fold.delivered_to
     if "loops" in facts.kinds:
-        for path in result.loops():
-            report.loops.append(
-                {
-                    "detected_at": str(path.last_port) if path.last_port else "?",
-                    "reason": path.stop_reason,
-                    "trace": list(path.ports_visited),
-                    "cut_off": path.cut_off,
-                }
-            )
-        report.loops.sort(key=loop_sort_key)
+        report.loops = sorted(fold.loops, key=loop_sort_key)
     if "invariants" in facts.kinds:
         for (status, reason), count in result.reason_counts.items():
             if status != PathStatus.DELIVERED:
                 report.drop_reasons[reason] = report.drop_reasons.get(reason, 0) + count
-        report.invariants = _check_invariants(result, facts, solver)
+        report.invariants = fold.invariants
     if facts.record_examples:
-        for path in result.delivered():
-            destination = str(path.last_port)
-            report.delivered_examples.setdefault(
-                destination, list(path.ports_visited)
-            )
+        report.delivered_examples = fold.examples
     if facts.visibility_fields:
-        report.visibility = _check_visibility(result, facts, solver)
+        report.visibility = fold.visibility
     if facts.witness_fields:
-        report.witnesses = _collect_witnesses(result, facts, solver)
+        report.witnesses = {
+            name: {destination: sorted(values) for destination, values in found.items()}
+            for name, found in fold.witnesses.items()
+        }

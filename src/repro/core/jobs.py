@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
-from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS, Facts, collect_facts
+from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS, FactFold, Facts, collect_facts
 from repro.core.memo import StateMemo
 from repro.core.queries import port_key
 from repro.core.settings import RunSettings
@@ -234,19 +234,25 @@ class Runtime:
     registered_injections: Optional[List[Tuple[str, str]]]
     solver: Solver = field(default_factory=Solver)
     verdict_cache: VerdictCache = field(default_factory=VerdictCache)
-    #: The last campaign run served here, and its state memo.
+    #: What the jobs' fact checks run on: no report reads its counters.
+    fact_solver: Solver = field(default_factory=Solver)
+    #: The last campaign run served here, and its state memos by ``Facts``.
     memo_scope: str = ""
-    state_memo: Optional[StateMemo] = None
+    state_memos: Dict[Facts, StateMemo] = field(default_factory=dict)
 
     def memo_for(self, job: CampaignJob) -> Optional[StateMemo]:
-        """``job``'s memo: none, its own (no shared cache), or its run's."""
+        """``job``'s memo: none, its own (no shared cache), or its run's for
+        its facts (a summary's fact delta is of one ``Facts``)."""
         if not (job.settings.state_memo and job.memo_scope):
             return None
         if not job.settings.shared_cache:
             return StateMemo()
         if job.memo_scope != self.memo_scope:
-            self.memo_scope, self.state_memo = job.memo_scope, StateMemo()
-        return self.state_memo
+            self.memo_scope, self.state_memos = job.memo_scope, {}
+        memo = self.state_memos.get(job.facts)
+        if memo is None:
+            memo = self.state_memos[job.facts] = StateMemo()
+        return memo
 
     @property
     def content_digest(self) -> Optional[str]:
@@ -422,9 +428,6 @@ def _execute_job_impl(job: CampaignJob) -> JobReport:
                 max_hops=settings.max_hops,
                 max_paths=settings.max_paths,
                 strategy=settings.strategy,
-                # collect_facts reads no failed path's record, only the
-                # tally, so a dead egress port costs one count.
-                record_failed_paths=False,
             ),
             verdict_cache=cache,
             shared_cache=job.shared_tier,
@@ -432,7 +435,10 @@ def _execute_job_impl(job: CampaignJob) -> JobReport:
         )
         _EXECUTION_COUNTERS["engine_runs"] += 1
         _EXECUTION_COUNTERS["fact_channels"] += facts.channels
-        result = executor.inject(packet_program(settings), job.element, job.port)
+        # Each path is folded into the facts as it ends: the job keeps no
+        # path record, and a dead egress port costs one count.
+        fold = FactFold(facts, runtime.fact_solver)
+        result = executor.inject(packet_program(settings), job.element, job.port, fold=fold)
     except Exception as exc:  # surface, never kill the whole campaign
         report.error = f"{type(exc).__name__}: {exc}"
         return report
@@ -440,14 +446,10 @@ def _execute_job_impl(job: CampaignJob) -> JobReport:
     report.status_counts = result.summary_counts()
     report.truncated = result.truncated
     report.elapsed_seconds = result.elapsed_seconds
-    # The job's solver delta: store warm-up plus the engine run.  Taken
-    # before fact collection, whose per-path checks are query work, not
-    # exploration cost.
+    # The job's solver delta: store warm-up plus the engine run.  The fold's
+    # per-path checks are query work, not exploration cost: they ran on the
+    # runtime's fact solver.
     report.solver_stats = solver.stats.since(before)
     report.verdict_cache_entries = tuple(sorted(cache.fresh_entries().items()))
-
-    try:
-        collect_facts(result, facts, solver, report)
-    except Exception as exc:
-        report.error = f"{type(exc).__name__}: {exc}"
+    collect_facts(result, fold, report)
     return report

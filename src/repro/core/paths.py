@@ -13,9 +13,10 @@ interpreter *would* have left behind, built when first asked for.
 
 Every termination is *counted* — by status and by stop reason, in the order
 paths terminated — whether or not its record is kept: a run that does not
-record failed paths (``ExecutionSettings.record_failed_paths``, off in
-campaign jobs) pays one tally for a dead egress branch, not a record and
-the state behind it.
+record failed paths (``ExecutionSettings.record_failed_paths``) pays one
+tally for a dead egress branch, not a record and the state behind it, and a
+campaign job keeps no record at all (it folds its facts as paths end,
+:class:`~repro.core.facts.FactFold`).
 """
 
 from __future__ import annotations
@@ -151,11 +152,6 @@ class ExecutionResult:
             self.terminations += times
             statuses[key[0]] = statuses.get(key[0], 0) + times
             counts[key] = counts.get(key, 0) + times
-
-    def add(self, record: PathRecord) -> None:
-        """Tally ``record``'s termination and keep the record."""
-        self.count(record.status, record.stop_reason)
-        self.paths.append(record)
 
     def __len__(self) -> int:
         return len(self.paths)

@@ -46,9 +46,8 @@ import math
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.api import NetworkModel, compile_plan, execute_plan, parse_query
 from repro.api.queries import Query
@@ -65,6 +64,9 @@ from repro.obs.metrics import (
 )
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _LOG = logging.getLogger(__name__)
 
@@ -217,7 +219,7 @@ class VerificationService:
         self._models: Dict[Tuple, NetworkModel] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._scheduler_task: Optional[asyncio.Task] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional["ProcessPoolExecutor"] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- lifecycle --------------------------------------------------------------
@@ -239,7 +241,7 @@ class VerificationService:
             self._pool.shutdown(wait=False)
             self._pool = None
 
-    def _pool_for_run(self) -> Optional[ProcessPoolExecutor]:
+    def _pool_for_run(self) -> Optional["ProcessPoolExecutor"]:
         """The persistent pool, created on first multi-worker run.  The
         campaign probes a borrowed pool before trusting it and falls back
         to in-process execution if it is broken, so a pool that dies stays
@@ -247,6 +249,9 @@ class VerificationService:
         if self.workers <= 1:
             return None
         if self._pool is None:
+            # Imported here: a one-worker service loads no pool machinery.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 

@@ -26,7 +26,7 @@ exactly one.  It belongs to no solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.solver.ast import (
     And,
@@ -286,6 +286,43 @@ def _single_variable_domain(disjunction: Or) -> Optional[Tuple[Var, IntervalSet]
     return target, allowed
 
 
+def _steps(formula: Formula) -> Iterator[tuple]:
+    """Asserting ``formula``, step by step in assertion order: its NNF
+    conjuncts classified — ``(var, allowed)`` narrows a domain, ``(None,
+    item)`` keeps ``item`` in the residual, ``()`` proves the conjunction
+    unsatisfiable."""
+    stack = [to_nnf(formula)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _ATOMS):
+            try:
+                info = classify_atom(item)
+            except UnsupportedAtomError:
+                # Kept as asserted: it cannot narrow anything, and who
+                # decides the residual must degrade "sat" to "unknown".
+                yield None, item
+                continue
+            if info.kind == "domain":
+                yield info.var, info.allowed
+            elif info.kind == "diff":
+                yield None, info
+            elif not info.holds:
+                yield ()
+        elif isinstance(item, And):
+            # Reversed, so conjuncts are taken (and the residual kept) in
+            # the order they were written.
+            stack.extend(reversed(item.operands))
+        elif isinstance(item, Or):
+            collapsed = _single_variable_domain(item)
+            yield (None, item) if collapsed is None else collapsed
+        elif isinstance(item, BoolFalse):
+            yield ()
+        elif not isinstance(item, BoolTrue):
+            # to_nnf eliminates Not entirely, so anything else here is not
+            # a formula node at all.
+            raise TypeError(f"unexpected formula node: {item!r}")
+
+
 def _sketch(var: Var, domain: IntervalSet) -> int:
     """A domain's share of a digest: O(1), where hashing a FIB's set is not."""
     los, his = domain.bounds
@@ -375,41 +412,31 @@ class PathCondition:
     # -- assertion ------------------------------------------------------------
 
     def assume(self, formula: Formula) -> None:
-        """Assert ``formula``, propagating only its own atoms."""
+        """Assert ``formula``, propagating only its own atoms (classified as
+        they are applied: none after one proves the form unsatisfiable)."""
+        self.apply(formula, _steps(formula))
+
+    @staticmethod
+    def compile(formula: Formula) -> List[tuple]:
+        """What asserting ``formula`` does, worked out once and touching no
+        form: :meth:`apply` takes it as often as needed."""
+        return list(_steps(formula))
+
+    def apply(self, formula: Formula, steps: Iterable[tuple]) -> None:
+        """Assert ``formula`` by its ``steps`` (:meth:`compile`), up to the
+        first that leaves the form unsatisfiable."""
         self.formulas.append(formula)
-        stack = [to_nnf(formula)]
-        while stack and not self.unsat:
-            item = stack.pop()
-            if isinstance(item, _ATOMS):
-                try:
-                    info = classify_atom(item)
-                except UnsupportedAtomError:
-                    # Kept as asserted: it cannot narrow anything, and who
-                    # decides the residual must degrade "sat" to "unknown".
-                    self._keep(item)
-                    continue
-                if info.kind == "domain":
-                    self.narrow(info.var, info.allowed)
-                elif info.kind == "diff":
-                    self._keep(info)
-                elif not info.holds:
-                    self.unsat = True
-            elif isinstance(item, And):
-                # Reversed, so conjuncts are taken (and the residual kept)
-                # in the order they were written.
-                stack.extend(reversed(item.operands))
-            elif isinstance(item, Or):
-                collapsed = _single_variable_domain(item)
-                if collapsed is None:
-                    self._keep(item)
-                else:
-                    self.narrow(*collapsed)
-            elif isinstance(item, BoolFalse):
+        if self.unsat:
+            return
+        for step in steps:
+            if not step:
                 self.unsat = True
-            elif not isinstance(item, BoolTrue):
-                # to_nnf eliminates Not entirely, so anything else here is
-                # not a formula node at all.
-                raise TypeError(f"unexpected formula node: {item!r}")
+            elif step[0] is None:
+                self._keep(step[1])
+            else:
+                self.narrow(*step)
+            if self.unsat:
+                return
 
     def _keep(self, item) -> None:
         """Append ``item`` to the residual."""

@@ -32,7 +32,7 @@ own first two answers.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.solver.ast import Formula, Member, Var
 from repro.obs.trace import get_tracer
@@ -106,13 +106,19 @@ class IncrementalSolver:
             return SAT
         return self._memoized(form.conjuncts(), lambda: self.base.decide(form))
 
-    def probe(self, form: PathCondition, formula: Formula) -> SolverResult:
+    def probe(self, form: PathCondition, formula: Formula,
+              steps: Optional[Sequence[tuple]] = None) -> SolverResult:
         """Satisfiability of ``form ∧ formula``, leaving ``form`` as it was:
-        ``push / assume / check / pop``.  A caller that knows ``formula`` is
-        the atom ``var ∈ allowed`` asks :meth:`probe_member` instead."""
+        ``push / assume / check / pop``, the assumption applied as its
+        compiled ``steps`` (:meth:`PathCondition.compile`) when the caller
+        has them.  A caller that knows ``formula`` is the atom
+        ``var ∈ allowed`` asks :meth:`probe_member` instead."""
         form.push()
         try:
-            form.assume(formula)
+            if steps is None:
+                form.assume(formula)
+            else:
+                form.apply(formula, steps)
             return self.check(form)
         finally:
             form.pop()

@@ -130,6 +130,10 @@ def assert_sound(verdict, satisfiable, what):
 # -- (a) one form, three routes, one oracle -----------------------------------
 
 
+def _solved(form):
+    return form.domains, form.residual, form.unsat, form.digest
+
+
 def test_fresh_incremental_and_cloned_forms_agree_with_brute_force():
     rng = random.Random(SEED)
     definite = 0
@@ -139,7 +143,7 @@ def test_fresh_incremental_and_cloned_forms_agree_with_brute_force():
         what = (SEED, case, formulas)
 
         solver = IncrementalSolver()
-        context = PathCondition()
+        context, compiled = PathCondition(), PathCondition()
         fork_at = rng.randrange(len(formulas))
         prefix = EVERYWHERE
         for index, formula in enumerate(formulas):
@@ -152,7 +156,12 @@ def test_fresh_incremental_and_cloned_forms_agree_with_brute_force():
                 probe = solver.check(context).verdict
                 context.pop()
                 assert_sound(probe, bool(prefix & models_of(junk)), (what, junk))
+                steps = PathCondition.compile(junk)
+                assert solver.probe(context, junk, steps).verdict == probe, (what, junk)
             context.assume(formula)
+            # Assuming is applying the compiled steps: the same solved form.
+            compiled.apply(formula, PathCondition.compile(formula))
+            assert _solved(compiled) == _solved(context), (what, index)
             prefix &= masks[index]
             assert_sound(solver.check(context).verdict, bool(prefix), (what, index))
         for formula in formulas[fork_at:]:

@@ -101,6 +101,16 @@ def results_by_index(messages):
     return {m["index"]: m for m in messages if m["type"] == "result"}
 
 
+def test_importing_the_service_loads_no_pool_machinery():
+    """A one-worker service never starts a pool, so importing it must not
+    load ``multiprocessing`` (checked in a fresh interpreter: this test
+    process has imported everything)."""
+    from test_cli import _loaded_in_fresh_interpreter
+
+    unwanted = ["multiprocessing", "concurrent.futures.process"]
+    assert _loaded_in_fresh_interpreter("import repro.serve", unwanted) == []
+
+
 # ---------------------------------------------------------------------------
 # Protocol
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """The state memo (``repro.core.memo``): the jobs of one campaign run explore
 each state they share once, and a job that reaches a recorded state replays
-its subtree.  A replay must produce exactly what exploring would have: the
-same records, path by path and in order, the same tallies in the same order,
-the same ``truncated`` flag and the same report answers.
+its subtree — its tallies and its fact delta.  A replay must produce exactly
+what exploring would have: the same tallies in the same order, the same
+``truncated`` flag, the same fold of every fact channel and the same report
+answers, for fewer engine steps.
 
 The random networks are ``tests/test_strategies.py``'s, seed-pinned
 (override with ``REPRO_DIFF_SEED``).  A subtree is recorded once its root has
 been explored ``RECORD_AFTER`` times outside any recording, so every port is
-injected ``RECORD_AFTER + 2`` times: the last round replays.  Four planted
+injected ``RECORD_AFTER + 2`` times: the last round replays.  Six planted
 faults — a replay that ignores its footprint, its ``max_paths`` headroom or
-its symbol draws, and a subtree stored although it lived on an ``unknown``
-verdict — must each change an answer.
+its symbol draws, or drops the entering path's ports from an example trace,
+a subtree stored although it lived on an ``unknown`` verdict, and one
+stored although a loop check read its entering path — must each be caught.
 """
 
 import random
@@ -20,20 +22,21 @@ import pytest
 from repro import ExecutionSettings, Network, NetworkElement, SymbolicExecutor
 from repro.api import NetworkModel
 from repro.api.queries import ForAllPairs, Loop, Reach
+from repro.core import jobs as jobs_module
 from repro.core import memo as memo_module
 from repro.core.campaign import VerificationCampaign
-from repro.core.facts import REPORT_FIELDS, Facts
+from repro.core.facts import CAMPAIGN_QUERIES, REPORT_FIELDS, FactFold, Facts
 from repro.core.jobs import CampaignJob, clear_runtime_cache, execute_job, packet_program
 from repro.core.memo import RECORD_AFTER, StateMemo
 from repro.core.memory import HeaderMemory
+from repro.core.paths import PathStatus
 from repro.core.queries import ensure_core_families
 from repro.core.settings import RunSettings
 from repro.core.sources import NetworkSource
-from repro.core.state import ExecutionState
 from repro.obs.metrics import MetricsRegistry
 from repro.sefl import Assign, Eq, Fail, Fork, Forward, If, InstructionBlock, SymbolicValue, TcpDst
 from repro.solver.ast import Const, Var
-from repro.solver.form import PathCondition
+from repro.solver.form import AppendLog, PathCondition
 from repro.solver.intervals import IntervalSet
 from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
@@ -53,32 +56,34 @@ POINTS = [
 ]
 
 
-def _stacks(store):
-    return {key: [list(slot.values) for slot in stack] for key, stack in store._slots.items()}
+#: Every fact channel: what a replay folds must equal what exploring folds.
+ALL_FACTS = Facts(
+    kinds=CAMPAIGN_QUERIES,
+    invariant_fields=("IpDst", "TcpDst"),
+    visibility_fields=("TcpDst",),
+    witness_fields=(("TcpDst", 2),),
+    record_examples=True,
+)
 
 
-def _record(record):
-    """Everything a path is, minus ``path_id`` and its port snapshots."""
-    state = record.state
+def _folded(fold):
+    """Every channel of a fold, in the order it was folded."""
     return (
-        record.status,
-        record.stop_reason,
-        str(record.last_port),
-        record.cut_off,
-        record.ports_visited,
-        record.constraints,
-        [instruction.description for instruction in state.instruction_trace],
-        _stacks(state.header),
-        _stacks(state.metadata),
-        dict(state.tags),
-        state.hop_count,
-        state.current_scope,
+        list(fold.delivered_to.items()),
+        fold.loops,
+        list(fold.invariants.items()),
+        [(name, list(cells.items())) for name, cells in fold.visibility.items()],
+        [(name, list(found.items())) for name, found in fold.witnesses.items()],
+        list(fold.examples.items()),
     )
 
 
-def _outcome(result):
+def _outcome(result, fold, symbols):
+    """What one injection produced; ``symbols``, the executor's symbol
+    count after it, names whatever it draws next."""
     return (
-        [_record(record) for record in result.paths],
+        _folded(fold),
+        symbols,
         list(result.status_counts.items()),
         list(result.reason_counts.items()),
         result.terminations,
@@ -92,9 +97,10 @@ def _ports(network):
 
 def _run(network, memo, ports=None, packet=RunSettings(), solver=None, **settings):
     """Every port injected ``INJECTIONS`` rounds, each on a fresh executor
-    sharing one solver, verdict cache and ``memo``, as a campaign's jobs do:
-    each result's outcome in order, and the solver's counters.  (The hop
-    budget keeps the looped networks small.)"""
+    sharing one solver, verdict cache and ``memo``, and folding every fact
+    channel, as a campaign's jobs do: each injection's outcome in order,
+    and the solver's counters.  (The hop budget keeps the looped networks
+    small.)"""
     solver = solver or Solver()
     settings.setdefault("max_hops", 16)
     cache = VerdictCache()
@@ -108,7 +114,10 @@ def _run(network, memo, ports=None, packet=RunSettings(), solver=None, **setting
                 verdict_cache=cache,
                 state_memo=memo,
             )
-            outcomes.append(_outcome(executor.inject(packet_program(packet), element, port)))
+            fold = FactFold(ALL_FACTS)
+            result = executor.inject(packet_program(packet), element, port, fold=fold)
+            assert not result.paths  # a folding run keeps no record
+            outcomes.append(_outcome(result, fold, executor.symbols.count))
     return outcomes, solver.stats
 
 
@@ -118,6 +127,9 @@ def _network(case):
     if case % 2:
         network.add_link(("sink0", "out0"), ("root", "in0"))
     return network
+
+
+LOOPED = [case for case in PROPERTY_CASES if case % 2]
 
 
 # ---------------------------------------------------------------------------
@@ -153,37 +165,40 @@ def test_replay_equals_exploration_on_unknown_verdicts(case):
     assert replayed == explored, f"seed={SEED}+{case}"
 
 
-@pytest.mark.parametrize("case", PROPERTY_CASES[::4])
-def test_job_reports_equal_with_the_memo_on_and_off(case):
-    """Campaign jobs of one run share their runtime's memo: every answer
-    field of every report equals the memo-off run's, in order."""
+def _report_mismatches(case):
+    """Campaign jobs of one run share their runtime's memo: the answer
+    fields of the memo-on run's reports that differ from the memo-off
+    run's, and how many replays the memo-on run made."""
     network = _network(case)
-    facts = Facts(
-        kinds=("reachability", "loops", "invariants"),
-        invariant_fields=("IpDst", "TcpDst"),
-        visibility_fields=("TcpDst",),
-        witness_fields=(("TcpDst", 2),),
-        record_examples=True,
-    )
     reports = {}
     for memo in (False, True):
         clear_runtime_cache()
         source = NetworkSource.from_network(network)
         reports[memo] = [
             execute_job(CampaignJob(
-                source, element, port, facts=facts, memo_scope="one run",
+                source, element, port, facts=ALL_FACTS, memo_scope="one run",
                 settings=RunSettings(max_hops=16, state_memo=memo),
             ))
             for _ in range(INJECTIONS)
             for element, port in _ports(network)
         ]
+    mismatches = []
     for on, off in zip(reports[True], reports[False]):
         assert on.error is off.error is None
-        for spec in REPORT_FIELDS:
-            assert getattr(on, spec.name) == getattr(off, spec.name), (
-                f"seed={SEED}+{case} {on.source_key} {spec.name}"
-            )
-    assert sum(report.solver_state_memo_hits for report in reports[True])
+        mismatches.extend(
+            f"seed={SEED}+{case} {on.source_key} {spec.name}"
+            for spec in REPORT_FIELDS
+            if getattr(on, spec.name) != getattr(off, spec.name)
+        )
+    return mismatches, sum(report.solver_state_memo_hits for report in reports[True])
+
+
+@pytest.mark.parametrize("case", PROPERTY_CASES[::4])
+def test_job_reports_equal_with_the_memo_on_and_off(case):
+    """Every answer field of every report equals the memo-off run's."""
+    mismatches, hits = _report_mismatches(case)
+    assert mismatches == []
+    assert hits
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +424,8 @@ def test_a_stored_subtree_that_lived_on_unknown_is_caught(monkeypatch):
 
 def test_a_replay_that_draws_no_symbols_is_caught(monkeypatch):
     """``b`` draws a symbol.  Reached from ``root2`` its recorded subtree is
-    replayed, then ``c`` draws the next one: named after ``b``'s draw."""
+    replayed, then ``c`` draws the next one: named after ``b``'s draw, and
+    the run ends with both drawn."""
     network = Network("symbols")
     network.add_elements(
         _forwarder("root", Fork("out0", "out1"), ("out0", "out1")),
@@ -426,11 +442,62 @@ def test_a_replay_that_draws_no_symbols_is_caught(monkeypatch):
     assert not _differs(network, ports)
     summary = memo_module.Summary.__init__
 
-    def drawless(self, frame, draws):
-        summary(self, frame, 0)
+    def drawless(self, frame, draws, delta):
+        summary(self, frame, 0, delta)
 
     monkeypatch.setattr(memo_module.Summary, "__init__", drawless)
     assert _differs(network, ports)
+
+
+def test_a_replay_that_drops_the_entering_ports_from_an_example_is_caught(monkeypatch):
+    """A delta's example traces start where its subtree was entered: a
+    replay must put the entering path's ports in front."""
+    merge = FactFold.merge
+
+    def prefixless(self, delta, trace):
+        # Summaries fold their children behind a list of ports; a replay
+        # folds behind the entering state's trace, an AppendLog.
+        merge(self, delta, [] if isinstance(trace, AppendLog) else trace)
+
+    monkeypatch.setattr(FactFold, "merge", prefixless)
+    assert any(_report_mismatches(case)[0] for case in PROPERTY_CASES[::4])
+
+
+def _stored_endings(monkeypatch):
+    """Patch ``Summary`` to list the status of every ending it stores."""
+    stored = []
+    summary = memo_module.Summary.__init__
+
+    def listing(self, frame, draws, delta):
+        stored.extend(status for status, _, _ in frame.own)
+        summary(self, frame, draws, delta)
+
+    monkeypatch.setattr(memo_module.Summary, "__init__", listing)
+    return stored
+
+
+def test_no_summary_holds_a_loop_ending(monkeypatch):
+    """A loop ending (proved, or cut off by the hop budget) means a loop
+    check read the entering path's history: its subtree is poisoned, so
+    the loop channel is only ever folded live, with the path's full
+    trace.  On the looped odd cases loops end, and summaries are stored,
+    but none holds one."""
+    stored, loops = _stored_endings(monkeypatch), 0
+    for case in LOOPED:
+        for point in ({}, {"max_hops": 2}):
+            outcomes, _ = _run(_network(case), StateMemo(), **point)
+            loops += sum(len(outcome[0][1]) for outcome in outcomes)
+    assert loops and stored
+    assert PathStatus.LOOP not in stored
+
+
+def test_a_summary_refuses_a_loop_ending(monkeypatch):
+    """The rule the loop channel relies on, pinned: with poisoning
+    planted away, storing a loop ending fails."""
+    monkeypatch.setattr(memo_module.Recorder, "poison", lambda self: None)
+    with pytest.raises(AssertionError, match="loop check"):
+        for case in LOOPED:
+            _run(_network(case), StateMemo())
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +536,37 @@ def test_a_program_replaced_between_campaigns_is_run(monkeypatch):
     from repro.core import jobs
 
     def lifelong(self, job):
-        if self.state_memo is None:
-            self.state_memo = StateMemo()
-        return self.state_memo
+        return self.state_memos.setdefault(job.facts, StateMemo())
 
     monkeypatch.setattr(jobs.Runtime, "memo_for", lifelong)
     network, router = _converging_network()
     assert _delivered(network)[0] == before
     router.set_output_program("out1", Fail("port down"))
     assert _delivered(network)[0] != after
+
+
+def test_jobs_of_different_facts_never_share_a_memo():
+    """A summary's delta is of one ``Facts``: a runtime keeps a memo per run
+    and facts, and a memo handed to a run folding other facts is refused."""
+    network, _ = _converging_network()
+    runtime = jobs_module.Runtime(network, None)
+    source = NetworkSource.from_network(network)
+
+    def memo(facts, scope="one run"):
+        return runtime.memo_for(CampaignJob(source, "s0", "in0", facts=facts, memo_scope=scope))
+
+    loops, reach = Facts(kinds=("loops",)), Facts(kinds=("reachability",))
+    assert memo(loops) is memo(loops)
+    assert memo(reach) is not memo(loops)
+    assert memo(loops, "next run") is not memo(loops)
+    shared = StateMemo()
+    for facts in (loops, reach):
+        executor = SymbolicExecutor(network, state_memo=shared)
+        if facts is reach:
+            with pytest.raises(ValueError, match="one Facts"):
+                executor.inject(packet_program(RunSettings()), "s0", "in0", fold=FactFold(facts))
+        else:
+            executor.inject(packet_program(RunSettings()), "s0", "in0", fold=FactFold(facts))
 
 
 def test_isolated_jobs_never_hit():
@@ -535,15 +624,3 @@ def test_a_bare_executor_keeps_no_memo():
         assert SymbolicExecutor(network, settings=settings, state_memo=StateMemo()).memo is None
     settings = ExecutionSettings(use_incremental_solver=False)
     assert SymbolicExecutor(network, settings=settings, state_memo=StateMemo()).memo is None
-
-
-def test_a_replayed_record_sets_every_slot():
-    network, _ = _converging_network()
-    memo, solver = StateMemo(), Solver()
-    for _ in range(INJECTIONS):
-        executor = SymbolicExecutor(network, solver=solver, state_memo=memo)
-        records = executor.inject(packet_program(RunSettings()), "s0", "in0").paths
-    assert solver.stats.state_memo_hits and records
-    for record in records:
-        for slot in ExecutionState.__slots__:
-            getattr(record.state, slot)

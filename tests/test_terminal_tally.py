@@ -4,9 +4,9 @@ Every terminated path is counted — by status and by stop reason, in the
 order paths terminated — and ``max_paths`` budgets those terminations; a
 record is kept only for the statuses the result's reader needs.  So an
 output flag (``record_failed_paths``, the CLI's ``--no-failed-paths``)
-changes the path list and nothing else, and a campaign job, which records
-no failed path (:func:`~repro.core.facts.collect_facts` reads their tally
-only), reports exactly what a keep-everything run would.  The random networks are
+changes the path list and nothing else, and a campaign job, which keeps no
+record at all (its :class:`~repro.core.facts.FactFold` folds each path as
+it ends), reports exactly what a keep-everything run's records give.  The random networks are
 ``tests/test_strategies.py``'s, seed-pinned (override with
 ``REPRO_DIFF_SEED``).
 
@@ -22,14 +22,17 @@ import pytest
 from repro import ExecutionSettings, Network, NetworkElement, SymbolicExecutor, models
 from repro.cli import main
 from repro.core import jobs
-from repro.core.facts import CAMPAIGN_QUERIES, REPORT_FIELDS, Facts
-from repro.core.jobs import CampaignJob, clear_runtime_cache, execute_job, packet_program
+from repro.core.facts import CAMPAIGN_QUERIES, REPORT_FIELDS, FactFold, Facts, collect_facts
+from repro.core.jobs import (
+    CampaignJob, JobReport, clear_runtime_cache, execute_job, packet_program,
+)
 from repro.core.paths import PathStatus
 from repro.core.settings import RunSettings
 from repro.core.sources import NetworkSource
 from repro.core.strategy import STRATEGIES
 from repro.sefl import Constrain, Fail, Fork, Forward, OneOf, TcpDst
 from repro.solver.result import SolverStats
+from repro.solver.verdict_cache import VerdictCache
 from test_strategies import PROPERTY_CASES, SEED, random_network
 
 # ---------------------------------------------------------------------------
@@ -125,16 +128,12 @@ POINTS = [
 ] + [("dfs", True, 2), ("bfs", False, 3)]
 
 
-def _job_report(monkeypatch, network, facts, strategy, incremental, max_paths, keep_all):
-    """A campaign job's report and the result it was digested from.
-    ``keep_all`` makes the job's result keep every record, as a plain
-    ``inject`` does; it and the solver mode are swapped in where the job
-    builds its settings."""
+def _job_report(monkeypatch, network, facts, strategy, incremental, max_paths):
+    """A campaign job's report, and the result and fold it was read from.
+    The solver mode is swapped in where the job builds its settings."""
 
     def settings(**kwargs):
         kwargs["use_incremental_solver"] = incremental
-        if keep_all:
-            kwargs["record_failed_paths"] = True
         return ExecutionSettings(**kwargs)
 
     with monkeypatch.context() as patch:
@@ -142,9 +141,9 @@ def _job_report(monkeypatch, network, facts, strategy, incremental, max_paths, k
         seen = []
         collect = jobs.collect_facts
 
-        def collecting(result, *args):
-            seen.append(result)
-            return collect(result, *args)
+        def collecting(result, fold, report):
+            seen.append((result, fold))
+            return collect(result, fold, report)
 
         patch.setattr(jobs, "collect_facts", collecting)
         clear_runtime_cache()  # both runs start from a cold verdict cache
@@ -158,8 +157,49 @@ def _job_report(monkeypatch, network, facts, strategy, incremental, max_paths, k
             )
         )
     assert report.error is None, report.error
-    (result,) = seen
-    return report, result
+    ((result, fold),) = seen
+    return report, result, fold
+
+
+def _keep_everything(network, strategy, incremental, max_paths):
+    """A plain ``inject`` that keeps every record, from a cold verdict
+    cache, and the cache entries it added."""
+    cache = VerdictCache()
+    cache.begin_collection()
+    settings = ExecutionSettings(
+        max_hops=16, max_paths=max_paths, strategy=strategy,
+        use_incremental_solver=incremental,
+    )
+    result = SymbolicExecutor(network, settings=settings, verdict_cache=cache).inject(
+        packet_program(RunSettings()), "root", "in0"
+    )
+    return result, tuple(sorted(cache.fresh_entries().items()))
+
+
+def _folded_post_hoc(result, facts):
+    """The fold a job would make, fed ``result``'s records after the run,
+    read into a report."""
+    fold = FactFold(facts)
+    for path in result:
+        fold.end(path.status, path.stop_reason, path.last_port, path.state, path.cut_off)
+    report = JobReport(
+        "root", "in0", RunSettings().packet,
+        status_counts=result.summary_counts(), truncated=result.truncated,
+    )
+    collect_facts(result, fold, report)
+    return fold, report
+
+
+def _fold_contents(fold):
+    """Every channel of a fold, in the order it was folded."""
+    return (
+        list(fold.delivered_to.items()),
+        fold.loops,
+        list(fold.invariants.items()),
+        [(name, list(cells.items())) for name, cells in fold.visibility.items()],
+        [(name, list(found.items())) for name, found in fold.witnesses.items()],
+        list(fold.examples.items()),
+    )
 
 
 def _counters(stats: SolverStats):
@@ -183,41 +223,41 @@ def _counted_off_records(result):
 
 @pytest.mark.parametrize("case", PROPERTY_CASES)
 def test_tallied_job_report_equals_keep_everything(case, monkeypatch):
-    """Odd cases wire ``sink0`` back into the root, so loops (proved, and
-    cut off by the hop budget) are collected too."""
+    """A job folds each path as it ends and keeps no record: its report,
+    and its live fold with every channel on, equal what a keep-everything
+    run's records give folded after the run.  Odd cases wire ``sink0`` back
+    into the root, so loops (proved, and cut off by the hop budget) are
+    collected too."""
     network = random_network(case)
     if case % 2:
         network.add_link(("sink0", "out0"), ("root", "in0"))
     facts = FACT_SETS[case // 2 % len(FACT_SETS)]
     for strategy, incremental, max_paths in POINTS:
         context = f"seed={SEED}+{case} {strategy} incremental={incremental} max_paths={max_paths}"
-        tallied, result = _job_report(
-            monkeypatch, network, facts, strategy, incremental, max_paths, False
-        )
-        reference, everything = _job_report(
-            monkeypatch, network, facts, strategy, incremental, max_paths, True
-        )
-        for spec in REPORT_FIELDS:
-            assert getattr(tallied, spec.name) == getattr(reference, spec.name), (
-                f"{context} {spec.name}"
+        everything, entries = _keep_everything(network, strategy, incremental, max_paths)
+        for asked in {facts, FACT_SETS[0]}:
+            tallied, result, live = _job_report(
+                monkeypatch, network, asked, strategy, incremental, max_paths
             )
-        assert list(tallied.status_counts.items()) == list(
-            reference.status_counts.items()
-        ), context
-        assert list(tallied.drop_reasons) == list(reference.drop_reasons), context
-        counts, reasons = _counted_off_records(everything)
-        assert list(tallied.status_counts.items()) == list(counts.items()), context
-        if "invariants" in facts.kinds:
-            assert list(tallied.drop_reasons.items()) == list(reasons.items()), context
-        assert tallied.truncated == reference.truncated, context
-        assert _counters(tallied.solver_stats) == _counters(reference.solver_stats), context
-        assert tallied.verdict_cache_entries == reference.verdict_cache_entries, context
-        # The job's own result kept no failed path, yet counted every one.
-        assert PathStatus.FAILED not in {p.status for p in result}, context
-        assert len(result) == result.terminations - result.status_counts.get(
-            PathStatus.FAILED, 0
-        ), context
-        assert len(everything) == everything.terminations == result.terminations, context
+            post_hoc, reference = _folded_post_hoc(everything, asked)
+            assert _fold_contents(live) == _fold_contents(post_hoc), context
+            for spec in REPORT_FIELDS:
+                assert getattr(tallied, spec.name) == getattr(reference, spec.name), (
+                    f"{context} {spec.name}"
+                )
+            assert list(tallied.drop_reasons) == list(reference.drop_reasons), context
+            counts, reasons = _counted_off_records(everything)
+            assert list(tallied.status_counts.items()) == list(counts.items()), context
+            if "invariants" in asked.kinds:
+                assert list(tallied.drop_reasons.items()) == list(reasons.items()), context
+            assert tallied.truncated == everything.truncated, context
+            assert _counters(tallied.solver_stats) == _counters(everything.solver_stats), (
+                context
+            )
+            assert tallied.verdict_cache_entries == entries, context
+            # The job's own result kept no record, yet counted every path.
+            assert len(result) == 0, context
+            assert len(everything) == everything.terminations == result.terminations, context
 
 
 # ---------------------------------------------------------------------------
