@@ -16,7 +16,10 @@ asserts the three load-bearing service properties:
 * **live exposition** — the ``metrics`` op answers with Prometheus text
   whose every serve-event series equals the ``stats`` op's count for that
   event, and which carries the core engine families (solver check tiers,
-  job latency histogram, degraded operations).
+  job latency histogram, degraded operations);
+* **a merged answer is the standalone one** — two witness queries on one
+  field under different budgets merge into one plan, and the smaller
+  one's ``done`` digest is that of the query run alone.
 """
 
 import os
@@ -37,6 +40,9 @@ NETWORK = {"workload": "stanford", "options": STANFORD_OPTIONS}
 # count.
 QUERIES_A = ["loop(acl0:in0)"]
 QUERIES_B = ["forall_pairs(reach)", "loop()"]
+# One field, two witness budgets: the merged job collects the larger.
+WITNESSES_C = ["admitted_values(IpDst, samples=2)"]
+WITNESSES_D = ["admitted_values(IpDst, samples=5)"]
 
 
 def batch_fingerprints(texts):
@@ -143,6 +149,21 @@ def main():
             assert needle in text, f"metrics text missing {needle!r}"
         assert isinstance(metrics["slow_requests"], list)
         print("metrics verb exposes serve counters + core engine families")
+
+        with ServiceClient(ready["host"], ready["port"]) as c, \
+                ServiceClient(ready["host"], ready["port"]) as d:
+            id_c = c.submit(NETWORK, WITNESSES_C, symmetry=False)
+            id_d = d.submit(NETWORK, WITNESSES_D, symmetry=False)
+            messages_c = c.drain(id_c)
+            d.drain(id_d)
+        accepted_c = next(m for m in messages_c if m["type"] == "accepted")
+        assert accepted_c["merged_requests"] == 2, accepted_c
+        expected_c = batch_fingerprints(WITNESSES_C)
+        assert messages_c[-1]["type"] == "done", messages_c[-1]
+        assert messages_c[-1]["fingerprint"] == results_digest(expected_c.values()), (
+            "a witness answer merged with a larger budget differs from it alone"
+        )
+        print("a merged witness answer equals the standalone one")
     finally:
         server.terminate()
         server.wait(timeout=30)

@@ -45,6 +45,11 @@ from repro.core.shapes import ReasonTable
 # ---------------------------------------------------------------------------
 
 
+#: What a plan's answers mean, hashed into its fingerprint: a new scheme
+#: makes the answers a store filed under the old one miss.  Scheme 2 reads
+#: a witness budget's first values in the order found.
+PLAN_SCHEME = "plan/2"
+
 #: ``plan.max_hops``, ``plan.kinds``, …: which declared object of a plan
 #: each flat read-only view comes from.
 _PLAN_VIEWS = {
@@ -95,6 +100,7 @@ class Plan:
         take part: tier switches never move an answer, so e.g. symmetric
         and direct runs share one plan-cache identity."""
         payload = (
+            PLAN_SCHEME,
             self.model.fingerprint() or self.model.describe(),
             tuple(sorted(query.describe() for query in self.queries)),
             self.facts,

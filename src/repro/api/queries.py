@@ -79,7 +79,7 @@ def _spell(kind: str, value) -> str:
     return _text(value)
 
 
-def normalize_port(port: PortLike, default_port: str = "in0") -> Tuple[str, str]:
+def normalize_port(port: PortLike) -> Tuple[str, str]:
     """Accept ``(element, port)`` tuples, ``"element:port"`` strings, or bare
     element names (which get the conventional ``in0`` input port)."""
     if isinstance(port, tuple):
@@ -88,7 +88,7 @@ def normalize_port(port: PortLike, default_port: str = "in0") -> Tuple[str, str]
     element, sep, name = str(port).partition(":")
     if not element:
         raise ValueError(f"invalid port {port!r}")
-    return (element, name if sep else default_port)
+    return (element, name if sep else "in0")
 
 
 def _endpoint(at: Optional[PortLike]) -> Optional[str]:
@@ -509,7 +509,9 @@ class HeaderVisible(_PortScoped):
 class AdmittedValues(_PortScoped):
     """Which concrete values can ``field`` take on packets delivered at
     ``at`` (or anywhere)?  A report query — no boolean verdict — collecting
-    up to ``samples`` solver witnesses per (injection, destination)."""
+    up to ``samples`` solver witnesses per (injection, destination).  A job
+    a larger budget shares finds more, in order: the first ``samples`` of
+    them are what this query alone would find, so only those are read."""
 
     decidable = False
     name = "admitted_values"
@@ -542,8 +544,9 @@ class AdmittedValues(_PortScoped):
             ):
                 if not _endpoint_matches(self.at, destination) or not found:
                     continue
+                found = sorted(found[: self.samples])
                 values.update(found)
-                by_source.setdefault(job.source_key, {})[destination] = list(found)
+                by_source.setdefault(job.source_key, {})[destination] = found
         return self._result(
             ctx,
             scope,

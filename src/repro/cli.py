@@ -50,7 +50,8 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import fields
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api import NetworkModel, QueryParseError, parse_query
 from repro.core.campaign import DEFAULT_INVARIANT_FIELDS, PACKET_TEMPLATES
@@ -153,6 +154,43 @@ def _parse_injection(text: str) -> Tuple[str, str]:
     return element, port
 
 
+#: Where the values a setting may take are registered.
+_CHOICES = {"packet": PACKET_TEMPLATES, "strategy": STRATEGIES}
+
+
+def _setting_flags(
+    names: Optional[Iterable[str]] = None, declaration: type = RunSettings
+) -> argparse.ArgumentParser:
+    """A parent parser with a flag per field of ``declaration`` (per field
+    in ``names``, when given), read off the field: ``--<name>`` of its type
+    with its default and ``help`` metadata, its registry's keys as choices,
+    and a ``--no-`` form for a bool; ``field_values`` is ``--field
+    NAME=VALUE``.  The dest is the field's name: :func:`_run_settings`
+    finds the flag by it."""
+    names = None if names is None else set(names)
+    parser = argparse.ArgumentParser(add_help=False)
+    for spec in fields(declaration):
+        if names is not None and spec.name not in names:
+            continue
+        text = spec.metadata["help"]
+        if spec.name == "field_values":
+            parser.add_argument(
+                "--field", action="append", default=[], metavar="NAME=VALUE", help=text
+            )
+            continue
+        options = {"action": argparse.BooleanOptionalAction}
+        if not isinstance(spec.default, bool):
+            registry = _CHOICES.get(spec.name)
+            options = {
+                "type": type(spec.default), "choices": registry and sorted(registry)
+            }
+        parser.add_argument(
+            "--" + spec.name.replace("_", "-"), default=spec.default,
+            help=text + " (default: %(default)s)", **options,
+        )
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symnet", description="SymNet reproduction command-line tool"
@@ -177,24 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "publishes) and write them to FILE on exit: Chrome trace-event "
         "JSON loadable in Perfetto, or JSONL when FILE ends in .jsonl",
     )
-    # Flags for run settings take their defaults from the one declaration
-    # (RunSettings) and use the setting's name as their dest, which is how
-    # _run_settings finds them again.
-    defaults = RunSettings()
-    budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument(
-        "--max-hops", type=int, default=defaults.max_hops,
-        help="stop a path after this many ports (default: %(default)s)",
-    )
-    budgets.add_argument(
-        "--max-paths", type=int, default=defaults.max_paths,
-        help="stop exploring after this many terminated paths (the report is "
-        "marked as truncated when either budget cuts exploration short)",
-    )
-    budgets.add_argument(
-        "--strategy", choices=sorted(STRATEGIES), default=defaults.strategy,
-        help="worklist exploration strategy (default: %(default)s)",
-    )
     workload = argparse.ArgumentParser(add_help=False)
     workload.add_argument(
         "--workload", choices=sorted(CAMPAIGN_WORKLOADS),
@@ -203,16 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     workload.add_argument(
         "--workload-option", action="append", default=[], metavar="KEY=VALUE",
         help="builder option for --workload, e.g. access_switches=4 (repeatable)",
-    )
-    template = argparse.ArgumentParser(add_help=False)
-    template.add_argument(
-        "--packet", choices=sorted(PACKET_TEMPLATES), default=defaults.packet,
-        help="packet template to inject (default: %(default)s)",
-    )
-    packet = argparse.ArgumentParser(add_help=False, parents=[template])
-    packet.add_argument(
-        "--field", action="append", default=[], metavar="NAME=VALUE",
-        help="pin a header field to a concrete value (repeatable)",
     )
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
@@ -231,38 +241,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="run jobs on a process pool of this size (default: in-process)",
     )
-    pipeline.add_argument(
-        "--shared-cache", action=argparse.BooleanOptionalAction,
-        default=defaults.shared_cache,
-        help="share the verdict cache across jobs (per-worker "
-        "persistent cache, plus a process-shared tier when "
-        "--workers > 1); --no-shared-cache isolates every job "
-        "(default: %(default)s)",
-    )
-    pipeline.add_argument(
-        "--symmetry", action=argparse.BooleanOptionalAction,
-        default=defaults.symmetry,
-        help="execute one engine job per renaming-equivalence class of "
-        "injection ports and instantiate the remaining reports via the "
-        "recorded renaming; pays off only when jobs cost more to run than "
-        "to canonicalise (default: %(default)s; answers are bit-identical "
-        "either way)",
-    )
-    pipeline.add_argument(
-        "--delta", action=argparse.BooleanOptionalAction, default=defaults.delta,
-        help="when a baseline is available (--delta-from, the store's "
-        "recorded one, or a scenario's previous state), re-execute only the "
-        "injection ports the directory diff could have touched and splice "
-        "the rest from the baseline (default: %(default)s; answers are "
-        "bit-identical either way)",
-    )
-    pipeline.add_argument(
-        "--state-memo", action=argparse.BooleanOptionalAction,
-        default=defaults.state_memo,
-        help="explore each state the jobs of a run share once and replay "
-        "its subtree where another job reaches it (depth-first only; "
-        "default: %(default)s; answers are bit-identical either way)",
-    )
+    # The run settings each command takes.  ``reachability`` runs one
+    # executor; a command that runs a campaign takes every setting but those
+    # it excludes, so a new setting is a flag of all three with no edit
+    # here.  Only ``campaign`` audits; a scenario keeps the default budgets,
+    # strategy and pins.
+    budgets = ("field_values", "max_hops", "max_paths", "strategy")
+    audit = ("symmetry_audit", "symmetry_audit_seed")
+    reach_flags = _setting_flags(("packet",) + budgets)
+    query_flags = _setting_flags(set(SETTING_NAMES) - set(audit))
+    scenario_flags = _setting_flags(set(SETTING_NAMES) - set(budgets + audit))
     sub = parser.add_subparsers(dest="command", required=True)
 
     show = sub.add_parser(
@@ -272,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     show.add_argument("directory")
 
     reach = sub.add_parser(
-        "reachability", parents=[common, packet, budgets, output],
+        "reachability", parents=[common, reach_flags, output],
         help="inject a symbolic packet and dump the explored paths as JSON",
     )
     reach.add_argument("directory")
@@ -285,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     query = sub.add_parser(
-        "query", parents=[common, traced, workload, packet, budgets, pipeline, output],
+        "query", parents=[common, traced, workload, query_flags, pipeline, output],
         help="declarative network queries compiled onto one shared campaign "
         "plan (queries over the same injection port share one execution)",
     )
@@ -301,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     camp = sub.add_parser(
-        "campaign", parents=[common, traced, workload, packet, budgets, pipeline, output],
+        "campaign",
+        parents=[common, traced, workload, _setting_flags(), pipeline, output],
         help="network-wide verification: run one symbolic execution per "
         "injection port (optionally in parallel) and aggregate the results",
     )
@@ -318,20 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--invariant-field", action="append", default=[], metavar="NAME",
         help="header field checked by the invariants query (repeatable; "
         f"default: {', '.join(DEFAULT_INVARIANT_FIELDS)})",
-    )
-    camp.add_argument(
-        "--symmetry-audit", action="store_true",
-        default=defaults.symmetry_audit,
-        help="turn --symmetry on and additionally re-execute one random "
-        "non-representative job per symmetry class, failing unless its "
-        "directly computed report is bit-identical to the instantiated one "
-        "(soundness self-check)",
-    )
-    camp.add_argument(
-        "--symmetry-audit-seed", type=int, metavar="N",
-        default=defaults.symmetry_audit_seed,
-        help="seed for the audit's member choice (default: %(default)s; only "
-        "meaningful together with --symmetry-audit)",
     )
     camp.add_argument(
         "--delta-from", default=None, metavar="FILE",
@@ -377,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     scen = sub.add_parser(
-        "scenario", parents=[common, traced, template, pipeline, output],
+        "scenario", parents=[common, traced, scenario_flags, pipeline, output],
         help="transient-state scenario campaign: generate a seed-pinned "
         "update sequence over an exported (or given) snapshot directory, "
         "re-verify every transient state with delta splicing, and cluster "

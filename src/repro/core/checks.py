@@ -36,13 +36,6 @@ from repro.solver.solver import Solver
 # ---------------------------------------------------------------------------
 
 
-def reachable_paths(
-    result: ExecutionResult, element: str, port: Optional[str] = None
-) -> List[PathRecord]:
-    """Delivered paths terminating at ``element`` (optionally a given port)."""
-    return result.reaching(element, port)
-
-
 def is_reachable(
     result: ExecutionResult, element: str, port: Optional[str] = None
 ) -> bool:
@@ -134,18 +127,6 @@ def field_invariant(
     return _terms_equal_under(path.constraints, history[0], history[-1], solver)
 
 
-def values_equal(
-    path: PathRecord,
-    variable_a: VariableLike,
-    variable_b: VariableLike,
-    solver: Optional[Solver] = None,
-) -> bool:
-    """True when two fields provably hold the same value at the end of the path."""
-    term_a = path.state.read_variable(variable_a)
-    term_b = path.state.read_variable(variable_b)
-    return _terms_equal_under(path.constraints, term_a, term_b, solver)
-
-
 def header_visible(
     path: PathRecord,
     variable: VariableLike,
@@ -179,13 +160,4 @@ def memory_safety_violations(result: ExecutionResult) -> List[PathRecord]:
         record
         for record in result.failed()
         if record.stop_reason.startswith("memory safety")
-    ]
-
-
-def constraint_violations(result: ExecutionResult) -> List[PathRecord]:
-    """Failed paths caused by unsatisfiable constraints (filtered packets)."""
-    return [
-        record
-        for record in result.failed()
-        if record.stop_reason.startswith("constraint unsatisfiable")
     ]

@@ -48,8 +48,9 @@ from repro.obs import get_tracer
 
 #: Baseline payload format version; bump on incompatible layout changes
 #: (readers reject unknown versions and fall back to a full rerun).
-#: Format 2 states each reason once, in the payload's ``reasons`` table.
-BASELINE_FORMAT = 2
+#: Format 2 states each reason once, in the payload's ``reasons`` table;
+#: format 3 keeps witnesses in the order found, not sorted.
+BASELINE_FORMAT = 3
 
 
 @dataclass

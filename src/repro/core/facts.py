@@ -172,7 +172,8 @@ REPORT_FIELDS = (
     ReportField("invariants", {str: {str: int}}),
     #: field -> destination port -> {checked, visible, skipped} counters.
     ReportField("visibility", {str: {Text: {str: int}}}, optional=True),
-    #: field -> destination port -> sorted concrete witness values.
+    #: field -> destination port -> concrete witness values in the order
+    #: found: the first ``samples`` are what a ``samples`` budget finds.
     ReportField("witnesses", {str: {Text: [int]}}, optional=True),
     #: destination port -> one example port trace demonstrating delivery.
     ReportField("delivered_examples", {Text: [Text]}, optional=True),
@@ -388,7 +389,4 @@ def collect_facts(result: ExecutionResult, fold: FactFold, report) -> None:
     if facts.visibility_fields:
         report.visibility = fold.visibility
     if facts.witness_fields:
-        report.witnesses = {
-            name: {destination: sorted(values) for destination, values in found.items()}
-            for name, found in fold.witnesses.items()
-        }
+        report.witnesses = fold.witnesses

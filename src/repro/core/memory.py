@@ -165,9 +165,6 @@ class HeaderMemory(_CowSlotStore):
 
     # -- access ---------------------------------------------------------------
 
-    def is_allocated(self, address: int) -> bool:
-        return bool(self._slots.get(address))
-
     def _top(self, address: int, width: Optional[int]) -> Slot:
         stack = self._slots.get(address)
         if not stack:
@@ -194,11 +191,6 @@ class HeaderMemory(_CowSlotStore):
         self._top(address, width)  # validates allocation and alignment
         self._assign_top(address, term)
 
-    def size_of(self, address: int) -> int:
-        slot = self._top(address, None)
-        assert slot.size is not None
-        return slot.size
-
     def history(self, address: int) -> List[Term]:
         """Assignment history of the *current* allocation of ``address``."""
         return list(self._top(address, None).values)
@@ -206,19 +198,6 @@ class HeaderMemory(_CowSlotStore):
     def depth(self, address: int) -> int:
         """Number of stacked allocations at ``address``."""
         return len(self._slots.get(address, ()))
-
-    def stack_values(self, address: int) -> List[Optional[Term]]:
-        """Current value of every stacked allocation, bottom to top.
-
-        Used by header-visibility analyses: the bottom entries are values
-        masked by later allocations (e.g. the cleartext payload hidden behind
-        an encryption mask)."""
-        stack = self._slots.get(address)
-        if not stack:
-            raise MemorySafetyError(
-                f"access to unallocated header address {address}"
-            )
-        return [slot.current for slot in stack]
 
     def addresses(self) -> List[int]:
         return sorted(self._slots)
@@ -254,9 +233,6 @@ class MetadataStore(_CowSlotStore):
 
     # -- access ---------------------------------------------------------------
 
-    def is_allocated(self, key: MetaKey) -> bool:
-        return bool(self._slots.get(key))
-
     def resolve(self, name: str, scope: Optional[str]) -> Optional[MetaKey]:
         """Find the visible key for ``name``: local to ``scope`` first, then
         global."""
@@ -283,9 +259,6 @@ class MetadataStore(_CowSlotStore):
     def write(self, key: MetaKey, term: Term) -> None:
         self._top(key)  # validates allocation
         self._assign_top(key, term)
-
-    def size_of(self, key: MetaKey) -> Optional[int]:
-        return self._top(key).size
 
     def history(self, key: MetaKey) -> List[Term]:
         return list(self._top(key).values)

@@ -189,9 +189,6 @@ class ExecutionResult:
     def is_visited(self, element: str, port: Optional[str] = None) -> bool:
         return bool(self.visiting(element, port))
 
-    def filter(self, predicate: Callable[[PathRecord], bool]) -> List[PathRecord]:
-        return [p for p in self.paths if predicate(p)]
-
     # -- reporting ----------------------------------------------------------------
 
     def to_json(self, indent: Optional[int] = 2) -> str:

@@ -131,11 +131,6 @@ class ReachabilityMatrix:
     def destinations_from(self, source: str) -> List[str]:
         return sorted(self._cells.get(source, {}))
 
-    def sources_reaching(self, destination: str) -> List[str]:
-        return sorted(
-            src for src, row in self._cells.items() if row.get(destination, 0) > 0
-        )
-
     def pair_count(self) -> int:
         """Number of reachable (source, destination) pairs."""
         return sum(1 for _, _, count in self.pairs() if count > 0)

@@ -2,9 +2,10 @@
 
 The CLI (``query`` / ``campaign`` / ``scenario``), ``repro.serve`` and the
 Python API accept the fields of :class:`RunSettings` as flags, message keys
-and keywords under the names below and build the object once; the flag
-defaults, the serve type checks and merge key, ``job_config_digest`` and
-``Plan.fingerprint`` are derived from it.
+and keywords under the names below and build the object once; the CLI
+flags (name, type, default, choices and help), the serve type checks and
+merge key, ``job_config_digest`` and ``Plan.fingerprint`` are derived from
+it.
 
 A field is either part of a run's **identity** — it decides what is
 explored, so every digest a cached or spliced answer is filed under covers
@@ -21,47 +22,67 @@ from repro.core.strategy import STRATEGIES
 from repro.sefl.fields import standard_fields
 
 
-def _tier_switch(default):
-    return field(default=default, metadata={"tier_switch": True})
+def _setting(default, help: str, tier_switch: bool = False):
+    """A field and its one description, ``help``: the CLI flag's help."""
+    return field(default=default, metadata={"help": help, "tier_switch": tier_switch})
+
+
+def _tier_switch(default, help: str):
+    return _setting(default, help, tier_switch=True)
 
 
 @dataclass(frozen=True)
 class RunSettings:
     """How one run explores and which work-avoidance tiers it may use."""
 
-    #: Packet template injected at every port (``jobs.PACKET_TEMPLATES``).
-    packet: str = "tcp"
-    #: Header fields pinned to concrete values, as sorted (name, value)
-    #: pairs; a mapping is accepted and normalised.  Each name must be a
-    #: standard header field and each value fit its width.
-    field_values: Tuple[Tuple[str, int], ...] = ()
-    #: The two budgets.  A path is stopped after ``max_hops`` ports, a job
-    #: after ``max_paths`` terminated paths; either way the job's report is
-    #: marked truncated and every answer over it says so.
-    max_hops: int = 128
-    max_paths: int = 1_000_000
-    #: Worklist discipline, by ``strategy.STRATEGIES`` name (jobs pickle).
-    strategy: str = "dfs"
-    #: The whole cross-job cache stack: per-worker caches, the pool's
-    #: shared tier, the store and its plan cache.  Off, every job is an
-    #: isolated baseline — identity, not a tier switch: an isolated run must
-    #: neither be served from nor feed anything a sharing run filed.
-    shared_cache: bool = True
+    packet: str = _setting("tcp", "packet template injected at every port")
+    # Kept as sorted (name, value) pairs; a mapping is accepted.
+    field_values: Tuple[Tuple[str, int], ...] = _setting(
+        (), "pin a header field to a concrete value (repeatable); the name must "
+        "be a standard header field and the value fit its width",
+    )
+    max_hops: int = _setting(
+        128, "stop a path after this many ports; a job either budget cuts short "
+        "is marked truncated, and every answer over it says so",
+    )
+    max_paths: int = _setting(
+        1_000_000, "stop a job after this many terminated paths; a budget, like "
+        "max_hops",
+    )
+    strategy: str = _setting(
+        "dfs", "worklist discipline: the order paths are explored in, never "
+        "which paths end",
+    )
+    shared_cache: bool = _setting(
+        True, "share the cross-job caches (per-worker verdict caches, the "
+        "pool's shared tier, the store and its plan cache); off, every job is "
+        "an isolated baseline that neither feeds nor reads what others filed",
+    )
 
-    #: One engine job per renaming class of injection ports, the rest
-    #: instantiated (``core.symmetry``).  Off by default: canonicalising a
-    #: job costs more than running it on every workload measured so far.
-    symmetry: bool = _tier_switch(False)
-    #: Re-execute one seeded-random member per class and fail unless the
-    #: instantiated report is bit-identical.  Implies ``symmetry``.
-    symmetry_audit: bool = _tier_switch(False)
-    symmetry_audit_seed: int = _tier_switch(0)
-    #: Splice answers a directory diff provably did not touch from the
-    #: baseline (``core.delta``), and record each run as the next one.
-    delta: bool = _tier_switch(True)
-    #: Explore each state a run's jobs share once, and replay its subtree
-    #: where another job reaches it (``core.memo``; depth-first only).
-    state_memo: bool = _tier_switch(True)
+    symmetry: bool = _tier_switch(
+        False, "execute one engine job per renaming-equivalence class of "
+        "injection ports and instantiate the other reports via the recorded "
+        "renaming; off since canonicalising a job has cost more than running "
+        "it on every workload measured",
+    )
+    symmetry_audit: bool = _tier_switch(
+        False, "turn symmetry on and re-execute one seeded-random member per "
+        "class, failing unless its report is bit-identical to the instantiated "
+        "one",
+    )
+    symmetry_audit_seed: int = _tier_switch(
+        0, "seed for the symmetry audit's member choice"
+    )
+    delta: bool = _tier_switch(
+        True, "when a baseline is available (a saved one, the store's recorded "
+        "one, or a scenario's previous state), re-execute only the injection "
+        "ports the directory diff could have touched, splice the rest from it "
+        "and record each run as the next baseline",
+    )
+    state_memo: bool = _tier_switch(
+        True, "explore each state the jobs of a run share once and replay its "
+        "subtree where another job reaches it; depth-first only",
+    )
 
     def __post_init__(self) -> None:
         pairs = dict(self.field_values or ())

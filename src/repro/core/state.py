@@ -35,12 +35,8 @@ from repro.sefl.instructions import Instruction
 from repro.solver.ast import Formula, Term
 from repro.solver.form import AppendLog, PathCondition
 
+#: Path ids: every state gets a fresh one, clones included.
 _path_counter = itertools.count(1)
-
-
-def next_path_id() -> int:
-    """A fresh path id (every state gets one, clones included)."""
-    return next(_path_counter)
 
 
 class PathStatusValues:

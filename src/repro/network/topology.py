@@ -84,20 +84,6 @@ class Network:
         self.element(dst.element)
         return self.add_link_permissive(src, dst)
 
-    def add_duplex_link(
-        self,
-        element_a: str,
-        element_b: str,
-        a_out: str,
-        a_in: str,
-        b_out: str,
-        b_in: str,
-    ) -> Tuple[Link, Link]:
-        """Connect two elements in both directions with one call."""
-        forward = self.add_link((element_a, a_out), (element_b, b_in))
-        backward = self.add_link((element_b, b_out), (element_a, a_in))
-        return forward, backward
-
     def add_link_permissive(self, source: PortSpec, destination: PortSpec) -> Link:
         """Record a link even when it references elements this network does
         not contain.

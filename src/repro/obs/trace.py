@@ -142,9 +142,6 @@ class NullTracer:
     def absorb(self, payloads: Iterable[Dict[str, object]], parent_id: int = 0) -> None:
         pass
 
-    def current_span_id(self) -> int:
-        return 0
-
     def annotate(self, **attrs: object) -> None:
         pass
 
@@ -152,22 +149,23 @@ class NullTracer:
         return []
 
 
+#: Spans one tracer records at most, bounding memory on pathological runs;
+#: spans beyond it are counted in ``dropped`` instead (the trace file says
+#: so in its metadata).
+MAX_SPANS = 250_000
+
+
 class Tracer:
     """A recording tracer: span nesting follows a per-thread stack, so a
     campaign running in a service executor thread and a solver running in
-    the main thread never corrupt each other's parentage.
-
-    ``max_spans`` bounds memory on pathological runs; spans beyond the
-    bound are counted in ``dropped`` instead of recorded (the trace file
-    says so in its metadata)."""
+    the main thread never corrupt each other's parentage."""
 
     enabled = True
 
-    def __init__(self, max_spans: int = 250_000) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._ids = itertools.count(1)
-        self._max_spans = max_spans
         self.spans: List[Span] = []
         self.dropped = 0
 
@@ -176,10 +174,6 @@ class Tracer:
         if stack is None:
             stack = self._local.stack = []
         return stack
-
-    def current_span_id(self) -> int:
-        stack = self._stack()
-        return stack[-1].span_id if stack else 0
 
     def annotate(self, **attrs: object) -> None:
         """Attach attributes to this thread's innermost open span — for
@@ -210,7 +204,7 @@ class Tracer:
         if failed:
             attrs = dict(attrs, error=True)
         with self._lock:
-            if len(self.spans) >= self._max_spans:
+            if len(self.spans) >= MAX_SPANS:
                 self.dropped += 1
                 return
             self.spans.append(
@@ -240,7 +234,7 @@ class Tracer:
         with self._lock:
             mapping = {span.span_id: next(self._ids) for span in foreign}
             for span in foreign:
-                if len(self.spans) >= self._max_spans:
+                if len(self.spans) >= MAX_SPANS:
                     self.dropped += 1
                     continue
                 self.spans.append(

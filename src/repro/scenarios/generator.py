@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.models.router import longest_prefix_match
@@ -127,13 +127,6 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Directory state
 # ---------------------------------------------------------------------------
-
-
-def read_directory_state(directory: str) -> Dict[str, str]:
-    """The text of ``topology.txt`` plus every snapshot file it references —
-    a view of the one reader the build uses, so scenario edits can never
-    touch a file delta verification would not see."""
-    return Snapshot.read(directory).texts()
 
 
 def _edge_fib_files(

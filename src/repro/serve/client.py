@@ -93,14 +93,6 @@ class ServiceClient:
             if message.get("type") == "metrics" and message.get("id") == request_id:
                 return message
 
-    def ping(self) -> None:
-        request_id = f"r{next(self._ids)}"
-        self.send({"op": "ping", "id": request_id})
-        while True:
-            message = self.receive()
-            if message.get("type") == "pong" and message.get("id") == request_id:
-                return
-
     def close(self) -> None:
         try:
             self._reader.close()

@@ -79,12 +79,6 @@ class AppendLog:
     def clone(self) -> "AppendLog":
         return AppendLog(self, len(self._items))
 
-    def grown(self, items: list) -> "AppendLog":
-        """A clone with a copy of ``items`` appended."""
-        log = AppendLog(self, len(self._items))
-        log._items = list(items)
-        return log
-
     def truncate(self, length: int) -> None:
         """Forget what was appended past ``length``.  Only for items no
         clone can see: appended to this log since its last ``clone()``."""

@@ -12,8 +12,8 @@ so the two tools answer the same reachability question over the same rules.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.models.router import FibEntry, RouterModelStyle, build_router
 from repro.network.element import NetworkElement
@@ -44,7 +44,6 @@ class StanfordWorkload:
     fibs: Dict[str, List[FibEntry]]
     zone_routers: List[str]
     core_routers: List[str]
-    generation_seconds: float = 0.0
 
     def total_rules(self) -> int:
         return sum(len(fib) for fib in self.fibs.values())

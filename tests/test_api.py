@@ -547,7 +547,7 @@ class TestPlanner:
         plan = compile_plan(model, batch)
         assert plan.job_count == 4
         assert plan.fingerprint() == (
-            "e4578fc2119a9a0029a2f6ddd0d776d8f4919922044d53925ea7fbf37f502645"
+            "ed46b9836a323b6f4edc9991438ca577b6a5050e5266e4c27faf1c176916445f"
         )
 
     def test_plan_fingerprint_separates_different_batches(self):
@@ -563,6 +563,35 @@ class TestPlanner:
             [AdmittedValues("IpDst", samples=2), AdmittedValues("IpDst", samples=5)],
         )
         assert plan.facts.witness_fields == (("IpDst", 5),)
+
+    @pytest.mark.parametrize("state_memo", [True, False])
+    @pytest.mark.parametrize("network", ["department", "stanford"])
+    def test_a_witness_answer_does_not_depend_on_its_batch(
+        self, network, state_memo, tmp_path
+    ):
+        """A job shared with a larger budget finds more witnesses; the
+        smaller query reads the first of them, which are the ones it finds
+        alone.  It used to report them all, under another fingerprint — and
+        serve merges such requests into one plan."""
+        if network == "department":
+            model = NetworkModel.from_workload("department")
+        else:
+            from repro.workloads.export import export_stanford_directory
+
+            export_stanford_directory(
+                str(tmp_path), zones=16, internal_prefixes_per_zone=12,
+                service_acl_rules=4,
+            )
+            model = NetworkModel.from_directory(str(tmp_path))
+        for field_name in ("TcpDst", "IpDst"):
+            small = AdmittedValues(field_name, samples=2)
+            alone = execute_plan(compile_plan(model, [small], state_memo=state_memo))
+            merged = execute_plan(compile_plan(
+                model, [small, AdmittedValues(field_name, samples=5)],
+                state_memo=state_memo,
+            ))
+            assert merged[small].fingerprint == alone[small].fingerprint
+            assert merged[small].evidence == alone[small].evidence
 
     def test_compile_rejects_non_queries(self):
         model = NetworkModel.from_network(forwarding_network())

@@ -273,7 +273,6 @@ class TestQueryObjects:
         assert not matrix.reachable("s0", "d1")
         assert matrix.path_count("s1", "d1") == 2
         assert matrix.sources == ["s0", "s1"]
-        assert matrix.sources_reaching("d1") == ["s1"]
         assert matrix.destinations_from("s1") == ["d1"]
         assert matrix.pair_count() == 1
 

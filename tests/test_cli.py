@@ -600,7 +600,7 @@ class TestQueryCommand:
             "ab904e8f45e1ef7987f76deff9bf2aedc108fc14b3715d8da8722bd0c9ceea8e",
         ]
         assert report["fingerprint"] == (
-            "ac82adf10a536c00bf5787de8ce28b31d83f36d478fb65674af3fb19a87a1a7a"
+            "ae72cdc207b8d13fd39a91ecf40f83ca8655614c0323d25f59f44f8f9954acef"
         )
         assert report["queries"][2]["value"]["drop_policy"]["reasons"]
         pinned = re.sub(
@@ -609,7 +609,7 @@ class TestQueryCommand:
             text,
         ).replace(str(net), "NET")
         assert hashlib.sha256(pinned.encode()).hexdigest() == (
-            "5f85e1e3dba0830c647efe5f8e48be484dbfa8f9fc4332062d2a7a43702bb05f"
+            "c116bbe04ac85c21d333628734019d41f2240d18bc9e7eb97f4383262a5dd3de"
         )
 
 
@@ -820,7 +820,7 @@ class TestDeltaCli:
         ) == 0
         capsys.readouterr()
         payload = json.loads(baseline.read_text())
-        assert payload["format"] == 2
+        assert payload["format"] == 3
         assert payload["manifest"]["files"]
         assert payload["reasons"] and all(
             isinstance(text, str) for text in payload["reasons"]
@@ -875,8 +875,8 @@ class TestDeltaCli:
     @pytest.mark.parametrize(
         "payload, why",
         [
-            ({"format": 1, "manifest": {}, "reports": {}}, "baseline format 1 is not 2"),
-            ({}, "baseline format None is not 2"),
+            ({"format": 1, "manifest": {}, "reports": {}}, "baseline format 1 is not 3"),
+            ({}, "baseline format None is not 3"),
             ([], "a baseline is a JSON object"),
         ],
     )

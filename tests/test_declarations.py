@@ -2,8 +2,8 @@
 
 ``RunSettings`` (core/settings.py), ``Facts`` and ``REPORT_FIELDS``
 (core/facts.py) are each written down once; digests, fingerprints, the CLI
-flag defaults, the serve message checks and the report codecs are derived
-from them.  So is the counter table — the fields of ``CampaignStats``
+flags, the serve message checks and the report codecs are derived from
+them.  So is the counter table — the fields of ``CampaignStats``
 (core/queries.py) and ``SolverStats`` (solver/result.py), each naming its
 registry series or none — from which the stats JSON, ``from_dict`` and the
 Prometheus registry are derived.  These tests walk the declarations by
@@ -12,6 +12,7 @@ until it is classified — without anyone remembering to extend a second
 list.
 """
 
+import argparse
 import dataclasses
 import json
 import re
@@ -30,6 +31,7 @@ from repro.api import (
     execute_plan,
 )
 from repro.core.campaign import (
+    PACKET_TEMPLATES,
     CampaignJob,
     Facts,
     JobReport,
@@ -44,6 +46,7 @@ from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS
 from repro.core.jobs import job_config_digest
 from repro.core.queries import OUTCOMES, CampaignStats, ensure_core_families
 from repro.core.settings import SETTING_NAMES, TIER_SWITCHES
+from repro.core.strategy import STRATEGIES
 from repro.core.symmetry import instantiate_report
 from repro.obs import Family, MetricsRegistry, get_registry, reset_registry
 from repro.obs.metrics import CAMPAIGNS, JOBS
@@ -395,6 +398,75 @@ def test_cli_flag_sets_the_setting_of_the_same_name(name):
         settings = RunSettings(**cli._run_settings(args))
         assert getattr(settings, name) == value, command
     assert flagged
+
+
+_AUDIT = {"symmetry_audit", "symmetry_audit_seed"}
+#: The settings each command has a flag for: ``reachability`` runs one
+#: executor, and the commands that run a campaign take every setting but
+#: these few.
+COMMAND_SETTINGS = {
+    "reachability": {"packet", "field_values", "max_hops", "max_paths", "strategy"},
+    "query": set(SETTING_NAMES) - _AUDIT,
+    "campaign": set(SETTING_NAMES),
+    "scenario": set(SETTING_NAMES)
+    - _AUDIT - {"field_values", "max_hops", "max_paths", "strategy"},
+}
+REGISTRIES = {"packet": PACKET_TEMPLATES, "strategy": STRATEGIES}
+
+
+def _setting_actions(command):
+    """The command's argparse actions for run settings, by setting name."""
+    parser = cli._build_parser()
+    (commands,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    dests = {"field": "field_values", **{name: name for name in SETTING_NAMES}}
+    return {
+        dests[action.dest]: action
+        for action in commands.choices[command]._actions
+        if action.dest in dests
+    }
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
+def test_cli_flags_are_read_off_the_declaration(command):
+    """Each setting flag's spelling, type, default, choices and help are
+    the field's: the CLI states none of them itself."""
+    actions = _setting_actions(command)
+    assert set(actions) == COMMAND_SETTINGS[command]
+    declared = {spec.name: spec for spec in dataclasses.fields(RunSettings)}
+    for name, action in actions.items():
+        spec = declared[name]
+        assert action.help.startswith(spec.metadata["help"]), name
+        if name == "field_values":
+            assert action.option_strings == ["--field"]
+            continue
+        flag = "--" + name.replace("_", "-")
+        assert action.option_strings[0] == flag
+        assert action.default == spec.default, name
+        registry = REGISTRIES.get(name)
+        assert action.choices == (sorted(registry) if registry else None), name
+        if isinstance(spec.default, bool):
+            assert action.option_strings == [flag, "--no-" + flag[2:]], name
+        else:
+            assert action.type is type(spec.default), name
+
+
+def test_a_new_setting_is_a_flag_with_no_cli_edit():
+    @dataclasses.dataclass(frozen=True)
+    class Throwaway:
+        knob: int = dataclasses.field(default=3, metadata={"help": "a knob"})
+        lever: bool = dataclasses.field(default=True, metadata={"help": "a lever"})
+
+    parser = argparse.ArgumentParser(
+        parents=[cli._setting_flags(declaration=Throwaway)]
+    )
+    assert vars(parser.parse_args([])) == {"knob": 3, "lever": True}
+    assert vars(parser.parse_args(["--knob", "4", "--no-lever"])) == {
+        "knob": 4, "lever": False
+    }
+    assert "a knob (default: 3)" in parser.format_help()
 
 
 def test_symmetry_audit_implies_symmetry():

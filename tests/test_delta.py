@@ -207,7 +207,7 @@ class TestElementManifest:
         _export_stanford(tmp_path)
         old = {"format": 1, "manifest": {"topology_digest": "t", "files": {}},
                "reports": {}}
-        with pytest.raises(ValueError, match="baseline format 1 is not 2"):
+        with pytest.raises(ValueError, match="baseline format 1 is not 3"):
             VerificationCampaign(str(tmp_path), baseline=old)
         with pytest.raises(ValueError, match="a baseline is a JSON object"):
             VerificationCampaign(str(tmp_path), baseline=[])
@@ -293,7 +293,7 @@ class TestReasonTable:
         injections = _export_stanford(tmp_path)
         cold, _ = _run(tmp_path, injections)
         payload = cold.baseline_payload
-        assert payload["format"] == BASELINE_FORMAT == 2
+        assert payload["format"] == BASELINE_FORMAT == 3
         text = json.dumps(payload)
         assert len(payload["reasons"]) == len(set(payload["reasons"])) > 0
         for reason in payload["reasons"]:

@@ -198,7 +198,7 @@ class TestAssignAndExpressions:
         program = InstructionBlock(Assign(IpSrc, IpDst), Forward("out0"))
         result = run(program)
         path = result.delivered()[0]
-        assert V.values_equal(path, IpSrc, IpDst)
+        assert V.header_visible(path, IpSrc, path.state.read_variable(IpDst))
 
 
 class TestMetadataAndTags:

@@ -230,7 +230,8 @@ class TestEncryption:
         path = result.reaching("enc", "out0")[0]
         # The original payload value sits at the bottom of the allocation
         # stack, masked by the ciphertext allocation on top.
-        stacked = path.state.header.stack_values(path.state.resolve_address(TcpPayload))
+        address = path.state.resolve_address(TcpPayload)
+        stacked = [slot.current for slot in path.state.header._slots[address]]
         assert len(stacked) == 2
         original, visible = stacked
         assert not V.header_visible(path, TcpPayload, original)

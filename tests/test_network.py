@@ -94,13 +94,6 @@ class TestNetwork:
         assert self.a.has_output_port("extra-out")
         assert self.b.has_input_port("extra-in")
 
-    def test_duplex_link(self):
-        forward, backward = self.network.add_duplex_link(
-            "a", "b", "to-b", "from-b", "to-a", "from-a"
-        )
-        assert self.network.link_from("a", "to-b") == PortId("b", "from-a")
-        assert self.network.link_from("b", "to-a") == PortId("a", "from-b")
-
     def test_links_listing(self):
         self.network.add_link(("a", "out0"), ("b", "in0"))
         assert len(self.network.links) == 1

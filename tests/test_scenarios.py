@@ -20,7 +20,6 @@ from repro.scenarios import (
     violation_fingerprint,
 )
 from repro.parsers.topology_file import Snapshot
-from repro.scenarios.generator import read_directory_state
 from repro.workloads.export import (
     export_department_style_directory,
     export_stanford_directory,
@@ -98,7 +97,7 @@ class TestGenerator:
         (file, injected_text), = scenario.steps[inject].writes
         (revert_file, reverted_text), = scenario.steps[revert].writes
         assert revert_file == file
-        state = read_directory_state(directory)
+        state = Snapshot.read(directory).texts()
         for step in scenario.steps[:inject]:
             for name, text in step.writes:
                 state[name] = text
@@ -115,7 +114,7 @@ class TestGenerator:
     def test_steps_write_referenced_files_only(self, tmp_path):
         directory = _export(tmp_path)
         scenario = generate_scenario(directory, steps=8, seed=5)
-        known = set(read_directory_state(directory))
+        known = set(Snapshot.read(directory).texts())
         for step in scenario.steps:
             assert step.writes, step
             for name, _ in step.writes:
@@ -131,7 +130,7 @@ class TestGenerator:
             down = kinds.index("link-down")
             assert "link-up" in kinds[down:], "a flap must restore before the end"
             up = down + kinds[down:].index("link-up")
-            state = read_directory_state(directory)
+            state = Snapshot.read(directory).texts()
             before = None
             for step in scenario.steps:
                 if step.index == scenario.steps[down].index:

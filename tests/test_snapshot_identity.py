@@ -24,7 +24,6 @@ from repro.core.campaign import NetworkSource, clear_runtime_cache
 from repro.core.delta import ElementManifest
 from repro.parsers.topology_file import Snapshot, load_network_directory
 from repro.scenarios import generate_scenario
-from repro.scenarios.generator import read_directory_state
 from repro.workloads.export import (
     export_department_style_directory,
     export_stanford_directory,
@@ -53,7 +52,7 @@ def _file_sets_agree(directory):
     manifest = ElementManifest.of_network(load_network_directory(directory))
     built = {"topology.txt", *manifest.files}
     stat_key = {entry[0] for entry in NetworkSource.from_directory(directory).fingerprint}
-    scenario_state = set(read_directory_state(directory))
+    scenario_state = set(Snapshot.read(directory).texts())
     assert reader == built == stat_key == scenario_state
     return reader
 
@@ -92,7 +91,7 @@ def test_every_mechanism_sees_the_same_files_and_bytes(workload, tmp_path):
         directory, steps=1, seed=rng.randrange(10_000), inject_violation=False
     )
     assert scenario.base_digest == before
-    state = read_directory_state(directory)
+    state = Snapshot.read(directory).texts()
     changed = False
     for written, text in scenario.steps[0].writes:
         changed |= text != state[written]

@@ -310,7 +310,7 @@ def test_the_digests_survive_scopes_clones_and_stack_moves():
                 form.narrow(rng.choice(variables), IntervalSet([(lo, lo + rng.randrange(50))]))
             elif move == 4:
                 address = 8 * rng.randrange(3)
-                if rng.random() < 0.5 or not header.is_allocated(address):
+                if rng.random() < 0.5 or not header.depth(address):
                     header.allocate(address, 8)
                 else:
                     header.deallocate(address)

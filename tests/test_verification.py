@@ -33,13 +33,22 @@ def run_single(program, packet=None):
     return executor.inject(packet or models.symbolic_tcp_packet(), "box", "in0")
 
 
+def _unsatisfiable(result):
+    """Failed paths caused by unsatisfiable constraints (filtered packets)."""
+    return [
+        record
+        for record in result.failed()
+        if record.stop_reason.startswith("constraint unsatisfiable")
+    ]
+
+
 class TestReachability:
     def test_reachable_paths_and_helpers(self):
         result = run_single(If(Eq(TcpDst, 80), Forward("out0"), Forward("out1")))
         assert V.is_reachable(result, "box", "out0")
         assert V.is_reachable(result, "box", "out1")
         assert not V.is_reachable(result, "box", "out7")
-        assert len(V.reachable_paths(result, "box")) == 2
+        assert len(result.reaching("box")) == 2
 
     def test_admitted_values_reflect_constraints(self):
         result = run_single(
@@ -81,7 +90,7 @@ class TestInvariantsAndVisibility:
         )
         result = run_single(program)
         path = result.delivered()[0]
-        assert V.values_equal(path, IpSrc, IpDst)
+        assert V.header_visible(path, IpSrc, path.state.read_variable(IpDst))
 
     def test_invariant_forced_by_constraints(self):
         # The field is overwritten with a fresh symbol, but a constraint pins
@@ -282,7 +291,7 @@ class TestFailureClassification:
             InstructionBlock(Constrain(Eq(Tag("L3") + 999, 1)), Forward("out0"))
         )
         assert len(V.memory_safety_violations(result)) == 1
-        assert not V.constraint_violations(result)
+        assert not _unsatisfiable(result)
 
     def test_constraint_violations_reported(self):
         result = run_single(
@@ -290,5 +299,5 @@ class TestFailureClassification:
                 Constrain(Eq(TcpDst, 1)), Constrain(Eq(TcpDst, 2)), Forward("out0")
             )
         )
-        assert len(V.constraint_violations(result)) == 1
+        assert len(_unsatisfiable(result)) == 1
         assert not V.memory_safety_violations(result)
