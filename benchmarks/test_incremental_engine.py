@@ -8,8 +8,7 @@ memoized full checks), asserting:
 * the explored path set is identical in both modes — the optimisation is
   purely an engine-internal change;
 * the incremental engine issues at most half the full solver calls (in
-  practice it fast-paths nearly all of them);
-* DFS and BFS worklist strategies explore the same path set.
+  practice it fast-paths nearly all of them).
 """
 
 import pytest
@@ -88,20 +87,4 @@ def test_department_identical_paths_and_2x_fewer_solver_calls(bench_report):
         f"{legacy.solver_calls} -> {incremental.solver_calls} "
         f"(fast paths {incremental.solver_fast_paths}, cache hits "
         f"{incremental.solver_cache_hits})"
-    )
-
-
-def test_dfs_and_bfs_explore_same_department_paths(bench_report):
-    def run(strategy):
-        executor = SymbolicExecutor(
-            DEPT.network, settings=_settings(strategy=strategy)
-        )
-        return executor.inject(models.symbolic_tcp_packet(), *DEPT.office_entry)
-
-    dfs = run("dfs")
-    bfs = run("bfs")
-    assert _path_set(dfs) == _path_set(bfs)
-    bench_report.append(
-        f"Incremental | DFS vs BFS on department office injection: "
-        f"same {len(dfs.paths)}-path set"
     )

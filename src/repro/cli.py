@@ -59,7 +59,6 @@ from repro.core.delta import CampaignBaseline
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
 from repro.core.errors import ModelError
 from repro.core.settings import SETTING_NAMES, RunSettings
-from repro.core.strategy import STRATEGIES
 from repro.obs import (
     Tracer,
     configure_logging,
@@ -154,16 +153,12 @@ def _parse_injection(text: str) -> Tuple[str, str]:
     return element, port
 
 
-#: Where the values a setting may take are registered.
-_CHOICES = {"packet": PACKET_TEMPLATES, "strategy": STRATEGIES}
-
-
 def _setting_flags(
     names: Optional[Iterable[str]] = None, declaration: type = RunSettings
 ) -> argparse.ArgumentParser:
     """A parent parser with a flag per field of ``declaration`` (per field
     in ``names``, when given), read off the field: ``--<name>`` of its type
-    with its default and ``help`` metadata, its registry's keys as choices,
+    with its default and ``help`` metadata, its ``choices`` metadata sorted,
     and a ``--no-`` form for a bool; ``field_values`` is ``--field
     NAME=VALUE``.  The dest is the field's name: :func:`_run_settings`
     finds the flag by it."""
@@ -180,9 +175,9 @@ def _setting_flags(
             continue
         options = {"action": argparse.BooleanOptionalAction}
         if not isinstance(spec.default, bool):
-            registry = _CHOICES.get(spec.name)
+            choices = spec.metadata.get("choices")
             options = {
-                "type": type(spec.default), "choices": registry and sorted(registry)
+                "type": type(spec.default), "choices": choices and sorted(choices)
             }
         parser.add_argument(
             "--" + spec.name.replace("_", "-"), default=spec.default,

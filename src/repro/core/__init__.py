@@ -23,13 +23,10 @@ from repro import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(
     globals(),
     {
-        "BreadthFirstStrategy": "strategy",
         "CAMPAIGN_QUERIES": "facts",
         "CampaignJob": "jobs",
         "CampaignResult": "campaign",
         "CampaignStats": "queries",
-        "CoverageOrderedStrategy": "strategy",
-        "DepthFirstStrategy": "strategy",
         "ExecutionResult": "paths",
         "ExecutionSettings": "engine",
         "ExecutionState": "state",
@@ -43,7 +40,6 @@ __getattr__, __dir__ = _lazy_exports(
         "PathRecord": "paths",
         "PathStatus": "paths",
         "ReachabilityMatrix": "queries",
-        "STRATEGIES": "strategy",
         "SymNetError": "errors",
         "SymbolFactory": "values",
         "SymbolicExecutor": "engine",
@@ -51,23 +47,19 @@ __getattr__, __dir__ = _lazy_exports(
         "clear_runtime_cache": "jobs",
         "execute_job": "jobs",
         "free_input_ports": "sources",
-        "make_strategy": "strategy",
     },
     (
         "campaign", "checks", "delta", "engine", "errors", "executor", "facts",
         "jobs", "memo", "memory", "paths", "queries", "settings", "shapes",
-        "sources", "state", "strategy", "symmetry", "values",
+        "sources", "state", "symmetry", "values",
     ),
 )
 
 __all__ = [
-    "BreadthFirstStrategy",
     "CAMPAIGN_QUERIES",
     "CampaignJob",
     "CampaignResult",
     "CampaignStats",
-    "CoverageOrderedStrategy",
-    "DepthFirstStrategy",
     "ExecutionResult",
     "ExecutionSettings",
     "ExecutionState",
@@ -81,7 +73,6 @@ __all__ = [
     "PathRecord",
     "PathStatus",
     "ReachabilityMatrix",
-    "STRATEGIES",
     "SymNetError",
     "SymbolFactory",
     "SymbolicExecutor",
@@ -90,5 +81,4 @@ __all__ = [
     "clear_runtime_cache",
     "execute_job",
     "free_input_ports",
-    "make_strategy",
 ]

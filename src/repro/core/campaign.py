@@ -51,7 +51,6 @@ from repro.core.facts import (
     Facts,
 )
 from repro.core.jobs import (
-    PACKET_TEMPLATES,
     CampaignJob,
     JobReport,
     Runtime,
@@ -71,7 +70,7 @@ from repro.core.queries import (
     record_campaign_stats,
     record_job_report,
 )
-from repro.core.settings import SETTING_NAMES, RunSettings
+from repro.core.settings import PACKET_TEMPLATES, SETTING_NAMES, RunSettings
 from repro.core.sources import (
     NetworkSource,
     default_injection_ports,

@@ -18,9 +18,8 @@ from repro.core.errors import MemorySafetyError, ModelError
 from repro.core.facts import FactFold
 from repro.core.memo import Recorder, StateMemo
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
-from repro.core.settings import RunSettings
+from repro.core.settings import RunSettings, check_choice
 from repro.core.state import ExecutionState
-from repro.core.strategy import Frontier, make_strategy
 from repro.core.values import SymbolFactory, concrete_value
 from repro.network.element import NetworkElement
 from repro.network.ports import PortId
@@ -47,21 +46,27 @@ _COMPARISONS = {
 @dataclass
 class ExecutionSettings:
     """Tunables for a symbolic execution run.  The budgets and the strategy
-    default to what :class:`~repro.core.settings.RunSettings` declares."""
+    default to what :class:`~repro.core.settings.RunSettings` declares, and
+    the executor refuses a strategy the declaration does not list."""
 
     max_hops: int = RunSettings.max_hops
     #: Keep the records of failed paths.  Off, a failed path is still
     #: counted (``summary_counts()``, ``max_paths``) but not listed.
     record_failed_paths: bool = True
     max_paths: int = RunSettings.max_paths
-    #: Worklist discipline: a name registered in
-    #: :data:`repro.core.strategy.STRATEGIES` ("dfs", "bfs", "coverage").
+    #: Worklist discipline: "dfs", the only one.
     strategy: str = RunSettings.strategy
     #: Answer feasibility checks off the path condition's solved form
     #: (propagated domains + memoized full checks).  Off is the reference
     #: mode the differential tests compare against: no fast paths, every
     #: check re-solves the whole path conjunction from scratch.
     use_incremental_solver: bool = True
+
+
+#: Pending hops, each ``(state, element, input port)``: a depth-first stack,
+#: so one packet is followed to its end before the next is started.  Which
+#: paths end never depends on the order; only which survive ``max_paths``.
+Worklist = List[Tuple[ExecutionState, str, str]]
 
 
 @dataclass(slots=True)
@@ -125,6 +130,7 @@ class SymbolicExecutor:
         self.network = network
         self.solver = solver if solver is not None else Solver()
         self.settings = settings if settings is not None else ExecutionSettings()
+        check_choice("strategy", self.settings.strategy)
         self.symbols = SymbolFactory()
         # Shares the base solver (and its stats); the verdict cache persists
         # across inject() calls so repeated analyses reuse verdicts.  Pass
@@ -149,12 +155,8 @@ class SymbolicExecutor:
             )
         # A path survived on an "unknown" verdict during the current inject().
         self._incomplete = False
-        # A campaign's state memo (repro.core.memo): depth-first only.
-        self.memo = (
-            state_memo
-            if self.settings.strategy == "dfs" and self.settings.use_incremental_solver
-            else None
-        )
+        # A campaign's state memo (repro.core.memo).
+        self.memo = state_memo if self.settings.use_incremental_solver else None
         self._recorder: Optional[Recorder] = None  # the current inject()'s
         self._fold: Optional[FactFold] = None  # likewise
 
@@ -192,21 +194,21 @@ class SymbolicExecutor:
 
         # The injection program runs outside any element; it must not forward.
         injected = self._inject_packet(packet_program, state, initial_state is None)
-        frontier = make_strategy(self.settings.strategy)
+        worklist: Worklist = []
         for outcome in injected:
             if not outcome.state.is_alive:
                 self._record(result, outcome.state, None)
                 continue
             if outcome.forwards:
                 raise ModelError("packet construction programs must not forward")
-            frontier.push((outcome.state, element, port))
+            worklist.append((outcome.state, element, port))
 
-        while frontier:
+        while worklist:
             if result.terminations >= self.settings.max_paths:
                 result.truncated = True
                 break
-            current, element_name, in_port = frontier.pop()
-            self._step(current, element_name, in_port, frontier, result)
+            current, element_name, in_port = worklist.pop()
+            self._step(current, element_name, in_port, worklist, result)
         else:
             if recorder is not None:
                 recorder.close(-1)  # every open subtree is complete
@@ -243,11 +245,11 @@ class SymbolicExecutor:
         state: ExecutionState,
         element_name: str,
         in_port: str,
-        frontier: Frontier,
+        worklist: Worklist,
         result: ExecutionResult,
     ) -> None:
         recorder = self._recorder
-        if recorder is not None and recorder.enter(state, element_name, in_port, len(frontier)):
+        if recorder is not None and recorder.enter(state, element_name, in_port, len(worklist)):
             return  # replayed from the memo
         self.solver.stats.engine_steps += 1
         # str(PortId(...)); the PortId itself is built only for a path that ends here.
@@ -284,10 +286,10 @@ class SymbolicExecutor:
                 )
                 self._record(result, outcome.state, PortId(element_name, in_port))
             else:
-                self._fan_out(outcome.state, element, outcome.forwards, frontier, result)
+                self._fan_out(outcome.state, element, outcome.forwards, worklist, result)
 
     def _fan_out(self, state: ExecutionState, element: NetworkElement,
-                 exits: Sequence[Egress], frontier: Frontier,
+                 exits: Sequence[Egress], worklist: Worklist,
                  result: ExecutionResult) -> None:
         """Which of ``exits`` can this packet leave by?  Decided off
         ``state.condition`` before any per-port state exists: a port whose
@@ -343,7 +345,7 @@ class SymbolicExecutor:
             living -= 1
             branch = state.clone() if died or living else state
             if term is None:
-                self._emit(branch, element, egress, program, frontier, result)
+                self._emit(branch, element, egress, program, worklist, result)
                 continue
             branch.record_port(egress.key)
             branch.record_instruction(program)
@@ -353,7 +355,7 @@ class SymbolicExecutor:
                 branch.condition.assume_member(formula, term, allowed, narrowed)
             else:
                 branch.add_constraint(formula)
-            self._follow(branch, egress, frontier, result)
+            self._follow(branch, egress, worklist, result)
 
     def _emit(
         self,
@@ -361,7 +363,7 @@ class SymbolicExecutor:
         element: NetworkElement,
         egress: Egress,
         program: si.Instruction,
-        frontier: Frontier,
+        worklist: Worklist,
         result: ExecutionResult,
     ) -> None:
         """Run the output-port program and follow the outgoing link."""
@@ -375,10 +377,10 @@ class SymbolicExecutor:
                     f"output port program at {egress.port_id} attempted to forward"
                 )
             else:
-                self._follow(outcome.state, egress, frontier, result)
+                self._follow(outcome.state, egress, worklist, result)
 
     def _follow(self, state: ExecutionState, egress: Egress,
-                frontier: Frontier, result: ExecutionResult) -> None:
+                worklist: Worklist, result: ExecutionResult) -> None:
         """The packet left by ``egress``: queue the next hop, or end the path
         the way the entry says (delivered, or a dangling link)."""
         if egress.next_element is None:
@@ -386,7 +388,7 @@ class SymbolicExecutor:
             state.stop_reason = egress.reason
             self._record(result, state, egress.port_id)
         else:
-            frontier.push((state, egress.next_element, egress.next_port))
+            worklist.append((state, egress.next_element, egress.next_port))
 
     def _exits(self, element: Optional[NetworkElement], ports) -> List[Egress]:
         """The egress entries of ``element``'s output ``ports`` (names, or

@@ -30,9 +30,8 @@ from repro.core.engine import ExecutionSettings, SymbolicExecutor
 from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS, FactFold, Facts, collect_facts
 from repro.core.memo import StateMemo
 from repro.core.queries import port_key
-from repro.core.settings import RunSettings
+from repro.core.settings import PACKET_TEMPLATES, RunSettings
 from repro.core.sources import NetworkSource
-from repro.models import host as host_models
 from repro.network.topology import Network
 from repro.obs import Tracer, get_tracer, set_tracer
 from repro.sefl.fields import standard_fields
@@ -41,15 +40,6 @@ from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
 
 _LOG = logging.getLogger(__name__)
-
-#: Packet templates a campaign (and the CLI) can inject, by name.
-PACKET_TEMPLATES = {
-    "tcp": host_models.symbolic_tcp_packet,
-    "udp": host_models.symbolic_udp_packet,
-    "ip": host_models.symbolic_ip_packet,
-    "icmp": host_models.symbolic_icmp_packet,
-}
-
 
 # ---------------------------------------------------------------------------
 # Jobs and per-job reports
@@ -61,8 +51,7 @@ class CampaignJob:
     """One unit of campaign work: inject one packet template at one port.
 
     Everything in here must pickle: the network is referenced by recipe, the
-    packet by template name, header overrides by field *name*, the strategy
-    by registry name.
+    packet by template name, header overrides by field *name*.
     """
 
     source: NetworkSource
@@ -320,13 +309,7 @@ def reset_execution_counters() -> None:
 def packet_program(settings: RunSettings):
     """The injection program ``settings`` ask for: one (immutable) object
     per settings, so a run's jobs inject the very same program."""
-    try:
-        template = PACKET_TEMPLATES[settings.packet]
-    except KeyError:
-        known = ", ".join(sorted(PACKET_TEMPLATES))
-        raise ValueError(
-            f"unknown packet template {settings.packet!r}; known: {known}"
-        )
+    template = PACKET_TEMPLATES[settings.packet]
     if not settings.field_values:
         return template()
     fields = standard_fields()

@@ -1,8 +1,8 @@
 """Explore each shared state once per campaign: the engine's state memo.
 
 The injections of one campaign converge on the same routers with the same
-constraints.  Under depth-first exploration a subtree is complete when the
-frontier shrinks back to its root's depth, so the engine records it once and
+constraints.  The engine explores depth-first, so a subtree is complete when
+the worklist shrinks back to its root's depth: the engine records it once and
 replays it where a later step reaches the same state: the same terminations
 in the same order, and the same facts.
 
@@ -115,7 +115,7 @@ class Recorder:
 
     def enter(self, state: ExecutionState, element: str, in_port: str, pending: int) -> bool:
         """Before ``state`` steps into ``element:in_port`` with ``pending``
-        items left on the frontier: replay its subtree (True), or explore
+        items left on the worklist: replay its subtree (True), or explore
         it (False)."""
         frames, memo, stats = self.frames, self.memo, self.stats
         if frames:
@@ -164,7 +164,7 @@ class Recorder:
         self.poisoned = len(self.frames)
 
     def close(self, pending: int) -> None:
-        """Store the subtrees the frontier has shrunk out of."""
+        """Store the subtrees the worklist has shrunk out of."""
         frames = self.frames
         while frames and frames[-1].depth > pending:
             frame = frames.pop()

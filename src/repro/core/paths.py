@@ -124,7 +124,7 @@ class ExecutionResult:
     #: etc. read through to it.
     solver_stats: SolverStats = field(default_factory=SolverStats)
     #: True when a budget cut exploration short: ``max_paths`` stopped it
-    #: with frontier states still pending, ``max_hops`` stopped a path, or a
+    #: with worklist states still pending, ``max_hops`` stopped a path, or a
     #: path lived on because the solver's case-split budget left a check
     #: "unknown" — the path list is not the (proved) full set.
     truncated: bool = False

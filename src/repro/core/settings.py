@@ -18,13 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
-from repro.core.strategy import STRATEGIES
+from repro.models import host as host_models
 from repro.sefl.fields import standard_fields
 
+#: Packet templates a run (and the CLI) can inject, by name.
+PACKET_TEMPLATES = {
+    "tcp": host_models.symbolic_tcp_packet,
+    "udp": host_models.symbolic_udp_packet,
+    "ip": host_models.symbolic_ip_packet,
+    "icmp": host_models.symbolic_icmp_packet,
+}
 
-def _setting(default, help: str, tier_switch: bool = False):
-    """A field and its one description, ``help``: the CLI flag's help."""
-    return field(default=default, metadata={"help": help, "tier_switch": tier_switch})
+
+def _setting(default, help: str, tier_switch: bool = False, choices=None):
+    """A field and its one description, ``help``: the CLI flag's help.
+    ``choices``, when given, are the only values it takes."""
+    return field(
+        default=default,
+        metadata={"help": help, "tier_switch": tier_switch, "choices": choices},
+    )
 
 
 def _tier_switch(default, help: str):
@@ -35,7 +47,9 @@ def _tier_switch(default, help: str):
 class RunSettings:
     """How one run explores and which work-avoidance tiers it may use."""
 
-    packet: str = _setting("tcp", "packet template injected at every port")
+    packet: str = _setting(
+        "tcp", "packet template injected at every port", choices=PACKET_TEMPLATES
+    )
     # Kept as sorted (name, value) pairs; a mapping is accepted.
     field_values: Tuple[Tuple[str, int], ...] = _setting(
         (), "pin a header field to a concrete value (repeatable); the name must "
@@ -49,9 +63,10 @@ class RunSettings:
         1_000_000, "stop a job after this many terminated paths; a budget, like "
         "max_hops",
     )
+    # One value: the set of paths that end never depends on the order.
     strategy: str = _setting(
-        "dfs", "worklist discipline: the order paths are explored in, never "
-        "which paths end",
+        "dfs", "worklist discipline: depth-first, the only order paths are "
+        "explored in", choices=("dfs",),
     )
     shared_cache: bool = _setting(
         True, "share the cross-job caches (per-worker verdict caches, the "
@@ -81,7 +96,7 @@ class RunSettings:
     )
     state_memo: bool = _tier_switch(
         True, "explore each state the jobs of a run share once and replay its "
-        "subtree where another job reaches it; depth-first only",
+        "subtree where another job reaches it",
     )
 
     def __post_init__(self) -> None:
@@ -99,14 +114,10 @@ class RunSettings:
                 kind is int and isinstance(value, bool)
             ):
                 raise TypeError(f"'{spec.name}' must be {kind.__name__}")
+            check_choice(spec.name, value)
         for name in ("max_hops", "max_paths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"'{name}' must be >= 1, not {getattr(self, name)}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"'strategy' must be one of {', '.join(sorted(STRATEGIES))}, "
-                f"not {self.strategy!r}"
-            )
         known = standard_fields()
         for name, value in self.field_values:
             if name not in known:
@@ -132,6 +143,15 @@ class RunSettings:
         if fixed:
             raise TypeError(f"{fixed} cannot change after compilation")
         return replace(self, **switches)
+
+
+def check_choice(name: str, value: object) -> None:
+    """Refuse a ``value`` of setting ``name`` its declaration does not list."""
+    choices = RunSettings.__dataclass_fields__[name].metadata["choices"]
+    if choices is not None and value not in choices:
+        raise ValueError(
+            f"'{name}' must be one of {', '.join(sorted(choices))}, not {value!r}"
+        )
 
 
 #: Every setting's name, in declaration order — what a front end accepts.

@@ -935,8 +935,14 @@ class TestIncompleteExploration:
         assert answer.holds is None
         assert answer.evidence["incomplete_ports"] == ["a:in-entry"]
 
-    def test_failed_jobs_answer_unknown(self):
-        result = self._model().query(Loop(), ForAllPairs(Reach), packet="bogus")
+    def test_failed_jobs_answer_unknown(self, monkeypatch):
+        from repro.core import jobs
+
+        def unbuildable(settings):
+            raise RuntimeError("no packet program")
+
+        monkeypatch.setattr(jobs, "packet_program", unbuildable)
+        result = self._model().query(Loop(), ForAllPairs(Reach))
         assert len(result.job_errors) == 4
         assert result[0].holds is None
         assert len(result[0].evidence["incomplete_ports"]) == 4

@@ -174,10 +174,9 @@ class TestJobExecution:
         assert "ghost" in error
         assert result.stats.failed_jobs == 1
 
-    def test_unknown_packet_template_is_a_job_error(self):
-        campaign = VerificationCampaign(small_switch_network(), packet="gre")
-        result = campaign.run()
-        assert result.job_errors
+    def test_unknown_packet_template_rejected_up_front(self):
+        with pytest.raises(ValueError, match="'packet' must be one of"):
+            VerificationCampaign(small_switch_network(), packet="gre")
 
     def test_unknown_query_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown queries"):

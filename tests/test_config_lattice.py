@@ -7,7 +7,7 @@ configuration lattice, read off the declarations:
   (``TIER_SWITCHES``), its values derived from the type of its default — a
   bool takes both values, an int its default and one more — so a tier that
   is added or deleted moves the lattice without an edit here;
-* the cache stack (``shared_cache``) and the worklist ``strategy``;
+* the cache stack (``shared_cache``);
 * the store: off, cold, or warm — primed by the same run over the snapshot
   as it was *before* the network's mutation, so a warm store holds that
   run's verdict segments and plan payloads;
@@ -27,7 +27,7 @@ department networks, each mutated by 0–2 scenario-generator steps.  At
 every sampled point — each network's first is the top corner, every tier on
 over a warm store — the ``holds``, ``value`` and ``fingerprint`` of
 ``ForAllPairs(Reach), Loop(), Invariant("IpSrc")`` equal the reference
-point's: everything off, one worker, isolated, dfs.  Under one more point's
+point's: everything off, one worker, isolated.  Under one more point's
 low ``max_paths`` budget every verdict is the reference's or unknown, with
 ``incomplete_ports`` evidence.  A failure is shrunk greedily —
 configuration, network, configuration — to the minimal failing point, and
@@ -58,7 +58,6 @@ from repro.api import (
 from repro.api.planner import PlanContext
 from repro.core.campaign import VerificationCampaign, clear_runtime_cache
 from repro.core.settings import SETTING_NAMES, TIER_SWITCHES, RunSettings
-from repro.core.strategy import STRATEGIES
 from repro.obs import NullTracer, Tracer, set_tracer
 from repro.scenarios import generate_scenario
 from repro.serve import VerificationService, protocol
@@ -190,7 +189,6 @@ FRONT_DOORS = {
 DIMENSIONS: Dict[str, Tuple[object, ...]] = {
     **{name: switch_values(name) for name in TIER_SWITCHES},
     "shared_cache": (False, True),
-    "strategy": ("dfs",) + tuple(sorted(set(STRATEGIES) - {"dfs"})),
     "store": ("off", "cold", "warm"),
     "baseline": ("none", "store", "passed"),
     "workers": (1, 2),

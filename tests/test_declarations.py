@@ -43,10 +43,10 @@ from repro.core.campaign import (
 )
 from repro.core.delta import DeltaReducer, report_from_payload, report_to_payload
 from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS
-from repro.core.jobs import job_config_digest
+from repro.core.engine import ExecutionSettings, SymbolicExecutor
+from repro.core.jobs import execution_counters, job_config_digest, reset_execution_counters
 from repro.core.queries import OUTCOMES, CampaignStats, ensure_core_families
 from repro.core.settings import SETTING_NAMES, TIER_SWITCHES
-from repro.core.strategy import STRATEGIES
 from repro.core.symmetry import instantiate_report
 from repro.obs import Family, MetricsRegistry, get_registry, reset_registry
 from repro.obs.metrics import CAMPAIGNS, JOBS
@@ -60,14 +60,15 @@ from test_config_lattice import CASES as LATTICE_CASES
 
 STANFORD = dict(zones=4, internal_prefixes_per_zone=4, service_acl_rules=2)
 
-#: A non-default value for every run setting.  Keyed by name so that a new
+#: A non-default value for every run setting — its only value for one whose
+#: declaration lists one (``ONE_VALUED``).  Keyed by name so that a new
 #: setting fails ``test_every_setting_is_exercised`` until it gets one.
 CHANGED_SETTINGS = {
     "packet": "udp",
     "field_values": (("IpSrc", 167772161),),
     "max_hops": 64,
     "max_paths": 7,
-    "strategy": "bfs",
+    "strategy": "dfs",
     "shared_cache": False,
     "symmetry": True,
     "symmetry_audit": True,
@@ -84,6 +85,8 @@ CHANGED_FACTS = {
 }
 BASE_FACTS = Facts(kinds=("invariants",))  # so invariant_fields can vary
 
+#: The settings whose declaration lists one value: nothing to change to.
+ONE_VALUED = {"strategy"}
 #: CLI spellings that are not ``--<name with dashes> VALUE``.
 CLI_FLAGS = {
     "field_values": ["--field", "IpSrc=10.0.0.1"],
@@ -109,8 +112,12 @@ def test_every_setting_is_exercised():
     assert set(CHANGED_SETTINGS) == set(setting_fields()) == set(SETTING_NAMES)
     assert set(CHANGED_FACTS) == set(fact_fields())
     defaults = RunSettings()
-    for name, value in CHANGED_SETTINGS.items():
-        assert getattr(defaults, name) != value, name
+    for spec in dataclasses.fields(RunSettings):
+        value = CHANGED_SETTINGS[spec.name]
+        if spec.name in ONE_VALUED:
+            assert spec.metadata["choices"] == (value,) == (spec.default,), spec.name
+        else:
+            assert getattr(defaults, spec.name) != value, spec.name
     for name, value in CHANGED_FACTS.items():
         assert getattr(BASE_FACTS, name) != value, name
 
@@ -132,6 +139,11 @@ def _job(settings=RunSettings(), facts=BASE_FACTS):
 
 @pytest.mark.parametrize("name", setting_fields())
 def test_setting_moves_the_digests_iff_it_is_identity(model, name):
+    if name in ONE_VALUED:
+        # No second value to move them with; the digests cover it all the same.
+        assert name not in TIER_SWITCHES
+        assert (name, CHANGED_SETTINGS[name]) in RunSettings().identity()
+        return
     changed = {name: CHANGED_SETTINGS[name]}
     base_plan = compile_plan(model, [Loop()])
     plan = compile_plan(model, [Loop()], **changed)
@@ -239,7 +251,8 @@ def test_serve_message_accepts_every_setting(name):
     decoded = protocol.decode_line(protocol.encode(_message(**{key: wire_value})))
     assert _parse_request("r", None, decoded).settings == request.settings
     # ... and requests under different settings never merge into one plan.
-    assert request.compat_key != _parse_request("r", None, _message()).compat_key
+    if name not in ONE_VALUED:
+        assert request.compat_key != _parse_request("r", None, _message()).compat_key
 
 
 def test_serve_message_refuses_unknown_and_mistyped_settings():
@@ -253,44 +266,61 @@ def test_serve_message_refuses_unknown_and_mistyped_settings():
         _parse_request("r", None, _message(fields=["IpSrc"]))
 
 
-#: A value outside each range-checked setting's range.
+#: A value outside each checked setting's range or declared choices.  An
+#: unknown packet used to be accepted and run every job into a KeyError
+#: (``holds=None``).
 OUT_OF_RANGE = {
     "max_hops": 0,
     "max_paths": -5,
-    "strategy": "nope",
+    "packet": "nope",
+    "strategy": "bfs",
 }
 
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
 def test_front_doors_refuse_out_of_range_settings(model, name, capsys):
-    """Range-checked where it is declared, so refused before any job runs —
-    by every front door, with the declaration's own message."""
+    """Checked where it is declared, so refused before any job runs — by
+    every front door, with the declaration's own message; a value outside
+    a flag's choices by the CLI's parser, in one line of its own."""
     from repro.core.campaign import VerificationCampaign
     from repro.scenarios import ScenarioCampaign
 
     bad = {name: OUT_OF_RANGE[name]}
+    reset_execution_counters()
     with pytest.raises(ValueError) as declared:
         RunSettings(**bad)
     message = re.escape(str(declared.value))
     assert f"'{name}' must be" in str(declared.value)
-    for front_door in (
+    front_doors = [
         lambda: compile_plan(model, [Loop()], **bad),
         lambda: model.query(Loop(), **bad),
         lambda: model.campaign(**bad),
         lambda: VerificationCampaign(NetworkSource.from_workload("department"), **bad),
         lambda: ScenarioCampaign("netdir", None, **bad),
-    ):
+    ]
+    if name == "strategy":  # a bare executor runs no packet template
+        front_doors.append(
+            lambda: SymbolicExecutor(model.network(), settings=ExecutionSettings(**bad))
+        )
+    for front_door in front_doors:
         with pytest.raises(ValueError, match=message):
             front_door()
     with pytest.raises(ProtocolError, match=message):
         _parse_request("r", None, _message(**bad))
+    flag = ["--" + name.replace("_", "-"), str(OUT_OF_RANGE[name])]
     if name in ("max_hops", "max_paths"):
-        # (--strategy is an argparse ``choices`` flag.)
-        flag = "--" + name.replace("_", "-")
         for command in (["query", "netdir", "loop()"], ["campaign", "netdir"]):
             with pytest.raises(SystemExit):
-                cli.main(command + [flag, str(OUT_OF_RANGE[name])])
+                cli.main(command + flag)
             assert str(declared.value) in capsys.readouterr().err
+    else:
+        for command in (["query", "netdir", "loop()"], ["reachability", "netdir", "sw"]):
+            with pytest.raises(SystemExit) as refused:
+                cli.main(command + flag)
+            assert refused.value.code == 2
+            (said,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert f"argument {flag[0]}: invalid choice: {flag[1]!r}" in said
+    assert not any(execution_counters().values())
 
 
 #: Header-field pins the declaration refuses: a name that is no standard
@@ -411,7 +441,8 @@ COMMAND_SETTINGS = {
     "scenario": set(SETTING_NAMES)
     - _AUDIT - {"field_values", "max_hops", "max_paths", "strategy"},
 }
-REGISTRIES = {"packet": PACKET_TEMPLATES, "strategy": STRATEGIES}
+#: The values each setting with choices takes, as its flag lists them.
+CHOICES = {"packet": sorted(PACKET_TEMPLATES), "strategy": ["dfs"]}
 
 
 def _setting_actions(command):
@@ -445,8 +476,7 @@ def test_cli_flags_are_read_off_the_declaration(command):
         flag = "--" + name.replace("_", "-")
         assert action.option_strings[0] == flag
         assert action.default == spec.default, name
-        registry = REGISTRIES.get(name)
-        assert action.choices == (sorted(registry) if registry else None), name
+        assert action.choices == CHOICES.get(name), name
         if isinstance(spec.default, bool):
             assert action.option_strings == [flag, "--no-" + flag[2:]], name
         else:

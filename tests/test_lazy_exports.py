@@ -43,10 +43,6 @@ EXPORTS = {
         "repro.sefl": ["sefl"],
     },
     "repro.core": {
-        "repro.core.strategy": [
-            "BreadthFirstStrategy", "CoverageOrderedStrategy",
-            "DepthFirstStrategy", "STRATEGIES", "make_strategy",
-        ],
         "repro.core.facts": ["CAMPAIGN_QUERIES"],
         "repro.core.jobs": [
             "CampaignJob", "JobReport", "clear_runtime_cache", "execute_job",
@@ -118,7 +114,7 @@ SUBMODULES = {
     "repro.core": [
         "campaign", "checks", "delta", "engine", "errors", "executor", "facts",
         "jobs", "memo", "memory", "paths", "queries", "settings", "shapes",
-        "sources", "state", "strategy", "symmetry", "values",
+        "sources", "state", "symmetry", "values",
     ],
     "repro.models": [
         "asa", "encryption", "firewall", "host", "mirror", "nat", "router",

@@ -619,8 +619,5 @@ def test_a_bare_executor_keeps_no_memo():
     network, _ = _converging_network()
     executor = SymbolicExecutor(network)
     assert executor.memo is None
-    for strategy in ("bfs", "coverage"):
-        settings = ExecutionSettings(strategy=strategy)
-        assert SymbolicExecutor(network, settings=settings, state_memo=StateMemo()).memo is None
     settings = ExecutionSettings(use_incremental_solver=False)
     assert SymbolicExecutor(network, settings=settings, state_memo=StateMemo()).memo is None

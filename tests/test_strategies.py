@@ -1,7 +1,7 @@
-"""Tests for pluggable exploration strategies and max_paths truncation,
-plus property-based tests over random instruction programs: the terminal
-path set must be strategy-independent, solver-mode-independent, and
-identical whether execution starts from a fresh or a cloned state — and the
+"""Tests for max_paths truncation, plus property-based tests over random
+instruction programs: the terminal path set must not depend on the order the
+depth-first worklist expands a fork's branches in, nor on the solver mode,
+nor on whether execution starts from a fresh or a cloned state — and the
 engine's fan-out kernel (guards probed off the solved form, dead ports
 recorded as flyweights) must explore exactly what the interpreter explores
 when it is handed the same programs in a shape the kernel does not take.
@@ -21,13 +21,6 @@ from repro import (
     NetworkElement,
     SymbolicExecutor,
     models,
-)
-from repro.core.strategy import (
-    BreadthFirstStrategy,
-    CoverageOrderedStrategy,
-    DepthFirstStrategy,
-    STRATEGIES,
-    make_strategy,
 )
 from repro.sefl import (
     Assign,
@@ -85,74 +78,53 @@ def path_set(result):
     )
 
 
-def run_with_strategy(network, strategy, **kwargs):
-    settings = ExecutionSettings(strategy=strategy, **kwargs)
-    executor = SymbolicExecutor(network, settings=settings)
+def run(network, **kwargs):
+    executor = SymbolicExecutor(network, settings=ExecutionSettings(**kwargs))
     return executor.inject(models.symbolic_tcp_packet(), "root", "in0")
 
 
-class TestStrategyEquivalence:
-    def test_all_strategies_explore_identical_path_sets(self):
-        network = build_fork_heavy_network(depth=3, fanout=2)
-        results = {
-            name: run_with_strategy(network, name) for name in sorted(STRATEGIES)
-        }
-        reference = path_set(results["dfs"])
-        assert len(reference) == 2 * 2**3  # 8 leaves x 2 If branches
-        for name, result in results.items():
-            assert path_set(result) == reference, name
-            assert not result.truncated
+def reversed_forks(program):
+    """``program`` with every ``Fork``'s ports in reverse order: the same
+    paths, which the depth-first worklist then expands in the other order."""
+    if isinstance(program, Fork):
+        return Fork(*reversed(program.ports))
+    if isinstance(program, If):
+        return If(
+            program.condition,
+            reversed_forks(program.then_branch),
+            reversed_forks(program.else_branch),
+        )
+    if isinstance(program, InstructionBlock):
+        return InstructionBlock(*map(reversed_forks, program.instructions))
+    return program
 
-    def test_dfs_and_bfs_orders_differ(self):
-        """Sanity check that the strategies are actually different: BFS
-        finishes all shallow work before deep work, so the discovery order
-        of terminal paths differs from DFS on a deep tree."""
-        network = build_fork_heavy_network(depth=3, fanout=2)
-        dfs = run_with_strategy(network, "dfs")
-        bfs = run_with_strategy(network, "bfs")
-        dfs_order = [tuple(p.state.port_trace) for p in dfs.paths]
-        bfs_order = [tuple(p.state.port_trace) for p in bfs.paths]
-        assert dfs_order != bfs_order
-        assert sorted(dfs_order) == sorted(bfs_order)
+
+def reverse_forks(network):
+    """Reverse the ports of every ``Fork`` on ``network``'s input ports."""
+    for element in network:
+        for port in element.input_ports:
+            element.set_input_program(port, reversed_forks(element.input_program(port)))
+    return network
+
+
+class TestStrategyEquivalence:
+    """Runs that differ only in how they explore explore the same paths."""
+
+    def test_reversed_forks_change_only_the_discovery_order(self):
+        """The property tests below are not vacuous: reversing the forks
+        does reorder the depth-first worklist."""
+        forward = run(build_fork_heavy_network(depth=3, fanout=2))
+        backward = run(reverse_forks(build_fork_heavy_network(depth=3, fanout=2)))
+        assert len(path_set(forward)) == 2 * 2**3  # 8 leaves x 2 If branches
+        assert path_set(backward) == path_set(forward)
+        order = [tuple(p.state.port_trace) for p in forward.paths]
+        assert [tuple(p.state.port_trace) for p in backward.paths] != order
 
     def test_incremental_and_legacy_solvers_agree(self):
         network = build_fork_heavy_network(depth=2, fanout=3)
-        fast = run_with_strategy(network, "dfs", use_incremental_solver=True)
-        slow = run_with_strategy(network, "dfs", use_incremental_solver=False)
+        fast = run(network, use_incremental_solver=True)
+        slow = run(network, use_incremental_solver=False)
         assert path_set(fast) == path_set(slow)
-
-
-class TestStrategyObjects:
-    def test_make_strategy_by_name(self):
-        assert isinstance(make_strategy("dfs"), DepthFirstStrategy)
-        assert isinstance(make_strategy("bfs"), BreadthFirstStrategy)
-        assert isinstance(make_strategy("coverage"), CoverageOrderedStrategy)
-
-    def test_make_strategy_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown exploration strategy"):
-            make_strategy("random-walk")
-
-    def test_dfs_is_lifo_bfs_is_fifo(self):
-        items = [(object(), "a", "in0"), (object(), "b", "in0")]
-        dfs = make_strategy("dfs")
-        bfs = make_strategy("bfs")
-        for item in items:
-            dfs.push(item)
-            bfs.push(item)
-        assert dfs.pop() is items[1]
-        assert bfs.pop() is items[0]
-
-    def test_coverage_prefers_least_visited_port(self):
-        frontier = make_strategy("coverage")
-        hot = (object(), "hot", "in0")
-        cold = (object(), "cold", "in0")
-        frontier.push(hot)
-        assert frontier.pop() is hot  # visits[hot] -> 1
-        frontier.push(hot)
-        frontier.push(cold)
-        assert frontier.pop() is cold  # never visited, beats hot
-        assert frontier.pop() is hot
-        assert len(frontier) == 0
 
 
 class TestTruncation:
@@ -169,19 +141,19 @@ class TestTruncation:
         return network
 
     def test_truncated_flag_set_when_budget_hits(self):
-        result = run_with_strategy(self.build_fan(), "dfs", max_paths=1)
+        result = run(self.build_fan(), max_paths=1)
         assert result.truncated
         assert 1 <= len(result.paths) < 3
 
     def test_truncated_flag_clear_on_full_exploration(self):
-        result = run_with_strategy(self.build_fan(), "dfs")
+        result = run(self.build_fan())
         assert not result.truncated
         assert len(result.delivered()) == 3
 
     def test_truncated_is_reported_in_json(self):
         import json
 
-        result = run_with_strategy(self.build_fan(), "dfs", max_paths=1)
+        result = run(self.build_fan(), max_paths=1)
         assert json.loads(result.to_json())["truncated"] is True
 
 
@@ -315,8 +287,8 @@ def path_list(result):
 
 class TestRandomProgramProperties:
     """For arbitrary SEFL programs the engine must satisfy four invariants:
-    the terminal path set does not depend on the exploration strategy, nor
-    on the solver mode, nor on whether the initial state was cloned — and a
+    the terminal path set does not depend on the exploration order, nor on
+    the solver mode, nor on whether the initial state was cloned — and a
     port decided by the fan-out kernel is the port the interpreter builds."""
 
     @pytest.mark.parametrize("seed", PROPERTY_CASES)
@@ -325,39 +297,33 @@ class TestRandomProgramProperties:
         every guard hidden from the kernel inside a block."""
         kernel = random_network(seed)
         oracle = random_network(seed, interpret_guards=True)
-        for strategy in sorted(STRATEGIES):
-            for incremental in (True, False):
-                context = f"seed={SEED}+{seed} {strategy} incremental={incremental}"
-                probed, interpreted = (
-                    run_with_strategy(
-                        network, strategy, use_incremental_solver=incremental
-                    )
-                    for network in (kernel, oracle)
-                )
-                assert path_list(probed) == path_list(interpreted), context
-                assert probed.truncated == interpreted.truncated, context
-                for counter in ("fast_paths", "cache_hits", "cache_misses", "calls"):
-                    assert getattr(probed, f"solver_{counter}") == getattr(
-                        interpreted, f"solver_{counter}"
-                    ), f"{context} solver_{counter}"
+        for incremental in (True, False):
+            context = f"seed={SEED}+{seed} incremental={incremental}"
+            probed, interpreted = (
+                run(network, use_incremental_solver=incremental)
+                for network in (kernel, oracle)
+            )
+            assert path_list(probed) == path_list(interpreted), context
+            assert probed.truncated == interpreted.truncated, context
+            for counter in ("fast_paths", "cache_hits", "cache_misses", "calls"):
+                assert getattr(probed, f"solver_{counter}") == getattr(
+                    interpreted, f"solver_{counter}"
+                ), f"{context} solver_{counter}"
 
     @pytest.mark.parametrize("seed", PROPERTY_CASES)
     def test_strategy_independence(self, seed):
-        network = random_network(seed)
-        results = {
-            name: run_with_strategy(network, name) for name in sorted(STRATEGIES)
-        }
-        reference = path_set(results["dfs"])
-        for name, result in results.items():
-            assert path_set(result) == reference, f"seed={seed} strategy={name}"
+        """The worklist's one order explores the set of paths any order
+        would: the same network with every fork's branches expanded the
+        other way round ends the same paths."""
+        forward = run(random_network(seed))
+        backward = run(reverse_forks(random_network(seed)))
+        assert path_set(backward) == path_set(forward), f"seed={SEED}+{seed}"
 
     @pytest.mark.parametrize("seed", PROPERTY_CASES)
     def test_solver_mode_independence(self, seed):
         network = random_network(seed)
-        incremental = run_with_strategy(network, "dfs", use_incremental_solver=True)
-        from_scratch = run_with_strategy(
-            network, "dfs", use_incremental_solver=False
-        )
+        incremental = run(network, use_incremental_solver=True)
+        from_scratch = run(network, use_incremental_solver=False)
         assert path_set(incremental) == path_set(from_scratch), f"seed={seed}"
 
     @pytest.mark.parametrize("seed", PROPERTY_CASES[::4])

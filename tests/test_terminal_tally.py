@@ -29,7 +29,6 @@ from repro.core.jobs import (
 from repro.core.paths import PathStatus
 from repro.core.settings import RunSettings
 from repro.core.sources import NetworkSource
-from repro.core.strategy import STRATEGIES
 from repro.sefl import Constrain, Fail, Fork, Forward, OneOf, TcpDst
 from repro.solver.result import SolverStats
 from repro.solver.verdict_cache import VerdictCache
@@ -118,17 +117,15 @@ FACT_SETS = (
     Facts(),
 )
 
-#: Every strategy in both solver modes, unbudgeted, plus low-budget points.
-#: (The hop budget keeps the looped networks below small; a tree of
+#: Both solver modes, unbudgeted and under a low path budget.  (The hop
+#: budget keeps the looped networks below small; a tree of
 #: ``random_network``'s is two hops deep.)
 POINTS = [
-    (strategy, incremental, RunSettings.max_paths)
-    for strategy in sorted(STRATEGIES)
-    for incremental in (True, False)
-] + [("dfs", True, 2), ("bfs", False, 3)]
+    (incremental, RunSettings.max_paths) for incremental in (True, False)
+] + [(True, 2), (False, 3)]
 
 
-def _job_report(monkeypatch, network, facts, strategy, incremental, max_paths):
+def _job_report(monkeypatch, network, facts, incremental, max_paths):
     """A campaign job's report, and the result and fold it was read from.
     The solver mode is swapped in where the job builds its settings."""
 
@@ -152,7 +149,7 @@ def _job_report(monkeypatch, network, facts, strategy, incremental, max_paths):
                 NetworkSource.from_network(network),
                 "root",
                 "in0",
-                settings=RunSettings(strategy=strategy, max_paths=max_paths, max_hops=16),
+                settings=RunSettings(max_paths=max_paths, max_hops=16),
                 facts=facts,
             )
         )
@@ -161,14 +158,13 @@ def _job_report(monkeypatch, network, facts, strategy, incremental, max_paths):
     return report, result, fold
 
 
-def _keep_everything(network, strategy, incremental, max_paths):
+def _keep_everything(network, incremental, max_paths):
     """A plain ``inject`` that keeps every record, from a cold verdict
     cache, and the cache entries it added."""
     cache = VerdictCache()
     cache.begin_collection()
     settings = ExecutionSettings(
-        max_hops=16, max_paths=max_paths, strategy=strategy,
-        use_incremental_solver=incremental,
+        max_hops=16, max_paths=max_paths, use_incremental_solver=incremental,
     )
     result = SymbolicExecutor(network, settings=settings, verdict_cache=cache).inject(
         packet_program(RunSettings()), "root", "in0"
@@ -232,12 +228,12 @@ def test_tallied_job_report_equals_keep_everything(case, monkeypatch):
     if case % 2:
         network.add_link(("sink0", "out0"), ("root", "in0"))
     facts = FACT_SETS[case // 2 % len(FACT_SETS)]
-    for strategy, incremental, max_paths in POINTS:
-        context = f"seed={SEED}+{case} {strategy} incremental={incremental} max_paths={max_paths}"
-        everything, entries = _keep_everything(network, strategy, incremental, max_paths)
+    for incremental, max_paths in POINTS:
+        context = f"seed={SEED}+{case} incremental={incremental} max_paths={max_paths}"
+        everything, entries = _keep_everything(network, incremental, max_paths)
         for asked in {facts, FACT_SETS[0]}:
             tallied, result, live = _job_report(
-                monkeypatch, network, asked, strategy, incremental, max_paths
+                monkeypatch, network, asked, incremental, max_paths
             )
             post_hoc, reference = _folded_post_hoc(everything, asked)
             assert _fold_contents(live) == _fold_contents(post_hoc), context
