@@ -110,13 +110,17 @@ def reverse_forks(network):
 class TestStrategyEquivalence:
     """Runs that differ only in how they explore explore the same paths."""
 
-    def test_reversed_forks_change_only_the_discovery_order(self):
-        """The property tests below are not vacuous: reversing the forks
-        does reorder the depth-first worklist."""
+    def test_reversed_forks_explore_identical_path_sets(self):
         forward = run(build_fork_heavy_network(depth=3, fanout=2))
         backward = run(reverse_forks(build_fork_heavy_network(depth=3, fanout=2)))
         assert len(path_set(forward)) == 2 * 2**3  # 8 leaves x 2 If branches
         assert path_set(backward) == path_set(forward)
+
+    def test_reversed_forks_change_the_discovery_order(self):
+        """The property tests below are not vacuous: reversing the forks
+        does reorder the depth-first worklist."""
+        forward = run(build_fork_heavy_network(depth=3, fanout=2))
+        backward = run(reverse_forks(build_fork_heavy_network(depth=3, fanout=2)))
         order = [tuple(p.state.port_trace) for p in forward.paths]
         assert [tuple(p.state.port_trace) for p in backward.paths] != order
 
