@@ -18,7 +18,7 @@ from repro.core.errors import MemorySafetyError, ModelError
 from repro.core.facts import FactFold
 from repro.core.memo import Recorder, StateMemo
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
-from repro.core.settings import RunSettings, check_choice
+from repro.core.settings import BUDGETS, RunSettings, check_budget, check_choice
 from repro.core.state import ExecutionState
 from repro.core.values import SymbolFactory, concrete_value
 from repro.network.element import NetworkElement
@@ -47,7 +47,7 @@ _COMPARISONS = {
 class ExecutionSettings:
     """Tunables for a symbolic execution run.  The budgets and the strategy
     default to what :class:`~repro.core.settings.RunSettings` declares, and
-    the executor refuses a strategy the declaration does not list."""
+    the executor refuses the values the declaration refuses."""
 
     max_hops: int = RunSettings.max_hops
     #: Keep the records of failed paths.  Off, a failed path is still
@@ -63,10 +63,14 @@ class ExecutionSettings:
     use_incremental_solver: bool = True
 
 
-#: Pending hops, each ``(state, element, input port)``: a depth-first stack,
-#: so one packet is followed to its end before the next is started.  Which
-#: paths end never depends on the order; only which survive ``max_paths``.
-Worklist = List[Tuple[ExecutionState, str, str]]
+#: Pending hops: a depth-first stack, so one packet is followed to its end
+#: before the next is started.  An item is a built state and where it enters,
+#: ``(state, element, input port)``, or, in a run with a state memo, an egress
+#: child not built yet, ``(parent, Egress, port program, var, narrowed domain,
+#: whether it takes the parent)``: the memo may answer for it, and only a miss
+#: builds it.  Which paths end never depends on the order; only which survive
+#: ``max_paths``.
+Worklist = List[tuple]
 
 
 @dataclass(slots=True)
@@ -131,6 +135,8 @@ class SymbolicExecutor:
         self.solver = solver if solver is not None else Solver()
         self.settings = settings if settings is not None else ExecutionSettings()
         check_choice("strategy", self.settings.strategy)
+        for name in BUDGETS:
+            check_budget(name, getattr(self.settings, name))
         self.symbols = SymbolFactory()
         # Shares the base solver (and its stats); the verdict cache persists
         # across inject() calls so repeated analyses reuse verdicts.  Pass
@@ -207,7 +213,18 @@ class SymbolicExecutor:
             if result.terminations >= self.settings.max_paths:
                 result.truncated = True
                 break
-            current, element_name, in_port = worklist.pop()
+            item = worklist.pop()
+            if len(item) == 3:
+                current, element_name, in_port = item
+                if recorder is not None and recorder.enter(
+                    current, element_name, in_port, len(worklist)
+                ):
+                    continue  # replayed from the memo
+            else:
+                current = self._build(item, len(worklist))
+                if current is None:
+                    continue  # replayed from the memo, never built
+                element_name, in_port = item[1].next_element, item[1].next_port
             self._step(current, element_name, in_port, worklist, result)
         else:
             if recorder is not None:
@@ -248,9 +265,6 @@ class SymbolicExecutor:
         worklist: Worklist,
         result: ExecutionResult,
     ) -> None:
-        recorder = self._recorder
-        if recorder is not None and recorder.enter(state, element_name, in_port, len(worklist)):
-            return  # replayed from the memo
         self.solver.stats.engine_steps += 1
         # str(PortId(...)); the PortId itself is built only for a path that ends here.
         port_key = f"{element_name}:{in_port}"
@@ -296,12 +310,15 @@ class SymbolicExecutor:
         program is one guard (``Constrain.guard``, the egress models) is
         probed, the atom already classified when the field holds a plain
         variable; any other program is left to :meth:`_emit`.  Ports are then
-        served in order: a living one gets a clone (``state`` itself only when
-        it is the last and no port died) and, for a plain variable, the domain
-        the probe narrowed it to; a dead one is counted, and recorded only if
-        the run keeps records and the settings record failed paths — as a
-        flyweight that rebuilds its state on demand from ``state``, never
-        mutated again."""
+        served in order.  A living one gets a clone (``state`` itself when it
+        is the last, unless a port died in a run that keeps records) and, for a
+        plain variable, the domain the probe narrowed it to — except that in a
+        run with a state memo a plain variable's port with a next hop is queued
+        unbuilt (:data:`Worklist`): the first one queued, popped last of its
+        siblings, takes ``state`` itself, and every other living port a clone.
+        A dead port is counted, and recorded only if the run keeps records and the
+        settings record failed paths — as a flyweight that rebuilds its state
+        on demand from ``state``, never mutated again."""
         plans = []
         living, died, last_field = 0, False, None
         for egress in exits:
@@ -331,6 +348,10 @@ class SymbolicExecutor:
             plans.append((egress, program, term, narrowed, alive))
 
         keep_failed = self._fold is None and self.settings.record_failed_paths
+        # ``state`` is spoken for once a dead port's record may read it (only
+        # a run that keeps records has any) or an unbuilt child took it.
+        taken = died and self._fold is None
+        defer = self._recorder is not None
         for egress, program, term, narrowed, alive in plans:
             if not alive:
                 reason = program.unsatisfiable_reason
@@ -343,7 +364,11 @@ class SymbolicExecutor:
                 self._end(result, PathStatus.FAILED, reason)
                 continue
             living -= 1
-            branch = state.clone() if died or living else state
+            if defer and narrowed is not None and egress.next_element is not None:
+                worklist.append((state, egress, program, term, narrowed, not taken))
+                taken = True
+                continue
+            branch = state.clone() if living or taken else state
             if term is None:
                 self._emit(branch, element, egress, program, worklist, result)
                 continue
@@ -356,6 +381,23 @@ class SymbolicExecutor:
             else:
                 branch.add_constraint(formula)
             self._follow(branch, egress, worklist, result)
+
+    def _build(self, item: tuple, pending: int) -> Optional[ExecutionState]:
+        """An unbuilt child (:data:`Worklist`) popped with ``pending`` items
+        left: None when the memo replays it, else the child built — as the
+        fan-out would have built it — and entered in the memo."""
+        parent, egress, program, var, narrowed, takes_parent = item
+        recorder = self._recorder
+        element, port = egress.next_element, egress.next_port
+        if recorder.replay(parent, element, port, pending, (var, narrowed), egress.key):
+            return None
+        state = parent if takes_parent else parent.clone()
+        state.record_port(egress.key)
+        state.record_instruction(program)
+        allowed = program.guard[1]
+        state.condition.assume_member(sa.Member(var, allowed), var, allowed, narrowed)
+        recorder.explore(state, pending)
+        return state
 
     def _emit(
         self,

@@ -13,7 +13,9 @@ equality of the futures.  Nothing is stored for a subtree that lived on an
 had visited (a loop check read the history — so no summary holds a loop
 ending), and a summary is replayed only where exploring could not differ
 (:meth:`Recorder._fits`) — though, like a cached verdict, it may be definite
-where a smaller case-split budget would not be.
+where a smaller case-split budget would not be.  A fork's egress child is
+looked up before it is built, off its parent (:meth:`Recorder.replay`), when
+the engine pops it: a hit builds no state.
 
 A summary keeps no path: its tallies, and the **fact delta** of its subtree
 (:class:`~repro.core.facts.FactFold`) — the root step's delivered paths
@@ -112,42 +114,67 @@ class Recorder:
         self.frames: List[_Frame] = []
         self.poisoned = 0  # frames[:poisoned] store nothing
         self.own: Optional[list] = None
+        self.key: Optional[tuple] = None  # the last lookup's
 
     def enter(self, state: ExecutionState, element: str, in_port: str, pending: int) -> bool:
         """Before ``state`` steps into ``element:in_port`` with ``pending``
         items left on the worklist: replay its subtree (True), or explore
         it (False)."""
-        frames, memo, stats = self.frames, self.memo, self.stats
+        if self.replay(state, element, in_port, pending):
+            return True
+        self.explore(state, pending)
+        return False
+
+    def replay(self, state: ExecutionState, element: str, in_port: str, pending: int,
+               swap: Optional[tuple] = None, port: Optional[str] = None) -> bool:
+        """Close the subtrees the worklist has shrunk out of, and replay the
+        subtree of ``state`` stepping into ``element:in_port`` if the memo
+        holds it (True).  Given ``swap``, ``(var, domain)``, and the egress
+        ``port``, it is the subtree of ``state``'s child that left by
+        ``port`` with ``var`` narrowed to ``domain``, not built: the child's
+        future is ``state``'s with that one domain replaced, and its
+        snapshots and hop count are ``state``'s."""
+        frames = self.frames
         if frames:
             self.close(pending)
         self.own = None
-        symbols = self.symbols.count
-        key = (element, in_port, state.digest(), symbols)
-        found = memo.entries.get(key)
-        if found is not None and found[0].same_future(state) and self._fits(found[1], state):
-            summary = found[1]
-            stats.state_memo_hits += 1
-            if frames:
-                frames[-1].children.append((state.port_trace.since(frames[-1].start), summary))
-            self.result.tally(summary.tallies)
-            self.fold.merge(summary.delta, state.port_trace)
-            self.symbols.advance(summary.draws)
-            return True
-        stats.state_memo_misses += 1
+        key = self.key = (element, in_port, state.digest(swap), self.symbols.count)
+        found = self.memo.entries.get(key)
+        if found is None or not (
+            found[0].same_future(state, swap) and self._fits(found[1], state)
+        ):
+            return False
+        summary = found[1]
+        self.stats.state_memo_hits += 1
+        trace = state.port_trace
+        if port is not None:
+            trace = trace.clone()
+            trace.append(port)
+        if frames:
+            frames[-1].children.append((trace.since(frames[-1].start), summary))
+        self.result.tally(summary.tallies)
+        self.fold.merge(summary.delta, trace)
+        self.symbols.advance(summary.draws)
+        return True
+
+    def explore(self, state: ExecutionState, pending: int) -> None:
+        """Count the miss :meth:`replay` just had for ``state`` (built, if
+        it was not), and record its subtree if it is due."""
+        memo, frames, key = self.memo, self.frames, self.key
+        self.stats.state_memo_misses += 1
         if not frames:
             explored = memo.explored.get(key, 0)
             if explored < RECORD_AFTER:
                 if len(memo.explored) >= MEMO_ENTRIES:
                     memo.explored.clear()
                 memo.explored[key] = explored + 1
-                return False
+                return
         edge = state.port_trace.since(frames[-1].start) if frames else None
-        port = f"{element}:{in_port}"
-        frames.append(_Frame(key, port, state, pending, symbols, edge))
+        port = f"{key[0]}:{key[1]}"
+        frames.append(_Frame(key, port, state, pending, key[3], edge))
         self.own = frames[-1].own
         if port in state.port_snapshots or state.hop_count >= self.max_hops:
             self.poison()  # a loop check reads the history, or a cut-off
-        return False
 
     def _fits(self, summary: Summary, state: ExecutionState) -> bool:
         """Exploring ``summary``'s subtree from ``state`` could not differ:

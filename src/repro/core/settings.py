@@ -115,9 +115,8 @@ class RunSettings:
             ):
                 raise TypeError(f"'{spec.name}' must be {kind.__name__}")
             check_choice(spec.name, value)
-        for name in ("max_hops", "max_paths"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"'{name}' must be >= 1, not {getattr(self, name)}")
+        for name in BUDGETS:
+            check_budget(name, getattr(self, name))
         known = standard_fields()
         for name, value in self.field_values:
             if name not in known:
@@ -152,6 +151,16 @@ def check_choice(name: str, value: object) -> None:
         raise ValueError(
             f"'{name}' must be one of {', '.join(sorted(choices))}, not {value!r}"
         )
+
+
+#: The settings that are budgets: a run cut short by one says so.
+BUDGETS = ("max_hops", "max_paths")
+
+
+def check_budget(name: str, value: int) -> None:
+    """Refuse a ``value`` of budget ``name`` that leaves no room to explore."""
+    if value < 1:
+        raise ValueError(f"'{name}' must be >= 1, not {value}")
 
 
 #: Every setting's name, in declaration order — what a front end accepts.

@@ -133,13 +133,15 @@ class ExecutionState:
     def is_alive(self) -> bool:
         return self.status == PathStatusValues.ALIVE
 
-    def digest(self) -> int:
-        """Digest of the future (module docstring): equal futures have
-        equal digests.  O(1): every part is kept up to date."""
+    def digest(self, swap: Optional[tuple] = None) -> int:
+        """Digest of the future (module docstring) — with ``swap``, ``(var,
+        domain)``, of the future whose ``var`` is narrowed to ``domain``
+        instead: equal futures have equal digests.  O(1): every part is kept
+        up to date."""
         condition = self.condition
         return hash((
-            condition.digest, condition.unsat, self.header.digest,
-            self.metadata.digest, self.tags_digest,
+            condition.digest if swap is None else condition.digest_with(*swap),
+            condition.unsat, self.header.digest, self.metadata.digest, self.tags_digest,
         ))
 
     def future(self) -> "ExecutionState":
@@ -152,14 +154,19 @@ class ExecutionState:
         )
         return copy
 
-    def same_future(self, other: "ExecutionState") -> bool:
-        """Whether ``other``'s future is exactly this state's."""
+    def same_future(self, other: "ExecutionState", swap: Optional[tuple] = None) -> bool:
+        """Whether ``other``'s future — with ``swap`` as in :meth:`digest` —
+        is exactly this state's."""
         mine, theirs = self.condition, other.condition
+        domains = theirs.domains
+        if swap is not None:
+            domains = dict(domains)
+            domains[swap[0]] = swap[1]
         return (
             mine.unsat == theirs.unsat and self.tags == other.tags
             and self.header.same_slots(other.header)
             and self.metadata.same_slots(other.metadata)
-            and mine.residual == theirs.residual and mine.domains == theirs.domains
+            and mine.residual == theirs.residual and mine.domains == domains
         )
 
     # -- tags -----------------------------------------------------------------

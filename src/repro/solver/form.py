@@ -474,6 +474,13 @@ class PathCondition:
 
     # -- queries --------------------------------------------------------------
 
+    def digest_with(self, var: Var, domain: IntervalSet) -> int:
+        """The digest :meth:`narrow` would leave narrowing ``var`` to
+        ``domain``, worked out without narrowing."""
+        current = self.domains.get(var)
+        digest = self.digest ^ _sketch(var, domain)
+        return digest if current is None else digest ^ _sketch(var, current)
+
     def constraint_count(self) -> int:
         return len(self.formulas)
 

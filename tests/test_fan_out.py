@@ -15,6 +15,7 @@ import pytest
 
 from repro import ExecutionSettings, Network, NetworkElement, SymbolicExecutor
 from repro.api import Loop, NetworkModel, Reach
+from repro.core.facts import FactFold, Facts
 from repro.core.jobs import runtime_for
 from repro.core.state import ExecutionState
 from repro.models.router import router_egress
@@ -103,6 +104,14 @@ class TestCloneCounts:
         assert [str(p.last_port) for p in result] == ["r:p2"]
         assert clones[0] == 1
 
+    def test_a_folding_run_hands_the_parent_to_the_last_living_port(self, clones):
+        """A run that folds its facts keeps no record, so no dead port's
+        flyweight reads the fork's parent: the living port takes it."""
+        fold = FactFold(Facts(kinds=("reachability",)))
+        SymbolicExecutor(egress_router(PORTS)).inject(packet_to(ONLY_P2), "r", fold=fold)
+        assert fold.delivered_to == {"r:p2": 1}
+        assert clones[0] == 0
+
     def test_one_backbone_job_clones_about_half_as_often(self, clones):
         """One injection port of the ``backbone-*`` network (stanford, 48
         zones): 196 clones when every egress branch was cloned, run and
@@ -113,6 +122,57 @@ class TestCloneCounts:
         (answer,) = model.query(Loop(("acl0", "in0")))
         assert answer.holds is True
         assert 0 < clones[0] <= 102
+
+
+#: The bench's queries over exported stanford (16 zones, 12 prefixes per
+#: zone, 4 ACL rules) on one worker, memo on: the answers' fingerprints and
+#: the counters, captured when every living egress child was built before
+#: the memo was asked for it (783 clones for 400 replays).
+STANFORD_16_FINGERPRINTS = [
+    "edfcc11fcd2578c48f7b8e94c6a576f63e7911210a0aa7549953f01e930ff90f",
+    "33f10dfbab16d52ddbb283cbf8e1d61a58008294facacef3dd28f1ee7ae2ba38",
+    "8d973295ce7944567f3b7f1f4c50b31a6bc1bc675d389e8cabc24b1144f1986f",
+]
+STANFORD_16_COUNTERS = {
+    "engine_steps": 226,
+    "state_memo_hits": 400,
+    "state_memo_misses": 226,
+    "solver_calls": 4,
+    "solver_fast_paths": 1552,
+    "solver_cache_hits": 60,
+    "solver_cache_misses": 4,
+    "solver_shared_cache_hits": 0,
+    "solver_cache_merged": 0,
+    "solver_shared_round_trips": 0,
+}
+
+
+class TestMemoAnsweredChildren:
+    def test_a_memo_answered_child_is_never_built(self, clones, tmp_path):
+        """A core router forks every packet to all its ports, and the memo
+        answers for most of the children: they are replayed off the parent
+        and never cloned, so the operation clones fewer states than it
+        replays — and answers and counts exactly as when each was built."""
+        from repro.api import Invariant, ForAllPairs
+        from repro.workloads.export import export_stanford_directory
+
+        export_stanford_directory(
+            str(tmp_path), zones=16, internal_prefixes_per_zone=12, service_acl_rules=4
+        )
+        model = NetworkModel.from_directory(str(tmp_path))
+        clones[0] = 0
+        run = model.query(
+            ForAllPairs(Reach), Loop(), Invariant("IpSrc"),
+            workers=1, symmetry=False, delta=False,
+        )
+        stats = run.stats.to_dict()
+        assert [answer.fingerprint for answer in run.results] == STANFORD_16_FINGERPRINTS
+        assert {
+            name: value for name, value in stats.items()
+            if name.startswith(("solver_", "state_memo_", "engine_steps"))
+            and not isinstance(value, float)
+        } == STANFORD_16_COUNTERS
+        assert 0 < clones[0] < stats["state_memo_hits"]
 
 
 #: ``ExecutionResult.to_json()`` of the run below minus ``path_id`` and the

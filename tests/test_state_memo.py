@@ -8,11 +8,12 @@ answers, for fewer engine steps.
 The random networks are ``tests/test_strategies.py``'s, seed-pinned
 (override with ``REPRO_DIFF_SEED``).  A subtree is recorded once its root has
 been explored ``RECORD_AFTER`` times outside any recording, so every port is
-injected ``RECORD_AFTER + 2`` times: the last round replays.  Six planted
+injected ``RECORD_AFTER + 2`` times: the last round replays.  Seven planted
 faults — a replay that ignores its footprint, its ``max_paths`` headroom or
 its symbol draws, or drops the entering path's ports from an example trace,
-a subtree stored although it lived on an ``unknown`` verdict, and one
-stored although a loop check read its entering path — must each be caught.
+or is made when a fork queues the child rather than when it is popped, a
+subtree stored although it lived on an ``unknown`` verdict, and one stored
+although a loop check read its entering path — must each be caught.
 """
 
 import random
@@ -34,7 +35,10 @@ from repro.core.queries import ensure_core_families
 from repro.core.settings import RunSettings
 from repro.core.sources import NetworkSource
 from repro.obs.metrics import MetricsRegistry
-from repro.sefl import Assign, Eq, Fail, Fork, Forward, If, InstructionBlock, SymbolicValue, TcpDst
+from repro.sefl import (
+    Assign, Constrain, Eq, Fail, Fork, Forward, If, InstructionBlock, IpDst, OneOf,
+    SymbolicValue, TcpDst,
+)
 from repro.solver.ast import Const, Var
 from repro.solver.form import AppendLog, PathCondition
 from repro.solver.intervals import IntervalSet
@@ -249,10 +253,11 @@ def _checking_digests(monkeypatch, context):
         assert state.digest() == _scratch_digest(state), context
         checked[0] += 1
 
-    execute, follow, step = (
+    execute, follow, step, replay = (
         engine.SymbolicExecutor._execute,
         engine.SymbolicExecutor._follow,
         engine.SymbolicExecutor._step,
+        memo_module.Recorder.replay,
     )
 
     def checked_execute(self, instruction, outcome, element):
@@ -269,9 +274,20 @@ def _checking_digests(monkeypatch, context):
         check(state)
         return step(self, state, *args)
 
+    def checked_replay(self, state, element, in_port, pending, swap=None, port=None):
+        if swap is not None:  # an unbuilt child: its key and future off its parent's
+            var, domain = swap
+            child = state.clone()
+            child.condition.narrow(var, domain, domain)
+            assert state.digest(swap) == _scratch_digest(child) == child.digest(), context
+            assert child.future().same_future(state, swap), context
+            checked[0] += 1
+        return replay(self, state, element, in_port, pending, swap, port)
+
     monkeypatch.setattr(engine.SymbolicExecutor, "_execute", checked_execute)
     monkeypatch.setattr(engine.SymbolicExecutor, "_follow", checked_follow)
     monkeypatch.setattr(engine.SymbolicExecutor, "_step", checked_step)
+    monkeypatch.setattr(memo_module.Recorder, "replay", checked_replay)
     return checked
 
 
@@ -498,6 +514,97 @@ def test_a_summary_refuses_a_loop_ending(monkeypatch):
     with pytest.raises(AssertionError, match="loop check"):
         for case in LOOPED:
             _run(_network(case), StateMemo())
+
+
+# ---------------------------------------------------------------------------
+# Unbuilt children: asked for when popped, never when queued
+# ---------------------------------------------------------------------------
+
+
+def _span(index):
+    """``10.index.0.0/16``."""
+    return ((10 << 24) | (index << 16), (10 << 24) | (index << 16) | 0xFFFF)
+
+
+def _fork_then_fail_network():
+    """``r`` forks web traffic to three router-style guarded ports, a sink
+    behind each, and fails the rest: its program's forwarding outcome comes
+    before a failing one.  Fronts ``f0``-``f2`` narrow the destination to
+    anything, ``10/8`` and ``10.0/14``, so ``r`` is entered with three
+    futures, but each guard narrows all three to its own ``/16``: the
+    sinks' states are shared, and the memo answers for ``r``'s children.
+    ``g`` hands ``sink0`` the state ``r``'s ``p0`` child has, in a run that
+    ends one path: its summary is stored under any budget."""
+    ports = ("p0", "p1", "p2")
+    network = Network("fork-then-fail")
+    router = _forwarder("r", If(Eq(TcpDst, 80), Fork(*ports), Fail("not web")), ports)
+    network.add_element(router)
+    for index, port in enumerate(ports):
+        router.set_output_program(port, Constrain(OneOf(IpDst, [_span(index)])))
+        network.add_element(_forwarder(f"sink{index}", Forward("out0")))
+        network.add_link(("r", port), (f"sink{index}", "in0"))
+    ten, ten_14 = (10 << 24, (11 << 24) - 1), ((10 << 24), _span(3)[1])
+    for index, narrowing in enumerate(([], [Constrain(OneOf(IpDst, [ten]))],
+                                       [Constrain(OneOf(IpDst, [ten_14]))])):
+        network.add_element(_forwarder(f"f{index}", InstructionBlock(*narrowing, Forward("out0"))))
+        network.add_link((f"f{index}", "out0"), ("r", "in0"))
+    web_to_p0 = (Constrain(Eq(TcpDst, 80)), Constrain(OneOf(IpDst, [_span(0)])))
+    network.add_element(_forwarder("g", InstructionBlock(*web_to_p0, Forward("out0"))))
+    network.add_link(("g", "out0"), ("sink0", "in0"))
+    return network
+
+
+@pytest.mark.parametrize("point", [{}, {"max_paths": 2}])
+def test_unbuilt_children_keep_the_termination_order(point, monkeypatch):
+    """A fork's children are queued unbuilt and the memo is asked for each
+    when it is popped: after ``r``'s failing outcome has ended, as when each
+    child was built.  Replaying them as they are queued would tally them
+    first (and, under a budget of two, replay a child where exploring it
+    stops the run)."""
+    hits = []
+    replay = memo_module.Recorder.replay
+
+    def counting(self, state, element, in_port, pending, swap=None, port=None):
+        hit = replay(self, state, element, in_port, pending, swap, port)
+        hits.append(hit and swap is not None)
+        return hit
+
+    monkeypatch.setattr(memo_module.Recorder, "replay", counting)
+    network = _fork_then_fail_network()
+    ports = [("g", "in0")] * (RECORD_AFTER + 1) + [(f"f{index}", "in0") for index in range(3)]
+    explored, _ = _run(network, None, ports, **point)
+    replayed, stats = _run(network, StateMemo(), ports, **point)
+    assert len(replayed) == len(explored) == INJECTIONS * len(ports)
+    for index, (got, expected) in enumerate(zip(replayed, explored)):
+        assert got == expected, f"{point} injection {index}"
+    assert stats.engine_steps == stats.state_memo_misses
+    if not point:
+        assert sum(hits) and stats.state_memo_hits > sum(hits)  # and whole fronts
+
+
+@pytest.mark.parametrize("point", [{}, {"max_paths": 2}])
+def test_a_replay_made_when_a_child_is_queued_is_caught(point, monkeypatch):
+    from repro.core import engine
+
+    fan_out = engine.SymbolicExecutor._fan_out
+
+    def eager(self, state, element, exits, worklist, result):
+        start = len(worklist)
+        fan_out(self, state, element, exits, worklist, result)
+        queued = worklist[start:]
+        del worklist[start:]
+        for item in queued:
+            if len(item) == 3 or not self._recorder.replay(
+                item[0], item[1].next_element, item[1].next_port, len(worklist),
+                (item[3], item[4]), item[1].key,
+            ):
+                worklist.append(item)
+
+    network = _fork_then_fail_network()
+    ports = [("g", "in0")] * (RECORD_AFTER + 1) + [(f"f{index}", "in0") for index in range(3)]
+    assert not _differs(network, ports, **point)
+    monkeypatch.setattr(engine.SymbolicExecutor, "_fan_out", eager)
+    assert _differs(network, ports, **point)
 
 
 # ---------------------------------------------------------------------------
