@@ -35,9 +35,9 @@ STANFORD_OPTIONS = dict(zones=4, internal_prefixes_per_zone=30, service_acl_rule
 NETWORK = {"workload": "stanford", "options": STANFORD_OPTIONS}
 # Client A asks about one zone-edge ACL port (the first of the default
 # injection ports in sorted order, so its job reports first); client B
-# sweeps the whole network.  Symmetry off on both (the compatibility key
-# must match) so the engine-run count is exactly the merged plan's job
-# count.
+# sweeps the whole network.  Both run under the default settings (the
+# compatibility key must match), so they merge and the engine-run count is
+# exactly the merged plan's job count.
 QUERIES_A = ["loop(acl0:in0)"]
 QUERIES_B = ["forall_pairs(reach)", "loop()"]
 # One field, two witness budgets: the merged job collects the larger.
@@ -47,7 +47,7 @@ WITNESSES_D = ["admitted_values(IpDst, samples=5)"]
 
 def batch_fingerprints(texts):
     model = NetworkModel.from_workload("stanford", **STANFORD_OPTIONS)
-    plan = compile_plan(model, [parse_query(t) for t in texts], symmetry=False)
+    plan = compile_plan(model, [parse_query(t) for t in texts])
     result = execute_plan(plan)
     assert not result.job_errors
     return {r.query: r.fingerprint for r in result.results}
@@ -74,8 +74,8 @@ def main():
         with ServiceClient(ready["host"], ready["port"]) as a, \
                 ServiceClient(ready["host"], ready["port"]) as b:
             # Both submissions land inside one batch window and merge.
-            id_a = a.submit(NETWORK, QUERIES_A, symmetry=False)
-            id_b = b.submit(NETWORK, QUERIES_B, symmetry=False)
+            id_a = a.submit(NETWORK, QUERIES_A)
+            id_b = b.submit(NETWORK, QUERIES_B)
             messages_a = a.drain(id_a)
             messages_b = b.drain(id_b)
             stats = a.stats()
@@ -152,8 +152,8 @@ def main():
 
         with ServiceClient(ready["host"], ready["port"]) as c, \
                 ServiceClient(ready["host"], ready["port"]) as d:
-            id_c = c.submit(NETWORK, WITNESSES_C, symmetry=False)
-            id_d = d.submit(NETWORK, WITNESSES_D, symmetry=False)
+            id_c = c.submit(NETWORK, WITNESSES_C)
+            id_d = d.submit(NETWORK, WITNESSES_D)
             messages_c = c.drain(id_c)
             d.drain(id_d)
         accepted_c = next(m for m in messages_c if m["type"] == "accepted")

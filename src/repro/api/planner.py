@@ -9,8 +9,8 @@ witness sampling, example traces).
 
 :func:`execute_plan` runs that job set through the
 :class:`~repro.core.campaign.VerificationCampaign` pipeline — process-pool
-workers, the verdict-cache tiers, delta splicing and symmetry reduction are
-all inherited — and demultiplexes one
+workers, the verdict-cache tiers, the state memo and delta splicing are all
+inherited — and demultiplexes one
 :class:`~repro.api.queries.QueryResult` per query out of the shared per-job
 reports, each the moment the jobs in its own port scope have reported.  Answers are bit-identical to running each
 query through its own dedicated campaign: the demultiplexer re-aggregates
@@ -97,7 +97,7 @@ class Plan:
         like the model fingerprint it pairs with in the plan-cache key —
         of *where* a snapshot directory lives, so byte-identical checkouts
         share plan identities.  Of the settings only the identity fields
-        take part: tier switches never move an answer, so e.g. symmetric
+        take part: tier switches never move an answer, so e.g. spliced
         and direct runs share one plan-cache identity."""
         payload = (
             PLAN_SCHEME,
@@ -119,7 +119,6 @@ class Plan:
                 port_key(*port): facts.to_dict() for port, facts in self.port_facts
             },
             "jobs": self.job_count,
-            "symmetry": self.settings.symmetry,
             "fingerprint": self.fingerprint(),
         }
 
@@ -396,7 +395,7 @@ def execute_plan(
     ``delta`` left on, directory models also auto-detect the store's
     recorded baseline, so an edited directory on a plan-cache miss only
     re-executes the injection ports the edit could have touched (see
-    :mod:`repro.core.delta`).  ``switches`` (``delta=``, ``symmetry=``, …)
+    :mod:`repro.core.delta`).  ``switches`` (``delta=``, ``state_memo=``, …)
     override the plan's tier switches for this execution; none is part of
     the plan fingerprint.
 

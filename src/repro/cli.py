@@ -238,14 +238,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # The run settings each command takes.  ``reachability`` runs one
     # executor; a command that runs a campaign takes every setting but those
-    # it excludes, so a new setting is a flag of all three with no edit
-    # here.  Only ``campaign`` audits; a scenario keeps the default budgets,
-    # strategy and pins.
+    # it excludes, so a new setting is a flag of all of them with no edit
+    # here.  A scenario keeps the default budgets, strategy and pins.
     budgets = ("field_values", "max_hops", "max_paths", "strategy")
-    audit = ("symmetry_audit", "symmetry_audit_seed")
     reach_flags = _setting_flags(("packet",) + budgets)
-    query_flags = _setting_flags(set(SETTING_NAMES) - set(audit))
-    scenario_flags = _setting_flags(set(SETTING_NAMES) - set(budgets + audit))
+    scenario_flags = _setting_flags(set(SETTING_NAMES) - set(budgets))
     sub = parser.add_subparsers(dest="command", required=True)
 
     show = sub.add_parser(
@@ -268,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     query = sub.add_parser(
-        "query", parents=[common, traced, workload, query_flags, pipeline, output],
+        "query", parents=[common, traced, workload, _setting_flags(), pipeline, output],
         help="declarative network queries compiled onto one shared campaign "
         "plan (queries over the same injection port share one execution)",
     )
@@ -519,11 +516,6 @@ def _command_reachability(args: argparse.Namespace) -> int:
 
 def _command_campaign(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
-
-    if args.symmetry_audit_seed and not args.symmetry_audit:
-        _LOG.warning(
-            "--symmetry-audit-seed has no effect without --symmetry-audit"
-        )
     baseline = None
     if args.delta_from:
         try:

@@ -51,7 +51,7 @@ __getattr__, __dir__ = _lazy_exports(
     (
         "campaign", "checks", "delta", "engine", "errors", "executor", "facts",
         "jobs", "memo", "memory", "paths", "queries", "settings", "shapes",
-        "sources", "state", "symmetry", "values",
+        "sources", "state", "values",
     ),
 )
 

@@ -6,24 +6,25 @@ takes a network *source*, a set of injection points and packet templates,
 turns them into one :class:`~repro.core.jobs.CampaignJob` per injection
 point and pushes them through a **staged pipeline**:
 
-``validate → jobs → [delta, symmetry] partition → execute → aggregate →
-store publish → reducer finish (counters, baseline record)``
+``validate → jobs → delta partition → execute → aggregate → store publish →
+delta finish (summary, baseline record)``
 
-* the *job reducers* (:class:`~repro.core.delta.DeltaReducer`,
-  :class:`~repro.core.symmetry.SymmetryReducer`) are the work-avoidance
-  stages: each takes jobs off the run list and later supplies their reports;
+* the *delta stage* (:class:`~repro.core.delta.DeltaReducer`) is the one
+  work-avoidance stage in front of the executor: it answers the ports a
+  change provably did not touch from a baseline and records the finished
+  run as the next one;
 * the *executor* (:func:`repro.core.executor.run_jobs`) runs what is left —
   in-process or on a process pool — and is the only stage that knows how;
 * the aggregation folds the per-job reports into the query objects of
   :mod:`repro.core.queries`.  It is order-independent, so a campaign run on
-  ``--workers N``, with or without either reducer, produces bit-identical
+  ``--workers N``, with or without delta splicing, produces bit-identical
   query results to a plain sequential run.
 
 This module keeps the orchestration (:class:`VerificationCampaign`,
 :class:`CampaignResult`) and re-exports the names of the stages' modules
 (:mod:`~repro.core.sources`, :mod:`~repro.core.jobs`,
-:mod:`~repro.core.executor`, :mod:`~repro.core.symmetry`,
-:mod:`~repro.core.delta`) that users import from here.
+:mod:`~repro.core.executor`, :mod:`~repro.core.delta`) that users import
+from here.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from repro.core.sources import (
     default_injection_ports,
     free_input_ports,
 )
-from repro.core.symmetry import SymmetryAuditError, SymmetryReducer
 from repro.network.topology import Network
 from repro.obs import get_tracer
 from repro.obs.metrics import STORE_PUBLISH_SECONDS
@@ -92,7 +92,6 @@ __all__ = [
     "JobReport",
     "NetworkSource",
     "RunSettings",
-    "SymmetryAuditError",
     "VerificationCampaign",
     "clear_runtime_cache",
     "default_injection_ports",
@@ -247,7 +246,7 @@ class VerificationCampaign:
         **options: object,
     ) -> None:
         """``options`` are :class:`~repro.core.settings.RunSettings` fields
-        (``packet``, ``max_paths``, ``symmetry``, …) and
+        (``packet``, ``max_paths``, ``delta``, …) and
         :class:`~repro.core.facts.Facts` channels (``invariant_fields``, …);
         ``queries`` is the campaign's spelling of the facts' ``kinds``.
         ``baseline`` is a :class:`~repro.core.delta.CampaignBaseline` or its
@@ -372,21 +371,6 @@ class VerificationCampaign:
             for element, port in sorted(set(self._injections))
         ]
 
-    def _reducers(self) -> list:
-        """The work-avoidance stages, outermost first.  A fixed list: delta
-        answers whole ports from the baseline, symmetry collapses what is
-        left — so an edited zone re-executes once, not once per member."""
-        return [
-            DeltaReducer(
-                self.source,
-                self.network,
-                enabled=self.settings.delta,
-                baseline=self._baseline,
-                store=self._store,
-            ),
-            SymmetryReducer(self.network, self.settings),
-        ]
-
     def _publish(self, result: CampaignResult) -> None:
         """Persist every fresh verdict this campaign derived.  A
         definite-vs-definite conflict with the store proves a corrupted
@@ -424,25 +408,17 @@ class VerificationCampaign:
         on_report: Optional[Callable[[JobReport], None]] = None,
         pool: Optional[object] = None,
     ) -> CampaignResult:
-        """Execute the campaign: a fold over the reducer list in front of
-        one executor.
-
-        Each **reducer** has the same shape.  ``partition(jobs) -> (jobs
-        still to run, reports ready now)`` takes work off the run list;
-        ``expand(finished report) -> derived reports`` supplies, from a
-        report of a job it let through, the reports of jobs it held back;
-        ``finish(result)`` writes the stage's counters once the result is
-        aggregated.  Reducers stack: a report that becomes final behind
-        reducer *k* is offered to reducers *k-1 … 0* in turn.
+        """Execute the campaign: the delta stage splices what a baseline
+        answers, the executor runs the rest.
 
         ``on_report`` streams every final :class:`JobReport` — spliced from
-        a delta baseline, executed, or symmetry-instantiated — to the
-        caller the moment it is known, before the rest of the campaign
-        finishes (the resident service answers queries from these before
-        the slowest job lands).  ``pool`` lends an already-running
-        ``ProcessPoolExecutor`` (service-owned, reused across requests); a
-        borrowed pool is never shut down here.  Either way the aggregated
-        result is bit-identical to the default barrier run.
+        a delta baseline or executed — to the caller the moment it is
+        known, before the rest of the campaign finishes (the resident
+        service answers queries from these before the slowest job lands).
+        ``pool`` lends an already-running ``ProcessPoolExecutor``
+        (service-owned, reused across requests); a borrowed pool is never
+        shut down here.  Either way the aggregated result is bit-identical
+        to the default barrier run.
 
         Every stage runs under a span named after it, so the ``campaign``
         span of a traced run has no unattributed remainder.
@@ -461,13 +437,17 @@ class VerificationCampaign:
             )
             with tracer.span("jobs"):
                 pending = self.jobs(memo_scope=os.urandom(8).hex())
-            reducers = self._reducers()
+            delta = DeltaReducer(
+                self.source,
+                self.network,
+                enabled=self.settings.delta,
+                baseline=self._baseline,
+                store=self._store,
+            )
             final_reports: List[JobReport] = []
 
-            def deliver(report: JobReport, depth: int) -> None:
-                """Account one final report — it answers a job that got
-                past ``reducers[:depth]`` — and everything those reducers
-                derive from it, the moment it is known."""
+            def deliver(report: JobReport) -> None:
+                """Account one final report the moment it is known."""
                 if report.spans:
                     # Worker-recorded spans: remap their ids into this
                     # process's trace and hang their roots off the campaign
@@ -478,25 +458,16 @@ class VerificationCampaign:
                 final_reports.append(report)
                 if on_report is not None:
                     on_report(report)
-                for index in reversed(range(depth)):
-                    for derived in reducers[index].expand(report):
-                        deliver(derived, index)
 
-            for depth, reducer in enumerate(reducers):
-                with tracer.span(reducer.name + ".partition", jobs=len(pending)):
-                    pending, ready = reducer.partition(pending)
-                    # Reports a partition already produced are final:
-                    # stream them before anything slower runs (aggregation
-                    # is order-independent, so this cannot move any answer).
-                    for report in ready:
-                        deliver(report, depth)
+            with tracer.span("delta.partition", jobs=len(pending)):
+                pending, spliced = delta.partition(pending)
+                # Spliced reports are final: stream them before anything
+                # slower runs (aggregation is order-independent, so this
+                # cannot move any answer).
+                for report in spliced:
+                    deliver(report)
             with tracer.span("execute", jobs=len(pending)):
-                mode = run_jobs(
-                    pending,
-                    workers,
-                    pool,
-                    lambda report: deliver(report, len(reducers)),
-                )
+                mode = run_jobs(pending, workers, pool, deliver)
             with tracer.span("aggregate", jobs=len(final_reports)):
                 result = CampaignResult.aggregate(
                     self.source.describe(),
@@ -509,8 +480,7 @@ class VerificationCampaign:
                 )
             if self._store is not None:
                 self._publish(result)
-            for reducer in reducers:
-                reducer.finish(result)
+            delta.finish(result)
             if self._store is not None:
                 # Driver-side store failures (failed quarantine moves,
                 # baseline writes, ...) during this run join the job-side

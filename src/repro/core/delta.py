@@ -25,8 +25,7 @@ networks:
 * :class:`DeltaReducer` is the pipeline stage built from those parts: it
   splices baseline reports for unaffected ports into the fresh result,
   leaves only the rest on the run list (one edited ACL on a wide network ≈
-  one engine job, and symmetry still collapses whatever does rerun), and
-  records the finished run as the next run's baseline.
+  one engine job), and records the finished run as the next run's baseline.
 
 The standing invariant applies: delta on/off changes which tier answers,
 never the answer — a spliced result is bit-identical to a full rerun.
@@ -277,7 +276,7 @@ def record_baseline(
 ) -> CampaignBaseline:
     """Package a finished campaign as the next run's baseline.  Errored
     reports are left out (their answer is not an answer); everything else —
-    executed, symmetry-instantiated or itself spliced — carries the same
+    executed or itself spliced — carries the same
     semantic content a fresh run would produce, so all of it is reusable."""
     entries: Dict[str, Dict[str, object]] = {}
     for report in reports:
@@ -292,11 +291,11 @@ def record_baseline(
 
 
 class DeltaReducer:
-    """The delta stage of the campaign pipeline (see
-    :meth:`repro.core.campaign.VerificationCampaign.run` for the reducer
-    contract): ``partition`` answers from the baseline every job the
-    directory diff provably did not touch, ``finish`` writes the stage's
-    summary and records the run as the directory's next baseline.
+    """The work-avoidance stage in front of the campaign's executor (see
+    :meth:`repro.core.campaign.VerificationCampaign.run`): ``partition``
+    answers from the baseline every job the directory diff provably did not
+    touch, ``finish`` writes the stage's summary and records the run as the
+    directory's next baseline.
 
     Nothing is spliced unless ``enabled``.  ``baseline`` is an explicit
     :class:`CampaignBaseline` (a ``--save-baseline`` file, a scenario's
@@ -304,8 +303,6 @@ class DeltaReducer:
     baseline ``store`` recorded.  ``store`` is ``None`` whenever the
     campaign's cache stack is off: an isolated run neither reads nor feeds
     any tier."""
-
-    name = "delta"
 
     def __init__(
         self,
@@ -394,16 +391,13 @@ class DeltaReducer:
         }
         return run, spliced
 
-    def expand(self, report: JobReport) -> Sequence[JobReport]:
-        return ()
-
     def finish(self, result) -> None:
         result.delta_info = dict(self._info)
         if not self._directory:
             return
         # Record this run as the directory's delta baseline: the build
-        # manifest plus every non-errored report (executed, instantiated or
-        # itself spliced — all carry the same semantic content a fresh run
+        # manifest plus every non-errored report (executed or itself
+        # spliced — both carry the same semantic content a fresh run
         # would).  Attached to the result for --save-baseline; persisted in
         # the store so the next campaign auto-detects it.  Only a write
         # encodes it.

@@ -311,7 +311,7 @@ class SymbolicExecutor:
         probed, the atom already classified when the field holds a plain
         variable; any other program is left to :meth:`_emit`.  Ports are then
         served in order.  A living one gets a clone (``state`` itself when it
-        is the last, unless a port died in a run that keeps records) and, for a
+        is the last, unless a dead port's record may read it) and, for a
         plain variable, the domain the probe narrowed it to — except that in a
         run with a state memo a plain variable's port with a next hop is queued
         unbuilt (:data:`Worklist`): the first one queued, popped last of its
@@ -348,9 +348,10 @@ class SymbolicExecutor:
             plans.append((egress, program, term, narrowed, alive))
 
         keep_failed = self._fold is None and self.settings.record_failed_paths
-        # ``state`` is spoken for once a dead port's record may read it (only
-        # a run that keeps records has any) or an unbuilt child took it.
-        taken = died and self._fold is None
+        # ``state`` is spoken for once a dead port's flyweight may read it
+        # (only a run that records failed paths keeps any) or an unbuilt
+        # child took it.
+        taken = died and keep_failed
         defer = self._recorder is not None
         for egress, program, term, narrowed, alive in plans:
             if not alive:

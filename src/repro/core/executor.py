@@ -3,7 +3,7 @@
 :func:`run_jobs` is the only code that knows about process pools, the
 ``multiprocessing.Manager`` shared verdict tier, the pool startup probe and
 ``BrokenProcessPool`` recovery.  Everything above it (the campaign pipeline,
-the reducers, the resident service) hands it jobs and an ``on_report``
+the delta stage, the resident service) hands it jobs and an ``on_report``
 callback and learns nothing but the execution mode that was used — so a
 different backend is a change to this module alone.
 """

@@ -4,8 +4,8 @@ Two of the campaign layer's three declarations (the third is
 :class:`~repro.core.settings.RunSettings`): :class:`Facts`, the channels a
 job collects, and :data:`REPORT_FIELDS`, the answer fields of a
 :class:`~repro.core.jobs.JobReport` with the *shape*
-(:mod:`repro.core.shapes`) their baseline encoding and decoding, symmetry
-renaming and JSON rendering are derived from.
+(:mod:`repro.core.shapes`) their baseline encoding and decoding and JSON
+rendering are derived from.
 
 A job collects by folding: its :class:`FactFold` takes each path the moment
 it ends (the engine's ``_end``), so the job keeps no path record, and a
@@ -27,7 +27,7 @@ from repro.core.checks import admitted_values, field_invariant, header_visible
 from repro.core.errors import MemorySafetyError
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
 from repro.core.queries import AGGREGATIONS
-from repro.core.shapes import Reason, Shape, Text
+from repro.core.shapes import Reason, Shape
 from repro.sefl.fields import standard_fields
 from repro.solver.solver import Solver
 
@@ -105,15 +105,6 @@ class Facts:
             for value in vars(self).values()
         )
 
-    @property
-    def order_sensitive(self) -> bool:
-        """True when a channel records discovery-order-sensitive artifacts
-        (example traces, capped witness samples).  Such jobs never share a
-        symmetry class: a renamed zone enumerates its Fork children in a
-        different order, so "the first delivered path" is not
-        renaming-stable; counts, loop sets and tallies are."""
-        return self.record_examples or bool(self.witness_fields)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             name: [list(v) if isinstance(v, tuple) else v for v in value]
@@ -130,8 +121,8 @@ class Facts:
 
 def loop_sort_key(loop: Mapping[str, object]) -> Tuple:
     """Canonical order for a report's loop findings: they must be
-    comparable across symmetric jobs whose Fork children enumerate in
-    different (renamed) orders, so discovery order is never kept."""
+    comparable across tiers that find them in different orders, so
+    discovery order is never kept."""
     return (
         str(loop.get("detected_at", "")),
         str(loop.get("reason", "")),
@@ -156,27 +147,27 @@ class ReportField(Shape):
 
 
 #: The JobReport fields that *are* the answer — what a delta baseline
-#: persists, a renaming rewrites and two tiers must agree on — as opposed to
-#: provenance (pids, timings, solver counters, symmetry/delta marks).
+#: persists and two tiers must agree on — as opposed to provenance (pids,
+#: timings, solver counters, the delta mark).
 #: ``element`` and ``port`` complete :data:`SEMANTIC_FIELDS`.
 REPORT_FIELDS = (
     ReportField("packet", str),
     ReportField("status_counts", {str: int}),
-    ReportField("delivered_to", {Text: int}),
+    ReportField("delivered_to", {str: int}),
     ReportField(
         "loops",
-        [{"detected_at": Text, "reason": Reason, "trace": [Text], "cut_off": bool}],
+        [{"detected_at": str, "reason": Reason, "trace": [str], "cut_off": bool}],
         order=loop_sort_key,
     ),
     ReportField("drop_reasons", {Reason: int}),
     ReportField("invariants", {str: {str: int}}),
     #: field -> destination port -> {checked, visible, skipped} counters.
-    ReportField("visibility", {str: {Text: {str: int}}}, optional=True),
+    ReportField("visibility", {str: {str: {str: int}}}, optional=True),
     #: field -> destination port -> concrete witness values in the order
     #: found: the first ``samples`` are what a ``samples`` budget finds.
-    ReportField("witnesses", {str: {Text: [int]}}, optional=True),
+    ReportField("witnesses", {str: {str: [int]}}, optional=True),
     #: destination port -> one example port trace demonstrating delivery.
-    ReportField("delivered_examples", {Text: [Text]}, optional=True),
+    ReportField("delivered_examples", {str: [str]}, optional=True),
     ReportField("truncated", bool),
 )
 SEMANTIC_FIELDS = ("element", "port") + tuple(spec.name for spec in REPORT_FIELDS)

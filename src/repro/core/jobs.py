@@ -72,7 +72,7 @@ class CampaignJob:
     #: Record spans inside the (pool) worker and ship them back through
     #: ``JobReport.spans``.  Telemetry only — deliberately absent from
     #: ``job_config_digest``, baselines and every report projection, so
-    #: tracing can never move an answer or split a symmetry class.
+    #: tracing can never move an answer.
     trace: bool = False
     #: The content identity of the driver's build (directory sources).  A
     #: process that rebuilds ``source`` from disk — a pool worker, or the
@@ -92,10 +92,10 @@ class CampaignJob:
 
 def job_config_digest(job: CampaignJob) -> str:
     """Digest of everything behaviour-relevant in a job except its injection
-    point: jobs may only share a symmetry class — and a baseline report may
-    only be spliced — when the settings' identity fields and the fact
-    channels agree exactly.  Tier switches and store wiring are deliberately
-    absent — they change which tier answers, never the answer."""
+    point: a baseline report may only be spliced when the settings' identity
+    fields and the fact channels agree exactly.  Tier switches and store
+    wiring are deliberately absent — they change which tier answers, never
+    the answer."""
     from repro.network.view import config_digest
 
     return config_digest((job.settings.identity(), job.facts))
@@ -106,7 +106,7 @@ def job_config_digest(job: CampaignJob) -> str:
 class JobReport:
     """Picklable digest of one job: the answer (per-query facts) plus the
     one :class:`SolverStats` delta it cost.  Reports derived without engine
-    work (symmetry-instantiated, delta-spliced) carry a zero delta, so the
+    work (delta-spliced) carry a zero delta, so the
     aggregated stats say exactly what ran."""
 
     element: str
@@ -129,13 +129,6 @@ class JobReport:
     #: (fingerprint, verdict) pairs this job added to its worker's verdict
     #: cache — merged into the campaign-level cache by the aggregation.
     verdict_cache_entries: Tuple[Tuple[str, str], ...] = ()
-    #: Symmetry-class identity (a canonical-form fingerprint prefix), set on
-    #: both class representatives and instantiated members when the campaign
-    #: ran with symmetry reduction.
-    symmetry_class: str = ""
-    #: For instantiated reports: the ``element:port`` of the representative
-    #: job whose engine run this report was derived from.
-    symmetry_instantiated_from: str = ""
     #: Set when delta verification spliced this report from a stored
     #: baseline instead of executing it ("store" or "file").
     delta_spliced_from: str = ""
@@ -156,15 +149,12 @@ class JobReport:
     @property
     def outcome(self) -> str:
         """How this report came to be, one of
-        :data:`~repro.core.queries.OUTCOMES`.  The marks never meet: splices
-        carry semantic fields only, and instantiations an error-free
-        representative's."""
+        :data:`~repro.core.queries.OUTCOMES`.  A splice carries semantic
+        fields only, so it never holds an error."""
         if self.error is not None:
             return "error"
         if self.delta_spliced_from:
             return "delta_spliced"
-        if self.symmetry_instantiated_from:
-            return "symmetry_instantiated"
         return "executed"
 
     def to_dict(self) -> Dict[str, object]:
@@ -173,11 +163,6 @@ class JobReport:
             value = getattr(self, spec.name)
             if value or not spec.optional:
                 payload[spec.name] = spec.rebuild(value, ordered=True)
-        if self.symmetry_class:
-            payload["symmetry"] = {
-                "class": self.symmetry_class,
-                "instantiated_from": self.symmetry_instantiated_from or None,
-            }
         if self.delta_spliced_from:
             payload["delta"] = {"spliced_from": self.delta_spliced_from}
         payload.update({
@@ -195,8 +180,8 @@ class JobReport:
 def semantic_projection(report: JobReport) -> Dict[str, object]:
     """The tier-independent content of a job report: what the answer *is*,
     stripped of who computed it.  Two reports with equal projections are
-    interchangeable for every query aggregation — the equality
-    ``--symmetry-audit`` and the fuzz suites assert."""
+    interchangeable for every query aggregation — the equality the fuzz
+    suites assert."""
     projection = {name: getattr(report, name) for name in SEMANTIC_FIELDS}
     for spec in REPORT_FIELDS:
         if spec.order is not None:

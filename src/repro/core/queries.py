@@ -47,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.shapes import Reason, Shape, Text
+from repro.core.shapes import Reason, Shape
 from repro.obs.metrics import (
     CAMPAIGNS,
     JOB_SECONDS,
@@ -207,13 +207,13 @@ class LoopReport:
     VALUE_SHAPE = Shape(
         {
             "loop_free": bool,
-            "sources_checked": [Text],
+            "sources_checked": [str],
             "findings": [
                 {
-                    "source": Text,
-                    "detected_at": Text,
+                    "source": str,
+                    "detected_at": str,
                     "reason": Reason,
-                    "trace": [Text],
+                    "trace": [str],
                     "cut_off": bool,
                 }
             ],
@@ -327,12 +327,12 @@ class InvariantReport:
     VALUE_SHAPE = Shape(
         {
             "fields": {
-                str: {"holds": bool, "vacuous": bool, "by_source": {Text: {str: int}}}
+                str: {"holds": bool, "vacuous": bool, "by_source": {str: {str: int}}}
             },
             "drop_policy": {
                 "covered": bool,
                 "reasons": {Reason: int},
-                "by_source": {Text: {Reason: int}},
+                "by_source": {str: {Reason: int}},
             },
         }
     )
@@ -472,7 +472,7 @@ AGGREGATIONS = {
 #: How a final job report came to be (``JobReport.outcome``): the label
 #: values of ``repro_jobs_total``.  Every outcome but ``executed`` is counted
 #: by the :class:`CampaignStats` field that names it.
-OUTCOMES = ("executed", "error", "symmetry_instantiated", "delta_spliced")
+OUTCOMES = ("executed", "error", "delta_spliced")
 
 
 def _stat(family=None, *, default=0, **labels):
@@ -514,18 +514,6 @@ class CampaignStats:
     #: verdicts this campaign appended to the store.
     store_entries_loaded: int = _stat(STORE_ENTRIES, direction="loaded")
     store_entries_published: int = _stat(STORE_ENTRIES, direction="published")
-    #: Job-level symmetry reduction: how many renaming-equivalence classes
-    #: the job set partitioned into (set by the symmetry reducer; 0 when
-    #: symmetry is off or could not be applied), and how many reports were
-    #: instantiated from a class representative instead of executed.
-    symmetry_classes: int = _stat()
-    jobs_skipped_by_symmetry: int = _stat(JOBS, outcome="symmetry_instantiated")
-    #: ``--symmetry-audit`` re-executions: real engine runs whose reports
-    #: are discarded after comparing against the instantiated member, so
-    #: they count here and never in ``jobs`` / ``jobs_skipped_by_symmetry``
-    #: (``jobs == symmetry_classes + jobs_skipped_by_symmetry`` stays true
-    #: with auditing on).
-    symmetry_audit_runs: int = _stat()
     #: Delta verification: reports spliced from a stored baseline instead of
     #: executing anything.
     jobs_spliced_by_delta: int = _stat(JOBS, outcome="delta_spliced")
@@ -553,10 +541,10 @@ class CampaignStats:
     @property
     def executed_jobs(self) -> int:
         """Jobs that actually ran an engine: the total minus the ports
-        answered by delta splicing and by symmetry instantiation.  This is
-        the per-worker-safe execution count (the process-local
-        ``execution_counters`` only sees the parent's share under a pool)."""
-        return self.jobs - self.jobs_spliced_by_delta - self.jobs_skipped_by_symmetry
+        answered by delta splicing.  This is the per-worker-safe execution
+        count (the process-local ``execution_counters`` only sees the
+        parent's share under a pool)."""
+        return self.jobs - self.jobs_spliced_by_delta
 
     @property
     def cache_hit_rate(self) -> float:

@@ -39,8 +39,8 @@ def _setting(default, help: str, tier_switch: bool = False, choices=None):
     )
 
 
-def _tier_switch(default, help: str):
-    return _setting(default, help, tier_switch=True)
+def _tier_switch(default, help: str, choices=None):
+    return _setting(default, help, tier_switch=True, choices=choices)
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,13 @@ class RunSettings:
         "an isolated baseline that neither feeds nor reads what others filed",
     )
 
+    # One value: the job-level symmetry tier is retired (canonicalising a
+    # job cost more than running it on every workload measured), and a run
+    # that asks for it is refused, never quietly run without it.
     symmetry: bool = _tier_switch(
-        False, "execute one engine job per renaming-equivalence class of "
-        "injection ports and instantiate the other reports via the recorded "
-        "renaming; off since canonicalising a job has cost more than running "
-        "it on every workload measured",
-    )
-    symmetry_audit: bool = _tier_switch(
-        False, "turn symmetry on and re-execute one seeded-random member per "
-        "class, failing unless its report is bit-identical to the instantiated "
-        "one",
-    )
-    symmetry_audit_seed: int = _tier_switch(
-        0, "seed for the symmetry audit's member choice"
+        False, "retired: running one engine job per renaming class of "
+        "injection ports was slower than running every job; only off is "
+        "accepted", choices=(False,),
     )
     delta: bool = _tier_switch(
         True, "when a baseline is available (a saved one, the store's recorded "
@@ -106,8 +100,6 @@ class RunSettings:
             "field_values",
             tuple(sorted((str(name), int(value)) for name, value in pairs.items())),
         )
-        if self.symmetry_audit:
-            object.__setattr__(self, "symmetry", True)
         for spec in fields(self):
             value, kind = getattr(self, spec.name), type(spec.default)
             if not isinstance(value, kind) or (
@@ -149,7 +141,8 @@ def check_choice(name: str, value: object) -> None:
     choices = RunSettings.__dataclass_fields__[name].metadata["choices"]
     if choices is not None and value not in choices:
         raise ValueError(
-            f"'{name}' must be one of {', '.join(sorted(choices))}, not {value!r}"
+            f"'{name}' must be one of {', '.join(sorted(map(str, choices)))}, "
+            f"not {value!r}"
         )
 
 

@@ -1,14 +1,13 @@
 """Shapes: the one literal language for the plain data reports carry.
 
-A shape is the literal it describes — ``{Text: int}`` a map, ``[Text]`` a
+A shape is the literal it describes — ``{str: int}`` a map, ``[str]`` a
 list, a dict with literal keys a record, a type a leaf — compiled once by
 :class:`Shape`.  The job-report fields (:data:`repro.core.facts.REPORT_FIELDS`)
 and the aggregation values that land in plan results
 (:mod:`repro.core.queries`) are declared in it, and every walk over such
-data is read off those declarations: decoding a JSON payload, a symmetry
-renaming (``Text`` leaves), JSON rendering, and the reason table
-(``Reason`` leaves), which lets a persisted payload state each reason text
-once and refer to it by id everywhere else.
+data is read off those declarations: decoding a JSON payload, JSON
+rendering, and the reason table (``Reason`` leaves), which lets a persisted
+payload state each reason text once and refer to it by id everywhere else.
 """
 
 from __future__ import annotations
@@ -16,16 +15,10 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 
-class Text(str):
-    """Shape leaf for port / element / message strings — what a symmetry
-    renaming rewrites.  Plain ``str`` keys and leaves are names it never
-    touches: header fields, path statuses, counter keys."""
-
-
-class Reason(Text):
-    """Shape leaf for a stop or drop reason: text a renaming rewrites like
-    any ``Text``, which a persisted payload states once, in its
-    :class:`ReasonTable`, and refers to by id everywhere else."""
+class Reason(str):
+    """Shape leaf for a stop or drop reason: text a persisted payload states
+    once, in its :class:`ReasonTable`, and refers to by id everywhere
+    else."""
 
 
 class ReasonTable:
@@ -63,44 +56,39 @@ class ReasonTable:
 
 
 def _builder(shape) -> Callable:
-    """``shape`` compiled to ``build(value, text, ordered, reason)``: a fresh
-    copy of ``value`` with leaves coerced to their type (``Text`` ones
-    through ``text``, ``Reason`` ones through ``reason`` when one is given)
-    and maps key-sorted if ``ordered``.  Shapes are the literals they
-    describe: ``{Text: int}`` a map, ``[Text]`` a list, a dict with literal
-    keys a record."""
+    """``shape`` compiled to ``build(value, ordered, reason)``: a fresh copy
+    of ``value`` with leaves coerced to their type (``Reason`` ones through
+    ``reason`` when one is given) and maps key-sorted if ``ordered``.
+    Shapes are the literals they describe: ``{str: int}`` a map, ``[str]``
+    a list, a dict with literal keys a record."""
     if shape is Reason:
-        return lambda value, text, ordered, reason: (
-            reason(value) if reason is not None else text(str(value))
+        return lambda value, ordered, reason: (
+            reason(value) if reason is not None else str(value)
         )
-    if shape is Text:
-        return lambda value, text, ordered, reason: text(str(value))
     if isinstance(shape, type):
-        return lambda value, text, ordered, reason: shape(value)
+        return lambda value, ordered, reason: shape(value)
     if isinstance(shape, list):
         (item,) = map(_builder, shape)
-        return lambda value, text, ordered, reason: [
-            item(v, text, ordered, reason) for v in value
-        ]
+        return lambda value, ordered, reason: [item(v, ordered, reason) for v in value]
     if all(isinstance(key, str) for key in shape):
         parts = [
-            (key, _builder(sub), "" if sub in (Text, Reason) else ())
+            (key, _builder(sub), "" if sub in (str, Reason) else ())
             for key, sub in shape.items()
         ]
-        return lambda value, text, ordered, reason: {
-            key: build(value.get(key, default), text, ordered, reason)
+        return lambda value, ordered, reason: {
+            key: build(value.get(key, default), ordered, reason)
             for key, build, default in parts
         }
     ((key_of, item_of),) = ((_builder(k), _builder(v)) for k, v in shape.items())
 
-    def build_map(value, text, ordered, reason):
+    def build_map(value, ordered, reason):
         items = sorted(value.items()) if ordered else value.items()
         rebuilt = {
-            key_of(key, text, ordered, reason): item_of(item, text, ordered, reason)
+            key_of(key, ordered, reason): item_of(item, ordered, reason)
             for key, item in items
         }
         if len(rebuilt) != len(value):
-            raise ValueError(f"renaming collides on the keys of {sorted(value)}")
+            raise ValueError(f"the keys of {sorted(value)} collide")
         return rebuilt
 
     return build_map
@@ -130,15 +118,14 @@ class Shape:
     def rebuild(
         self,
         value,
-        text: Callable[[str], str] = str,
         ordered: bool = False,
         reasons: Optional[ReasonTable] = None,
     ):
         """``value`` decoded from a JSON payload (the defaults; ``reasons``
-        when its reasons are ids into that table), renamed (``text`` = a
-        renaming's ``map_text``) or rendered (``ordered``)."""
+        when its reasons are ids into that table) or rendered
+        (``ordered``)."""
         reason = reasons.text_of if reasons is not None else None
-        rebuilt = self._build(value, text, ordered, reason)
+        rebuilt = self._build(value, ordered, reason)
         if self.order is not None:
             rebuilt.sort(key=self.order)
         return rebuilt
@@ -149,4 +136,4 @@ class Shape:
         the shape holds no reason."""
         if not self.has_reasons:
             return value
-        return self._build(value, str, False, reasons.id_of)
+        return self._build(value, False, reasons.id_of)

@@ -1,20 +1,19 @@
-"""A stable structural view of campaign jobs for symmetry detection.
+"""A stable structural view of a network: the job encoder.
 
-A campaign running one engine job per injection port re-executes isomorphic
-work whenever the network has renamed copies of the same structure (the 16
-Stanford zones).  :class:`CampaignSymmetryView` encodes the **network, once
-per campaign,** as an entity graph — elements, directional ports, constant
-*cells* and string literals related by kind/link/program atoms — compiles it
-into one :class:`repro.solver.canonical.EntityStructure` and refines it to
-its stable colouring at construction.  Jobs differ only in which injection
-port they mark: :meth:`~CampaignSymmetryView.port_color` reads a port's
-orbit candidate straight off the shared colouring (different colours can
-never be isomorphic), and :meth:`~CampaignSymmetryView.job_form`
-individualises the port on a copy of it and lets the core break the
-remaining ties.  Jobs with equal canonical fingerprints are isomorphic up
-to element/port/constant renaming, and the index-aligned entity orders of
-the two forms *are* the bijection, which :class:`SymmetryRenaming` turns
-into a report-rewriting function.
+:class:`CampaignSymmetryView` encodes the **network, once,** as an entity
+graph — elements, directional ports, constant *cells* and string literals
+related by kind/link/program atoms — compiles it into one
+:class:`repro.solver.canonical.EntityStructure` and refines it to its
+stable colouring at construction.  Jobs differ only in which injection port
+they mark: :meth:`~CampaignSymmetryView.job_form` individualises the port
+on a copy of that colouring and lets the core break the remaining ties.
+Jobs with equal canonical fingerprints are isomorphic up to
+element/port/constant renaming.
+
+No campaign stage reads these forms any more: a job-level symmetry tier
+that ran one engine job per renaming class was slower than running every
+job on each workload measured, and was retired.  The encoder stays for the
+benchmark's ``network.view`` replay (``bench/probes.py``).
 
 Constants are abstracted the same way the solver's linear atom normal form
 abstracts variable names: every single-variable comparison/membership atom
@@ -25,29 +24,24 @@ values, the same width-domain membership) collapse into one *cell group*
 entity.  Programs then reference cell groups instead of raw numbers, so two
 zones whose address blocks are renamings of each other encode identically
 even when interval-merging gave their FIB constraints different arities.
-Satisfiability of any boolean combination of the program's atoms is
-determined by which groups exist and which sites cover them — never by how
-many raw values a group happens to contain — so equal encodings imply equal
-engine behaviour modulo the recorded renaming.
 
 Anything the encoder cannot soundly abstract (multi-variable arithmetic
 offsets, opaque ``For`` bodies, unknown-width variables) is encoded
-*literally*: it can only split classes, never merge them wrongly.  Raising
-:class:`SymmetryUnsupported` makes the campaign fall back to executing
-every job directly — symmetry is an optimisation, never a semantics change.
+*literally*: it can only split classes, never merge them wrongly.  A
+construct it cannot encode at all raises :class:`SymmetryUnsupported`.
+
+:func:`elements_reaching` — the element-level reverse link closure delta
+verification reads — lives here too.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import re
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sefl import instructions as si
 from repro.sefl.expressions import (
     And,
-    Condition,
     ConstantValue,
     Eq,
     Expression,
@@ -83,8 +77,8 @@ _FLIP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 
 class SymmetryUnsupported(RuntimeError):
-    """The network contains a construct the symmetry encoder cannot soundly
-    abstract; the campaign must execute every job directly."""
+    """The network contains a construct the encoder cannot soundly
+    abstract."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +161,10 @@ def _cmp_region(op: str, bound: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def collect_constants(instruction) -> set:
-    """Every integer constant a SEFL program can write or test — campaigns
-    pin these so a symmetry renaming can never move a value the job's own
-    configuration refers to (a ``--field IpDst=...`` override must not be
-    paired with a different zone's address block)."""
+    """Every integer constant a SEFL program can write or test — the view
+    pins these so no renaming can move a value the job's own configuration
+    refers to (a ``--field IpDst=...`` override must not be paired with a
+    different zone's address block)."""
     found: set = set()
     _collect_constants(instruction, found)
     return found
@@ -255,8 +249,8 @@ class _RegionRef:
 
 
 class CampaignSymmetryView:
-    """Entity-graph encoding of one network (plus campaign-wide pinned
-    values), shared by all of a campaign's jobs.
+    """Entity-graph encoding of one network (plus pinned values), shared
+    by every job form asked of it.
 
     ``pinned_values`` are integers the job configuration itself references
     (packet templates, ``--field`` overrides): their cells are marked with
@@ -584,13 +578,6 @@ class CampaignSymmetryView:
             raise SymmetryUnsupported(f"unknown injection port {element}:{port}")
         return tokens
 
-    def port_color(self, element: str, port: str) -> int:
-        """The injection port's colour in the network's stable partition.
-        Ports of different colours lie in different automorphism orbits, so
-        their jobs can never share a class — a cheap, exact pre-filter the
-        campaign applies before asking for any :meth:`job_form`."""
-        return self._structure.color_of(self._injection(element, port)[1])
-
     def job_form(
         self, element: str, port: str, config_digest: str
     ) -> EntityCanonicalForm:
@@ -606,164 +593,6 @@ class CampaignSymmetryView:
 def config_digest(payload) -> str:
     """Stable digest of a job's behaviour-relevant configuration."""
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# The recorded bijection
-# ---------------------------------------------------------------------------
-
-_BOUNDARY_BEFORE = r"(?<![A-Za-z0-9_.-])"
-_BOUNDARY_AFTER = r"(?![A-Za-z0-9_.-])"
-
-
-@functools.lru_cache(maxsize=4)
-def _token_pattern(keys: FrozenSet[str]) -> "re.Pattern[str]":
-    """One alternation matching any of ``keys`` as a whole token, longest
-    first (so swap renamings are safe).  Cached: every renaming of a
-    campaign is keyed by the same representative-side texts — the network's
-    element names, ports and program texts — so the pattern is compiled
-    once, not once per member."""
-    ordered = sorted(keys, key=lambda key: (-len(key), key))
-    return re.compile(
-        _BOUNDARY_BEFORE + "(?:" + "|".join(map(re.escape, ordered)) + ")" + _BOUNDARY_AFTER
-    )
-
-
-class SymmetryRenaming:
-    """The explicit bijection between a class representative's job and a
-    member's job, applied to report artifacts as one simultaneous text
-    substitution (longest key first, so swap renamings are safe).
-
-    ``text_pairs`` holds only what the member spells differently; texts the
-    pair shares are matched too (they are in the pattern) and kept whole."""
-
-    def __init__(
-        self,
-        element_map: Dict[str, str],
-        port_map: Dict[Tuple[str, str, str], str],
-        text_pairs: Dict[str, str],
-    ) -> None:
-        keys = set(text_pairs) | set(element_map)
-        pairs = {key: value for key, value in text_pairs.items() if key != value}
-        for (elem, _direction, port), mapped_port in port_map.items():
-            compound = f"{elem}:{port}"
-            mapped = f"{element_map.get(elem, elem)}:{mapped_port}"
-            keys.add(compound)
-            if compound != mapped:
-                pairs[compound] = mapped
-        for elem, mapped_elem in element_map.items():
-            if elem != mapped_elem:
-                pairs.setdefault(elem, mapped_elem)
-        self.text_pairs = pairs
-        self._pattern = _token_pattern(frozenset(keys)) if pairs else None
-
-    def map_text(self, text: str) -> str:
-        if self._pattern is None or not text:
-            return text
-        return self._pattern.sub(
-            lambda m: self.text_pairs.get(m.group(0), m.group(0)), text
-        )
-
-
-def _pair_programs(rep_prog, member_prog, pairs: Dict[str, str]) -> None:
-    """Lockstep walk of two paired programs, recording repr/message pairs at
-    every node the engine might quote in a report string.  Only block and
-    branch structure is descended — equal canonical encodings guarantee the
-    shapes line up; any mismatch aborts the renaming (the member then runs
-    directly)."""
-    if type(rep_prog) is not type(member_prog):
-        raise SymmetryUnsupported(
-            f"paired programs diverge: {type(rep_prog).__name__} vs "
-            f"{type(member_prog).__name__}"
-        )
-    if isinstance(rep_prog, si.InstructionBlock):
-        if len(rep_prog.instructions) != len(member_prog.instructions):
-            raise SymmetryUnsupported("paired blocks have different lengths")
-        for rep_child, member_child in zip(
-            rep_prog.instructions, member_prog.instructions
-        ):
-            _pair_programs(rep_child, member_child, pairs)
-    elif isinstance(rep_prog, si.If):
-        _record_pair(repr(rep_prog.condition), repr(member_prog.condition), pairs)
-        _pair_programs(rep_prog.then_branch, member_prog.then_branch, pairs)
-        _pair_programs(rep_prog.else_branch, member_prog.else_branch, pairs)
-    elif isinstance(rep_prog, si.Fail):
-        _record_pair(rep_prog.message, member_prog.message, pairs)
-    elif isinstance(rep_prog, si.Constrain):
-        _record_pair(repr(rep_prog.condition), repr(member_prog.condition), pairs)
-    elif not isinstance(rep_prog, si.For):  # closures only pair with themselves
-        _record_pair(repr(rep_prog), repr(member_prog), pairs)
-
-
-def _record_pair(rep_text: str, member_text: str, pairs: Dict[str, str]) -> None:
-    """Texts the pair spells identically are recorded too, so the key set
-    does not depend on which member is being paired — but only weakly: a
-    different spelling met elsewhere replaces an identity, and two different
-    spellings conflict."""
-    existing = pairs.setdefault(rep_text, member_text)
-    if existing == rep_text:
-        pairs[rep_text] = member_text
-    elif member_text not in (rep_text, existing):
-        raise SymmetryUnsupported(
-            f"inconsistent text pairing for {rep_text!r}: "
-            f"{existing!r} vs {member_text!r}"
-        )
-
-
-def build_renaming(
-    view: CampaignSymmetryView,
-    rep_form: EntityCanonicalForm,
-    member_form: EntityCanonicalForm,
-) -> SymmetryRenaming:
-    """Turn two equal-fingerprint canonical forms over one view into the
-    explicit renaming representative -> member."""
-    if rep_form.fingerprint != member_form.fingerprint:
-        raise SymmetryUnsupported("forms are not in the same symmetry class")
-    if len(rep_form.entities) != len(member_form.entities):
-        raise SymmetryUnsupported("forms disagree on entity count")
-    element_map: Dict[str, str] = {}
-    port_map: Dict[Tuple[str, str, str], Tuple[str, str]] = {}
-    text_pairs: Dict[str, str] = {}
-    for rep_token, member_token in zip(rep_form.entities, member_form.entities):
-        kind = rep_token[0]
-        if kind != member_token[0]:
-            raise SymmetryUnsupported(
-                f"paired entities of different kinds: {rep_token!r} vs "
-                f"{member_token!r}"
-            )
-        if kind == "elem":
-            element_map[rep_token[1]] = member_token[1]
-        elif kind == "port":
-            if rep_token[2] != member_token[2]:
-                raise SymmetryUnsupported("paired ports of different directions")
-            port_map[rep_token[1:]] = (member_token[1], member_token[3])
-        elif kind == "str":
-            _record_pair(rep_token[1], member_token[1], text_pairs)
-    network = view.network
-    for (rep_name, _direction, _port), (member_name, _) in port_map.items():
-        if element_map.get(rep_name) != member_name:
-            raise SymmetryUnsupported("port map crosses element boundaries")
-    for rep_name, member_name in element_map.items():
-        rep_elem = network.element(rep_name)
-        member_elem = network.element(member_name)
-        if rep_elem.kind != member_elem.kind:
-            raise SymmetryUnsupported("paired elements of different kinds")
-        for direction, port in _ports(rep_elem):
-            paired = port_map.get((rep_name, direction, port))
-            if paired is None:
-                raise SymmetryUnsupported(
-                    f"unpaired {direction}put port {rep_name}:{port}"
-                )
-            _pair_programs(
-                _program(rep_elem, direction, port),
-                _program(member_elem, direction, paired[1]),
-                text_pairs,
-            )
-    return SymmetryRenaming(
-        element_map,
-        {key: member_port for key, (_, member_port) in port_map.items()},
-        text_pairs,
-    )
 
 
 def elements_reaching(network, targets: Iterable[str]) -> set:

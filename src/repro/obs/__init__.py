@@ -1,13 +1,13 @@
 """Observability: hierarchical span tracing + a metrics registry + logging.
 
-The five stacked speed mechanisms (incremental solving, verdict caching,
-symmetry classes, delta splicing, plan merging) each change *which tier
-answers, never the answer* — which also means a flat end-of-run counter
+The stacked speed mechanisms (incremental solving, verdict caching, the
+state memo, delta splicing, plan merging) each change *which tier answers,
+never the answer* — which also means a flat end-of-run counter
 dump is the only window into where a query's time actually went.  This
 package opens live windows:
 
 * :mod:`repro.obs.trace` — a :class:`Tracer` with a zero-cost no-op
-  default; spans for plan compile → campaign → symmetry class → engine
+  default; spans for plan compile → campaign → delta partition / engine
   job → solver check / store publish / delta splice, carried across the
   process-pool boundary through ``JobReport.spans`` and re-parented
   under the campaign span; exported as Chrome trace-event JSON (open in

@@ -3,7 +3,7 @@
 The engine answers "is this packet deliverable" in milliseconds; this
 module answers "where did those milliseconds go".  A :class:`Tracer`
 records a tree of timed spans — session → plan compile → campaign →
-symmetry class → engine job → solver check / store publish / delta
+delta partition / engine job → solver check / store publish / delta
 splice — and exports them as Chrome trace-event JSON (open the file at
 https://ui.perfetto.dev) or JSONL.
 

@@ -11,7 +11,7 @@ re-verifications instead of K+1 full campaigns.
 
 Invariant (asserted by the test suite, inherited from the delta layer):
 each step's query answers are bit-identical to a scratch campaign over that
-snapshot — delta, symmetry, the store and worker count change which tier
+snapshot — delta, the store and worker count change which tier
 answers, never the answer.  Anything the manifest diff cannot prove
 untouched (a topology edit, say) falls back to a full re-execution.
 
@@ -67,7 +67,7 @@ class StepOutcome:
     @property
     def executed_jobs(self) -> int:
         """Injection jobs this state actually executed (total minus
-        delta-spliced minus symmetry-instantiated)."""
+        delta-spliced)."""
         return CampaignStats.from_dict(self.stats).executed_jobs
 
     @property

@@ -1,8 +1,9 @@
 """Canonical forms by colour refinement, and the verdict cache's key.
 
-The campaign symmetry layer asks "are these two structures the same up to
-renaming?" of whole networks: an injection port of one Stanford zone
-against the same port of a renamed zone.  It is answered by one core,
+The network encoder (:mod:`repro.network.view`) asks "are these two
+structures the same up to renaming?" of whole networks: an injection port
+of one Stanford zone against the same port of a renamed zone.  It is
+answered by one core,
 :class:`EntityStructure`: a set of *entities* (network elements, ports,
 constant cells, string literals) related by *atoms* — nested tuples in
 which entity occurrences are wrapped in :class:`Ent` and unordered
@@ -26,7 +27,7 @@ groups)* — and canonical indices are chosen by
 :func:`canonical_entity_form` is a thin adapter;
 :class:`repro.network.view.CampaignSymmetryView` keeps one structure per
 network and pays the compilation and the first refinement once for all of
-a campaign's jobs.
+its job forms.
 
 **Soundness invariant**: the canonical index assignment is always a
 *bijection* from the entities onto ``0..n-1`` and the final rendering
@@ -205,11 +206,6 @@ class EntityStructure:
         self._compiled.append((repr(template), slots, groups))
         return len(self._compiled) - 1
 
-    def color_of(self, token) -> int:
-        """The token's colour in the stable partition of the base colouring:
-        entities of different colours lie in different automorphism orbits."""
-        return self._stable[self._ids[token]]
-
     def refine(self, colors: List[int]) -> List[int]:
         """Iterate occurrence-signature colouring to the stable partition
         refining ``colors``; the result is renumbered ``0..k-1`` in an order
@@ -372,7 +368,7 @@ def _digest(rendering: Tuple) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Entity graphs (the job symmetry layer)
+# Entity graphs (the network encoder)
 # ---------------------------------------------------------------------------
 
 

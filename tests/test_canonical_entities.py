@@ -1,15 +1,15 @@
 """Property suite for the entity-graph canonicaliser.
 
-``canonical_entity_form`` is the certificate the campaign symmetry layer
-merges jobs on, yet it was only ever exercised through whole campaigns.
-This suite attacks it directly, with the conventions of
+``canonical_entity_form`` is the certificate the network encoder
+(``repro.network.view``) groups job forms on.  This suite attacks it
+directly, with the conventions of
 ``test_canonical_cache.py`` (seed-pinned fuzz loops, chunked, greedy
 shrink-on-failure through its ``shrink_case``):
 
 * **invariance** — a random entity graph and a copy under a random token
   renaming, atom shuffle and ``USet`` member shuffle share a fingerprint,
   and the index-aligned ``entities`` pairing maps the one atom multiset
-  exactly onto the other (what ``build_renaming`` relies on);
+  exactly onto the other (the recorded bijection);
 * **separation** — one changed literal, or one link rewired onto an entity
   of a different kind (both provably non-isomorphic), splits them;
 * **budget** — a structure whose residual ties exceed the leaf budget

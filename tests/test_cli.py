@@ -57,8 +57,8 @@ def _loaded_in_fresh_interpreter(code, names):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-#: Layers no ``query`` without a pool, symmetry, a store or a snapshot
-#: directory runs.
+#: Layers no ``query`` without a pool, a delta baseline, a store or a
+#: snapshot directory runs.
 UNUSED_BY_A_QUERY = (
     "multiprocessing",
     "concurrent.futures",
@@ -74,15 +74,15 @@ UNUSED_BY_A_QUERY = (
 
 def test_importing_the_cli_leaves_the_store_unloaded():
     """``import repro.cli`` loads only what a command runs: no pool
-    machinery, symmetry view, baseline, Click, exporter, ASA model,
+    machinery, network encoder, baseline, Click, exporter, ASA model,
     directory parser or store (a query without ``--store-dir`` never opens
     one)."""
     assert _loaded_in_fresh_interpreter("import repro.cli", UNUSED_BY_A_QUERY) == []
 
 
 def test_a_single_worker_query_loads_no_pool_and_no_symmetry_view(tmp_path):
-    """A workers=1 query runs in-process with symmetry off: it never starts
-    a pool or builds a symmetry view, so neither layer is imported."""
+    """A workers=1 query runs in-process with no baseline: it never starts
+    a pool or reads ``repro.network.view``, so neither layer is imported."""
     report = tmp_path / "report.json"
     code = (
         "from repro.cli import main\n"
@@ -476,26 +476,6 @@ class TestQueryCommand:
         assert "loop()=?" in captured.out and "forall_pairs(reach)=?" in captured.out
         assert "truncated by a budget (--max-paths=1000000, --max-hops=3)" in captured.err
 
-    def test_symmetry_changes_which_tier_answers_never_the_answer(self, tmp_path):
-        reports = {}
-        for flag in ("--symmetry", "--no-symmetry"):
-            target = tmp_path / f"{flag.strip('-')}.json"
-            assert main(
-                [
-                    "query", "--workload", "stanford", "--workload-option", "zones=4",
-                    "--workload-option", "service_acl_rules=2", flag,
-                    "-o", str(target), "forall_pairs(reach)", "loop()",
-                ]
-            ) == 0
-            reports[flag] = json.loads(target.read_text())
-        on, off = reports["--symmetry"], reports["--no-symmetry"]
-        assert on["stats"]["jobs_skipped_by_symmetry"] > 0
-        assert off["stats"]["jobs_skipped_by_symmetry"] == 0
-        assert [q["fingerprint"] for q in on["queries"]] == [
-            q["fingerprint"] for q in off["queries"]
-        ]
-        assert on["plan"]["fingerprint"] == off["plan"]["fingerprint"]
-
     def test_workers_match_sequential(self, network_dir, tmp_path):
         seq, par = tmp_path / "seq.json", tmp_path / "par.json"
         args = ["query", str(network_dir), "forall_pairs(reach)", "loop()"]
@@ -609,7 +589,7 @@ class TestQueryCommand:
             text,
         ).replace(str(net), "NET")
         assert hashlib.sha256(pinned.encode()).hexdigest() == (
-            "c116bbe04ac85c21d333628734019d41f2240d18bc9e7eb97f4383262a5dd3de"
+            "b06fb6b59da843ca6c9ae6a4b35a295740c29d18641a054dacd59e2c6a1e2b19"
         )
 
 
@@ -730,8 +710,7 @@ class TestStoreCommands:
 
 
 class TestDeltaCli:
-    """``--delta`` / ``--delta-from`` / ``--save-baseline`` plumbing, plus
-    the ``--symmetry-audit-seed`` misuse warning."""
+    """``--delta`` / ``--delta-from`` / ``--save-baseline`` plumbing."""
 
     def _export(self, tmp_path):
         from repro.workloads.export import export_stanford_directory
@@ -749,20 +728,6 @@ class TestDeltaCli:
         for index in range(3):
             args += ["--inject", f"acl{index}:in0"]
         return args
-
-    def test_audit_seed_without_audit_warns(self, network_dir, capsys):
-        assert main(
-            ["campaign", str(network_dir), "--symmetry-audit-seed", "3"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "--symmetry-audit-seed has no effect" in err
-        assert main(
-            [
-                "campaign", str(network_dir),
-                "--symmetry-audit", "--symmetry-audit-seed", "3",
-            ]
-        ) == 0
-        assert "has no effect" not in capsys.readouterr().err
 
     def test_store_delta_splices_and_matches_scratch(self, tmp_path, capsys):
         from repro.core.campaign import clear_runtime_cache

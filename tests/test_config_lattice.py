@@ -4,9 +4,10 @@ Every work-avoidance tier, executor and front door is a coordinate of one
 configuration lattice, read off the declarations:
 
 * every tier switch of :class:`~repro.core.settings.RunSettings`
-  (``TIER_SWITCHES``), its values derived from the type of its default — a
-  bool takes both values, an int its default and one more — so a tier that
-  is added or deleted moves the lattice without an edit here;
+  (``TIER_SWITCHES``), its values its declared choices or derived from the
+  type of its default — a bool takes both values, an int its default and
+  one more — so a tier that is added or deleted moves the lattice without
+  an edit here;
 * the cache stack (``shared_cache``);
 * the store: off, cold, or warm — primed by the same run over the snapshot
   as it was *before* the network's mutation, so a warm store holds that
@@ -89,8 +90,12 @@ _FIELDS = {spec.name: spec for spec in dataclasses.fields(RunSettings)}
 
 
 def switch_values(name: str) -> Tuple[object, ...]:
-    """A tier switch's lattice values, by the type of its default; the
-    first is the reference ("off")."""
+    """A tier switch's lattice values: its declared choices (a retired
+    tier's one value), else by the type of its default; the first is the
+    reference ("off")."""
+    choices = _FIELDS[name].metadata["choices"]
+    if choices is not None:
+        return tuple(choices)
     default = _FIELDS[name].default
     if type(default) is bool:
         return (False, True)
@@ -476,14 +481,17 @@ def lattice(tmp_path_factory):
 
 def test_every_tier_switch_has_lattice_values():
     """A tier switch of a type the lattice cannot enumerate fails here, not
-    silently outside the lattice."""
+    silently outside the lattice.  A switch with declared choices (a retired
+    tier) takes exactly those; any other takes two values."""
     for name in TIER_SWITCHES:
         values = switch_values(name)
-        assert len(set(values)) == 2
+        choices = _FIELDS[name].metadata["choices"]
+        assert len(set(values)) == (len(choices) if choices else 2), name
         for value in values:
             RunSettings(**{name: value})
+    assert switch_values("symmetry") == (False,)
     with pytest.raises(TypeError, match="derives no values"):
-        switch_values("strategy")
+        switch_values("field_values")
 
 
 def test_lattice_samples_every_coordinate_value():
@@ -557,21 +565,6 @@ def test_delta_off_never_splices_a_passed_baseline(lattice, monkeypatch):
     passed = {**REFERENCE, "baseline": "passed"}
     assert lattice.failures(case.network, {**passed, "delta": True})
     assert not lattice.failures(case.network, {**passed, "delta": False})
-
-
-def test_an_instantiated_report_losing_a_drop_reason_is_caught(lattice, monkeypatch):
-    from repro.core import symmetry
-
-    original = symmetry.instantiate_report
-
-    def lossy(rep, member, renaming, class_id):
-        report = original(rep, member, renaming, class_id)
-        report.drop_reasons = dict(sorted(report.drop_reasons.items())[1:])
-        return report
-
-    monkeypatch.setattr(symmetry, "instantiate_report", lossy)
-    diff, report = _caught(lattice)
-    assert diff and set(diff) <= _switches_of(symmetry), report
 
 
 def test_a_flipped_store_verdict_is_caught(lattice, monkeypatch):

@@ -47,7 +47,6 @@ from repro.core.engine import ExecutionSettings, SymbolicExecutor
 from repro.core.jobs import execution_counters, job_config_digest, reset_execution_counters
 from repro.core.queries import OUTCOMES, CampaignStats, ensure_core_families
 from repro.core.settings import SETTING_NAMES, TIER_SWITCHES
-from repro.core.symmetry import instantiate_report
 from repro.obs import Family, MetricsRegistry, get_registry, reset_registry
 from repro.obs.metrics import CAMPAIGNS, JOBS
 from repro.serve import ProtocolError, protocol
@@ -70,9 +69,7 @@ CHANGED_SETTINGS = {
     "max_paths": 7,
     "strategy": "dfs",
     "shared_cache": False,
-    "symmetry": True,
-    "symmetry_audit": True,
-    "symmetry_audit_seed": 5,
+    "symmetry": False,
     "delta": False,
     "state_memo": False,
 }
@@ -86,13 +83,12 @@ CHANGED_FACTS = {
 BASE_FACTS = Facts(kinds=("invariants",))  # so invariant_fields can vary
 
 #: The settings whose declaration lists one value: nothing to change to.
-ONE_VALUED = {"strategy"}
+ONE_VALUED = {"strategy", "symmetry"}
 #: CLI spellings that are not ``--<name with dashes> VALUE``.
 CLI_FLAGS = {
     "field_values": ["--field", "IpSrc=10.0.0.1"],
     "shared_cache": ["--no-shared-cache"],
-    "symmetry": ["--symmetry"],
-    "symmetry_audit": ["--symmetry-audit"],
+    "symmetry": ["--no-symmetry"],
     "delta": ["--no-delta"],
     "state_memo": ["--no-state-memo"],
 }
@@ -140,9 +136,10 @@ def _job(settings=RunSettings(), facts=BASE_FACTS):
 @pytest.mark.parametrize("name", setting_fields())
 def test_setting_moves_the_digests_iff_it_is_identity(model, name):
     if name in ONE_VALUED:
-        # No second value to move them with; the digests cover it all the same.
-        assert name not in TIER_SWITCHES
-        assert (name, CHANGED_SETTINGS[name]) in RunSettings().identity()
+        # No second value to move them with; the digests cover an identity
+        # field all the same, and never a tier switch.
+        covered = (name, CHANGED_SETTINGS[name]) in RunSettings().identity()
+        assert covered is (name not in TIER_SWITCHES)
         return
     changed = {name: CHANGED_SETTINGS[name]}
     base_plan = compile_plan(model, [Loop()])
@@ -274,14 +271,17 @@ OUT_OF_RANGE = {
     "max_paths": -5,
     "packet": "nope",
     "strategy": "bfs",
+    # Retired: refused out loud, never quietly run with the tier off.
+    "symmetry": True,
 }
 
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
 def test_front_doors_refuse_out_of_range_settings(model, name, capsys):
     """Checked where it is declared, so refused before any job runs — by
-    every front door, with the declaration's own message; a value outside
-    a flag's choices by the CLI's parser, in one line of its own."""
+    every front door that takes the setting, with the declaration's own
+    message; a value outside a flag's choices by the CLI's parser, in one
+    line of its own."""
     from repro.core.campaign import VerificationCampaign
     from repro.scenarios import ScenarioCampaign
 
@@ -298,7 +298,7 @@ def test_front_doors_refuse_out_of_range_settings(model, name, capsys):
         lambda: VerificationCampaign(NetworkSource.from_workload("department"), **bad),
         lambda: ScenarioCampaign("netdir", None, **bad),
     ]
-    if name != "packet":  # a bare executor runs no packet template
+    if name in {spec.name for spec in dataclasses.fields(ExecutionSettings)}:
         front_doors.append(
             lambda: SymbolicExecutor(model.network(), settings=ExecutionSettings(**bad))
         )
@@ -308,7 +308,9 @@ def test_front_doors_refuse_out_of_range_settings(model, name, capsys):
     with pytest.raises(ProtocolError, match=message):
         _parse_request("r", None, _message(**bad))
     flag = ["--" + name.replace("_", "-"), str(OUT_OF_RANGE[name])]
-    if name in ("max_hops", "max_paths"):
+    if name not in CHOICES:
+        if OUT_OF_RANGE[name] is True:
+            flag = flag[:1]
         for command in (["query", "netdir", "loop()"], ["campaign", "netdir"]):
             with pytest.raises(SystemExit):
                 cli.main(command + flag)
@@ -430,16 +432,15 @@ def test_cli_flag_sets_the_setting_of_the_same_name(name):
     assert flagged
 
 
-_AUDIT = {"symmetry_audit", "symmetry_audit_seed"}
 #: The settings each command has a flag for: ``reachability`` runs one
 #: executor, and the commands that run a campaign take every setting but
 #: these few.
 COMMAND_SETTINGS = {
     "reachability": {"packet", "field_values", "max_hops", "max_paths", "strategy"},
-    "query": set(SETTING_NAMES) - _AUDIT,
+    "query": set(SETTING_NAMES),
     "campaign": set(SETTING_NAMES),
     "scenario": set(SETTING_NAMES)
-    - _AUDIT - {"field_values", "max_hops", "max_paths", "strategy"},
+    - {"field_values", "max_hops", "max_paths", "strategy"},
 }
 #: The values each setting with choices takes, as its flag lists them.
 CHOICES = {"packet": sorted(PACKET_TEMPLATES), "strategy": ["dfs"]}
@@ -499,30 +500,19 @@ def test_a_new_setting_is_a_flag_with_no_cli_edit():
     assert "a knob (default: 3)" in parser.format_help()
 
 
-def test_symmetry_audit_implies_symmetry():
-    assert RunSettings(symmetry_audit=True).symmetry is True
-    assert RunSettings(symmetry=False, symmetry_audit=True).symmetry is True
-    args = cli._build_parser().parse_args(
-        ["campaign", "netdir", "--no-symmetry", "--symmetry-audit"]
-    )
-    assert RunSettings(**cli._run_settings(args)).symmetry is True
-
-
 # ---------------------------------------------------------------------------
 # (b) the report-field table covers JobReport and drives every codec
 # ---------------------------------------------------------------------------
 
 #: JobReport fields that say who computed an answer and what it cost, not
 #: what the answer is.  ``error`` is compared by ``semantic_projection`` but
-#: never persisted or renamed: a failed report is not an answer.
+#: never persisted: a failed report is not an answer.
 PROVENANCE_FIELDS = {
     "error",
     "worker_pid",
     "elapsed_seconds",
     "solver_stats",
     "verdict_cache_entries",
-    "symmetry_class",
-    "symmetry_instantiated_from",
     "delta_spliced_from",
     "spans",
 }
@@ -537,11 +527,6 @@ def test_every_job_report_field_is_classified():
         "a JobReport field is neither in facts.REPORT_FIELDS nor listed as "
         f"provenance: {sorted(declared ^ (semantic | PROVENANCE_FIELDS))}"
     )
-
-
-class IdentityRenaming:
-    def map_text(self, text: str) -> str:
-        return text
 
 
 @pytest.fixture(scope="module")
@@ -577,52 +562,6 @@ def test_baseline_payload_round_trips_the_semantic_projection(full_channel_repor
         assert restored.to_dict()["delivered_to"] == report.to_dict()["delivered_to"]
 
 
-def test_identity_renaming_reproduces_the_semantic_projection(full_channel_reports):
-    for report in full_channel_reports:
-        member = CampaignJob(
-            NetworkSource.from_workload("stanford", **STANFORD),
-            report.element,
-            report.port,
-        )
-        instantiated = instantiate_report(report, member, IdentityRenaming(), "cls")
-        assert semantic_projection(instantiated) == semantic_projection(report)
-        assert instantiated.symmetry_instantiated_from == report.source_key
-        assert instantiated.solver_calls == 0
-
-
-def test_renaming_rewrites_text_leaves_only_and_refuses_collisions():
-    class Swap:
-        def __init__(self, table):
-            self.table = table
-
-        def map_text(self, text):
-            for old, new in self.table.items():
-                text = text.replace(old, new)
-            return text
-
-    report = JobReport(
-        element="a", port="in0", packet="tcp",
-        status_counts={"delivered": 2},
-        delivered_to={"zr1:hosts": 1, "zr2:hosts": 1},
-        loops=[{"detected_at": "zr2:in0", "reason": "at zr2", "trace": ["zr2:in0"]},
-               {"detected_at": "zr1:in0", "reason": "at zr1", "trace": ["zr1:in0"]}],
-        invariants={"zr1": {"checked": 1, "held": 1, "skipped": 0}},
-        visibility={"IpSrc": {"zr1:hosts": {"checked": 1, "visible": 1, "skipped": 0}}},
-    )
-    member = CampaignJob(NetworkSource.from_workload("department"), "b", "in0")
-    renamed = instantiate_report(report, member, Swap({"zr1": "zrX"}), "cls")
-    assert renamed.delivered_to == {"zrX:hosts": 1, "zr2:hosts": 1}
-    assert [loop["detected_at"] for loop in renamed.loops] == ["zr2:in0", "zrX:in0"]
-    assert renamed.loops[1]["reason"] == "at zrX"
-    assert renamed.status_counts == {"delivered": 2}
-    assert "zr1" in renamed.invariants  # a field *name*: never renamed
-    assert renamed.visibility == {
-        "IpSrc": {"zrX:hosts": {"checked": 1, "visible": 1, "skipped": 0}}
-    }
-    with pytest.raises(ValueError, match="collides"):
-        instantiate_report(report, member, Swap({"zr1": "zr2"}), "cls")
-
-
 # ---------------------------------------------------------------------------
 # (c) the counter table drives the stats JSON and the registry
 # ---------------------------------------------------------------------------
@@ -636,7 +575,6 @@ CAMPAIGN_STATS_KEYS = [
     "solver_cache_hits", "solver_cache_misses", "solver_shared_cache_hits",
     "solver_cache_merged", "solver_shared_round_trips",
     "degraded_operations", "store_entries_loaded", "store_entries_published",
-    "symmetry_classes", "jobs_skipped_by_symmetry", "symmetry_audit_runs",
     "jobs_spliced_by_delta", "executed_jobs", "cache_hit_rate",
     "verdict_cache_entries", "truncated_jobs", "failed_jobs",
 ]
@@ -706,12 +644,7 @@ def test_outcomes_are_one_property():
     report = JobReport(element="a", port="in0", packet="tcp")
     assert report.outcome == "executed"
     spliced = report_from_payload(report_to_payload(report), spliced_from="file")
-    assert (spliced.outcome, spliced.symmetry_instantiated_from) == ("delta_spliced", "")
-    member = CampaignJob(NetworkSource.from_workload("department"), "b", "in0")
-    instantiated = instantiate_report(report, member, IdentityRenaming(), "cls")
-    assert (instantiated.outcome, instantiated.delta_spliced_from) == (
-        "symmetry_instantiated", ""
-    )
+    assert spliced.outcome == "delta_spliced"
     report.error = "boom"
     assert report.outcome == "error"
 
@@ -730,16 +663,16 @@ def _exposition(registry):
 
 
 def _department_runs(tmp_path):
-    """A department directory campaign with symmetry on, one erroring port
-    and a store, then a delta-spliced rerun after a same-bytes rewrite:
-    yields each finished result as it lands."""
+    """A department directory campaign with one erroring port and a store,
+    then a delta-spliced rerun after a same-bytes rewrite: yields each
+    finished result as it lands."""
     net = tmp_path / "net"
     net.mkdir()
     export_department_style_directory(str(net), switches=3, macs_per_port=2, seed=23)
     store = VerificationStore(str(tmp_path / "store"))
     for _ in ("cold", "rerun"):
         clear_runtime_cache()
-        campaign = VerificationCampaign(str(net), symmetry=True, store=store)
+        campaign = VerificationCampaign(str(net), store=store)
         campaign.add_default_injections()
         campaign.add_injection("nope", "in0")
         yield campaign.run()
@@ -798,27 +731,18 @@ def test_core_families_cover_everything_a_campaign_feeds(tmp_path):
 @pytest.mark.parametrize("index", range(len(LATTICE_CASES)))
 def test_absorbed_outcome_counts_equal_the_reducers_own(tmp_path, monkeypatch, index):
     """On the lattice's networks, cold and after their mutation: the
-    absorbed counts equal what the reducers used to write themselves — one
-    splice per report a delta partition hands back, one skip per member
-    ``instantiate_report`` derives — and the failed count the errored
-    reports.  No report carries two outcome marks."""
-    from repro.core import symmetry
-
-    counted = {"spliced": 0, "skipped": 0}
-    partition, instantiate = DeltaReducer.partition, symmetry.instantiate_report
+    absorbed counts equal what the delta stage used to write itself — one
+    splice per report a delta partition hands back — and the failed count
+    the errored reports.  No report carries two outcome marks."""
+    counted = {"spliced": 0}
+    partition = DeltaReducer.partition
 
     def counting_partition(self, jobs):
         run, ready = partition(self, jobs)
         counted["spliced"] += len(ready)
         return run, ready
 
-    def counting_instantiate(*args):
-        report = instantiate(*args)
-        counted["skipped"] += 1
-        return report
-
     monkeypatch.setattr(DeltaReducer, "partition", counting_partition)
-    monkeypatch.setattr(symmetry, "instantiate_report", counting_instantiate)
     net = tmp_path / "net"
     net.mkdir()
     steps = LATTICE_CASES[index].network.materialise(str(net))
@@ -827,14 +751,12 @@ def test_absorbed_outcome_counts_equal_the_reducers_own(tmp_path, monkeypatch, i
         for step in edits:
             for name, text in step.writes:
                 (net / name).write_text(text, encoding="utf-8", newline="\n")
-        counted.update(spliced=0, skipped=0)
+        counted.update(spliced=0)
         clear_runtime_cache()
-        result = VerificationCampaign(str(net), symmetry=True, store=store).run()
+        result = VerificationCampaign(str(net), store=store).run()
         stats = result.stats
         assert stats.jobs_spliced_by_delta == counted["spliced"]
-        assert stats.jobs_skipped_by_symmetry == counted["skipped"]
         assert stats.failed_jobs == sum(r.error is not None for r in result.jobs)
         for report in result.jobs:
-            marks = [report.error is not None, bool(report.delta_spliced_from),
-                     bool(report.symmetry_instantiated_from)]
+            marks = [report.error is not None, bool(report.delta_spliced_from)]
             assert sum(marks) <= 1, report.source_key

@@ -10,8 +10,8 @@ The acceptance criteria under test:
 * :func:`affected_injections` is the reverse link closure: a port is only
   spliced when its element provably cannot reach any touched element;
 * campaign-level: a one-device edit re-executes O(1) engine jobs, from a
-  store or a file baseline, with symmetry on or off (that splicing never
-  moves an answer is a coordinate of ``tests/test_config_lattice.py``);
+  store or a file baseline (that splicing never moves an answer is a
+  coordinate of ``tests/test_config_lattice.py``);
 * seed-pinned random-edit fuzz (rule insert/delete, device rewrite, link
   flap, same-bytes no-op rewrite) over stanford- and department-style
   directories: delta never skips a port whose answer changed, with greedy
@@ -334,23 +334,21 @@ class TestAffectedInjections:
 
 
 class TestCampaignDelta:
-    @pytest.mark.parametrize("mode, symmetry", [("store", False), ("file", True)])
-    def test_one_acl_edit_splices_every_other_port(self, tmp_path, mode, symmetry):
+    @pytest.mark.parametrize("mode", ["store", "file"])
+    def test_one_acl_edit_splices_every_other_port(self, tmp_path, mode):
         net = tmp_path / "net"
         injections = _export_stanford(net)
         store = (
             VerificationStore(str(tmp_path / "store")) if mode == "store" else None
         )
-        cold, _ = _run(net, injections, store=store, symmetry=symmetry)
+        cold, _ = _run(net, injections, store=store)
         assert cold.stats.jobs_spliced_by_delta == 0
         assert cold.baseline_payload is not None
         baseline = cold.baseline_payload if mode == "file" else None
 
         (net / "acl1.acl").write_text("block 22\nblock 8080\n")
-        delta, delta_runs = _run(
-            net, injections, store=store, symmetry=symmetry, baseline=baseline
-        )
-        # The touched ACL symmetry-partitions alone: exactly one engine job.
+        delta, delta_runs = _run(net, injections, store=store, baseline=baseline)
+        # Only the touched ACL's port runs: exactly one engine job.
         assert delta.stats.jobs_spliced_by_delta == 2
         assert delta.delta_info["executed"] == 1
         assert delta.delta_info["baseline"] == mode

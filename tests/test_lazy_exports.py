@@ -114,7 +114,7 @@ SUBMODULES = {
     "repro.core": [
         "campaign", "checks", "delta", "engine", "errors", "executor", "facts",
         "jobs", "memo", "memory", "paths", "queries", "settings", "shapes",
-        "sources", "state", "symmetry", "values",
+        "sources", "state", "values",
     ],
     "repro.models": [
         "asa", "encryption", "firewall", "host", "mirror", "nat", "router",

@@ -222,12 +222,7 @@ class TestCrossProcess:
         jobs = spans["job"]
         # One job span per executed engine job, every one hung off the
         # campaign span despite being recorded in another process.
-        executed = (
-            result.stats.jobs
-            - result.stats.jobs_skipped_by_symmetry
-            - result.stats.jobs_spliced_by_delta
-        )
-        assert len(jobs) == executed
+        assert len(jobs) == result.stats.executed_jobs
         assert {job["parent_id"] for job in jobs} == {
             campaign_span["span_id"]
         }
@@ -255,14 +250,14 @@ class TestCrossProcess:
     )
     def test_campaign_span_has_no_unattributed_remainder(self, workload, options):
         """A pipeline stage that runs outside every span hides its cost from
-        ``--trace-out`` (the symmetry canonicaliser once hid 96 % of this
-        stanford run that way): the campaign span's direct children must
+        ``--trace-out`` (a job canonicaliser once hid 96 % of this stanford
+        run that way): the campaign span's direct children must
         cover at least 95 % of it."""
         tracer = Tracer()
         set_tracer(tracer)
         model = NetworkModel.from_workload(workload, **options)
         model.network()  # the build belongs to the model, not the campaign
-        result = model.campaign(symmetry=True).run()
+        result = model.campaign().run()
         assert not result.job_errors
         spans = tracer.export()
         (campaign_span,) = [s for s in spans if s["name"] == "campaign"]

@@ -209,10 +209,7 @@ class TestScenarioCampaign:
             stats = step["stats"]
             assert step["executed_jobs"] == stats["executed_jobs"]
             assert (
-                stats["executed_jobs"]
-                == stats["jobs"]
-                - stats["jobs_spliced_by_delta"]
-                - stats["jobs_skipped_by_symmetry"]
+                stats["executed_jobs"] == stats["jobs"] - stats["jobs_spliced_by_delta"]
             )
         json.dumps(report)  # the whole report must be JSON-able
 

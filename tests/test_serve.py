@@ -401,8 +401,7 @@ def test_concurrent_clients_merge_into_one_plan():
     assert stats["service"]["groups"] == 1
     assert stats["service"]["merged_requests"] == 2
     # ...so the overlapping injection ports ran ONCE (with workers=1 every
-    # engine job executes in the service process, where we can count it;
-    # symmetry may reduce below the port count, never above).
+    # engine job executes in the service process, where we can count it).
     assert 0 < runs <= jobs_total
     # And each client's answers are still bit-identical to its own batch.
     assert {

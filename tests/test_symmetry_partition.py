@@ -1,200 +1,222 @@
-"""What the symmetry reducer canonicalises, says and merges.
+"""What the network encoder's job forms group together.
 
-Three nets around ``SymmetryReducer.partition``:
+No campaign stage reads ``repro.network.view`` any more: the job-level
+symmetry tier that ran one engine job per class of equal forms was retired.
+The encoder stays because the benchmark's ``network.view`` replay
+(``bench/probes.py::probe_symmetry``) times it, so these tests are the net
+under it:
 
-* **cost shape** (counted calls, never wall clock) — the network structure
-  is compiled and refined once per campaign, and a job whose port shares
-  its stable colour with no other job is a proven singleton that never
-  gets a canonical form;
-* **visibility** — a campaign symmetry could not be applied to, or a job it
-  could not encode, leaves an INFO line, and the ``symmetry.partition``
-  span carries what the partition found;
+* **the replay itself** — exactly the calls the probe makes, on department
+  and on the stanford 16/12/4 workload ``cli-default`` queries;
 * **partition parity** — on the pinned workloads and on seeded
-  ``test_symmetry.build_symmetric_case`` topologies the partition of ports
-  into classes is exactly the one recorded before the canonicaliser was
-  rebuilt on one refinement core (PR 12's tree), so "faster" can never
-  silently mean "merges less" — or more.  Classes are compared as sets of
-  port-name sets: class ids are free to change.
+  :func:`build_symmetric_case` topologies the grouping of ports by form
+  fingerprint is exactly the one the retired tier recorded, so the encoder
+  can never silently merge less — or more.  Classes are compared as sets of
+  port-name sets: fingerprints are free to change.
 """
 
-import logging
+import random
 
 import pytest
 
-import repro.network.view as view_module
-from repro.core.campaign import (
-    NetworkSource,
-    VerificationCampaign,
-    clear_runtime_cache,
+from repro.api import ForAllPairs, Invariant, Loop, NetworkModel, Reach, compile_plan
+from repro.core.campaign import PACKET_TEMPLATES, NetworkSource, default_injection_ports
+from repro.core.jobs import runtime_for
+from repro.network.element import NetworkElement
+from repro.network.topology import Network
+from repro.network.view import CampaignSymmetryView, collect_constants, config_digest
+from repro.sefl.expressions import Eq, OneOf, Or
+from repro.sefl.fields import IpDst, TcpDst, TcpSrc
+from repro.sefl.instructions import (
+    Constrain,
+    Fail,
+    Fork,
+    Forward,
+    If,
+    InstructionBlock,
+    NoOp,
 )
-from repro.obs import Tracer, set_tracer
-from test_symmetry import build_symmetric_case
+from repro.solver.intervals import IntervalSet
 
 STANFORD_ACL = {"internal_prefixes_per_zone": 12, "service_acl_rules": 4}
 
 
-def run_partition(source, injections=()):
-    """Run a symmetry-on campaign; return ``(classes as a set of frozensets
-    of "element:port", stats)``.  A class is a representative plus every
-    report instantiated from it; everything else is a singleton."""
-    clear_runtime_cache()
-    campaign = VerificationCampaign(source, symmetry=True)
-    for element, port in injections:
-        campaign.add_injection(element, port)
-    reports = []
-    result = campaign.run(on_report=reports.append)
+# ===========================================================================
+# Random symmetric-topology generator
+# ===========================================================================
+
+
+def _zone_names(rng: random.Random, zones: int):
+    """Random, collision-free element names: the canonical form must not
+    lean on lexicographic name order (zr10 sorts before zr2)."""
+    names = set()
+    while len(names) < zones:
+        names.add(f"z{rng.randrange(16**6):06x}")
+    return sorted(names, key=lambda _: rng.random())
+
+
+def build_symmetric_case(seed: int, zones: int = 4, asymmetry: str = ""):
+    """A hub fronted by ``zones`` cloned edge filters.
+
+    Every zone shares one ACL shape (the same blocked service ports) and
+    owns a disjoint address range the hub uses to steer egress.
+    ``asymmetry`` perturbs exactly one zone:
+
+    * ``"rule"``  — one extra ACL rule on zone 0;
+    * ``"link"``  — zone 0's uplink rewired through an extra middlebox;
+    * ``"const"`` — one constant in zone 0's ACL changed: its last rule
+      re-blocks the first rule's port instead of its own, which keeps the
+      rule count identical but makes the second Fail branch unsatisfiable
+      (a semantic difference constant abstraction must not absorb).
+    """
+    rng = random.Random(seed)
+    rules = rng.randint(2, 3)
+    blocked = rng.sample(range(1024, 9000), rules)
+    names = _zone_names(rng, zones)
+    in_port = f"p{rng.randrange(16**4):04x}"
+
+    network = Network(f"sym-{seed}")
+    hub = NetworkElement(
+        "hub",
+        input_ports=[f"in{z}" for z in range(zones)],
+        output_ports=[f"out{z}" for z in range(zones)],
+        kind="hub",
+    )
+    network.add_element(hub)
+    injections = []
+    for z, name in enumerate(names):
+        zone = NetworkElement(
+            name, input_ports=[in_port], output_ports=["up"], kind="zone-acl"
+        )
+        ports = list(blocked)
+        if z == 0 and asymmetry == "rule":
+            ports.append(blocked[0] + 1)
+        elif z == 0 and asymmetry == "const":
+            ports[-1] = ports[0]
+        checks = [
+            If(
+                Or(Eq(TcpSrc, port), Eq(TcpDst, port)),
+                Fail(f"blocked service port {port}"),
+                NoOp(),
+            )
+            for port in ports
+        ]
+        zone.set_input_program(in_port, InstructionBlock(*checks, Forward("up")))
+        network.add_element(zone)
+        if asymmetry == "link" and z == 0:
+            relay = NetworkElement(
+                "relay", input_ports=["in0"], output_ports=["out0"], kind="relay"
+            )
+            relay.set_input_program("in0", Forward("out0"))
+            network.add_element(relay)
+            network.add_link((name, "up"), ("relay", "in0"))
+            network.add_link(("relay", "out0"), ("hub", f"in{z}"))
+        else:
+            network.add_link((name, "up"), ("hub", f"in{z}"))
+        injections.append((name, in_port))
+
+    for z in range(zones):
+        # Hairpin check: traffic destined back to the source zone fails at
+        # the hub, so every injection cone depends on its own zone's range
+        # (the stanford own-/16 situation the cell abstraction must align).
+        lo = (z + 1) << 16
+        own = OneOf(IpDst, IntervalSet([(lo, lo + 0xFFFF)]))
+        hub.set_input_program(
+            f"in{z}",
+            If(own, Fail("hairpin"), Fork(*(f"out{o}" for o in range(zones)))),
+        )
+        hub.set_output_program(
+            f"out{z}",
+            Constrain(OneOf(IpDst, IntervalSet([(lo, lo + 0xFFFF)]))),
+        )
+    return network, injections
+
+
+# ===========================================================================
+# The forms, as the benchmark's replay asks for them
+# ===========================================================================
+
+
+def form_digests(network, injections, packet="tcp"):
+    """``element:port`` -> form fingerprint, by exactly the calls
+    ``bench/probes.py::probe_symmetry`` makes: one view pinned to the
+    packet template's constants, one ``job_form`` per injection port."""
+    view = CampaignSymmetryView(network, collect_constants(PACKET_TEMPLATES[packet]()))
+    digest = config_digest(("bench", packet))
+    return {
+        f"{element}:{port}": view.job_form(element, port, digest).fingerprint
+        for element, port in injections
+    }
+
+
+def partition(network, injections):
+    """The ports grouped by equal form fingerprint, as a set of frozensets."""
     classes = {}
-    for report in reports:
-        key = f"{report.element}:{report.port}"
-        classes.setdefault(report.symmetry_instantiated_from or key, set()).add(key)
-    return {frozenset(members) for members in classes.values()}, result.stats
+    for port, fingerprint in form_digests(network, injections).items():
+        classes.setdefault(fingerprint, set()).add(port)
+    return {frozenset(members) for members in classes.values()}
+
+
+def workload_partition(name, **options):
+    runtime = runtime_for(NetworkSource.from_workload(name, **options))
+    ports = default_injection_ports(runtime.network, runtime.registered_injections)
+    return partition(runtime.network, ports)
 
 
 def classes_of(*groups):
     return {frozenset(group) for group in groups}
 
 
-# ===========================================================================
-# Cost shape: one structure per campaign, no form for a proven singleton
-# ===========================================================================
-
-
-@pytest.fixture
-def counted(monkeypatch):
-    """Counts view-side structure compilations and per-job canonical forms."""
-    calls = {"structures": 0, "forms": 0}
-    structure = view_module.EntityStructure
-    job_form = view_module.CampaignSymmetryView.job_form
-
-    def counting_structure(*args):
-        calls["structures"] += 1
-        return structure(*args)
-
-    def counting_job_form(self, element, port, digest):
-        calls["forms"] += 1
-        return job_form(self, element, port, digest)
-
-    monkeypatch.setattr(view_module, "EntityStructure", counting_structure)
-    monkeypatch.setattr(
-        view_module.CampaignSymmetryView, "job_form", counting_job_form
-    )
-    return calls
-
-
-def test_singleton_ports_are_never_canonicalised(counted):
-    """department merges nothing: every port has a stable colour of its
-    own, so partition proves four singletons from the shared colouring."""
-    classes, stats = run_partition(NetworkSource.from_workload("department"))
-    assert all(len(members) == 1 for members in classes) and len(classes) == 4
-    assert stats.jobs_skipped_by_symmetry == 0
-    assert counted == {"structures": 1, "forms": 0}
-
-
-def test_network_structure_is_compiled_once_per_campaign(counted):
-    _, stats = run_partition(
-        NetworkSource.from_workload("stanford", zones=16, **STANFORD_ACL)
-    )
-    assert (stats.symmetry_classes, stats.jobs_skipped_by_symmetry) == (2, 14)
-    assert counted == {"structures": 1, "forms": 16}
-
-
-def test_a_lone_eligible_job_builds_no_view(counted):
-    network, injections = build_symmetric_case(4100, zones=3)
-    run_partition(NetworkSource.from_network(network), injections[:1])
-    assert counted == {"structures": 0, "forms": 0}
-
-
-# ===========================================================================
-# Every degrade is visible: a log line and span attributes, never silence
-# ===========================================================================
-
-
-@pytest.fixture
-def symmetry_log(caplog):
-    """INFO records of the reducer's logger, captured on the logger itself:
-    an earlier CLI test may have configured the ``repro`` hierarchy not to
-    propagate to the root logger caplog listens on."""
-    logger = logging.getLogger("repro.core.symmetry")
-    records = []
-    handler = logging.Handler(logging.INFO)
-    handler.emit = records.append
-    logger.addHandler(handler)
-    with caplog.at_level(logging.INFO, logger=logger.name):
-        yield records
-    logger.removeHandler(handler)
-
-
-def test_partition_span_carries_its_counts():
-    tracer = Tracer()
-    previous = set_tracer(tracer)
-    try:
-        run_partition(NetworkSource.from_workload("stanford", zones=16, **STANFORD_ACL))
-    finally:
-        set_tracer(previous)
-    (span,) = [s for s in tracer.spans if s.name == "symmetry.partition"]
-    assert span.attrs == {"jobs": 16, "eligible": 16, "candidates": 16, "classes": 2}
-
-
-def test_unencodable_network_is_logged_and_runs_directly(monkeypatch, symmetry_log):
-    def refuse(self, network, pinned_values=()):
-        raise view_module.SymmetryUnsupported("opaque construct")
-
-    monkeypatch.setattr(view_module.CampaignSymmetryView, "__init__", refuse)
-    network, injections = build_symmetric_case(4100, zones=3)
-    classes, stats = run_partition(NetworkSource.from_network(network), injections)
-    assert len(classes) == 3 and stats.jobs_skipped_by_symmetry == 0
-    (record,) = symmetry_log
-    assert "symmetry not applied" in record.getMessage()
-    assert "opaque construct" in record.getMessage()
-
-
-def test_unknown_injection_ports_are_counted_in_the_log(monkeypatch, symmetry_log):
-    port_color = view_module.CampaignSymmetryView.port_color
-    network, injections = build_symmetric_case(4100, zones=4)
-
-    def flaky(self, element, port):
-        if element == injections[0][0]:
-            raise view_module.SymmetryUnsupported("no such port")
-        return port_color(self, element, port)
-
-    monkeypatch.setattr(view_module.CampaignSymmetryView, "port_color", flaky)
-    classes, stats = run_partition(NetworkSource.from_network(network), injections)
-    assert sorted(map(len, classes)) == [1, 3]
-    assert stats.symmetry_classes == 2 and stats.jobs_skipped_by_symmetry == 2
-    (record,) = symmetry_log
-    assert "1 of 4 eligible jobs" in record.getMessage()
-
-
-# ===========================================================================
-# Partition parity with the recorded pre-refactor classes
-# ===========================================================================
-
-
 def _acl_ports(zones):
     return [f"acl{zone}:in0" for zone in zones]
 
 
+def test_the_bench_replay_finds_the_recorded_classes():
+    """The probe's calls on its plans' networks and default injection
+    ports: department's four vantage points are four forms, and the 16
+    stanford zones two (even zones uplink via up0, odd via up1) — the
+    classes the retired tier's partition found."""
+    queries = (ForAllPairs(Reach), Loop(), Invariant("IpSrc"))
+    found = {}
+    for name, options in (
+        ("department", {}),
+        ("stanford", dict(zones=16, **STANFORD_ACL)),
+    ):
+        model = NetworkModel.from_workload(name, **options)
+        plan = compile_plan(model, queries)
+        digests = form_digests(model.network(), plan.injections, plan.packet)
+        assert len(digests) == plan.job_count
+        found[name] = digests
+    assert len(set(found["department"].values())) == 4
+    stanford = found["stanford"]
+    assert len(set(stanford.values())) == 2
+    assert {stanford[port] for port in _acl_ports(range(0, 16, 2))} != {
+        stanford[port] for port in _acl_ports(range(1, 16, 2))
+    }
+    assert len({stanford[port] for port in _acl_ports(range(0, 16, 2))}) == 1
+
+
+# ===========================================================================
+# Partition parity with the recorded classes
+# ===========================================================================
+
+
 def test_pinned_workload_partitions_are_unchanged():
-    classes, _ = run_partition(
-        NetworkSource.from_workload("stanford", zones=16, **STANFORD_ACL)
-    )
+    classes = workload_partition("stanford", zones=16, **STANFORD_ACL)
     assert classes == classes_of(
         _acl_ports(range(0, 16, 2)), _acl_ports(range(1, 16, 2))
     )
-    classes, _ = run_partition(
-        NetworkSource.from_workload(
-            "stanford", zones=4, internal_prefixes_per_zone=30, service_acl_rules=4
-        )
+    classes = workload_partition(
+        "stanford", zones=4, internal_prefixes_per_zone=30, service_acl_rules=4
     )
     assert classes == classes_of(_acl_ports((0, 2)), _acl_ports((1, 3)))
-    classes, _ = run_partition(NetworkSource.from_workload("stanford", zones=4))
+    classes = workload_partition("stanford", zones=4)
     assert classes == classes_of(
         ["zr0:in-hosts", "zr2:in-hosts"], ["zr1:in-hosts", "zr3:in-hosts"]
     )
-    classes, stats = run_partition(NetworkSource.from_workload("enterprise"))
+    classes = workload_partition("enterprise")
     assert classes == classes_of(["AP:in0"], ["R1:in-exit"])
-    assert stats.symmetry_classes == 0
-    classes, _ = run_partition(NetworkSource.from_workload("department"))
+    classes = workload_partition("department")
     assert classes == classes_of(
         ["cluster:in-node"],
         ["lab-sw1:in-host"],
@@ -214,5 +236,6 @@ def test_seeded_topology_partitions_are_unchanged(asymmetry):
         expected = (
             classes_of(ports[:1], ports[1:]) if asymmetry else classes_of(ports)
         )
-        classes, _ = run_partition(NetworkSource.from_network(network), injections)
-        assert classes == expected, f"seed={seed} asymmetry={asymmetry!r}"
+        assert partition(network, injections) == expected, (
+            f"seed={seed} asymmetry={asymmetry!r}"
+        )
