@@ -47,8 +47,9 @@ from repro.core.shapes import ReasonTable
 
 #: What a plan's answers mean, hashed into its fingerprint: a new scheme
 #: makes the answers a store filed under the old one miss.  Scheme 2 reads
-#: a witness budget's first values in the order found.
-PLAN_SCHEME = "plan/2"
+#: a witness budget's first values in the order found.  Scheme 3 has no
+#: symmetry plan or stats keys, which a scheme-2 record would render.
+PLAN_SCHEME = "plan/3"
 
 #: ``plan.max_hops``, ``plan.kinds``, …: which declared object of a plan
 #: each flat read-only view comes from.

@@ -16,7 +16,7 @@ networks:
   and a full rerun is the only sound answer).
 * :func:`affected_injections` maps touched elements to the injection ports
   whose answers could depend on them, via the element-level reverse link
-  closure (:func:`repro.network.view.elements_reaching`) — a sound
+  closure (:func:`elements_reaching`) — a sound
   over-approximation of anything the engine can traverse.
 * :class:`CampaignBaseline` packages a previous run's manifest plus its
   per-port :class:`~repro.core.jobs.JobReport` payloads; persisted, it
@@ -136,6 +136,31 @@ def diff_manifests(old: ElementManifest, new: ElementManifest) -> ManifestDiff:
     return ManifestDiff(True, "", tuple(touched_files), tuple(sorted(touched)))
 
 
+def elements_reaching(network, targets: Iterable[str]) -> Set[str]:
+    """Every element name that can reach any of ``targets`` along the
+    network's link graph (the targets themselves included).
+
+    An injection port's answer can only depend on elements its element
+    reaches, so a port whose element is *not* in the closure of the touched
+    set is provably unaffected by the touch.  The walk runs over link
+    endpoints *by name* — dangling links included — and ignores programs
+    entirely, so it is a sound over-approximation of anything the engine
+    (which only follows links) can traverse.
+    """
+    reverse: Dict[str, Set[str]] = {}
+    for link in network.links:
+        reverse.setdefault(link.destination.element, set()).add(link.source.element)
+    seen = set(targets)
+    frontier = list(seen)
+    while frontier:
+        node = frontier.pop()
+        for upstream in reverse.get(node, ()):
+            if upstream not in seen:
+                seen.add(upstream)
+                frontier.append(upstream)
+    return seen
+
+
 def affected_injections(
     network: object,
     injections: Iterable[Tuple[str, str]],
@@ -143,8 +168,6 @@ def affected_injections(
 ) -> Set[Tuple[str, str]]:
     """The injection ports whose answers could depend on a touched element:
     every port whose element reaches a touched name along the link graph."""
-    from repro.network.view import elements_reaching
-
     touched = set(touched_elements)
     if not touched:
         return set()

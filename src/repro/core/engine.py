@@ -31,6 +31,7 @@ from repro.solver import ast as sa
 from repro.solver.ast import Const, Formula, Term
 from repro.solver.form import PathCondition
 from repro.solver.incremental import IncrementalSolver
+from repro.solver.intervals import IntervalSet
 from repro.solver.result import SolverResult
 from repro.solver.solver import Solver
 from repro.solver.verdict_cache import VerdictCache
@@ -65,11 +66,12 @@ class ExecutionSettings:
 
 #: Pending hops: a depth-first stack, so one packet is followed to its end
 #: before the next is started.  An item is a built state and where it enters,
-#: ``(state, element, input port)``, or, in a run with a state memo, an egress
-#: child not built yet, ``(parent, Egress, port program, var, narrowed domain,
-#: whether it takes the parent)``: the memo may answer for it, and only a miss
-#: builds it.  Which paths end never depends on the order; only which survive
-#: ``max_paths``.
+#: ``(state, element, input port)``, or an egress child not built yet — a
+#: port whose guard reads a plain variable and that has a next hop — ``(parent,
+#: Egress, port program, var, narrowed domain or None, whether it takes the
+#: parent)``: it is built when popped, and a run with a state memo may answer
+#: for it instead.  Which paths end never depends on the order; only which
+#: survive ``max_paths``.
 Worklist = List[tuple]
 
 
@@ -214,17 +216,20 @@ class SymbolicExecutor:
                 result.truncated = True
                 break
             item = worklist.pop()
+            pending = len(worklist)
             if len(item) == 3:
                 current, element_name, in_port = item
-                if recorder is not None and recorder.enter(
-                    current, element_name, in_port, len(worklist)
+                if recorder is not None and recorder.replay(
+                    current, element_name, in_port, pending
                 ):
                     continue  # replayed from the memo
             else:
-                current = self._build(item, len(worklist))
+                current = self._build(item, pending)
                 if current is None:
                     continue  # replayed from the memo, never built
                 element_name, in_port = item[1].next_element, item[1].next_port
+            if recorder is not None:
+                recorder.explore(current, pending)
             self._step(current, element_name, in_port, worklist, result)
         else:
             if recorder is not None:
@@ -310,15 +315,15 @@ class SymbolicExecutor:
         program is one guard (``Constrain.guard``, the egress models) is
         probed, the atom already classified when the field holds a plain
         variable; any other program is left to :meth:`_emit`.  Ports are then
-        served in order.  A living one gets a clone (``state`` itself when it
-        is the last, unless a dead port's record may read it) and, for a
-        plain variable, the domain the probe narrowed it to — except that in a
-        run with a state memo a plain variable's port with a next hop is queued
-        unbuilt (:data:`Worklist`): the first one queued, popped last of its
-        siblings, takes ``state`` itself, and every other living port a clone.
-        A dead port is counted, and recorded only if the run keeps records and the
-        settings record failed paths — as a flyweight that rebuilds its state
-        on demand from ``state``, never mutated again."""
+        served in order.  A plain variable's port with a next hop is queued
+        unbuilt (:data:`Worklist`); any other living one is built now
+        (:func:`_guarded`, or :meth:`_emit` for a program that is no guard).
+        ``state`` itself goes to the first one queued, popped last of its
+        siblings, or else to the last living port, unless a dead port's record
+        may read it; every other living port gets a clone.  A dead port is
+        counted, and recorded only if the run keeps records and the settings
+        record failed paths — as a flyweight that rebuilds its state on demand
+        from ``state``, never mutated again."""
         plans = []
         living, died, last_field = 0, False, None
         for egress in exits:
@@ -352,53 +357,40 @@ class SymbolicExecutor:
         # (only a run that records failed paths keeps any) or an unbuilt
         # child took it.
         taken = died and keep_failed
-        defer = self._recorder is not None
         for egress, program, term, narrowed, alive in plans:
             if not alive:
                 reason = program.unsatisfiable_reason
                 if keep_failed:
-                    formula = sa.Member(term, program.guard[1])
-                    recipe = partial(_dead_branch, state, egress.key, program, formula)
+                    recipe = partial(_dead_branch, state, egress.key, program, term, narrowed)
                     result.paths.append(
                         PathRecord(recipe, PathStatus.FAILED, reason, egress.port_id)
                     )
                 self._end(result, PathStatus.FAILED, reason)
                 continue
             living -= 1
-            if defer and narrowed is not None and egress.next_element is not None:
+            if type(term) is sa.Var and egress.next_element is not None:
                 worklist.append((state, egress, program, term, narrowed, not taken))
                 taken = True
                 continue
             branch = state.clone() if living or taken else state
             if term is None:
                 self._emit(branch, element, egress, program, worklist, result)
-                continue
-            branch.record_port(egress.key)
-            branch.record_instruction(program)
-            allowed = program.guard[1]
-            formula = sa.Member(term, allowed)
-            if type(term) is sa.Var:
-                branch.condition.assume_member(formula, term, allowed, narrowed)
             else:
-                branch.add_constraint(formula)
-            self._follow(branch, egress, worklist, result)
+                self._follow(_guarded(branch, egress.key, program, term, narrowed),
+                             egress, worklist, result)
 
     def _build(self, item: tuple, pending: int) -> Optional[ExecutionState]:
         """An unbuilt child (:data:`Worklist`) popped with ``pending`` items
-        left: None when the memo replays it, else the child built — as the
-        fan-out would have built it — and entered in the memo."""
+        left: None when the run's state memo replays it, else the child
+        built."""
         parent, egress, program, var, narrowed, takes_parent = item
         recorder = self._recorder
-        element, port = egress.next_element, egress.next_port
-        if recorder.replay(parent, element, port, pending, (var, narrowed), egress.key):
+        if recorder is not None and recorder.replay(
+            parent, egress.next_element, egress.next_port, pending, (var, narrowed), egress.key
+        ):
             return None
-        state = parent if takes_parent else parent.clone()
-        state.record_port(egress.key)
-        state.record_instruction(program)
-        allowed = program.guard[1]
-        state.condition.assume_member(sa.Member(var, allowed), var, allowed, narrowed)
-        recorder.explore(state, pending)
-        return state
+        return _guarded(parent if takes_parent else parent.clone(), egress.key, program, var,
+                        narrowed)
 
     def _emit(
         self,
@@ -734,13 +726,28 @@ class SymbolicExecutor:
         raise ModelError(f"cannot translate condition {condition!r}")
 
 
-def _dead_branch(parent: ExecutionState, port_key: str, guard: si.Constrain, formula: Formula):
-    """The state of an egress branch its guard killed: what the interpreter
-    would have built, from the fork's never-again-mutated parent."""
-    state = parent.clone()
+def _guarded(state: ExecutionState, port_key: str, guard: si.Constrain, term: Term,
+             narrowed: Optional[IntervalSet]) -> ExecutionState:
+    """``state`` taken out by the egress port ``port_key`` whose program is
+    the one guard ``guard`` over ``term``, as the interpreter would: a plain
+    variable's atom assumed in solved form (``narrowed``, if the probe has
+    it), any other term's as a constraint."""
     state.record_port(port_key)
     state.record_instruction(guard)
-    state.add_constraint(formula)
+    allowed = guard.guard[1]
+    formula = sa.Member(term, allowed)
+    if type(term) is sa.Var:
+        state.condition.assume_member(formula, term, allowed, narrowed)
+    else:
+        state.add_constraint(formula)
+    return state
+
+
+def _dead_branch(parent: ExecutionState, port_key: str, guard: si.Constrain, term: Term,
+                 narrowed: Optional[IntervalSet]) -> ExecutionState:
+    """The state of an egress branch its guard killed: what the interpreter
+    would have built, from the fork's never-again-mutated parent."""
+    state = _guarded(parent.clone(), port_key, guard, term, narrowed)
     state.fail(guard.unsatisfiable_reason)
     return state
 

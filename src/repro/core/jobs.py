@@ -20,6 +20,7 @@ its registered injection ports, solver and verdict cache) through
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 from dataclasses import dataclass, field
@@ -90,14 +91,17 @@ class CampaignJob:
         return port_key(self.element, self.port)
 
 
+def config_digest(payload) -> str:
+    """Stable digest of a job's behaviour-relevant configuration."""
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+
+
 def job_config_digest(job: CampaignJob) -> str:
     """Digest of everything behaviour-relevant in a job except its injection
     point: a baseline report may only be spliced when the settings' identity
     fields and the fact channels agree exactly.  Tier switches and store
     wiring are deliberately absent — they change which tier answers, never
     the answer."""
-    from repro.network.view import config_digest
-
     return config_digest((job.settings.identity(), job.facts))
 
 

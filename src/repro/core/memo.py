@@ -13,9 +13,10 @@ equality of the futures.  Nothing is stored for a subtree that lived on an
 had visited (a loop check read the history — so no summary holds a loop
 ending), and a summary is replayed only where exploring could not differ
 (:meth:`Recorder._fits`) — though, like a cached verdict, it may be definite
-where a smaller case-split budget would not be.  A fork's egress child is
-looked up before it is built, off its parent (:meth:`Recorder.replay`), when
-the engine pops it: a hit builds no state.
+where a smaller case-split budget would not be.  The engine queues a
+fork's plain-variable egress child unbuilt; a memo looks it up off its
+parent (:meth:`Recorder.replay`) when it is popped, and only a miss
+(:meth:`Recorder.explore`) builds it.
 
 A summary keeps no path: its tallies, and the **fact delta** of its subtree
 (:class:`~repro.core.facts.FactFold`) — the root step's delivered paths
@@ -115,15 +116,6 @@ class Recorder:
         self.poisoned = 0  # frames[:poisoned] store nothing
         self.own: Optional[list] = None
         self.key: Optional[tuple] = None  # the last lookup's
-
-    def enter(self, state: ExecutionState, element: str, in_port: str, pending: int) -> bool:
-        """Before ``state`` steps into ``element:in_port`` with ``pending``
-        items left on the worklist: replay its subtree (True), or explore
-        it (False)."""
-        if self.replay(state, element, in_port, pending):
-            return True
-        self.explore(state, pending)
-        return False
 
     def replay(self, state: ExecutionState, element: str, in_port: str, pending: int,
                swap: Optional[tuple] = None, port: Optional[str] = None) -> bool:

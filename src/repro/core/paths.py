@@ -128,18 +128,23 @@ class ExecutionResult:
     #: path lived on because the solver's case-split budget left a check
     #: "unknown" — the path list is not the (proved) full set.
     truncated: bool = False
-    #: Terminations by status, and by ``(status, stop reason)``, each in
-    #: first-termination order — kept records or not.
-    status_counts: Dict[str, int] = field(default_factory=dict)
+    #: Terminations by ``(status, stop reason)``, in first-termination
+    #: order — kept records or not.
     reason_counts: Dict[Tuple[str, str], int] = field(default_factory=dict)
     #: How many paths terminated (what ``max_paths`` budgets).
     terminations: int = 0
 
+    @property
+    def status_counts(self) -> Dict[str, int]:
+        """Terminations by status, in first-termination order."""
+        counts: Dict[str, int] = {}
+        for (status, _), times in self.reason_counts.items():
+            counts[status] = counts.get(status, 0) + times
+        return counts
+
     def count(self, status: str, reason: str) -> None:
         """Tally one termination."""
         self.terminations += 1
-        counts = self.status_counts
-        counts[status] = counts.get(status, 0) + 1
         key = (status, reason)
         counts = self.reason_counts
         counts[key] = counts.get(key, 0) + 1
@@ -147,10 +152,9 @@ class ExecutionResult:
     def tally(self, reasons) -> None:
         """Tally ``((status, reason), count)`` pairs in first-termination
         order, as counting their terminations one by one would."""
-        statuses, counts = self.status_counts, self.reason_counts
+        counts = self.reason_counts
         for key, times in reasons:
             self.terminations += times
-            statuses[key[0]] = statuses.get(key[0], 0) + times
             counts[key] = counts.get(key, 0) + times
 
     def __len__(self) -> int:
@@ -209,4 +213,4 @@ class ExecutionResult:
 
     def summary_counts(self) -> Dict[str, int]:
         """Terminations by status, kept records or not."""
-        return dict(self.status_counts)
+        return self.status_counts

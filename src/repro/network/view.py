@@ -30,15 +30,15 @@ offsets, opaque ``For`` bodies, unknown-width variables) is encoded
 *literally*: it can only split classes, never merge them wrongly.  A
 construct it cannot encode at all raises :class:`SymmetryUnsupported`.
 
-:func:`elements_reaching` — the element-level reverse link closure delta
-verification reads — lives here too.
+:func:`~repro.core.jobs.config_digest`, the digest a form's injection mark
+carries, is imported here for the benchmark replay and the encoder tests.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.jobs import config_digest  # noqa: F401  (re-exported)
 from repro.sefl import instructions as si
 from repro.sefl.expressions import (
     And,
@@ -588,35 +588,3 @@ class CampaignSymmetryView:
         return self._structure.form(
             self._injection(element, port), ("inject", config_digest)
         )
-
-
-def config_digest(payload) -> str:
-    """Stable digest of a job's behaviour-relevant configuration."""
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
-
-
-def elements_reaching(network, targets: Iterable[str]) -> set:
-    """Every element name that can reach any of ``targets`` along the
-    network's link graph (the targets themselves included).
-
-    This is the element-level neighbourhood relation the symmetry view's
-    entity graph encodes structurally, exposed as a plain reverse closure
-    for delta verification: an injection port's answer can only depend on
-    elements its element reaches, so a port whose element is *not* in the
-    closure of the touched set is provably unaffected by the touch.  The
-    walk runs over link endpoints *by name* — dangling links included — and
-    ignores programs entirely, so it is a sound over-approximation of
-    anything the engine (which only follows links) can traverse.
-    """
-    reverse: Dict[str, set] = {}
-    for link in network.links:
-        reverse.setdefault(link.destination.element, set()).add(link.source.element)
-    seen = set(targets)
-    frontier = list(seen)
-    while frontier:
-        node = frontier.pop()
-        for upstream in reverse.get(node, ()):
-            if upstream not in seen:
-                seen.add(upstream)
-                frontier.append(upstream)
-    return seen

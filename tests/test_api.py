@@ -547,7 +547,7 @@ class TestPlanner:
         plan = compile_plan(model, batch)
         assert plan.job_count == 4
         assert plan.fingerprint() == (
-            "ed46b9836a323b6f4edc9991438ca577b6a5050e5266e4c27faf1c176916445f"
+            "1e4c78aaed0082d6b571a7b53aea435b6dd6a3014db6eda5657534036eea8235"
         )
 
     def test_plan_fingerprint_separates_different_batches(self):

@@ -96,6 +96,23 @@ def test_a_single_worker_query_loads_no_pool_and_no_symmetry_view(tmp_path):
     assert loaded == []
 
 
+def test_a_directory_query_loads_no_network_encoder(tmp_path):
+    """A query on a snapshot directory records its delta baseline, whose
+    job digests are one SHA-256 each: the network encoder stays unloaded."""
+    from repro.workloads.export import export_stanford_directory
+
+    net = tmp_path / "net"
+    net.mkdir()
+    export_stanford_directory(str(net), zones=4)
+    report = tmp_path / "report.json"
+    code = (
+        "from repro.cli import main\n"
+        f"assert main(['query', {str(net)!r}, '-o', {str(report)!r}, 'loop()']) == 0"
+    )
+    assert _loaded_in_fresh_interpreter(code, ("repro.network.view",)) == []
+    assert report.exists()
+
+
 class TestShow:
     def test_show_lists_elements_and_links(self, network_dir, capsys):
         assert main(["show", str(network_dir)]) == 0
@@ -580,7 +597,7 @@ class TestQueryCommand:
             "ab904e8f45e1ef7987f76deff9bf2aedc108fc14b3715d8da8722bd0c9ceea8e",
         ]
         assert report["fingerprint"] == (
-            "ae72cdc207b8d13fd39a91ecf40f83ca8655614c0323d25f59f44f8f9954acef"
+            "f8856c098e5ee806069ee9c3c413ff0af3830a18ed0ebece0a8fa2c3021ca7d5"
         )
         assert report["queries"][2]["value"]["drop_policy"]["reasons"]
         pinned = re.sub(
@@ -589,7 +606,7 @@ class TestQueryCommand:
             text,
         ).replace(str(net), "NET")
         assert hashlib.sha256(pinned.encode()).hexdigest() == (
-            "b06fb6b59da843ca6c9ae6a4b35a295740c29d18641a054dacd59e2c6a1e2b19"
+            "ca1970689bed791d5796953640ad1d8e0c8c9f288c6d68d4ccb3671b30d9b08d"
         )
 
 

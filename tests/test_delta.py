@@ -43,13 +43,13 @@ from repro.core.delta import (
     ElementManifest,
     affected_injections,
     diff_manifests,
+    elements_reaching,
     record_baseline,
     report_from_payload,
 )
 from repro.core.jobs import JobReport
 from repro.core.queries import AGGREGATIONS, port_key
 from repro.core.shapes import ReasonTable
-from repro.network.view import elements_reaching
 from repro.parsers.service_acl import format_service_acl, parse_service_acl
 from repro.parsers.topology_file import load_network_directory
 from repro.store import VerificationStore

@@ -81,6 +81,21 @@ def clones(monkeypatch):
     return count
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts ``SymbolicExecutor._build`` calls (unbuilt egress children
+    popped) in ``builds[0]``."""
+    count = [0]
+    build = SymbolicExecutor._build
+
+    def counting(self, item, pending):
+        count[0] += 1
+        return build(self, item, pending)
+
+    monkeypatch.setattr(SymbolicExecutor, "_build", counting)
+    return count
+
+
 PORTS = ["p0", "p1", "p2", "p3", "p4", "p5"]
 ONLY_P2 = (ip(10, 2, 0, 0), ip(10, 2, 255, 255))
 
@@ -124,6 +139,37 @@ class TestCloneCounts:
         (answer,) = model.query(Loop(("acl0", "in0")))
         assert answer.holds is True
         assert 0 < clones[0] <= 102
+
+
+class TestOneChildPath:
+    """A living egress port whose guard reads a plain variable and that has
+    a next hop is queued unbuilt and built when popped, in every run: bare or
+    campaign, memo on or off, either solver mode."""
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_a_bare_run_builds_its_child_when_popped(self, builds, clones, incremental):
+        settings = ExecutionSettings(use_incremental_solver=incremental)
+        executor = SymbolicExecutor(egress_router(PORTS, behind="p1"), settings=settings)
+        result = executor.inject(packet_to(), "r")
+        assert builds[0] == 1  # p1's: the only port with a next hop
+        assert clones[0] == len(PORTS) - 1
+        assert [str(p.last_port) for p in result] == [
+            "r:p0", "r:p2", "r:p3", "r:p4", "r:p5", "sink:out0",
+        ]
+        assert result.paths[-1].ports_visited == ["r:in0", "r:p1", "sink:in0", "sink:out0"]
+
+    def test_a_memo_off_campaign_job_builds_its_child_when_popped(self, builds):
+        from repro.core.campaign import VerificationCampaign
+
+        campaign = VerificationCampaign(
+            egress_router(PORTS, behind="p1"), queries=("reachability",),
+            state_memo=False,
+        )
+        campaign.add_injection("r", "in0")
+        result = campaign.run(workers=1)
+        assert builds[0] > 0
+        assert result.stats.state_memo_hits == result.stats.state_memo_misses == 0
+        assert ("r:in0", "sink:out0", 1) in result.reachability.pairs()
 
 
 #: The bench's queries over exported stanford (16 zones, 12 prefixes per

@@ -594,7 +594,8 @@ def test_a_replay_made_when_a_child_is_queued_is_caught(point, monkeypatch):
         queued = worklist[start:]
         del worklist[start:]
         for item in queued:
-            if len(item) == 3 or not self._recorder.replay(
+            # A run without a recorder (the memo-off side) has nothing to ask.
+            if len(item) == 3 or self._recorder is None or not self._recorder.replay(
                 item[0], item[1].next_element, item[1].next_port, len(worklist),
                 (item[3], item[4]), item[1].key,
             ):

@@ -333,6 +333,26 @@ class TestPlanResultCache:
         assert not other.from_cache
         assert execution_counters()["engine_runs"] > 0
 
+    def test_a_plan_filed_under_the_previous_scheme_is_a_counted_miss(
+        self, tmp_path, monkeypatch
+    ):
+        """A payload stored under a ``plan/2`` fingerprint has the shape
+        that scheme wrote (a retired plan key and stats keys): under the
+        current scheme it is a miss the plan-cache counter records, never
+        a hit rendering the old shape."""
+        from repro.api import planner
+        from repro.obs.metrics import PLAN_CACHE
+
+        store = VerificationStore(str(tmp_path / "store"))
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "PLAN_SCHEME", "plan/2")
+            assert not self._model().query(Loop(), store=store).from_cache
+            assert self._model().query(Loop(), store=store).from_cache
+        misses = PLAN_CACHE.get().value(result="miss")
+        assert not self._model().query(Loop(), store=store).from_cache
+        assert PLAN_CACHE.get().value(result="miss") == misses + 1
+        assert self._model().query(Loop(), store=store).from_cache
+
     def test_cached_plans_survive_compaction_and_clear(self, tmp_path):
         store = VerificationStore(str(tmp_path / "store"))
         self._model().query(Loop(), store=store)
