@@ -12,7 +12,8 @@ smallest fraction, and the egress path count equals the number of interfaces.
 Each row starts from snapshot text, the path a real snapshot takes through
 ``router_from_routing_table``: the FIB is rendered with
 ``format_routing_table``, then parsed and built into a model, and the two
-steps are reported apart.
+steps are reported apart.  The egress rows parse to FIB columns and build
+from them; the basic and ingress rows parse to entries.
 """
 
 import time
@@ -20,8 +21,12 @@ import time
 import pytest
 
 from repro import ExecutionSettings, Network, SymbolicExecutor, models
-from repro.models.router import build_router
-from repro.parsers.routing_table import format_routing_table, parse_routing_table
+from repro.models.router import build_router, fib_columns, router_egress_columns
+from repro.parsers.routing_table import (
+    format_routing_table,
+    parse_routing_columns,
+    parse_routing_table,
+)
 from repro.workloads import generate_fib
 from repro.workloads.fibs import fib_subset
 
@@ -51,12 +56,18 @@ def _analyse(style, fraction):
     fib = fib_subset(_FIB, fraction, seed=1)
     snapshot = format_routing_table(fib)
     # router_from_routing_table, one step at a time.
+    if style == "egress":
+        parse, build = parse_routing_columns, router_egress_columns
+        expected = fib_columns(fib)
+    else:
+        parse, expected = parse_routing_table, fib
+        build = lambda name, entries: build_router(name, entries, style=style)
     parse_start = time.perf_counter()
-    parsed = parse_routing_table(snapshot)
+    parsed = parse(snapshot)
     build_start = time.perf_counter()
-    element = build_router("core", parsed, style=style)
+    element = build("core", parsed)
     build_end = time.perf_counter()
-    assert parsed == fib
+    assert parsed == expected
     network = Network()
     network.add_element(element)
     executor = SymbolicExecutor(network, settings=SETTINGS)

@@ -17,9 +17,15 @@ from __future__ import annotations
 import logging
 import re
 from socket import AF_INET, inet_pton
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.models.router import FibEntry, RouterModelStyle, build_router
+from repro.models.router import (
+    FibColumns,
+    FibEntry,
+    RouterModelStyle,
+    build_router,
+    router_egress_columns,
+)
 from repro.network.element import NetworkElement
 from repro.sefl.util import number_to_ip
 
@@ -37,8 +43,9 @@ _LINE = re.compile(
 _LENGTHS = {str(plen): plen for plen in range(33)}
 
 
-def parse_routing_table(text: str) -> List[FibEntry]:
-    """Parse a forwarding-table snapshot into a list of FIB entries.
+def parse_routing_columns(text: str) -> FibColumns:
+    """Parse a forwarding-table snapshot into FIB columns: the rules'
+    addresses, lengths and ports, in snapshot order.
 
     Lines that are not rules (a malformed address, an IPv6 prefix, a missing
     port) are skipped, and reported in one warning per snapshot.
@@ -48,7 +55,9 @@ def parse_routing_table(text: str) -> List[FibEntry]:
     is read off its two tokens without the regex; any line that is not
     exactly that shape, valid or not, goes through ``_LINE``.
     """
-    entries: List[FibEntry] = []
+    addresses: List[int] = []
+    lengths: List[int] = []
+    ports: List[str] = []
     skipped: List[int] = []
     for number, line in enumerate(text.split("\n"), 1):
         tokens = line.split()
@@ -63,14 +72,18 @@ def parse_routing_table(text: str) -> List[FibEntry]:
                 except (OSError, ValueError):  # ValueError: an embedded NUL
                     pass
                 else:
-                    entries.append((int.from_bytes(packed, "big"), plen, tokens[1]))
+                    addresses.append(int.from_bytes(packed, "big"))
+                    lengths.append(plen)
+                    ports.append(tokens[1])
                     continue
         a, b, c, d, length, port, junk = _LINE.match(line).groups(default="")
         if port:
             a, b, c, d = int(a), int(b), int(c), int(d)
             plen = int(length) if length else 32
             if (a | b | c | d) <= 255 and plen <= 32:
-                entries.append((a << 24 | b << 16 | c << 8 | d, plen, port))
+                addresses.append(a << 24 | b << 16 | c << 8 | d)
+                lengths.append(plen)
+                ports.append(port)
                 continue
         if port or junk:
             skipped.append(number)
@@ -80,7 +93,12 @@ def parse_routing_table(text: str) -> List[FibEntry]:
             len(skipped),
             skipped[0],
         )
-    return entries
+    return addresses, lengths, ports
+
+
+def parse_routing_table(text: str) -> List[FibEntry]:
+    """Parse a forwarding-table snapshot into a list of FIB entries."""
+    return list(zip(*parse_routing_columns(text)))
 
 
 def router_from_routing_table(
@@ -89,7 +107,10 @@ def router_from_routing_table(
     style: RouterModelStyle = RouterModelStyle.EGRESS,
     input_ports: Sequence[str] = ("in0",),
 ) -> NetworkElement:
-    """Parse a snapshot and build the corresponding router model."""
+    """Parse a snapshot and build the corresponding router model.  The
+    egress model is built straight from the parsed columns."""
+    if RouterModelStyle(style) is RouterModelStyle.EGRESS:
+        return router_egress_columns(name, parse_routing_columns(text), input_ports)
     fib = parse_routing_table(text)
     return build_router(name, fib, style=style, input_ports=input_ports)
 

@@ -308,6 +308,29 @@ class TestStackSweep:
             "default": IntervalSet([(0x00, 0x0F), (0x20, 0xFF)]),
         }
 
+    def test_ports_are_listed_by_their_first_unshadowed_prefix(self):
+        """The groups' dict order: each port at its first prefix in address
+        order that is not a duplicate of an earlier entry's prefix.  Port
+        ``late``'s first prefix in address order, 0x10/4, is a duplicate of
+        ``a``'s, so ``late`` comes at its own 0x80/4, after ``d``; ``ghost``
+        has nothing but a duplicate and attracts nothing."""
+        fib = [
+            (0x80, 4, "late"),
+            (0x20, 4, "d"),
+            (0x10, 4, "a"),
+            (0x1F, 4, "late"),
+            (0x20, 4, "ghost"),
+            (0x00, 0, "c"),
+        ]
+        groups = group_prefixes_by_port(fib, width=SWEEP_WIDTH)
+        assert list(groups) == ["c", "a", "d", "late"]
+        assert groups == {
+            "c": IntervalSet([(0x00, 0x0F), (0x30, 0x7F), (0x90, 0xFF)]),
+            "a": IntervalSet([(0x10, 0x1F)]),
+            "d": IntervalSet([(0x20, 0x2F)]),
+            "late": IntervalSet([(0x80, 0x8F)]),
+        }
+
     def test_adjacent_and_nested_prefixes_of_one_port_merge(self):
         groups = group_prefixes_by_port(
             [(0x00, 1, "a"), (0x80, 1, "a"), (0x40, 2, "a"), (0x44, 6, "b")],

@@ -8,7 +8,9 @@ import re
 import pytest
 
 from repro import ExecutionSettings, Network, SymbolicExecutor, models
+from repro.models.router import RouterModelStyle, build_router
 from repro.models.switch import SwitchModelStyle
+from repro.network.element import WILDCARD_PORT
 from repro.parsers import (
     load_network_directory,
     parse_asa_config,
@@ -23,6 +25,7 @@ from repro.parsers.mac_table import format_mac_table
 from repro.parsers.routing_table import _LINE, format_routing_table
 from repro.parsers.topology_file import TopologyParseError
 from repro.sefl import EtherDst, IpDst, ip_to_number, mac_to_number
+from repro.sefl.instructions import Constrain, Fail
 from repro.sefl.util import parse_prefix
 from repro.workloads.fibs import fib_as_text, fib_subset, generate_fib
 
@@ -212,49 +215,50 @@ class TestRoutingTableSkippedLines:
         ]
         assert routing_table_log == []
 
+    LINES = DIRTY.splitlines() + [
+        "1.2.3.4/8/3 if0",
+        "1.2.3 if0",
+        "1.2.3.4.5/8 if0",
+        "1.2.3.4/ if0",
+        "1.2.3.4/",
+        "1.2.3.4/+8 if0",
+        "1.2.3.4/8 if0 extra",
+        "  # 1.2.3.4/8 if0",
+        "1.2.3.4/8 if0#no-space-comment",
+        "0.0.0.0/0 default",
+        "255.255.255.255 host",
+        "256.0.0.0/8 if0",
+        # Spellings the grammar accepts and the two-token fast path does
+        # not: leading zeros, non-ASCII digits.
+        "010.0.0.0/8 if0",
+        "10.0.0.0/08 if0",
+        "10.0.0.0/032 if0",
+        "\u0661.2.3.4/8 if0",
+        "1.2.3.4/\u0668 if0",
+        # Not rules in either.
+        "1.2.3.4\x00/8 if0",
+        "1.2.3.4/8\x00 if0",
+        "2001:db8::/32 if0",
+        "::/0 if0",
+        "foo bar",
+        "1.2.3.4/33 if0",
+        # Every Unicode whitespace separates tokens; only "\n" ends a line.
+        "1.2.3.4/8\u00a0if0",
+        "1.2.3.4/8\x85if0",
+        "1.2.3.4/8\x1cif0",
+        "\u30001.2.3.4/8\u3000if0\u3000",
+        "1.2.3.4/8 if0\r",
+        "\r",
+        # A port may start with "#"; a first token that does is a comment.
+        "1.2.3.4/8 #if0",
+        "1.2.3.4 #",
+        "#1.2.3.4/8 if0",
+    ]
+
     def test_agrees_with_line_at_a_time_reference(self, routing_table_log):
-        lines = self.DIRTY.splitlines() + [
-            "1.2.3.4/8/3 if0",
-            "1.2.3 if0",
-            "1.2.3.4.5/8 if0",
-            "1.2.3.4/ if0",
-            "1.2.3.4/",
-            "1.2.3.4/+8 if0",
-            "1.2.3.4/8 if0 extra",
-            "  # 1.2.3.4/8 if0",
-            "1.2.3.4/8 if0#no-space-comment",
-            "0.0.0.0/0 default",
-            "255.255.255.255 host",
-            "256.0.0.0/8 if0",
-            # Spellings the grammar accepts and the two-token fast path does
-            # not: leading zeros, non-ASCII digits.
-            "010.0.0.0/8 if0",
-            "10.0.0.0/08 if0",
-            "10.0.0.0/032 if0",
-            "\u0661.2.3.4/8 if0",
-            "1.2.3.4/\u0668 if0",
-            # Not rules in either.
-            "1.2.3.4\x00/8 if0",
-            "1.2.3.4/8\x00 if0",
-            "2001:db8::/32 if0",
-            "::/0 if0",
-            "foo bar",
-            "1.2.3.4/33 if0",
-            # Every Unicode whitespace separates tokens; only "\n" ends a line.
-            "1.2.3.4/8\u00a0if0",
-            "1.2.3.4/8\x85if0",
-            "1.2.3.4/8\x1cif0",
-            "\u30001.2.3.4/8\u3000if0\u3000",
-            "1.2.3.4/8 if0\r",
-            "\r",
-            # A port may start with "#"; a first token that does is a comment.
-            "1.2.3.4/8 #if0",
-            "1.2.3.4 #",
-            "#1.2.3.4/8 if0",
-        ]
         rng = random.Random(SEED)
         for _ in range(200):
-            sample = rng.sample(lines, rng.randint(0, len(lines)))
+            sample = rng.sample(self.LINES, rng.randint(0, len(self.LINES)))
             text = "\n".join(sample) + rng.choice(["", "\n"])
             expected, skipped = reference_parse(text)
             assert grammar_parse(text) == (expected, skipped), text
@@ -268,6 +272,81 @@ class TestRoutingTableSkippedLines:
         text = fib_as_text(fib)
         assert parse_routing_table(text) == reference_parse(text)[0] == fib
         assert routing_table_log == []
+
+
+def router_shape(element):
+    """What a router model is: its input ports, its input program (the
+    egress style's ``Fork`` with its port order), its output ports in order
+    and, per output port, its ``Constrain``'s allowed set, its ``Fail`` or
+    (ingress style) its program."""
+    programs = []
+    for port in element.output_ports:
+        program = element.output_program(port)
+        if isinstance(program, Constrain):
+            programs.append((port, "allow", list(program.condition.values.pairs())))
+        elif isinstance(program, Fail):
+            programs.append((port, "fail", program.message))
+        else:
+            programs.append((port, "program", program))
+    return (
+        element.input_ports,
+        element.input_program(WILDCARD_PORT),
+        element.output_ports,
+        programs,
+    )
+
+
+class TestColumnPath:
+    """``router_from_routing_table`` builds the egress model from the parsed
+    columns; it must build what ``build_router`` builds from the entries."""
+
+    def assert_same_router(self, text, style=RouterModelStyle.EGRESS):
+        built = router_from_routing_table("r", text, style=style)
+        reference = build_router("r", parse_routing_table(text), style=style)
+        assert router_shape(built) == router_shape(reference), text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "# nothing but a comment\n\n",
+            # Duplicate prefixes, one with other host bits: the first wins.
+            "10.0.0.0/8 a\n10.0.0.0/8 b\n10.255.0.0/8 c\n0.0.0.0/0 d\n",
+            # Port z's one prefix is covered by two more specific ones.
+            "10.0.0.0/24 z\n10.0.0.0/25 x\n10.0.0.128/25 y\n",
+            # Port late's first prefix in address order is a duplicate.
+            "10.128.0.0/9 late\n10.0.0.0/9 a\n10.0.0.0/9 late\n0.0.0.0/0 d\n",
+        ],
+    )
+    def test_edge_cases(self, text):
+        self.assert_same_router(text)
+
+    def test_shadowed_ports_fail(self):
+        element = router_from_routing_table(
+            "r", "10.0.0.0/8 a\n10.0.0.0/8 b\n10.0.0.0/24 z\n"
+            "10.0.0.0/25 x\n10.0.0.128/25 y\n"
+        )
+        kinds = {port: kind for port, kind, _ in router_shape(element)[3]}
+        assert kinds == {
+            "a": "allow", "b": "fail", "z": "fail", "x": "allow", "y": "allow"
+        }
+        assert element.input_program(WILDCARD_PORT).ports == ("a", "b", "z", "x", "y")
+
+    def test_agrees_on_the_parser_sample_space(self, routing_table_log):
+        rng = random.Random(SEED)
+        for _ in range(200):
+            sample = rng.sample(
+                TestRoutingTableSkippedLines.LINES,
+                rng.randint(0, len(TestRoutingTableSkippedLines.LINES)),
+            )
+            text = "\n".join(sample) + rng.choice(["", "\n"])
+            self.assert_same_router(text)
+            self.assert_same_router(text, RouterModelStyle.INGRESS)
+
+    def test_agrees_on_the_router_fib_snapshot(self):
+        """The 62 205-prefix FIB of Table 2's 33 % row, as snapshot text."""
+        fib = fib_subset(generate_fib(188_500, ports=16, seed=12), 0.33, seed=1)
+        self.assert_same_router(fib_as_text(fib))
 
 
 class TestAsaConfigParser:
