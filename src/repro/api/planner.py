@@ -36,6 +36,7 @@ from repro.core.campaign import (
     RunSettings,
     VerificationCampaign,
 )
+from repro.core.facts import check_schema, schema_digest
 from repro.core.queries import AGGREGATIONS, CampaignStats, port_key
 from repro.core.shapes import ReasonTable
 
@@ -44,12 +45,6 @@ from repro.core.shapes import ReasonTable
 # Plans
 # ---------------------------------------------------------------------------
 
-
-#: What a plan's answers mean, hashed into its fingerprint: a new scheme
-#: makes the answers a store filed under the old one miss.  Scheme 2 reads
-#: a witness budget's first values in the order found.  Scheme 3 has no
-#: symmetry plan or stats keys, which a scheme-2 record would render.
-PLAN_SCHEME = "plan/3"
 
 #: ``plan.max_hops``, ``plan.kinds``, …: which declared object of a plan
 #: each flat read-only view comes from.
@@ -101,7 +96,6 @@ class Plan:
         take part: tier switches never move an answer, so e.g. spliced
         and direct runs share one plan-cache identity."""
         payload = (
-            PLAN_SCHEME,
             self.model.fingerprint() or self.model.describe(),
             tuple(sorted(query.describe() for query in self.queries)),
             self.facts,
@@ -345,19 +339,21 @@ class PlanResult:
 def plan_record(payload: Mapping[str, object]) -> Dict[str, object]:
     """A :meth:`PlanResult.to_dict` payload as a store record body: each
     reason text stated once, in a trailing ``reasons`` table its answers
-    refer to by id (the inverse of :func:`plan_from_record`)."""
+    refer to by id, and its ``schema`` (the inverse of :func:`plan_from_record`)."""
     reasons = ReasonTable()
     body = _recode_answers(payload, lambda shape, value: shape.encode(value, reasons))
     body["reasons"] = reasons.texts
+    body["schema"] = schema_digest()
     return body
 
 
 def plan_from_record(body: Mapping[str, object]) -> Dict[str, object]:
     """The payload :func:`plan_record` stored, its reasons rendered back to
     text: key for key and byte for byte the ``to_dict`` of the run that
-    computed it.  ``ValueError`` on a body without a reason table."""
+    computed it.  ``ValueError`` on a body of another schema or no reason table."""
+    check_schema("plan", body)
     reasons = ReasonTable.from_payload(body.get("reasons"))
-    payload = {key: value for key, value in body.items() if key != "reasons"}
+    payload = {k: v for k, v in body.items() if k not in ("reasons", "schema")}
     return _recode_answers(
         payload, lambda shape, value: shape.rebuild(value, reasons=reasons)
     )

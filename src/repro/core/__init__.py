@@ -47,6 +47,7 @@ __getattr__, __dir__ = _lazy_exports(
         "clear_runtime_cache": "jobs",
         "execute_job": "jobs",
         "free_input_ports": "sources",
+        "schema_digest": "facts",
     },
     (
         "campaign", "checks", "delta", "engine", "errors", "executor", "facts",
@@ -81,4 +82,5 @@ __all__ = [
     "clear_runtime_cache",
     "execute_job",
     "free_input_ports",
+    "schema_digest",
 ]

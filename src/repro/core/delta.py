@@ -21,7 +21,8 @@ networks:
 * :class:`CampaignBaseline` packages a previous run's manifest plus its
   per-port :class:`~repro.core.jobs.JobReport` payloads; persisted, it
   states each reason text once, in a :class:`~repro.core.shapes.ReasonTable`
-  the payloads refer to by id.
+  the payloads refer to by id, and names its ``schema_digest``: one of
+  another schema is refused, never reinterpreted.
 * :class:`DeltaReducer` is the pipeline stage built from those parts: it
   splices baseline reports for unaffected ports into the fresh result,
   leaves only the rest on the run list (one edited ACL on a wide network ≈
@@ -39,18 +40,11 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS
+from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS, check_schema, schema_digest
 from repro.core.shapes import ReasonTable
 from repro.core.jobs import CampaignJob, JobReport, job_config_digest
 from repro.core.sources import NetworkSource
 from repro.obs import get_tracer
-
-#: Baseline payload format version; bump on incompatible layout changes
-#: (readers reject unknown versions and fall back to a full rerun).
-#: Format 2 states each reason once, in the payload's ``reasons`` table;
-#: format 3 keeps witnesses in the order found, not sorted.
-BASELINE_FORMAT = 3
-
 
 @dataclass
 class ElementManifest:
@@ -244,7 +238,7 @@ class CampaignBaseline:
                     report[spec.name] = spec.encode(report[spec.name], table)
             self.reasons = table
         return {
-            "format": BASELINE_FORMAT,
+            "schema": schema_digest(),
             "source": self.source,
             "manifest": self.manifest.to_payload(),
             "reasons": self.reasons.texts,
@@ -257,10 +251,7 @@ class CampaignBaseline:
         with one that cannot serve as a baseline."""
         if not isinstance(payload, Mapping):
             raise ValueError("a baseline is a JSON object")
-        if payload.get("format") != BASELINE_FORMAT:
-            raise ValueError(
-                f"baseline format {payload.get('format')!r} is not {BASELINE_FORMAT}"
-            )
+        check_schema("baseline", payload)
         manifest = ElementManifest.from_payload(payload.get("manifest"))
         if manifest is None:
             raise ValueError("malformed baseline manifest")

@@ -19,14 +19,16 @@ and one ``REPORT_FIELDS`` row — all in this module — plus the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.checks import admitted_values, field_invariant, header_visible
 from repro.core.errors import MemorySafetyError
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
-from repro.core.queries import AGGREGATIONS
+from repro.core.queries import AGGREGATIONS, CampaignStats, InvariantReport, LoopReport
+from repro.core.settings import RunSettings
 from repro.core.shapes import Reason, Shape
 from repro.sefl.fields import standard_fields
 from repro.solver.solver import Solver
@@ -171,6 +173,41 @@ REPORT_FIELDS = (
     ReportField("truncated", bool),
 )
 SEMANTIC_FIELDS = ("element", "port") + tuple(spec.name for spec in REPORT_FIELDS)
+
+
+# ---------------------------------------------------------------------------
+# The schema of stored answers
+# ---------------------------------------------------------------------------
+
+#: Bumped by hand only for a change of meaning no walked declaration shows
+#: (as when witnesses came to be kept in the order found, not sorted).
+SCHEMA_SALT = 1
+
+
+@lru_cache(maxsize=None)
+def schema_digest() -> str:
+    """What stored answers (plan records, delta baselines) mean: a SHA-256
+    over the declarations they are rendered from — the shapes of
+    :data:`REPORT_FIELDS` and the aggregation values, the ``CampaignStats``
+    keys, the :class:`Facts` and identity ``RunSettings`` fields — and
+    :data:`SCHEMA_SALT`.  A field added or retired moves it."""
+    settings = [s for s in fields(RunSettings) if not s.metadata.get("tier_switch")]
+    walk = (
+        SCHEMA_SALT,
+        [(s.name, s.optional, repr(s.literal), getattr(s.order, "__name__", 0))
+         for s in REPORT_FIELDS],
+        [repr(kind.VALUE_SHAPE.literal) for kind in (LoopReport, InvariantReport)],
+        list(CampaignStats().to_dict()),
+        [(s.name, s.type) for s in (*fields(Facts), *settings)],
+    )
+    return hashlib.sha256(repr(walk).encode()).hexdigest()
+
+
+def check_schema(kind: str, record: Mapping[str, object]) -> None:
+    """Refuse a stored ``kind`` record of another schema, naming both."""
+    found, running = record.get("schema"), schema_digest()
+    if found != running:
+        raise ValueError(f"{kind} schema {found} is not {running}")
 
 
 # ---------------------------------------------------------------------------

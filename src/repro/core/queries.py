@@ -579,8 +579,9 @@ class CampaignStats:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CampaignStats":
         """Rehydrate a :meth:`to_dict` payload (the plan-result cache stores
-        the stats of the run that computed the answers).  Unknown keys are
-        ignored, so payloads written by other versions still load."""
+        the stats of the run that computed the answers).  The key order is
+        part of the stored-answer schema, so a payload of any other shape
+        is refused before it gets here."""
         stats = cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
         for counter in REPORTED_COUNTERS:
             key = counter if counter in _DECLARED else "solver_" + counter

@@ -110,6 +110,8 @@ class Shape:
     """A shape literal, compiled once."""
 
     def __init__(self, shape, order: Optional[Callable] = None) -> None:
+        #: The literal, kept so the stored-answer schema can spell it.
+        self.literal = shape
         #: Sort key giving a list-valued shape its canonical order.
         self.order = order
         self._build = _builder(shape)

@@ -10,9 +10,10 @@ compact JSON body::
 The header names what the record holds (``kind``) and what it answers
 (``key``); its checksum covers every body byte.  The body keeps the
 writer's key order, so a stored payload reads back exactly as it was
-rendered.  Version 2 bodies of plans and baselines state each reason text
-once, in a ``reasons`` table (:class:`~repro.core.shapes.ReasonTable`); a
-version-1 record is refused like any unknown version, never reinterpreted.
+rendered.  ``version`` is the container's codec; a plan or baseline body
+names its meaning in a ``schema`` (:func:`~repro.core.facts.schema_digest`)
+and states each reason once, in a ``reasons`` table.  A record of another
+version or schema is refused, never reinterpreted.
 
 :func:`read_record` is handed the kind and key the caller is looking for
 and refuses — with :class:`RecordError` — a wrong magic, version, kind or

@@ -33,7 +33,8 @@ are folded in with the verdict cache's own conflict-refusing policy
 (:func:`~repro.solver.verdict_cache.resolve_verdict`), and a record that
 fails either check is moved to ``quarantine/`` beside a ``.reason`` file
 and ignored — the store degrades to a smaller cache, it never crashes a
-campaign and never serves data it cannot vouch for.  Caching (including
+campaign and never serves data it cannot vouch for — a plan or baseline of
+another schema included.  Caching (including
 this store) changes *which tier answers*, never the answer; the mutation
 suite in ``tests/test_store.py`` corrupts records deliberately to prove it.
 """
@@ -441,12 +442,16 @@ class VerificationStore:
 
     def get_baseline(self, directory: str) -> Optional[Dict[str, object]]:
         """The recorded delta baseline for one snapshot directory (element
-        manifest + per-port job reports), or ``None``."""
+        manifest + per-port job reports), or ``None``; one that
+        ``CampaignBaseline.parse`` refuses is quarantined."""
+        from repro.core.delta import CampaignBaseline
+
         return self._read(
             self._baseline_path(directory),
             "baseline",
             os.path.abspath(directory),
             _is_payload,
+            lambda body: CampaignBaseline.parse(body) and body,
         )
 
     def put_baseline(self, directory: str, payload: Mapping[str, object]) -> None:
@@ -476,6 +481,8 @@ class VerificationStore:
 
     def describe(self) -> Dict[str, object]:
         """JSON-able summary for ``repro.cli store inspect``."""
+        from repro.core.facts import schema_digest
+
         verdicts = self.load(refresh=True)
         try:
             quarantine_files = [
@@ -488,6 +495,7 @@ class VerificationStore:
         return {
             "directory": self.directory,
             "format": STORE_FORMAT,
+            "schema": schema_digest(),
             "verdicts": len(verdicts),
             "segments": len(self._records("verdicts")),
             "plans": self.plan_count(),

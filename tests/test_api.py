@@ -547,7 +547,7 @@ class TestPlanner:
         plan = compile_plan(model, batch)
         assert plan.job_count == 4
         assert plan.fingerprint() == (
-            "1e4c78aaed0082d6b571a7b53aea435b6dd6a3014db6eda5657534036eea8235"
+            "e4578fc2119a9a0029a2f6ddd0d776d8f4919922044d53925ea7fbf37f502645"
         )
 
     def test_plan_fingerprint_separates_different_batches(self):

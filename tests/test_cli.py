@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.core import schema_digest
 
 MAC_SNAPSHOT = """
 Vlan    Mac Address       Type        Ports
@@ -597,7 +598,7 @@ class TestQueryCommand:
             "ab904e8f45e1ef7987f76deff9bf2aedc108fc14b3715d8da8722bd0c9ceea8e",
         ]
         assert report["fingerprint"] == (
-            "f8856c098e5ee806069ee9c3c413ff0af3830a18ed0ebece0a8fa2c3021ca7d5"
+            "ac82adf10a536c00bf5787de8ce28b31d83f36d478fb65674af3fb19a87a1a7a"
         )
         assert report["queries"][2]["value"]["drop_policy"]["reasons"]
         pinned = re.sub(
@@ -606,7 +607,7 @@ class TestQueryCommand:
             text,
         ).replace(str(net), "NET")
         assert hashlib.sha256(pinned.encode()).hexdigest() == (
-            "ca1970689bed791d5796953640ad1d8e0c8c9f288c6d68d4ccb3671b30d9b08d"
+            "04ba69a8ac35ebb96466c60f009082e36f47c9543016657368af655a4440461e"
         )
 
 
@@ -647,6 +648,7 @@ class TestStoreCommands:
         summary = json.loads(capsys.readouterr().out)
         assert summary["verdicts"] > 0
         assert summary["format"] == 2
+        assert summary["schema"] == schema_digest()
         assert summary["segments"] >= 1
         assert summary["quarantined"] == []
 
@@ -802,7 +804,7 @@ class TestDeltaCli:
         ) == 0
         capsys.readouterr()
         payload = json.loads(baseline.read_text())
-        assert payload["format"] == 3
+        assert payload["schema"] == schema_digest()
         assert payload["manifest"]["files"]
         assert payload["reasons"] and all(
             isinstance(text, str) for text in payload["reasons"]
@@ -857,15 +859,27 @@ class TestDeltaCli:
     @pytest.mark.parametrize(
         "payload, why",
         [
-            ({"format": 1, "manifest": {}, "reports": {}}, "baseline format 1 is not 3"),
-            ({}, "baseline format None is not 3"),
+            pytest.param(
+                {"format": 3, "manifest": {}, "reports": {}, "reasons": []},
+                "baseline schema None is not {running}",
+                id="format-3-file",
+            ),
+            pytest.param(
+                {}, "baseline schema None is not {running}", id="empty-object"
+            ),
             ([], "a baseline is a JSON object"),
+            pytest.param(
+                {"schema": "retired", "manifest": {}, "reports": {}, "reasons": []},
+                "baseline schema retired is not {running}",
+                id="another-schema",
+            ),
         ],
     )
     def test_delta_from_that_is_no_baseline_is_refused(self, tmp_path, payload, why):
-        """A ``--delta-from`` file that is JSON but no usable baseline — a
-        format-1 file, an empty object — is refused by name, never dropped
-        in favour of the store's recorded baseline."""
+        """A ``--delta-from`` file that is JSON but no usable baseline — one
+        written before baselines named their schema, one of another schema,
+        an empty object — is refused by name, never dropped in favour of
+        the store's recorded baseline."""
         from repro.core.campaign import clear_runtime_cache
 
         net = self._export(tmp_path)
@@ -878,4 +892,5 @@ class TestDeltaCli:
         clear_runtime_cache()
         with pytest.raises(SystemExit) as refused:
             main(["campaign", str(net), *inject, *store, "--delta-from", str(old)])
+        why = why.format(running=schema_digest())
         assert str(refused.value) == f"unusable baseline {old}: {why}"

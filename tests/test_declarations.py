@@ -15,10 +15,14 @@ list.
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import cli
 from repro.api import (
     AdmittedValues,
@@ -42,11 +46,12 @@ from repro.core.campaign import (
     semantic_projection,
 )
 from repro.core.delta import DeltaReducer, report_from_payload, report_to_payload
-from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS
+from repro.core import facts as facts_module, queries as queries_module
+from repro.core.facts import REPORT_FIELDS, SEMANTIC_FIELDS, ReportField, schema_digest
 from repro.core.engine import ExecutionSettings, SymbolicExecutor
 from repro.core.jobs import execution_counters, job_config_digest, reset_execution_counters
 from repro.core.queries import OUTCOMES, CampaignStats, ensure_core_families
-from repro.core.settings import SETTING_NAMES, TIER_SWITCHES
+from repro.core.settings import SETTING_NAMES, TIER_SWITCHES, _setting, _tier_switch
 from repro.obs import Family, MetricsRegistry, get_registry, reset_registry
 from repro.obs.metrics import CAMPAIGNS, JOBS
 from repro.serve import ProtocolError, protocol
@@ -760,3 +765,81 @@ def test_absorbed_outcome_counts_equal_the_reducers_own(tmp_path, monkeypatch, i
         for report in result.jobs:
             marks = [report.error is not None, bool(report.delta_spliced_from)]
             assert sum(marks) <= 1, report.source_key
+
+
+# ---------------------------------------------------------------------------
+# (d) the stored-answer schema is a walk of the declarations
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def digest_with(monkeypatch):
+    """``digest_with((owner, name, value), ...)``: the schema digest once
+    each ``owner.name`` is replaced by a throwaway declaration."""
+    def digest(*replacements):
+        for owner, name, value in replacements:
+            monkeypatch.setattr(owner, name, value, raising=False)
+        schema_digest.cache_clear()
+        return schema_digest()
+
+    yield digest
+    monkeypatch.undo()
+    schema_digest.cache_clear()
+
+
+def _extended(declaration, *specs):
+    """``declaration`` with fields added or redeclared, under its own name."""
+    return dataclasses.make_dataclass(
+        declaration.__name__, specs, bases=(declaration,), frozen=True
+    )
+
+
+def test_a_throwaway_report_field_moves_the_schema(digest_with):
+    running = schema_digest()
+    rows = REPORT_FIELDS + (ReportField("throwaway", {str: int}, optional=True),)
+    assert digest_with((facts_module, "REPORT_FIELDS", rows)) != running
+
+
+def test_a_throwaway_stats_field_moves_the_schema(digest_with):
+    running = schema_digest()
+    # ``to_dict`` walks the declared names; declaring one more is this.
+    declared = queries_module._DECLARED + ("throwaway_jobs",)
+    assert digest_with(
+        (CampaignStats, "throwaway_jobs", 0), (queries_module, "_DECLARED", declared)
+    ) != running
+
+
+def test_a_throwaway_fact_channel_moves_the_schema(digest_with):
+    running = schema_digest()
+    throwaway = _extended(Facts, ("throwaway", bool, False))
+    assert digest_with((facts_module, "Facts", throwaway)) != running
+
+
+def test_a_throwaway_identity_setting_moves_the_schema(digest_with):
+    running = schema_digest()
+    throwaway = _extended(RunSettings, ("throwaway", int, _setting(0, "a knob")))
+    assert digest_with((facts_module, "RunSettings", throwaway)) != running
+
+
+def test_a_tier_switch_help_text_leaves_the_schema(digest_with):
+    running = schema_digest()
+    reworded = _extended(RunSettings, ("delta", bool, _tier_switch(True, "reworded")))
+    assert dataclasses.fields(reworded)[
+        SETTING_NAMES.index("delta")
+    ].metadata["help"] == "reworded"
+    assert digest_with((facts_module, "RunSettings", reworded)) == running
+
+
+def test_the_schema_is_the_same_in_every_process():
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    script = "from repro.core import schema_digest; print(schema_digest())"
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source_root),
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        for seed in ("1", "4242")
+    ]
+    assert digests == [schema_digest()] * 2
+

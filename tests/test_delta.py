@@ -38,7 +38,6 @@ from repro.core.campaign import (
     semantic_projection,
 )
 from repro.core.delta import (
-    BASELINE_FORMAT,
     CampaignBaseline,
     ElementManifest,
     affected_injections,
@@ -47,6 +46,7 @@ from repro.core.delta import (
     record_baseline,
     report_from_payload,
 )
+from repro.core.facts import schema_digest
 from repro.core.jobs import JobReport
 from repro.core.queries import AGGREGATIONS, port_key
 from repro.core.shapes import ReasonTable
@@ -182,22 +182,26 @@ class TestElementManifest:
             {"topology_digest": "t", "files": {"a": {"elements": []}}}
         ) is None
         good_manifest = {"topology_digest": "t", "files": {}}
+        schema = schema_digest()
         assert CampaignBaseline.from_payload(None) is None
         assert CampaignBaseline.from_payload(
-            {"format": BASELINE_FORMAT + 1, "manifest": good_manifest, "reports": {}}
+            {"schema": "0" * 64, "manifest": good_manifest, "reports": {}}
         ) is None
         assert CampaignBaseline.from_payload(
-            {"format": BASELINE_FORMAT, "manifest": {"nope": 1}, "reports": {}}
+            {"format": 3, "manifest": good_manifest, "reports": {}, "reasons": []}
+        ) is None  # written before baselines named their schema
+        assert CampaignBaseline.from_payload(
+            {"schema": schema, "manifest": {"nope": 1}, "reports": {}}
         ) is None
         assert CampaignBaseline.from_payload(
-            {"format": BASELINE_FORMAT, "manifest": good_manifest, "reports": {}}
+            {"schema": schema, "manifest": good_manifest, "reports": {}}
         ) is None  # no reason table
         assert CampaignBaseline.from_payload(
-            {"format": BASELINE_FORMAT, "manifest": good_manifest, "reports": {},
+            {"schema": schema, "manifest": good_manifest, "reports": {},
              "reasons": [1]}
         ) is None
         assert CampaignBaseline.from_payload(
-            {"format": BASELINE_FORMAT, "manifest": good_manifest, "reports": {},
+            {"schema": schema, "manifest": good_manifest, "reports": {},
              "reasons": []}
         ) is not None
 
@@ -207,7 +211,9 @@ class TestElementManifest:
         _export_stanford(tmp_path)
         old = {"format": 1, "manifest": {"topology_digest": "t", "files": {}},
                "reports": {}}
-        with pytest.raises(ValueError, match="baseline format 1 is not 3"):
+        with pytest.raises(
+            ValueError, match=f"baseline schema None is not {schema_digest()}"
+        ):
             VerificationCampaign(str(tmp_path), baseline=old)
         with pytest.raises(ValueError, match="a baseline is a JSON object"):
             VerificationCampaign(str(tmp_path), baseline=[])
@@ -293,7 +299,7 @@ class TestReasonTable:
         injections = _export_stanford(tmp_path)
         cold, _ = _run(tmp_path, injections)
         payload = cold.baseline_payload
-        assert payload["format"] == BASELINE_FORMAT == 3
+        assert payload["schema"] == schema_digest()
         text = json.dumps(payload)
         assert len(payload["reasons"]) == len(set(payload["reasons"])) > 0
         for reason in payload["reasons"]:

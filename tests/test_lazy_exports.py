@@ -43,7 +43,7 @@ EXPORTS = {
         "repro.sefl": ["sefl"],
     },
     "repro.core": {
-        "repro.core.facts": ["CAMPAIGN_QUERIES"],
+        "repro.core.facts": ["CAMPAIGN_QUERIES", "schema_digest"],
         "repro.core.jobs": [
             "CampaignJob", "JobReport", "clear_runtime_cache", "execute_job",
         ],

@@ -31,6 +31,8 @@ import threading
 
 import pytest
 
+from repro.core.delta import CampaignBaseline, ElementManifest
+from repro.core.facts import schema_digest
 from repro.solver.ast import Const, Ge, Le, Var
 from repro.solver.canonical import canonical_fingerprint
 from repro.solver.incremental import IncrementalSolver
@@ -558,24 +560,53 @@ class TestPlanFiles:
         assert json.load(open(reason))["record"] == path
 
 
+def _baseline_payload(**changes):
+    """A real (empty) delta baseline payload, ``changes`` applied."""
+    baseline = CampaignBaseline(ElementManifest("t", {}), {}, source="net")
+    return dict(baseline.to_payload(), **changes)
+
+
 class TestBaselineFiles:
     def test_put_get_round_trip(self, tmp_path):
         store = VerificationStore(str(tmp_path / "store"))
-        store.put_baseline(str(tmp_path / "net"), {"format": 1, "reports": {}})
-        assert store.get_baseline(str(tmp_path / "net")) == {
-            "format": 1, "reports": {},
-        }
+        store.put_baseline(str(tmp_path / "net"), _baseline_payload())
+        assert store.get_baseline(str(tmp_path / "net")) == _baseline_payload()
         assert store.get_baseline(str(tmp_path / "other")) is None
         assert store.describe()["baselines"] == 1
 
     def test_tampered_baseline_body_is_quarantined(self, tmp_path):
         store = VerificationStore(str(tmp_path / "store"))
         directory = str(tmp_path / "net")
-        store.put_baseline(directory, {"format": 1, "reports": {"a:in0": 1}})
+        store.put_baseline(directory, _baseline_payload())
         path = store._baseline_path(directory)
-        _rewrite_body(path, lambda payload: dict(payload, reports={"a:in0": 2}))
+        _rewrite_body(path, lambda payload: dict(payload, source="elsewhere"))
         assert store.get_baseline(directory) is None
         assert not os.path.exists(path)
+        assert len(store.describe()["quarantined"]) == 1
+
+    @pytest.mark.parametrize(
+        "changes, why",
+        [
+            ({"manifest": {"nope": 1}}, "malformed baseline manifest"),
+            ({"schema": "retired"}, f"baseline schema retired is not {schema_digest()}"),
+        ],
+        ids=["malformed-manifest", "another-schema"],
+    )
+    def test_a_baseline_that_does_not_parse_is_quarantined_once(
+        self, tmp_path, changes, why
+    ):
+        """A record whose checksum holds but whose payload is no baseline
+        ``CampaignBaseline.parse`` accepts is quarantined with the parse
+        error, as a plan body that does not decode is — never dropped
+        silently and re-read on every run."""
+        store = VerificationStore(str(tmp_path / "store"))
+        directory = str(tmp_path / "net")
+        store.put_baseline(directory, _baseline_payload(**changes))
+        path = store._baseline_path(directory)
+        assert store.get_baseline(directory) is None
+        assert store.quarantined == [(path, f"undecodable baseline body: {why}")]
+        assert store.get_baseline(directory) is None
+        assert len(store.quarantined) == 1
         assert len(store.describe()["quarantined"]) == 1
 
 

@@ -22,6 +22,7 @@ import multiprocessing
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from repro.api import (
     compile_plan,
     execute_plan,
 )
+from repro.core import facts, queries as core_queries
 from repro.core.campaign import (
     NetworkSource,
     VerificationCampaign,
@@ -44,6 +46,7 @@ from repro.core.campaign import (
     reset_execution_counters,
 )
 from repro.core.delta import CampaignBaseline
+from repro.core.queries import CampaignStats
 from repro.store import VerificationStore
 from repro.store.records import write_record
 from repro.scenarios import generate_scenario
@@ -79,6 +82,35 @@ def _run(source, *, store=None, workers=1, shared=True):
     return VerificationCampaign(source, shared_cache=shared, store=store).run(
         workers=workers
     )
+
+
+@contextmanager
+def _another_schema(monkeypatch, *replacements):
+    """Run the body with ``(owner, name, value)`` replacements in place — a
+    declaration or the salt changed — yielding the schema digest they give."""
+    with monkeypatch.context() as patch:
+        for owner, name, value in replacements:
+            patch.setattr(owner, name, value, raising=False)
+        facts.schema_digest.cache_clear()
+        try:
+            yield facts.schema_digest()
+        finally:
+            facts.schema_digest.cache_clear()
+
+
+#: A stats counter this code does not declare (``to_dict`` walks the
+#: declared names): a plan stored while it was declared renders its key.
+RETIRED_COUNTER = (
+    (CampaignStats, "retired_jobs", 0),
+    (core_queries, "_DECLARED", core_queries._DECLARED + ("retired_jobs",)),
+)
+OTHER_SALT = ((facts, "SCHEMA_SALT", facts.SCHEMA_SALT + 1),)
+
+
+def _refusal(kind, stale):
+    """The quarantine reason of a ``kind`` record of schema ``stale``."""
+    running = facts.schema_digest()
+    return f"undecodable {kind} body: {kind} schema {stale} is not {running}"
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +368,32 @@ class TestPlanResultCache:
     def test_a_plan_filed_under_the_previous_scheme_is_a_counted_miss(
         self, tmp_path, monkeypatch
     ):
-        """A payload stored under a ``plan/2`` fingerprint has the shape
-        that scheme wrote (a retired plan key and stats keys): under the
-        current scheme it is a miss the plan-cache counter records, never
-        a hit rendering the old shape."""
-        from repro.api import planner
+        """A plan stored while the code declared a counter it has since
+        retired sits at the very key the plan asks for (the schema is no
+        part of it), and is refused with no manual bump: one miss the
+        plan-cache counter records, one quarantine entry naming both
+        digests, and fresh answers — never a rendering of the retired key."""
         from repro.obs.metrics import PLAN_CACHE
 
-        store = VerificationStore(str(tmp_path / "store"))
-        with monkeypatch.context() as patch:
-            patch.setattr(planner, "PLAN_SCHEME", "plan/2")
-            assert not self._model().query(Loop(), store=store).from_cache
-            assert self._model().query(Loop(), store=store).from_cache
+        store_dir = str(tmp_path / "store")
+        clear_runtime_cache()
+        with _another_schema(monkeypatch, *RETIRED_COUNTER) as stale:
+            primed = self._model().query(Loop(), store=VerificationStore(store_dir))
+            hit = self._model().query(Loop(), store=VerificationStore(store_dir))
+            assert hit.from_cache and "retired_jobs" in hit.to_dict()["stats"]
+        (path,) = glob.glob(os.path.join(store_dir, "plans", "*", "*.rec"))
         misses = PLAN_CACHE.get().value(result="miss")
-        assert not self._model().query(Loop(), store=store).from_cache
+        store = VerificationStore(store_dir)
+        rerun = self._model().query(Loop(), store=store)
+        assert not rerun.from_cache and "retired_jobs" not in rerun.to_dict()["stats"]
         assert PLAN_CACHE.get().value(result="miss") == misses + 1
-        assert self._model().query(Loop(), store=store).from_cache
+        assert store.quarantined == [(path, _refusal("plan", stale))]
+        assert [(r.holds, r.value, r.fingerprint) for r in rerun] == [
+            (r.holds, r.value, r.fingerprint) for r in primed
+        ]
+        again = VerificationStore(store_dir)
+        assert self._model().query(Loop(), store=again).from_cache
+        assert again.quarantined == []
 
     def test_cached_plans_survive_compaction_and_clear(self, tmp_path):
         store = VerificationStore(str(tmp_path / "store"))
@@ -694,3 +736,49 @@ class TestReasonTableRecords:
             *REASON_QUERIES, store=again
         ).from_cache
         assert again.quarantined == []
+
+
+class TestSchemaChange:
+    """A stored answer names the schema it was rendered under; one of
+    another schema is refused and counted, whatever the kind."""
+
+    def test_a_baseline_of_another_schema_is_quarantined_and_rerun_in_full(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "net"
+        _stanford_directory(directory, zones=3)
+        store_dir = str(tmp_path / "store")
+        with _another_schema(monkeypatch, *RETIRED_COUNTER) as stale:
+            primed = _run(str(directory), store=VerificationStore(store_dir))
+        (path,) = glob.glob(os.path.join(store_dir, "baselines", "*.rec"))
+        store = VerificationStore(store_dir)
+        rerun = _run(str(directory), store=store)
+        assert rerun.stats.jobs_spliced_by_delta == 0
+        assert rerun.stats.executed_jobs == rerun.stats.jobs > 0
+        assert store.quarantined == [(path, _refusal("baseline", stale))]
+        assert _fingerprints(rerun) == _fingerprints(primed)
+        again = VerificationStore(store_dir)
+        assert _run(str(directory), store=again).stats.jobs_spliced_by_delta == (
+            rerun.stats.jobs
+        )
+        assert again.quarantined == []
+
+    def test_a_hit_renders_a_fresh_run_byte_for_byte_across_a_schema_change(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "net"
+        _looping_department_directory(directory)
+        store_dir = str(tmp_path / "store")
+        clear_runtime_cache()
+        with _another_schema(monkeypatch, *OTHER_SALT):
+            NetworkModel.from_directory(str(directory)).query(
+                *REASON_QUERIES, store=VerificationStore(store_dir)
+            )
+        fresh = NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=VerificationStore(store_dir)
+        )
+        hit = NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=VerificationStore(store_dir)
+        )
+        assert hit.from_cache and not fresh.from_cache
+        assert hit.to_json() == fresh.to_json()
