@@ -15,6 +15,11 @@ inherited — and demultiplexes one
 reports, each the moment the jobs in its own port scope have reported.  Answers are bit-identical to running each
 query through its own dedicated campaign: the demultiplexer re-aggregates
 the *same* job reports with the *same* order-independent aggregation code.
+
+A plan-cache hit is demultiplexed the same way: the store keeps a finished
+run's job reports (in the delta baseline's stored form) and its
+:data:`~repro.core.facts.RUN_FIELDS`, never a rendered answer, so the live
+queries evaluate a hit exactly as they evaluate a fresh run.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.obs import get_tracer
 from repro.obs.metrics import PLAN_CACHE, STREAM_FIRST_RESULT_SECONDS
 
 from repro.api.model import NetworkModel
-from repro.api.queries import Query, QueryResult, recode_answer
+from repro.api.queries import Query, QueryResult
 from repro.core.campaign import (
     CampaignResult,
     Facts,
@@ -36,7 +41,13 @@ from repro.core.campaign import (
     RunSettings,
     VerificationCampaign,
 )
-from repro.core.facts import check_schema, schema_digest
+from repro.core.delta import (
+    encode_report,
+    parse_reports,
+    report_from_payload,
+    report_to_payload,
+)
+from repro.core.facts import RUN_FIELDS, schema_digest
 from repro.core.queries import AGGREGATIONS, CampaignStats, port_key
 from repro.core.shapes import ReasonTable
 
@@ -226,51 +237,41 @@ class PlanContext:
 
 @dataclass
 class PlanResult:
-    """The executed plan: per-query answers plus the shared campaign run.
+    """The executed plan: per-query answers plus the run that computed them.
 
-    A result restored from the persistent plan cache
-    (:meth:`from_cached`) has ``from_cache`` True and no ``campaign`` —
-    the answers, fingerprints and serialised report are the ones the
-    original execution produced, verbatim.
+    ``run`` is that run as rendered (the :data:`~repro.core.facts.RUN_FIELDS`
+    keys): the shared campaign's, or — on a plan-cache hit, which has
+    ``from_cache`` True and no ``campaign`` — the stored one.  Either way
+    the answers were evaluated here, by the live queries, over the job
+    reports of that run (:meth:`from_cached`).
     """
 
     plan: Plan
     campaign: Optional[CampaignResult]
     results: Tuple[QueryResult, ...]
+    run: Dict[str, object]
     from_cache: bool = False
-    cached_payload: Optional[Dict[str, object]] = None
+
+    @classmethod
+    def of_campaign(
+        cls, plan: Plan, campaign: CampaignResult, results: Sequence[QueryResult]
+    ) -> "PlanResult":
+        run = {name: getattr(campaign, name) for name in RUN_FIELDS}
+        run["stats"] = campaign.stats.to_dict()
+        return cls(plan, campaign, tuple(results), run)
 
     @classmethod
     def from_cached(
-        cls, plan: Plan, payload: Dict[str, object]
+        cls, plan: Plan, reports: Mapping[str, JobReport], run: Dict[str, object]
     ) -> Optional["PlanResult"]:
-        """Rebuild a result from a stored payload, or ``None`` when the
-        payload cannot serve this plan.
-
-        ``Plan.fingerprint()`` is deliberately order-independent, so the
-        stored payload may hold the answers in a *different* batch order
-        than this caller used — results are re-matched to ``plan.queries``
-        by their canonical query text so positional access
-        (``result[0]``, iteration) stays aligned with the caller's batch.
-        """
-        by_text: Dict[str, List[Dict[str, object]]] = {}
-        for entry in payload.get("queries", ()):
-            by_text.setdefault(str(entry.get("query", "")), []).append(entry)
-        ordered = []
-        for query in plan.queries:
-            bucket = by_text.get(query.describe())
-            if not bucket:
-                return None  # treat as a cache miss, never misattribute
-            ordered.append(QueryResult.from_cached(bucket.pop(0)))
-        if any(bucket for bucket in by_text.values()):
-            return None  # leftover answers: not this batch
-        return cls(
-            plan=plan,
-            campaign=None,
-            results=tuple(ordered),
-            from_cache=True,
-            cached_payload=dict(payload),
-        )
+        """The plan's answers demultiplexed from a stored run's job
+        reports, in the caller's query order; ``None`` when the reports
+        are not exactly the plan's jobs."""
+        if set(reports) != {port_key(*port) for port in plan.injections}:
+            return None
+        ctx = PlanContext(plan, reports=reports)
+        results = tuple(query.evaluate(ctx) for query in plan.queries)
+        return cls(plan, None, results, run, from_cache=True)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -289,18 +290,12 @@ class PlanResult:
         raise KeyError(key)
 
     @property
-    def stats(self):
-        """The shared campaign's solver roll-up.  On a plan-cache hit the
-        original execution's stats are rehydrated from the stored payload,
-        so ``result.stats.<counter>`` keeps working whichever tier
-        answered (the counters describe the run that *computed* the
-        answers, not the cache lookup)."""
+    def stats(self) -> CampaignStats:
+        """The solver roll-up of the run that computed the answers (on a
+        plan-cache hit rehydrated from the stored run, not the lookup)."""
         if self.campaign is not None:
             return self.campaign.stats
-        stored = (self.cached_payload or {}).get("stats")
-        if isinstance(stored, dict):
-            return CampaignStats.from_dict(stored)
-        return None
+        return CampaignStats.from_dict(self.run["stats"])
 
     @property
     def job_errors(self):
@@ -314,19 +309,12 @@ class PlanResult:
         return hashlib.sha256(repr(payload).encode()).hexdigest()
 
     def to_dict(self) -> Dict[str, object]:
-        if self.cached_payload is not None:
-            # The serialised report the original execution produced —
-            # returned verbatim so cached and fresh reports are comparable
-            # bit for bit.
-            return dict(self.cached_payload)
         return {
-            "network": self.campaign.source,
+            "network": self.plan.model.describe(),
             "plan": self.plan.to_dict(),
             "queries": [result.to_dict() for result in self.results],
-            "validation_problems": list(self.campaign.validation_problems),
-            "execution_mode": self.campaign.execution_mode,
-            "workers": self.campaign.workers,
-            "stats": self.campaign.stats.to_dict(),
+            "validation_problems": self.plan.model.validate(),
+            **self.run,
             "fingerprint": self.fingerprint(),
         }
 
@@ -336,34 +324,32 @@ class PlanResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def plan_record(payload: Mapping[str, object]) -> Dict[str, object]:
-    """A :meth:`PlanResult.to_dict` payload as a store record body: each
-    reason text stated once, in a trailing ``reasons`` table its answers
-    refer to by id, and its ``schema`` (the inverse of :func:`plan_from_record`)."""
+def plan_record(result: PlanResult) -> Dict[str, object]:
+    """A fresh result as a store record body: its job reports in the delta
+    baseline's stored form, each reason text stated once in a trailing
+    ``reasons`` table, the run that computed them, and its ``schema`` (the
+    inverse of :func:`plan_from_record`)."""
     reasons = ReasonTable()
-    body = _recode_answers(payload, lambda shape, value: shape.encode(value, reasons))
-    body["reasons"] = reasons.texts
-    body["schema"] = schema_digest()
-    return body
+    reports = {
+        job.source_key: encode_report(report_to_payload(job), reasons)
+        for job in result.campaign.jobs
+    }
+    return {"schema": schema_digest(), **result.run, "reports": reports,
+            "reasons": reasons.texts}
 
 
-def plan_from_record(body: Mapping[str, object]) -> Dict[str, object]:
-    """The payload :func:`plan_record` stored, its reasons rendered back to
-    text: key for key and byte for byte the ``to_dict`` of the run that
-    computed it.  ``ValueError`` on a body of another schema or no reason table."""
-    check_schema("plan", body)
-    reasons = ReasonTable.from_payload(body.get("reasons"))
-    payload = {k: v for k, v in body.items() if k not in ("reasons", "schema")}
-    return _recode_answers(
-        payload, lambda shape, value: shape.rebuild(value, reasons=reasons)
-    )
-
-
-def _recode_answers(payload: Mapping[str, object], recode: Callable) -> Dict[str, object]:
-    answers = payload.get("queries")
-    if not isinstance(answers, list):
-        return dict(payload)
-    return dict(payload, queries=[recode_answer(answer, recode) for answer in answers])
+def plan_from_record(
+    body: Mapping[str, object]
+) -> Tuple[Dict[str, JobReport], Dict[str, object]]:
+    """The job reports and the run a :func:`plan_record` body holds.
+    ``ValueError`` (or ``LookupError``, ``TypeError``) on a body of another
+    schema, a report that does not decode or a run field missing."""
+    payloads, reasons = parse_reports("plan", body)
+    reports = {
+        key: report_from_payload(payload, "plan", reasons)
+        for key, payload in payloads.items()
+    }
+    return reports, {name: body[name] for name in RUN_FIELDS}
 
 
 def execute_plan(
@@ -379,10 +365,10 @@ def execute_plan(
     """Run a compiled plan on the campaign pipeline and demultiplex the
     per-query answers.
 
-    With a :class:`repro.store.VerificationStore` as ``store``, finished
-    answers are cached on ``(model fingerprint, plan fingerprint)``: a
-    repeated identical batch over an unchanged network returns the stored
-    :class:`PlanResult` without running a single engine job, and the
+    With a :class:`repro.store.VerificationStore` as ``store``, a finished
+    run's job reports are stored on ``(model fingerprint, plan
+    fingerprint)``: a repeated identical batch over an unchanged network is
+    demultiplexed from them without running a single engine job, and the
     campaign that does run warm-starts from (and publishes back to) the
     store's verdict records.
 
@@ -425,9 +411,9 @@ def execute_plan(
     plan_fingerprint = plan.fingerprint() if model_fingerprint else None
     jobs_total = plan.job_count
     if model_fingerprint and plan_fingerprint:
-        cached = store.get_plan(model_fingerprint, plan_fingerprint)
-        if cached is not None:
-            restored = PlanResult.from_cached(plan, cached)
+        stored = store.get_plan(model_fingerprint, plan_fingerprint)
+        if stored is not None:
+            restored = PlanResult.from_cached(plan, *stored)
             if restored is not None:
                 PLAN_CACHE.get().inc(result="hit")
                 STREAM_FIRST_RESULT_SECONDS.get().observe(time.perf_counter() - started)
@@ -478,11 +464,9 @@ def execute_plan(
             streamed[index] = query.evaluate(live)
             if on_result is not None:
                 on_result(index, streamed[index], len(result.jobs), jobs_total)
-    plan_result = PlanResult(
-        plan=plan,
-        campaign=result,
-        results=tuple(streamed[index] for index in range(len(plan.queries))),
+    plan_result = PlanResult.of_campaign(
+        plan, result, [streamed[index] for index in range(len(plan.queries))]
     )
     if model_fingerprint and plan_fingerprint and not result.job_errors:
-        store.put_plan(model_fingerprint, plan_fingerprint, plan_result.to_dict())
+        store.put_plan(model_fingerprint, plan_fingerprint, plan_record(plan_result))
     return plan_result

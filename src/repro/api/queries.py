@@ -37,11 +37,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.facts import Facts
-from repro.core.queries import InvariantReport, LoopReport, port_key
-from repro.core.shapes import Shape
+from repro.core.queries import port_key
 
 PortLike = Union[str, Tuple[str, str]]
 
@@ -139,11 +138,6 @@ class QueryResult:
     value: object
     evidence: Dict[str, object] = field(default_factory=dict)
     backend: object = None
-    #: Fingerprint restored from a persistent plan-result cache entry
-    #: (repro.store).  Backend objects are never serialised, so a cached
-    #: answer carries the fingerprint its original computed — which the
-    #: store-parity tests assert is bit-identical to a fresh execution.
-    stored_fingerprint: Optional[str] = None
     _fingerprint: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -153,8 +147,6 @@ class QueryResult:
         """Stable content hash of the answer: identical for any execution
         order, worker count, or cache configuration.  Computed on first
         read — a result is not changed once it is built."""
-        if self.stored_fingerprint is not None:
-            return self.stored_fingerprint
         if self._fingerprint is None:
             if self.backend is not None and hasattr(self.backend, "fingerprint"):
                 payload: object = repr(self.backend.fingerprint())
@@ -178,18 +170,6 @@ class QueryResult:
         if "reachable_pairs" in value:
             return f"{value['reachable_pairs']} pairs"
         return str(value.get("values", self.value))
-
-    @classmethod
-    def from_cached(cls, payload: Dict[str, object]) -> "QueryResult":
-        """Rebuild an answer from its serialised form (plan-result cache)."""
-        return cls(
-            query=str(payload.get("query", "")),
-            kind=str(payload.get("kind", "")),
-            holds=payload.get("holds"),  # type: ignore[arg-type]
-            value=payload.get("value"),
-            evidence=dict(payload.get("evidence") or {}),
-            stored_fingerprint=str(payload.get("fingerprint", "")) or None,
-        )
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -220,16 +200,6 @@ class Query:
     decidable = True
     name = ""
     params: Tuple[Param, ...] = ()
-    #: The shape of the answer value, declared where the value holds
-    #: reasons (:class:`~repro.core.shapes.Reason`): the stored plan record
-    #: states them once (:func:`recode_answer`).
-    value_shape: Optional[Shape] = None
-
-    @classmethod
-    def recode_value(cls, value, recode: Callable):
-        """An answer value of this kind with ``recode(shape, value)``
-        applied where it holds reasons."""
-        return value if cls.value_shape is None else recode(cls.value_shape, value)
 
     def requirements(self) -> Facts:
         """The per-job fact channels this query reads."""
@@ -381,7 +351,6 @@ class Loop(_PortScoped):
 
     name = "loop"
     params = (Param("port", ATOM),)
-    value_shape = LoopReport.VALUE_SHAPE
 
     def __init__(self, port: Optional[PortLike] = None) -> None:
         self.port = normalize_port(port) if port is not None else None
@@ -416,7 +385,6 @@ class Invariant(_PortScoped):
 
     name = "invariant"
     params = (Param("fields", LIST), Param("port", ATOM))
-    value_shape = InvariantReport.VALUE_SHAPE
 
     def __init__(self, *fields: str, port: Optional[PortLike] = None) -> None:
         if len(fields) == 1 and isinstance(fields[0], (tuple, list)):
@@ -581,10 +549,6 @@ class _Combinator(Query):
                     f"{query.describe()} is a report query"
                 )
         self.queries = tuple(queries)
-
-    @classmethod
-    def recode_value(cls, value, recode: Callable):
-        return [recode_answer(child, recode) for child in value]
 
     def requirements(self) -> Facts:
         merged = Facts()
@@ -761,15 +725,3 @@ QUERY_TYPES: Dict[str, type] = {
                 All, Any_, Not, ForAllPairs, FromPorts)
 }
 
-
-def recode_answer(answer: Dict[str, object], recode: Callable) -> Dict[str, object]:
-    """An answer as :meth:`QueryResult.to_dict` renders it, with
-    ``recode(shape, value)`` applied where its kind's value holds reasons
-    (``Query.value_shape``; a combinator's children each by their own
-    kind).  Key order is kept; anything that is not such an answer is
-    returned as it is."""
-    kind = QUERY_TYPES.get(answer.get("kind")) if isinstance(answer, dict) else None
-    if kind is None:
-        return answer
-    value = kind.recode_value(answer.get("value"), recode)
-    return answer if value is answer.get("value") else dict(answer, value=value)

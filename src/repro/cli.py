@@ -615,13 +615,13 @@ def _command_query(args: argparse.Namespace) -> int:
         f"({result.plan.job_count} jobs shared by {len(result)} queries: "
         f"{verdicts})",
     )
-    stats = result.stats
-    if stats is not None and stats.truncated_jobs:
+    truncated = result.stats.truncated_jobs
+    if truncated:
         _LOG.warning(
             "exploration truncated by a budget (--max-paths=%d, --max-hops=%d) "
             "in %d job(s); answers that rest on those ports are unknown ('?', "
             "see evidence.incomplete_ports)",
-            args.max_paths, args.max_hops, stats.truncated_jobs,
+            args.max_paths, args.max_hops, truncated,
         )
     return _exit_code(result)
 

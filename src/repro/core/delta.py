@@ -196,6 +196,40 @@ def report_from_payload(
     )
 
 
+#: The report fields that hold reasons.
+_REASON_FIELDS = tuple(spec for spec in REPORT_FIELDS if spec.has_reasons)
+
+
+def encode_report(payload: Mapping[str, object], reasons: ReasonTable) -> Dict[str, object]:
+    """A :func:`report_to_payload` payload as stored: each reason stated as
+    its id in ``reasons`` (new texts are added as they are met)."""
+    report = dict(payload)
+    for spec in _REASON_FIELDS:
+        report[spec.name] = spec.encode(report[spec.name], reasons)
+    return report
+
+
+def parse_reports(
+    kind: str, payload: object
+) -> Tuple[Dict[str, Dict[str, object]], ReasonTable]:
+    """The per-port entries of a stored ``kind`` payload (a delta baseline,
+    a plan record) and the reason table their reports refer to;
+    ``ValueError`` naming what is wrong with one of another schema or
+    shape.  Each report decodes with :func:`report_from_payload`."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"a {kind} is a JSON object")
+    check_schema(kind, payload)
+    reports = payload.get("reports")
+    if not isinstance(reports, Mapping) or not all(
+        isinstance(entry, Mapping) for entry in reports.values()
+    ):
+        raise ValueError(f"malformed {kind} reports")
+    return (
+        {str(key): dict(entry) for key, entry in reports.items()},
+        ReasonTable.from_payload(payload.get("reasons")),
+    )
+
+
 @dataclass
 class CampaignBaseline:
     """A previous campaign's manifest plus its per-port report payloads —
@@ -233,9 +267,7 @@ class CampaignBaseline:
         if self.reasons is None:
             table = ReasonTable()
             for entry in self.reports.values():
-                report = entry["report"] = dict(entry["report"])
-                for spec in _REASON_FIELDS:
-                    report[spec.name] = spec.encode(report[spec.name], table)
+                entry["report"] = encode_report(entry["report"], table)
             self.reasons = table
         return {
             "schema": schema_digest(),
@@ -249,22 +281,15 @@ class CampaignBaseline:
     def parse(cls, payload: object) -> "CampaignBaseline":
         """Parse a baseline payload; ``ValueError`` naming what is wrong
         with one that cannot serve as a baseline."""
-        if not isinstance(payload, Mapping):
-            raise ValueError("a baseline is a JSON object")
-        check_schema("baseline", payload)
+        reports, reasons = parse_reports("baseline", payload)
         manifest = ElementManifest.from_payload(payload.get("manifest"))
         if manifest is None:
             raise ValueError("malformed baseline manifest")
-        reports = payload.get("reports")
-        if not isinstance(reports, Mapping) or not all(
-            isinstance(entry, Mapping) for entry in reports.values()
-        ):
-            raise ValueError("malformed baseline reports")
         return cls(
             manifest=manifest,
-            reports={str(k): dict(v) for k, v in reports.items()},
+            reports=reports,
             source=str(payload.get("source", "")),
-            reasons=ReasonTable.from_payload(payload.get("reasons")),
+            reasons=reasons,
         )
 
     @classmethod
@@ -276,10 +301,6 @@ class CampaignBaseline:
             return cls.parse(payload)
         except ValueError:
             return None
-
-
-#: The report fields that hold reasons.
-_REASON_FIELDS = tuple(spec for spec in REPORT_FIELDS if spec.has_reasons)
 
 
 def record_baseline(

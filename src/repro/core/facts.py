@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.core.checks import admitted_values, field_invariant, header_visible
 from repro.core.errors import MemorySafetyError
 from repro.core.paths import ExecutionResult, PathRecord, PathStatus
-from repro.core.queries import AGGREGATIONS, CampaignStats, InvariantReport, LoopReport
+from repro.core.queries import AGGREGATIONS, CampaignStats
 from repro.core.settings import RunSettings
 from repro.core.shapes import Reason, Shape
 from repro.sefl.fields import standard_fields
@@ -179,16 +179,23 @@ SEMANTIC_FIELDS = ("element", "port") + tuple(spec.name for spec in REPORT_FIELD
 # The schema of stored answers
 # ---------------------------------------------------------------------------
 
+#: What a stored plan keeps of the run that computed its reports, beside
+#: them, as ``PlanResult.to_dict`` renders it (``stats``: the
+#: ``CampaignStats.to_dict`` payload).
+RUN_FIELDS = ("execution_mode", "workers", "stats")
+
 #: Bumped by hand only for a change of meaning no walked declaration shows
-#: (as when witnesses came to be kept in the order found, not sorted).
+#: (as when witnesses came to be kept in the order found, not sorted).  No
+#: answer is stored — a plan-cache hit evaluates its queries afresh over
+#: the stored reports — so a change to a query's evaluation needs none.
 SCHEMA_SALT = 1
 
 
 @lru_cache(maxsize=None)
 def schema_digest() -> str:
-    """What stored answers (plan records, delta baselines) mean: a SHA-256
-    over the declarations they are rendered from — the shapes of
-    :data:`REPORT_FIELDS` and the aggregation values, the ``CampaignStats``
+    """What stored reports (plan records, delta baselines) mean: a SHA-256
+    over the declarations they are written from — the shapes of
+    :data:`REPORT_FIELDS`, :data:`RUN_FIELDS` and the ``CampaignStats``
     keys, the :class:`Facts` and identity ``RunSettings`` fields — and
     :data:`SCHEMA_SALT`.  A field added or retired moves it."""
     settings = [s for s in fields(RunSettings) if not s.metadata.get("tier_switch")]
@@ -196,7 +203,7 @@ def schema_digest() -> str:
         SCHEMA_SALT,
         [(s.name, s.optional, repr(s.literal), getattr(s.order, "__name__", 0))
          for s in REPORT_FIELDS],
-        [repr(kind.VALUE_SHAPE.literal) for kind in (LoopReport, InvariantReport)],
+        RUN_FIELDS,
         list(CampaignStats().to_dict()),
         [(s.name, s.type) for s in (*fields(Facts), *settings)],
     )

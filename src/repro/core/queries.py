@@ -47,7 +47,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.shapes import Reason, Shape
 from repro.obs.metrics import (
     CAMPAIGNS,
     JOB_SECONDS,
@@ -203,23 +202,6 @@ class LoopFinding:
 class LoopReport:
     """Network-wide loop-freedom verdict: every loop found by any job."""
 
-    #: The shape of :meth:`to_dict`.
-    VALUE_SHAPE = Shape(
-        {
-            "loop_free": bool,
-            "sources_checked": [str],
-            "findings": [
-                {
-                    "source": str,
-                    "detected_at": str,
-                    "reason": Reason,
-                    "trace": [str],
-                    "cut_off": bool,
-                }
-            ],
-        }
-    )
-
     def __init__(self) -> None:
         self._findings: List[LoopFinding] = []
         self._sources: List[str] = []
@@ -322,20 +304,6 @@ class InvariantReport:
     vanishes), and tabulates those reasons so a policy audit can diff them
     against expectations.
     """
-
-    #: The shape of :meth:`to_dict`.
-    VALUE_SHAPE = Shape(
-        {
-            "fields": {
-                str: {"holds": bool, "vacuous": bool, "by_source": {str: {str: int}}}
-            },
-            "drop_policy": {
-                "covered": bool,
-                "reasons": {Reason: int},
-                "by_source": {str: {Reason: int}},
-            },
-        }
-    )
 
     def __init__(self) -> None:
         self._cells: Dict[Tuple[str, str], InvariantCell] = {}

@@ -3,9 +3,8 @@
 A shape is the literal it describes — ``{str: int}`` a map, ``[str]`` a
 list, a dict with literal keys a record, a type a leaf — compiled once by
 :class:`Shape`.  The job-report fields (:data:`repro.core.facts.REPORT_FIELDS`)
-and the aggregation values that land in plan results
-(:mod:`repro.core.queries`) are declared in it, and every walk over such
-data is read off those declarations: decoding a JSON payload, JSON
+are declared in it, and every walk over such data is read off those
+declarations: decoding a JSON payload, JSON
 rendering, and the reason table (``Reason`` leaves), which lets a persisted
 payload state each reason text once and refer to it by id everywhere else.
 """
@@ -22,8 +21,8 @@ class Reason(str):
 
 
 class ReasonTable:
-    """The reason texts one persisted payload (a delta baseline, a stored
-    plan result) refers to by id.  Ids are assigned as reasons are
+    """The reason texts one persisted payload (a delta baseline, a plan
+    record) refers to by id.  Ids are assigned as reasons are
     recorded, in order of first appearance, and mean nothing else: every
     ordering is by text, and id 0 is a reason like any other."""
 

@@ -289,7 +289,7 @@ class ScenarioCampaign:
                 f"{key}: {error}" for key, error in result.job_errors
             )
             raise RuntimeError(f"state {index} had job errors: {details}")
-        stats = result.stats.to_dict() if result.stats is not None else {}
+        stats = dict(result.run["stats"])
         # A plan-cache hit rehydrates the stats of the run that computed the
         # answers; this state itself ran nothing.
         engine_runs = 0 if result.from_cache else result.stats.executed_jobs

@@ -490,14 +490,12 @@ class VerificationService:
         self._events.inc(event="plans_executed")
         if plan_result.from_cache:
             self._events.inc(event="plan_cache_hits")
-        stats = plan_result.stats
-        stats_payload = stats.to_dict() if stats is not None else {}
         for request in requests:
             request.session.send_nowait(
                 protocol.done(
                     request.request_id,
                     results_digest(fingerprints[id(request)]),
                     plan_result.from_cache,
-                    stats_payload,
+                    plan_result.run["stats"],
                 )
             )

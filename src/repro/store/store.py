@@ -6,7 +6,7 @@ state::
     <store-dir>/
       STORE.json                         # {"format": 2}
       verdicts/<time>-<rand>.rec         # verdict batches, one per publish
-      plans/<model-fp>/<plan-key>.rec    # finished plan results
+      plans/<model-fp>/<plan-key>.rec    # finished plans' job reports
       baselines/<sha256(dir)>.rec        # per-directory delta baselines
       quarantine/                        # refused records + .reason files
 
@@ -19,10 +19,12 @@ Three kinds of state live here, all in one file format
   warm entries into every job) and *publish* the fresh verdicts they
   derived as one new record.  ``describe()`` calls these records
   *segments*.
-* **plan results** — finished :class:`~repro.api.planner.PlanResult`
-  payloads keyed on ``(NetworkModel fingerprint, plan key)``, so a
-  repeated identical query batch is answered without running a single
-  engine job.
+* **plan results** — the job reports and run statistics of a finished
+  :class:`~repro.api.planner.PlanResult`, keyed on ``(NetworkModel
+  fingerprint, plan key)``, so a repeated identical query batch is
+  answered — its queries evaluated afresh over those reports — without
+  running a single engine job.  The reports are stored as a delta
+  baseline stores them (:mod:`repro.core.delta`).
 * **delta baselines** — the last campaign over a snapshot directory,
   keyed on the directory's absolute path (:mod:`repro.core.delta`).
 
@@ -361,11 +363,10 @@ class VerificationStore:
     def _plan_path(self, model_fingerprint: str, plan_key: str) -> str:
         return self._path("plans", model_fingerprint, plan_key + RECORD_SUFFIX)
 
-    def get_plan(
-        self, model_fingerprint: str, plan_key: str
-    ) -> Optional[Dict[str, object]]:
-        """The stored payload of a finished plan, or None."""
-        # Where a plan's reasons sit is the query layer's declaration.
+    def get_plan(self, model_fingerprint: str, plan_key: str) -> Optional[tuple]:
+        """The job reports and run a finished plan's record holds
+        (:func:`~repro.api.planner.plan_from_record`), or ``None``; one
+        that does not decode is quarantined."""
         from repro.api.planner import plan_from_record
 
         return self._read(
@@ -379,12 +380,11 @@ class VerificationStore:
     def put_plan(
         self, model_fingerprint: str, plan_key: str, payload: Mapping[str, object]
     ) -> None:
-        """Record a finished plan's payload, each reason text stated once."""
-        from repro.api.planner import plan_record
-
+        """Record ``payload`` (a :func:`~repro.api.planner.plan_record`
+        body) as the plan's record."""
         path = self._plan_path(model_fingerprint, plan_key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_record(path, "plan", f"{model_fingerprint}/{plan_key}", plan_record(payload))
+        write_record(path, "plan", f"{model_fingerprint}/{plan_key}", dict(payload))
 
     def invalidate_plans(self, model_fingerprint: Optional[str] = None) -> int:
         """Drop cached plan results — all of them, or one model's.  This is

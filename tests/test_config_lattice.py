@@ -575,14 +575,15 @@ def test_a_flipped_store_verdict_is_caught(lattice, monkeypatch):
         return {key: flip.get(v, v) for key, v in load(self, refresh).items()}
 
     def flipped_plan(self, model_fingerprint, plan_fingerprint):
-        payload = get_plan(self, model_fingerprint, plan_fingerprint)
-        if payload is not None:
-            payload = dict(payload, queries=[
-                dict(entry, holds=not entry["holds"])
-                if isinstance(entry.get("holds"), bool) else entry
-                for entry in payload["queries"]
-            ])
-        return payload
+        stored = get_plan(self, model_fingerprint, plan_fingerprint)
+        if stored is not None:
+            # One stored report forgets where one of its paths was delivered.
+            reports, _ = stored
+            report = next(
+                reports[key] for key in sorted(reports) if reports[key].delivered_to
+            )
+            report.delivered_to.pop(next(iter(report.delivered_to)))
+        return stored
 
     monkeypatch.setattr(VerificationStore, "load", flipped_load)
     monkeypatch.setattr(VerificationStore, "get_plan", flipped_plan)

@@ -809,6 +809,12 @@ def test_a_throwaway_stats_field_moves_the_schema(digest_with):
     ) != running
 
 
+def test_a_throwaway_run_field_moves_the_schema(digest_with):
+    running = schema_digest()
+    rows = facts_module.RUN_FIELDS + ("throwaway",)
+    assert digest_with((facts_module, "RUN_FIELDS", rows)) != running
+
+
 def test_a_throwaway_fact_channel_moves_the_schema(digest_with):
     running = schema_digest()
     throwaway = _extended(Facts, ("throwaway", bool, False))

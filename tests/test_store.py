@@ -514,19 +514,28 @@ def _rewrite_body(path: str, mutate) -> None:
     )
 
 
+def _plan_body(workers: int):
+    """A plan record body of the running schema holding no job report."""
+    return {
+        "schema": schema_digest(), "execution_mode": "in-process",
+        "workers": workers, "stats": {}, "reports": {}, "reasons": [],
+    }
+
+
 class TestPlanFiles:
     def test_put_get_invalidate(self, tmp_path):
         store = VerificationStore(str(tmp_path))
-        store.put_plan("model-a", "plan-1", {"queries": [1]})
-        store.put_plan("model-a", "plan-2", {"queries": [2]})
-        store.put_plan("model-b", "plan-1", {"queries": [3]})
+        store.put_plan("model-a", "plan-1", _plan_body(1))
+        store.put_plan("model-a", "plan-2", _plan_body(2))
+        store.put_plan("model-b", "plan-1", _plan_body(3))
         assert store.plan_count() == 3
-        assert store.get_plan("model-a", "plan-2") == {"queries": [2]}
+        run = {"execution_mode": "in-process", "workers": 2, "stats": {}}
+        assert store.get_plan("model-a", "plan-2") == ({}, run)
         assert store.get_plan("model-a", "missing") is None
         assert not store.quarantined  # a miss is not a conviction
         assert store.invalidate_plans("model-a") == 2
         assert store.get_plan("model-a", "plan-1") is None
-        assert store.get_plan("model-b", "plan-1") == {"queries": [3]}
+        assert store.get_plan("model-b", "plan-1") == ({}, dict(run, workers=3))
         assert store.invalidate_plans() == 1
         assert store.plan_count() == 0
 

@@ -315,9 +315,10 @@ class TestPlanResultCache:
         assert permuted[2].query == queries[0].describe()
 
     def test_tampered_plan_record_is_quarantined_never_served(self, tmp_path):
-        """A plan record whose body changed but still parses (one answer
-        flipped) is refused by its checksum and quarantined: the batch is
-        answered by a fresh run, never from the tampered copy."""
+        """A plan record whose body changed but still parses (one job
+        report's ``truncated`` flipped) is refused by its checksum and
+        quarantined: the batch is answered by a fresh run, never from the
+        tampered copy."""
         store_dir = str(tmp_path / "store")
         queries = (Loop(), Invariant("IpSrc"), Reach("zr0:in-hosts", "zr1"))
         clear_runtime_cache()
@@ -327,7 +328,7 @@ class TestPlanResultCache:
             raw = handle.read()
         flip = {b"true": b"false", b"false": b"true"}
         tampered = re.sub(
-            rb'("holds":\s*)(true|false)',
+            rb'("truncated":\s*)(true|false)',
             lambda match: match.group(1) + flip[match.group(2)],
             raw,
             count=1,
@@ -782,3 +783,146 @@ class TestSchemaChange:
         )
         assert hit.from_cache and not fresh.from_cache
         assert hit.to_json() == fresh.to_json()
+
+
+# ---------------------------------------------------------------------------
+# A plan record holds job reports; a hit is demultiplexed like a fresh run
+# ---------------------------------------------------------------------------
+
+
+def _resign(path, mutate):
+    """Change a record's body and sign it again: checksum intact, so only
+    the body's decoding can refuse it."""
+    header, _, body = Path(path).read_bytes().partition(b"\n")
+    header = json.loads(header)
+    write_record(path, header["kind"], header["key"], mutate(json.loads(body)))
+
+
+def _drop_one_field(body):
+    del next(iter(body["reports"].values()))["delivered_to"]
+    return body
+
+
+def _reason_outside_the_table(body):
+    report = next(r for r in body["reports"].values() if r["drop_reasons"])
+    report["drop_reasons"] = {str(len(body["reasons"])): 1}
+    return body
+
+
+PLAN_MUTATIONS = {
+    "reports-not-a-mapping": lambda body: dict(body, reports=list(body["reports"])),
+    "report-missing-a-field": _drop_one_field,
+    "reason-id-outside-the-table": _reason_outside_the_table,
+    "another-schema": lambda body: dict(body, schema="retired"),
+    # What the previous form stored: the rendered report, no job reports.
+    "a-rendered-report": lambda body: {"network": "net", "queries": [],
+                                       "schema": body["schema"], "reasons": []},
+}
+
+
+class TestPlanRecords:
+    QUERIES = (Loop(), Invariant("IpSrc"), ForAllPairs(Reach))
+
+    def _directory(self, tmp_path, name="net"):
+        directory = tmp_path / name
+        directory.mkdir()
+        export_stanford_directory(
+            str(directory), zones=4, internal_prefixes_per_zone=4,
+            service_acl_rules=2,
+        )
+        return directory
+
+    def test_a_copied_directory_is_answered_under_its_own_name(self, tmp_path):
+        """The model fingerprint is a content identity, so a byte-identical
+        copy shares the primed plan — but what the hit renders about the
+        network is the copy's, not the directory that primed it."""
+        import shutil
+
+        original = self._directory(tmp_path, "a")
+        copy = tmp_path / "b"
+        shutil.copytree(original, copy)
+        store_dir = str(tmp_path / "store")
+        clear_runtime_cache()
+        primed = NetworkModel.from_directory(str(original)).query(
+            Loop(), store=VerificationStore(store_dir)
+        )
+        hit = NetworkModel.from_directory(str(copy)).query(
+            Loop(), store=VerificationStore(store_dir)
+        )
+        assert hit.from_cache and not primed.from_cache
+        assert [(r.holds, r.value, r.fingerprint) for r in hit] == [
+            (r.holds, r.value, r.fingerprint) for r in primed
+        ]
+        payload = hit.to_dict()
+        assert payload["network"] == payload["plan"]["network"] == str(copy)
+        renamed = hit.to_json().replace(
+            json.dumps(payload["network"]), json.dumps(primed.to_dict()["network"])
+        )
+        assert renamed == primed.to_json()
+
+    def test_a_key_added_to_a_rendering_reaches_a_hit(self, tmp_path, monkeypatch):
+        """Nothing rendered is stored: a key the code adds to a plan's,
+        a result's or an answer's ``to_dict`` is in a hit's report exactly
+        as in a fresh run's, with no schema change."""
+        from repro.api.planner import Plan, PlanResult
+        from repro.api.queries import QueryResult
+
+        directory = self._directory(tmp_path)
+        store_dir = str(tmp_path / "store")
+        clear_runtime_cache()
+        NetworkModel.from_directory(str(directory)).query(
+            *self.QUERIES, store=VerificationStore(store_dir)
+        )
+        for owner in (PlanResult, Plan, QueryResult):
+            render = owner.to_dict
+            monkeypatch.setattr(
+                owner, "to_dict",
+                lambda self, render=render: dict(render(self), added=type(self).__name__),
+            )
+        hit = NetworkModel.from_directory(str(directory)).query(
+            *self.QUERIES, store=VerificationStore(store_dir)
+        )
+        fresh = NetworkModel.from_directory(str(directory)).query(*self.QUERIES)
+        assert hit.from_cache and not fresh.from_cache
+        for result in (hit, fresh):
+            payload = result.to_dict()
+            assert payload["added"] == "PlanResult"
+            assert payload["plan"]["added"] == "Plan"
+            assert [answer["added"] for answer in payload["queries"]] == [
+                "QueryResult"
+            ] * len(self.QUERIES)
+        assert list(hit.to_dict()) == list(fresh.to_dict())
+
+    @pytest.mark.parametrize("mutation", sorted(PLAN_MUTATIONS))
+    def test_a_record_that_does_not_decode_is_one_quarantined_miss(
+        self, tmp_path, mutation
+    ):
+        """A signed plan record whose body the planner cannot decode —
+        whatever part is wrong — is quarantined beside a ``.reason`` and
+        counted as one plan-cache miss; the batch is answered in full."""
+        from repro.obs.metrics import PLAN_CACHE
+
+        directory = self._directory(tmp_path)
+        store_dir = str(tmp_path / "store")
+        clear_runtime_cache()
+        primed = NetworkModel.from_directory(str(directory)).query(
+            *self.QUERIES, store=VerificationStore(store_dir)
+        )
+        (path,) = glob.glob(os.path.join(store_dir, "plans", "*", "*.rec"))
+        _resign(path, PLAN_MUTATIONS[mutation])
+        misses = PLAN_CACHE.get().value(result="miss")
+        hits = PLAN_CACHE.get().value(result="hit")
+        store = VerificationStore(store_dir)
+        rerun = NetworkModel.from_directory(str(directory)).query(
+            *self.QUERIES, store=store
+        )
+        assert not rerun.from_cache
+        assert PLAN_CACHE.get().value(result="miss") == misses + 1
+        assert PLAN_CACHE.get().value(result="hit") == hits
+        ((quarantined, why),) = store.quarantined
+        assert quarantined == path and why.startswith("undecodable plan body")
+        reasons = glob.glob(os.path.join(store_dir, "quarantine", "*.reason"))
+        assert [json.load(open(name))["record"] for name in reasons] == [path]
+        assert [(r.holds, r.value, r.fingerprint) for r in rerun] == [
+            (r.holds, r.value, r.fingerprint) for r in primed
+        ]
