@@ -41,15 +41,9 @@ from repro.core.campaign import (
     RunSettings,
     VerificationCampaign,
 )
-from repro.core.delta import (
-    encode_report,
-    parse_reports,
-    report_from_payload,
-    report_to_payload,
-)
+from repro.core.delta import parse_reports, report_from_payload
 from repro.core.facts import RUN_FIELDS, schema_digest
 from repro.core.queries import AGGREGATIONS, CampaignStats, port_key
-from repro.core.shapes import ReasonTable
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +319,12 @@ class PlanResult:
 
 
 def plan_record(result: PlanResult) -> Dict[str, object]:
-    """A fresh result as a store record body: its job reports in the delta
-    baseline's stored form, each reason text stated once in a trailing
-    ``reasons`` table, the run that computed them, and its ``schema`` (the
+    """A fresh result as a store record body: its job reports as the run's
+    baseline encoded them (each reason text stated once in a trailing
+    ``reasons`` table), the run that computed them, and its ``schema`` (the
     inverse of :func:`plan_from_record`)."""
-    reasons = ReasonTable()
-    reports = {
-        job.source_key: encode_report(report_to_payload(job), reasons)
-        for job in result.campaign.jobs
-    }
+    entries, reasons = result.campaign.baseline.encoded()
+    reports = {key: entry["report"] for key, entry in entries.items()}
     return {"schema": schema_digest(), **result.run, "reports": reports,
             "reasons": reasons.texts}
 

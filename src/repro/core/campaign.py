@@ -15,8 +15,10 @@ delta finish (summary, baseline record)``
   run as the next one;
 * the *executor* (:func:`repro.core.executor.run_jobs`) runs what is left —
   in-process or on a process pool — and is the only stage that knows how;
-* the aggregation folds the per-job reports into the query objects of
-  :mod:`repro.core.queries`.  It is order-independent, so a campaign run on
+* the *aggregate* stage sorts the reports, absorbs their stats and merges
+  their verdicts; each answer (the query objects of
+  :mod:`repro.core.queries`) is folded from the sorted reports on first
+  read.  The fold is order-independent, so a campaign run on
   ``--workers N``, with or without delta splicing, produces bit-identical
   query results to a plain sequential run.
 
@@ -65,9 +67,6 @@ from repro.core.jobs import (
 from repro.core.queries import (
     AGGREGATIONS,
     CampaignStats,
-    InvariantReport,
-    LoopReport,
-    ReachabilityMatrix,
     record_campaign_stats,
     record_job_report,
 )
@@ -107,15 +106,6 @@ __all__ = [
 # Campaign result
 # ---------------------------------------------------------------------------
 
-#: Aggregation kind -> the CampaignResult attribute holding its fold (the
-#: kind name is also its key in the JSON report).
-_AGGREGATE_ATTRIBUTES = {
-    "reachability": "reachability",
-    "loops": "loop_report",
-    "invariants": "invariant_report",
-}
-
-
 @dataclass
 class CampaignResult:
     """Aggregated outcome of a verification campaign."""
@@ -126,9 +116,6 @@ class CampaignResult:
     validation_problems: List[str] = field(default_factory=list)
     execution_mode: str = "in-process"
     workers: int = 1
-    reachability: ReachabilityMatrix = field(default_factory=ReachabilityMatrix)
-    loop_report: LoopReport = field(default_factory=LoopReport)
-    invariant_report: InvariantReport = field(default_factory=InvariantReport)
     stats: CampaignStats = field(default_factory=CampaignStats)
     #: Canonical verdict-cache entries merged from every job — the fresh
     #: verdicts this run derived, which the campaign publishes to its store.
@@ -137,9 +124,14 @@ class CampaignResult:
     #: touched files/elements, or a fallback reason); empty when no baseline
     #: was in play.
     delta_info: Dict[str, object] = field(default_factory=dict)
-    #: This run packaged as the next run's delta baseline (directory
-    #: sources only).
+    #: This run packaged as the next run's delta baseline.  Every run
+    #: records one; only a directory's (the one with a ``manifest``) is
+    #: ever written or spliced from.
     baseline: Optional[CampaignBaseline] = field(default=None, repr=False)
+    #: Aggregation kind -> its fold over :attr:`jobs`, made on first read.
+    _folds: Dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def aggregate(
@@ -181,18 +173,32 @@ class CampaignResult:
                     )
                 if action == "replace":
                     result.verdict_cache[fingerprint] = verdict
-        for kind, attribute in _AGGREGATE_ATTRIBUTES.items():
-            if kind in result.queries:
-                setattr(result, attribute, AGGREGATIONS[kind].from_jobs(result.jobs))
         result.stats.wall_clock_seconds = wall_clock_seconds
         result.stats.verdict_cache_entries = len(result.verdict_cache)
         return result
+
+    def _fold(self, kind: str):
+        """``kind``'s answer (a ``ReachabilityMatrix``, ``LoopReport`` or
+        ``InvariantReport``), folded by the one fold
+        (``AGGREGATIONS[kind].from_jobs``) on first read — empty for a kind
+        the campaign does not aggregate."""
+        folded = self._folds.get(kind)
+        if folded is None:
+            jobs = self.jobs if kind in self.queries else ()
+            folded = self._folds[kind] = AGGREGATIONS[kind].from_jobs(jobs)
+        return folded
+
+    reachability = property(lambda self: self._fold("reachability"))
+    loop_report = property(lambda self: self._fold("loops"))
+    invariant_report = property(lambda self: self._fold("invariants"))
 
     @property
     def baseline_payload(self) -> Optional[Dict[str, object]]:
         """The persisted form of :attr:`baseline` — what ``--save-baseline``
         writes and the store keeps."""
-        return self.baseline.to_payload() if self.baseline is not None else None
+        if self.baseline is None or self.baseline.manifest is None:
+            return None
+        return self.baseline.to_payload()
 
     @property
     def job_errors(self) -> List[Tuple[str, str]]:
@@ -211,9 +217,9 @@ class CampaignResult:
         }
         if self.delta_info:
             payload["delta"] = dict(self.delta_info)
-        for kind, attribute in _AGGREGATE_ATTRIBUTES.items():
+        for kind in AGGREGATIONS:
             if kind in self.queries:
-                payload[kind] = getattr(self, attribute).to_dict()
+                payload[kind] = self._fold(kind).to_dict()
         return payload
 
     def to_json(self, indent: Optional[int] = 2) -> str:

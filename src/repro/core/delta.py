@@ -236,16 +236,31 @@ class CampaignBaseline:
     what delta verification splices unaffected answers from.
 
     A baseline this process recorded holds its payloads as text; parsed
-    from a payload, or once :meth:`to_payload` has encoded it, their
-    reasons are ids into ``reasons``."""
+    from a payload, or once :meth:`encoded` has run, their reasons are ids
+    into ``reasons``.  One recorded from a source with no build manifest
+    (``manifest`` is ``None``) is never written and never spliced from;
+    its encoding still serves the run's plan record."""
 
-    manifest: ElementManifest
+    manifest: Optional[ElementManifest]
     #: ``element:port`` -> {"config": job config digest, "report": payload}.
     reports: Dict[str, Dict[str, object]]
     #: Directory the baseline was recorded for (informational).
     source: str = ""
     #: The table the payloads' reasons index; ``None`` while they are text.
     reasons: Optional[ReasonTable] = None
+
+    def encoded(self) -> Tuple[Dict[str, Dict[str, object]], ReasonTable]:
+        """The entries in their stored form and the table their reasons
+        index.  The first call states every reason once, assigning ids in
+        the order the reports meet them; a run that stores nothing never
+        pays for it, and one that stores both a plan and a baseline pays
+        once."""
+        if self.reasons is None:
+            table = ReasonTable()
+            for entry in self.reports.values():
+                entry["report"] = encode_report(entry["report"], table)
+            self.reasons = table
+        return self.reports, self.reasons
 
     def report_for(
         self, key: str, config: str
@@ -261,20 +276,14 @@ class CampaignBaseline:
 
     def to_payload(self) -> Dict[str, object]:
         """The persisted form (what the store and ``--save-baseline``
-        write).  The first call states every reason once, assigning ids in
-        the order the reports meet them; a run that writes nothing never
-        pays for it."""
-        if self.reasons is None:
-            table = ReasonTable()
-            for entry in self.reports.values():
-                entry["report"] = encode_report(entry["report"], table)
-            self.reasons = table
+        write), over :meth:`encoded`."""
+        reports, reasons = self.encoded()
         return {
             "schema": schema_digest(),
             "source": self.source,
             "manifest": self.manifest.to_payload(),
-            "reasons": self.reasons.texts,
-            "reports": self.reports,
+            "reasons": reasons.texts,
+            "reports": reports,
         }
 
     @classmethod
@@ -304,7 +313,7 @@ class CampaignBaseline:
 
 
 def record_baseline(
-    manifest: ElementManifest,
+    manifest: Optional[ElementManifest],
     configs: Mapping[str, str],
     reports: Iterable[object],
     source: str = "",
@@ -380,7 +389,7 @@ class DeltaReducer:
         manifest = ElementManifest.of_network(self._network())
         diff = (
             diff_manifests(baseline.manifest, manifest)
-            if manifest is not None
+            if manifest is not None and baseline.manifest is not None
             else ManifestDiff(False, "no build manifest")
         )
         if not diff.compatible:
@@ -428,25 +437,25 @@ class DeltaReducer:
 
     def finish(self, result) -> None:
         result.delta_info = dict(self._info)
-        if not self._directory:
-            return
-        # Record this run as the directory's delta baseline: the build
-        # manifest plus every non-errored report (executed or itself
-        # spliced — both carry the same semantic content a fresh run
-        # would).  Attached to the result for --save-baseline; persisted in
-        # the store so the next campaign auto-detects it.  Only a write
-        # encodes it.
+        # Record this run as its baseline: the build manifest (``None``
+        # for a source without one) plus every non-errored report (executed
+        # or itself spliced — both carry the same semantic content a fresh
+        # run would).  Attached to the result for --save-baseline and the
+        # plan record; a directory's is persisted in the store so the next
+        # campaign auto-detects it.  Only a write encodes it, once.
         with get_tracer().span("baseline.record", jobs=len(result.jobs)):
-            manifest = ElementManifest.of_network(self._network())
-            if manifest is None:
-                return
+            manifest = (
+                ElementManifest.of_network(self._network())
+                if self._directory
+                else None
+            )
             result.baseline = record_baseline(
                 manifest,
                 {job.source_key: job_config_digest(job) for job in self._jobs},
                 result.jobs,
-                source=os.path.abspath(self._directory),
+                source=os.path.abspath(self._directory) if self._directory else "",
             )
-            if self._enabled and self._store is not None:
+            if manifest is not None and self._enabled and self._store is not None:
                 self._store.put_baseline(
                     self._directory, result.baseline.to_payload()
                 )

@@ -142,9 +142,6 @@ class NullTracer:
     def absorb(self, payloads: Iterable[Dict[str, object]], parent_id: int = 0) -> None:
         pass
 
-    def annotate(self, **attrs: object) -> None:
-        pass
-
     def export(self) -> List[Dict[str, object]]:
         return []
 
@@ -174,14 +171,6 @@ class Tracer:
         if stack is None:
             stack = self._local.stack = []
         return stack
-
-    def annotate(self, **attrs: object) -> None:
-        """Attach attributes to this thread's innermost open span — for
-        facts a stage only knows once it has run (a partition's class
-        count), without handing span objects through its interface."""
-        stack = self._stack()
-        if stack:
-            stack[-1].attrs.update(attrs)
 
     def span(self, name: str, **attrs: object) -> _ActiveSpan:
         return _ActiveSpan(self, name, attrs)

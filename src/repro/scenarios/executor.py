@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api.model import NetworkModel
 from repro.api.planner import Plan, compile_plan, execute_plan
 from repro.obs import get_tracer
-from repro.api.queries import ForAllPairs, Invariant, Loop, Query, Reach
+from repro.api.queries import ForAllPairs, Invariant, Loop, Query, QueryResult, Reach
 from repro.core.delta import CampaignBaseline
 from repro.core.queries import CampaignStats
 from repro.core.settings import RunSettings
@@ -190,13 +190,13 @@ def _violating_traces(result_dict: Dict[str, object]) -> List[Dict[str, object]]
 
 
 def violations_for_step(
-    index: int, step: Optional[UpdateStep], results: Sequence[object]
+    index: int, step: Optional[UpdateStep], results: Sequence[QueryResult]
 ) -> List[Dict[str, object]]:
     """Every violation one verified state produced, as flat JSON-able
     records the reducer clusters."""
     violations: List[Dict[str, object]] = []
     for result in results:
-        result_dict = result.to_dict() if hasattr(result, "to_dict") else dict(result)
+        result_dict = result.to_dict()
         if result_dict.get("holds") is not False:
             continue
         for trace in _violating_traces(result_dict):
@@ -309,10 +309,9 @@ class ScenarioCampaign:
             wall_seconds=wall,
             engine_runs=engine_runs,
         )
-        next_baseline = baseline
-        if result.campaign is not None and result.campaign.baseline is not None:
-            next_baseline = result.campaign.baseline
-        return outcome, next_baseline
+        if result.campaign is not None:
+            baseline = result.campaign.baseline
+        return outcome, baseline
 
     def run(self) -> ScenarioRun:
         """Verify the initial snapshot and every transient state, then

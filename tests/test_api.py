@@ -497,6 +497,33 @@ class TestPlanner:
         assert batch[2].backend.fingerprint() == invariants.invariant_report.fingerprint()
         assert batch[2].holds == invariants.invariant_report.field_holds("IpSrc")
 
+    def test_each_answer_is_folded_once_by_the_query_that_reads_it(
+        self, monkeypatch
+    ):
+        """The campaign's aggregate stage folds no answer: each of the
+        three folds runs once, inside the one query of the batch that
+        reads it, and the campaign's own views fold on first read."""
+        from repro.core.queries import AGGREGATIONS
+
+        calls = {kind: 0 for kind in AGGREGATIONS}
+        for kind, backend in AGGREGATIONS.items():
+            fold = backend.from_jobs
+
+            def spy(cls, jobs, *, kind=kind, fold=fold, **options):
+                calls[kind] += 1
+                return fold(jobs, **options)
+
+            monkeypatch.setattr(backend, "from_jobs", classmethod(spy))
+        model = NetworkModel.from_workload("department", **DEPARTMENT_OPTIONS)
+        plan = compile_plan(model, [ForAllPairs(Reach), Loop(), Invariant("IpSrc")])
+        clear_runtime_cache()
+        result = execute_plan(plan)
+        assert calls == {"reachability": 1, "loops": 1, "invariants": 1}
+        campaign = result.campaign
+        assert campaign.loop_report is campaign.loop_report
+        assert calls["loops"] == 2
+        assert campaign.loop_report.fingerprint() == result[1].backend.fingerprint()
+
     def test_disjoint_ports_get_separate_jobs(self):
         model = NetworkModel.from_network(loop_network())
         plan = compile_plan(

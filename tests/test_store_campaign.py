@@ -926,3 +926,77 @@ class TestPlanRecords:
         assert [(r.holds, r.value, r.fingerprint) for r in rerun] == [
             (r.holds, r.value, r.fingerprint) for r in primed
         ]
+
+
+class TestOnePipelinePass:
+    """A run encodes each report once, for its plan record and its
+    baseline alike."""
+
+    def test_each_report_is_encoded_once_per_run(self, tmp_path, monkeypatch):
+        from repro.api import planner
+        from repro.core import delta
+
+        directory = tmp_path / "net"
+        _stanford_directory(directory, zones=4)
+        encoded = []
+        encode = delta.encode_report
+
+        def spy(payload, reasons):
+            encoded.append(f"{payload['element']}:{payload['port']}")
+            return encode(payload, reasons)
+
+        monkeypatch.setattr(delta, "encode_report", spy)
+        monkeypatch.setattr(planner, "encode_report", spy, raising=False)
+        store_dir = tmp_path / "store"
+        clear_runtime_cache()
+        result = NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=VerificationStore(str(store_dir)), delta=True
+        )
+        assert glob.glob(str(store_dir / "plans" / "*" / "*.rec"))
+        assert glob.glob(str(store_dir / "baselines" / "*.rec"))
+        jobs = sorted(job.source_key for job in result.campaign.jobs)
+        assert len(jobs) == result.plan.job_count > 1
+        assert sorted(encoded) == jobs
+
+    def test_a_plan_record_holds_the_baselines_encoded_entries(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "net"
+        _stanford_directory(directory, zones=4)
+        bodies = []
+        put_plan = VerificationStore.put_plan
+
+        def spy(store, model, plan, body):
+            bodies.append(body)
+            return put_plan(store, model, plan, body)
+
+        monkeypatch.setattr(VerificationStore, "put_plan", spy)
+        clear_runtime_cache()
+        result = NetworkModel.from_directory(str(directory)).query(
+            *REASON_QUERIES, store=VerificationStore(str(tmp_path / "store"))
+        )
+        ((body,),) = [bodies]
+        entries, reasons = result.campaign.baseline.encoded()
+        assert list(body["reports"]) == list(entries)
+        for key, report in body["reports"].items():
+            assert report is entries[key]["report"]
+        assert body["reasons"] is reasons.texts
+        assert body["reasons"] == result.campaign.baseline_payload["reasons"]
+
+    def test_a_workload_run_records_an_unwritable_baseline_and_hits(
+        self, tmp_path
+    ):
+        store_dir = str(tmp_path / "store")
+        model = NetworkModel.from_workload("stanford", **STANFORD_OPTIONS)
+        clear_runtime_cache()
+        fresh = model.query(*REASON_QUERIES, store=VerificationStore(store_dir))
+        baseline = fresh.campaign.baseline
+        assert baseline is not None and baseline.manifest is None
+        assert set(baseline.reports) == {job.source_key for job in fresh.campaign.jobs}
+        assert fresh.campaign.baseline_payload is None
+        assert not os.listdir(os.path.join(store_dir, "baselines"))
+        hit = NetworkModel.from_workload("stanford", **STANFORD_OPTIONS).query(
+            *REASON_QUERIES, store=VerificationStore(store_dir)
+        )
+        assert hit.from_cache and not fresh.from_cache
+        assert hit.to_json() == fresh.to_json()
